@@ -71,6 +71,12 @@ class ChartManifold:
             raise ChartError("chart has no complex structure")
         return _matrix_values(self.complex_structure, p)
 
+    def complex_structure_jet(self, p):
+        """J at p and its coordinate derivatives dJ[i, a, b] = d_i J^a_b."""
+        if self.complex_structure is None:
+            raise ChartError("chart has no complex structure")
+        return _matrix_jet(self.complex_structure, p)
+
 
 def _parse_matrix(entries, dim: int, what: str):
     if len(entries) != dim or any(len(row) != dim for row in entries):
@@ -88,6 +94,14 @@ def _matrix_values(entries, p) -> np.ndarray:
         for j in range(dim):
             out[i, j] = eval_jet2(entries[i][j], p).value
     return out
+
+
+def _matrix_jet(entries, p):
+    dim = len(entries)
+    jets = [eval_jet2(e, p) for row in entries for e in row]
+    values = np.array([jet.value for jet in jets]).reshape(dim, dim)
+    grads = np.array([jet.grad for jet in jets]).T.reshape(len(p), dim, dim)
+    return values, grads
 
 
 def christoffel(chart: ChartManifold, p) -> np.ndarray:
@@ -113,6 +127,13 @@ def christoffel(chart: ChartManifold, p) -> np.ndarray:
     lower = (np.transpose(grads, (2, 0, 1)) + np.transpose(grads, (0, 2, 1))
              - grads)
     return 0.5 * np.einsum("kl,ijl->kij", inverse, lower)
+
+
+def metric_derivative(G, gamma, X) -> np.ndarray:
+    """Derivative of the metric matrix G along X, recovered from its
+    Levi-Civita symbols: d_k g_ij = g_il Gamma^l_kj + g_jl Gamma^l_ki."""
+    lowered = G @ np.einsum("lkj,k->lj", gamma, X)
+    return lowered + lowered.T
 
 
 def _unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -165,13 +186,7 @@ def check_kahler(chart: ChartManifold, points, dirs: int = 4,
         gamma = christoffel(chart, p)
         ip = InnerProduct(chart.metric_values(p))
         G = ip.matrix
-        J = np.empty((n, n))
-        dJ = np.empty((n, n, n))  # dJ[i, a, b] = d_i J^a_b
-        for a in range(n):
-            for b in range(n):
-                jet = eval_jet2(chart.complex_structure[a][b], p)
-                J[a, b] = jet.value
-                dJ[:, a, b] = jet.grad
+        J, dJ = chart.complex_structure_jet(p)
         nabla = (dJ + np.einsum("aic,cb->iab", gamma, J)
                  - np.einsum("ac,cib->iab", J, gamma))
         frame = np.linalg.solve(ip.cholesky.T, np.eye(n))  # g-orthonormal

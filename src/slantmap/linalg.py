@@ -132,6 +132,37 @@ def metric_adjoint(A, g1: InnerProduct, g2: InnerProduct) -> np.ndarray:
     return np.linalg.solve(g1.matrix, A.T @ g2.matrix)
 
 
+def metric_adjoint_derivative(A, dA, g1: InnerProduct, dG1,
+                              g2: InnerProduct, dG2) -> np.ndarray:
+    """Derivative of metric_adjoint(A, g1, g2) when A, G1 and G2 move with
+    velocities dA, dG1 and dG2: G1^-1 (dA^T G2 + A^T dG2 - dG1 adjoint)."""
+    adjoint = metric_adjoint(A, g1, g2)
+    return np.linalg.solve(g1.matrix, dA.T @ g2.matrix + A.T @ dG2
+                           - dG1 @ adjoint)
+
+
+def range_projector_derivative(A, dA, split: TangentSplit, dG2):
+    """The g2-orthogonal projector P onto range A and its derivative.
+
+    A moves with velocity dA and the target metric with velocity dG2, at
+    constant rank.  With the metric pseudo-inverse A+ = H S^-1 R^T G2 built
+    from the split bases (S = R^T G2 A H) and K = (I - P) dA A+,
+
+        dP = K + G2^-1 K^T G2 + G2^-1 P^T dG2 (I - P)
+
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  Returns (P, dP).
+    """
+    G2 = split.range.metric.matrix
+    H = split.horizontal.columns
+    R = split.range.columns
+    P = R @ R.T @ G2
+    S = R.T @ G2 @ A @ H
+    pseudo_inverse = H @ np.linalg.solve(S, R.T @ G2)
+    complement = np.eye(len(G2)) - P
+    K = complement @ dA @ pseudo_inverse
+    return P, K + np.linalg.solve(G2, K.T @ G2 + P.T @ dG2 @ complement)
+
+
 def split_tangent(A, g1: InnerProduct, g2: InnerProduct,
                   tol: float = DEFAULT_RANK_TOL) -> TangentSplit:
     """Rank and the four orthonormal bases attached to a linear map.

@@ -12,6 +12,7 @@ so no vector-field extensions enter; jets supply every derivative exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,10 +85,18 @@ class PointFrame:
     gamma_target: np.ndarray
     sff: np.ndarray  # (m, n, n)
     complex_structure: Optional[np.ndarray]
+    hessian: np.ndarray  # (m, n, n), d_i d_j F^g
+    target: ChartManifold
 
     @property
     def rank(self) -> int:
         return self.split.rank
+
+    @cached_property
+    def complex_structure_grad(self) -> np.ndarray:
+        """dJ[c, a, b] = d_c J^a_b at F(p).  Only the slant derivatives read
+        it, so it is evaluated on first use, not with the frame."""
+        return self.target.complex_structure_jet(self.image)[1]
 
     def adjoint(self) -> np.ndarray:
         return metric_adjoint(self.jacobian, self.g_source, self.g_target)
@@ -122,7 +131,8 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
     J = None
     if spec.target.complex_structure is not None:
         J = spec.target.complex_structure_at(image)
-    return PointFrame(point, image, jac, g1, g2, split, gamma1, gamma2, sff, J)
+    return PointFrame(point, image, jac, g1, g2, split, gamma1, gamma2, sff, J,
+                      hess, spec.target)
 
 
 def second_fundamental_form(spec: MapSpec, p, X, Y,

@@ -8,30 +8,33 @@ is -cos^2(theta) times the identity exactly when the angle theta between
 J F_*X and the range is constant.  Everything here is computed pointwise in
 the orthonormal frames delivered by the tangent splitting.
 
-Derivatives of the normal connection are taken along coordinate lines
-through the base point: the section is rebuilt at p +/- h X (centered
-difference, h = 1e-5) and corrected with the target Christoffel symbols.
-Source-connection terms use constant-coefficient extensions of the sampled
-frame vectors plus Christoffel corrections.
+Covariant derivatives of the sections phi(F_*Y), omega(F_*Y) and QY, for Y
+extended by constant coefficients, are taken along the curve t -> p + tX in
+closed form from data the jets already give at the base point: the component
+Hessian moves F_*, the metric derivatives follow from the Christoffel
+symbols, and the J gradient moves the complex structure.  The range projector
+and the metric adjoint are differentiated exactly at constant rank, and the
+plain derivatives are corrected with the target (pullback) or source
+Christoffel symbols.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .charts import ChartError
-from .linalg import DEFAULT_RANK_TOL, project
+from .charts import ChartError, metric_derivative
+from .linalg import (DEFAULT_RANK_TOL, metric_adjoint_derivative, project,
+                     range_projector_derivative)
 from .maps import (DEFAULT_CHECK_TOL, MapDefinitionError, MapSpec, PointFrame,
                    fiber_geodesy_residual, fiber_mean_curvature_from_frame,
                    horizontal_geodesy_residual, is_riemannian_map, point_frame,
                    sff_global_max, tension_from_frame)
 from .result import CheckResult
 
-CURVE_STEP = 1e-5
 DEFAULT_ANGLE_TOL = 1e-6
 
 INVARIANT = "invariant"
@@ -169,52 +172,69 @@ def point_operators(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL,
 # ---------------------------------------------------------------------------
 # Connection machinery along coordinate curves
 
-def _pullback_derivative(frame: PointFrame, X,
-                         section: Callable[[np.ndarray], np.ndarray],
-                         h: float = CURVE_STEP) -> np.ndarray:
-    """Pullback-connection derivative of a target-vector section along t -> p + tX."""
-    p = frame.point
-    Xv = np.asarray(X, dtype=float)
-    dv = (section(p + h * Xv) - section(p - h * Xv)) / (2.0 * h)
-    fx = frame.pushforward(Xv)
-    return dv + np.einsum("gab,a,b->g", frame.gamma_target, fx, section(p))
+@dataclass
+class SectionDerivatives:
+    """Covariant derivatives along X of the sections Y -> phi(F_*Y),
+    omega(F_*Y) and QY, as matrices acting on constant-coefficient Y."""
+
+    phi: np.ndarray    # (m, n), pullback connection
+    omega: np.ndarray  # (m, n), pullback connection
+    q: np.ndarray      # (n, n), source connection
 
 
-def _source_derivative(frame: PointFrame, X,
-                       section: Callable[[np.ndarray], np.ndarray],
-                       h: float = CURVE_STEP) -> np.ndarray:
-    """Source-connection derivative of a source-vector section along t -> p + tX."""
-    p = frame.point
+def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
+    """Exact derivatives of the phi, omega and Q sections along t -> p + tX.
+
+    Along the curve F_* moves by dA = Hess(F) X, the metrics by dG1 (along X)
+    and dG2 (along F_*X), and J by its gradient along F_*X.  With the
+    projector P onto the range, phi = P J A and omega = (I - P) J A, so
+    d phi = dP J A + P d(J A) and Q = adjoint phi.  The Christoffel terms then
+    turn the plain derivatives into covariant ones.
+    """
+    J = _require_complex_structure(frame)
     Xv = np.asarray(X, dtype=float)
-    dv = (section(p + h * Xv) - section(p - h * Xv)) / (2.0 * h)
-    return dv + np.einsum("kij,i,j->k", frame.gamma_source, Xv, section(p))
+    A = frame.jacobian
+    fx = A @ Xv
+    dA = frame.hessian @ Xv
+    dG1 = metric_derivative(frame.g_source.matrix, frame.gamma_source, Xv)
+    dG2 = metric_derivative(frame.g_target.matrix, frame.gamma_target, fx)
+    dJ = np.einsum("cab,c->ab", frame.complex_structure_grad, fx)
+    P, dP = range_projector_derivative(A, dA, frame.split, dG2)
+    JA = J @ A
+    dJA = dJ @ A + J @ dA
+    phi = P @ JA
+    d_phi = dP @ JA + P @ dJA
+    adjoint = frame.adjoint()
+    d_adjoint = metric_adjoint_derivative(A, dA, frame.g_source, dG1,
+                                          frame.g_target, dG2)
+    target_connection = np.einsum("gab,a->gb", frame.gamma_target, fx)
+    source_connection = np.einsum("kij,i->kj", frame.gamma_source, Xv)
+    return SectionDerivatives(
+        phi=d_phi + target_connection @ phi,
+        omega=dJA - d_phi + target_connection @ (JA - phi),
+        q=d_adjoint @ phi + adjoint @ d_phi + source_connection @ adjoint @ phi)
 
 
 def omega_parallel_defect(spec: MapSpec, p, X, Y,
-                          rank_tol: float = DEFAULT_RANK_TOL,
-                          h: float = CURVE_STEP) -> np.ndarray:
+                          rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Covariant derivative of the omega operator, as a normal vector.
 
     Measures nabla^perp_X (omega F_*Y) - omega F_*(nabla_X Y) with Y extended
     by constant coefficients.  Zero everywhere means omega is parallel.
     """
     frame = point_frame(spec, p, rank_tol)
-    return omega_defect_from_frame(spec, frame, X, Y, rank_tol, h)
+    return omega_defect_from_frame(frame, X, Y)
 
 
-def omega_defect_from_frame(spec: MapSpec, frame: PointFrame, X, Y,
-                            rank_tol: float = DEFAULT_RANK_TOL,
-                            h: float = CURVE_STEP) -> np.ndarray:
-    _require_complex_structure(frame)
+def omega_defect_from_frame(frame: PointFrame, X, Y,
+                            derivatives: Optional[SectionDerivatives] = None
+                            ) -> np.ndarray:
+    """omega_parallel_defect on a built frame; pass section_derivatives(frame,
+    X) as ``derivatives`` to reuse it across several Y."""
+    if derivatives is None:
+        derivatives = section_derivatives(frame, X)
     Yv = np.asarray(Y, dtype=float)
-
-    def section(q):
-        fq = point_frame(spec, q, rank_tol)
-        _, omega = phi_omega_from_frame(fq, Yv)
-        return omega
-
-    full = _pullback_derivative(frame, X, section, h)
-    nabla_perp = normal_part(frame, full)
+    nabla_perp = normal_part(frame, derivatives.omega @ Yv)
     _, omega_nabla = phi_omega_from_frame(frame, frame.covariant_source(X, Yv))
     return nabla_perp - omega_nabla
 
@@ -222,8 +242,8 @@ def omega_defect_from_frame(spec: MapSpec, frame: PointFrame, X, Y,
 def omega_defect_algebraic(frame: PointFrame, X, Y) -> np.ndarray:
     """Closed form of the omega defect: C(sff(X, Y)) - sff(X, QY).
 
-    Valid when the target structure is parallel; computed entirely from jets,
-    so it serves as an independent cross-check of the curve-based defect.
+    Valid when the target structure is parallel; it uses only the second
+    fundamental form, so it cross-checks the derivative-based defect.
     """
     J = _require_complex_structure(frame)
     sff_xy = normal_part(frame, frame.sff_value(X, Y))
@@ -232,29 +252,25 @@ def omega_defect_algebraic(frame: PointFrame, X, Y) -> np.ndarray:
 
 
 def phi_parallel_defect(spec: MapSpec, p, X, Y,
-                        rank_tol: float = DEFAULT_RANK_TOL,
-                        h: float = CURVE_STEP) -> np.ndarray:
+                        rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Covariant derivative of the phi operator, as a range vector.
 
     Returns nabla^F_X (phi F_*Y) - phi F_*(nabla_X Y) - sff(X, QY); the QY
     term realizes phi F_*Y = F_*(QY) on the horizontal space.
     """
     frame = point_frame(spec, p, rank_tol)
-    return phi_defect_from_frame(spec, frame, X, Y, rank_tol, h)
+    return phi_defect_from_frame(frame, X, Y)
 
 
-def phi_defect_from_frame(spec: MapSpec, frame: PointFrame, X, Y,
-                          rank_tol: float = DEFAULT_RANK_TOL,
-                          h: float = CURVE_STEP) -> np.ndarray:
-    _require_complex_structure(frame)
+def phi_defect_from_frame(frame: PointFrame, X, Y,
+                          derivatives: Optional[SectionDerivatives] = None
+                          ) -> np.ndarray:
+    """phi_parallel_defect on a built frame; ``derivatives`` as in
+    omega_defect_from_frame."""
+    if derivatives is None:
+        derivatives = section_derivatives(frame, X)
     Yv = np.asarray(Y, dtype=float)
-
-    def section(q):
-        fq = point_frame(spec, q, rank_tol)
-        phi, _ = phi_omega_from_frame(fq, Yv)
-        return phi
-
-    full = _pullback_derivative(frame, X, section, h)
+    full = derivatives.phi @ Yv
     phi_nabla, _ = phi_omega_from_frame(frame, frame.covariant_source(X, Yv))
     return full - phi_nabla - frame.sff_value(X, q_apply(frame, Yv))
 
@@ -370,7 +386,7 @@ def classify_slant(spec: MapSpec, points, dirs_per_point: int = 6,
 
     _fit_lambda(report, frames, rng, dirs_per_point)
     _fit_mu(report, frames)
-    _parallelism(report, spec, frames, rank_tol, tol)
+    _parallelism(report, frames, tol)
     _phwc_flags(report, spec, frames, tol, rank_tol)
     return report
 
@@ -411,18 +427,19 @@ def _fit_mu(report: SlantReport, frames) -> None:
     report.mu_residual = float(residual)
 
 
-def _parallelism(report: SlantReport, spec: MapSpec, frames,
-                 rank_tol: float, tol: float) -> None:
+def _parallelism(report: SlantReport, frames, tol: float) -> None:
     omega_max = phi_max = 0.0
     for frame in frames:
         h = frame.split.horizontal.columns
         for a in range(frame.rank):
+            X = h[:, a]
+            derivatives = section_derivatives(frame, X)
             for b in range(frame.rank):
-                X, Y = h[:, a], h[:, b]
+                Y = h[:, b]
                 omega_max = max(omega_max, frame.g_target.norm(
-                    omega_defect_from_frame(spec, frame, X, Y, rank_tol)))
+                    omega_defect_from_frame(frame, X, Y, derivatives)))
                 phi_max = max(phi_max, frame.g_target.norm(
-                    phi_defect_from_frame(spec, frame, X, Y, rank_tol)))
+                    phi_defect_from_frame(frame, X, Y, derivatives)))
     report.omega_defect = float(omega_max)
     report.omega_parallel = omega_max <= tol
     report.phi_defect = float(phi_max)
@@ -561,7 +578,7 @@ def check_adapted_frame(spec: MapSpec, points, report: SlantReport,
     witness = None
     for p in points:
         frame_cols = adapted_frame(spec, p, report.angle_tol, rank_tol)
-        g1 = point_frame(spec, p, rank_tol).g_source
+        g1 = spec.source.metric_at(p)
         gram = frame_cols.T @ g1.matrix @ frame_cols
         residual = float(np.abs(gram - np.eye(frame_cols.shape[1])).max())
         if residual > worst:
@@ -586,12 +603,14 @@ def check_phi_parallel(report: SlantReport,
 
 
 def check_omega_defect_identity(spec: MapSpec, points,
-                                tol: float = 1e-7,
+                                tol: float = 1e-10,
                                 rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
-    """Curve-based omega defect must match its closed form C(sff) - sff(., Q.).
+    """The omega defect must match its algebraic form C(sff) - sff(., Q.).
 
-    The two sides are computed along independent routes (centered differences
-    along curves versus jet-exact projections), so agreement validates both.
+    One side differentiates omega(F_*Y) along X exactly (projector and
+    complex-structure derivatives plus the normal connection); the other uses
+    only the second fundamental form and Q.  The two routes share no
+    derivative formula, so agreement validates both.
     """
     worst = 0.0
     witness = None
@@ -599,9 +618,11 @@ def check_omega_defect_identity(spec: MapSpec, points,
         frame = point_frame(spec, p, rank_tol)
         h = frame.split.horizontal.columns
         for a in range(frame.rank):
+            X = h[:, a]
+            derivatives = section_derivatives(frame, X)
             for b in range(frame.rank):
-                X, Y = h[:, a], h[:, b]
-                measured = omega_defect_from_frame(spec, frame, X, Y, rank_tol)
+                Y = h[:, b]
+                measured = omega_defect_from_frame(frame, X, Y, derivatives)
                 algebraic = omega_defect_algebraic(frame, X, Y)
                 residual = frame.g_target.norm(measured - algebraic)
                 if residual > worst:
@@ -701,11 +722,10 @@ def check_harmonic_minimal_equivalence(spec: MapSpec, points,
                 "harmonic": harmonic.passed, "minimal_fibers": fibers.passed})
 
 
-def _condition_three_residual(spec: MapSpec, frame: PointFrame,
-                              rank_tol: float) -> float:
+def _condition_three_residual(frame: PointFrame) -> float:
     """Pairing identity linking the shape operator, B/C parts and the normal
     connection on horizontal pairs against every normal frame vector."""
-    J = _require_complex_structure(frame)
+    _require_complex_structure(frame)
     h = frame.split.horizontal.columns
     perp = frame.split.range_perp.columns
     if perp.shape[1] == 0 or frame.rank == 0:
@@ -715,22 +735,13 @@ def _condition_three_residual(spec: MapSpec, frame: PointFrame,
     worst = 0.0
     for a in range(frame.rank):
         X = h[:, a]
+        d_omega = section_derivatives(frame, X).omega
         for b in range(frame.rank):
             Y = h[:, b]
             _, omega_y = phi_omega_from_frame(frame, Y)
             qy = q_apply(frame, Y)
-            _, omega_qy = phi_omega_from_frame(frame, qy)
-
-            def perp_derivative(vec):
-                def section(q):
-                    fq = point_frame(spec, q, rank_tol)
-                    _, om = phi_omega_from_frame(fq, vec)
-                    return om
-                full = _pullback_derivative(frame, X, section)
-                return normal_part(frame, full)
-
-            nperp_y = perp_derivative(Y)
-            nperp_qy = perp_derivative(qy)
+            nperp_y = normal_part(frame, d_omega @ Y)
+            nperp_qy = normal_part(frame, d_omega @ qy)
             sff_row = [frame.sff_value(X, h[:, c]) for c in range(frame.rank)]
             for v_idx in range(perp.shape[1]):
                 V = perp[:, v_idx]
@@ -764,7 +775,7 @@ def check_totally_geodesic(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL
         horizontal_max = max(horizontal_max, horizontal_geodesy_residual(frame))
         if condition_three and has_j:
             third_max = max(third_max,
-                            _condition_three_residual(spec, frame, rank_tol))
+                            _condition_three_residual(frame))
     detail = {
         "fiber_residual": fiber_max,
         "fibers_totally_geodesic": fiber_max <= tol,
@@ -837,6 +848,7 @@ def check_pseudo_homothetic(spec: MapSpec, points, report: SlantReport,
         kernel = frame.split.kernel.columns
         for a in range(frame.rank):
             X = h[:, a]
+            derivatives = section_derivatives(frame, X)
             for c in range(kernel.shape[1]):
                 value = frame.g_target.norm(frame.sff_value(X, kernel[:, c]))
                 if value > mixed_max:
@@ -845,14 +857,9 @@ def check_pseudo_homothetic(spec: MapSpec, points, report: SlantReport,
                                "horizontal": a, "vertical": c}
             for b in range(frame.rank):
                 Y = h[:, b]
-                defect = phi_defect_from_frame(spec, frame, X, Y, rank_tol)
+                defect = phi_defect_from_frame(frame, X, Y, derivatives)
                 phi_max = max(phi_max, frame.g_target.norm(defect))
-
-                def q_section(q):
-                    fq = point_frame(spec, q, rank_tol)
-                    return q_apply(fq, Y)
-
-                nabla_qy = _source_derivative(frame, X, q_section)
+                nabla_qy = derivatives.q @ Y
                 q_nabla = q_apply(frame, frame.covariant_source(X, Y))
                 jhat_deriv = sec * (nabla_qy - q_nabla)
                 frame_deriv_max = max(frame_deriv_max, frame.g_target.norm(

@@ -1,8 +1,9 @@
 """Independent finite-difference oracles used to pin expected values.
 
 Everything here differentiates plain evaluations with central differences,
-never touching the jet machinery, so agreement with the library is a real
-two-route check.
+so agreement with the library's exact derivatives is a real two-route check.
+The curve-derivative oracles differentiate a section by rebuilding it off
+the base point; only their Christoffel correction comes from the frame.
 """
 
 import numpy as np
@@ -84,3 +85,26 @@ def fd_sff(spec, p, X, Y, h=FD_STEP):
     correction = np.einsum("gab,a,b->g", gamma2, fx, fy)
     pulled = jac @ np.einsum("kij,i,j->k", gamma1, X, Y)
     return dv + correction - pulled
+
+
+def _centered_curve_difference(p, X, section, h):
+    p = np.asarray(p, dtype=float)
+    X = np.asarray(X, dtype=float)
+    return (section(p + h * X) - section(p - h * X)) / (2.0 * h)
+
+
+def fd_pullback_derivative(frame, X, section, h=FD_STEP):
+    """Pullback-connection derivative of a target-vector section along
+    t -> p + tX: centered difference plus the target Christoffel term."""
+    dv = _centered_curve_difference(frame.point, X, section, h)
+    fx = frame.pushforward(X)
+    return dv + np.einsum("gab,a,b->g", frame.gamma_target, fx,
+                          section(frame.point))
+
+
+def fd_source_derivative(frame, X, section, h=FD_STEP):
+    """Source-connection derivative of a source-vector section along
+    t -> p + tX: centered difference plus the source Christoffel term."""
+    dv = _centered_curve_difference(frame.point, X, section, h)
+    return dv + np.einsum("kij,i,j->k", frame.gamma_source,
+                          np.asarray(X, dtype=float), section(frame.point))

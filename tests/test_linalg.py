@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from slantmap.linalg import (InnerProduct, MetricError, SubspaceBasis,
-                             gram_schmidt, metric_adjoint, project,
-                             split_tangent)
+                             gram_schmidt, metric_adjoint,
+                             metric_adjoint_derivative, project,
+                             range_projector_derivative, split_tangent)
 from slantmap.maps import differential
 
 
@@ -213,3 +214,38 @@ def test_project_metric_symmetric():
         lhs = project(u, basis) @ gp.matrix @ v
         rhs = u @ gp.matrix @ project(v, basis)
         assert abs(lhs - rhs) <= 1e-10
+
+
+def test_projector_and_adjoint_derivatives_match_centered_differences():
+    # A(t) keeps rank r while both metrics move; the closed forms must match
+    # centered differences of the projector and the adjoint in t
+    gen = np.random.default_rng(7)
+    h = 1e-6
+    for n, m, r in ((3, 4, 2), (5, 6, 4), (4, 4, 4), (4, 6, 1)):
+        left = [gen.standard_normal((m, r)) for _ in range(2)]
+        right = [gen.standard_normal((r, n)) for _ in range(2)]
+        G1 = [random_spd(gen, n), 0.3 * random_spd(gen, n)]
+        G2 = [random_spd(gen, m), 0.3 * random_spd(gen, m)]
+
+        def at(t):
+            A = (left[0] + t * left[1]) @ (right[0] + t * right[1])
+            return A, InnerProduct(G1[0] + t * G1[1]), InnerProduct(G2[0] + t * G2[1])
+
+        def projector(t):
+            A, g1, g2 = at(t)
+            basis = split_tangent(A, g1, g2).range
+            return np.column_stack([project(e, basis) for e in np.eye(m)])
+
+        def adjoint(t):
+            A, g1, g2 = at(t)
+            return metric_adjoint(A, g1, g2)
+
+        A, g1, g2 = at(0.0)
+        dA = left[1] @ right[0] + left[0] @ right[1]
+        P, dP = range_projector_derivative(A, dA, split_tangent(A, g1, g2), G2[1])
+        np.testing.assert_allclose(P, projector(0.0), atol=1e-12)
+        np.testing.assert_allclose(
+            dP, (projector(h) - projector(-h)) / (2 * h), atol=1e-7)
+        dB = metric_adjoint_derivative(A, dA, g1, G1[1], g2, G2[1])
+        np.testing.assert_allclose(
+            dB, (adjoint(h) - adjoint(-h)) / (2 * h), atol=1e-7)

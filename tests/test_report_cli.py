@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import slantmap
 from slantmap.catalog import CatalogError, catalog_ids, load_catalog
 from slantmap.cli import main
-from slantmap.loader import MapSpecError, load_map_spec, map_spec_from_json
+from slantmap.loader import (AnalysisSettings, MapSpecError, load_map_spec,
+                             map_spec_from_json)
 from slantmap.report import render_report, run_analysis
 
 MINIMAL_SPEC = {
@@ -193,6 +197,24 @@ def test_run_analysis_survives_domain_errors():
     assert "log" in report.check("riemannian_map").reason
 
 
+def test_frame_budget_per_point(monkeypatch):
+    # every check reads one frame per point; derivatives must not rebuild
+    # frames off the sample points
+    original = slantmap.maps.point_frame
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(slantmap.maps, "point_frame", counted)
+    monkeypatch.setattr(slantmap.slant, "point_frame", counted)
+    samples = 4
+    run_analysis(load_map_spec("catalog:warped_fiber"),
+                 AnalysisSettings(points=samples))
+    assert 0 < len(builds) <= 15 * samples
+
+
 def test_report_serialization_deterministic():
     loaded = load_map_spec("catalog:example4")
     loaded.settings.points = 6
@@ -236,8 +258,12 @@ def test_cli_analyze_writes_report(tmp_path, capsys):
 def test_cli_analyze_stdout_byte_identical(tmp_path):
     argv = [sys.executable, "-m", "slantmap.cli", "analyze", "--map",
             "catalog:anti_invariant", "--samples", "6", "--pretty"]
-    first = subprocess.run(argv, capture_output=True, cwd=str(tmp_path))
-    second = subprocess.run(argv, capture_output=True, cwd=str(tmp_path))
+    # the child runs from tmp_path, so a relative PYTHONPATH would not reach
+    # the package under test: point it at the imported package's directory
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(slantmap.__file__).resolve().parent.parent))
+    first = subprocess.run(argv, capture_output=True, cwd=str(tmp_path), env=env)
+    second = subprocess.run(argv, capture_output=True, cwd=str(tmp_path), env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip()

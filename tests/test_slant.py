@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fd_pullback_derivative, fd_source_derivative
 from slantmap.catalog import load_catalog
-from slantmap.maps import point_frame
+from slantmap.charts import ChartManifold
+from slantmap.maps import MapSpec, point_frame
 from slantmap.slant import (adapted_frame, bc_decompose, check_adapted_frame,
                             check_harmonic_minimal_equivalence,
                             check_lambda_mu_consistency,
@@ -13,8 +15,9 @@ from slantmap.slant import (adapted_frame, bc_decompose, check_adapted_frame,
                             check_totally_geodesic, classify_slant,
                             omega_defect_algebraic, omega_defect_from_frame,
                             omega_parallel_defect, phi_omega_decompose,
-                            phi_parallel_defect, point_operators, q_matrix,
-                            q_operator, slant_angle)
+                            phi_parallel_defect, point_operators, q_apply,
+                            q_matrix, q_operator, section_derivatives,
+                            slant_angle)
 
 EX4_THETA = math.acos(math.sqrt(2.0 / 3.0))
 
@@ -265,6 +268,65 @@ def test_adapted_frame_compose_slant(sample_box):
 # ---------------------------------------------------------------------------
 # parallelism defects
 
+def _rank4_into_c3():
+    """Rank-4 map R^4 -> C^3 whose slant angle depends on the direction; the
+    target J is the standard one rotated in the (y1, y3) plane by y5, so its
+    gradient enters the derivatives too."""
+    c, s = "cos(x5)", "sin(x5)"
+    J = [["0", f"-{c}", "0", s, "0", "0"],
+         [c, "0", s, "0", "0", "0"],
+         ["0", f"-{s}", "0", f"-{c}", "0", "0"],
+         [f"-{s}", "0", c, "0", "0", "0"],
+         ["0", "0", "0", "0", "0", "-1"],
+         ["0", "0", "0", "0", "1", "0"]]
+    return MapSpec.create(ChartManifold.euclidean(4),
+                          ChartManifold.euclidean(6, J),
+                          ["x1", "x2", "cos(x3)", "x4", "sin(x3) + x1*x2/2",
+                           "x3*x4/3"], name="rank4_into_c3")
+
+
+@pytest.mark.parametrize("map_name", ["warped_fiber", "kahler_twist",
+                                      "curved_target", "nonslant",
+                                      "rank4_into_c3"])
+def test_section_derivatives_match_finite_difference_oracle(map_name):
+    spec = (_rank4_into_c3() if map_name == "rank4_into_c3"
+            else load_catalog(map_name))
+    for p in points_for(spec, 2, 57):
+        frame = point_frame(spec, p)
+        h = frame.split.horizontal.columns
+        for a in range(frame.rank):
+            X = h[:, a]
+            exact = section_derivatives(frame, X)
+            for b in range(frame.rank):
+                Y = h[:, b]
+
+                def phi(q):
+                    return phi_omega_decompose(spec, q, Y)[0]
+
+                def omega(q):
+                    return phi_omega_decompose(spec, q, Y)[1]
+
+                def qy(q):
+                    return q_apply(point_frame(spec, q), Y)
+
+                for derivative, oracle in (
+                        (exact.phi @ Y, fd_pullback_derivative(frame, X, phi)),
+                        (exact.omega @ Y, fd_pullback_derivative(frame, X, omega)),
+                        (exact.q @ Y, fd_source_derivative(frame, X, qy))):
+                    np.testing.assert_allclose(derivative, oracle, rtol=0,
+                                               atol=1e-8)
+
+
+def test_rank4_into_c3_is_direction_dependent():
+    spec = _rank4_into_c3()
+    p = points_for(spec, 1, 58)[0]
+    frame = point_frame(spec, p)
+    assert frame.rank == 4
+    h = frame.split.horizontal.columns
+    angles = [slant_angle(spec, p, h[:, a]) for a in range(4)]
+    assert max(angles) - min(angles) > 0.1
+
+
 def test_omega_defect_zero_on_flat_catalog(example4):
     frame = point_frame(example4, np.zeros(4))
     h = frame.split.horizontal.columns
@@ -279,7 +341,7 @@ def test_omega_defect_compose_slant_zero(sample_box):
         h = frame.split.horizontal.columns
         for a in range(2):
             for b in range(2):
-                defect = omega_defect_from_frame(spec, frame, h[:, a], h[:, b])
+                defect = omega_defect_from_frame(frame, h[:, a], h[:, b])
                 assert np.abs(defect).max() <= 1e-10
 
 
@@ -294,7 +356,7 @@ def test_omega_defect_kahler_twist_nonzero_and_matches_identity():
         largest = 0.0
         for a in range(2):
             for b in range(2):
-                measured = omega_defect_from_frame(spec, frame, h[:, a], h[:, b])
+                measured = omega_defect_from_frame(frame, h[:, a], h[:, b])
                 algebraic = omega_defect_algebraic(frame, h[:, a], h[:, b])
                 assert np.abs(measured - algebraic).max() <= 1e-8
                 largest = max(largest, np.abs(measured).max())
@@ -390,7 +452,7 @@ def test_phi_defect_range_expansion_identity():
             for a in range(frame.rank):
                 for b in range(frame.rank):
                     X, Y = h[:, a], h[:, b]
-                    lhs = phi_defect_from_frame(spec, frame, X, Y)
+                    lhs = phi_defect_from_frame(frame, X, Y)
                     sff_xy = frame.sff_value(X, Y)
                     normal = sff_xy - tangential_part(frame, sff_xy)
                     b_part = tangential_part(frame, J @ normal)
@@ -523,8 +585,8 @@ def test_pairing_expansion_identity_on_kahler_targets():
     # sin^2(theta) <sff(X,Y), V> must equal the combination of the two normal
     # connection terms and the shape-operator pairing; kahler_twist keeps all
     # terms away from zero
-    from slantmap.slant import (_pullback_derivative, bc_from_frame,
-                                normal_part, q_apply)
+    from oracles import fd_pullback_derivative
+    from slantmap.slant import bc_from_frame, normal_part, q_apply
     for catalog_id, theta in (("kahler_twist", 0.6), ("example4", EX4_THETA),
                               ("warped_fiber", math.pi / 4)):
         spec = load_catalog(catalog_id)
@@ -547,8 +609,8 @@ def test_pairing_expansion_identity_on_kahler_targets():
                             fq = point_frame(spec, q)
                             w = fq.complex_structure @ fq.pushforward(vec)
                             return normal_part(fq, w)
-                        return normal_part(frame,
-                                           _pullback_derivative(frame, X, section))
+                        return normal_part(
+                            frame, fd_pullback_derivative(frame, X, section))
 
                     n_y = perp_deriv(Y)
                     n_qy = perp_deriv(qy)
