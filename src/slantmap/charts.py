@@ -14,9 +14,7 @@ import numpy as np
 
 from .expressions import Expression, eval_jet2, parse_expression
 from .linalg import InnerProduct, MetricError
-from .result import CheckResult
-
-DEFAULT_CHECK_TOL = 1e-8
+from .result import DEFAULT_CHECK_TOL, CheckResult
 
 
 class ChartError(ValueError):

@@ -8,8 +8,8 @@ from pathlib import Path
 
 from .catalog import catalog_descriptions
 from .loader import MapSpecError, load_map_spec
-from .report import (EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK,
-                     render_report, run_analysis)
+from .report import (CHECK_NAMES, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
+                     EXIT_OK, Analysis, Report, render_report, run_analysis)
 
 
 def _add_map_options(parser: argparse.ArgumentParser) -> None:
@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run every applicable check")
     _add_map_options(analyze)
 
-    single = sub.add_parser("check", help="run one named check")
+    single = sub.add_parser(
+        "check", help="run one named check and only what it depends on")
     single.add_argument("name", help="check name, e.g. riemannian_map")
     _add_map_options(single)
 
@@ -84,21 +85,18 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
     _apply_overrides(loaded.settings, args)
 
-    report = run_analysis(loaded)
-
     if args.command == "check":
-        try:
-            single = report.check(args.name)
-        except KeyError:
-            names = ", ".join(c.name for c in report.checks)
-            print(f"error: unknown check {args.name!r}; available: {names}",
-                  file=sys.stderr)
+        analysis = Analysis(loaded)
+        single = analysis.entry(args.name) if args.name in CHECK_NAMES else None
+        if single is None:
+            print(f"error: no check {args.name!r} in the report; available: "
+                  f"{', '.join(CHECK_NAMES)}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        from .report import Report
-        wrapped = Report(report.metadata, [single])
-        _emit(render_report(wrapped, args.pretty), args.out)
+        _emit(render_report(Report(analysis.metadata, [single]), args.pretty),
+              args.out)
         return EXIT_CHECK_FAILED if single.status in ("fail", "error") else EXIT_OK
 
+    report = run_analysis(loaded)
     _emit(render_report(report, args.pretty), args.out)
     return report.exit_code
 

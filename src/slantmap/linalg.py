@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-8
+from .result import DEFAULT_RANK_TOL
 
 
 class MetricError(ValueError):

@@ -12,15 +12,13 @@ from .catalog import CatalogError, load_catalog
 from .charts import ChartError, ChartManifold
 from .expressions import ExpressionSyntaxError
 from .maps import MapDefinitionError, MapSpec
+from .result import DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
 
 SCHEMA_ID = "slantmap/1"
 
 DEFAULT_POINTS = 50
 DEFAULT_DIRS = 6
 DEFAULT_SEED = 42
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_CHECK_TOL = 1e-8
-DEFAULT_ANGLE_TOL = 1e-6
 
 
 class MapSpecError(ValueError):

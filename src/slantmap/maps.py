@@ -1,4 +1,4 @@
-"""Riemannian-map analysis: differential, splittings, second fundamental form.
+"""Riemannian-map analysis: frames, splittings, second fundamental form.
 
 The second fundamental form is evaluated through its closed tensorial
 coordinate formula
@@ -7,6 +7,10 @@ coordinate formula
                  + Gamma2^g_ab(F(p)) d_i F^a d_j F^b,
 
 so no vector-field extensions enter; jets supply every derivative exactly.
+
+A ``PointFrame`` holds what is known at one point (the adjoint, Q and the
+section derivatives are computed on first use); a ``Sample`` is the analysis
+context of one run, whose frames are built once and read by every check.
 """
 
 from __future__ import annotations
@@ -17,13 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charts import ChartManifold, christoffel
+from .charts import ChartError, ChartManifold, christoffel, metric_derivative
 from .expressions import Expression, eval_jet2, parse_expression
-from .linalg import (DEFAULT_RANK_TOL, InnerProduct, TangentSplit, project,
-                     metric_adjoint, split_tangent)
-from .result import CheckResult
-
-DEFAULT_CHECK_TOL = 1e-8
+from .linalg import (InnerProduct, TangentSplit, metric_adjoint,
+                     metric_adjoint_derivative, project,
+                     range_projector_derivative, split_tangent)
+from .result import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, CheckResult
 
 
 class MapDefinitionError(ValueError):
@@ -98,8 +101,25 @@ class PointFrame:
         it, so it is evaluated on first use, not with the frame."""
         return self.target.complex_structure_jet(self.image)[1]
 
+    @cached_property
     def adjoint(self) -> np.ndarray:
+        """Metric adjoint of F_*, solved once per frame."""
         return metric_adjoint(self.jacobian, self.g_source, self.g_target)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
+        h = self.split.horizontal.columns
+        out = np.empty((self.rank, self.rank))
+        for a in range(self.rank):
+            out[:, a] = h.T @ self.g_source.matrix @ q_apply(self, h[:, a])
+        return out
+
+    @cached_property
+    def horizontal_derivatives(self) -> list:
+        """section_derivatives along each vector h_a of the horizontal frame."""
+        h = self.split.horizontal.columns
+        return [section_derivatives(self, h[:, a]) for a in range(self.rank)]
 
     def pushforward(self, X) -> np.ndarray:
         return self.jacobian @ np.asarray(X, dtype=float)
@@ -143,8 +163,7 @@ def second_fundamental_form(spec: MapSpec, p, X, Y,
 
 def tension_field(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Metric trace of the second fundamental form at p."""
-    frame = point_frame(spec, p, rank_tol)
-    return tension_from_frame(frame)
+    return tension_from_frame(point_frame(spec, p, rank_tol))
 
 
 def tension_from_frame(frame: PointFrame) -> np.ndarray:
@@ -156,8 +175,7 @@ def fiber_mean_curvature(spec: MapSpec, p,
                          rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Trace of the second fundamental form over the kernel; zero iff the
     fiber through p is minimal."""
-    frame = point_frame(spec, p, rank_tol)
-    return fiber_mean_curvature_from_frame(frame)
+    return fiber_mean_curvature_from_frame(point_frame(spec, p, rank_tol))
 
 
 def fiber_mean_curvature_from_frame(frame: PointFrame) -> np.ndarray:
@@ -175,8 +193,7 @@ def s_v_operator(spec: MapSpec, p, V, tol: float = DEFAULT_CHECK_TOL,
     of the range; a small stray range component is projected away and the
     norm restored, a large one is an error.
     """
-    frame = point_frame(spec, p, rank_tol)
-    return s_v_from_frame(frame, V, tol)
+    return s_v_from_frame(point_frame(spec, p, rank_tol), V, tol)
 
 
 def s_v_from_frame(frame: PointFrame, V, tol: float = DEFAULT_CHECK_TOL) -> np.ndarray:
@@ -198,14 +215,144 @@ def s_v_from_frame(frame: PointFrame, V, tol: float = DEFAULT_CHECK_TOL) -> np.n
     return np.einsum("g,gh,hab->ab", perp, g2.matrix, sff_h)
 
 
+class Sample:
+    """Analysis context of one run: the sample points and one PointFrame per
+    point, built on first use and read by every check.  A failed build is kept
+    and raised again at the same point, so each check fails where it would."""
+
+    def __init__(self, spec: MapSpec, points,
+                 rank_tol: float = DEFAULT_RANK_TOL):
+        self.spec = spec
+        self.points = list(points)
+        self.rank_tol = rank_tol
+        self._frames: list = []
+        self._failure: Optional[Exception] = None
+
+    @staticmethod
+    def of(spec: MapSpec, points, rank_tol: float) -> "Sample":
+        """``points`` itself when it is a Sample of this map, else a new one."""
+        if not isinstance(points, Sample):
+            return Sample(spec, points, rank_tol)
+        if points.spec is not spec or points.rank_tol != rank_tol:
+            raise ValueError("the sample belongs to another map or rank tolerance")
+        return points
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def frames(self):
+        """The frames in point order, each built when first reached."""
+        for i, p in enumerate(self.points):
+            if i == len(self._frames):
+                if self._failure is not None:
+                    raise self._failure
+                try:
+                    self._frames.append(point_frame(self.spec, p, self.rank_tol))
+                except Exception as exc:
+                    self._failure = exc
+                    raise
+            yield self._frames[i]
+
+    @cached_property
+    def images(self) -> list:
+        """F at every point, from the component values alone: no frames."""
+        return [map_point(self.spec, p) for p in self.points]
+
+
+# ---------------------------------------------------------------------------
+# Complex-structure parts at one frame and their covariant derivatives
+
+def require_complex_structure(frame: PointFrame) -> np.ndarray:
+    if frame.complex_structure is None:
+        raise ChartError("target chart has no complex structure")
+    return frame.complex_structure
+
+
+def tangential_part(frame: PointFrame, w) -> np.ndarray:
+    return project(w, frame.split.range)
+
+
+def normal_part(frame: PointFrame, w) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    return w - project(w, frame.split.range)
+
+
+def phi_omega_from_frame(frame: PointFrame, X):
+    """Split J F_*X into its range part (phi) and normal part (omega)."""
+    J = require_complex_structure(frame)
+    w = J @ frame.pushforward(X)
+    phi = tangential_part(frame, w)
+    return phi, w - phi
+
+
+def q_apply(frame: PointFrame, X) -> np.ndarray:
+    """Q X = adjoint(phi(F_* X)), a horizontal vector in the source tangent."""
+    phi, _ = phi_omega_from_frame(frame, X)
+    return frame.adjoint @ phi
+
+
+def q_matrix(frame: PointFrame) -> np.ndarray:
+    """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
+    return frame.q
+
+
+@dataclass
+class SectionDerivatives:
+    """Covariant derivatives along X of the sections Y -> phi(F_*Y),
+    omega(F_*Y) and QY, as matrices acting on constant-coefficient Y."""
+
+    phi: np.ndarray    # (m, n), pullback connection
+    omega: np.ndarray  # (m, n), pullback connection
+    q: np.ndarray      # (n, n), source connection
+
+
+def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
+    """Exact derivatives of the phi, omega and Q sections along t -> p + tX,
+    with Y extended by constant coefficients.
+
+    Along the curve F_* moves by dA = Hess(F) X, the metrics by dG1 (along X)
+    and dG2 (along F_*X), and J by its gradient along F_*X, all read from the
+    jets at p.  With the projector P onto the range, phi = P J A and
+    omega = (I - P) J A, so d phi = dP J A + P d(J A) and Q = adjoint phi;
+    P and the adjoint are differentiated exactly at constant rank.  The
+    target (pullback) and source Christoffel terms then turn the plain
+    derivatives into covariant ones.
+    """
+    J = require_complex_structure(frame)
+    Xv = np.asarray(X, dtype=float)
+    A = frame.jacobian
+    fx = A @ Xv
+    dA = frame.hessian @ Xv
+    dG1 = metric_derivative(frame.g_source.matrix, frame.gamma_source, Xv)
+    dG2 = metric_derivative(frame.g_target.matrix, frame.gamma_target, fx)
+    dJ = np.einsum("cab,c->ab", frame.complex_structure_grad, fx)
+    P, dP = range_projector_derivative(A, dA, frame.split, dG2)
+    JA = J @ A
+    dJA = dJ @ A + J @ dA
+    phi = P @ JA
+    d_phi = dP @ JA + P @ dJA
+    adjoint = frame.adjoint
+    d_adjoint = metric_adjoint_derivative(A, dA, frame.g_source, dG1,
+                                          frame.g_target, dG2)
+    target_connection = np.einsum("gab,a->gb", frame.gamma_target, fx)
+    source_connection = np.einsum("kij,i->kj", frame.gamma_source, Xv)
+    return SectionDerivatives(
+        phi=d_phi + target_connection @ phi,
+        omega=dJA - d_phi + target_connection @ (JA - phi),
+        q=d_adjoint @ phi + adjoint @ d_phi + source_connection @ adjoint @ phi)
+
+
+# ---------------------------------------------------------------------------
+# Checks
+
 def is_riemannian_map(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
                       rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
     """Gram-matrix test of the horizontal restriction plus rank constancy."""
+    sample = Sample.of(spec, points, rank_tol)
     worst = 0.0
     witness = None
     ranks = []
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         ranks.append(frame.rank)
         h = frame.split.horizontal.columns
         pushed = frame.jacobian @ h
@@ -213,7 +360,7 @@ def is_riemannian_map(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
         residual = float(np.abs(gram - np.eye(frame.rank)).max()) if frame.rank else 0.0
         if residual > worst:
             worst = residual
-            witness = {"point": [float(x) for x in p]}
+            witness = {"point": [float(x) for x in frame.point]}
     rank_constant = len(set(ranks)) <= 1
     detail = {"rank": ranks[0] if rank_constant and ranks else sorted(set(ranks)),
               "rank_constant": rank_constant}
@@ -235,10 +382,10 @@ def is_riemannian_map(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
 def check_sff_range_perp(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
                          rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
+    sample = Sample.of(spec, points, rank_tol)
     worst = 0.0
     witness = None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         h = frame.split.horizontal.columns
         for a in range(frame.rank):
             for b in range(a, frame.rank):
@@ -247,7 +394,7 @@ def check_sff_range_perp(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
                 residual = frame.g_target.norm(tangential)
                 if residual > worst:
                     worst = residual
-                    witness = {"point": [float(x) for x in p],
+                    witness = {"point": [float(x) for x in frame.point],
                                "pair": [a, b]}
     return CheckResult.from_residual("sff_range_perp", worst, tol,
                                      samples=len(points), witness=witness)

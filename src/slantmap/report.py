@@ -1,23 +1,26 @@
 """Analysis orchestration and deterministic JSON report emission.
 
-Checks run in dependency order (Hermitian target, parallel structure,
+Checks appear in dependency order (Hermitian target, parallel structure,
 Riemannian property, slant classification, then the structural identities);
 a check whose precondition fails is reported as skipped, never as failed.
-Reports are byte-identical for a fixed input and seed: floats are written
-with 17 significant digits and containers keep insertion order.
+An entry is computed on first request, with only what it depends on, from one
+shared ``Sample``.  Reports are byte-identical for a fixed input and seed:
+floats are written with 17 significant digits and containers keep insertion
+order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
 from .charts import ChartError, check_almost_hermitian, check_kahler
 from .loader import AnalysisSettings, LoadedMap
-from .maps import check_sff_range_perp, is_riemannian_map, map_point
+from .maps import Sample, check_sff_range_perp, is_riemannian_map
 from .result import CheckResult
 from .slant import (NOT_RIEMANNIAN, SlantReport, check_adapted_frame,
                     check_harmonic, check_harmonic_minimal_equivalence,
@@ -33,6 +36,18 @@ REPORT_SCHEMA = "slantmap-report/1"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+
+TARGET_CHECKS = ("almost_hermitian", "kahler")
+RIEMANNIAN_CHECKS = ("sff_range_perp", "harmonic", "minimal_fibers",
+                     "totally_geodesic")
+SLANT_CHECKS = ("phi_squared_scaling", "q_squared_scaling",
+                "lambda_mu_consistency", "adapted_frame", "omega_parallel",
+                "phi_parallel", "omega_defect_identity", "sff_q_scaling",
+                "harmonic_minimal_equivalence", "phwc", "pseudo_homothetic")
+# Report order.  slant_classification has an entry only when the
+# classification could not run; its outcome is otherwise the slant block.
+CHECK_NAMES = (TARGET_CHECKS + ("riemannian_map",) + RIEMANNIAN_CHECKS
+               + ("slant_classification",) + SLANT_CHECKS)
 
 
 @dataclass
@@ -76,137 +91,124 @@ def sample_points(box, count: int, seed: int) -> list:
     return [lows + rng.random(len(box)) * (highs - lows) for _ in range(count)]
 
 
+class Analysis:
+    """One run over a map: the shared Sample of its seeded points and the
+    report entries, each computed once, on first request."""
+
+    def __init__(self, loaded: LoadedMap,
+                 settings: Optional[AnalysisSettings] = None):
+        self.spec = spec = loaded.spec
+        self.settings = settings = settings or loaded.settings
+        self.sample = Sample(spec, sample_points(spec.box, settings.points,
+                                                 settings.seed),
+                             settings.rank_tol)
+        self.metadata = {
+            "map": loaded.origin,
+            "name": spec.name,
+            "source_dim": spec.source.dim,
+            "target_dim": spec.target.dim,
+            "samples": settings.points,
+            "dirs": settings.dirs,
+            "seed": settings.seed,
+            "tolerances": {"rank": settings.rank_tol, "check": settings.check_tol,
+                           "angle": settings.angle_tol},
+        }
+        if loaded.digest:
+            self.metadata["sha256"] = loaded.digest
+        self._entries: dict = {}
+
+    def entry(self, name: str) -> Optional[CheckResult]:
+        """The report entry of a check in CHECK_NAMES (None for a
+        slant_classification that ran); a check that raises gets an error."""
+        if name not in self._entries:
+            try:
+                self._entries[name] = self._compute(name)
+            except ChartError as exc:
+                self._entries[name] = CheckResult.error(name, str(exc))
+            except Exception as exc:
+                self._entries[name] = CheckResult.error(
+                    name, f"{type(exc).__name__}: {exc}")
+        return self._entries[name]
+
+    @cached_property
+    def classification(self):
+        """(SlantReport, None) when the classification ran, else (None, the
+        slant_classification entry saying why not)."""
+        s = self.settings
+        if self.spec.target.complex_structure is None:
+            return None, CheckResult.skipped("slant_classification",
+                                             "target has no complex structure")
+        try:
+            return classify_slant(
+                self.spec, self.sample, s.dirs, s.angle_tol, s.check_tol,
+                s.seed, s.rank_tol,
+                riemannian=self.entry("riemannian_map")), None
+        except Exception as exc:
+            return None, CheckResult.error("slant_classification",
+                                           f"{type(exc).__name__}: {exc}")
+
+    def _compute(self, name: str) -> Optional[CheckResult]:
+        spec, sample, s = self.spec, self.sample, self.settings
+        tol, rank_tol = s.check_tol, s.rank_tol
+        if name in TARGET_CHECKS:
+            if spec.target.complex_structure is None:
+                return CheckResult.skipped(name, "target has no complex structure")
+            images = sample.images  # if F fails here, both entries are that error
+            if name == "almost_hermitian":
+                return check_almost_hermitian(spec.target, images, tol)
+            if not self.entry("almost_hermitian").passed:
+                return CheckResult.skipped(name, "target is not almost Hermitian")
+            return check_kahler(spec.target, images, dirs=4, tol=tol, seed=s.seed)
+        if name == "riemannian_map":
+            return is_riemannian_map(spec, sample, tol, rank_tol)
+        if name in RIEMANNIAN_CHECKS:
+            if not self.entry("riemannian_map").passed:
+                return CheckResult.skipped(name, "map is not Riemannian")
+            check = {"sff_range_perp": check_sff_range_perp,
+                     "harmonic": check_harmonic,
+                     "minimal_fibers": check_minimal_fibers,
+                     "totally_geodesic": check_totally_geodesic}[name]
+            return check(spec, sample, tol, rank_tol)
+        report, unclassified = self.classification
+        if name == "slant_classification":
+            return unclassified
+        if unclassified is not None:
+            return CheckResult.skipped(
+                name, unclassified.reason if unclassified.status == "skipped"
+                else "slant classification failed")
+        if report.classification == NOT_RIEMANNIAN:
+            return CheckResult.skipped(name, "map is not Riemannian")
+        checks = {
+            "phi_squared_scaling": lambda: check_phi_squared_scaling(report, tol),
+            "q_squared_scaling": lambda: check_q_squared_scaling(report, tol),
+            "lambda_mu_consistency": lambda: check_lambda_mu_consistency(report),
+            "adapted_frame": lambda: check_adapted_frame(
+                spec, sample, report, rank_tol=rank_tol),
+            "omega_parallel": lambda: check_omega_parallel(report, tol),
+            "phi_parallel": lambda: check_phi_parallel(report, tol),
+            "omega_defect_identity": lambda: check_omega_defect_identity(
+                spec, sample, rank_tol=rank_tol),
+            "sff_q_scaling": lambda: check_sff_q_scaling(
+                spec, sample, report, tol, rank_tol),
+            "harmonic_minimal_equivalence": lambda: (
+                check_harmonic_minimal_equivalence(
+                    spec, sample, report, tol, rank_tol,
+                    harmonic=self.entry("harmonic"),
+                    fibers=self.entry("minimal_fibers"))),
+            "phwc": lambda: check_phwc(spec, sample, report, tol, rank_tol),
+            "pseudo_homothetic": lambda: check_pseudo_homothetic(
+                spec, sample, report, tol, rank_tol),
+        }
+        return checks[name]()
+
+
 def run_analysis(loaded: LoadedMap,
                  settings: Optional[AnalysisSettings] = None) -> Report:
     """Run every applicable check on the map and assemble the report."""
-    spec = loaded.spec
-    settings = settings or loaded.settings
-    points = sample_points(spec.box, settings.points, settings.seed)
-    tol = settings.check_tol
-    rank_tol = settings.rank_tol
-
-    metadata = {
-        "map": loaded.origin,
-        "name": spec.name,
-        "source_dim": spec.source.dim,
-        "target_dim": spec.target.dim,
-        "samples": settings.points,
-        "dirs": settings.dirs,
-        "seed": settings.seed,
-        "tolerances": {"rank": rank_tol, "check": tol,
-                       "angle": settings.angle_tol},
-    }
-    if loaded.digest:
-        metadata["sha256"] = loaded.digest
-
-    checks: List[CheckResult] = []
-
-    def run(factory, name):
-        try:
-            result = factory()
-        except ChartError as exc:
-            result = CheckResult.error(name, str(exc))
-        except Exception as exc:  # keep the report total; surface the cause
-            result = CheckResult.error(name, f"{type(exc).__name__}: {exc}")
-        checks.append(result)
-        return result
-
-    has_j = spec.target.complex_structure is not None
-    if has_j:
-        try:
-            image_points = [map_point(spec, p) for p in points]
-        except Exception as exc:
-            image_points = None
-            for name in ("almost_hermitian", "kahler"):
-                checks.append(CheckResult.error(
-                    name, f"{type(exc).__name__}: {exc}"))
-        if image_points is not None:
-            hermitian = run(lambda: check_almost_hermitian(
-                spec.target, image_points, tol), "almost_hermitian")
-            if hermitian.passed:
-                run(lambda: check_kahler(spec.target, image_points,
-                                         dirs=4, tol=tol, seed=settings.seed),
-                    "kahler")
-            else:
-                checks.append(CheckResult.skipped(
-                    "kahler", "target is not almost Hermitian"))
-    else:
-        checks.append(CheckResult.skipped(
-            "almost_hermitian", "target has no complex structure"))
-        checks.append(CheckResult.skipped(
-            "kahler", "target has no complex structure"))
-
-    riemannian = run(lambda: is_riemannian_map(spec, points, tol, rank_tol),
-                     "riemannian_map")
-
-    if riemannian.passed:
-        run(lambda: check_sff_range_perp(spec, points, tol, rank_tol),
-            "sff_range_perp")
-        run(lambda: check_harmonic(spec, points, tol, rank_tol), "harmonic")
-        run(lambda: check_minimal_fibers(spec, points, tol, rank_tol),
-            "minimal_fibers")
-        run(lambda: check_totally_geodesic(spec, points, tol, rank_tol),
-            "totally_geodesic")
-    else:
-        for name in ("sff_range_perp", "harmonic", "minimal_fibers",
-                     "totally_geodesic"):
-            checks.append(CheckResult.skipped(name, "map is not Riemannian"))
-
-    slant_names = ("phi_squared_scaling", "q_squared_scaling",
-                   "lambda_mu_consistency", "adapted_frame", "omega_parallel",
-                   "phi_parallel", "omega_defect_identity", "sff_q_scaling",
-                   "harmonic_minimal_equivalence", "phwc", "pseudo_homothetic")
-    slant_report = None
-    if has_j:
-        try:
-            slant_report = classify_slant(
-                spec, points, settings.dirs, settings.angle_tol, tol,
-                settings.seed, rank_tol)
-        except Exception as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            checks.append(CheckResult.error("slant_classification", reason))
-            for name in slant_names:
-                checks.append(CheckResult.skipped(
-                    name, "slant classification failed"))
-    else:
-        checks.append(CheckResult.skipped(
-            "slant_classification", "target has no complex structure"))
-        for name in slant_names:
-            checks.append(CheckResult.skipped(
-                name, "target has no complex structure"))
-
-    if slant_report is not None:
-        if slant_report.classification == NOT_RIEMANNIAN:
-            for name in slant_names:
-                checks.append(CheckResult.skipped(name, "map is not Riemannian"))
-        else:
-            report = slant_report
-            run(lambda: check_phi_squared_scaling(report, tol),
-                "phi_squared_scaling")
-            run(lambda: check_q_squared_scaling(report, tol),
-                "q_squared_scaling")
-            run(lambda: check_lambda_mu_consistency(report),
-                "lambda_mu_consistency")
-            run(lambda: check_adapted_frame(spec, points, report,
-                                            rank_tol=rank_tol),
-                "adapted_frame")
-            run(lambda: check_omega_parallel(report, tol), "omega_parallel")
-            run(lambda: check_phi_parallel(report, tol), "phi_parallel")
-            run(lambda: check_omega_defect_identity(spec, points,
-                                                    rank_tol=rank_tol),
-                "omega_defect_identity")
-            run(lambda: check_sff_q_scaling(spec, points, report, tol,
-                                            rank_tol),
-                "sff_q_scaling")
-            run(lambda: check_harmonic_minimal_equivalence(spec, points, report,
-                                                           tol, rank_tol),
-                "harmonic_minimal_equivalence")
-            run(lambda: check_phwc(spec, points, report, tol, rank_tol), "phwc")
-            run(lambda: check_pseudo_homothetic(spec, points, report, tol,
-                                                rank_tol),
-                "pseudo_homothetic")
-
-    return Report(metadata, checks, slant_report)
+    analysis = Analysis(loaded, settings)
+    entries = [analysis.entry(name) for name in CHECK_NAMES]
+    return Report(analysis.metadata, [e for e in entries if e is not None],
+                  analysis.classification[0])
 
 
 # ---------------------------------------------------------------------------

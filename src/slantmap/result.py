@@ -10,6 +10,11 @@ FAIL = "fail"
 SKIPPED = "skipped"
 ERROR = "error"
 
+# Default tolerances, shared by the checks and the loader's settings.
+DEFAULT_RANK_TOL = 1e-8   # relative singular-value cutoff for the rank
+DEFAULT_CHECK_TOL = 1e-8
+DEFAULT_ANGLE_TOL = 1e-6  # radians
+
 
 @dataclass
 class CheckResult:

@@ -6,16 +6,9 @@ the range split the same way into B (tangential) and C (normal).  The
 composite Q = adjoint o phi o F_* acts on the horizontal space and its square
 is -cos^2(theta) times the identity exactly when the angle theta between
 J F_*X and the range is constant.  Everything here is computed pointwise in
-the orthonormal frames delivered by the tangent splitting.
-
-Covariant derivatives of the sections phi(F_*Y), omega(F_*Y) and QY, for Y
-extended by constant coefficients, are taken along the curve t -> p + tX in
-closed form from data the jets already give at the base point: the component
-Hessian moves F_*, the metric derivatives follow from the Christoffel
-symbols, and the J gradient moves the complex structure.  The range projector
-and the metric adjoint are differentiated exactly at constant rank, and the
-plain derivatives are corrected with the target (pullback) or source
-Christoffel symbols.
+the orthonormal frames delivered by the tangent splitting; the per-point
+pieces (phi, omega, Q and their covariant derivatives) live with the frame in
+``maps``, and every check reads the frames of one shared ``Sample``.
 """
 
 from __future__ import annotations
@@ -26,16 +19,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from .charts import ChartError, metric_derivative
-from .linalg import (DEFAULT_RANK_TOL, metric_adjoint_derivative, project,
-                     range_projector_derivative)
-from .maps import (DEFAULT_CHECK_TOL, MapDefinitionError, MapSpec, PointFrame,
-                   fiber_geodesy_residual, fiber_mean_curvature_from_frame,
-                   horizontal_geodesy_residual, is_riemannian_map, point_frame,
-                   sff_global_max, tension_from_frame)
-from .result import CheckResult
-
-DEFAULT_ANGLE_TOL = 1e-6
+from .maps import (MapDefinitionError, MapSpec, PointFrame, Sample,
+                   SectionDerivatives, fiber_geodesy_residual,
+                   fiber_mean_curvature_from_frame, horizontal_geodesy_residual,
+                   is_riemannian_map, normal_part, phi_omega_from_frame,
+                   point_frame, q_apply, q_matrix, require_complex_structure,
+                   section_derivatives, sff_global_max, tangential_part,
+                   tension_from_frame)
+from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
+                     CheckResult)
 
 INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
@@ -45,43 +37,19 @@ NOT_RIEMANNIAN = "not_riemannian"
 SLANT_CLASSES = (INVARIANT, ANTI_INVARIANT, PROPER_SLANT)
 
 
-def _require_complex_structure(frame: PointFrame) -> np.ndarray:
-    if frame.complex_structure is None:
-        raise ChartError("target chart has no complex structure")
-    return frame.complex_structure
-
-
-def tangential_part(frame: PointFrame, w) -> np.ndarray:
-    return project(w, frame.split.range)
-
-
-def normal_part(frame: PointFrame, w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    return w - project(w, frame.split.range)
-
-
 def phi_omega_decompose(spec: MapSpec, p, X,
                         rank_tol: float = DEFAULT_RANK_TOL):
     """Split J F_*X into its range part (phi) and normal part (omega)."""
-    frame = point_frame(spec, p, rank_tol)
-    return phi_omega_from_frame(frame, X)
-
-
-def phi_omega_from_frame(frame: PointFrame, X):
-    J = _require_complex_structure(frame)
-    w = J @ frame.pushforward(X)
-    phi = tangential_part(frame, w)
-    return phi, w - phi
+    return phi_omega_from_frame(point_frame(spec, p, rank_tol), X)
 
 
 def bc_decompose(spec: MapSpec, p, V, rank_tol: float = DEFAULT_RANK_TOL):
     """Split J V for a normal vector V into range part (B) and normal part (C)."""
-    frame = point_frame(spec, p, rank_tol)
-    return bc_from_frame(frame, V)
+    return bc_from_frame(point_frame(spec, p, rank_tol), V)
 
 
 def bc_from_frame(frame: PointFrame, V):
-    J = _require_complex_structure(frame)
+    J = require_complex_structure(frame)
     w = J @ np.asarray(V, dtype=float)
     b = tangential_part(frame, w)
     return b, w - b
@@ -93,8 +61,7 @@ def slant_angle(spec: MapSpec, p, X, rank_tol: float = DEFAULT_RANK_TOL) -> floa
     Computed as atan2(|omega part|, |phi part|), which stays accurate at both
     extremes where an arccos of the cosine ratio loses half the digits.
     """
-    frame = point_frame(spec, p, rank_tol)
-    return slant_angle_from_frame(frame, X)
+    return slant_angle_from_frame(point_frame(spec, p, rank_tol), X)
 
 
 def slant_angle_from_frame(frame: PointFrame, X) -> float:
@@ -102,24 +69,6 @@ def slant_angle_from_frame(frame: PointFrame, X) -> float:
         raise ValueError("direction lies in the kernel of the differential")
     phi, omega = phi_omega_from_frame(frame, X)
     return math.atan2(frame.g_target.norm(omega), frame.g_target.norm(phi))
-
-
-def q_apply(frame: PointFrame, X) -> np.ndarray:
-    """Q X = adjoint(phi(F_* X)), a horizontal vector in the source tangent."""
-    phi, _ = phi_omega_from_frame(frame, X)
-    return frame.adjoint() @ phi
-
-
-def q_matrix(frame: PointFrame) -> np.ndarray:
-    """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
-    h = frame.split.horizontal.columns
-    r = frame.rank
-    out = np.empty((r, r))
-    G = frame.g_source.matrix
-    for a in range(r):
-        qa = q_apply(frame, h[:, a])
-        out[:, a] = h.T @ G @ qa
-    return out
 
 
 def q_operator(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -148,7 +97,7 @@ class PointOperators:
 def point_operators(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL,
                     theta: Optional[float] = None) -> PointOperators:
     frame = point_frame(spec, p, rank_tol)
-    J = _require_complex_structure(frame)
+    J = require_complex_structure(frame)
     R = frame.split.range.columns
     P = frame.split.range_perp.columns
     G = frame.g_target.matrix
@@ -170,50 +119,7 @@ def point_operators(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Connection machinery along coordinate curves
-
-@dataclass
-class SectionDerivatives:
-    """Covariant derivatives along X of the sections Y -> phi(F_*Y),
-    omega(F_*Y) and QY, as matrices acting on constant-coefficient Y."""
-
-    phi: np.ndarray    # (m, n), pullback connection
-    omega: np.ndarray  # (m, n), pullback connection
-    q: np.ndarray      # (n, n), source connection
-
-
-def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
-    """Exact derivatives of the phi, omega and Q sections along t -> p + tX.
-
-    Along the curve F_* moves by dA = Hess(F) X, the metrics by dG1 (along X)
-    and dG2 (along F_*X), and J by its gradient along F_*X.  With the
-    projector P onto the range, phi = P J A and omega = (I - P) J A, so
-    d phi = dP J A + P d(J A) and Q = adjoint phi.  The Christoffel terms then
-    turn the plain derivatives into covariant ones.
-    """
-    J = _require_complex_structure(frame)
-    Xv = np.asarray(X, dtype=float)
-    A = frame.jacobian
-    fx = A @ Xv
-    dA = frame.hessian @ Xv
-    dG1 = metric_derivative(frame.g_source.matrix, frame.gamma_source, Xv)
-    dG2 = metric_derivative(frame.g_target.matrix, frame.gamma_target, fx)
-    dJ = np.einsum("cab,c->ab", frame.complex_structure_grad, fx)
-    P, dP = range_projector_derivative(A, dA, frame.split, dG2)
-    JA = J @ A
-    dJA = dJ @ A + J @ dA
-    phi = P @ JA
-    d_phi = dP @ JA + P @ dJA
-    adjoint = frame.adjoint()
-    d_adjoint = metric_adjoint_derivative(A, dA, frame.g_source, dG1,
-                                          frame.g_target, dG2)
-    target_connection = np.einsum("gab,a->gb", frame.gamma_target, fx)
-    source_connection = np.einsum("kij,i->kj", frame.gamma_source, Xv)
-    return SectionDerivatives(
-        phi=d_phi + target_connection @ phi,
-        omega=dJA - d_phi + target_connection @ (JA - phi),
-        q=d_adjoint @ phi + adjoint @ d_phi + source_connection @ adjoint @ phi)
-
+# Parallelism defects
 
 def omega_parallel_defect(spec: MapSpec, p, X, Y,
                           rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -222,8 +128,7 @@ def omega_parallel_defect(spec: MapSpec, p, X, Y,
     Measures nabla^perp_X (omega F_*Y) - omega F_*(nabla_X Y) with Y extended
     by constant coefficients.  Zero everywhere means omega is parallel.
     """
-    frame = point_frame(spec, p, rank_tol)
-    return omega_defect_from_frame(frame, X, Y)
+    return omega_defect_from_frame(point_frame(spec, p, rank_tol), X, Y)
 
 
 def omega_defect_from_frame(frame: PointFrame, X, Y,
@@ -245,7 +150,7 @@ def omega_defect_algebraic(frame: PointFrame, X, Y) -> np.ndarray:
     Valid when the target structure is parallel; it uses only the second
     fundamental form, so it cross-checks the derivative-based defect.
     """
-    J = _require_complex_structure(frame)
+    J = require_complex_structure(frame)
     sff_xy = normal_part(frame, frame.sff_value(X, Y))
     c_part = normal_part(frame, J @ sff_xy)
     return c_part - frame.sff_value(X, q_apply(frame, Y))
@@ -258,8 +163,7 @@ def phi_parallel_defect(spec: MapSpec, p, X, Y,
     Returns nabla^F_X (phi F_*Y) - phi F_*(nabla_X Y) - sff(X, QY); the QY
     term realizes phi F_*Y = F_*(QY) on the horizontal space.
     """
-    frame = point_frame(spec, p, rank_tol)
-    return phi_defect_from_frame(frame, X, Y)
+    return phi_defect_from_frame(point_frame(spec, p, rank_tol), X, Y)
 
 
 def phi_defect_from_frame(frame: PointFrame, X, Y,
@@ -337,26 +241,30 @@ def classify_slant(spec: MapSpec, points, dirs_per_point: int = 6,
                    angle_tol: float = DEFAULT_ANGLE_TOL,
                    tol: float = DEFAULT_CHECK_TOL,
                    seed: int = 42,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> SlantReport:
+                   rank_tol: float = DEFAULT_RANK_TOL,
+                   riemannian: Optional[CheckResult] = None) -> SlantReport:
     """Sample the slant angle over points and directions and classify the map.
 
     Fills the angle statistics, the proportionality constants fitted from
     phi^2 and Q^2, the parallelism defects of omega and phi, and the
     pseudo-horizontally-weakly-conformal / pseudo-homothetic flags.
+    ``riemannian`` is the riemannian_map result for the same points and
+    tolerances, when the caller already has it.
     """
-    riemannian = is_riemannian_map(spec, points, tol, rank_tol)
+    sample = Sample.of(spec, points, rank_tol)
+    frames = list(sample.frames())  # a failed build raises as the Riemannian test would
+    if riemannian is None:
+        riemannian = is_riemannian_map(spec, sample, tol, rank_tol)
     if not riemannian.passed:
         return SlantReport(NOT_RIEMANNIAN, angle_tol,
                            witness=riemannian.witness,
                            rank=riemannian.detail.get("rank"))
 
     rng = np.random.default_rng(seed)
-    frames = [point_frame(spec, p, rank_tol) for p in points]
     rank = frames[0].rank
 
     angles = []
     point_angles = []
-    witness = None
     for frame in frames:
         directions = _horizontal_directions(frame, rng, dirs_per_point)
         theta_here = [slant_angle_from_frame(frame, X) for X in directions]
@@ -387,7 +295,7 @@ def classify_slant(spec: MapSpec, points, dirs_per_point: int = 6,
     _fit_lambda(report, frames, rng, dirs_per_point)
     _fit_mu(report, frames)
     _parallelism(report, frames, tol)
-    _phwc_flags(report, spec, frames, tol, rank_tol)
+    _phwc_flags(report, frames, tol)
     return report
 
 
@@ -415,8 +323,7 @@ def _fit_mu(report: SlantReport, frames) -> None:
     residual = 0.0
     squares = []
     for frame in frames:
-        q = q_matrix(frame)
-        q2 = q @ q
+        q2 = frame.q @ frame.q
         squares.append(q2)
         numerator += np.trace(q2)
         denominator += q2.shape[0]
@@ -431,11 +338,9 @@ def _parallelism(report: SlantReport, frames, tol: float) -> None:
     omega_max = phi_max = 0.0
     for frame in frames:
         h = frame.split.horizontal.columns
-        for a in range(frame.rank):
-            X = h[:, a]
-            derivatives = section_derivatives(frame, X)
+        for a, derivatives in enumerate(frame.horizontal_derivatives):
             for b in range(frame.rank):
-                Y = h[:, b]
+                X, Y = h[:, a], h[:, b]
                 omega_max = max(omega_max, frame.g_target.norm(
                     omega_defect_from_frame(frame, X, Y, derivatives)))
                 phi_max = max(phi_max, frame.g_target.norm(
@@ -446,14 +351,13 @@ def _parallelism(report: SlantReport, frames, tol: float) -> None:
     report.phi_parallel = phi_max <= tol
 
 
-def _phwc_flags(report: SlantReport, spec: MapSpec, frames,
-                tol: float, rank_tol: float) -> None:
+def _phwc_flags(report: SlantReport, frames, tol: float) -> None:
     if not report.sec_defined:
         return
     sec = 1.0 / math.cos(report.mean_angle)
     worst = 0.0
     for frame in frames:
-        jhat = sec * q_matrix(frame)
+        jhat = sec * frame.q
         r = jhat.shape[0]
         worst = max(worst, float(np.linalg.norm(jhat @ jhat + np.eye(r))))
         worst = max(worst, float(np.linalg.norm(jhat.T @ jhat - np.eye(r))))
@@ -485,7 +389,11 @@ def adapted_frame(spec: MapSpec, p, angle_tol: float = DEFAULT_ANGLE_TOL,
     Q-partner, re-orthogonalize the remaining horizontal directions, repeat.
     Fails for anti-invariant maps, where Q vanishes.
     """
-    frame = point_frame(spec, p, rank_tol)
+    return adapted_frame_from_frame(point_frame(spec, p, rank_tol), angle_tol)
+
+
+def adapted_frame_from_frame(frame: PointFrame,
+                             angle_tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
     r = frame.rank
     if r == 0:
         raise MapDefinitionError("map has rank zero: no horizontal space")
@@ -517,7 +425,8 @@ def adapted_frame(spec: MapSpec, p, angle_tol: float = DEFAULT_ANGLE_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Check suite built on the classification
+# Check suite built on the classification.  Every check reads the frames of
+# one Sample; plain point lists get a Sample of their own.
 
 def check_phi_squared_scaling(report: SlantReport,
                               tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
@@ -574,20 +483,18 @@ def check_adapted_frame(spec: MapSpec, points, report: SlantReport,
         return CheckResult.skipped(
             "adapted_frame", f"classification is {report.classification}: "
             "sec(angle) construction undefined")
+    sample = Sample.of(spec, points, rank_tol)
     worst = 0.0
     witness = None
-    for p in points:
-        frame_cols = adapted_frame(spec, p, report.angle_tol, rank_tol)
-        g1 = spec.source.metric_at(p)
-        gram = frame_cols.T @ g1.matrix @ frame_cols
+    for frame in sample.frames():
+        frame_cols = adapted_frame_from_frame(frame, report.angle_tol)
+        gram = frame_cols.T @ frame.g_source.matrix @ frame_cols
         residual = float(np.abs(gram - np.eye(frame_cols.shape[1])).max())
         if residual > worst:
             worst = residual
-            witness = {"point": [float(x) for x in p]}
+            witness = {"point": [float(x) for x in frame.point]}
     return CheckResult.from_residual("adapted_frame", worst, tol,
                                      samples=len(points), witness=witness)
-
-
 def check_omega_parallel(report: SlantReport,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     if report.omega_defect is None:
@@ -612,14 +519,13 @@ def check_omega_defect_identity(spec: MapSpec, points,
     only the second fundamental form and Q.  The two routes share no
     derivative formula, so agreement validates both.
     """
+    sample = Sample.of(spec, points, rank_tol)
     worst = 0.0
     witness = None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         h = frame.split.horizontal.columns
-        for a in range(frame.rank):
+        for a, derivatives in enumerate(frame.horizontal_derivatives):
             X = h[:, a]
-            derivatives = section_derivatives(frame, X)
             for b in range(frame.rank):
                 Y = h[:, b]
                 measured = omega_defect_from_frame(frame, X, Y, derivatives)
@@ -627,11 +533,10 @@ def check_omega_defect_identity(spec: MapSpec, points,
                 residual = frame.g_target.norm(measured - algebraic)
                 if residual > worst:
                     worst = residual
-                    witness = {"point": [float(x) for x in p], "pair": [a, b]}
+                    witness = {"point": [float(x) for x in frame.point],
+                               "pair": [a, b]}
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
                                      samples=len(points), witness=witness)
-
-
 def check_sff_q_scaling(spec: MapSpec, points, report: SlantReport,
                         tol: float = DEFAULT_CHECK_TOL,
                         rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
@@ -644,10 +549,10 @@ def check_sff_q_scaling(spec: MapSpec, points, report: SlantReport,
         return CheckResult.skipped("sff_q_scaling",
                                    "precondition unmet: omega is not parallel")
     factor = -math.cos(report.mean_angle) ** 2
+    sample = Sample.of(spec, points, rank_tol)
     worst = 0.0
     witness = None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         h = frame.split.horizontal.columns
         for a in range(frame.rank):
             for b in range(frame.rank):
@@ -657,50 +562,51 @@ def check_sff_q_scaling(spec: MapSpec, points, report: SlantReport,
                     frame.sff_value(qx, qy) - factor * frame.sff_value(X, Y))
                 if residual > worst:
                     worst = residual
-                    witness = {"point": [float(x) for x in p], "pair": [a, b]}
+                    witness = {"point": [float(x) for x in frame.point],
+                               "pair": [a, b]}
     return CheckResult.from_residual("sff_q_scaling", worst, tol,
                                      samples=len(points), witness=witness)
-
-
 def check_harmonic(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
                    rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
+    sample = Sample.of(spec, points, rank_tol)
     worst = 0.0
     witness = None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         residual = frame.g_target.norm(tension_from_frame(frame))
         if residual > worst:
             worst = residual
-            witness = {"point": [float(x) for x in p]}
+            witness = {"point": [float(x) for x in frame.point]}
     return CheckResult.from_residual("harmonic", worst, tol,
                                      samples=len(points), witness=witness)
-
-
 def check_minimal_fibers(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
                          rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
+    sample = Sample.of(spec, points, rank_tol)
     worst = 0.0
     witness = None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         if frame.split.kernel.dim == 0:
             return CheckResult.skipped("minimal_fibers",
                                        "map is an immersion: the kernel is trivial")
         residual = frame.g_target.norm(fiber_mean_curvature_from_frame(frame))
         if residual > worst:
             worst = residual
-            witness = {"point": [float(x) for x in p]}
+            witness = {"point": [float(x) for x in frame.point]}
     return CheckResult.from_residual("minimal_fibers", worst, tol,
                                      samples=len(points), witness=witness)
-
-
 def check_harmonic_minimal_equivalence(spec: MapSpec, points,
                                        report: SlantReport,
                                        tol: float = DEFAULT_CHECK_TOL,
-                                       rank_tol: float = DEFAULT_RANK_TOL
+                                       rank_tol: float = DEFAULT_RANK_TOL,
+                                       harmonic: Optional[CheckResult] = None,
+                                       fibers: Optional[CheckResult] = None
                                        ) -> CheckResult:
-    """With omega parallel, harmonicity and minimal fibers hold or fail together."""
+    """With omega parallel, harmonicity and minimal fibers hold or fail together.
+
+    ``harmonic`` and ``fibers`` are the harmonic and minimal_fibers results
+    for the same points and tolerances, when the caller already has them.
+    """
     if not report.is_slant:
         return CheckResult.skipped("harmonic_minimal_equivalence",
                                    f"precondition unmet: classification is "
@@ -708,8 +614,11 @@ def check_harmonic_minimal_equivalence(spec: MapSpec, points,
     if not report.omega_parallel:
         return CheckResult.skipped("harmonic_minimal_equivalence",
                                    "precondition unmet: omega is not parallel")
-    harmonic = check_harmonic(spec, points, tol, rank_tol)
-    fibers = check_minimal_fibers(spec, points, tol, rank_tol)
+    sample = Sample.of(spec, points, rank_tol)
+    if harmonic is None:
+        harmonic = check_harmonic(spec, sample, tol, rank_tol)
+    if fibers is None:
+        fibers = check_minimal_fibers(spec, sample, tol, rank_tol)
     if fibers.status == "skipped":
         return CheckResult.skipped("harmonic_minimal_equivalence", fibers.reason)
     agree = harmonic.passed == fibers.passed
@@ -725,7 +634,6 @@ def check_harmonic_minimal_equivalence(spec: MapSpec, points,
 def _condition_three_residual(frame: PointFrame) -> float:
     """Pairing identity linking the shape operator, B/C parts and the normal
     connection on horizontal pairs against every normal frame vector."""
-    _require_complex_structure(frame)
     h = frame.split.horizontal.columns
     perp = frame.split.range_perp.columns
     if perp.shape[1] == 0 or frame.rank == 0:
@@ -735,7 +643,7 @@ def _condition_three_residual(frame: PointFrame) -> float:
     worst = 0.0
     for a in range(frame.rank):
         X = h[:, a]
-        d_omega = section_derivatives(frame, X).omega
+        d_omega = frame.horizontal_derivatives[a].omega
         for b in range(frame.rank):
             Y = h[:, b]
             _, omega_y = phi_omega_from_frame(frame, Y)
@@ -762,20 +670,19 @@ def check_totally_geodesic(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL
     conditions: totally geodesic fibers, totally geodesic horizontal
     distribution, and the shape-operator pairing identity on normal vectors.
     """
+    sample = Sample.of(spec, points, rank_tol)
     global_max = fiber_max = horizontal_max = third_max = 0.0
     witness = None
     has_j = spec.target.complex_structure is not None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         value = sff_global_max(frame)
         if value > global_max:
             global_max = value
-            witness = {"point": [float(x) for x in p]}
+            witness = {"point": [float(x) for x in frame.point]}
         fiber_max = max(fiber_max, fiber_geodesy_residual(frame))
         horizontal_max = max(horizontal_max, horizontal_geodesy_residual(frame))
         if condition_three and has_j:
-            third_max = max(third_max,
-                            _condition_three_residual(frame))
+            third_max = max(third_max, _condition_three_residual(frame))
     detail = {
         "fiber_residual": fiber_max,
         "fibers_totally_geodesic": fiber_max <= tol,
@@ -804,16 +711,16 @@ def check_phwc(spec: MapSpec, points, report: SlantReport,
         return CheckResult.skipped(
             "phwc", "the induced horizontal structure is undefined at angle pi/2")
     sec = 1.0 / math.cos(report.mean_angle)
+    sample = Sample.of(spec, points, rank_tol)
     square_max = hermitian_max = 0.0
     witness = None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
-        jhat = sec * q_matrix(frame)
+    for frame in sample.frames():
+        jhat = sec * frame.q
         r = jhat.shape[0]
         square = float(np.linalg.norm(jhat @ jhat + np.eye(r)))
         hermitian = float(np.linalg.norm(jhat.T @ jhat - np.eye(r)))
         if max(square, hermitian) > max(square_max, hermitian_max):
-            witness = {"point": [float(x) for x in p]}
+            witness = {"point": [float(x) for x in frame.point]}
         square_max = max(square_max, square)
         hermitian_max = max(hermitian_max, hermitian)
     residual = max(square_max, hermitian_max)
@@ -840,20 +747,19 @@ def check_pseudo_homothetic(spec: MapSpec, points, report: SlantReport,
         return CheckResult.skipped("pseudo_homothetic",
                                    "precondition unmet: map is not PHWC")
     sec = 1.0 / math.cos(report.mean_angle)
+    sample = Sample.of(spec, points, rank_tol)
     phi_max = mixed_max = frame_deriv_max = vertical_pair_max = 0.0
     witness = None
-    for p in points:
-        frame = point_frame(spec, p, rank_tol)
+    for frame in sample.frames():
         h = frame.split.horizontal.columns
         kernel = frame.split.kernel.columns
-        for a in range(frame.rank):
+        for a, derivatives in enumerate(frame.horizontal_derivatives):
             X = h[:, a]
-            derivatives = section_derivatives(frame, X)
             for c in range(kernel.shape[1]):
                 value = frame.g_target.norm(frame.sff_value(X, kernel[:, c]))
                 if value > mixed_max:
                     mixed_max = value
-                    witness = {"point": [float(x) for x in p],
+                    witness = {"point": [float(x) for x in frame.point],
                                "horizontal": a, "vertical": c}
             for b in range(frame.rank):
                 Y = h[:, b]

@@ -3,7 +3,8 @@ import pytest
 
 from slantmap.catalog import load_catalog
 from slantmap.charts import ChartManifold
-from slantmap.maps import (MapDefinitionError, MapSpec, differential,
+from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
+                           check_sff_range_perp, differential,
                            fiber_mean_curvature, is_riemannian_map, map_point,
                            point_frame, s_v_operator, second_fundamental_form,
                            tension_field, tension_from_frame)
@@ -50,6 +51,22 @@ def test_riemannian_example4(example4, sample_box):
     assert result.passed
     assert result.residual <= 1e-12
     assert result.detail == {"rank": 2, "rank_constant": True}
+
+
+def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
+                                                           sample_box):
+    points = sample_box(example4.box, 5, 32)
+    sample = Sample(example4, points)
+    assert is_riemannian_map(example4, sample) == is_riemannian_map(
+        example4, points)
+    first = list(sample.frames())
+    assert check_sff_range_perp(example4, sample).passed
+    assert all(a is b for a, b in zip(first, sample.frames()))
+    assert len(first) == len(sample) == 5
+    with pytest.raises(ValueError, match="another map or rank tolerance"):
+        is_riemannian_map(example4, sample, rank_tol=1e-6)
+    with pytest.raises(ValueError, match="another map or rank tolerance"):
+        is_riemannian_map(load_catalog("invariant"), sample)
 
 
 def test_riemannian_rejects_dilation():

@@ -12,7 +12,7 @@ from slantmap.catalog import CatalogError, catalog_ids, load_catalog
 from slantmap.cli import main
 from slantmap.loader import (AnalysisSettings, MapSpecError, load_map_spec,
                              map_spec_from_json)
-from slantmap.report import render_report, run_analysis
+from slantmap.report import Report, render_report, run_analysis
 
 MINIMAL_SPEC = {
     "schema": "slantmap/1",
@@ -197,9 +197,9 @@ def test_run_analysis_survives_domain_errors():
     assert "log" in report.check("riemannian_map").reason
 
 
-def test_frame_budget_per_point(monkeypatch):
-    # every check reads one frame per point; derivatives must not rebuild
-    # frames off the sample points
+@pytest.fixture
+def frame_builds(monkeypatch):
+    """Points of every point_frame build, through both module bindings."""
     original = slantmap.maps.point_frame
     builds = []
 
@@ -209,10 +209,106 @@ def test_frame_budget_per_point(monkeypatch):
 
     monkeypatch.setattr(slantmap.maps, "point_frame", counted)
     monkeypatch.setattr(slantmap.slant, "point_frame", counted)
+    return builds
+
+
+def test_frame_budget_per_point(frame_builds):
+    # one frame per sample point, shared by every check; derivatives must not
+    # rebuild frames off the sample points
     samples = 4
     run_analysis(load_map_spec("catalog:warped_fiber"),
                  AnalysisSettings(points=samples))
-    assert 0 < len(builds) <= 15 * samples
+    assert len(frame_builds) == samples
+
+
+@pytest.mark.parametrize("name, frames", [("kahler", 0),
+                                          ("riemannian_map", 5)])
+def test_single_check_frame_budget(frame_builds, capsys, name, frames):
+    # kahler reads only the image points; riemannian_map one frame per point
+    assert main(["check", name, "--map", "catalog:warped_fiber",
+                 "--samples", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == name
+    assert len(frame_builds) == frames
+
+
+@pytest.mark.parametrize("catalog_id", catalog_ids())
+def test_single_check_matches_analyze(catalog_id, capsys):
+    # `check NAME` computes only NAME's dependency closure; its output must
+    # be the analyze entry, byte for byte, skip reasons and errors included
+    loaded = load_map_spec(f"catalog:{catalog_id}")
+    report = run_analysis(loaded, AnalysisSettings(points=5))
+    for entry in report.checks:
+        code = main(["check", entry.name, "--map", f"catalog:{catalog_id}",
+                     "--samples", "5"])
+        expected = render_report(Report(report.metadata, [entry]))
+        assert capsys.readouterr().out == expected, entry.name
+        assert code == (1 if entry.status in ("fail", "error") else 0)
+
+
+def test_cli_unknown_check_lists_every_name(capsys):
+    code = main(["check", "definitely_not_a_check", "--map",
+                 "catalog:example4", "--samples", "4"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "definitely_not_a_check" in err
+    for name in EXPECTED_CHECKS | {"slant_classification"}:
+        assert name in err
+
+
+SQRT_REASON = ("ExpressionDomainError: sqrt of a negative value in "
+               "subexpression 'sqrt(x1)'")
+LOG_REASON = ("ExpressionDomainError: log of a non-positive value in "
+              "subexpression 'log(x1)'")
+NOT_RIEMANNIAN = ("skipped", "map is not Riemannian")
+UNCLASSIFIED = ("skipped", "slant classification failed")
+SLANT_NAMES = ("phi_squared_scaling", "q_squared_scaling",
+               "lambda_mu_consistency", "adapted_frame", "omega_parallel",
+               "phi_parallel", "omega_defect_identity", "sff_q_scaling",
+               "harmonic_minimal_equivalence", "phwc", "pseudo_homothetic")
+
+
+def _straddling_outcomes(target_checks, reason):
+    return {**target_checks, "riemannian_map": ("error", reason),
+            "sff_range_perp": NOT_RIEMANNIAN, "harmonic": NOT_RIEMANNIAN,
+            "minimal_fibers": NOT_RIEMANNIAN, "totally_geodesic": NOT_RIEMANNIAN,
+            "slant_classification": ("error", reason),
+            **{name: UNCLASSIFIED for name in SLANT_NAMES}}
+
+
+# Expected entries (status, reason): the first two sample points lie inside
+# the domain and the third does not, so frames fail from there on.
+STRADDLING = {
+    "sqrt_metric": (
+        {"source": {"dim": 2, "metric": [["sqrt(x1)", "0"], ["0", "1"]]},
+         "components": ["x1", "0", "x2", "0"]},
+        _straddling_outcomes({"almost_hermitian": ("pass", None),
+                              "kahler": ("pass", None)}, SQRT_REASON)),
+    "log_component": (
+        {"source": {"dim": 2}, "components": ["log(x1)", "0", "x2", "0"]},
+        _straddling_outcomes({"almost_hermitian": ("error", LOG_REASON),
+                              "kahler": ("error", LOG_REASON)}, LOG_REASON)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRADDLING))
+def test_frame_failure_on_part_of_the_box(case, tmp_path, capsys):
+    # the box straddles the domain edge, so frames fail at some sample points
+    # only; the target checks read only image points, so they pass wherever
+    # F itself is defined, and every entry is the same in the full report
+    # and on its own
+    overrides, expected = STRADDLING[case]
+    doc = dict(MINIMAL_SPEC, domain={"box": [[-0.5, 2.0], [-1.0, 1.0]]},
+               sampling={"points": 6}, **overrides)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    report = run_analysis(load_map_spec(str(path)))
+    assert report.slant is None
+    assert {c.name: (c.status, c.reason) for c in report.checks} == expected
+    for name, (status, reason) in expected.items():
+        code = main(["check", name, "--map", str(path)])
+        single = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["status"], c.get("reason")) for c in single] == [(status, reason)]
+        assert code == (1 if status == "error" else 0)
 
 
 def test_report_serialization_deterministic():
