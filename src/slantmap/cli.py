@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .catalog import catalog_descriptions
-from .loader import MapSpecError, load_map_spec
+from .loader import MapSpecError, load_map_spec, set_setting
 from .report import (CHECK_NAMES, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
                      EXIT_OK, Analysis, Report, render_report, run_analysis)
 
@@ -49,18 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(settings, args) -> None:
-    if args.samples is not None:
-        settings.points = args.samples
-    if args.dirs is not None:
-        settings.dirs = args.dirs
-    if args.seed is not None:
-        settings.seed = args.seed
-    if args.tol is not None:
-        settings.check_tol = args.tol
-    if args.rank_tol is not None:
-        settings.rank_tol = args.rank_tol
-    if args.angle_tol is not None:
-        settings.angle_tol = args.angle_tol
+    for flag, attr in (("--samples", "points"), ("--dirs", "dirs"),
+                       ("--seed", "seed"), ("--tol", "check_tol"),
+                       ("--rank-tol", "rank_tol"), ("--angle-tol", "angle_tol")):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            set_setting(settings, attr, value, flag)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,10 +74,10 @@ def main(argv=None) -> int:
 
     try:
         loaded = load_map_spec(args.map)
+        _apply_overrides(loaded.settings, args)
     except MapSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _apply_overrides(loaded.settings, args)
 
     if args.command == "check":
         analysis = Analysis(loaded)

@@ -8,8 +8,7 @@ positive) so repeated runs produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +47,10 @@ class InnerProduct:
     def norm(self, v) -> float:
         return float(np.sqrt(max(self.inner(v, v), 0.0)))
 
-    def whiten(self, vectors: np.ndarray) -> np.ndarray:
-        """Map columns to coordinates where the metric is Euclidean."""
-        return self.cholesky.T @ vectors
+    def norms(self, vectors: np.ndarray) -> np.ndarray:
+        """Norms of the columns."""
+        squares = np.einsum("ia,ij,ja->a", vectors, self.matrix, vectors)
+        return np.sqrt(np.maximum(squares, 0.0))
 
     def unwhiten(self, vectors: np.ndarray) -> np.ndarray:
         return np.linalg.solve(self.cholesky.T, vectors)
@@ -87,7 +87,6 @@ class TangentSplit:
     horizontal: SubspaceBasis
     range: SubspaceBasis
     range_perp: SubspaceBasis
-    point: Optional[np.ndarray] = field(default=None)
 
 
 def _fix_signs(columns: np.ndarray) -> np.ndarray:
@@ -141,6 +140,12 @@ def metric_adjoint_derivative(A, dA, g1: InnerProduct, dG1,
                            - dG1 @ adjoint)
 
 
+def range_projector(split: TangentSplit) -> np.ndarray:
+    """The g2-orthogonal projector R R^T G2 onto the range of the split map."""
+    R = split.range.columns
+    return R @ R.T @ split.range.metric.matrix
+
+
 def range_projector_derivative(A, dA, split: TangentSplit, dG2):
     """The g2-orthogonal projector P onto range A and its derivative.
 
@@ -155,7 +160,7 @@ def range_projector_derivative(A, dA, split: TangentSplit, dG2):
     G2 = split.range.metric.matrix
     H = split.horizontal.columns
     R = split.range.columns
-    P = R @ R.T @ G2
+    P = range_projector(split)
     S = R.T @ G2 @ A @ H
     pseudo_inverse = H @ np.linalg.solve(S, R.T @ G2)
     complement = np.eye(len(G2)) - P

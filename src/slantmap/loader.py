@@ -74,25 +74,33 @@ def _chart_from_json(doc: dict, pointer: str) -> ChartManifold:
         raise MapSpecError(pointer, str(exc))
 
 
+def set_setting(settings: AnalysisSettings, attr: str, value,
+                where: str) -> None:
+    """Check one analysis setting and store it.  The same rule serves the
+    spec file's sampling/tolerances blocks and command-line overrides;
+    ``where`` (a JSON pointer or a flag) locates a bad value in the error."""
+    if attr in ("points", "dirs", "seed"):
+        least = 0 if attr == "seed" else 1  # numpy seeds must not be negative
+        _expect(isinstance(value, int) and value >= least, where,
+                f"must be an integer >= {least}")
+    else:
+        _expect(isinstance(value, (int, float)) and value > 0, where,
+                "must be a positive number")
+        value = float(value)
+    setattr(settings, attr, value)
+
+
 def _settings_from_json(doc: dict) -> AnalysisSettings:
     settings = AnalysisSettings()
-    sampling = doc.get("sampling", {})
-    _expect(isinstance(sampling, dict), "/sampling", "must be an object")
-    for key, attr in (("points", "points"), ("dirs", "dirs"), ("seed", "seed")):
-        if key in sampling:
-            value = sampling[key]
-            _expect(isinstance(value, int) and value > 0 or (key == "seed" and isinstance(value, int)),
-                    f"/sampling/{key}", "must be a positive integer")
-            setattr(settings, attr, value)
-    tolerances = doc.get("tolerances", {})
-    _expect(isinstance(tolerances, dict), "/tolerances", "must be an object")
-    for key, attr in (("rank", "rank_tol"), ("check", "check_tol"),
-                      ("angle", "angle_tol")):
-        if key in tolerances:
-            value = tolerances[key]
-            _expect(isinstance(value, (int, float)) and value > 0,
-                    f"/tolerances/{key}", "must be a positive number")
-            setattr(settings, attr, float(value))
+    for pointer, attr in (("/sampling/points", "points"), ("/sampling/dirs", "dirs"),
+                          ("/sampling/seed", "seed"), ("/tolerances/rank", "rank_tol"),
+                          ("/tolerances/check", "check_tol"),
+                          ("/tolerances/angle", "angle_tol")):
+        _, block, key = pointer.split("/")
+        values = doc.get(block, {})
+        _expect(isinstance(values, dict), f"/{block}", "must be an object")
+        if key in values:
+            set_setting(settings, attr, values[key], pointer)
     return settings
 
 

@@ -8,9 +8,10 @@ coordinate formula
 
 so no vector-field extensions enter; jets supply every derivative exactly.
 
-A ``PointFrame`` holds what is known at one point (the adjoint, Q and the
-section derivatives are computed on first use); a ``Sample`` is the analysis
-context of one run, whose frames are built once and read by every check.
+A ``PointFrame`` holds what is known at one point (the adjoint, the split
+of J F_* against the range, Q and the section derivatives are computed on
+first use); a ``Sample`` is the analysis context of one run, whose frames are
+built once and read by every check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .charts import ChartError, ChartManifold, christoffel, metric_derivative
 from .expressions import Expression, eval_jet2, parse_expression
 from .linalg import (InnerProduct, TangentSplit, metric_adjoint,
-                     metric_adjoint_derivative, project,
+                     metric_adjoint_derivative, range_projector,
                      range_projector_derivative, split_tangent)
 from .result import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, CheckResult
 
@@ -107,13 +108,31 @@ class PointFrame:
         return metric_adjoint(self.jacobian, self.g_source, self.g_target)
 
     @cached_property
+    def range_projector(self) -> np.ndarray:
+        """g2-orthogonal projector onto the range of F_*."""
+        return range_projector(self.split)
+
+    @cached_property
+    def j_pushforward(self) -> np.ndarray:
+        """J F_* as an (m, n) matrix."""
+        return require_complex_structure(self) @ self.jacobian
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """P J F_*: phi @ X is the range part of J F_*X, and the rest of
+        j_pushforward @ X is its normal part omega."""
+        return self.range_projector @ self.j_pushforward
+
+    @cached_property
+    def adjoint_phi(self) -> np.ndarray:
+        """adjoint o phi, so that Q X = adjoint_phi @ X."""
+        return self.adjoint @ self.phi
+
+    @cached_property
     def q(self) -> np.ndarray:
         """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
         h = self.split.horizontal.columns
-        out = np.empty((self.rank, self.rank))
-        for a in range(self.rank):
-            out[:, a] = h.T @ self.g_source.matrix @ q_apply(self, h[:, a])
-        return out
+        return h.T @ self.g_source.matrix @ self.adjoint_phi @ h
 
     @cached_property
     def horizontal_derivatives(self) -> list:
@@ -125,13 +144,15 @@ class PointFrame:
         return self.jacobian @ np.asarray(X, dtype=float)
 
     def sff_value(self, X, Y) -> np.ndarray:
-        return np.einsum("gij,i,j->g", self.sff, np.asarray(X, float),
+        """sff(X, Y); a matrix Y gives one column per column of Y."""
+        return np.einsum("gij,i,j...->g...", self.sff, np.asarray(X, float),
                          np.asarray(Y, float))
 
     def covariant_source(self, X, Y) -> np.ndarray:
-        """Source connection applied to constant-coefficient extensions of X, Y."""
-        return np.einsum("kij,i,j->k", self.gamma_source, np.asarray(X, float),
-                         np.asarray(Y, float))
+        """Source connection applied to constant-coefficient extensions of X, Y
+        (of each column of Y when Y is a matrix)."""
+        return np.einsum("kij,i,j...->k...", self.gamma_source,
+                         np.asarray(X, float), np.asarray(Y, float))
 
 
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
@@ -143,7 +164,6 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
     g1 = spec.source.metric_at(point)
     g2 = spec.target.metric_at(image)
     split = split_tangent(jac, g1, g2, rank_tol)
-    split.point = point
     gamma1 = christoffel(spec.source, point)
     gamma2 = christoffel(spec.target, image)
     sff = (hess - np.einsum("kij,gk->gij", gamma1, jac)
@@ -203,7 +223,7 @@ def s_v_from_frame(frame: PointFrame, V, tol: float = DEFAULT_CHECK_TOL) -> np.n
     r = frame.rank
     if norm == 0.0:
         return np.zeros((r, r))
-    tangential = project(V, frame.split.range)
+    tangential = tangential_part(frame, V)
     if g2.norm(tangential) > tol * norm:
         raise ValueError("vector has a range component beyond tolerance")
     perp = V - tangential
@@ -228,15 +248,6 @@ class Sample:
         self._frames: list = []
         self._failure: Optional[Exception] = None
 
-    @staticmethod
-    def of(spec: MapSpec, points, rank_tol: float) -> "Sample":
-        """``points`` itself when it is a Sample of this map, else a new one."""
-        if not isinstance(points, Sample):
-            return Sample(spec, points, rank_tol)
-        if points.spec is not spec or points.rank_tol != rank_tol:
-            raise ValueError("the sample belongs to another map or rank tolerance")
-        return points
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -259,6 +270,19 @@ class Sample:
         return [map_point(self.spec, p) for p in self.points]
 
 
+def worst_residual(items):
+    """The largest residual of (residual, point, fields) triples and its
+    witness, the point plus ``fields``.  The maximum starts at 0.0 with no
+    witness and moves only to a strictly larger residual, so the first of
+    equal maxima is the witness."""
+    worst, witness = 0.0, None
+    for residual, point, fields in items:
+        if residual > worst:
+            worst = float(residual)
+            witness = {"point": [float(x) for x in point], **fields}
+    return worst, witness
+
+
 # ---------------------------------------------------------------------------
 # Complex-structure parts at one frame and their covariant derivatives
 
@@ -269,31 +293,24 @@ def require_complex_structure(frame: PointFrame) -> np.ndarray:
 
 
 def tangential_part(frame: PointFrame, w) -> np.ndarray:
-    return project(w, frame.split.range)
+    return frame.range_projector @ np.asarray(w, dtype=float)
 
 
 def normal_part(frame: PointFrame, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    return w - project(w, frame.split.range)
+    return w - frame.range_projector @ w
 
 
 def phi_omega_from_frame(frame: PointFrame, X):
     """Split J F_*X into its range part (phi) and normal part (omega)."""
-    J = require_complex_structure(frame)
-    w = J @ frame.pushforward(X)
-    phi = tangential_part(frame, w)
-    return phi, w - phi
+    X = np.asarray(X, dtype=float)
+    phi = frame.phi @ X
+    return phi, frame.j_pushforward @ X - phi
 
 
 def q_apply(frame: PointFrame, X) -> np.ndarray:
     """Q X = adjoint(phi(F_* X)), a horizontal vector in the source tangent."""
-    phi, _ = phi_omega_from_frame(frame, X)
-    return frame.adjoint @ phi
-
-
-def q_matrix(frame: PointFrame) -> np.ndarray:
-    """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
-    return frame.q
+    return frame.adjoint_phi @ np.asarray(X, dtype=float)
 
 
 @dataclass
@@ -318,7 +335,7 @@ def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
     target (pullback) and source Christoffel terms then turn the plain
     derivatives into covariant ones.
     """
-    J = require_complex_structure(frame)
+    JA, phi = frame.j_pushforward, frame.phi
     Xv = np.asarray(X, dtype=float)
     A = frame.jacobian
     fx = A @ Xv
@@ -326,12 +343,9 @@ def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
     dG1 = metric_derivative(frame.g_source.matrix, frame.gamma_source, Xv)
     dG2 = metric_derivative(frame.g_target.matrix, frame.gamma_target, fx)
     dJ = np.einsum("cab,c->ab", frame.complex_structure_grad, fx)
-    P, dP = range_projector_derivative(A, dA, frame.split, dG2)
-    JA = J @ A
-    dJA = dJ @ A + J @ dA
-    phi = P @ JA
-    d_phi = dP @ JA + P @ dJA
-    adjoint = frame.adjoint
+    _, dP = range_projector_derivative(A, dA, frame.split, dG2)
+    dJA = dJ @ A + frame.complex_structure @ dA
+    d_phi = dP @ JA + frame.range_projector @ dJA
     d_adjoint = metric_adjoint_derivative(A, dA, frame.g_source, dG1,
                                           frame.g_target, dG2)
     target_connection = np.einsum("gab,a->gb", frame.gamma_target, fx)
@@ -339,87 +353,73 @@ def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
     return SectionDerivatives(
         phi=d_phi + target_connection @ phi,
         omega=dJA - d_phi + target_connection @ (JA - phi),
-        q=d_adjoint @ phi + adjoint @ d_phi + source_connection @ adjoint @ phi)
+        q=(d_adjoint @ phi + frame.adjoint @ d_phi
+           + source_connection @ frame.adjoint_phi))
 
 
 # ---------------------------------------------------------------------------
 # Checks
 
-def is_riemannian_map(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
-                      rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+def is_riemannian_map(sample: Sample,
+                      tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Gram-matrix test of the horizontal restriction plus rank constancy."""
-    sample = Sample.of(spec, points, rank_tol)
-    worst = 0.0
-    witness = None
-    ranks = []
-    for frame in sample.frames():
-        ranks.append(frame.rank)
-        h = frame.split.horizontal.columns
-        pushed = frame.jacobian @ h
-        gram = pushed.T @ frame.g_target.matrix @ pushed
-        residual = float(np.abs(gram - np.eye(frame.rank)).max()) if frame.rank else 0.0
-        if residual > worst:
-            worst = residual
-            witness = {"point": [float(x) for x in frame.point]}
+    frames = list(sample.frames())
+    worst, witness = worst_residual(
+        (gram_residual(frame.jacobian @ frame.split.horizontal.columns,
+                       frame.g_target), frame.point, {}) for frame in frames)
+    ranks = [frame.rank for frame in frames]
     rank_constant = len(set(ranks)) <= 1
     detail = {"rank": ranks[0] if rank_constant and ranks else sorted(set(ranks)),
               "rank_constant": rank_constant}
-    if not rank_constant:
+    if not rank_constant or (ranks and ranks[0] == 0):
+        reason = ("differential vanishes on this box: rank is zero" if rank_constant
+                  else "rank varies across samples: not a subimmersion on this box")
         return CheckResult("riemannian_map", "fail", residual=worst, tol=tol,
-                           samples=len(points),
-                           reason="rank varies across samples: not a subimmersion on this box",
-                           witness=witness, detail=detail)
-    if ranks and ranks[0] == 0:
-        return CheckResult("riemannian_map", "fail", residual=worst, tol=tol,
-                           samples=len(points),
-                           reason="differential vanishes on this box: rank is zero",
-                           detail=detail)
+                           samples=len(sample), reason=reason, detail=detail,
+                           witness=None if rank_constant else witness)
     return CheckResult.from_residual("riemannian_map", worst, tol,
-                                     samples=len(points), witness=witness,
+                                     samples=len(sample), witness=witness,
                                      detail=detail)
 
 
-def check_sff_range_perp(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
-                         rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+def gram_residual(columns: np.ndarray, metric: InnerProduct) -> float:
+    """How far the columns are from orthonormal under the metric."""
+    gram = columns.T @ metric.matrix @ columns
+    return float(np.abs(gram - np.eye(columns.shape[1])).max(initial=0.0))
+
+
+def check_sff_range_perp(sample: Sample,
+                         tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
-    sample = Sample.of(spec, points, rank_tol)
-    worst = 0.0
-    witness = None
-    for frame in sample.frames():
+    def residuals(frame):
         h = frame.split.horizontal.columns
         for a in range(frame.rank):
-            for b in range(a, frame.rank):
-                value = frame.sff_value(h[:, a], h[:, b])
-                tangential = project(value, frame.split.range)
-                residual = frame.g_target.norm(tangential)
-                if residual > worst:
-                    worst = residual
-                    witness = {"point": [float(x) for x in frame.point],
-                               "pair": [a, b]}
+            tangential = tangential_part(frame, frame.sff_value(h[:, a], h[:, a:]))
+            for b, residual in enumerate(frame.g_target.norms(tangential), start=a):
+                yield residual, frame.point, {"pair": [a, b]}
+
+    worst, witness = worst_residual(
+        item for frame in sample.frames() for item in residuals(frame))
     return CheckResult.from_residual("sff_range_perp", worst, tol,
-                                     samples=len(points), witness=witness)
+                                     samples=len(sample), witness=witness)
+
+
+def _sff_norm_max(frame: PointFrame, basis: np.ndarray) -> float:
+    """Largest sff norm over pairs of columns of ``basis``."""
+    values = np.einsum("gij,ia,jb->gab", frame.sff, basis, basis)
+    squares = np.einsum("gab,gh,hab->ab", values, frame.g_target.matrix, values)
+    return float(np.sqrt(np.maximum(squares, 0.0)).max(initial=0.0))
 
 
 def sff_global_max(frame: PointFrame) -> float:
     """Largest sff norm over all pairs from the full orthonormal source basis."""
-    basis = np.hstack([frame.split.kernel.columns, frame.split.horizontal.columns])
-    worst = 0.0
-    for a in range(basis.shape[1]):
-        for b in range(a, basis.shape[1]):
-            value = frame.sff_value(basis[:, a], basis[:, b])
-            worst = max(worst, frame.g_target.norm(value))
-    return worst
+    return _sff_norm_max(frame, np.hstack([frame.split.kernel.columns,
+                                           frame.split.horizontal.columns]))
 
 
 def fiber_geodesy_residual(frame: PointFrame) -> float:
     """How far the fibers are from totally geodesic: sff over kernel pairs."""
-    kernel = frame.split.kernel.columns
-    worst = 0.0
-    for a in range(kernel.shape[1]):
-        for b in range(a, kernel.shape[1]):
-            value = frame.sff_value(kernel[:, a], kernel[:, b])
-            worst = max(worst, frame.g_target.norm(value))
-    return worst
+    return _sff_norm_max(frame, frame.split.kernel.columns)
 
 
 def horizontal_geodesy_residual(frame: PointFrame) -> float:
@@ -429,10 +429,6 @@ def horizontal_geodesy_residual(frame: PointFrame) -> float:
     kernel = frame.split.kernel.columns
     if kernel.shape[1] == 0 or h.shape[1] == 0:
         return 0.0
-    worst = 0.0
-    G = frame.g_source.matrix
-    for a in range(h.shape[1]):
-        for b in range(h.shape[1]):
-            nabla = frame.covariant_source(h[:, a], h[:, b])
-            worst = max(worst, float(np.abs(kernel.T @ G @ nabla).max()))
-    return worst
+    nabla = np.einsum("kij,ia,jb->kab", frame.gamma_source, h, h)
+    return float(np.abs(np.einsum("kw,kl,lab->wab", kernel,
+                                  frame.g_source.matrix, nabla)).max())

@@ -140,8 +140,7 @@ class Analysis:
                                              "target has no complex structure")
         try:
             return classify_slant(
-                self.spec, self.sample, s.dirs, s.angle_tol, s.check_tol,
-                s.seed, s.rank_tol,
+                self.sample, s.dirs, s.angle_tol, s.check_tol, s.seed,
                 riemannian=self.entry("riemannian_map")), None
         except Exception as exc:
             return None, CheckResult.error("slant_classification",
@@ -149,7 +148,7 @@ class Analysis:
 
     def _compute(self, name: str) -> Optional[CheckResult]:
         spec, sample, s = self.spec, self.sample, self.settings
-        tol, rank_tol = s.check_tol, s.rank_tol
+        tol = s.check_tol
         if name in TARGET_CHECKS:
             if spec.target.complex_structure is None:
                 return CheckResult.skipped(name, "target has no complex structure")
@@ -159,16 +158,15 @@ class Analysis:
             if not self.entry("almost_hermitian").passed:
                 return CheckResult.skipped(name, "target is not almost Hermitian")
             return check_kahler(spec.target, images, dirs=4, tol=tol, seed=s.seed)
-        if name == "riemannian_map":
-            return is_riemannian_map(spec, sample, tol, rank_tol)
-        if name in RIEMANNIAN_CHECKS:
-            if not self.entry("riemannian_map").passed:
+        sample_checks = {"riemannian_map": is_riemannian_map,
+                         "sff_range_perp": check_sff_range_perp,
+                         "harmonic": check_harmonic,
+                         "minimal_fibers": check_minimal_fibers,
+                         "totally_geodesic": check_totally_geodesic}
+        if name in sample_checks:
+            if name != "riemannian_map" and not self.entry("riemannian_map").passed:
                 return CheckResult.skipped(name, "map is not Riemannian")
-            check = {"sff_range_perp": check_sff_range_perp,
-                     "harmonic": check_harmonic,
-                     "minimal_fibers": check_minimal_fibers,
-                     "totally_geodesic": check_totally_geodesic}[name]
-            return check(spec, sample, tol, rank_tol)
+            return sample_checks[name](sample, tol)
         report, unclassified = self.classification
         if name == "slant_classification":
             return unclassified
@@ -182,22 +180,17 @@ class Analysis:
             "phi_squared_scaling": lambda: check_phi_squared_scaling(report, tol),
             "q_squared_scaling": lambda: check_q_squared_scaling(report, tol),
             "lambda_mu_consistency": lambda: check_lambda_mu_consistency(report),
-            "adapted_frame": lambda: check_adapted_frame(
-                spec, sample, report, rank_tol=rank_tol),
+            "adapted_frame": lambda: check_adapted_frame(sample, report),
             "omega_parallel": lambda: check_omega_parallel(report, tol),
             "phi_parallel": lambda: check_phi_parallel(report, tol),
-            "omega_defect_identity": lambda: check_omega_defect_identity(
-                spec, sample, rank_tol=rank_tol),
-            "sff_q_scaling": lambda: check_sff_q_scaling(
-                spec, sample, report, tol, rank_tol),
+            "omega_defect_identity": lambda: check_omega_defect_identity(sample),
+            "sff_q_scaling": lambda: check_sff_q_scaling(sample, report, tol),
             "harmonic_minimal_equivalence": lambda: (
                 check_harmonic_minimal_equivalence(
-                    spec, sample, report, tol, rank_tol,
-                    harmonic=self.entry("harmonic"),
+                    sample, report, tol, harmonic=self.entry("harmonic"),
                     fibers=self.entry("minimal_fibers"))),
-            "phwc": lambda: check_phwc(spec, sample, report, tol, rank_tol),
-            "pseudo_homothetic": lambda: check_pseudo_homothetic(
-                spec, sample, report, tol, rank_tol),
+            "phwc": lambda: check_phwc(sample, report, tol),
+            "pseudo_homothetic": lambda: check_pseudo_homothetic(sample, report, tol),
         }
         return checks[name]()
 

@@ -8,7 +8,7 @@ is -cos^2(theta) times the identity exactly when the angle theta between
 J F_*X and the range is constant.  Everything here is computed pointwise in
 the orthonormal frames delivered by the tangent splitting; the per-point
 pieces (phi, omega, Q and their covariant derivatives) live with the frame in
-``maps``, and every check reads the frames of one shared ``Sample``.
+``maps``, and every check that reads frames takes them from one ``Sample``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ import numpy as np
 
 from .maps import (MapDefinitionError, MapSpec, PointFrame, Sample,
                    SectionDerivatives, fiber_geodesy_residual,
-                   fiber_mean_curvature_from_frame, horizontal_geodesy_residual,
-                   is_riemannian_map, normal_part, phi_omega_from_frame,
-                   point_frame, q_apply, q_matrix, require_complex_structure,
-                   section_derivatives, sff_global_max, tangential_part,
-                   tension_from_frame)
+                   fiber_mean_curvature_from_frame, gram_residual,
+                   horizontal_geodesy_residual, is_riemannian_map, normal_part,
+                   phi_omega_from_frame, point_frame, q_apply,
+                   require_complex_structure, section_derivatives,
+                   sff_global_max, tangential_part, tension_from_frame,
+                   worst_residual)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult)
 
@@ -49,8 +50,7 @@ def bc_decompose(spec: MapSpec, p, V, rank_tol: float = DEFAULT_RANK_TOL):
 
 
 def bc_from_frame(frame: PointFrame, V):
-    J = require_complex_structure(frame)
-    w = J @ np.asarray(V, dtype=float)
+    w = require_complex_structure(frame) @ np.asarray(V, dtype=float)
     b = tangential_part(frame, w)
     return b, w - b
 
@@ -72,7 +72,13 @@ def slant_angle_from_frame(frame: PointFrame, X) -> float:
 
 
 def q_operator(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    return q_matrix(point_frame(spec, p, rank_tol))
+    return point_frame(spec, p, rank_tol).q
+
+
+def q_matrix(frame: PointFrame) -> np.ndarray:
+    """Matrix of Q in the orthonormal horizontal frame: ``frame.q``.  Kept as
+    a named function because perfbench/tracer.py traces it by name."""
+    return frame.q
 
 
 @dataclass
@@ -97,18 +103,13 @@ class PointOperators:
 def point_operators(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL,
                     theta: Optional[float] = None) -> PointOperators:
     frame = point_frame(spec, p, rank_tol)
-    J = require_complex_structure(frame)
-    R = frame.split.range.columns
-    P = frame.split.range_perp.columns
-    G = frame.g_target.matrix
-    ops = PointOperators(
-        phi=R.T @ G @ J @ R,
-        omega=P.T @ G @ J @ R,
-        b=R.T @ G @ J @ P,
-        c=P.T @ G @ J @ P,
-        q=q_matrix(frame),
-        point=frame.point,
-    )
+    # J in the range-then-normal target frame; its blocks are phi, omega, B, C
+    basis = np.hstack([frame.split.range.columns, frame.split.range_perp.columns])
+    blocks = basis.T @ frame.g_target.matrix @ require_complex_structure(frame) @ basis
+    r = frame.rank
+    ops = PointOperators(phi=blocks[:r, :r], omega=blocks[r:, :r],
+                         b=blocks[:r, r:], c=blocks[r:, r:], q=frame.q,
+                         point=frame.point)
     if theta is not None:
         if abs(math.cos(theta)) < 1e-12:
             raise ValueError("sec(theta) undefined at angle pi/2")
@@ -135,7 +136,8 @@ def omega_defect_from_frame(frame: PointFrame, X, Y,
                             derivatives: Optional[SectionDerivatives] = None
                             ) -> np.ndarray:
     """omega_parallel_defect on a built frame; pass section_derivatives(frame,
-    X) as ``derivatives`` to reuse it across several Y."""
+    X) as ``derivatives`` to reuse it across several Y.  A matrix Y gives one
+    defect column per column of Y, here and in the other defect functions."""
     if derivatives is None:
         derivatives = section_derivatives(frame, X)
     Yv = np.asarray(Y, dtype=float)
@@ -237,24 +239,22 @@ def _horizontal_directions(frame: PointFrame, rng: np.random.Generator,
     return coeff @ h.T
 
 
-def classify_slant(spec: MapSpec, points, dirs_per_point: int = 6,
+def classify_slant(sample: Sample, dirs_per_point: int = 6,
                    angle_tol: float = DEFAULT_ANGLE_TOL,
                    tol: float = DEFAULT_CHECK_TOL,
                    seed: int = 42,
-                   rank_tol: float = DEFAULT_RANK_TOL,
                    riemannian: Optional[CheckResult] = None) -> SlantReport:
     """Sample the slant angle over points and directions and classify the map.
 
     Fills the angle statistics, the proportionality constants fitted from
     phi^2 and Q^2, the parallelism defects of omega and phi, and the
     pseudo-horizontally-weakly-conformal / pseudo-homothetic flags.
-    ``riemannian`` is the riemannian_map result for the same points and
-    tolerances, when the caller already has it.
+    ``riemannian`` is the riemannian_map result for the same sample and
+    tolerance, when the caller already has it.
     """
-    sample = Sample.of(spec, points, rank_tol)
     frames = list(sample.frames())  # a failed build raises as the Riemannian test would
     if riemannian is None:
-        riemannian = is_riemannian_map(spec, sample, tol, rank_tol)
+        riemannian = is_riemannian_map(sample, tol)
     if not riemannian.passed:
         return SlantReport(NOT_RIEMANNIAN, angle_tol,
                            witness=riemannian.witness,
@@ -303,52 +303,39 @@ def _fit_lambda(report: SlantReport, frames, rng, dirs_per_point: int) -> None:
     numerator = denominator = 0.0
     samples = []
     for frame in frames:
-        for X in _horizontal_directions(frame, rng, dirs_per_point):
-            fx = frame.pushforward(X)
-            phi1, _ = phi_omega_from_frame(frame, X)
-            J = frame.complex_structure
-            phi2 = tangential_part(frame, J @ phi1)
-            numerator += frame.g_target.inner(phi2, fx)
-            denominator += frame.g_target.inner(fx, fx)
-            samples.append((frame, phi2, fx))
+        X = _horizontal_directions(frame, rng, dirs_per_point).T
+        fx = frame.jacobian @ X  # one column per direction, as is phi2
+        phi2 = tangential_part(frame, frame.complex_structure @ (frame.phi @ X))
+        numerator += np.einsum("ia,ij,ja->", phi2, frame.g_target.matrix, fx)
+        denominator += np.einsum("ia,ij,ja->", fx, frame.g_target.matrix, fx)
+        samples.append((frame, phi2, fx))
     lam = numerator / denominator
-    residual = max(frame.g_target.norm(phi2 - lam * fx)
-                   for frame, phi2, fx in samples)
     report.lambda_estimate = float(lam)
-    report.lambda_residual = float(residual)
+    report.lambda_residual = float(max(max(frame.g_target.norms(phi2 - lam * fx))
+                                       for frame, phi2, fx in samples))
 
 
 def _fit_mu(report: SlantReport, frames) -> None:
-    numerator = denominator = 0.0
-    residual = 0.0
-    squares = []
-    for frame in frames:
-        q2 = frame.q @ frame.q
-        squares.append(q2)
-        numerator += np.trace(q2)
-        denominator += q2.shape[0]
-    mu = numerator / denominator
-    for q2 in squares:
-        residual = max(residual, float(np.abs(q2 - mu * np.eye(q2.shape[0])).max()))
+    squares = [frame.q @ frame.q for frame in frames]
+    mu = sum(np.trace(q2) for q2 in squares) / sum(len(q2) for q2 in squares)
     report.mu_estimate = float(mu)
-    report.mu_residual = float(residual)
+    report.mu_residual = max([0.0] + [float(np.abs(q2 - mu * np.eye(len(q2))).max())
+                                      for q2 in squares])
 
 
 def _parallelism(report: SlantReport, frames, tol: float) -> None:
     omega_max = phi_max = 0.0
     for frame in frames:
-        h = frame.split.horizontal.columns
+        h, norms = frame.split.horizontal.columns, frame.g_target.norms
         for a, derivatives in enumerate(frame.horizontal_derivatives):
-            for b in range(frame.rank):
-                X, Y = h[:, a], h[:, b]
-                omega_max = max(omega_max, frame.g_target.norm(
-                    omega_defect_from_frame(frame, X, Y, derivatives)))
-                phi_max = max(phi_max, frame.g_target.norm(
-                    phi_defect_from_frame(frame, X, Y, derivatives)))
+            omega_max = max(omega_max, *norms(
+                omega_defect_from_frame(frame, h[:, a], h, derivatives)))
+            phi_max = max(phi_max, *norms(
+                phi_defect_from_frame(frame, h[:, a], h, derivatives)))
     report.omega_defect = float(omega_max)
-    report.omega_parallel = omega_max <= tol
+    report.omega_parallel = report.omega_defect <= tol
     report.phi_defect = float(phi_max)
-    report.phi_parallel = phi_max <= tol
+    report.phi_parallel = report.phi_defect <= tol
 
 
 def _phwc_flags(report: SlantReport, frames, tol: float) -> None:
@@ -357,25 +344,35 @@ def _phwc_flags(report: SlantReport, frames, tol: float) -> None:
     sec = 1.0 / math.cos(report.mean_angle)
     worst = 0.0
     for frame in frames:
-        jhat = sec * frame.q
-        r = jhat.shape[0]
-        worst = max(worst, float(np.linalg.norm(jhat @ jhat + np.eye(r))))
-        worst = max(worst, float(np.linalg.norm(jhat.T @ jhat - np.eye(r))))
+        worst = max(worst, *phwc_residuals(frame, sec))
     report.phwc_residual = worst
     report.phwc = worst <= tol
     if not report.phwc:
         return
-    mixed = 0.0
-    for frame in frames:
-        h = frame.split.horizontal.columns
-        kernel = frame.split.kernel.columns
-        for a in range(h.shape[1]):
-            for c in range(kernel.shape[1]):
-                mixed = max(mixed, frame.g_target.norm(
-                    frame.sff_value(h[:, a], kernel[:, c])))
+    mixed, _ = worst_residual(item for frame in frames
+                              for item in mixed_sff(frame))
     residual = max(report.phi_defect or 0.0, mixed)
     report.pseudo_homothetic_residual = float(residual)
     report.pseudo_homothetic = residual <= tol
+
+
+def phwc_residuals(frame: PointFrame, sec: float):
+    """How far sec(theta) Q is from a compatible complex structure at the
+    frame: the norms of jhat^2 + I (square) and jhat^T jhat - I (Hermitian)."""
+    jhat = sec * frame.q
+    identity = np.eye(frame.rank)
+    return (float(np.linalg.norm(jhat @ jhat + identity)),
+            float(np.linalg.norm(jhat.T @ jhat - identity)))
+
+
+def mixed_sff(frame: PointFrame):
+    """(|sff(h_a, u_c)|, point, where) over horizontal h_a and vertical u_c,
+    in the order worst_residual reads them."""
+    h = frame.split.horizontal.columns
+    for a in range(frame.rank):
+        values = frame.sff_value(h[:, a], frame.split.kernel.columns)
+        for c, value in enumerate(frame.g_target.norms(values)):
+            yield value, frame.point, {"horizontal": a, "vertical": c}
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +422,8 @@ def adapted_frame_from_frame(frame: PointFrame,
 
 
 # ---------------------------------------------------------------------------
-# Check suite built on the classification.  Every check reads the frames of
-# one Sample; plain point lists get a Sample of their own.
+# Check suite built on the classification.  A check that reads frames takes
+# the run's Sample.
 
 def check_phi_squared_scaling(report: SlantReport,
                               tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
@@ -475,26 +472,21 @@ def check_lambda_mu_consistency(report: SlantReport,
                 "minus_cos_squared": expected})
 
 
-def check_adapted_frame(spec: MapSpec, points, report: SlantReport,
-                        tol: float = 1e-10,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+def check_adapted_frame(sample: Sample, report: SlantReport,
+                        tol: float = 1e-10) -> CheckResult:
     """Gram residual of the greedy adapted frame at every sample point."""
     if not report.sec_defined:
         return CheckResult.skipped(
             "adapted_frame", f"classification is {report.classification}: "
             "sec(angle) construction undefined")
-    sample = Sample.of(spec, points, rank_tol)
-    worst = 0.0
-    witness = None
-    for frame in sample.frames():
-        frame_cols = adapted_frame_from_frame(frame, report.angle_tol)
-        gram = frame_cols.T @ frame.g_source.matrix @ frame_cols
-        residual = float(np.abs(gram - np.eye(frame_cols.shape[1])).max())
-        if residual > worst:
-            worst = residual
-            witness = {"point": [float(x) for x in frame.point]}
+    worst, witness = worst_residual(
+        (gram_residual(adapted_frame_from_frame(frame, report.angle_tol),
+                       frame.g_source), frame.point, {})
+        for frame in sample.frames())
     return CheckResult.from_residual("adapted_frame", worst, tol,
-                                     samples=len(points), witness=witness)
+                                     samples=len(sample), witness=witness)
+
+
 def check_omega_parallel(report: SlantReport,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     if report.omega_defect is None:
@@ -509,9 +501,8 @@ def check_phi_parallel(report: SlantReport,
     return CheckResult.from_residual("phi_parallel", report.phi_defect, tol)
 
 
-def check_omega_defect_identity(spec: MapSpec, points,
-                                tol: float = 1e-10,
-                                rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+def check_omega_defect_identity(sample: Sample,
+                                tol: float = 1e-10) -> CheckResult:
     """The omega defect must match its algebraic form C(sff) - sff(., Q.).
 
     One side differentiates omega(F_*Y) along X exactly (projector and
@@ -519,27 +510,22 @@ def check_omega_defect_identity(spec: MapSpec, points,
     only the second fundamental form and Q.  The two routes share no
     derivative formula, so agreement validates both.
     """
-    sample = Sample.of(spec, points, rank_tol)
-    worst = 0.0
-    witness = None
-    for frame in sample.frames():
+    def residuals(frame):
         h = frame.split.horizontal.columns
         for a, derivatives in enumerate(frame.horizontal_derivatives):
-            X = h[:, a]
-            for b in range(frame.rank):
-                Y = h[:, b]
-                measured = omega_defect_from_frame(frame, X, Y, derivatives)
-                algebraic = omega_defect_algebraic(frame, X, Y)
-                residual = frame.g_target.norm(measured - algebraic)
-                if residual > worst:
-                    worst = residual
-                    witness = {"point": [float(x) for x in frame.point],
-                               "pair": [a, b]}
+            measured = omega_defect_from_frame(frame, h[:, a], h, derivatives)
+            algebraic = omega_defect_algebraic(frame, h[:, a], h)
+            for b, residual in enumerate(frame.g_target.norms(measured - algebraic)):
+                yield residual, frame.point, {"pair": [a, b]}
+
+    worst, witness = worst_residual(
+        item for frame in sample.frames() for item in residuals(frame))
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
-                                     samples=len(points), witness=witness)
-def check_sff_q_scaling(spec: MapSpec, points, report: SlantReport,
-                        tol: float = DEFAULT_CHECK_TOL,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+                                     samples=len(sample), witness=witness)
+
+
+def check_sff_q_scaling(sample: Sample, report: SlantReport,
+                        tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """With omega parallel, sff(QX, QY) = -cos^2(theta) sff(X, Y)."""
     if not report.is_slant:
         return CheckResult.skipped("sff_q_scaling",
@@ -549,63 +535,53 @@ def check_sff_q_scaling(spec: MapSpec, points, report: SlantReport,
         return CheckResult.skipped("sff_q_scaling",
                                    "precondition unmet: omega is not parallel")
     factor = -math.cos(report.mean_angle) ** 2
-    sample = Sample.of(spec, points, rank_tol)
-    worst = 0.0
-    witness = None
-    for frame in sample.frames():
+
+    def residuals(frame):
         h = frame.split.horizontal.columns
+        qh = q_apply(frame, h)
         for a in range(frame.rank):
-            for b in range(frame.rank):
-                X, Y = h[:, a], h[:, b]
-                qx, qy = q_apply(frame, X), q_apply(frame, Y)
-                residual = frame.g_target.norm(
-                    frame.sff_value(qx, qy) - factor * frame.sff_value(X, Y))
-                if residual > worst:
-                    worst = residual
-                    witness = {"point": [float(x) for x in frame.point],
-                               "pair": [a, b]}
+            difference = (frame.sff_value(qh[:, a], qh)
+                          - factor * frame.sff_value(h[:, a], h))
+            for b, residual in enumerate(frame.g_target.norms(difference)):
+                yield residual, frame.point, {"pair": [a, b]}
+
+    worst, witness = worst_residual(
+        item for frame in sample.frames() for item in residuals(frame))
     return CheckResult.from_residual("sff_q_scaling", worst, tol,
-                                     samples=len(points), witness=witness)
-def check_harmonic(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+                                     samples=len(sample), witness=witness)
+
+
+def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
-    sample = Sample.of(spec, points, rank_tol)
-    worst = 0.0
-    witness = None
-    for frame in sample.frames():
-        residual = frame.g_target.norm(tension_from_frame(frame))
-        if residual > worst:
-            worst = residual
-            witness = {"point": [float(x) for x in frame.point]}
+    worst, witness = worst_residual(
+        (frame.g_target.norm(tension_from_frame(frame)), frame.point, {})
+        for frame in sample.frames())
     return CheckResult.from_residual("harmonic", worst, tol,
-                                     samples=len(points), witness=witness)
-def check_minimal_fibers(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
-                         rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+                                     samples=len(sample), witness=witness)
+
+
+def check_minimal_fibers(sample: Sample,
+                         tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
-    sample = Sample.of(spec, points, rank_tol)
-    worst = 0.0
-    witness = None
-    for frame in sample.frames():
-        if frame.split.kernel.dim == 0:
-            return CheckResult.skipped("minimal_fibers",
-                                       "map is an immersion: the kernel is trivial")
-        residual = frame.g_target.norm(fiber_mean_curvature_from_frame(frame))
-        if residual > worst:
-            worst = residual
-            witness = {"point": [float(x) for x in frame.point]}
+    try:
+        worst, witness = worst_residual(
+            (frame.g_target.norm(fiber_mean_curvature_from_frame(frame)),
+             frame.point, {}) for frame in sample.frames())
+    except MapDefinitionError as exc:  # an immersion has no fibers
+        return CheckResult.skipped("minimal_fibers", str(exc))
     return CheckResult.from_residual("minimal_fibers", worst, tol,
-                                     samples=len(points), witness=witness)
-def check_harmonic_minimal_equivalence(spec: MapSpec, points,
-                                       report: SlantReport,
+                                     samples=len(sample), witness=witness)
+
+
+def check_harmonic_minimal_equivalence(sample: Sample, report: SlantReport,
                                        tol: float = DEFAULT_CHECK_TOL,
-                                       rank_tol: float = DEFAULT_RANK_TOL,
                                        harmonic: Optional[CheckResult] = None,
                                        fibers: Optional[CheckResult] = None
                                        ) -> CheckResult:
     """With omega parallel, harmonicity and minimal fibers hold or fail together.
 
     ``harmonic`` and ``fibers`` are the harmonic and minimal_fibers results
-    for the same points and tolerances, when the caller already has them.
+    for the same sample and tolerance, when the caller already has them.
     """
     if not report.is_slant:
         return CheckResult.skipped("harmonic_minimal_equivalence",
@@ -614,18 +590,17 @@ def check_harmonic_minimal_equivalence(spec: MapSpec, points,
     if not report.omega_parallel:
         return CheckResult.skipped("harmonic_minimal_equivalence",
                                    "precondition unmet: omega is not parallel")
-    sample = Sample.of(spec, points, rank_tol)
     if harmonic is None:
-        harmonic = check_harmonic(spec, sample, tol, rank_tol)
+        harmonic = check_harmonic(sample, tol)
     if fibers is None:
-        fibers = check_minimal_fibers(spec, sample, tol, rank_tol)
+        fibers = check_minimal_fibers(sample, tol)
     if fibers.status == "skipped":
         return CheckResult.skipped("harmonic_minimal_equivalence", fibers.reason)
     agree = harmonic.passed == fibers.passed
     return CheckResult(
         "harmonic_minimal_equivalence", "pass" if agree else "fail",
         residual=abs(harmonic.residual - fibers.residual), tol=tol,
-        samples=len(points),
+        samples=len(sample),
         detail={"tension_residual": harmonic.residual,
                 "fiber_residual": fibers.residual,
                 "harmonic": harmonic.passed, "minimal_fibers": fibers.passed})
@@ -633,75 +608,62 @@ def check_harmonic_minimal_equivalence(spec: MapSpec, points,
 
 def _condition_three_residual(frame: PointFrame) -> float:
     """Pairing identity linking the shape operator, B/C parts and the normal
-    connection on horizontal pairs against every normal frame vector."""
+    connection on horizontal pairs against every normal frame vector:
+    sum_c g2(BV, F_*h_c) g2(omega F_*Y, sff(X, h_c))
+        = g2(nabla^perp_X omega F_*Y, CV) - g2(nabla^perp_X omega F_*QY, V)."""
     h = frame.split.horizontal.columns
     perp = frame.split.range_perp.columns
     if perp.shape[1] == 0 or frame.rank == 0:
         return 0.0
-    g2 = frame.g_target
-    pushed = frame.jacobian @ h
+    G = frame.g_target.matrix
+    normal = np.eye(len(G)) - frame.range_projector
+    jv = frame.complex_structure @ perp
+    bv = frame.range_projector @ jv
+    b_pushed = bv.T @ G @ frame.jacobian @ h          # (v, c)
+    omega_h = (frame.j_pushforward - frame.phi) @ h   # omega F_*h_b
+    q_h = frame.adjoint_phi @ h                       # Q h_b
     worst = 0.0
-    for a in range(frame.rank):
-        X = h[:, a]
-        d_omega = frame.horizontal_derivatives[a].omega
-        for b in range(frame.rank):
-            Y = h[:, b]
-            _, omega_y = phi_omega_from_frame(frame, Y)
-            qy = q_apply(frame, Y)
-            nperp_y = normal_part(frame, d_omega @ Y)
-            nperp_qy = normal_part(frame, d_omega @ qy)
-            sff_row = [frame.sff_value(X, h[:, c]) for c in range(frame.rank)]
-            for v_idx in range(perp.shape[1]):
-                V = perp[:, v_idx]
-                bv, cv = bc_from_frame(frame, V)
-                lhs = sum(g2.inner(bv, pushed[:, c]) * g2.inner(omega_y, sff_row[c])
-                          for c in range(frame.rank))
-                rhs = g2.inner(nperp_y, cv) - g2.inner(nperp_qy, V)
-                worst = max(worst, abs(lhs - rhs))
+    for a, derivatives in enumerate(frame.horizontal_derivatives):
+        sff_a = np.einsum("gij,i,jc->gc", frame.sff, h[:, a], h)
+        lhs = b_pushed @ sff_a.T @ G @ omega_h       # (v, b)
+        rhs = ((jv - bv).T @ G @ normal @ derivatives.omega @ h
+               - perp.T @ G @ normal @ derivatives.omega @ q_h)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
-def check_totally_geodesic(spec: MapSpec, points, tol: float = DEFAULT_CHECK_TOL,
-                           rank_tol: float = DEFAULT_RANK_TOL,
-                           condition_three: bool = True) -> CheckResult:
+def check_totally_geodesic(sample: Sample,
+                           tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Vanishing of the second fundamental form, with a per-condition breakdown.
 
     Reports the global sff maximum together with the three structural
     conditions: totally geodesic fibers, totally geodesic horizontal
     distribution, and the shape-operator pairing identity on normal vectors.
     """
-    sample = Sample.of(spec, points, rank_tol)
-    global_max = fiber_max = horizontal_max = third_max = 0.0
-    witness = None
-    has_j = spec.target.complex_structure is not None
-    for frame in sample.frames():
-        value = sff_global_max(frame)
-        if value > global_max:
-            global_max = value
-            witness = {"point": [float(x) for x in frame.point]}
-        fiber_max = max(fiber_max, fiber_geodesy_residual(frame))
-        horizontal_max = max(horizontal_max, horizontal_geodesy_residual(frame))
-        if condition_three and has_j:
-            third_max = max(third_max, _condition_three_residual(frame))
+    frames = list(sample.frames())
+    global_max, witness = worst_residual((sff_global_max(frame), frame.point, {})
+                                         for frame in frames)
+    fiber_max = max([0.0] + [fiber_geodesy_residual(f) for f in frames])
+    horizontal_max = max([0.0] + [horizontal_geodesy_residual(f) for f in frames])
     detail = {
         "fiber_residual": fiber_max,
         "fibers_totally_geodesic": fiber_max <= tol,
         "horizontal_residual": horizontal_max,
         "horizontal_totally_geodesic": horizontal_max <= tol,
     }
-    if condition_three and has_j:
+    if sample.spec.target.complex_structure is not None:
+        third_max = max([0.0] + [_condition_three_residual(f) for f in frames])
         detail["pairing_residual"] = third_max
         detail["pairing_holds"] = third_max <= tol
         joint = (fiber_max <= tol and horizontal_max <= tol and third_max <= tol)
         detail["conditions_agree"] = joint == (global_max <= tol)
     return CheckResult.from_residual("totally_geodesic", global_max, tol,
-                                     samples=len(points), witness=witness,
+                                     samples=len(sample), witness=witness,
                                      detail=detail)
 
 
-def check_phwc(spec: MapSpec, points, report: SlantReport,
-               tol: float = DEFAULT_CHECK_TOL,
-               rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+def check_phwc(sample: Sample, report: SlantReport,
+               tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Pseudo horizontal weak conformality: sec(theta) Q is a compatible
     complex structure for the horizontal metric."""
     if not report.is_slant:
@@ -711,28 +673,18 @@ def check_phwc(spec: MapSpec, points, report: SlantReport,
         return CheckResult.skipped(
             "phwc", "the induced horizontal structure is undefined at angle pi/2")
     sec = 1.0 / math.cos(report.mean_angle)
-    sample = Sample.of(spec, points, rank_tol)
-    square_max = hermitian_max = 0.0
-    witness = None
-    for frame in sample.frames():
-        jhat = sec * frame.q
-        r = jhat.shape[0]
-        square = float(np.linalg.norm(jhat @ jhat + np.eye(r)))
-        hermitian = float(np.linalg.norm(jhat.T @ jhat - np.eye(r)))
-        if max(square, hermitian) > max(square_max, hermitian_max):
-            witness = {"point": [float(x) for x in frame.point]}
-        square_max = max(square_max, square)
-        hermitian_max = max(hermitian_max, hermitian)
-    residual = max(square_max, hermitian_max)
+    frames = list(sample.frames())
+    pairs = [phwc_residuals(frame, sec) for frame in frames]
+    residual, witness = worst_residual((max(pair), frame.point, {})
+                                       for frame, pair in zip(frames, pairs))
     return CheckResult.from_residual(
-        "phwc", residual, tol, samples=len(points), witness=witness,
-        detail={"square_residual": square_max,
-                "hermitian_residual": hermitian_max})
+        "phwc", residual, tol, samples=len(sample), witness=witness,
+        detail={"square_residual": max([0.0] + [s for s, _ in pairs]),
+                "hermitian_residual": max([0.0] + [h for _, h in pairs])})
 
 
-def check_pseudo_homothetic(spec: MapSpec, points, report: SlantReport,
-                            tol: float = DEFAULT_CHECK_TOL,
-                            rank_tol: float = DEFAULT_RANK_TOL) -> CheckResult:
+def check_pseudo_homothetic(sample: Sample, report: SlantReport,
+                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Pseudo homothety: phi parallel and no mixed horizontal-vertical sff.
 
     Also cross-checks the induced-structure derivative along both available
@@ -747,40 +699,31 @@ def check_pseudo_homothetic(spec: MapSpec, points, report: SlantReport,
         return CheckResult.skipped("pseudo_homothetic",
                                    "precondition unmet: map is not PHWC")
     sec = 1.0 / math.cos(report.mean_angle)
-    sample = Sample.of(spec, points, rank_tol)
-    phi_max = mixed_max = frame_deriv_max = vertical_pair_max = 0.0
-    witness = None
-    for frame in sample.frames():
+    frames = list(sample.frames())
+    mixed_max, witness = worst_residual(item for frame in frames
+                                        for item in mixed_sff(frame))
+    frame_deriv_max = vertical_pair_max = 0.0
+    for frame in frames:
         h = frame.split.horizontal.columns
         kernel = frame.split.kernel.columns
+        phi_h = frame.phi @ h
         for a, derivatives in enumerate(frame.horizontal_derivatives):
             X = h[:, a]
-            for c in range(kernel.shape[1]):
-                value = frame.g_target.norm(frame.sff_value(X, kernel[:, c]))
-                if value > mixed_max:
-                    mixed_max = value
-                    witness = {"point": [float(x) for x in frame.point],
-                               "horizontal": a, "vertical": c}
-            for b in range(frame.rank):
-                Y = h[:, b]
-                defect = phi_defect_from_frame(frame, X, Y, derivatives)
-                phi_max = max(phi_max, frame.g_target.norm(defect))
-                nabla_qy = derivatives.q @ Y
-                q_nabla = q_apply(frame, frame.covariant_source(X, Y))
-                jhat_deriv = sec * (nabla_qy - q_nabla)
-                frame_deriv_max = max(frame_deriv_max, frame.g_target.norm(
-                    frame.pushforward(jhat_deriv) - sec * defect))
-                phi_y, _ = phi_omega_from_frame(frame, Y)
-                for c in range(kernel.shape[1]):
-                    U = kernel[:, c]
-                    lhs = frame.g_source.inner(jhat_deriv, U)
-                    rhs = sec * frame.g_target.inner(phi_y,
-                                                     frame.sff_value(X, U))
-                    vertical_pair_max = max(vertical_pair_max, abs(lhs - rhs))
-    residual = max(phi_max, mixed_max)
+            defects = phi_defect_from_frame(frame, X, h, derivatives)
+            # columns b: sec(theta) (nabla_X(Q h_b) - Q nabla_X h_b)
+            jhat_deriv = sec * (derivatives.q @ h
+                                - q_apply(frame, frame.covariant_source(X, h)))
+            frame_deriv_max = max(frame_deriv_max, *frame.g_target.norms(
+                frame.pushforward(jhat_deriv) - sec * defects))
+            lhs = jhat_deriv.T @ frame.g_source.matrix @ kernel
+            rhs = sec * phi_h.T @ frame.g_target.matrix @ frame.sff_value(X, kernel)
+            vertical_pair_max = max(vertical_pair_max,
+                                    float(np.abs(lhs - rhs).max(initial=0.0)))
+    # phi parallelism was measured, over the same pairs, by the classification
+    residual = max(report.phi_defect, mixed_max)
     return CheckResult.from_residual(
-        "pseudo_homothetic", residual, tol, samples=len(points),
+        "pseudo_homothetic", residual, tol, samples=len(sample),
         witness=witness,
-        detail={"phi_defect": phi_max, "mixed_sff": mixed_max,
-                "structure_derivative_residual": frame_deriv_max,
+        detail={"phi_defect": report.phi_defect, "mixed_sff": mixed_max,
+                "structure_derivative_residual": float(frame_deriv_max),
                 "vertical_pairing_residual": vertical_pair_max})

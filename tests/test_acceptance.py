@@ -14,7 +14,7 @@ import numpy as np
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold, christoffel
 from slantmap.loader import load_map_spec
-from slantmap.maps import (check_sff_range_perp, fiber_mean_curvature,
+from slantmap.maps import (Sample, check_sff_range_perp, fiber_mean_curvature,
                            is_riemannian_map, point_frame, tension_from_frame)
 from slantmap.report import render_report, run_analysis, sample_points
 from slantmap.slant import (adapted_frame, check_omega_defect_identity,
@@ -58,7 +58,7 @@ def test_criterion_01_example4_reproduction(tmp_path):
 def test_criterion_02_extremal_classes():
     invariant = load_catalog("invariant")
     points = _points(invariant, 25)
-    report = classify_slant(invariant, points)
+    report = classify_slant(Sample(invariant, points))
     assert report.classification == "invariant"
     assert report.mean_angle <= 1e-9
     for p in points[:10]:
@@ -67,7 +67,7 @@ def test_criterion_02_extremal_classes():
 
     anti = load_catalog("anti_invariant")
     points = _points(anti, 25)
-    report = classify_slant(anti, points)
+    report = classify_slant(Sample(anti, points))
     assert report.classification == "anti_invariant"
     assert abs(report.mean_angle - math.pi / 2) <= 1e-9
     for p in points[:10]:
@@ -80,7 +80,7 @@ def test_criterion_03_composed_submersion_immersion():
     for alpha in (0.3, math.pi / 4, 1.2):
         spec = load_catalog(f"compose_slant(alpha={alpha!r})")
         points = _points(spec, 20)
-        report = classify_slant(spec, points)
+        report = classify_slant(Sample(spec, points))
         assert report.classification == "proper_slant", alpha
         assert abs(report.mean_angle - alpha) <= 1e-8
         for p in points[:8]:
@@ -95,7 +95,7 @@ def test_criterion_04_lambda_mu_angle_agreement():
     checked = 0
     for catalog_id in catalog_ids():
         spec = load_catalog(catalog_id)
-        report = classify_slant(spec, _points(spec, 12))
+        report = classify_slant(Sample(spec, _points(spec, 12)))
         if not report.is_slant:
             continue
         expected = -math.cos(report.mean_angle) ** 2
@@ -124,7 +124,7 @@ def test_criterion_06_harmonic_iff_minimal_fibers():
     for catalog_id in KERNEL_CATALOG:
         spec = load_catalog(catalog_id)
         points = _points(spec, 15)
-        report = classify_slant(spec, points)
+        report = classify_slant(Sample(spec, points))
         assert report.omega_defect <= 1e-8, catalog_id
         tension_max = fiber_max = 0.0
         for p in points:
@@ -172,10 +172,10 @@ def test_criterion_07_sff_against_finite_differences():
 
     for catalog_id in catalog_ids():
         spec = load_catalog(catalog_id)
-        points = _points(spec, 10)
-        if not is_riemannian_map(spec, points).passed:
+        sample = Sample(spec, _points(spec, 10))
+        if not is_riemannian_map(sample).passed:
             continue
-        result = check_sff_range_perp(spec, points)
+        result = check_sff_range_perp(sample)
         assert result.residual <= 1e-8, catalog_id
     _announce(7, "connection and second fundamental form match the "
                  "finite-difference oracles; sff normal to the range on "
@@ -184,7 +184,8 @@ def test_criterion_07_sff_against_finite_differences():
 
 def test_criterion_08_omega_defect_closed_form():
     spec = load_catalog("curved_target")
-    result = check_omega_defect_identity(spec, _points(spec, 15), tol=1e-7)
+    result = check_omega_defect_identity(Sample(spec, _points(spec, 15)),
+                                         tol=1e-7)
     assert result.passed
     assert result.residual <= 1e-7
     _announce(8, "curve-based omega defect equals C(sff(X,Y)) - sff(X,QY) "
@@ -195,11 +196,11 @@ def test_criterion_09_phwc_for_every_slant_map():
     checked = 0
     for catalog_id in catalog_ids():
         spec = load_catalog(catalog_id)
-        points = _points(spec, 12)
-        report = classify_slant(spec, points)
+        sample = Sample(spec, _points(spec, 12))
+        report = classify_slant(sample)
         if not report.sec_defined:
             continue
-        result = check_phwc(spec, points, report, tol=1e-9)
+        result = check_phwc(sample, report, tol=1e-9)
         assert result.passed, catalog_id
         assert result.detail["square_residual"] <= 1e-9
         assert result.detail["hermitian_residual"] <= 1e-9

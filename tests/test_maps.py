@@ -47,7 +47,7 @@ def test_differential_identity_and_analytic():
 
 def test_riemannian_example4(example4, sample_box):
     points = sample_box(example4.box, 12, 31)
-    result = is_riemannian_map(example4, points)
+    result = is_riemannian_map(Sample(example4, points))
     assert result.passed
     assert result.residual <= 1e-12
     assert result.detail == {"rank": 2, "rank_constant": True}
@@ -57,21 +57,18 @@ def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
                                                            sample_box):
     points = sample_box(example4.box, 5, 32)
     sample = Sample(example4, points)
-    assert is_riemannian_map(example4, sample) == is_riemannian_map(
-        example4, points)
+    assert is_riemannian_map(sample) == is_riemannian_map(
+        Sample(example4, points))
     first = list(sample.frames())
-    assert check_sff_range_perp(example4, sample).passed
+    assert check_sff_range_perp(sample).passed
     assert all(a is b for a, b in zip(first, sample.frames()))
     assert len(first) == len(sample) == 5
-    with pytest.raises(ValueError, match="another map or rank tolerance"):
-        is_riemannian_map(example4, sample, rank_tol=1e-6)
-    with pytest.raises(ValueError, match="another map or rank tolerance"):
-        is_riemannian_map(load_catalog("invariant"), sample)
 
 
 def test_riemannian_rejects_dilation():
     dilation = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["2*x1", "2*x2"])
-    result = is_riemannian_map(dilation, [np.zeros(2), np.ones(2) * 0.5])
+    result = is_riemannian_map(
+        Sample(dilation, [np.zeros(2), np.ones(2) * 0.5]))
     assert result.status == "fail"
     assert result.residual == pytest.approx(3.0, abs=1e-12)
 
@@ -81,7 +78,7 @@ def test_riemannian_composed_slant_construction(sample_box):
     # oracle: direct Gram computation of the pushed-forward horizontal frame
     spec = load_catalog("compose_slant(alpha=0.7)")
     points = sample_box(spec.box, 10, 32)
-    result = is_riemannian_map(spec, points)
+    result = is_riemannian_map(Sample(spec, points))
     assert result.passed
     for p in points:
         frame = point_frame(spec, p)
@@ -93,7 +90,7 @@ def test_riemannian_composed_slant_construction(sample_box):
 def test_rank_drop_reported():
     pinch = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["x1*x1/2", "x2"])
     points = [np.array([0.0, 0.0]), np.array([0.9, 0.1])]
-    result = is_riemannian_map(pinch, points)
+    result = is_riemannian_map(Sample(pinch, points))
     assert result.status == "fail"
     assert "subimmersion" in result.reason
 

@@ -397,6 +397,19 @@ def test_cli_single_check(tmp_path, capsys):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
+@pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--dirs", "0"),
+                                         ("--tol", "-1"), ("--rank-tol", "0"),
+                                         ("--seed", "-1")])
+def test_cli_rejects_bad_overrides(command, flag, value, capsys):
+    # overrides follow the spec file's rules: exit 2 and name the flag
+    code = main(command + ["--map", "catalog:example4", flag, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: must be")
+
 def test_cli_catalog_listing(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
@@ -420,3 +433,36 @@ def test_domain_box_respected(tmp_path):
     loaded.settings.points = 5
     report = run_analysis(loaded)  # metric stays positive on the shifted box
     assert report.check("riemannian_map").status in ("pass", "fail")
+
+
+REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+EXIT_CODES = json.loads((REPORTS / "exit_codes.json").read_text())
+
+
+def _assert_report_matches(actual, expected, where="report"):
+    # non-float values must be identical, floats within 1e-12 absolute
+    if isinstance(expected, float):
+        assert isinstance(actual, float), where
+        assert abs(actual - expected) <= 1e-12, (where, actual, expected)
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key, value in expected.items():
+            _assert_report_matches(actual[key], value, f"{where}/{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, value in enumerate(expected):
+            _assert_report_matches(actual[i], value, f"{where}/{i}")
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+@pytest.mark.parametrize("catalog_id", sorted(EXIT_CODES))
+def test_catalog_reports_match_golden_files(catalog_id, capsys):
+    # tests/data/reports holds `analyze --pretty --samples 5 --seed 3` output
+    # recorded before the checks moved onto shared per-frame matrices
+    code = main(["analyze", "--map", f"catalog:{catalog_id}", "--pretty",
+                 "--samples", "5", "--seed", "3"])
+    actual = json.loads(capsys.readouterr().out)
+    expected = json.loads((REPORTS / f"{catalog_id}.json").read_text())
+    assert code == EXIT_CODES[catalog_id]
+    _assert_report_matches(actual, expected)

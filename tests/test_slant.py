@@ -6,7 +6,7 @@ import pytest
 from oracles import fd_pullback_derivative, fd_source_derivative
 from slantmap.catalog import load_catalog
 from slantmap.charts import ChartManifold
-from slantmap.maps import MapSpec, point_frame
+from slantmap.maps import MapSpec, Sample, point_frame
 from slantmap.slant import (adapted_frame, bc_decompose, check_adapted_frame,
                             check_harmonic_minimal_equivalence,
                             check_lambda_mu_consistency,
@@ -16,8 +16,7 @@ from slantmap.slant import (adapted_frame, bc_decompose, check_adapted_frame,
                             omega_defect_algebraic, omega_defect_from_frame,
                             omega_parallel_defect, phi_omega_decompose,
                             phi_parallel_defect, point_operators, q_apply,
-                            q_matrix, q_operator, section_derivatives,
-                            slant_angle)
+                            q_operator, section_derivatives, slant_angle)
 
 EX4_THETA = math.acos(math.sqrt(2.0 / 3.0))
 
@@ -147,7 +146,7 @@ def test_slant_angle_rejects_kernel_direction(example4):
 
 
 def test_classify_example4(example4):
-    report = classify_slant(example4, points_for(example4, 10, 45))
+    report = classify_slant(Sample(example4, points_for(example4, 10, 45)))
     assert report.classification == "proper_slant"
     assert report.mean_angle == pytest.approx(EX4_THETA, abs=1e-12)
     assert report.max_deviation <= 1e-12
@@ -157,18 +156,18 @@ def test_classify_example4(example4):
 
 def test_classify_invariant_and_anti_invariant():
     invariant = load_catalog("invariant")
-    report = classify_slant(invariant, points_for(invariant, 6, 46))
+    report = classify_slant(Sample(invariant, points_for(invariant, 6, 46)))
     assert report.classification == "invariant"
     assert report.mean_angle <= 1e-12
     anti = load_catalog("anti_invariant")
-    report = classify_slant(anti, points_for(anti, 6, 47))
+    report = classify_slant(Sample(anti, points_for(anti, 6, 47)))
     assert report.classification == "anti_invariant"
     assert abs(report.mean_angle - math.pi / 2) <= 1e-12
 
 
 def test_classify_nonslant_with_witness():
     spec = load_catalog("nonslant")
-    report = classify_slant(spec, points_for(spec, 10, 48))
+    report = classify_slant(Sample(spec, points_for(spec, 10, 48)))
     assert report.classification == "not_slant"
     assert report.max_deviation > 1e-3
     assert report.witness is not None
@@ -184,7 +183,7 @@ def test_classify_not_riemannian():
         ChartManifold.euclidean(2),
         ChartManifold.euclidean(2, [["0", "-1"], ["1", "0"]]),
         ["2*x1", "2*x2"])
-    report = classify_slant(dilation, points_for(dilation, 4, 49))
+    report = classify_slant(Sample(dilation, points_for(dilation, 4, 49)))
     assert report.classification == "not_riemannian"
 
 
@@ -192,8 +191,8 @@ def test_classification_stable_under_reseeding():
     for catalog_id in ("example4", "compose_slant", "invariant"):
         spec = load_catalog(catalog_id)
         points = points_for(spec, 8, 50)
-        first = classify_slant(spec, points, seed=1)
-        second = classify_slant(spec, points, seed=99)
+        first = classify_slant(Sample(spec, points), seed=1)
+        second = classify_slant(Sample(spec, points), seed=99)
         assert first.classification == second.classification
         assert abs(first.mean_angle - second.mean_angle) <= first.angle_tol
 
@@ -223,7 +222,7 @@ def test_q_skew_on_catalog(sample_box):
                        "warped_fiber"):
         spec = load_catalog(catalog_id)
         for p in points_for(spec, 3, 51):
-            q = q_matrix(point_frame(spec, p))
+            q = point_frame(spec, p).q
             assert np.abs(q + q.T).max() <= 1e-10
 
 
@@ -243,7 +242,7 @@ def test_adapted_frame_invariant_uses_q_partner():
     spec = load_catalog("invariant")
     cols = adapted_frame(spec, np.zeros(3))
     frame = point_frame(spec, np.zeros(3))
-    q = q_matrix(frame)
+    q = frame.q
     assert cols.shape == (3, 2)
     # second vector is Q of the first (sec 0 = 1)
     h = frame.split.horizontal.columns
@@ -365,7 +364,7 @@ def test_omega_defect_kahler_twist_nonzero_and_matches_identity():
 
 def test_omega_defect_identity_on_curved_target():
     spec = load_catalog("curved_target")
-    result = check_omega_defect_identity(spec, points_for(spec, 6, 56))
+    result = check_omega_defect_identity(Sample(spec, points_for(spec, 6, 56)))
     assert result.passed
     assert result.residual <= 1e-7
 
@@ -427,11 +426,11 @@ def test_omega_defect_identity_with_both_connections_curved():
         ChartManifold.from_strings(4, tgt_metric, j4),
         [f"x2*{s!r}", "0", "x1", f"x2*{c!r}"], name="double_warp")
     points = points_for(spec, 4, 79)
-    report = classify_slant(spec, points, dirs_per_point=4)
+    report = classify_slant(Sample(spec, points), dirs_per_point=4)
     assert report.classification == "proper_slant"
     assert report.mean_angle == pytest.approx(beta, abs=1e-10)
     assert report.omega_defect > 0.1  # substantive, not a trivial zero
-    result = check_omega_defect_identity(spec, points)
+    result = check_omega_defect_identity(Sample(spec, points))
     assert result.passed
     assert result.residual <= 1e-9
 
@@ -471,17 +470,17 @@ def test_lambda_mu_consistency_on_slant_catalog():
     for catalog_id in ("example4", "invariant", "anti_invariant",
                        "compose_slant", "kahler_twist", "warped_fiber"):
         spec = load_catalog(catalog_id)
-        report = classify_slant(spec, points_for(spec, 6, 58))
+        report = classify_slant(Sample(spec, points_for(spec, 6, 58)))
         result = check_lambda_mu_consistency(report)
         assert result.passed, (catalog_id, result.residual)
 
 
 def test_lambda_extremes():
     invariant = load_catalog("invariant")
-    report = classify_slant(invariant, points_for(invariant, 5, 59))
+    report = classify_slant(Sample(invariant, points_for(invariant, 5, 59)))
     assert report.lambda_estimate == pytest.approx(-1.0, abs=1e-12)
     anti = load_catalog("anti_invariant")
-    report = classify_slant(anti, points_for(anti, 5, 60))
+    report = classify_slant(Sample(anti, points_for(anti, 5, 60)))
     assert report.lambda_estimate == pytest.approx(0.0, abs=1e-12)
     assert report.mu_estimate == pytest.approx(0.0, abs=1e-12)
 
@@ -509,19 +508,22 @@ def test_gram_identities_for_slant_maps():
 
 def test_sff_q_scaling_gating_and_pass():
     ex4 = load_catalog("example4")
-    report = classify_slant(ex4, points_for(ex4, 5, 63))
-    result = check_sff_q_scaling(ex4, points_for(ex4, 5, 63), report)
+    sample = Sample(ex4, points_for(ex4, 5, 63))
+    report = classify_slant(sample)
+    result = check_sff_q_scaling(sample, report)
     assert result.passed
 
     compose = load_catalog("compose_slant(alpha=0.4)")
-    report = classify_slant(compose, points_for(compose, 5, 64))
-    result = check_sff_q_scaling(compose, points_for(compose, 5, 64), report)
+    sample = Sample(compose, points_for(compose, 5, 64))
+    report = classify_slant(sample)
+    result = check_sff_q_scaling(sample, report)
     assert result.passed
 
     twist = load_catalog("kahler_twist")
-    report = classify_slant(twist, points_for(twist, 5, 65))
+    sample = Sample(twist, points_for(twist, 5, 65))
+    report = classify_slant(sample)
     assert report.omega_parallel is False
-    result = check_sff_q_scaling(twist, points_for(twist, 5, 65), report)
+    result = check_sff_q_scaling(sample, report)
     assert result.status == "skipped"
     assert "precondition unmet" in result.reason
 
@@ -529,16 +531,18 @@ def test_sff_q_scaling_gating_and_pass():
 def test_harmonic_minimal_equivalence_catalog():
     compose = load_catalog("compose_slant")
     points = points_for(compose, 5, 66)
-    report = classify_slant(compose, points)
-    result = check_harmonic_minimal_equivalence(compose, points, report)
+    sample = Sample(compose, points)
+    report = classify_slant(sample)
+    result = check_harmonic_minimal_equivalence(sample, report)
     assert result.passed
     assert result.detail["harmonic"] and result.detail["minimal_fibers"]
 
     warped = load_catalog("warped_fiber")
     points = points_for(warped, 5, 67)
-    report = classify_slant(warped, points)
+    sample = Sample(warped, points)
+    report = classify_slant(sample)
     assert report.omega_parallel
-    result = check_harmonic_minimal_equivalence(warped, points, report)
+    result = check_harmonic_minimal_equivalence(sample, report)
     assert result.passed  # both sides fail together
     assert not result.detail["harmonic"]
     assert not result.detail["minimal_fibers"]
@@ -548,7 +552,8 @@ def test_harmonic_minimal_equivalence_catalog():
 
 
 def test_totally_geodesic_example4(example4):
-    result = check_totally_geodesic(example4, points_for(example4, 4, 68))
+    result = check_totally_geodesic(
+        Sample(example4, points_for(example4, 4, 68)))
     assert result.passed
     assert result.detail["fibers_totally_geodesic"]
     assert result.detail["horizontal_totally_geodesic"]
@@ -558,14 +563,14 @@ def test_totally_geodesic_example4(example4):
 
 def test_totally_geodesic_compose_slant():
     spec = load_catalog("compose_slant(alpha=0.3)")
-    result = check_totally_geodesic(spec, points_for(spec, 4, 69))
+    result = check_totally_geodesic(Sample(spec, points_for(spec, 4, 69)))
     assert result.passed
     assert result.detail["conditions_agree"]
 
 
 def test_totally_geodesic_twisted_flags_exactly_horizontal(twisted_submersion):
     points = points_for(twisted_submersion, 5, 70)
-    result = check_totally_geodesic(twisted_submersion, points)
+    result = check_totally_geodesic(Sample(twisted_submersion, points))
     assert result.status == "fail"
     assert result.detail["fibers_totally_geodesic"]
     assert not result.detail["horizontal_totally_geodesic"]
@@ -575,7 +580,7 @@ def test_totally_geodesic_twisted_flags_exactly_horizontal(twisted_submersion):
 
 def test_totally_geodesic_curved_target_pairing_flags():
     spec = load_catalog("curved_target")
-    result = check_totally_geodesic(spec, points_for(spec, 4, 71))
+    result = check_totally_geodesic(Sample(spec, points_for(spec, 4, 71)))
     assert result.status == "fail"
     assert not result.detail["pairing_holds"]
     assert result.detail["conditions_agree"]
@@ -637,15 +642,17 @@ def test_phwc_catalog():
                        "kahler_twist", "warped_fiber"):
         spec = load_catalog(catalog_id)
         points = points_for(spec, 5, 72)
-        report = classify_slant(spec, points)
-        result = check_phwc(spec, points, report)
+        sample = Sample(spec, points)
+        report = classify_slant(sample)
+        result = check_phwc(sample, report)
         assert result.passed, catalog_id
         assert result.residual <= 1e-9
 
     anti = load_catalog("anti_invariant")
     points = points_for(anti, 5, 73)
-    report = classify_slant(anti, points)
-    result = check_phwc(anti, points, report)
+    sample = Sample(anti, points)
+    report = classify_slant(sample)
+    result = check_phwc(sample, report)
     assert result.status == "skipped"
     assert "undefined" in result.reason
 
@@ -653,28 +660,32 @@ def test_phwc_catalog():
 def test_pseudo_homothetic_catalog():
     ex4 = load_catalog("example4")
     points = points_for(ex4, 4, 74)
-    report = classify_slant(ex4, points)
-    result = check_pseudo_homothetic(ex4, points, report)
+    sample = Sample(ex4, points)
+    report = classify_slant(sample)
+    result = check_pseudo_homothetic(sample, report)
     assert result.passed
     assert result.detail["structure_derivative_residual"] <= 1e-9
     assert result.detail["vertical_pairing_residual"] <= 1e-9
 
     compose = load_catalog("compose_slant(alpha=1.1)")
     points = points_for(compose, 4, 75)
-    report = classify_slant(compose, points)
-    assert check_pseudo_homothetic(compose, points, report).passed
+    sample = Sample(compose, points)
+    report = classify_slant(sample)
+    assert check_pseudo_homothetic(sample, report).passed
 
     warped = load_catalog("warped_fiber")
     points = points_for(warped, 4, 76)
-    report = classify_slant(warped, points)
-    result = check_pseudo_homothetic(warped, points, report)
+    sample = Sample(warped, points)
+    report = classify_slant(sample)
+    result = check_pseudo_homothetic(sample, report)
     assert result.status == "fail"
     assert result.detail["mixed_sff"] > 0.1
     assert result.witness is not None
 
 
 def test_adapted_frame_check(example4):
-    report = classify_slant(example4, points_for(example4, 4, 77))
-    result = check_adapted_frame(example4, points_for(example4, 4, 77), report)
+    sample = Sample(example4, points_for(example4, 4, 77))
+    report = classify_slant(sample)
+    result = check_adapted_frame(sample, report)
     assert result.passed
     assert result.residual <= 1e-10
