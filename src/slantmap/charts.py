@@ -14,7 +14,7 @@ import numpy as np
 
 from .expressions import Expression, eval_jet2, parse_expression
 from .linalg import InnerProduct, MetricError
-from .result import DEFAULT_CHECK_TOL, CheckResult
+from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
 
 
 class ChartError(ValueError):
@@ -96,9 +96,13 @@ def _matrix_values(entries, p) -> np.ndarray:
 
 def _matrix_jet(entries, p):
     dim = len(entries)
-    jets = [eval_jet2(e, p) for row in entries for e in row]
-    values = np.array([jet.value for jet in jets]).reshape(dim, dim)
-    grads = np.array([jet.grad for jet in jets]).T.reshape(len(p), dim, dim)
+    values = np.empty((dim, dim))
+    grads = np.empty((len(p), dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            jet = eval_jet2(entries[i][j], p)
+            values[i, j] = jet.value
+            grads[:, i, j] = jet.grad
     return values, grads
 
 
@@ -128,10 +132,11 @@ def christoffel(chart: ChartManifold, p) -> np.ndarray:
 
 
 def metric_derivative(G, gamma, X) -> np.ndarray:
-    """Derivative of the metric matrix G along X, recovered from its
-    Levi-Civita symbols: d_k g_ij = g_il Gamma^l_kj + g_jl Gamma^l_ki."""
-    lowered = G @ np.einsum("lkj,k->lj", gamma, X)
-    return lowered + lowered.T
+    """Derivatives of the metric matrix G along the columns of X, stacked
+    along a leading axis and recovered from its Levi-Civita symbols:
+    d_k g_ij = g_il Gamma^l_kj + g_jl Gamma^l_ki."""
+    lowered = G @ np.einsum("lkj,ka->alj", gamma, X)
+    return lowered + np.swapaxes(lowered, -1, -2)
 
 
 def _unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -144,23 +149,18 @@ def check_almost_hermitian(chart: ChartManifold, points,
     """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y)."""
     if chart.complex_structure is None:
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
-    worst = 0.0
-    witness = None
-    square_max = compat_max = 0.0
+    pairs = []  # (square, compatibility) residual per point
     for p in points:
         J = chart.complex_structure_at(p)
         G = chart.metric_values(p)
-        square = np.linalg.norm(J @ J + np.eye(chart.dim))
-        compat = np.linalg.norm(J.T @ G @ J - G)
-        square_max = max(square_max, square)
-        compat_max = max(compat_max, compat)
-        residual = max(square, compat)
-        if residual > worst:
-            worst = residual
-            witness = {"point": [float(x) for x in p]}
+        pairs.append((np.linalg.norm(J @ J + np.eye(chart.dim)),
+                      np.linalg.norm(J.T @ G @ J - G)))
+    worst, witness = worst_residual((max(pair), p, {})
+                                    for p, pair in zip(points, pairs))
     return CheckResult.from_residual(
         "almost_hermitian", worst, tol, samples=len(points), witness=witness,
-        detail={"square_residual": square_max, "compatibility_residual": compat_max})
+        detail={"square_residual": max([0.0] + [s for s, _ in pairs]),
+                "compatibility_residual": max([0.0] + [c for _, c in pairs])})
 
 
 def check_kahler(chart: ChartManifold, points, dirs: int = 4,
@@ -177,9 +177,8 @@ def check_kahler(chart: ChartManifold, points, dirs: int = 4,
         return CheckResult.error("kahler", "chart has no complex structure")
     n = chart.dim
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []  # (residual, point, fields) per point
     direction_max = 0.0
-    witness = None
     for p in points:
         gamma = christoffel(chart, p)
         ip = InnerProduct(chart.metric_values(p))
@@ -190,16 +189,14 @@ def check_kahler(chart: ChartManifold, points, dirs: int = 4,
         frame = np.linalg.solve(ip.cholesky.T, np.eye(n))  # g-orthonormal
         contracted = np.einsum("iab,ix,by->axy", nabla, frame, frame)
         squares = np.einsum("axy,ab,bxy->", contracted, G, contracted)
-        residual = float(np.sqrt(max(squares, 0.0)))
-        if residual > worst:
-            worst = residual
-            witness = {"point": [float(x) for x in p]}
+        residuals.append((float(np.sqrt(max(squares, 0.0))), p, {}))
         directions = _unit_directions(rng, dirs, n)
-        for X in directions:
-            for Y in directions:
-                value = np.einsum("iab,i,b->a", nabla, X, Y)
-                direction_max = max(direction_max,
-                                    float(np.sqrt(max(value @ G @ value, 0.0))))
+        # (nabla_X J) Y for every pair of sampled directions, one column each
+        values = np.einsum("iab,xi,yb->axy", nabla, directions, directions)
+        pair_squares = np.einsum("axy,ab,bxy->xy", values, G, values)
+        direction_max = max(direction_max, float(
+            np.sqrt(np.maximum(pair_squares, 0.0)).max(initial=0.0)))
+    worst, witness = worst_residual(residuals)
     return CheckResult.from_residual("kahler", worst, tol,
                                      samples=len(points), witness=witness,
                                      detail={"direction_max": direction_max})

@@ -48,8 +48,9 @@ class InnerProduct:
         return float(np.sqrt(max(self.inner(v, v), 0.0)))
 
     def norms(self, vectors: np.ndarray) -> np.ndarray:
-        """Norms of the columns."""
-        squares = np.einsum("ia,ij,ja->a", vectors, self.matrix, vectors)
+        """Norms of the columns (of each matrix, for a stack of them)."""
+        squares = np.einsum("...ia,ij,...ja->...a", vectors, self.matrix,
+                            vectors)
         return np.sqrt(np.maximum(squares, 0.0))
 
     def unwhiten(self, vectors: np.ndarray) -> np.ndarray:
@@ -131,13 +132,14 @@ def metric_adjoint(A, g1: InnerProduct, g2: InnerProduct) -> np.ndarray:
     return np.linalg.solve(g1.matrix, A.T @ g2.matrix)
 
 
-def metric_adjoint_derivative(A, dA, g1: InnerProduct, dG1,
+def metric_adjoint_derivative(adjoint, A, dA, g1: InnerProduct, dG1,
                               g2: InnerProduct, dG2) -> np.ndarray:
-    """Derivative of metric_adjoint(A, g1, g2) when A, G1 and G2 move with
-    velocities dA, dG1 and dG2: G1^-1 (dA^T G2 + A^T dG2 - dG1 adjoint)."""
-    adjoint = metric_adjoint(A, g1, g2)
-    return np.linalg.solve(g1.matrix, dA.T @ g2.matrix + A.T @ dG2
-                           - dG1 @ adjoint)
+    """Derivative of ``adjoint``, the metric adjoint of A, when A, G1 and G2
+    move with velocities dA, dG1 and dG2: G1^-1 (dA^T G2 + A^T dG2 - dG1
+    adjoint).  Velocities stacked along a leading axis give one derivative
+    per entry."""
+    return np.linalg.solve(g1.matrix, np.swapaxes(dA, -1, -2) @ g2.matrix
+                           + A.T @ dG2 - dG1 @ adjoint)
 
 
 def range_projector(split: TangentSplit) -> np.ndarray:
@@ -146,8 +148,9 @@ def range_projector(split: TangentSplit) -> np.ndarray:
     return R @ R.T @ split.range.metric.matrix
 
 
-def range_projector_derivative(A, dA, split: TangentSplit, dG2):
-    """The g2-orthogonal projector P onto range A and its derivative.
+def range_projector_derivative(P, A, dA, split: TangentSplit,
+                               dG2) -> np.ndarray:
+    """Derivative of P, the g2-orthogonal projector onto range A.
 
     A moves with velocity dA and the target metric with velocity dG2, at
     constant rank.  With the metric pseudo-inverse A+ = H S^-1 R^T G2 built
@@ -155,17 +158,17 @@ def range_projector_derivative(A, dA, split: TangentSplit, dG2):
 
         dP = K + G2^-1 K^T G2 + G2^-1 P^T dG2 (I - P)
 
-    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  Returns (P, dP).
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  Velocities stacked
+    along a leading axis give one derivative per entry.
     """
     G2 = split.range.metric.matrix
     H = split.horizontal.columns
     R = split.range.columns
-    P = range_projector(split)
-    S = R.T @ G2 @ A @ H
-    pseudo_inverse = H @ np.linalg.solve(S, R.T @ G2)
+    pseudo_inverse = H @ np.linalg.solve(R.T @ G2 @ A @ H, R.T @ G2)
     complement = np.eye(len(G2)) - P
     K = complement @ dA @ pseudo_inverse
-    return P, K + np.linalg.solve(G2, K.T @ G2 + P.T @ dG2 @ complement)
+    return K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2
+                               + P.T @ dG2 @ complement)
 
 
 def split_tangent(A, g1: InnerProduct, g2: InnerProduct,

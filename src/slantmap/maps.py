@@ -9,9 +9,10 @@ coordinate formula
 so no vector-field extensions enter; jets supply every derivative exactly.
 
 A ``PointFrame`` holds what is known at one point (the adjoint, the split
-of J F_* against the range, Q and the section derivatives are computed on
-first use); a ``Sample`` is the analysis context of one run, whose frames are
-built once and read by every check.
+of J F_* against the range, Q, the section derivatives along the horizontal
+frame and the omega/phi defects over horizontal pairs are computed on first
+use); a ``Sample`` is the analysis context of one run, whose frames are built
+once and read by every check.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .expressions import Expression, eval_jet2, parse_expression
 from .linalg import (InnerProduct, TangentSplit, metric_adjoint,
                      metric_adjoint_derivative, range_projector,
                      range_projector_derivative, split_tangent)
-from .result import DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, CheckResult
+from .result import (DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, CheckResult,
+                     worst_residual)
 
 
 class MapDefinitionError(ValueError):
@@ -89,18 +91,12 @@ class PointFrame:
     gamma_target: np.ndarray
     sff: np.ndarray  # (m, n, n)
     complex_structure: Optional[np.ndarray]
+    complex_structure_grad: Optional[np.ndarray]  # dJ[c, a, b] = d_c J^a_b
     hessian: np.ndarray  # (m, n, n), d_i d_j F^g
-    target: ChartManifold
 
     @property
     def rank(self) -> int:
         return self.split.rank
-
-    @cached_property
-    def complex_structure_grad(self) -> np.ndarray:
-        """dJ[c, a, b] = d_c J^a_b at F(p).  Only the slant derivatives read
-        it, so it is evaluated on first use, not with the frame."""
-        return self.target.complex_structure_jet(self.image)[1]
 
     @cached_property
     def adjoint(self) -> np.ndarray:
@@ -135,24 +131,40 @@ class PointFrame:
         return h.T @ self.g_source.matrix @ self.adjoint_phi @ h
 
     @cached_property
-    def horizontal_derivatives(self) -> list:
-        """section_derivatives along each vector h_a of the horizontal frame."""
+    def horizontal_derivatives(self) -> "SectionDerivatives":
+        """section_derivatives along the horizontal frame, one entry per h_a."""
+        return section_derivatives(self, self.split.horizontal.columns)
+
+    @cached_property
+    def omega_defects(self) -> np.ndarray:
+        """The omega defect over horizontal pairs: [a, :, b] along h_a at
+        h_b, shape (r, m, r)."""
         h = self.split.horizontal.columns
-        return [section_derivatives(self, h[:, a]) for a in range(self.rank)]
+        return self.horizontal_derivatives.omega_defect @ h
+
+    @cached_property
+    def phi_defects(self) -> np.ndarray:
+        """The phi defect over horizontal pairs, laid out as omega_defects."""
+        h = self.split.horizontal.columns
+        return self.horizontal_derivatives.phi_defect @ h
 
     def pushforward(self, X) -> np.ndarray:
         return self.jacobian @ np.asarray(X, dtype=float)
 
     def sff_value(self, X, Y) -> np.ndarray:
-        """sff(X, Y); a matrix Y gives one column per column of Y."""
-        return np.einsum("gij,i,j...->g...", self.sff, np.asarray(X, float),
-                         np.asarray(Y, float))
+        """sff(X, Y); a matrix Y gives one column per column of Y, and a
+        matrix X one leading entry per column of X."""
+        return _bilinear(self.sff, X, Y)
 
     def covariant_source(self, X, Y) -> np.ndarray:
-        """Source connection applied to constant-coefficient extensions of X, Y
-        (of each column of Y when Y is a matrix)."""
-        return np.einsum("kij,i,j...->k...", self.gamma_source,
-                         np.asarray(X, float), np.asarray(Y, float))
+        """Source connection applied to constant-coefficient extensions of X, Y,
+        with matrices read as in sff_value."""
+        return _bilinear(self.gamma_source, X, Y)
+
+
+def _bilinear(tensor, X, Y) -> np.ndarray:
+    return (np.einsum("gij,i...->...gj", tensor, np.asarray(X, float))
+            @ np.asarray(Y, float))
 
 
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
@@ -168,11 +180,11 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
     gamma2 = christoffel(spec.target, image)
     sff = (hess - np.einsum("kij,gk->gij", gamma1, jac)
            + np.einsum("gab,ai,bj->gij", gamma2, jac, jac))
-    J = None
+    J = dJ = None
     if spec.target.complex_structure is not None:
-        J = spec.target.complex_structure_at(image)
+        J, dJ = spec.target.complex_structure_jet(image)
     return PointFrame(point, image, jac, g1, g2, split, gamma1, gamma2, sff, J,
-                      hess, spec.target)
+                      dJ, hess)
 
 
 def second_fundamental_form(spec: MapSpec, p, X, Y,
@@ -270,19 +282,6 @@ class Sample:
         return [map_point(self.spec, p) for p in self.points]
 
 
-def worst_residual(items):
-    """The largest residual of (residual, point, fields) triples and its
-    witness, the point plus ``fields``.  The maximum starts at 0.0 with no
-    witness and moves only to a strictly larger residual, so the first of
-    equal maxima is the witness."""
-    worst, witness = 0.0, None
-    for residual, point, fields in items:
-        if residual > worst:
-            worst = float(residual)
-            witness = {"point": [float(x) for x in point], **fields}
-    return worst, witness
-
-
 # ---------------------------------------------------------------------------
 # Complex-structure parts at one frame and their covariant derivatives
 
@@ -315,46 +314,57 @@ def q_apply(frame: PointFrame, X) -> np.ndarray:
 
 @dataclass
 class SectionDerivatives:
-    """Covariant derivatives along X of the sections Y -> phi(F_*Y),
-    omega(F_*Y) and QY, as matrices acting on constant-coefficient Y."""
+    """Covariant derivatives of the sections Y -> phi(F_*Y), omega(F_*Y) and
+    QY along each direction X_a, and the omega and phi parallelism defects
+    (slant.omega_parallel_defect, phi_parallel_defect), stacked along a
+    leading direction axis: entry [a] is a matrix acting on Y, extended by
+    constant coefficients."""
 
-    phi: np.ndarray    # (m, n), pullback connection
-    omega: np.ndarray  # (m, n), pullback connection
-    q: np.ndarray      # (n, n), source connection
+    phi: np.ndarray           # (k, m, n), pullback connection
+    omega: np.ndarray         # (k, m, n), pullback connection
+    q: np.ndarray             # (k, n, n), source connection
+    omega_defect: np.ndarray  # (k, m, n)
+    phi_defect: np.ndarray    # (k, m, n)
 
 
 def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
-    """Exact derivatives of the phi, omega and Q sections along t -> p + tX,
-    with Y extended by constant coefficients.
+    """Exact derivatives of the phi, omega and Q sections along the curves
+    t -> p + tX_a, one for each column X_a of the (n, k) matrix X, taken in
+    one stacked pass.
 
-    Along the curve F_* moves by dA = Hess(F) X, the metrics by dG1 (along X)
-    and dG2 (along F_*X), and J by its gradient along F_*X, all read from the
-    jets at p.  With the projector P onto the range, phi = P J A and
+    Along a curve F_* moves by dA = Hess(F) X_a, the metrics by dG1 (along
+    X_a) and dG2 (along F_*X_a), and J by its gradient along F_*X_a, all read
+    from the jets at p.  With the projector P onto the range, phi = P J A and
     omega = (I - P) J A, so d phi = dP J A + P d(J A) and Q = adjoint phi;
-    P and the adjoint are differentiated exactly at constant rank.  The
-    target (pullback) and source Christoffel terms then turn the plain
-    derivatives into covariant ones.
+    P and the adjoint, read from the frame, are differentiated exactly at
+    constant rank.  The target (pullback) and source Christoffel terms then
+    turn the plain derivatives into covariant ones.
     """
-    JA, phi = frame.j_pushforward, frame.phi
-    Xv = np.asarray(X, dtype=float)
-    A = frame.jacobian
-    fx = A @ Xv
-    dA = frame.hessian @ Xv
-    dG1 = metric_derivative(frame.g_source.matrix, frame.gamma_source, Xv)
+    JA, phi, A = frame.j_pushforward, frame.phi, frame.jacobian
+    X = np.asarray(X, dtype=float)
+    fx = A @ X
+    dA = np.moveaxis(frame.hessian @ X, -1, 0)
+    dG1 = metric_derivative(frame.g_source.matrix, frame.gamma_source, X)
     dG2 = metric_derivative(frame.g_target.matrix, frame.gamma_target, fx)
-    dJ = np.einsum("cab,c->ab", frame.complex_structure_grad, fx)
-    _, dP = range_projector_derivative(A, dA, frame.split, dG2)
+    dJ = np.einsum("cab,ck->kab", frame.complex_structure_grad, fx)
+    dP = range_projector_derivative(frame.range_projector, A, dA, frame.split,
+                                    dG2)
     dJA = dJ @ A + frame.complex_structure @ dA
     d_phi = dP @ JA + frame.range_projector @ dJA
-    d_adjoint = metric_adjoint_derivative(A, dA, frame.g_source, dG1,
-                                          frame.g_target, dG2)
-    target_connection = np.einsum("gab,a->gb", frame.gamma_target, fx)
-    source_connection = np.einsum("kij,i->kj", frame.gamma_source, Xv)
+    d_adjoint = metric_adjoint_derivative(frame.adjoint, A, dA, frame.g_source,
+                                          dG1, frame.g_target, dG2)
+    target_connection = np.einsum("gab,ak->kgb", frame.gamma_target, fx)
+    source_connection = np.einsum("kij,ia->akj", frame.gamma_source, X)
+    nabla_phi = d_phi + target_connection @ phi
+    nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
     return SectionDerivatives(
-        phi=d_phi + target_connection @ phi,
-        omega=dJA - d_phi + target_connection @ (JA - phi),
+        phi=nabla_phi, omega=nabla_omega,
         q=(d_adjoint @ phi + frame.adjoint @ d_phi
-           + source_connection @ frame.adjoint_phi))
+           + source_connection @ frame.adjoint_phi),
+        omega_defect=(normal_part(frame, nabla_omega)
+                      - (JA - phi) @ source_connection),
+        phi_defect=(nabla_phi - phi @ source_connection
+                    - frame.sff_value(X, frame.adjoint_phi)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .charts import ChartError, check_almost_hermitian, check_kahler
 from .loader import AnalysisSettings, LoadedMap
 from .maps import Sample, check_sff_range_perp, is_riemannian_map
-from .result import CheckResult
+from .result import DEFAULT_CHECK_TOL, EXACT_IDENTITY_TOL, CheckResult
 from .slant import (NOT_RIEMANNIAN, SlantReport, check_adapted_frame,
                     check_harmonic, check_harmonic_minimal_equivalence,
                     check_lambda_mu_consistency, check_minimal_fibers,
@@ -176,14 +176,19 @@ class Analysis:
                 else "slant classification failed")
         if report.classification == NOT_RIEMANNIAN:
             return CheckResult.skipped(name, "map is not Riemannian")
+        # the run tolerance may tighten these three checks, never loosen them
+        exact_tol = min(tol, EXACT_IDENTITY_TOL)
         checks = {
             "phi_squared_scaling": lambda: check_phi_squared_scaling(report, tol),
             "q_squared_scaling": lambda: check_q_squared_scaling(report, tol),
-            "lambda_mu_consistency": lambda: check_lambda_mu_consistency(report),
-            "adapted_frame": lambda: check_adapted_frame(sample, report),
+            "lambda_mu_consistency": lambda: check_lambda_mu_consistency(
+                report, min(tol, DEFAULT_CHECK_TOL)),
+            "adapted_frame": lambda: check_adapted_frame(sample, report,
+                                                         exact_tol),
             "omega_parallel": lambda: check_omega_parallel(report, tol),
             "phi_parallel": lambda: check_phi_parallel(report, tol),
-            "omega_defect_identity": lambda: check_omega_defect_identity(sample),
+            "omega_defect_identity": lambda: check_omega_defect_identity(
+                sample, exact_tol),
             "sff_q_scaling": lambda: check_sff_q_scaling(sample, report, tol),
             "harmonic_minimal_equivalence": lambda: (
                 check_harmonic_minimal_equivalence(

@@ -14,6 +14,9 @@ ERROR = "error"
 DEFAULT_RANK_TOL = 1e-8   # relative singular-value cutoff for the rank
 DEFAULT_CHECK_TOL = 1e-8
 DEFAULT_ANGLE_TOL = 1e-6  # radians
+# Ceiling of the checks of exact identities (adapted_frame,
+# omega_defect_identity): a run tolerance may tighten it, never loosen it.
+EXACT_IDENTITY_TOL = 1e-10
 
 
 @dataclass
@@ -65,3 +68,16 @@ class CheckResult:
         if self.detail:
             out["detail"] = self.detail
         return out
+
+
+def worst_residual(items):
+    """The largest residual of (residual, point, fields) triples and its
+    witness, the point plus ``fields``.  The maximum starts at 0.0 with no
+    witness and moves only to a strictly larger residual, so the first of
+    equal maxima is the witness."""
+    worst, witness = 0.0, None
+    for residual, point, fields in items:
+        if residual > worst:
+            worst = float(residual)
+            witness = {"point": [float(x) for x in point], **fields}
+    return worst, witness

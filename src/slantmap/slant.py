@@ -20,15 +20,14 @@ from typing import List, Optional
 import numpy as np
 
 from .maps import (MapDefinitionError, MapSpec, PointFrame, Sample,
-                   SectionDerivatives, fiber_geodesy_residual,
-                   fiber_mean_curvature_from_frame, gram_residual,
-                   horizontal_geodesy_residual, is_riemannian_map, normal_part,
-                   phi_omega_from_frame, point_frame, q_apply,
-                   require_complex_structure, section_derivatives,
-                   sff_global_max, tangential_part, tension_from_frame,
-                   worst_residual)
+                   fiber_geodesy_residual, fiber_mean_curvature_from_frame,
+                   gram_residual, horizontal_geodesy_residual,
+                   is_riemannian_map, normal_part, phi_omega_from_frame,
+                   point_frame, q_apply, require_complex_structure,
+                   section_derivatives, sff_global_max, tangential_part,
+                   tension_from_frame)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     CheckResult)
+                     EXACT_IDENTITY_TOL, CheckResult, worst_residual)
 
 INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
@@ -129,21 +128,9 @@ def omega_parallel_defect(spec: MapSpec, p, X, Y,
     Measures nabla^perp_X (omega F_*Y) - omega F_*(nabla_X Y) with Y extended
     by constant coefficients.  Zero everywhere means omega is parallel.
     """
-    return omega_defect_from_frame(point_frame(spec, p, rank_tol), X, Y)
-
-
-def omega_defect_from_frame(frame: PointFrame, X, Y,
-                            derivatives: Optional[SectionDerivatives] = None
-                            ) -> np.ndarray:
-    """omega_parallel_defect on a built frame; pass section_derivatives(frame,
-    X) as ``derivatives`` to reuse it across several Y.  A matrix Y gives one
-    defect column per column of Y, here and in the other defect functions."""
-    if derivatives is None:
-        derivatives = section_derivatives(frame, X)
-    Yv = np.asarray(Y, dtype=float)
-    nabla_perp = normal_part(frame, derivatives.omega @ Yv)
-    _, omega_nabla = phi_omega_from_frame(frame, frame.covariant_source(X, Yv))
-    return nabla_perp - omega_nabla
+    frame = point_frame(spec, p, rank_tol)
+    derivatives = section_derivatives(frame, np.reshape(X, (-1, 1)))
+    return derivatives.omega_defect[0] @ np.asarray(Y, dtype=float)
 
 
 def omega_defect_algebraic(frame: PointFrame, X, Y) -> np.ndarray:
@@ -165,20 +152,9 @@ def phi_parallel_defect(spec: MapSpec, p, X, Y,
     Returns nabla^F_X (phi F_*Y) - phi F_*(nabla_X Y) - sff(X, QY); the QY
     term realizes phi F_*Y = F_*(QY) on the horizontal space.
     """
-    return phi_defect_from_frame(point_frame(spec, p, rank_tol), X, Y)
-
-
-def phi_defect_from_frame(frame: PointFrame, X, Y,
-                          derivatives: Optional[SectionDerivatives] = None
-                          ) -> np.ndarray:
-    """phi_parallel_defect on a built frame; ``derivatives`` as in
-    omega_defect_from_frame."""
-    if derivatives is None:
-        derivatives = section_derivatives(frame, X)
-    Yv = np.asarray(Y, dtype=float)
-    full = derivatives.phi @ Yv
-    phi_nabla, _ = phi_omega_from_frame(frame, frame.covariant_source(X, Yv))
-    return full - phi_nabla - frame.sff_value(X, q_apply(frame, Yv))
+    frame = point_frame(spec, p, rank_tol)
+    derivatives = section_derivatives(frame, np.reshape(X, (-1, 1)))
+    return derivatives.phi_defect[0] @ np.asarray(Y, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +302,9 @@ def _fit_mu(report: SlantReport, frames) -> None:
 def _parallelism(report: SlantReport, frames, tol: float) -> None:
     omega_max = phi_max = 0.0
     for frame in frames:
-        h, norms = frame.split.horizontal.columns, frame.g_target.norms
-        for a, derivatives in enumerate(frame.horizontal_derivatives):
-            omega_max = max(omega_max, *norms(
-                omega_defect_from_frame(frame, h[:, a], h, derivatives)))
-            phi_max = max(phi_max, *norms(
-                phi_defect_from_frame(frame, h[:, a], h, derivatives)))
+        norms = frame.g_target.norms
+        omega_max = max(omega_max, norms(frame.omega_defects).max())
+        phi_max = max(phi_max, norms(frame.phi_defects).max())
     report.omega_defect = float(omega_max)
     report.omega_parallel = report.omega_defect <= tol
     report.phi_defect = float(phi_max)
@@ -368,11 +341,10 @@ def phwc_residuals(frame: PointFrame, sec: float):
 def mixed_sff(frame: PointFrame):
     """(|sff(h_a, u_c)|, point, where) over horizontal h_a and vertical u_c,
     in the order worst_residual reads them."""
-    h = frame.split.horizontal.columns
-    for a in range(frame.rank):
-        values = frame.sff_value(h[:, a], frame.split.kernel.columns)
-        for c, value in enumerate(frame.g_target.norms(values)):
-            yield value, frame.point, {"horizontal": a, "vertical": c}
+    values = frame.sff_value(frame.split.horizontal.columns,
+                             frame.split.kernel.columns)
+    for (a, c), value in np.ndenumerate(frame.g_target.norms(values)):
+        yield value, frame.point, {"horizontal": a, "vertical": c}
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +429,7 @@ def check_q_squared_scaling(report: SlantReport,
 
 
 def check_lambda_mu_consistency(report: SlantReport,
-                                tol: float = 1e-8) -> CheckResult:
+                                tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """For slant maps both fitted constants equal -cos^2(mean angle)."""
     if not report.is_slant:
         return CheckResult.skipped("lambda_mu_consistency",
@@ -473,7 +445,7 @@ def check_lambda_mu_consistency(report: SlantReport,
 
 
 def check_adapted_frame(sample: Sample, report: SlantReport,
-                        tol: float = 1e-10) -> CheckResult:
+                        tol: float = EXACT_IDENTITY_TOL) -> CheckResult:
     """Gram residual of the greedy adapted frame at every sample point."""
     if not report.sec_defined:
         return CheckResult.skipped(
@@ -502,7 +474,7 @@ def check_phi_parallel(report: SlantReport,
 
 
 def check_omega_defect_identity(sample: Sample,
-                                tol: float = 1e-10) -> CheckResult:
+                                tol: float = EXACT_IDENTITY_TOL) -> CheckResult:
     """The omega defect must match its algebraic form C(sff) - sff(., Q.).
 
     One side differentiates omega(F_*Y) along X exactly (projector and
@@ -512,14 +484,11 @@ def check_omega_defect_identity(sample: Sample,
     """
     def residuals(frame):
         h = frame.split.horizontal.columns
-        for a, derivatives in enumerate(frame.horizontal_derivatives):
-            measured = omega_defect_from_frame(frame, h[:, a], h, derivatives)
-            algebraic = omega_defect_algebraic(frame, h[:, a], h)
-            for b, residual in enumerate(frame.g_target.norms(measured - algebraic)):
-                yield residual, frame.point, {"pair": [a, b]}
+        return frame.omega_defects - omega_defect_algebraic(frame, h, h)
 
     worst, witness = worst_residual(
-        item for frame in sample.frames() for item in residuals(frame))
+        item for frame in sample.frames()
+        for item in _pair_items(frame, residuals(frame)))
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -539,16 +508,20 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
     def residuals(frame):
         h = frame.split.horizontal.columns
         qh = q_apply(frame, h)
-        for a in range(frame.rank):
-            difference = (frame.sff_value(qh[:, a], qh)
-                          - factor * frame.sff_value(h[:, a], h))
-            for b, residual in enumerate(frame.g_target.norms(difference)):
-                yield residual, frame.point, {"pair": [a, b]}
+        return frame.sff_value(qh, qh) - factor * frame.sff_value(h, h)
 
     worst, witness = worst_residual(
-        item for frame in sample.frames() for item in residuals(frame))
+        item for frame in sample.frames()
+        for item in _pair_items(frame, residuals(frame)))
     return CheckResult.from_residual("sff_q_scaling", worst, tol,
                                      samples=len(sample), witness=witness)
+
+
+def _pair_items(frame: PointFrame, vectors: np.ndarray):
+    """(norm, point, pair) of the vectors [a, :, b] of a horizontal-pair
+    tensor, a before b, in the order worst_residual reads them."""
+    for (a, b), residual in np.ndenumerate(frame.g_target.norms(vectors)):
+        yield residual, frame.point, {"pair": [a, b]}
 
 
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
@@ -622,14 +595,12 @@ def _condition_three_residual(frame: PointFrame) -> float:
     b_pushed = bv.T @ G @ frame.jacobian @ h          # (v, c)
     omega_h = (frame.j_pushforward - frame.phi) @ h   # omega F_*h_b
     q_h = frame.adjoint_phi @ h                       # Q h_b
-    worst = 0.0
-    for a, derivatives in enumerate(frame.horizontal_derivatives):
-        sff_a = np.einsum("gij,i,jc->gc", frame.sff, h[:, a], h)
-        lhs = b_pushed @ sff_a.T @ G @ omega_h       # (v, b)
-        rhs = ((jv - bv).T @ G @ normal @ derivatives.omega @ h
-               - perp.T @ G @ normal @ derivatives.omega @ q_h)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    d_omega = frame.horizontal_derivatives.omega      # along h_a at [a]
+    sff_h = frame.sff_value(h, h)                     # sff(h_a, h_c) at [a]
+    lhs = b_pushed @ np.swapaxes(sff_h, 1, 2) @ G @ omega_h   # (a, v, b)
+    rhs = ((jv - bv).T @ G @ normal @ d_omega @ h
+           - perp.T @ G @ normal @ d_omega @ q_h)
+    return float(np.abs(lhs - rhs).max())
 
 
 def check_totally_geodesic(sample: Sample,
@@ -707,18 +678,15 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         h = frame.split.horizontal.columns
         kernel = frame.split.kernel.columns
         phi_h = frame.phi @ h
-        for a, derivatives in enumerate(frame.horizontal_derivatives):
-            X = h[:, a]
-            defects = phi_defect_from_frame(frame, X, h, derivatives)
-            # columns b: sec(theta) (nabla_X(Q h_b) - Q nabla_X h_b)
-            jhat_deriv = sec * (derivatives.q @ h
-                                - q_apply(frame, frame.covariant_source(X, h)))
-            frame_deriv_max = max(frame_deriv_max, *frame.g_target.norms(
-                frame.pushforward(jhat_deriv) - sec * defects))
-            lhs = jhat_deriv.T @ frame.g_source.matrix @ kernel
-            rhs = sec * phi_h.T @ frame.g_target.matrix @ frame.sff_value(X, kernel)
-            vertical_pair_max = max(vertical_pair_max,
-                                    float(np.abs(lhs - rhs).max(initial=0.0)))
+        # [a, :, b]: sec(theta) (nabla_{h_a}(Q h_b) - Q nabla_{h_a} h_b)
+        jhat_deriv = sec * (frame.horizontal_derivatives.q @ h
+                            - q_apply(frame, frame.covariant_source(h, h)))
+        frame_deriv_max = max(frame_deriv_max, frame.g_target.norms(
+            frame.pushforward(jhat_deriv) - sec * frame.phi_defects).max())
+        lhs = np.swapaxes(jhat_deriv, 1, 2) @ frame.g_source.matrix @ kernel
+        rhs = sec * phi_h.T @ frame.g_target.matrix @ frame.sff_value(h, kernel)
+        vertical_pair_max = max(vertical_pair_max,
+                                float(np.abs(lhs - rhs).max(initial=0.0)))
     # phi parallelism was measured, over the same pairs, by the classification
     residual = max(report.phi_defect, mixed_max)
     return CheckResult.from_residual(

@@ -4,7 +4,8 @@ import pytest
 from slantmap.linalg import (InnerProduct, MetricError, SubspaceBasis,
                              gram_schmidt, metric_adjoint,
                              metric_adjoint_derivative, project,
-                             range_projector_derivative, split_tangent)
+                             range_projector, range_projector_derivative,
+                             split_tangent)
 from slantmap.maps import differential
 
 
@@ -242,10 +243,13 @@ def test_projector_and_adjoint_derivatives_match_centered_differences():
 
         A, g1, g2 = at(0.0)
         dA = left[1] @ right[0] + left[0] @ right[1]
-        P, dP = range_projector_derivative(A, dA, split_tangent(A, g1, g2), G2[1])
+        split = split_tangent(A, g1, g2)
+        P = range_projector(split)
+        dP = range_projector_derivative(P, A, dA, split, G2[1])
         np.testing.assert_allclose(P, projector(0.0), atol=1e-12)
         np.testing.assert_allclose(
             dP, (projector(h) - projector(-h)) / (2 * h), atol=1e-7)
-        dB = metric_adjoint_derivative(A, dA, g1, G1[1], g2, G2[1])
+        dB = metric_adjoint_derivative(metric_adjoint(A, g1, g2), A, dA, g1,
+                                       G1[1], g2, G2[1])
         np.testing.assert_allclose(
             dB, (adjoint(h) - adjoint(-h)) / (2 * h), atol=1e-7)

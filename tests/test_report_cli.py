@@ -1,18 +1,24 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import slantmap
 from slantmap.catalog import CatalogError, catalog_ids, load_catalog
+from slantmap.charts import ChartManifold
 from slantmap.cli import main
-from slantmap.loader import (AnalysisSettings, MapSpecError, load_map_spec,
-                             map_spec_from_json)
-from slantmap.report import Report, render_report, run_analysis
+from slantmap.loader import (AnalysisSettings, LoadedMap, MapSpecError,
+                             load_map_spec, map_spec_from_json)
+from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
+                             run_analysis)
+from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
     "schema": "slantmap/1",
@@ -219,6 +225,92 @@ def test_frame_budget_per_point(frame_builds):
     run_analysis(load_map_spec("catalog:warped_fiber"),
                  AnalysisSettings(points=samples))
     assert len(frame_builds) == samples
+
+
+def _budget_map(name):
+    if name == "warped_fiber":
+        return load_catalog(name)
+    if name == "rank4_into_c3":  # not a Riemannian map: no derivatives
+        return _rank4_into_c3()
+    # an isometric immersion along which the rotating J still turns
+    return _rank4_into_c3(("x1", "x2", "cos(x3)", "x4", "sin(x3)", "0"))
+
+
+@pytest.mark.parametrize("name, derived", [("warped_fiber", True),
+                                           ("rank4_into_c3", False),
+                                           ("rank4_isometric_into_c3", True)])
+def test_derivative_budget_per_frame(frame_builds, monkeypatch, name, derived):
+    # the section derivatives along the whole horizontal frame, and the
+    # adjoint and projector they read, are formed once per frame; J and its
+    # gradient come from one jet per frame.  The target checks' own J
+    # evaluations at the image points are not counted.
+    calls = Counter()
+
+    def count(owner, attribute, key):
+        original = getattr(owner, attribute)
+
+        def counted(*args, **kwargs):
+            caller = sys._getframe(1).f_code.co_name
+            if caller not in ("check_almost_hermitian", "check_kahler"):
+                calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attribute, counted)
+
+    for module in (slantmap.linalg, slantmap.maps):
+        count(module, "metric_adjoint", "adjoint")
+        count(module, "range_projector", "projector")
+    count(slantmap.maps, "section_derivatives", "derivatives")
+    count(ChartManifold, "complex_structure_jet", "J")
+    count(ChartManifold, "complex_structure_at", "J")
+    samples = 4
+    run_analysis(LoadedMap(_budget_map(name), AnalysisSettings(points=samples),
+                           origin="inline"))
+    frames = len(frame_builds)
+    assert frames == samples
+    per_frame = frames if derived else 0
+    assert calls["derivatives"] == calls["adjoint"] == per_frame
+    assert calls["projector"] == per_frame
+    assert calls["J"] == frames
+
+
+def test_frames_are_freed_by_reference_counting():
+    # the cached derivatives and defects hold no reference back to their
+    # frame: with the cyclic collector off, frames die with their Sample
+    gc.disable()
+    try:
+        analysis = Analysis(load_map_spec("catalog:warped_fiber"),
+                            AnalysisSettings(points=3))
+        for name in CHECK_NAMES:
+            analysis.entry(name)
+        frames = [weakref.ref(frame) for frame in analysis.sample.frames()]
+        assert all({"omega_defects", "phi_defects"} <= set(vars(ref()))
+                   for ref in frames)
+        del analysis
+        assert [ref() for ref in frames] == [None] * 3
+    finally:
+        gc.enable()
+
+
+TIGHTEN_ONLY = {"lambda_mu_consistency": 1e-8, "adapted_frame": 1e-10,
+                "omega_defect_identity": 1e-10}
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-3"])
+def test_tol_reaches_every_check(tol, capsys):
+    # --tol is the tolerance of all 18 checks; it may tighten lambda/mu and
+    # the two exact identities below their fixed tolerance, never loosen them
+    args = ["--map", "catalog:example4", "--samples", "5", "--tol", tol]
+    main(["analyze"] + args)
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    tols = {entry["name"]: entry["tol"] for entry in entries}
+    assert len(tols) == 18
+    assert tols == {name: min(float(tol), TIGHTEN_ONLY.get(name, math.inf))
+                    for name in tols}
+    for name in TIGHTEN_ONLY:
+        main(["check", name] + args)
+        (entry,) = json.loads(capsys.readouterr().out)["checks"]
+        assert entry["tol"] == tols[name]
 
 
 @pytest.mark.parametrize("name, frames", [("kahler", 0),

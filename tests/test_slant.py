@@ -13,10 +13,10 @@ from slantmap.slant import (adapted_frame, bc_decompose, check_adapted_frame,
                             check_omega_defect_identity, check_phwc,
                             check_pseudo_homothetic, check_sff_q_scaling,
                             check_totally_geodesic, classify_slant,
-                            omega_defect_algebraic, omega_defect_from_frame,
-                            omega_parallel_defect, phi_omega_decompose,
-                            phi_parallel_defect, point_operators, q_apply,
-                            q_operator, section_derivatives, slant_angle)
+                            omega_defect_algebraic, omega_parallel_defect,
+                            phi_omega_decompose, phi_parallel_defect,
+                            point_operators, q_apply, q_operator,
+                            section_derivatives, slant_angle)
 
 EX4_THETA = math.acos(math.sqrt(2.0 / 3.0))
 
@@ -267,7 +267,8 @@ def test_adapted_frame_compose_slant(sample_box):
 # ---------------------------------------------------------------------------
 # parallelism defects
 
-def _rank4_into_c3():
+def _rank4_into_c3(components=("x1", "x2", "cos(x3)", "x4",
+                                "sin(x3) + x1*x2/2", "x3*x4/3")):
     """Rank-4 map R^4 -> C^3 whose slant angle depends on the direction; the
     target J is the standard one rotated in the (y1, y3) plane by y5, so its
     gradient enters the derivatives too."""
@@ -279,9 +280,8 @@ def _rank4_into_c3():
          ["0", "0", "0", "0", "0", "-1"],
          ["0", "0", "0", "0", "1", "0"]]
     return MapSpec.create(ChartManifold.euclidean(4),
-                          ChartManifold.euclidean(6, J),
-                          ["x1", "x2", "cos(x3)", "x4", "sin(x3) + x1*x2/2",
-                           "x3*x4/3"], name="rank4_into_c3")
+                          ChartManifold.euclidean(6, J), list(components),
+                          name="rank4_into_c3")
 
 
 @pytest.mark.parametrize("map_name", ["warped_fiber", "kahler_twist",
@@ -290,30 +290,39 @@ def _rank4_into_c3():
 def test_section_derivatives_match_finite_difference_oracle(map_name):
     spec = (_rank4_into_c3() if map_name == "rank4_into_c3"
             else load_catalog(map_name))
+    rng = np.random.default_rng(59)
     for p in points_for(spec, 2, 57):
         frame = point_frame(spec, p)
         h = frame.split.horizontal.columns
-        for a in range(frame.rank):
-            X = h[:, a]
-            exact = section_derivatives(frame, X)
-            for b in range(frame.rank):
-                Y = h[:, b]
+        # the horizontal frame, then 3 random unit directions, each stacked
+        # into one call
+        random = rng.standard_normal((len(p), 3))
+        random /= np.linalg.norm(random, axis=0)
+        for directions in (h, random):
+            exact = section_derivatives(frame, directions)
+            for a in range(directions.shape[1]):
+                X = directions[:, a]
+                for b in range(frame.rank):
+                    Y = h[:, b]
 
-                def phi(q):
-                    return phi_omega_decompose(spec, q, Y)[0]
+                    def phi(q):
+                        return phi_omega_decompose(spec, q, Y)[0]
 
-                def omega(q):
-                    return phi_omega_decompose(spec, q, Y)[1]
+                    def omega(q):
+                        return phi_omega_decompose(spec, q, Y)[1]
 
-                def qy(q):
-                    return q_apply(point_frame(spec, q), Y)
+                    def qy(q):
+                        return q_apply(point_frame(spec, q), Y)
 
-                for derivative, oracle in (
-                        (exact.phi @ Y, fd_pullback_derivative(frame, X, phi)),
-                        (exact.omega @ Y, fd_pullback_derivative(frame, X, omega)),
-                        (exact.q @ Y, fd_source_derivative(frame, X, qy))):
-                    np.testing.assert_allclose(derivative, oracle, rtol=0,
-                                               atol=1e-8)
+                    for derivative, oracle in (
+                            (exact.phi[a] @ Y,
+                             fd_pullback_derivative(frame, X, phi)),
+                            (exact.omega[a] @ Y,
+                             fd_pullback_derivative(frame, X, omega)),
+                            (exact.q[a] @ Y,
+                             fd_source_derivative(frame, X, qy))):
+                        np.testing.assert_allclose(derivative, oracle, rtol=0,
+                                                   atol=1e-8)
 
 
 def test_rank4_into_c3_is_direction_dependent():
@@ -340,7 +349,7 @@ def test_omega_defect_compose_slant_zero(sample_box):
         h = frame.split.horizontal.columns
         for a in range(2):
             for b in range(2):
-                defect = omega_defect_from_frame(frame, h[:, a], h[:, b])
+                defect = frame.omega_defects[a, :, b]
                 assert np.abs(defect).max() <= 1e-10
 
 
@@ -355,7 +364,7 @@ def test_omega_defect_kahler_twist_nonzero_and_matches_identity():
         largest = 0.0
         for a in range(2):
             for b in range(2):
-                measured = omega_defect_from_frame(frame, h[:, a], h[:, b])
+                measured = frame.omega_defects[a, :, b]
                 algebraic = omega_defect_algebraic(frame, h[:, a], h[:, b])
                 assert np.abs(measured - algebraic).max() <= 1e-8
                 largest = max(largest, np.abs(measured).max())
@@ -439,7 +448,7 @@ def test_phi_defect_range_expansion_identity():
     # on parallel-structure targets the phi defect equals
     # B(sff(X, Y)) + S_{omega F_*Y} F_*X; on kahler_twist both sides hold
     # nonzero ingredients that must cancel exactly
-    from slantmap.slant import phi_defect_from_frame, tangential_part
+    from slantmap.slant import tangential_part
     for catalog_id in ("example4", "compose_slant", "warped_fiber",
                        "kahler_twist"):
         spec = load_catalog(catalog_id)
@@ -451,7 +460,7 @@ def test_phi_defect_range_expansion_identity():
             for a in range(frame.rank):
                 for b in range(frame.rank):
                     X, Y = h[:, a], h[:, b]
-                    lhs = phi_defect_from_frame(frame, X, Y)
+                    lhs = frame.phi_defects[a, :, b]
                     sff_xy = frame.sff_value(X, Y)
                     normal = sff_xy - tangential_part(frame, sff_xy)
                     b_part = tangential_part(frame, J @ normal)
