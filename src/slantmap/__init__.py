@@ -8,16 +8,13 @@ from .expressions import (Expression, ExpressionDomainError,
 from .linalg import (InnerProduct, MetricError, SubspaceBasis, TangentSplit,
                      gram_schmidt, metric_adjoint, project, split_tangent)
 from .loader import AnalysisSettings, LoadedMap, MapSpecError, load_map_spec
-from .maps import (MapDefinitionError, MapSpec, PointFrame, differential,
-                   fiber_mean_curvature, is_riemannian_map, map_point,
-                   point_frame, s_v_operator, second_fundamental_form,
-                   tension_field)
+from .maps import (MapDefinitionError, MapSpec, PointFrame, PointOperators,
+                   differential, is_riemannian_map, map_point, point_frame,
+                   second_fundamental_form, tension_field)
 from .report import Report, render_report, run_analysis, sample_points
 from .result import CheckResult
-from .slant import (PointOperators, SlantReport, adapted_frame, bc_decompose,
-                    classify_slant, omega_parallel_defect, phi_omega_decompose,
-                    phi_parallel_defect, point_operators, q_operator,
-                    slant_angle)
+from .slant import (SlantReport, adapted_frame, classify_slant,
+                    point_operators, q_operator, slant_angle)
 
 __version__ = "0.1.0"
 
@@ -27,12 +24,11 @@ __all__ = [
     "InnerProduct", "Jet2", "LoadedMap", "MapDefinitionError", "MapSpec",
     "MapSpecError", "MetricError", "PointFrame", "PointOperators", "Report",
     "SlantReport", "SubspaceBasis", "TangentSplit", "adapted_frame",
-    "bc_decompose", "check_almost_hermitian", "check_kahler", "christoffel",
-    "classify_slant", "differential", "eval_jet2", "fiber_mean_curvature",
-    "gram_schmidt", "is_riemannian_map", "load_map_spec", "map_point",
-    "metric_adjoint", "omega_parallel_defect", "parse_expression",
-    "phi_omega_decompose", "phi_parallel_defect", "point_frame",
-    "point_operators", "project", "q_operator", "render_report",
-    "run_analysis", "s_v_operator", "sample_points", "second_fundamental_form",
-    "slant_angle", "split_tangent", "tension_field", "to_text",
+    "check_almost_hermitian", "check_kahler", "christoffel",
+    "classify_slant", "differential", "eval_jet2", "gram_schmidt",
+    "is_riemannian_map", "load_map_spec", "map_point", "metric_adjoint",
+    "parse_expression", "point_frame", "point_operators", "project",
+    "q_operator", "render_report", "run_analysis", "sample_points",
+    "second_fundamental_form", "slant_angle", "split_tangent",
+    "tension_field", "to_text",
 ]

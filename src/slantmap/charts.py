@@ -12,7 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expressions import Expression, eval_jet2, parse_expression
+from .expressions import (Expression, all_finite, eval_jet2, eval_jets,
+                          non_finite_error, parse_expression)
 from .linalg import InnerProduct, MetricError
 from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
 
@@ -87,23 +88,14 @@ def _parse_matrix(entries, dim: int, what: str):
 
 def _matrix_values(entries, p) -> np.ndarray:
     dim = len(entries)
-    out = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            out[i, j] = eval_jet2(entries[i][j], p).value
-    return out
+    return eval_jets([e for row in entries for e in row], p, 0)[0].reshape(dim, dim)
 
 
 def _matrix_jet(entries, p):
+    """Values [a, b] and coordinate derivatives [i, a, b] of a matrix field."""
     dim = len(entries)
-    values = np.empty((dim, dim))
-    grads = np.empty((len(p), dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            jet = eval_jet2(entries[i][j], p)
-            values[i, j] = jet.value
-            grads[:, i, j] = jet.grad
-    return values, grads
+    values, grads = eval_jets([e for row in entries for e in row], p, 1)
+    return values.reshape(dim, dim), grads.T.reshape(-1, dim, dim)
 
 
 def christoffel(chart: ChartManifold, p) -> np.ndarray:
@@ -120,6 +112,9 @@ def christoffel(chart: ChartManifold, p) -> np.ndarray:
             jet = eval_jet2(chart.metric[i][j], p)
             values[i, j] = values[j, i] = jet.value
             grads[i, j] = grads[j, i] = jet.grad
+    if not (all_finite(values) and all_finite(grads)):
+        raise non_finite_error([chart.metric[i][j] for i in range(n)
+                                for j in range(i, n)], p, 1)
     try:
         ip = InnerProduct(values)
     except MetricError as exc:

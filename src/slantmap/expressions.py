@@ -363,5 +363,45 @@ def eval_jet2(expr: Expression, p) -> Jet2:
     return _jet(expr.root, point, expr.dim)
 
 
+def eval_jets(expressions, p, order: int) -> list:
+    """The values (k,) and, up to derivative ``order``, the gradients (k, n)
+    and Hessians (k, n, n) of k expressions at p.  Each array is tested with
+    one np.isfinite; a non-finite entry raises ``non_finite_error``."""
+    jets = [eval_jet2(e, p) for e in expressions]
+    arrays = [np.array([getattr(jet, part) for jet in jets])
+              for part in ("value", "grad", "hess")[:order + 1]]
+    if not all(map(all_finite, arrays)):
+        raise non_finite_error(expressions, p, order)
+    return arrays
+
+
+def all_finite(array: np.ndarray) -> bool:
+    """Whether every entry is finite (cheaper than .all() on small arrays)."""
+    return np.count_nonzero(np.isfinite(array)) == array.size
+
+
+def non_finite_error(expressions, p, order: int) -> ExpressionDomainError:
+    """The error for a non-finite jet of ``expressions`` at p up to derivative
+    ``order`` (0 values, 1 gradients, 2 Hessians): it names the point and the
+    innermost subexpression whose jet is not finite while its arguments' are."""
+    point = np.asarray(p, dtype=float)
+    expr = next(e for e in expressions if not _finite(e.root, point, e.dim, order))
+    node = expr.root
+    while True:
+        inner = [a for a in vars(node).values()  # the node's arguments
+                 if isinstance(a, Node) and not _finite(a, point, expr.dim, order)]
+        if not inner:
+            return ExpressionDomainError(
+                f"non-finite value at point {[float(x) for x in point]}",
+                to_text(node))
+        node = inner[0]
+
+
+def _finite(node: Node, p: np.ndarray, n: int, order: int) -> bool:
+    jet = _jet(node, p, n)
+    return all(np.isfinite(part).all()
+               for part in (jet.value, jet.grad, jet.hess)[:order + 1])
+
+
 def eval_value(expr: Expression, p) -> float:
     return eval_jet2(expr, p).value

@@ -8,6 +8,7 @@ positive) so repeated runs produce identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class InnerProduct:
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise MetricError(f"inner product matrix must be square, got {G.shape}")
         scale = np.abs(G).max() or 1.0
+        if not math.isfinite(scale):
+            raise MetricError("inner product matrix has non-finite entries")
         if np.abs(G - G.T).max() > sym_tol * scale:
             raise MetricError("inner product matrix is not symmetric")
         G = 0.5 * (G + G.T)

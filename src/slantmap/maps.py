@@ -8,15 +8,16 @@ coordinate formula
 
 so no vector-field extensions enter; jets supply every derivative exactly.
 
-A ``PointFrame`` holds what is known at one point (the adjoint, the split
-of J F_* against the range, Q, the section derivatives along the horizontal
-frame and the omega/phi defects over horizontal pairs are computed on first
-use); a ``Sample`` is the analysis context of one run, whose frames are built
-once and read by every check.
+A ``PointFrame`` holds what is known at one point, and each pointwise
+quantity (phi/omega and B/C, Q, the slant angle, the tension field, the fiber
+mean curvature, S_V, the adapted frame, the section derivatives and defects)
+is one of its members, computed on first use.  A ``Sample`` is the analysis
+context of one run, whose frames are built once and read by every check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -24,12 +25,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charts import ChartError, ChartManifold, christoffel, metric_derivative
-from .expressions import Expression, eval_jet2, parse_expression
+from .expressions import Expression, eval_jet2, eval_jets, parse_expression
 from .linalg import (InnerProduct, TangentSplit, metric_adjoint,
                      metric_adjoint_derivative, range_projector,
                      range_projector_derivative, split_tangent)
-from .result import (DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL, CheckResult,
-                     worst_residual)
+from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
+                     CheckResult, worst_residual)
 
 
 class MapDefinitionError(ValueError):
@@ -69,12 +70,31 @@ class MapSpec:
 
 
 def map_point(spec: MapSpec, p) -> np.ndarray:
-    return np.array([eval_jet2(c, p).value for c in spec.components])
+    return eval_jets(spec.components, p, 0)[0]
 
 
 def differential(spec: MapSpec, p) -> np.ndarray:
     """Jacobian matrix, entry (g, i) = d_i F^g at p."""
     return np.array([eval_jet2(c, p).grad for c in spec.components])
+
+
+@dataclass
+class PointOperators:
+    """Frame matrices of the structure operators at one point.
+
+    jtilde and jhat are the sec(theta)-rescaled tangential operators (on the
+    range and horizontal frames); they are filled only when an angle is
+    supplied, since theta is a map-level quantity.
+    """
+
+    phi: np.ndarray      # (r, r), range frame
+    omega: np.ndarray    # (m - r, r), range -> normal frame
+    b: np.ndarray        # (r, m - r)
+    c: np.ndarray        # (m - r, m - r)
+    q: np.ndarray        # (r, r), horizontal frame
+    point: np.ndarray
+    jtilde: Optional[np.ndarray] = None
+    jhat: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -148,8 +168,126 @@ class PointFrame:
         h = self.split.horizontal.columns
         return self.horizontal_derivatives.phi_defect @ h
 
+    @cached_property
+    def tension(self) -> np.ndarray:
+        """Tension field: the metric trace of the second fundamental form."""
+        inverse = np.linalg.inv(self.g_source.matrix)
+        return np.einsum("ij,gij->g", inverse, self.sff)
+
+    @cached_property
+    def fiber_mean_curvature(self) -> np.ndarray:
+        """Trace of the second fundamental form over the kernel; zero iff the
+        fiber through the point is minimal."""
+        kernel = self.split.kernel.columns
+        if kernel.shape[1] == 0:
+            raise MapDefinitionError("map is an immersion: the kernel is trivial")
+        return np.einsum("gij,ia,ja->g", self.sff, kernel, kernel)
+
     def pushforward(self, X) -> np.ndarray:
         return self.jacobian @ np.asarray(X, dtype=float)
+
+    def tangential(self, w) -> np.ndarray:
+        """Range part of a target vector (of each column, for a matrix)."""
+        return self.range_projector @ np.asarray(w, dtype=float)
+
+    def normal(self, w) -> np.ndarray:
+        """Part of a target vector normal to the range."""
+        return np.asarray(w, dtype=float) - self.tangential(w)
+
+    def phi_omega(self, X):
+        """Split J F_*X into its range part (phi) and normal part (omega)."""
+        X = np.asarray(X, dtype=float)
+        phi = self.phi @ X
+        return phi, self.j_pushforward @ X - phi
+
+    def bc(self, V):
+        """Split J V for a normal vector V into range part (B) and normal
+        part (C)."""
+        w = require_complex_structure(self) @ np.asarray(V, dtype=float)
+        b = self.tangential(w)
+        return b, w - b
+
+    def slant_angle(self, X) -> float:
+        """Angle in [0, pi/2] between J F_*X and the range of F_*.
+
+        Computed as atan2(|omega part|, |phi part|), which stays accurate at
+        both extremes where an arccos of the cosine ratio loses half the
+        digits.
+        """
+        if self.g_target.norm(self.pushforward(X)) == 0.0:
+            raise ValueError("direction lies in the kernel of the differential")
+        phi, omega = self.phi_omega(X)
+        return math.atan2(self.g_target.norm(omega), self.g_target.norm(phi))
+
+    def s_v(self, V, tol: float = DEFAULT_CHECK_TOL) -> np.ndarray:
+        """Shape operator S[a, b] = g2(V, sff(h_a, h_b)) on the horizontal
+        frame.  V must be normal to the range; a small stray range component
+        is projected away and the norm restored, a large one is an error."""
+        g2 = self.g_target
+        norm = g2.norm(V)
+        if norm == 0.0:
+            return np.zeros((self.rank, self.rank))
+        if g2.norm(self.tangential(V)) > tol * norm:
+            raise ValueError("vector has a range component beyond tolerance")
+        perp = self.normal(V)
+        perp_norm = g2.norm(perp)
+        if perp_norm > 0:
+            perp = perp * (norm / perp_norm)
+        h = self.split.horizontal.columns
+        return perp @ g2.matrix @ self.sff_value(h, h)
+
+    def operators(self, theta: Optional[float] = None) -> "PointOperators":
+        """The blocks of J in the range-then-normal target frame, and Q; with
+        an angle, also the sec(theta)-rescaled jtilde and jhat."""
+        basis = np.hstack([self.split.range.columns,
+                           self.split.range_perp.columns])
+        blocks = (basis.T @ self.g_target.matrix
+                  @ require_complex_structure(self) @ basis)
+        r = self.rank
+        ops = PointOperators(phi=blocks[:r, :r], omega=blocks[r:, :r],
+                             b=blocks[:r, r:], c=blocks[r:, r:], q=self.q,
+                             point=self.point)
+        if theta is not None:
+            if abs(math.cos(theta)) < 1e-12:
+                raise ValueError("sec(theta) undefined at angle pi/2")
+            sec = 1.0 / math.cos(theta)
+            ops.jtilde = sec * ops.phi
+            ops.jhat = sec * ops.q
+        return ops
+
+    def adapted_frame(self, angle_tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
+        """Orthonormal horizontal frame of the form {e, sec(theta) Q e, ...}.
+
+        Greedy construction: pick a horizontal unit vector, append its
+        normalized Q-partner, re-orthogonalize the remaining horizontal
+        directions, repeat.  Fails for anti-invariant maps, where Q vanishes.
+        """
+        r = self.rank
+        if r == 0:
+            raise MapDefinitionError("map has rank zero: no horizontal space")
+        g1 = self.g_source
+        chosen: list = []
+
+        def orthogonalized(w):
+            for _ in range(2):
+                for b in chosen:
+                    w = w - g1.inner(b, w) * b
+            return w
+
+        candidates = [self.split.horizontal.columns[:, a] for a in range(r)]
+        while len(chosen) < r:
+            residuals = [orthogonalized(c) for c in candidates]
+            norms = [g1.norm(w) for w in residuals]
+            best = int(np.argmax(norms))
+            if norms[best] < 1e-10:
+                raise ValueError("horizontal space exhausted before the frame closed")
+            e = residuals[best] / norms[best]
+            theta = self.slant_angle(e)
+            if theta >= math.pi / 2 - angle_tol:
+                raise ValueError("Q vanishes for an anti-invariant map: no adapted frame")
+            chosen.append(e)
+            chosen.append(self.adjoint_phi @ e / math.cos(theta))
+        return np.column_stack(chosen[:r])
 
     def sff_value(self, X, Y) -> np.ndarray:
         """sff(X, Y); a matrix Y gives one column per column of Y, and a
@@ -169,10 +307,7 @@ def _bilinear(tensor, X, Y) -> np.ndarray:
 
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
     point = np.asarray(p, dtype=float)
-    jets = [eval_jet2(c, point) for c in spec.components]
-    image = np.array([j.value for j in jets])
-    jac = np.array([j.grad for j in jets])
-    hess = np.array([j.hess for j in jets])
+    image, jac, hess = eval_jets(spec.components, point, 2)
     g1 = spec.source.metric_at(point)
     g2 = spec.target.metric_at(image)
     split = split_tangent(jac, g1, g2, rank_tol)
@@ -187,6 +322,9 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
                       dJ, hess)
 
 
+# Wrappers over PointFrame members, kept (as are map_point and differential)
+# because perfbench/tracer.py traces them by name.
+
 def second_fundamental_form(spec: MapSpec, p, X, Y,
                             rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Vector in the target tangent space measuring connection mismatch at p."""
@@ -195,56 +333,7 @@ def second_fundamental_form(spec: MapSpec, p, X, Y,
 
 def tension_field(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Metric trace of the second fundamental form at p."""
-    return tension_from_frame(point_frame(spec, p, rank_tol))
-
-
-def tension_from_frame(frame: PointFrame) -> np.ndarray:
-    inverse = np.linalg.inv(frame.g_source.matrix)
-    return np.einsum("ij,gij->g", inverse, frame.sff)
-
-
-def fiber_mean_curvature(spec: MapSpec, p,
-                         rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Trace of the second fundamental form over the kernel; zero iff the
-    fiber through p is minimal."""
-    return fiber_mean_curvature_from_frame(point_frame(spec, p, rank_tol))
-
-
-def fiber_mean_curvature_from_frame(frame: PointFrame) -> np.ndarray:
-    kernel = frame.split.kernel.columns
-    if kernel.shape[1] == 0:
-        raise MapDefinitionError("map is an immersion: the kernel is trivial")
-    return np.einsum("gij,ia,ja->g", frame.sff, kernel, kernel)
-
-
-def s_v_operator(spec: MapSpec, p, V, tol: float = DEFAULT_CHECK_TOL,
-                 rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Shape-operator matrix in the frame of pushed-forward horizontal vectors.
-
-    S[a, b] = g2(V, sff(h_a, h_b)).  V must lie in the orthogonal complement
-    of the range; a small stray range component is projected away and the
-    norm restored, a large one is an error.
-    """
-    return s_v_from_frame(point_frame(spec, p, rank_tol), V, tol)
-
-
-def s_v_from_frame(frame: PointFrame, V, tol: float = DEFAULT_CHECK_TOL) -> np.ndarray:
-    V = np.asarray(V, dtype=float)
-    g2 = frame.g_target
-    norm = g2.norm(V)
-    r = frame.rank
-    if norm == 0.0:
-        return np.zeros((r, r))
-    tangential = tangential_part(frame, V)
-    if g2.norm(tangential) > tol * norm:
-        raise ValueError("vector has a range component beyond tolerance")
-    perp = V - tangential
-    perp_norm = g2.norm(perp)
-    if perp_norm > 0:
-        perp = perp * (norm / perp_norm)
-    h = frame.split.horizontal.columns
-    sff_h = np.einsum("gij,ia,jb->gab", frame.sff, h, h)
-    return np.einsum("g,gh,hab->ab", perp, g2.matrix, sff_h)
+    return point_frame(spec, p, rank_tol).tension
 
 
 class Sample:
@@ -291,34 +380,13 @@ def require_complex_structure(frame: PointFrame) -> np.ndarray:
     return frame.complex_structure
 
 
-def tangential_part(frame: PointFrame, w) -> np.ndarray:
-    return frame.range_projector @ np.asarray(w, dtype=float)
-
-
-def normal_part(frame: PointFrame, w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    return w - frame.range_projector @ w
-
-
-def phi_omega_from_frame(frame: PointFrame, X):
-    """Split J F_*X into its range part (phi) and normal part (omega)."""
-    X = np.asarray(X, dtype=float)
-    phi = frame.phi @ X
-    return phi, frame.j_pushforward @ X - phi
-
-
-def q_apply(frame: PointFrame, X) -> np.ndarray:
-    """Q X = adjoint(phi(F_* X)), a horizontal vector in the source tangent."""
-    return frame.adjoint_phi @ np.asarray(X, dtype=float)
-
-
 @dataclass
 class SectionDerivatives:
     """Covariant derivatives of the sections Y -> phi(F_*Y), omega(F_*Y) and
-    QY along each direction X_a, and the omega and phi parallelism defects
-    (slant.omega_parallel_defect, phi_parallel_defect), stacked along a
-    leading direction axis: entry [a] is a matrix acting on Y, extended by
-    constant coefficients."""
+    QY along each direction X_a, and the omega defect (nabla_X omega)Y and
+    phi defect (nabla_X phi)Y - sff(X, QY), stacked along a leading direction
+    axis: entry [a] is a matrix acting on Y, extended by constant
+    coefficients.  A defect vanishes everywhere iff its operator is parallel."""
 
     phi: np.ndarray           # (k, m, n), pullback connection
     omega: np.ndarray         # (k, m, n), pullback connection
@@ -361,7 +429,7 @@ def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
         phi=nabla_phi, omega=nabla_omega,
         q=(d_adjoint @ phi + frame.adjoint @ d_phi
            + source_connection @ frame.adjoint_phi),
-        omega_defect=(normal_part(frame, nabla_omega)
+        omega_defect=(frame.normal(nabla_omega)
                       - (JA - phi) @ source_connection),
         phi_defect=(nabla_phi - phi @ source_connection
                     - frame.sff_value(X, frame.adjoint_phi)))
@@ -404,7 +472,7 @@ def check_sff_range_perp(sample: Sample,
     def residuals(frame):
         h = frame.split.horizontal.columns
         for a in range(frame.rank):
-            tangential = tangential_part(frame, frame.sff_value(h[:, a], h[:, a:]))
+            tangential = frame.tangential(frame.sff_value(h[:, a], h[:, a:]))
             for b, residual in enumerate(frame.g_target.norms(tangential), start=a):
                 yield residual, frame.point, {"pair": [a, b]}
 
@@ -416,9 +484,8 @@ def check_sff_range_perp(sample: Sample,
 
 def _sff_norm_max(frame: PointFrame, basis: np.ndarray) -> float:
     """Largest sff norm over pairs of columns of ``basis``."""
-    values = np.einsum("gij,ia,jb->gab", frame.sff, basis, basis)
-    squares = np.einsum("gab,gh,hab->ab", values, frame.g_target.matrix, values)
-    return float(np.sqrt(np.maximum(squares, 0.0)).max(initial=0.0))
+    return float(frame.g_target.norms(frame.sff_value(basis, basis))
+                 .max(initial=0.0))
 
 
 def sff_global_max(frame: PointFrame) -> float:
@@ -436,9 +503,6 @@ def horizontal_geodesy_residual(frame: PointFrame) -> float:
     """Vertical component of the source connection on horizontal pairs,
     measured as g1(nabla_X Y, W) over frame vectors."""
     h = frame.split.horizontal.columns
-    kernel = frame.split.kernel.columns
-    if kernel.shape[1] == 0 or h.shape[1] == 0:
-        return 0.0
-    nabla = np.einsum("kij,ia,jb->kab", frame.gamma_source, h, h)
-    return float(np.abs(np.einsum("kw,kl,lab->wab", kernel,
-                                  frame.g_source.matrix, nabla)).max())
+    vertical = (frame.split.kernel.columns.T @ frame.g_source.matrix
+                @ frame.covariant_source(h, h))
+    return float(np.abs(vertical).max(initial=0.0))

@@ -5,10 +5,10 @@ For a horizontal vector X the image J F_*X splits into a tangential part
 the range split the same way into B (tangential) and C (normal).  The
 composite Q = adjoint o phi o F_* acts on the horizontal space and its square
 is -cos^2(theta) times the identity exactly when the angle theta between
-J F_*X and the range is constant.  Everything here is computed pointwise in
-the orthonormal frames delivered by the tangent splitting; the per-point
-pieces (phi, omega, Q and their covariant derivatives) live with the frame in
-``maps``, and every check that reads frames takes them from one ``Sample``.
+J F_*X and the range is constant.  Every pointwise quantity (phi/omega, B/C,
+Q, the slant angle, the adapted frame, the covariant derivatives) is a member
+of ``maps.PointFrame``; this module classifies a map from those members and
+runs the checks built on the classification, reading one ``Sample``.
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .maps import (MapDefinitionError, MapSpec, PointFrame, Sample,
-                   fiber_geodesy_residual, fiber_mean_curvature_from_frame,
-                   gram_residual, horizontal_geodesy_residual,
-                   is_riemannian_map, normal_part, phi_omega_from_frame,
-                   point_frame, q_apply, require_complex_structure,
-                   section_derivatives, sff_global_max, tangential_part,
-                   tension_from_frame)
+from .maps import (MapDefinitionError, MapSpec, PointFrame, PointOperators,
+                   Sample, fiber_geodesy_residual, gram_residual,
+                   horizontal_geodesy_residual, is_riemannian_map,
+                   point_frame, require_complex_structure, sff_global_max)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      EXACT_IDENTITY_TOL, CheckResult, worst_residual)
 
@@ -37,37 +34,12 @@ NOT_RIEMANNIAN = "not_riemannian"
 SLANT_CLASSES = (INVARIANT, ANTI_INVARIANT, PROPER_SLANT)
 
 
-def phi_omega_decompose(spec: MapSpec, p, X,
-                        rank_tol: float = DEFAULT_RANK_TOL):
-    """Split J F_*X into its range part (phi) and normal part (omega)."""
-    return phi_omega_from_frame(point_frame(spec, p, rank_tol), X)
-
-
-def bc_decompose(spec: MapSpec, p, V, rank_tol: float = DEFAULT_RANK_TOL):
-    """Split J V for a normal vector V into range part (B) and normal part (C)."""
-    return bc_from_frame(point_frame(spec, p, rank_tol), V)
-
-
-def bc_from_frame(frame: PointFrame, V):
-    w = require_complex_structure(frame) @ np.asarray(V, dtype=float)
-    b = tangential_part(frame, w)
-    return b, w - b
-
+# Wrappers over PointFrame members, kept because perfbench/tracer.py traces
+# them by name.
 
 def slant_angle(spec: MapSpec, p, X, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Angle in [0, pi/2] between J F_*X and the range of F_*.
-
-    Computed as atan2(|omega part|, |phi part|), which stays accurate at both
-    extremes where an arccos of the cosine ratio loses half the digits.
-    """
-    return slant_angle_from_frame(point_frame(spec, p, rank_tol), X)
-
-
-def slant_angle_from_frame(frame: PointFrame, X) -> float:
-    if frame.g_target.norm(frame.pushforward(X)) == 0.0:
-        raise ValueError("direction lies in the kernel of the differential")
-    phi, omega = phi_omega_from_frame(frame, X)
-    return math.atan2(frame.g_target.norm(omega), frame.g_target.norm(phi))
+    """Angle in [0, pi/2] between J F_*X and the range of F_* at p."""
+    return point_frame(spec, p, rank_tol).slant_angle(X)
 
 
 def q_operator(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -75,63 +47,23 @@ def q_operator(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarr
 
 
 def q_matrix(frame: PointFrame) -> np.ndarray:
-    """Matrix of Q in the orthonormal horizontal frame: ``frame.q``.  Kept as
-    a named function because perfbench/tracer.py traces it by name."""
+    """Matrix of Q in the orthonormal horizontal frame: ``frame.q``."""
     return frame.q
-
-
-@dataclass
-class PointOperators:
-    """Frame matrices of the structure operators at one point.
-
-    jtilde and jhat are the sec(theta)-rescaled tangential operators (on the
-    range and horizontal frames); they are filled only when an angle is
-    supplied, since theta is a map-level quantity.
-    """
-
-    phi: np.ndarray      # (r, r), range frame
-    omega: np.ndarray    # (m - r, r), range -> normal frame
-    b: np.ndarray        # (r, m - r)
-    c: np.ndarray        # (m - r, m - r)
-    q: np.ndarray        # (r, r), horizontal frame
-    point: np.ndarray
-    jtilde: Optional[np.ndarray] = None
-    jhat: Optional[np.ndarray] = None
 
 
 def point_operators(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL,
                     theta: Optional[float] = None) -> PointOperators:
-    frame = point_frame(spec, p, rank_tol)
-    # J in the range-then-normal target frame; its blocks are phi, omega, B, C
-    basis = np.hstack([frame.split.range.columns, frame.split.range_perp.columns])
-    blocks = basis.T @ frame.g_target.matrix @ require_complex_structure(frame) @ basis
-    r = frame.rank
-    ops = PointOperators(phi=blocks[:r, :r], omega=blocks[r:, :r],
-                         b=blocks[:r, r:], c=blocks[r:, r:], q=frame.q,
-                         point=frame.point)
-    if theta is not None:
-        if abs(math.cos(theta)) < 1e-12:
-            raise ValueError("sec(theta) undefined at angle pi/2")
-        sec = 1.0 / math.cos(theta)
-        ops.jtilde = sec * ops.phi
-        ops.jhat = sec * ops.q
-    return ops
+    return point_frame(spec, p, rank_tol).operators(theta)
+
+
+def adapted_frame(spec: MapSpec, p, angle_tol: float = DEFAULT_ANGLE_TOL,
+                  rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal horizontal frame {e, sec(theta) Q e, ...} at p."""
+    return point_frame(spec, p, rank_tol).adapted_frame(angle_tol)
 
 
 # ---------------------------------------------------------------------------
 # Parallelism defects
-
-def omega_parallel_defect(spec: MapSpec, p, X, Y,
-                          rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Covariant derivative of the omega operator, as a normal vector.
-
-    Measures nabla^perp_X (omega F_*Y) - omega F_*(nabla_X Y) with Y extended
-    by constant coefficients.  Zero everywhere means omega is parallel.
-    """
-    frame = point_frame(spec, p, rank_tol)
-    derivatives = section_derivatives(frame, np.reshape(X, (-1, 1)))
-    return derivatives.omega_defect[0] @ np.asarray(Y, dtype=float)
-
 
 def omega_defect_algebraic(frame: PointFrame, X, Y) -> np.ndarray:
     """Closed form of the omega defect: C(sff(X, Y)) - sff(X, QY).
@@ -140,21 +72,8 @@ def omega_defect_algebraic(frame: PointFrame, X, Y) -> np.ndarray:
     fundamental form, so it cross-checks the derivative-based defect.
     """
     J = require_complex_structure(frame)
-    sff_xy = normal_part(frame, frame.sff_value(X, Y))
-    c_part = normal_part(frame, J @ sff_xy)
-    return c_part - frame.sff_value(X, q_apply(frame, Y))
-
-
-def phi_parallel_defect(spec: MapSpec, p, X, Y,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Covariant derivative of the phi operator, as a range vector.
-
-    Returns nabla^F_X (phi F_*Y) - phi F_*(nabla_X Y) - sff(X, QY); the QY
-    term realizes phi F_*Y = F_*(QY) on the horizontal space.
-    """
-    frame = point_frame(spec, p, rank_tol)
-    derivatives = section_derivatives(frame, np.reshape(X, (-1, 1)))
-    return derivatives.phi_defect[0] @ np.asarray(Y, dtype=float)
+    c_part = frame.normal(J @ frame.normal(frame.sff_value(X, Y)))
+    return c_part - frame.sff_value(X, frame.adjoint_phi @ Y)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +162,7 @@ def classify_slant(sample: Sample, dirs_per_point: int = 6,
     point_angles = []
     for frame in frames:
         directions = _horizontal_directions(frame, rng, dirs_per_point)
-        theta_here = [slant_angle_from_frame(frame, X) for X in directions]
+        theta_here = [frame.slant_angle(X) for X in directions]
         angles.extend(theta_here)
         point_angles.append({"point": [float(x) for x in frame.point],
                              "angles": [float(t) for t in theta_here]})
@@ -281,7 +200,7 @@ def _fit_lambda(report: SlantReport, frames, rng, dirs_per_point: int) -> None:
     for frame in frames:
         X = _horizontal_directions(frame, rng, dirs_per_point).T
         fx = frame.jacobian @ X  # one column per direction, as is phi2
-        phi2 = tangential_part(frame, frame.complex_structure @ (frame.phi @ X))
+        phi2 = frame.tangential(frame.complex_structure @ (frame.phi @ X))
         numerator += np.einsum("ia,ij,ja->", phi2, frame.g_target.matrix, fx)
         denominator += np.einsum("ia,ij,ja->", fx, frame.g_target.matrix, fx)
         samples.append((frame, phi2, fx))
@@ -348,52 +267,6 @@ def mixed_sff(frame: PointFrame):
 
 
 # ---------------------------------------------------------------------------
-# Adapted frames
-
-def adapted_frame(spec: MapSpec, p, angle_tol: float = DEFAULT_ANGLE_TOL,
-                  rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal horizontal frame of the form {e, sec(theta) Q e, ...}.
-
-    Greedy construction: pick a horizontal unit vector, append its normalized
-    Q-partner, re-orthogonalize the remaining horizontal directions, repeat.
-    Fails for anti-invariant maps, where Q vanishes.
-    """
-    return adapted_frame_from_frame(point_frame(spec, p, rank_tol), angle_tol)
-
-
-def adapted_frame_from_frame(frame: PointFrame,
-                             angle_tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
-    r = frame.rank
-    if r == 0:
-        raise MapDefinitionError("map has rank zero: no horizontal space")
-    g1 = frame.g_source
-    chosen: list = []
-
-    def orthogonalized(v):
-        w = np.asarray(v, dtype=float).copy()
-        for _ in range(2):
-            for b in chosen:
-                w = w - g1.inner(b, w) * b
-        return w
-
-    candidates = [frame.split.horizontal.columns[:, a] for a in range(r)]
-    while len(chosen) < r:
-        residuals = [orthogonalized(c) for c in candidates]
-        norms = [g1.norm(w) for w in residuals]
-        best = int(np.argmax(norms))
-        if norms[best] < 1e-10:
-            raise ValueError("horizontal space exhausted before the frame closed")
-        e = residuals[best] / norms[best]
-        theta = slant_angle_from_frame(frame, e)
-        if theta >= math.pi / 2 - angle_tol:
-            raise ValueError("Q vanishes for an anti-invariant map: no adapted frame")
-        partner = q_apply(frame, e) / math.cos(theta)
-        chosen.append(e)
-        chosen.append(partner)
-    return np.column_stack(chosen[:r])
-
-
-# ---------------------------------------------------------------------------
 # Check suite built on the classification.  A check that reads frames takes
 # the run's Sample.
 
@@ -452,7 +325,7 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
             "adapted_frame", f"classification is {report.classification}: "
             "sec(angle) construction undefined")
     worst, witness = worst_residual(
-        (gram_residual(adapted_frame_from_frame(frame, report.angle_tol),
+        (gram_residual(frame.adapted_frame(report.angle_tol),
                        frame.g_source), frame.point, {})
         for frame in sample.frames())
     return CheckResult.from_residual("adapted_frame", worst, tol,
@@ -507,7 +380,7 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
 
     def residuals(frame):
         h = frame.split.horizontal.columns
-        qh = q_apply(frame, h)
+        qh = frame.adjoint_phi @ h
         return frame.sff_value(qh, qh) - factor * frame.sff_value(h, h)
 
     worst, witness = worst_residual(
@@ -527,7 +400,7 @@ def _pair_items(frame: PointFrame, vectors: np.ndarray):
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
     worst, witness = worst_residual(
-        (frame.g_target.norm(tension_from_frame(frame)), frame.point, {})
+        (frame.g_target.norm(frame.tension), frame.point, {})
         for frame in sample.frames())
     return CheckResult.from_residual("harmonic", worst, tol,
                                      samples=len(sample), witness=witness)
@@ -538,7 +411,7 @@ def check_minimal_fibers(sample: Sample,
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
     try:
         worst, witness = worst_residual(
-            (frame.g_target.norm(fiber_mean_curvature_from_frame(frame)),
+            (frame.g_target.norm(frame.fiber_mean_curvature),
              frame.point, {}) for frame in sample.frames())
     except MapDefinitionError as exc:  # an immersion has no fibers
         return CheckResult.skipped("minimal_fibers", str(exc))
@@ -589,17 +462,14 @@ def _condition_three_residual(frame: PointFrame) -> float:
     if perp.shape[1] == 0 or frame.rank == 0:
         return 0.0
     G = frame.g_target.matrix
-    normal = np.eye(len(G)) - frame.range_projector
-    jv = frame.complex_structure @ perp
-    bv = frame.range_projector @ jv
-    b_pushed = bv.T @ G @ frame.jacobian @ h          # (v, c)
-    omega_h = (frame.j_pushforward - frame.phi) @ h   # omega F_*h_b
-    q_h = frame.adjoint_phi @ h                       # Q h_b
+    bv, cv = frame.bc(perp)
+    _, omega_h = frame.phi_omega(h)                   # omega F_*h_b
     d_omega = frame.horizontal_derivatives.omega      # along h_a at [a]
     sff_h = frame.sff_value(h, h)                     # sff(h_a, h_c) at [a]
-    lhs = b_pushed @ np.swapaxes(sff_h, 1, 2) @ G @ omega_h   # (a, v, b)
-    rhs = ((jv - bv).T @ G @ normal @ d_omega @ h
-           - perp.T @ G @ normal @ d_omega @ q_h)
+    lhs = (bv.T @ G @ frame.jacobian @ h              # g2(BV, F_*h_c): (v, c)
+           @ np.swapaxes(sff_h, 1, 2) @ G @ omega_h)  # (a, v, b)
+    rhs = (cv.T @ G @ frame.normal(d_omega @ h)
+           - perp.T @ G @ frame.normal(d_omega @ frame.adjoint_phi @ h))
     return float(np.abs(lhs - rhs).max())
 
 
@@ -680,7 +550,7 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         phi_h = frame.phi @ h
         # [a, :, b]: sec(theta) (nabla_{h_a}(Q h_b) - Q nabla_{h_a} h_b)
         jhat_deriv = sec * (frame.horizontal_derivatives.q @ h
-                            - q_apply(frame, frame.covariant_source(h, h)))
+                            - frame.adjoint_phi @ frame.covariant_source(h, h))
         frame_deriv_max = max(frame_deriv_max, frame.g_target.norms(
             frame.pushforward(jhat_deriv) - sec * frame.phi_defects).max())
         lhs = np.swapaxes(jhat_deriv, 1, 2) @ frame.g_source.matrix @ kernel

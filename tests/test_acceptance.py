@@ -14,8 +14,8 @@ import numpy as np
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold, christoffel
 from slantmap.loader import load_map_spec
-from slantmap.maps import (Sample, check_sff_range_perp, fiber_mean_curvature,
-                           is_riemannian_map, point_frame, tension_from_frame)
+from slantmap.maps import (Sample, check_sff_range_perp, is_riemannian_map,
+                           point_frame)
 from slantmap.report import render_report, run_analysis, sample_points
 from slantmap.slant import (adapted_frame, check_omega_defect_identity,
                             check_phwc, classify_slant, q_operator)
@@ -85,7 +85,7 @@ def test_criterion_03_composed_submersion_immersion():
         assert abs(report.mean_angle - alpha) <= 1e-8
         for p in points[:8]:
             frame = point_frame(spec, p)
-            fmc = fiber_mean_curvature(spec, p)
+            fmc = frame.fiber_mean_curvature
             assert frame.g_target.norm(fmc) <= 1e-8
     _announce(3, "submersion-then-slant-immersion composites: slant angle "
                  "alpha for alpha in {0.3, pi/4, 1.2}, minimal fibers")
@@ -130,9 +130,9 @@ def test_criterion_06_harmonic_iff_minimal_fibers():
         for p in points:
             frame = point_frame(spec, p)
             tension_max = max(tension_max,
-                              frame.g_target.norm(tension_from_frame(frame)))
+                              frame.g_target.norm(frame.tension))
             fiber_max = max(fiber_max,
-                            frame.g_target.norm(fiber_mean_curvature(spec, p)))
+                            frame.g_target.norm(frame.fiber_mean_curvature))
         harmonic = tension_max <= 1e-8
         minimal = fiber_max <= 1e-8
         assert harmonic == minimal, catalog_id

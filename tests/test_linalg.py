@@ -23,6 +23,12 @@ def test_inner_product_rejects_bad_matrices():
         InnerProduct(np.zeros((2, 2)))
 
 
+def test_inner_product_rejects_non_finite_matrices():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(MetricError, match="non-finite"):
+            InnerProduct([[bad, 0.0], [0.0, 1.0]])
+
+
 def test_gram_schmidt_euclidean():
     ip = InnerProduct(np.eye(2))
     basis = gram_schmidt([[1.0, 0.0], [1.0, 1.0]], ip)

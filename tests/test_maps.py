@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from slantmap.catalog import load_catalog
+import slantmap
+from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
 from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
                            check_sff_range_perp, differential,
-                           fiber_mean_curvature, is_riemannian_map, map_point,
-                           point_frame, s_v_operator, second_fundamental_form,
-                           tension_field, tension_from_frame)
+                           is_riemannian_map, map_point, point_frame,
+                           second_fundamental_form, tension_field)
+from slantmap.slant import (adapted_frame, point_operators, q_matrix,
+                            q_operator, slant_angle)
 from oracles import fd_sff
 
 EUCLIDEAN_2 = ChartManifold.euclidean(2)
@@ -169,7 +171,7 @@ def test_tension_splits_into_fiber_and_horizontal_trace(sample_box):
     spec = load_catalog("warped_fiber")
     for p in sample_box(spec.box, 5, 36):
         frame = point_frame(spec, p)
-        tau = tension_from_frame(frame)
+        tau = frame.tension
         kernel = frame.split.kernel.columns
         horizontal = frame.split.horizontal.columns
         parts = np.zeros_like(tau)
@@ -182,13 +184,12 @@ def test_tension_splits_into_fiber_and_horizontal_trace(sample_box):
 def test_s_v_operator_example4_zero(example4):
     frame = point_frame(example4, np.zeros(4))
     V = frame.split.range_perp.columns[:, 0]
-    np.testing.assert_allclose(s_v_operator(example4, np.zeros(4), V), 0.0,
-                               atol=1e-14)
+    np.testing.assert_allclose(frame.s_v(V), 0.0, atol=1e-14)
 
 
 def test_s_v_operator_zero_vector(example4):
     np.testing.assert_array_equal(
-        s_v_operator(example4, np.zeros(4), np.zeros(4)), np.zeros((2, 2)))
+        point_frame(example4, np.zeros(4)).s_v(np.zeros(4)), np.zeros((2, 2)))
 
 
 def test_s_v_operator_projects_small_range_component():
@@ -196,9 +197,9 @@ def test_s_v_operator_projects_small_range_component():
     p = np.array([0.2, -0.4])
     frame = point_frame(spec, p)
     V = frame.split.range_perp.columns[:, 0]
-    clean = s_v_operator(spec, p, V)
+    clean = frame.s_v(V)
     stray = V + 1e-11 * frame.split.range.columns[:, 0]
-    repaired = s_v_operator(spec, p, stray)
+    repaired = frame.s_v(stray)
     np.testing.assert_allclose(repaired, clean, atol=1e-9)
 
 
@@ -206,7 +207,7 @@ def test_s_v_operator_rejects_range_vector(example4):
     frame = point_frame(example4, np.zeros(4))
     inside = frame.split.range.columns[:, 0]
     with pytest.raises(ValueError, match="range component"):
-        s_v_operator(example4, np.zeros(4), inside)
+        frame.s_v(inside)
 
 
 def test_s_v_operator_curved_target_matches_gram_oracle(sample_box):
@@ -214,7 +215,7 @@ def test_s_v_operator_curved_target_matches_gram_oracle(sample_box):
     for p in sample_box(spec.box, 4, 37):
         frame = point_frame(spec, p)
         V = frame.split.range_perp.columns[:, 0]
-        S = s_v_operator(spec, p, V)
+        S = frame.s_v(V)
         # oracle: assemble from raw sff values
         h = frame.split.horizontal.columns
         expected = np.array([
@@ -233,7 +234,7 @@ def test_s_v_pairing_identity(sample_box):
         frame = point_frame(spec, p)
         h = frame.split.horizontal.columns
         V = frame.split.range_perp.columns[:, 1]
-        S = s_v_operator(spec, p, V)
+        S = frame.s_v(V)
         for _ in range(4):
             a = gen.standard_normal(frame.rank)
             b = gen.standard_normal(frame.rank)
@@ -246,27 +247,28 @@ def test_s_v_pairing_identity(sample_box):
 
 def test_fiber_mean_curvature_example4(example4):
     np.testing.assert_allclose(
-        fiber_mean_curvature(example4, np.zeros(4)), 0.0, atol=1e-14)
+        point_frame(example4, np.zeros(4)).fiber_mean_curvature, 0.0,
+        atol=1e-14)
 
 
 def test_fiber_mean_curvature_compose_slant_minimal(sample_box):
     spec = load_catalog("compose_slant(alpha=0.9)")
     for p in sample_box(spec.box, 5, 39):
-        assert np.abs(fiber_mean_curvature(spec, p)).max() <= 1e-12
+        assert np.abs(point_frame(spec, p).fiber_mean_curvature).max() <= 1e-12
 
 
 def test_fiber_mean_curvature_warped_fiber_pinned(sample_box):
     # the sheared warp makes the fiber curvature the first coordinate vector
     spec = load_catalog("warped_fiber")
     for p in sample_box(spec.box, 5, 40):
-        np.testing.assert_allclose(fiber_mean_curvature(spec, p),
+        np.testing.assert_allclose(point_frame(spec, p).fiber_mean_curvature,
                                    [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_fiber_mean_curvature_immersion_errors():
     spec = load_catalog("anti_invariant")
     with pytest.raises(MapDefinitionError, match="immersion"):
-        fiber_mean_curvature(spec, np.zeros(2))
+        point_frame(spec, np.zeros(2)).fiber_mean_curvature
 
 
 def test_map_point_evaluates_components(example4):
@@ -274,3 +276,46 @@ def test_map_point_evaluates_components(example4):
     image = map_point(example4, p)
     np.testing.assert_allclose(
         image, [0.5, 3 / np.sqrt(3), 3 / np.sqrt(6), 0.0], atol=1e-14)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:  # adapted_frame on an anti-invariant map
+        return str(exc)
+
+
+def test_kept_wrappers_return_their_frame_members(sample_box):
+    # the (spec, p, ...) functions the benchmark traces by name stay as
+    # wrappers; each must give exactly what its PointFrame member gives
+    for catalog_id in catalog_ids():
+        spec = load_catalog(catalog_id)
+        for p in sample_box(spec.box, 3, 42):
+            frame = point_frame(spec, p)
+            h = frame.split.horizontal.columns
+            X, Y = h[:, 0], h @ np.arange(1.0, frame.rank + 1)
+            pairs = [
+                (map_point(spec, p), frame.image),
+                (differential(spec, p), frame.jacobian),
+                (second_fundamental_form(spec, p, X, Y), frame.sff_value(X, Y)),
+                (tension_field(spec, p), frame.tension),
+                (q_operator(spec, p), frame.q),
+                (q_matrix(frame), frame.q),
+                (slant_angle(spec, p, Y), frame.slant_angle(Y)),
+                (_outcome(lambda: adapted_frame(spec, p)),
+                 _outcome(frame.adapted_frame)),
+            ]
+            for theta in (None, 0.3):
+                ops = point_operators(spec, p, theta=theta)
+                members = frame.operators(theta)
+                pairs += [(getattr(ops, f), getattr(members, f))
+                          for f in vars(members)]
+            for wrapped, member in pairs:
+                assert type(wrapped) is type(member), catalog_id
+                assert np.array_equal(wrapped, member), catalog_id
+
+
+def test_every_exported_name_resolves():
+    assert len(set(slantmap.__all__)) == len(slantmap.__all__)
+    for name in slantmap.__all__:
+        assert hasattr(slantmap, name), name

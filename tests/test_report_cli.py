@@ -17,7 +17,7 @@ from slantmap.cli import main
 from slantmap.loader import (AnalysisSettings, LoadedMap, MapSpecError,
                              load_map_spec, map_spec_from_json)
 from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
-                             run_analysis)
+                             run_analysis, sample_points)
 from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
@@ -401,6 +401,55 @@ def test_frame_failure_on_part_of_the_box(case, tmp_path, capsys):
         single = json.loads(capsys.readouterr().out)["checks"]
         assert [(c["status"], c.get("reason")) for c in single] == [(status, reason)]
         assert code == (1 if status == "error" else 0)
+
+
+# exp(exp(exp(-8*x1))) overflows at the third sample point of the box (x1 near
+# -0.26) and at neither of the first two, where 0 * it is exactly 0: each
+# route below is the minimal map there and NaN from the third point on.
+OVERFLOW = "0*exp(exp(exp(-8*x1)))"
+OVERFLOW_ORIGIN = "exp(exp(exp(-8.0 * x1)))"
+STANDARD_J = MINIMAL_SPEC["target"]["J"]
+NON_FINITE = {
+    "component": {"components": [f"x1 + {OVERFLOW}", "0", "x2", "0"]},
+    "metric_entry": {"source": {"dim": 2,
+                                "metric": [[f"1 + {OVERFLOW}", "0"], ["0", "1"]]}},
+    "j_entry": {"target": {"dim": 4, "J": [[STANDARD_J[0][0], f"-1 + {OVERFLOW}",
+                                            *STANDARD_J[0][2:]], *STANDARD_J[1:]]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_value_on_part_of_the_box(case, tmp_path, capsys):
+    # an overflow fails with the point and the innermost non-finite
+    # subexpression, where the frame (or F itself) is first evaluated there;
+    # the J entry is evaluated at the image point
+    box = [[-0.5, 2.0], [-1.0, 1.0]]
+    doc = dict(MINIMAL_SPEC, domain={"box": box}, sampling={"points": 6},
+               **NON_FINITE[case])
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    x1, x2 = (float(x) for x in sample_points(box, 6, 42)[2])
+    point = [x1, 0.0, x2, 0.0] if case == "j_entry" else [x1, x2]
+    reason = (f"ExpressionDomainError: non-finite value at point {point} in "
+              f"subexpression '{OVERFLOW_ORIGIN}'")
+    target_checks = {
+        "component": {"almost_hermitian": ("error", reason),
+                      "kahler": ("error", reason)},
+        "metric_entry": {"almost_hermitian": ("pass", None),
+                         "kahler": ("pass", None)},
+        "j_entry": {"almost_hermitian": ("error", reason),
+                    "kahler": ("skipped", "target is not almost Hermitian")},
+    }[case]
+    expected = _straddling_outcomes(target_checks, reason)
+    with pytest.warns(RuntimeWarning):  # numpy's overflow in exp, 0 * inf
+        report = run_analysis(load_map_spec(str(path)))
+        assert report.slant is None
+        assert {c.name: (c.status, c.reason) for c in report.checks} == expected
+        for name, entry in expected.items():
+            code = main(["check", name, "--map", str(path)])
+            single = json.loads(capsys.readouterr().out)["checks"]
+            assert [(c["status"], c.get("reason")) for c in single] == [entry]
+            assert code == (1 if entry[0] == "error" else 0)
 
 
 def test_report_serialization_deterministic():

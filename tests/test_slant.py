@@ -6,17 +6,15 @@ import pytest
 from oracles import fd_pullback_derivative, fd_source_derivative
 from slantmap.catalog import load_catalog
 from slantmap.charts import ChartManifold
-from slantmap.maps import MapSpec, Sample, point_frame
-from slantmap.slant import (adapted_frame, bc_decompose, check_adapted_frame,
+from slantmap.maps import MapSpec, Sample, point_frame, section_derivatives
+from slantmap.slant import (adapted_frame, check_adapted_frame,
                             check_harmonic_minimal_equivalence,
                             check_lambda_mu_consistency,
                             check_omega_defect_identity, check_phwc,
                             check_pseudo_homothetic, check_sff_q_scaling,
                             check_totally_geodesic, classify_slant,
-                            omega_defect_algebraic, omega_parallel_defect,
-                            phi_omega_decompose, phi_parallel_defect,
-                            point_operators, q_apply, q_operator,
-                            section_derivatives, slant_angle)
+                            omega_defect_algebraic, point_operators,
+                            q_operator, slant_angle)
 
 EX4_THETA = math.acos(math.sqrt(2.0 / 3.0))
 
@@ -34,7 +32,7 @@ def points_for(spec, count, seed):
 
 def test_phi_omega_example4_split(example4):
     p = np.array([0.1, -0.2, 0.3, 0.4])
-    phi, omega = phi_omega_decompose(example4, p, [1.0, 0.0, 0.0, 0.0])
+    phi, omega = point_frame(example4, p).phi_omega([1.0, 0.0, 0.0, 0.0])
     assert phi @ phi == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert omega @ omega == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -46,7 +44,7 @@ def test_phi_omega_invariant_map_no_normal_part():
         p = gen.uniform(-1, 1, 3)
         X = gen.standard_normal(3)
         X[2] = 0.0  # horizontal: kernel is the third coordinate
-        phi, omega = phi_omega_decompose(spec, p, X)
+        phi, omega = point_frame(spec, p).phi_omega(X)
         assert np.abs(omega).max() <= 1e-14
         np.testing.assert_allclose(phi, [-X[1], X[0], 0, 0], atol=1e-14)
 
@@ -56,7 +54,7 @@ def test_phi_omega_anti_invariant_map_no_tangential_part():
     gen = np.random.default_rng(42)
     for _ in range(4):
         X = gen.standard_normal(2)
-        phi, omega = phi_omega_decompose(spec, gen.uniform(-1, 1, 2), X)
+        phi, omega = point_frame(spec, gen.uniform(-1, 1, 2)).phi_omega(X)
         assert np.abs(phi).max() <= 1e-14
         assert omega @ omega == pytest.approx(X @ X, abs=1e-12)
 
@@ -68,7 +66,7 @@ def test_bc_invariant_map_b_vanishes():
     frame = point_frame(spec, np.zeros(3))
     for v_idx in range(2):
         V = frame.split.range_perp.columns[:, v_idx]
-        b, c = bc_decompose(spec, np.zeros(3), V)
+        b, c = frame.bc(V)
         assert np.abs(b).max() <= 1e-14
         assert c @ c == pytest.approx(V @ V, abs=1e-12)
 
@@ -77,13 +75,13 @@ def test_bc_anti_invariant_direct_projection():
     spec = load_catalog("anti_invariant")
     p = np.zeros(2)
     # V = J e1' = e2': B V = -e1'
-    b, c = bc_decompose(spec, p, [0.0, 1.0, 0.0, 0.0])
+    b, c = point_frame(spec, p).bc([0.0, 1.0, 0.0, 0.0])
     np.testing.assert_allclose(b, [-1.0, 0.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(c, 0.0, atol=1e-14)
 
 
 def test_bc_zero_vector(example4):
-    b, c = bc_decompose(example4, np.zeros(4), np.zeros(4))
+    b, c = point_frame(example4, np.zeros(4)).bc(np.zeros(4))
     assert not b.any() and not c.any()
 
 
@@ -306,13 +304,13 @@ def test_section_derivatives_match_finite_difference_oracle(map_name):
                     Y = h[:, b]
 
                     def phi(q):
-                        return phi_omega_decompose(spec, q, Y)[0]
+                        return point_frame(spec, q).phi_omega(Y)[0]
 
                     def omega(q):
-                        return phi_omega_decompose(spec, q, Y)[1]
+                        return point_frame(spec, q).phi_omega(Y)[1]
 
                     def qy(q):
-                        return q_apply(point_frame(spec, q), Y)
+                        return point_frame(spec, q).adjoint_phi @ Y
 
                     for derivative, oracle in (
                             (exact.phi[a] @ Y,
@@ -338,7 +336,7 @@ def test_rank4_into_c3_is_direction_dependent():
 def test_omega_defect_zero_on_flat_catalog(example4):
     frame = point_frame(example4, np.zeros(4))
     h = frame.split.horizontal.columns
-    defect = omega_parallel_defect(example4, np.zeros(4), h[:, 0], h[:, 1])
+    defect = section_derivatives(frame, h[:, :1]).omega_defect[0] @ h[:, 1]
     assert np.abs(defect).max() <= 1e-12
 
 
@@ -381,12 +379,12 @@ def test_omega_defect_identity_on_curved_target():
 def test_phi_defect_zero_on_linear_catalog(example4):
     frame = point_frame(example4, np.zeros(4))
     h = frame.split.horizontal.columns
-    defect = phi_parallel_defect(example4, np.zeros(4), h[:, 0], h[:, 1])
+    defect = section_derivatives(frame, h[:, :1]).phi_defect[0] @ h[:, 1]
     assert np.abs(defect).max() <= 1e-12
     invariant = load_catalog("invariant")
     fr2 = point_frame(invariant, np.zeros(3))
     h2 = fr2.split.horizontal.columns
-    defect = phi_parallel_defect(invariant, np.zeros(3), h2[:, 0], h2[:, 1])
+    defect = section_derivatives(fr2, h2[:, :1]).phi_defect[0] @ h2[:, 1]
     assert np.abs(defect).max() <= 1e-12
 
 
@@ -402,15 +400,14 @@ def test_phi_defect_matches_finite_difference_route(catalog_id):
         for a in range(2):
             for b in range(2):
                 X, Y = h[:, a], h[:, b]
-                defect = phi_parallel_defect(spec, p, X, Y)
-                from slantmap.slant import q_apply
+                defect = (section_derivatives(frame, X[:, None]).phi_defect[0]
+                          @ Y)
                 def qy_section(q):
-                    return q_apply(point_frame(spec, q), Y)
+                    return point_frame(spec, q).adjoint_phi @ Y
                 dq = (qy_section(p + h_step * X) - qy_section(p - h_step * X)
                       ) / (2 * h_step)
-                nabla_qy = dq + frame.covariant_source(X, q_apply(frame, Y))
-                phi_nab, _ = phi_omega_decompose(
-                    spec, p, frame.covariant_source(X, Y))
+                nabla_qy = dq + frame.covariant_source(X, frame.adjoint_phi @ Y)
+                phi_nab, _ = frame.phi_omega(frame.covariant_source(X, Y))
                 oracle = frame.pushforward(nabla_qy) - phi_nab
                 assert np.abs(defect - oracle).max() <= 1e-8
 
@@ -448,7 +445,6 @@ def test_phi_defect_range_expansion_identity():
     # on parallel-structure targets the phi defect equals
     # B(sff(X, Y)) + S_{omega F_*Y} F_*X; on kahler_twist both sides hold
     # nonzero ingredients that must cancel exactly
-    from slantmap.slant import tangential_part
     for catalog_id in ("example4", "compose_slant", "warped_fiber",
                        "kahler_twist"):
         spec = load_catalog(catalog_id)
@@ -462,9 +458,9 @@ def test_phi_defect_range_expansion_identity():
                     X, Y = h[:, a], h[:, b]
                     lhs = frame.phi_defects[a, :, b]
                     sff_xy = frame.sff_value(X, Y)
-                    normal = sff_xy - tangential_part(frame, sff_xy)
-                    b_part = tangential_part(frame, J @ normal)
-                    _, omega_y = phi_omega_decompose(spec, p, Y)
+                    normal = sff_xy - frame.tangential(sff_xy)
+                    b_part = frame.tangential(J @ normal)
+                    _, omega_y = frame.phi_omega(Y)
                     shape = sum(
                         frame.g_target.inner(omega_y,
                                              frame.sff_value(X, h[:, c]))
@@ -506,8 +502,8 @@ def test_gram_identities_for_slant_maps():
             for _ in range(4):
                 ca, cb = gen.standard_normal(2), gen.standard_normal(2)
                 X, Y = h @ ca, h @ cb
-                phix, omx = phi_omega_decompose(spec, p, X)
-                phiy, omy = phi_omega_decompose(spec, p, Y)
+                phix, omx = frame.phi_omega(X)
+                phiy, omy = frame.phi_omega(Y)
                 g1xy = frame.g_source.inner(X, Y)
                 tangential = frame.g_target.inner(phix, phiy)
                 normal = frame.g_target.inner(omx, omy)
@@ -600,7 +596,6 @@ def test_pairing_expansion_identity_on_kahler_targets():
     # connection terms and the shape-operator pairing; kahler_twist keeps all
     # terms away from zero
     from oracles import fd_pullback_derivative
-    from slantmap.slant import bc_from_frame, normal_part, q_apply
     for catalog_id, theta in (("kahler_twist", 0.6), ("example4", EX4_THETA),
                               ("warped_fiber", math.pi / 4)):
         spec = load_catalog(catalog_id)
@@ -615,23 +610,23 @@ def test_pairing_expansion_identity_on_kahler_targets():
                 X = h[:, a]
                 for b in range(frame.rank):
                     Y = h[:, b]
-                    _, omega_y = phi_omega_decompose(spec, p, Y)
-                    qy = q_apply(frame, Y)
+                    _, omega_y = frame.phi_omega(Y)
+                    qy = frame.adjoint_phi @ Y
 
                     def perp_deriv(vec):
                         def section(q):
                             fq = point_frame(spec, q)
                             w = fq.complex_structure @ fq.pushforward(vec)
-                            return normal_part(fq, w)
-                        return normal_part(
-                            frame, fd_pullback_derivative(frame, X, section))
+                            return fq.normal(w)
+                        return frame.normal(
+                            fd_pullback_derivative(frame, X, section))
 
                     n_y = perp_deriv(Y)
                     n_qy = perp_deriv(qy)
                     sff_xy = frame.sff_value(X, Y)
                     for v in range(perp.shape[1]):
                         V = perp[:, v]
-                        bv, cv = bc_from_frame(frame, V)
+                        bv, cv = frame.bc(V)
                         lhs = sin2 * frame.g_target.inner(sff_xy, V)
                         shape = sum(
                             frame.g_target.inner(bv, pushed[:, c])
