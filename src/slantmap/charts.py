@@ -1,8 +1,8 @@
 """Coordinate charts: metric fields, Levi-Civita connection, complex structures.
 
 A chart is a single global coordinate patch.  Metric and complex-structure
-entries are DSL expressions evaluated with jets, so Christoffel symbols use
-exact derivatives rather than finite differences.
+entries are DSL expressions evaluated with jets; one metric jet per point
+gives the metric and, with exact derivatives, its Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expressions import (Expression, all_finite, eval_jet2, eval_jets,
-                          non_finite_error, parse_expression)
+from .expressions import Expression, eval_jets, parse_expression
+from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import InnerProduct, MetricError
 from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
 
@@ -59,11 +59,20 @@ class ChartManifold:
     def metric_values(self, p) -> np.ndarray:
         return _matrix_values(self.metric, p)
 
-    def metric_at(self, p) -> InnerProduct:
+    def metric_at(self, p) -> tuple[InnerProduct, np.ndarray]:
+        """The metric at p and its Christoffel symbols, from one jet of the
+        upper triangle (``from_strings`` makes the metric symmetric)."""
+        n = self.dim
+        upper = np.triu_indices(n)
+        values, grads = eval_jets([self.metric[i][j] for i, j in zip(*upper)], p, 1)
+        G, dG = np.empty((n, n)), np.empty((n, n, n))  # dG[i, j, l] = d_l g_ij
+        G[upper] = G[upper[::-1]] = values
+        dG[upper] = dG[upper[::-1]] = grads
         try:
-            return InnerProduct(self.metric_values(p))
+            ip = InnerProduct(G)
         except MetricError as exc:
             raise ChartError(f"metric is not positive definite at {list(p)}: {exc}")
+        return ip, christoffel(ip.matrix, dG)
 
     def complex_structure_at(self, p) -> np.ndarray:
         if self.complex_structure is None:
@@ -98,31 +107,13 @@ def _matrix_jet(entries, p):
     return values.reshape(dim, dim), grads.T.reshape(-1, dim, dim)
 
 
-def christoffel(chart: ChartManifold, p) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma[k, i, j] at p.
-
-    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with metric
-    derivatives taken from jets.  The result is exactly symmetric in (i, j).
-    """
-    n = chart.dim
-    values = np.empty((n, n))
-    grads = np.empty((n, n, n))  # grads[i, j, l] = d_l g_ij
-    for i in range(n):
-        for j in range(i, n):
-            jet = eval_jet2(chart.metric[i][j], p)
-            values[i, j] = values[j, i] = jet.value
-            grads[i, j] = grads[j, i] = jet.grad
-    if not (all_finite(values) and all_finite(grads)):
-        raise non_finite_error([chart.metric[i][j] for i in range(n)
-                                for j in range(i, n)], p, 1)
-    try:
-        ip = InnerProduct(values)
-    except MetricError as exc:
-        raise ChartError(f"metric is not positive definite at {list(p)}: {exc}")
-    inverse = np.linalg.inv(ip.matrix)
+def christoffel(G, dG) -> np.ndarray:
+    """Levi-Civita symbols Gamma[k, i, j] of the metric matrix G with
+    derivatives dG[i, j, l] = d_l g_ij (symmetric in i, j, and so is Gamma):
+    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+    inverse = np.linalg.inv(G)
     # lower[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    lower = (np.transpose(grads, (2, 0, 1)) + np.transpose(grads, (0, 2, 1))
-             - grads)
+    lower = np.transpose(dG, (2, 0, 1)) + np.transpose(dG, (0, 2, 1)) - dG
     return 0.5 * np.einsum("kl,ijl->kij", inverse, lower)
 
 
@@ -175,8 +166,7 @@ def check_kahler(chart: ChartManifold, points, dirs: int = 4,
     residuals = []  # (residual, point, fields) per point
     direction_max = 0.0
     for p in points:
-        gamma = christoffel(chart, p)
-        ip = InnerProduct(chart.metric_values(p))
+        ip, gamma = chart.metric_at(p)
         G = ip.matrix
         J, dJ = chart.complex_structure_jet(p)
         nabla = (dJ + np.einsum("aic,cb->iab", gamma, J)

@@ -363,23 +363,21 @@ def eval_jet2(expr: Expression, p) -> Jet2:
     return _jet(expr.root, point, expr.dim)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def eval_jets(expressions, p, order: int) -> list:
     """The values (k,) and, up to derivative ``order``, the gradients (k, n)
     and Hessians (k, n, n) of k expressions at p.  Each array is tested with
-    one np.isfinite; a non-finite entry raises ``non_finite_error``."""
+    one np.isfinite (count_nonzero is cheaper than .all() on small arrays);
+    a non-finite entry raises ``non_finite_error``."""
     jets = [eval_jet2(e, p) for e in expressions]
     arrays = [np.array([getattr(jet, part) for jet in jets])
               for part in ("value", "grad", "hess")[:order + 1]]
-    if not all(map(all_finite, arrays)):
+    if any(np.count_nonzero(np.isfinite(a)) < a.size for a in arrays):
         raise non_finite_error(expressions, p, order)
     return arrays
 
 
-def all_finite(array: np.ndarray) -> bool:
-    """Whether every entry is finite (cheaper than .all() on small arrays)."""
-    return np.count_nonzero(np.isfinite(array)) == array.size
-
-
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def non_finite_error(expressions, p, order: int) -> ExpressionDomainError:
     """The error for a non-finite jet of ``expressions`` at p up to derivative
     ``order`` (0 values, 1 gradients, 2 Hessians): it names the point and the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -52,11 +53,17 @@ def _expect(condition: bool, pointer: str, message: str) -> None:
         raise MapSpecError(pointer, message)
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """A finite JSON number of ``kind``; NaN, Infinity, true, false are not."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _chart_from_json(doc: dict, pointer: str) -> ChartManifold:
     _expect(isinstance(doc, dict), pointer, "must be an object")
     _expect("dim" in doc, pointer + "/dim", "missing")
     dim = doc["dim"]
-    _expect(isinstance(dim, int) and dim >= 1, pointer + "/dim",
+    _expect(_is_number(dim, int) and dim >= 1, pointer + "/dim",
             "must be a positive integer")
     metric = doc.get("metric")
     if metric is not None:
@@ -81,11 +88,11 @@ def set_setting(settings: AnalysisSettings, attr: str, value,
     ``where`` (a JSON pointer or a flag) locates a bad value in the error."""
     if attr in ("points", "dirs", "seed"):
         least = 0 if attr == "seed" else 1  # numpy seeds must not be negative
-        _expect(isinstance(value, int) and value >= least, where,
+        _expect(_is_number(value, int) and value >= least, where,
                 f"must be an integer >= {least}")
     else:
-        _expect(isinstance(value, (int, float)) and value > 0, where,
-                "must be a positive number")
+        _expect(_is_number(value) and value > 0, where,
+                "must be a positive finite number")
         value = float(value)
     setattr(settings, attr, value)
 
@@ -129,6 +136,9 @@ def map_spec_from_json(doc: dict, name: str = "") -> LoadedMap:
         _expect(isinstance(box, list) and len(box) == source.dim and
                 all(isinstance(b, list) and len(b) == 2 for b in box),
                 "/domain/box", "must list [lo, hi] per source coordinate")
+        for i, (lo, hi) in enumerate(box):
+            _expect(_is_number(lo) and _is_number(hi) and lo < hi,
+                    f"/domain/box/{i}", "must be finite numbers lo < hi")
     try:
         spec = MapSpec.create(source, target, components, box, name=name)
     except (MapDefinitionError, ExpressionSyntaxError) as exc:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charts import ChartError, ChartManifold, christoffel, metric_derivative
+from .charts import ChartError, ChartManifold, metric_derivative
 from .expressions import Expression, eval_jet2, eval_jets, parse_expression
 from .linalg import (InnerProduct, TangentSplit, metric_adjoint,
                      metric_adjoint_derivative, range_projector,
@@ -308,11 +308,9 @@ def _bilinear(tensor, X, Y) -> np.ndarray:
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
     point = np.asarray(p, dtype=float)
     image, jac, hess = eval_jets(spec.components, point, 2)
-    g1 = spec.source.metric_at(point)
-    g2 = spec.target.metric_at(image)
+    g1, gamma1 = spec.source.metric_at(point)
+    g2, gamma2 = spec.target.metric_at(image)
     split = split_tangent(jac, g1, g2, rank_tol)
-    gamma1 = christoffel(spec.source, point)
-    gamma2 = christoffel(spec.target, image)
     sff = (hess - np.einsum("kij,gk->gij", gamma1, jac)
            + np.einsum("gab,ai,bj->gij", gamma2, jac, jac))
     J = dJ = None

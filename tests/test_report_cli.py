@@ -101,6 +101,38 @@ def test_map_spec_bad_schema():
         map_spec_from_json(bad)
 
 
+NOT_NUMBERS = {
+    "box_string": ({"domain": {"box": [["a", 1], [-1, 1]]}}, "/domain/box/0"),
+    "box_nan": ({"domain": {"box": [[-1, 1], [math.nan, 1]]}}, "/domain/box/1"),
+    "box_infinity": ({"domain": {"box": [[-1, math.inf], [-1, 1]]}},
+                     "/domain/box/0"),
+    "box_true": ({"domain": {"box": [[-1, True], [-1, 1]]}}, "/domain/box/0"),
+    "box_reversed": ({"domain": {"box": [[-1, 1], [1, -1]]}}, "/domain/box/1"),
+    "dim_true": ({"source": {"dim": True}}, "/source/dim"),
+    "points_true": ({"sampling": {"points": True}}, "/sampling/points"),
+    "check_tol_true": ({"tolerances": {"check": True}}, "/tolerances/check"),
+    "check_tol_infinity": ({"tolerances": {"check": math.inf}},
+                           "/tolerances/check"),
+    "rank_tol_nan": ({"tolerances": {"rank": math.nan}}, "/tolerances/rank"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_NUMBERS))
+def test_map_spec_rejects_non_numbers(case, tmp_path, capsys):
+    # json reads NaN and Infinity, and bool is an int in Python: none of
+    # them is a number here, and each names its JSON pointer (exit 2)
+    overrides, pointer = NOT_NUMBERS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(dict(MINIMAL_SPEC, **overrides)))
+    with pytest.raises(MapSpecError) as err:
+        load_map_spec(str(path))
+    assert err.value.pointer == pointer
+    assert main(["analyze", "--map", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {pointer}: must be")
+
+
 def test_map_spec_sampling_and_tolerances():
     doc = dict(MINIMAL_SPEC)
     doc["sampling"] = {"points": 7, "dirs": 3, "seed": 5}
@@ -315,12 +347,25 @@ def test_tol_reaches_every_check(tol, capsys):
 
 @pytest.mark.parametrize("name, frames", [("kahler", 0),
                                           ("riemannian_map", 5)])
-def test_single_check_frame_budget(frame_builds, capsys, name, frames):
-    # kahler reads only the image points; riemannian_map one frame per point
+def test_single_check_frame_budget(frame_builds, monkeypatch, capsys, name,
+                                   frames):
+    # kahler reads only the image points; riemannian_map one frame per point.
+    # Each chart's metric is evaluated once per point it is needed at: once
+    # per image for kahler, once per chart (source and target) per frame.
+    metrics = []
+    original = slantmap.linalg.InnerProduct.__init__
+
+    def counted(self, *args, **kwargs):
+        metrics.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(slantmap.linalg.InnerProduct, "__init__", counted)
+    samples = 5
     assert main(["check", name, "--map", "catalog:warped_fiber",
-                 "--samples", "5"]) == 0
+                 "--samples", str(samples)]) == 0
     assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == name
     assert len(frame_builds) == frames
+    assert len(metrics) == (2 * frames if frames else samples)
 
 
 @pytest.mark.parametrize("catalog_id", catalog_ids())
@@ -441,15 +486,38 @@ def test_non_finite_value_on_part_of_the_box(case, tmp_path, capsys):
                     "kahler": ("skipped", "target is not almost Hermitian")},
     }[case]
     expected = _straddling_outcomes(target_checks, reason)
-    with pytest.warns(RuntimeWarning):  # numpy's overflow in exp, 0 * inf
-        report = run_analysis(load_map_spec(str(path)))
-        assert report.slant is None
-        assert {c.name: (c.status, c.reason) for c in report.checks} == expected
-        for name, entry in expected.items():
-            code = main(["check", name, "--map", str(path)])
-            single = json.loads(capsys.readouterr().out)["checks"]
-            assert [(c["status"], c.get("reason")) for c in single] == [entry]
-            assert code == (1 if entry[0] == "error" else 0)
+    # numpy's overflow in exp and 0 * inf are reported by the entries alone:
+    # a RuntimeWarning would fail the test (filterwarnings in pyproject.toml)
+    report = run_analysis(load_map_spec(str(path)))
+    assert report.slant is None
+    assert {c.name: (c.status, c.reason) for c in report.checks} == expected
+    for name, entry in expected.items():
+        code = main(["check", name, "--map", str(path)])
+        single = json.loads(capsys.readouterr().out)["checks"]
+        assert [(c["status"], c.get("reason")) for c in single] == [entry]
+        assert code == (1 if entry[0] == "error" else 0)
+
+
+def test_cli_overflow_leaves_stderr_empty(tmp_path):
+    # the located entry is the whole report of an overflow: numpy's
+    # RuntimeWarnings must not reach stderr of the console script
+    doc = dict(MINIMAL_SPEC, source={"dim": 1}, domain={"box": [[-1.0, 2.0]]},
+               components=["exp(exp(exp(3*x1)))", "0", "0", "0"])
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(slantmap.__file__).resolve().parent.parent))
+    run = subprocess.run([sys.executable, "-m", "slantmap.cli", "check",
+                          "riemannian_map", "--map", str(path)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 1
+    assert run.stderr == ""
+    (entry,) = json.loads(run.stdout)["checks"]
+    assert entry["status"] == "error"
+    assert entry["reason"].startswith(
+        "ExpressionDomainError: non-finite value at point [")
+    assert entry["reason"].endswith(
+        "in subexpression 'exp(exp(exp(3.0 * x1)))'")
 
 
 def test_report_serialization_deterministic():
@@ -542,7 +610,7 @@ def test_cli_single_check(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--dirs", "0"),
                                          ("--tol", "-1"), ("--rank-tol", "0"),
-                                         ("--seed", "-1")])
+                                         ("--seed", "-1"), ("--tol", "inf")])
 def test_cli_rejects_bad_overrides(command, flag, value, capsys):
     # overrides follow the spec file's rules: exit 2 and name the flag
     code = main(command + ["--map", "catalog:example4", flag, value])
