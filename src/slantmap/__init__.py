@@ -1,7 +1,7 @@
 """Numerical analysis of Riemannian maps into almost Hermitian charts."""
 
-from .charts import (ChartError, ChartManifold, check_almost_hermitian,
-                     check_kahler, christoffel)
+from .charts import (ChartError, ChartFields, ChartManifold,
+                     check_almost_hermitian, check_kahler, christoffel)
 from .expressions import (Expression, ExpressionDomainError,
                           ExpressionSyntaxError, Jet2, eval_jet2,
                           parse_expression, to_text)
@@ -19,7 +19,8 @@ from .slant import (SlantReport, adapted_frame, classify_slant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisSettings", "ChartError", "ChartManifold", "CheckResult",
+    "AnalysisSettings", "ChartError", "ChartFields", "ChartManifold",
+    "CheckResult",
     "Expression", "ExpressionDomainError", "ExpressionSyntaxError",
     "InnerProduct", "Jet2", "LoadedMap", "MapDefinitionError", "MapSpec",
     "MapSpecError", "MetricError", "PointFrame", "PointOperators", "Report",

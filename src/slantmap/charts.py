@@ -3,11 +3,14 @@
 A chart is a single global coordinate patch.  Metric and complex-structure
 entries are DSL expressions evaluated with jets; one metric jet per point
 gives the metric and, with exact derivatives, its Christoffel symbols.
+``ChartFields`` holds a chart evaluated once at each point of a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -56,34 +59,62 @@ class ChartManifold:
                   ) -> "ChartManifold":
         return ChartManifold.from_strings(dim, None, complex_structure)
 
-    def metric_values(self, p) -> np.ndarray:
-        return _matrix_values(self.metric, p)
+    @cached_property
+    def _upper_triangle(self):
+        """Indices and entries of the metric's upper triangle, which
+        ``from_strings`` makes the whole metric."""
+        rows, cols = np.triu_indices(self.dim)
+        return rows, cols, [self.metric[i][j] for i, j in zip(rows, cols)]
+
+    def metric_jet(self, p):
+        """The metric G at p and its derivatives dG[i, j, l] = d_l g_ij, from
+        one jet of the upper triangle; a stack of points (N, n) gives stacks."""
+        rows, cols, entries = self._upper_triangle
+        values, grads = eval_jets(entries, p, 1)
+        lead = values.shape[:-1]
+        G, dG = np.empty(lead + (self.dim,) * 2), np.empty(lead + (self.dim,) * 3)
+        G[..., rows, cols] = G[..., cols, rows] = values
+        dG[..., rows, cols, :] = dG[..., cols, rows, :] = grads
+        return G, dG
 
     def metric_at(self, p) -> tuple[InnerProduct, np.ndarray]:
         """The metric at p and its Christoffel symbols, from one jet of the
-        upper triangle (``from_strings`` makes the metric symmetric)."""
-        n = self.dim
-        upper = np.triu_indices(n)
-        values, grads = eval_jets([self.metric[i][j] for i, j in zip(*upper)], p, 1)
-        G, dG = np.empty((n, n)), np.empty((n, n, n))  # dG[i, j, l] = d_l g_ij
-        G[upper] = G[upper[::-1]] = values
-        dG[upper] = dG[upper[::-1]] = grads
+        upper triangle; at a stack of points (N, n), the InnerProduct of the
+        stack and Gamma (N, n, n, n)."""
+        G, dG = self.metric_jet(p)
         try:
             ip = InnerProduct(G)
         except MetricError as exc:
-            raise ChartError(f"metric is not positive definite at {list(p)}: {exc}")
+            raise _metric_error(exc, p)
         return ip, christoffel(ip.matrix, dG)
 
     def complex_structure_at(self, p) -> np.ndarray:
+        """J at p (at each point of a stack): values only."""
         if self.complex_structure is None:
             raise ChartError("chart has no complex structure")
-        return _matrix_values(self.complex_structure, p)
+        return eval_jets(self._structure_entries, p, 0)[0].reshape(
+            np.shape(p)[:-1] + (self.dim, self.dim))
 
     def complex_structure_jet(self, p):
-        """J at p and its coordinate derivatives dJ[i, a, b] = d_i J^a_b."""
+        """J at p and its coordinate derivatives dJ[i, a, b] = d_i J^a_b; a
+        stack of points (N, n) gives stacks."""
         if self.complex_structure is None:
             raise ChartError("chart has no complex structure")
-        return _matrix_jet(self.complex_structure, p)
+        values, grads = eval_jets(self._structure_entries, p, 1)
+        lead = values.shape[:-1]
+        return (values.reshape(lead + (self.dim,) * 2),
+                np.swapaxes(grads, -1, -2).reshape(lead + (self.dim,) * 3))
+
+    @cached_property
+    def _structure_entries(self) -> list:
+        return [e for row in self.complex_structure for e in row]
+
+
+def _metric_error(exc: MetricError, p) -> ChartError:
+    """The error for a metric at p (at the failing point of a stack) that is
+    not positive definite."""
+    point = p if np.ndim(p) == 1 else p[exc.index]
+    return ChartError(f"metric is not positive definite at {list(point)}: {exc}")
 
 
 def _parse_matrix(entries, dim: int, what: str):
@@ -95,26 +126,17 @@ def _parse_matrix(entries, dim: int, what: str):
         for row in entries)
 
 
-def _matrix_values(entries, p) -> np.ndarray:
-    dim = len(entries)
-    return eval_jets([e for row in entries for e in row], p, 0)[0].reshape(dim, dim)
-
-
-def _matrix_jet(entries, p):
-    """Values [a, b] and coordinate derivatives [i, a, b] of a matrix field."""
-    dim = len(entries)
-    values, grads = eval_jets([e for row in entries for e in row], p, 1)
-    return values.reshape(dim, dim), grads.T.reshape(-1, dim, dim)
-
-
 def christoffel(G, dG) -> np.ndarray:
     """Levi-Civita symbols Gamma[k, i, j] of the metric matrix G with
     derivatives dG[i, j, l] = d_l g_ij (symmetric in i, j, and so is Gamma):
-    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).  Stacks of
+    matrices along leading axes give a stack of symbols."""
+    if not dG.any():  # a constant metric: exactly the zeros the formula gives
+        return np.zeros(dG.shape)
     inverse = np.linalg.inv(G)
     # lower[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    lower = np.transpose(dG, (2, 0, 1)) + np.transpose(dG, (0, 2, 1)) - dG
-    return 0.5 * np.einsum("kl,ijl->kij", inverse, lower)
+    lower = (np.moveaxis(dG, -1, -3) + np.swapaxes(dG, -1, -2)) - dG
+    return 0.5 * np.einsum("...kl,...ijl->...kij", inverse, lower)
 
 
 def metric_derivative(G, gamma, X) -> np.ndarray:
@@ -125,33 +147,117 @@ def metric_derivative(G, gamma, X) -> np.ndarray:
     return lowered + np.swapaxes(lowered, -1, -2)
 
 
-def _unit_directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    vecs = rng.standard_normal((count, dim))
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+def evaluate_prefix(evaluate, count: int):
+    """(evaluate(0, count), count, None) when it succeeds; else (evaluate(0,
+    k), k, error) for the first index k where evaluate(k, k + 1) raises
+    error.  evaluate(lo, hi) must fail exactly when it fails on one of its
+    indices alone; the failing range is bisected (None stands for an empty
+    prefix)."""
+    try:
+        return evaluate(0, count), count, None
+    except Exception as exc:
+        error = exc
+    good, bad, result = 0, count, None  # evaluate(0, bad) is known to fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            result, good = evaluate(0, mid), mid
+        except Exception:
+            bad = mid
+    try:
+        evaluate(good, good + 1)
+    except Exception as exc:
+        error = exc
+    return result, good, error
 
 
-def check_almost_hermitian(chart: ChartManifold, points,
+class ChartFields:
+    """A chart's metric and complex structure with their first derivatives
+    at each point of a stack (N, n), every entry evaluated once per point,
+    and the metric's InnerProduct and Christoffel symbols.  Each field is
+    evaluated up to the first point where it fails, and that failure, kept
+    as (index, error), is raised by whatever reads the field there."""
+
+    def __init__(self, chart: ChartManifold, points):
+        self.chart = chart
+        self.points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
+        (self.G, dG), self._metric_jet_failure = self._evaluate(chart.metric_jet)
+        # the metric up to the first point where it is not positive definite
+        self._metric_failure = self._metric_jet_failure
+        try:
+            self._ip = InnerProduct(self.G)
+        except MetricError as exc:
+            self._metric_failure = (exc.index, _metric_error(exc, self.points))
+            self._ip = InnerProduct(self.G[:exc.index])
+        self._gamma = christoffel(self._ip.matrix, dG[:len(self._ip.matrix)])
+        self._structure_failure = None
+        if chart.complex_structure is not None:
+            (self.J, self.dJ), self._structure_failure = self._evaluate(
+                chart.complex_structure_jet)
+
+    def _evaluate(self, jet):
+        """jet at the points up to its first failure, and that failure as
+        (index, error), or None."""
+        fields, count, error = evaluate_prefix(
+            lambda lo, hi: jet(self.points[lo:hi]), len(self.points))
+        return fields or jet(self.points[:0]), None if error is None else (count, error)
+
+    def metric(self, lo: int = 0, hi: Optional[int] = None):
+        """(InnerProduct, Gamma) at the points lo..hi-1 (all by default); the
+        metric's first failure before hi, of its jet or of positive
+        definiteness, is raised."""
+        hi = len(self.points) if hi is None else hi
+        _raise_first(hi, self._metric_failure)
+        return self._ip[lo:hi], self._gamma[lo:hi]
+
+    def structure(self, lo: int = 0, hi: Optional[int] = None):
+        """(J, dJ) at the points lo..hi-1 (all by default); the first failure
+        of J's jet before hi is raised."""
+        hi = len(self.points) if hi is None else hi
+        _raise_first(hi, self._structure_failure)
+        return self.J[lo:hi], self.dJ[lo:hi]
+
+
+def _raise_first(hi: int, *failures) -> None:
+    """Raise the earliest of the (index, error) failures before index hi, the
+    first one given at a tie (None stands for no failure)."""
+    found = [failure for failure in failures
+             if failure is not None and failure[0] < hi]
+    if found:
+        raise min(found, key=lambda failure: failure[0])[1]
+
+
+def check_almost_hermitian(fields: ChartFields,
                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
-    """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y)."""
-    if chart.complex_structure is None:
+    """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y) at the
+    points of ``fields``; at each point J is read before the metric."""
+    if fields.chart.complex_structure is None:
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
-    pairs = []  # (square, compatibility) residual per point
-    for p in points:
-        J = chart.complex_structure_at(p)
-        G = chart.metric_values(p)
-        pairs.append((np.linalg.norm(J @ J + np.eye(chart.dim)),
-                      np.linalg.norm(J.T @ G @ J - G)))
-    worst, witness = worst_residual((max(pair), p, {})
-                                    for p, pair in zip(points, pairs))
+    _raise_first(len(fields.points), fields._structure_failure,
+                 fields._metric_jet_failure)
+    J, G = fields.J, fields.G
+    square = _norms(J @ J + np.eye(fields.chart.dim))
+    compatibility = _norms(np.swapaxes(J, 1, 2) @ G @ J - G)
+    worst, witness = worst_residual(
+        zip(np.maximum(square, compatibility), fields.points, repeat({})))
     return CheckResult.from_residual(
-        "almost_hermitian", worst, tol, samples=len(points), witness=witness,
-        detail={"square_residual": max([0.0] + [s for s, _ in pairs]),
-                "compatibility_residual": max([0.0] + [c for _, c in pairs])})
+        "almost_hermitian", worst, tol, samples=len(fields.points),
+        witness=witness,
+        detail={"square_residual": float(square.max(initial=0.0)),
+                "compatibility_residual": float(compatibility.max(initial=0.0))})
 
 
-def check_kahler(chart: ChartManifold, points, dirs: int = 4,
+def _norms(matrices) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, summed as np.linalg.norm
+    sums one matrix."""
+    flat = matrices.reshape(len(matrices), 1, -1)
+    return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
+
+
+def check_kahler(fields: ChartFields, dirs: int = 4,
                  tol: float = DEFAULT_CHECK_TOL, seed: int = 42) -> CheckResult:
-    """Verify that the complex structure is parallel: (nabla_X J) Y = 0.
+    """Verify that the complex structure is parallel at the points of
+    ``fields``: (nabla_X J) Y = 0.
 
     (nabla_i J)^a_b = d_i J^a_b + Gamma^a_ic J^c_b - Gamma^c_ib J^a_c.  The
     residual contracts the full tensor over a metric-orthonormal frame
@@ -159,29 +265,30 @@ def check_kahler(chart: ChartManifold, points, dirs: int = 4,
     the seeded unit directions only feed the per-direction maximum reported
     in the detail block.
     """
-    if chart.complex_structure is None:
+    if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
-    n = chart.dim
-    rng = np.random.default_rng(seed)
-    residuals = []  # (residual, point, fields) per point
-    direction_max = 0.0
-    for p in points:
-        ip, gamma = chart.metric_at(p)
-        G = ip.matrix
-        J, dJ = chart.complex_structure_jet(p)
-        nabla = (dJ + np.einsum("aic,cb->iab", gamma, J)
-                 - np.einsum("ac,cib->iab", J, gamma))
-        frame = np.linalg.solve(ip.cholesky.T, np.eye(n))  # g-orthonormal
-        contracted = np.einsum("iab,ix,by->axy", nabla, frame, frame)
-        squares = np.einsum("axy,ab,bxy->", contracted, G, contracted)
-        residuals.append((float(np.sqrt(max(squares, 0.0))), p, {}))
-        directions = _unit_directions(rng, dirs, n)
-        # (nabla_X J) Y for every pair of sampled directions, one column each
-        values = np.einsum("iab,xi,yb->axy", nabla, directions, directions)
-        pair_squares = np.einsum("axy,ab,bxy->xy", values, G, values)
-        direction_max = max(direction_max, float(
-            np.sqrt(np.maximum(pair_squares, 0.0)).max(initial=0.0)))
-    worst, witness = worst_residual(residuals)
-    return CheckResult.from_residual("kahler", worst, tol,
-                                     samples=len(points), witness=witness,
-                                     detail={"direction_max": direction_max})
+    # at each point the metric is read before J
+    _raise_first(len(fields.points), fields._metric_failure,
+                 fields._structure_failure)
+    ip, gamma = fields.metric()
+    J, dJ = fields.structure()
+    G = ip.matrix
+    count, n = J.shape[:2]
+    nabla = (dJ + np.einsum("naic,ncb->niab", gamma, J)
+             - np.einsum("nac,ncib->niab", J, gamma))
+    # a g-orthonormal frame at each point; eye(n) carries a stack axis so that
+    # numpy 1.x reads it as matrices, not as a stack of vectors
+    frame = np.linalg.solve(np.swapaxes(ip.cholesky, 1, 2), np.eye(n)[None])
+    contracted = np.einsum("niab,nix,nby->naxy", nabla, frame, frame)
+    squares = np.einsum("naxy,nab,nbxy->n", contracted, G, contracted)
+    residuals = np.sqrt(np.maximum(squares, 0.0))
+    directions = np.random.default_rng(seed).standard_normal((count, dirs, n))
+    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+    # (nabla_X J) Y for every pair of sampled directions, one column each
+    values = np.einsum("niab,nxi,nyb->naxy", nabla, directions, directions)
+    pair_squares = np.einsum("naxy,nab,nbxy->nxy", values, G, values)
+    worst, witness = worst_residual(zip(residuals, fields.points, repeat({})))
+    return CheckResult.from_residual(
+        "kahler", worst, tol, samples=count, witness=witness,
+        detail={"direction_max": float(
+            np.sqrt(np.maximum(pair_squares, 0.0)).max(initial=0.0))})

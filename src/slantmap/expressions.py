@@ -15,9 +15,11 @@ Grammar (whitespace-insensitive)::
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -87,48 +89,22 @@ class Expression:
     def __str__(self) -> str:
         return to_text(self.root)
 
+    @cached_property
+    def compiled(self):
+        """The compiled form, built on first use: a float when the formula is
+        constant, else its evaluator (points, order) -> (value, grad, hess);
+        see ``_compile``."""
+        return _compile(self.root, self.dim)
+
 
 @dataclass
 class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar at a point."""
+    """Value, gradient and symmetric Hessian of a scalar at a point, or at
+    each point of a stack along a leading point axis."""
 
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-    @staticmethod
-    def constant(value: float, n: int) -> "Jet2":
-        return Jet2(float(value), np.zeros(n), np.zeros((n, n)))
-
-    @staticmethod
-    def coordinate(index: int, value: float, n: int) -> "Jet2":
-        grad = np.zeros(n)
-        grad[index - 1] = 1.0
-        return Jet2(float(value), grad, np.zeros((n, n)))
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value + other.value, self.grad + other.grad,
-                    self.hess + other.hess)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(self.value - other.value, self.grad - other.grad,
-                    self.hess - other.hess)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        cross = np.outer(self.grad, other.grad)
-        return Jet2(
-            self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-            self.value * other.hess + other.value * self.hess + cross + cross.T,
-        )
-
-    def chain(self, f: float, f1: float, f2: float) -> "Jet2":
-        """Jet of g(u) for this jet u, given g, g', g'' at u.value."""
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f, f1 * self.grad, f1 * self.hess + f2 * outer)
+    value: np.ndarray
+    grad: Optional[np.ndarray]  # None above the evaluated derivative order
+    hess: Optional[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -292,89 +268,246 @@ def to_text(node: Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Jet evaluation
+# Jet evaluation: each Expression is compiled once, on first use, into nested
+# closures over a stack of points (N, n) -- vector-mode forward
+# differentiation (Griewank & Walther, "Evaluating Derivatives", SIAM 2008,
+# ch. 3-4).  A compiled node maps (points, order) to (value, grad, hess) with
+# value (N,), grad (N, n) and hess (N, n, n); None marks a structurally zero
+# derivative or one above ``order``, and a constant value may be a float.
+# Constant subtrees are folded at compile time.  Every entry goes through the
+# same elementwise operations, in the same order, as a scalar forward jet
+# would take, so a point gives the same bits alone or in any stack.
 
-def _jet(node: Node, p: np.ndarray, n: int) -> Jet2:
-    if isinstance(node, Lit):
-        return Jet2.constant(node.value, n)
-    if isinstance(node, Var):
-        return Jet2.coordinate(node.index, p[node.index - 1], n)
-    if isinstance(node, Neg):
-        return -_jet(node.arg, p, n)
-    if isinstance(node, BinOp):
-        left = _jet(node.left, p, n)
-        right = _jet(node.right, p, n)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right.value == 0.0:
-            raise ExpressionDomainError("division by zero", to_text(node))
-        return left * _reciprocal(right)
-    if isinstance(node, Pow):
-        return _power(_jet(node.base, p, n), node.exponent, node)
-    arg = _jet(node.arg, p, n)
-    if node.name == "sqrt":
-        if arg.value < 0.0:
-            raise ExpressionDomainError("sqrt of a negative value", to_text(node))
-        if arg.value == 0.0:
-            raise ExpressionDomainError("sqrt derivative singular at zero", to_text(node))
-        s = np.sqrt(arg.value)
-        return arg.chain(s, 0.5 / s, -0.25 / (s * arg.value))
-    if node.name == "sin":
-        return arg.chain(np.sin(arg.value), np.cos(arg.value), -np.sin(arg.value))
-    if node.name == "cos":
-        return arg.chain(np.cos(arg.value), -np.sin(arg.value), -np.cos(arg.value))
-    if node.name == "exp":
-        e = np.exp(arg.value)
-        return arg.chain(e, e, e)
-    if node.name == "log":
-        if arg.value <= 0.0:
-            raise ExpressionDomainError("log of a non-positive value", to_text(node))
-        return arg.chain(np.log(arg.value), 1.0 / arg.value, -1.0 / arg.value**2)
-    raise AssertionError(f"unhandled node {node!r}")
+def _float_power(x: float, k: int) -> float:
+    try:
+        return x ** k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
-def _reciprocal(u: Jet2) -> Jet2:
-    w = 1.0 / u.value
-    return u.chain(w, -w * w, 2.0 * w**3)
+_FLOAT_POWER = np.frompyfunc(_float_power, 2, 1)
 
 
-def _power(u: Jet2, k: int, node: Node) -> Jet2:
-    if k == 0:
-        return Jet2.constant(1.0, u.grad.shape[0])
+def _power_of(v, k: int):
+    """v ** k entrywise as Python's float power rounds it (numpy's vectorised
+    power may differ in the last bit); an overflow gives inf."""
     if k == 1:
-        return Jet2(u.value, u.grad.copy(), u.hess.copy())
-    if u.value == 0.0 and k < 0:
-        raise ExpressionDomainError("zero raised to a negative power", to_text(node))
-    f = u.value**k
-    f1 = k * u.value ** (k - 1)
-    f2 = k * (k - 1) * u.value ** (k - 2)
-    return u.chain(f, f1, f2)
+        return v
+    if k == 0:
+        return np.ones_like(v)
+    return np.asarray(_FLOAT_POWER(v, k), dtype=float)
 
 
-def eval_jet2(expr: Expression, p) -> Jet2:
-    """Evaluate value, gradient and Hessian at p (length = expr.dim)."""
-    point = np.asarray(p, dtype=float)
-    if point.shape != (expr.dim,):
-        raise ValueError(f"point has shape {point.shape}, expected ({expr.dim},)")
-    return _jet(expr.root, point, expr.dim)
+def _scaled(s, array):
+    """s * array for s (N,) or a float, broadcast along array's trailing axes."""
+    if array is None:
+        return None
+    if np.ndim(s):
+        s = s.reshape(s.shape + (1,) * (array.ndim - 1))
+    return s * array
+
+
+def _total(*terms):
+    """Left-to-right sum of the terms present (None is a structural zero)."""
+    present = [t for t in terms if t is not None]
+    return sum(present[1:], present[0]) if present else None
+
+
+def _outer(a, b):
+    return None if a is None or b is None else a[..., :, None] * b[..., None, :]
+
+
+def _chained(f, first, second, u, order: int):
+    """Jet of g(u) from f = g(u.value) and the thunks first() = g'(u.value)
+    and second() = g''(u.value), called only when needed."""
+    _, grad, hess = u
+    if order == 0 or grad is None:
+        return f, None, None
+    f1 = first()
+    if order == 1:
+        return f, _scaled(f1, grad), None
+    return f, _scaled(f1, grad), _total(_scaled(f1, hess),
+                                       _scaled(second(), _outer(grad, grad)))
+
+
+def _add(a, b, order):
+    return (a[0] + b[0], *(_total(x, y) for x, y in zip(a[1:], b[1:])))
+
+
+def _subtract(a, b, order):
+    return (a[0] - b[0],
+            *(x if y is None else (-y if x is None else x - y)
+              for x, y in zip(a[1:], b[1:])))
+
+
+def _negate(u, order):
+    return tuple(None if x is None else -x for x in u)
+
+
+def _multiply(a, b, order):
+    (va, ga, ha), (vb, gb, hb) = a, b
+    value = va * vb
+    if order == 0:
+        return value, None, None
+    grad = _total(_scaled(va, gb), _scaled(vb, ga))
+    if order == 1:
+        return value, grad, None
+    cross = _outer(ga, gb)
+    return value, grad, _total(_scaled(va, hb), _scaled(vb, ha), cross,
+                               None if cross is None else np.swapaxes(cross, -1, -2))
+
+
+def _elementary(name: str, v):
+    """g(v) and the thunks of g'(v) and g''(v) for a function name of the
+    grammar, a 'reciprocal' or a 'pow<k>' with an integer k."""
+    if name == "sqrt":
+        s = np.sqrt(v)
+        return s, lambda: 0.5 / s, lambda: -0.25 / (s * v)
+    if name == "sin":
+        sine = np.sin(v)
+        return sine, lambda: np.cos(v), lambda: -sine
+    if name == "cos":
+        cosine = np.cos(v)
+        return cosine, lambda: -np.sin(v), lambda: -cosine
+    if name == "exp":
+        e = np.exp(v)
+        return e, lambda: e, lambda: e
+    if name == "log":
+        return np.log(v), lambda: 1.0 / v, lambda: -1.0 / _power_of(v, 2)
+    if name == "reciprocal":
+        w = 1.0 / v
+        return w, lambda: -w * w, lambda: 2.0 * _power_of(w, 3)
+    k = int(name[3:])
+    return (_power_of(v, k), lambda: k * _power_of(v, k - 1),
+            lambda: k * (k - 1) * _power_of(v, k - 2))
+
+
+# the domain of each function: (test of a bad argument, what it breaks)
+_DOMAIN = {"sqrt": ((lambda v: v < 0.0, "sqrt of a negative value"),
+                    (lambda v: v == 0.0, "sqrt derivative singular at zero")),
+           "log": ((lambda v: v <= 0.0, "log of a non-positive value"),),
+           "reciprocal": ((lambda v: v == 0.0, "division by zero"),),
+           "pow-": ((lambda v: v == 0.0, "zero raised to a negative power"),)}
+
+
+def _function(name: str, text: str):
+    """combine for g(u): the node text names the subexpression of a domain
+    error."""
+    domain = _DOMAIN.get(name.rstrip("0123456789"), ())  # 'pow-3' -> 'pow-'
+
+    def function(u, order):
+        for bad, what in domain:
+            if np.any(bad(u[0])):
+                raise ExpressionDomainError(what, text)
+        return _chained(*_elementary(name, u[0]), u, order)
+    return function
+
+
+def _operation(node: Node):
+    """(arguments, combine) for a node that is neither a literal nor a
+    variable: combine(*argument jets, order) is the node's jet."""
+    if isinstance(node, Neg):
+        return (node.arg,), _negate
+    if isinstance(node, Fun):
+        return (node.arg,), _function(node.name, to_text(node))
+    if isinstance(node, Pow):
+        if node.exponent == 0:  # the base is still evaluated, for its errors
+            return (node.base,), lambda u, order: (1.0, None, None)
+        if node.exponent == 1:
+            return (node.base,), lambda u, order: u
+        return (node.base,), _function(f"pow{node.exponent}", to_text(node))
+    if node.op == "/":
+        reciprocal = _function("reciprocal", to_text(node))
+        return (node.left, node.right), lambda a, b, order: _multiply(
+            a, reciprocal(b, order), order)
+    return (node.left, node.right), {"+": _add, "-": _subtract,
+                                     "*": _multiply}[node.op]
+
+
+def _compile(node: Node, n: int):
+    """A float for a constant subtree, else a function (points, order) ->
+    jet; a constant subtree that raises raises where it stands."""
+    if isinstance(node, Lit):
+        return float(node.value)
+    if isinstance(node, Var):
+        column = node.index - 1
+
+        def variable(points, order):
+            grad = np.zeros(points.shape)
+            grad[:, column] = 1.0
+            return points[:, column], grad, None
+        return variable
+    arguments, combine = _operation(node)
+    compiled = [_compile(a, n) for a in arguments]
+    if all(isinstance(c, float) for c in compiled):
+        constants = [(np.array([c]), None, None) for c in compiled]
+        try:
+            return float(np.ravel(combine(*constants, 0)[0])[0])
+        except ExpressionDomainError:
+            return lambda points, order: combine(*constants, 0)
+    parts = [c if callable(c) else (lambda points, order, c=c: (c, None, None))
+             for c in compiled]
+    if len(parts) == 1:
+        (inner,) = parts
+        return lambda points, order: combine(inner(points, order), order)
+    left, right = parts
+    return lambda points, order: combine(left(points, order),
+                                         right(points, order), order)
+
+
+def _point_stack(p, dim: int):
+    """p as a float array, and as a stack of points (N, dim)."""
+    points = np.asarray(p, dtype=float)
+    if points.ndim not in (1, 2) or points.shape[-1] != dim:
+        raise ValueError(f"point has shape {points.shape}, expected "
+                         f"({dim},) or (N, {dim})")
+    return points, (points if points.ndim == 2 else points[None])
+
+
+def eval_jet2(expr: Expression, p, order: int = 2) -> Jet2:
+    """Value, gradient and Hessian of expr at p, of shape (dim,), or at each
+    row of a stack p of shape (N, dim), where they gain a leading point axis;
+    derivatives above ``order`` are None."""
+    points, stack = _point_stack(p, expr.dim)
+    shape = (len(stack),) + (expr.dim,) * 2
+    compiled = expr.compiled
+    value, grad, hess = (compiled(stack, order) if callable(compiled)
+                         else (compiled, None, None))
+    if np.ndim(value) == 0:
+        value = np.full(shape[0], value)
+    if order > 0 and grad is None:
+        grad = np.zeros(shape[:2])
+    if order > 1 and hess is None:
+        hess = np.zeros(shape)
+    if points.ndim == 1:
+        return Jet2(value[0], *(None if x is None else x[0] for x in (grad, hess)))
+    return Jet2(value, grad, hess)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def eval_jets(expressions, p, order: int) -> list:
     """The values (k,) and, up to derivative ``order``, the gradients (k, n)
-    and Hessians (k, n, n) of k expressions at p.  Each array is tested with
-    one np.isfinite (count_nonzero is cheaper than .all() on small arrays);
-    a non-finite entry raises ``non_finite_error``."""
-    jets = [eval_jet2(e, p) for e in expressions]
-    arrays = [np.array([getattr(jet, part) for jet in jets])
-              for part in ("value", "grad", "hess")[:order + 1]]
+    and Hessians (k, n, n) of k expressions at p; at a stack of points (N, n)
+    each array gains a leading point axis.  Each array is tested with one
+    np.isfinite (count_nonzero is cheaper than .all() on small arrays); a
+    non-finite entry raises ``non_finite_error`` at its first point."""
+    points, stack = _point_stack(p, expressions[0].dim)
+    shape = (len(stack), len(expressions)) + stack.shape[1:] * 2
+    arrays = [np.empty(shape[:2])] + [np.zeros(shape[:k + 2])
+                                      for k in range(1, order + 1)]
+    for j, expr in enumerate(expressions):
+        if isinstance(expr.compiled, float):  # a constant: no derivatives
+            arrays[0][:, j] = expr.compiled
+            continue
+        jet = eval_jet2(expr, stack, order)
+        for array, part in zip(arrays, (jet.value, jet.grad, jet.hess)):
+            array[:, j] = part
     if any(np.count_nonzero(np.isfinite(a)) < a.size for a in arrays):
-        raise non_finite_error(expressions, p, order)
-    return arrays
+        finite = np.ones(len(stack), dtype=bool)
+        for a in arrays:
+            finite &= np.isfinite(a.reshape(len(stack), -1)).all(axis=1)
+        raise non_finite_error(expressions, stack[np.argmin(finite)], order)
+    return arrays if points.ndim == 2 else [a[0] for a in arrays]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -396,10 +529,10 @@ def non_finite_error(expressions, p, order: int) -> ExpressionDomainError:
 
 
 def _finite(node: Node, p: np.ndarray, n: int, order: int) -> bool:
-    jet = _jet(node, p, n)
+    jet = eval_jet2(Expression(node, n), p, order)
     return all(np.isfinite(part).all()
                for part in (jet.value, jet.grad, jet.hess)[:order + 1])
 
 
 def eval_value(expr: Expression, p) -> float:
-    return eval_jet2(expr, p).value
+    return eval_jet2(expr, p, 0).value

@@ -8,8 +8,8 @@ positive) so repeated runs produce identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,32 +17,67 @@ from .result import DEFAULT_RANK_TOL
 
 
 class MetricError(ValueError):
-    """Raised for inner products that are not symmetric positive-definite."""
+    """Raised for inner products that are not symmetric positive-definite;
+    ``index`` is the first failing matrix of a stack."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+def _trusted(cls, **fields):
+    """An instance of cls holding fields, without re-validating them."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    return obj
 
 
 class InnerProduct:
-    """Gram matrix of a Riemannian metric at a point."""
+    """Gram matrix of a Riemannian metric at a point, or at each point of a
+    stack (..., n, n); ``ip[i]`` is the inner product at point i."""
 
+    @np.errstate(invalid="ignore", over="ignore")
     def __init__(self, matrix, sym_tol: float = 1e-12):
         G = np.asarray(matrix, dtype=float)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
             raise MetricError(f"inner product matrix must be square, got {G.shape}")
-        scale = np.abs(G).max() or 1.0
-        if not math.isfinite(scale):
-            raise MetricError("inner product matrix has non-finite entries")
-        if np.abs(G - G.T).max() > sym_tol * scale:
-            raise MetricError("inner product matrix is not symmetric")
-        G = 0.5 * (G + G.T)
-        eigenvalues = np.linalg.eigvalsh(G)
-        if eigenvalues.min() <= 0.0:
+        stack = G.reshape((-1,) + G.shape[-2:])
+        transposed = stack.transpose(0, 2, 1)
+        scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
+        scale[scale == 0.0] = 1.0
+        asymmetry = np.abs(stack - transposed).max(axis=(1, 2), initial=0.0)
+        # the first matrix that is non-finite or not symmetric, and the first
+        # before it that is not positive definite
+        invalid = ~(np.isfinite(scale) & (asymmetry <= sym_tol * scale))
+        valid = int(invalid.argmax()) if invalid.any() else len(stack)
+        stack = 0.5 * (stack + transposed)
+        lowest = np.linalg.eigvalsh(stack[:valid]).min(axis=1)
+        if (lowest <= 0.0).any():
+            index = int((lowest <= 0.0).argmax())
             raise MetricError(
-                f"inner product is not positive definite (min eigenvalue {eigenvalues.min():g})")
-        self.matrix = G
-        self.cholesky = np.linalg.cholesky(G)
+                f"inner product is not positive definite (min eigenvalue {lowest[index]:g})",
+                index)
+        if valid < len(stack):
+            raise MetricError(
+                "inner product matrix has non-finite entries"
+                if not np.isfinite(scale[valid])
+                else "inner product matrix is not symmetric", valid)
+        self.matrix = stack.reshape(G.shape)
+        self.cholesky = np.linalg.cholesky(self.matrix)
+
+    def __getitem__(self, i) -> "InnerProduct":
+        return _trusted(InnerProduct, matrix=self.matrix[i],
+                        cholesky=self.cholesky[i])
+
+    @cached_property
+    def per_point(self) -> list:
+        """The inner product at each point of a stack, each built once."""
+        return [self[i] for i in range(len(self.matrix))]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def inner(self, u, v) -> float:
         return float(np.asarray(u) @ self.matrix @ np.asarray(v))
@@ -56,9 +91,6 @@ class InnerProduct:
                             vectors)
         return np.sqrt(np.maximum(squares, 0.0))
 
-    def unwhiten(self, vectors: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.cholesky.T, vectors)
-
 
 @dataclass
 class SubspaceBasis:
@@ -71,15 +103,23 @@ class SubspaceBasis:
         self.columns = np.asarray(self.columns, dtype=float)
         if self.columns.ndim != 2:
             raise ValueError("basis columns must form a 2d array")
-        k = self.columns.shape[1]
-        if k:
-            gram = self.columns.T @ self.metric.matrix @ self.columns
-            if np.abs(gram - np.eye(k)).max() > 1e-10:
-                raise ValueError("basis columns are not orthonormal under the metric")
+        _check_orthonormal(self.columns, self.metric.matrix)
 
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
+
+
+def _check_orthonormal(columns, matrix, rank=None) -> None:
+    """Raise unless the columns (of each matrix of a stack) are orthonormal
+    under the metric matrix (of the same point); with ``rank``, the first
+    rank columns and the rest are two bases, each checked on its own."""
+    gram = np.swapaxes(columns, -1, -2) @ matrix @ columns
+    error = np.abs(gram - np.eye(columns.shape[-1]))
+    if rank is not None:
+        error[..., :rank, rank:] = error[..., rank:, :rank] = 0.0
+    if error.max(initial=0.0) > 1e-10:
+        raise ValueError("basis columns are not orthonormal under the metric")
 
 
 @dataclass
@@ -94,13 +134,14 @@ class TangentSplit:
 
 
 def _fix_signs(columns: np.ndarray) -> np.ndarray:
-    out = columns.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        significant = np.nonzero(np.abs(col) > 1e-10 * max(np.abs(col).max(), 1e-300))[0]
-        if significant.size and col[significant[0]] < 0:
-            out[:, j] = -col
-    return out
+    """Each column (of each matrix of a stack) with its first significant
+    component made positive."""
+    magnitude = np.abs(columns)
+    largest = np.maximum(magnitude.max(axis=-2, keepdims=True, initial=0.0), 1e-300)
+    significant = magnitude > 1e-10 * largest
+    first = significant & (np.cumsum(significant, axis=-2) == 1)
+    flip = (np.where(first, columns, 0.0).sum(axis=-2, keepdims=True) < 0)
+    return np.where(flip, -columns, columns)
 
 
 def gram_schmidt(vectors, ip: InnerProduct, tol: float = 1e-10) -> SubspaceBasis:
@@ -176,35 +217,69 @@ def range_projector_derivative(P, A, dA, split: TangentSplit,
 
 def split_tangent(A, g1: InnerProduct, g2: InnerProduct,
                   tol: float = DEFAULT_RANK_TOL) -> TangentSplit:
-    """Rank and the four orthonormal bases attached to a linear map.
+    """Rank and the four orthonormal bases attached to a linear map: one
+    point of ``split_tangents``."""
+    A = np.asarray(A, dtype=float)
+    if A.shape != (g2.dim, g1.dim):
+        raise ValueError(f"matrix shape {A.shape} does not match metrics")
+    stacked = [_trusted(InnerProduct, matrix=g.matrix[None], cholesky=g.cholesky[None])
+               for g in (g1, g2)]
+    return split_tangents(A[None], *stacked, tol)[0]
+
+
+def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
+                   tol: float = DEFAULT_RANK_TOL) -> list:
+    """The TangentSplit of each map A[i] of a stack (N, m, n) between the
+    inner products g1[i] and g2[i].
 
     The map is whitened to M = L2^T A L1^{-T}; a Euclidean SVD of M then
     yields g1-orthonormal kernel/horizontal bases and g2-orthonormal
     range/normal bases.  Rank counts singular values above tol times the
     largest one.
     """
-    A = np.asarray(A, dtype=float)
-    m, n = A.shape
-    if (m, n) != (g2.dim, g1.dim):
-        raise ValueError(f"matrix shape {A.shape} does not match metrics")
     # A L1^{-T} without forming the inverse: solve L1 X^T = A^T.
-    X = np.linalg.solve(g1.cholesky, A.T).T
-    M = g2.cholesky.T @ X
-    U, s, Vt = np.linalg.svd(M)
-    sigma_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * sigma_max)) if sigma_max > 0 else 0
-    V = Vt.T
-    horizontal = _fix_signs(g1.unwhiten(V[:, :rank]))
-    kernel = _fix_signs(g1.unwhiten(V[:, rank:]))
-    range_cols = _fix_signs(g2.unwhiten(U[:, :rank]))
-    perp_cols = _fix_signs(g2.unwhiten(U[:, rank:]))
-    return TangentSplit(
-        rank=rank,
-        kernel=SubspaceBasis(kernel, g1),
-        horizontal=SubspaceBasis(horizontal, g1),
-        range=SubspaceBasis(range_cols, g2),
-        range_perp=SubspaceBasis(perp_cols, g2),
-    )
+    X = np.linalg.solve(g1.cholesky, A.transpose(0, 2, 1)).transpose(0, 2, 1)
+    U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ X)
+    sigma_max = s[:, 0] if s.shape[1] else np.zeros(len(A))
+    ranks = np.where(sigma_max > 0,
+                     np.sum(s > tol * sigma_max[:, None], axis=1), 0)
+    V = Vt.transpose(0, 2, 1)
+    if (ranks == ranks[0]).all():
+        groups = [(ranks[0], range(len(A)), slice(None))]
+    else:
+        groups = [(rank, at, at) for rank in np.unique(ranks)
+                  for at in [np.flatnonzero(ranks == rank)]]
+    splits = [None] * len(A)
+    for rank, points, at in groups:
+        # horizontal then kernel columns, and range then normal columns
+        source = _unwhitened(g1, at, rank, V[at])
+        target = _unwhitened(g2, at, rank, U[at])
+        for j, i in enumerate(points):
+            h1, h2 = g1.per_point[i], g2.per_point[i]
+            splits[i] = TangentSplit(
+                int(rank), kernel=_basis(source[j, :, rank:], h1),
+                horizontal=_basis(source[j, :, :rank], h1),
+                range=_basis(target[j, :, :rank], h2),
+                range_perp=_basis(target[j, :, rank:], h2))
+    return splits
+
+
+def _basis(columns, metric: InnerProduct) -> SubspaceBasis:
+    """A basis whose columns were checked orthonormal with their stack."""
+    return _trusted(SubspaceBasis, columns=columns, metric=metric)
+
+
+def _unwhitened(ip: InnerProduct, at, rank, whitened) -> np.ndarray:
+    """The whitened columns mapped back through the Cholesky factors of ip at
+    the points ``at`` of the stack, with signs fixed; the first ``rank``
+    columns and the rest are solved alone and checked orthonormal as two
+    bases."""
+    factors = ip.cholesky[at].transpose(0, 2, 1)
+    columns = _fix_signs(np.concatenate(
+        [np.linalg.solve(factors, block)
+         for block in (whitened[..., :rank], whitened[..., rank:])], axis=2))
+    _check_orthonormal(columns, ip.matrix[at], rank)
+    return columns
 
 
 def project(v, basis: SubspaceBasis) -> np.ndarray:

@@ -11,8 +11,9 @@ so no vector-field extensions enter; jets supply every derivative exactly.
 A ``PointFrame`` holds what is known at one point, and each pointwise
 quantity (phi/omega and B/C, Q, the slant angle, the tension field, the fiber
 mean curvature, S_V, the adapted frame, the section derivatives and defects)
-is one of its members, computed on first use.  A ``Sample`` is the analysis
-context of one run, whose frames are built once and read by every check.
+is one of its members, computed on first use.  Frames are built in stacks
+from stacked jets (``frame_block``).  A ``Sample`` is the analysis context of
+one run, whose frames are built once and read by every check.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charts import ChartError, ChartManifold, metric_derivative
+from .charts import (ChartError, ChartFields, ChartManifold, evaluate_prefix,
+                     metric_derivative)
 from .expressions import Expression, eval_jet2, eval_jets, parse_expression
 from .linalg import (InnerProduct, TangentSplit, metric_adjoint,
                      metric_adjoint_derivative, range_projector,
-                     range_projector_derivative, split_tangent)
+                     range_projector_derivative, split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, worst_residual)
 
@@ -306,18 +308,32 @@ def _bilinear(tensor, X, Y) -> np.ndarray:
 
 
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
-    point = np.asarray(p, dtype=float)
-    image, jac, hess = eval_jets(spec.components, point, 2)
-    g1, gamma1 = spec.source.metric_at(point)
-    g2, gamma2 = spec.target.metric_at(image)
-    split = split_tangent(jac, g1, g2, rank_tol)
-    sff = (hess - np.einsum("kij,gk->gij", gamma1, jac)
-           + np.einsum("gab,ai,bj->gij", gamma2, jac, jac))
-    J = dJ = None
+    """The frame at p: a block of one."""
+    return frame_block(spec, np.asarray(p, dtype=float)[None], rank_tol)[0]
+
+
+def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
+                target: Optional[ChartFields] = None, start: int = 0) -> list:
+    """The PointFrames of a stack of points (N, n), built from stacked jets
+    with one batched factorisation of each kind.  ``target`` holds the
+    target chart at the images, where points[i] is its point start + i;
+    without it the target chart is evaluated here."""
+    image, jac, hess = eval_jets(spec.components, points, 2)
+    g1, gamma1 = spec.source.metric_at(points)
+    if target is None:
+        target, start = ChartFields(spec.target, image), 0
+    stop = start + len(points)
+    g2, gamma2 = target.metric(start, stop)
+    splits = split_tangents(jac, g1, g2, rank_tol)
+    sff = (hess - np.einsum("nkij,ngk->ngij", gamma1, jac)
+           + np.einsum("ngab,nai,nbj->ngij", gamma2, jac, jac))
+    J = dJ = [None] * len(points)
     if spec.target.complex_structure is not None:
-        J, dJ = spec.target.complex_structure_jet(image)
-    return PointFrame(point, image, jac, g1, g2, split, gamma1, gamma2, sff, J,
-                      dJ, hess)
+        J, dJ = target.structure(start, stop)
+    return [PointFrame(points[i], image[i], jac[i], g1.per_point[i],
+                       g2.per_point[i], splits[i], gamma1[i], gamma2[i], sff[i],
+                       J[i], dJ[i], hess[i])
+            for i in range(len(points))]
 
 
 # Wrappers over PointFrame members, kept (as are map_point and differential)
@@ -334,15 +350,23 @@ def tension_field(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.nd
     return point_frame(spec, p, rank_tol).tension
 
 
+# Most points whose frames are built in one stack.  A failing point is found
+# by rebuilding prefixes of its own block only, which the block size bounds.
+FRAME_BLOCK = 1024
+
+
 class Sample:
-    """Analysis context of one run: the sample points and one PointFrame per
-    point, built on first use and read by every check.  A failed build is kept
-    and raised again at the same point, so each check fails where it would."""
+    """Analysis context of one run: the sample points, the target chart at
+    their images, and one PointFrame per point, built on first use in stacks
+    of at most FRAME_BLOCK points and read by every check.  A failed build is
+    kept and raised again at the same point, so each check fails where it
+    would."""
 
     def __init__(self, spec: MapSpec, points,
                  rank_tol: float = DEFAULT_RANK_TOL):
         self.spec = spec
-        self.points = list(points)
+        self.points = np.array(points, dtype=float).reshape(len(points),
+                                                            spec.source.dim)
         self.rank_tol = rank_tol
         self._frames: list = []
         self._failure: Optional[Exception] = None
@@ -351,22 +375,44 @@ class Sample:
         return len(self.points)
 
     def frames(self):
-        """The frames in point order, each built when first reached."""
-        for i, p in enumerate(self.points):
+        """The frames in point order, each block built when first reached."""
+        for i in range(len(self)):
             if i == len(self._frames):
-                if self._failure is not None:
+                if self._failure is None:
+                    self._build(i)
+                if i == len(self._frames):
                     raise self._failure
-                try:
-                    self._frames.append(point_frame(self.spec, p, self.rank_tol))
-                except Exception as exc:
-                    self._failure = exc
-                    raise
             yield self._frames[i]
 
+    def _build(self, start: int) -> None:
+        stop = min(start + FRAME_BLOCK, len(self))
+        frames, _, self._failure = evaluate_prefix(
+            lambda lo, hi: frame_block(self.spec, self.points[start + lo:start + hi],
+                                       self.rank_tol, self.target, start + lo),
+            stop - start)
+        self._frames.extend(frames or [])
+
     @cached_property
-    def images(self) -> list:
+    def _images(self):
+        return evaluate_prefix(
+            lambda lo, hi: eval_jets(self.spec.components, self.points[lo:hi], 0)[0],
+            len(self))
+
+    @property
+    def images(self) -> np.ndarray:
         """F at every point, from the component values alone: no frames."""
-        return [map_point(self.spec, p) for p in self.points]
+        images, _, error = self._images
+        if error is not None:
+            raise error
+        return images
+
+    @cached_property
+    def target(self) -> ChartFields:
+        """The target chart at the images, up to the first point where F
+        fails."""
+        images, count, _ = self._images
+        return ChartFields(self.spec.target,
+                           images if count else np.empty((0, self.spec.target.dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,12 +152,12 @@ class Analysis:
         if name in TARGET_CHECKS:
             if spec.target.complex_structure is None:
                 return CheckResult.skipped(name, "target has no complex structure")
-            images = sample.images  # if F fails here, both entries are that error
+            sample.images  # if F fails here, both entries are that error
             if name == "almost_hermitian":
-                return check_almost_hermitian(spec.target, images, tol)
+                return check_almost_hermitian(sample.target, tol)
             if not self.entry("almost_hermitian").passed:
                 return CheckResult.skipped(name, "target is not almost Hermitian")
-            return check_kahler(spec.target, images, dirs=4, tol=tol, seed=s.seed)
+            return check_kahler(sample.target, dirs=4, tol=tol, seed=s.seed)
         sample_checks = {"riemannian_map": is_riemannian_map,
                          "sff_range_perp": check_sff_range_perp,
                          "harmonic": check_harmonic,

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from slantmap.charts import (ChartError, ChartManifold, check_almost_hermitian,
-                             check_kahler)
+from slantmap.charts import (ChartError, ChartFields, ChartManifold,
+                             check_almost_hermitian, check_kahler)
 from slantmap.expressions import eval_value
 from oracles import fd_christoffel
 
@@ -120,7 +120,7 @@ def test_torsion_free_exact():
 def test_almost_hermitian_standard():
     chart = ChartManifold.euclidean(4, STANDARD_J4)
     points = [np.zeros(4), np.array([0.5, -0.3, 0.2, 0.9])]
-    result = check_almost_hermitian(chart, points)
+    result = check_almost_hermitian(ChartFields(chart, points))
     assert result.passed
     assert result.residual == 0.0
 
@@ -128,21 +128,21 @@ def test_almost_hermitian_standard():
 def test_almost_hermitian_identity_fails():
     identity = [["1", "0"], ["0", "1"]]
     chart = ChartManifold.euclidean(2, identity)
-    result = check_almost_hermitian(chart, [np.zeros(2)])
+    result = check_almost_hermitian(ChartFields(chart, [np.zeros(2)]))
     assert result.status == "fail"
 
 
 def test_almost_hermitian_missing_structure():
     chart = ChartManifold.euclidean(2)
-    assert check_almost_hermitian(chart, [np.zeros(2)]).status == "error"
+    assert check_almost_hermitian(ChartFields(chart, [np.zeros(2)])).status == "error"
 
 
 def test_rotated_structure_compatible_but_not_parallel():
     chart = ChartManifold.euclidean(4, rotated_j4())
     gen = np.random.default_rng(14)
     points = [gen.uniform(-1, 1, 4) for _ in range(5)]
-    assert check_almost_hermitian(chart, points).passed
-    result = check_kahler(chart, points)
+    assert check_almost_hermitian(ChartFields(chart, points)).passed
+    result = check_kahler(ChartFields(chart, points))
     assert result.status == "fail"
     assert result.residual > 0.1
 
@@ -150,7 +150,7 @@ def test_rotated_structure_compatible_but_not_parallel():
 def test_kahler_flat_standard():
     chart = ChartManifold.euclidean(4, STANDARD_J4)
     points = [np.zeros(4), np.array([0.1, 0.2, -0.4, 0.8])]
-    result = check_kahler(chart, points)
+    result = check_kahler(ChartFields(chart, points))
     assert result.passed
     assert result.residual == 0.0
 
@@ -163,7 +163,7 @@ def test_kahler_conformal_standard_structure_fails():
     chart = ChartManifold.from_strings(4, metric, STANDARD_J4)
     gen = np.random.default_rng(15)
     points = [gen.uniform(-1, 1, 4) for _ in range(5)]
-    result = check_kahler(chart, points)
+    result = check_kahler(ChartFields(chart, points))
     assert result.status == "fail"
     assert result.residual > 0.5
 
@@ -175,13 +175,13 @@ def test_kahler_warped_block_passes():
     chart = ChartManifold.from_strings(4, metric, STANDARD_J4)
     gen = np.random.default_rng(16)
     points = [gen.uniform(-1, 1, 4) for _ in range(5)]
-    result = check_kahler(chart, points)
+    result = check_kahler(ChartFields(chart, points))
     assert result.passed
 
 
 def test_kahler_residual_stable_under_direction_resampling():
     chart = ChartManifold.euclidean(4, rotated_j4())
     points = [np.array([0.4, -0.1, 0.3, 0.2])]
-    first = check_kahler(chart, points, dirs=16, seed=1)
-    second = check_kahler(chart, points, dirs=16, seed=2)
+    first = check_kahler(ChartFields(chart, points), dirs=16, seed=1)
+    second = check_kahler(ChartFields(chart, points), dirs=16, seed=2)
     assert abs(first.residual - second.residual) <= 1e-9

@@ -8,11 +8,12 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slantmap
 from slantmap.catalog import CatalogError, catalog_ids, load_catalog
-from slantmap.charts import ChartManifold
+from slantmap.charts import ChartError, ChartManifold
 from slantmap.cli import main
 from slantmap.loader import (AnalysisSettings, LoadedMap, MapSpecError,
                              load_map_spec, map_spec_from_json)
@@ -237,26 +238,52 @@ def test_run_analysis_survives_domain_errors():
 
 @pytest.fixture
 def frame_builds(monkeypatch):
-    """Points of every point_frame build, through both module bindings."""
-    original = slantmap.maps.point_frame
+    """Points of every frame built, one entry per frame: the Sample and
+    point_frame both build frames in stacks through maps.frame_block."""
+    original = slantmap.maps.frame_block
     builds = []
 
-    def counted(*args, **kwargs):
-        builds.append(args[1])
-        return original(*args, **kwargs)
+    def counted(spec, points, *args, **kwargs):
+        builds.extend(tuple(p) for p in points)
+        return original(spec, points, *args, **kwargs)
 
-    monkeypatch.setattr(slantmap.maps, "point_frame", counted)
-    monkeypatch.setattr(slantmap.slant, "point_frame", counted)
+    monkeypatch.setattr(slantmap.maps, "frame_block", counted)
     return builds
 
 
 def test_frame_budget_per_point(frame_builds):
-    # one frame per sample point, shared by every check; derivatives must not
-    # rebuild frames off the sample points
+    # exactly one frame per sample point, shared by every check; derivatives
+    # must not rebuild frames off the sample points
     samples = 4
-    run_analysis(load_map_spec("catalog:warped_fiber"),
-                 AnalysisSettings(points=samples))
+    analysis = Analysis(load_map_spec("catalog:warped_fiber"),
+                        AnalysisSettings(points=samples))
+    for name in CHECK_NAMES:
+        analysis.entry(name)
+    assert Counter(frame_builds) == Counter(tuple(p) for p in analysis.sample.points)
     assert len(frame_builds) == samples
+
+
+@pytest.fixture
+def entry_evaluations(monkeypatch):
+    """Points at which each expression (by id) is evaluated through the
+    charts' jets."""
+    original = slantmap.charts.eval_jets
+    evaluated = Counter()
+
+    def counted(expressions, p, order):
+        for expr in expressions:
+            evaluated[id(expr)] += len(np.atleast_2d(p))
+        return original(expressions, p, order)
+
+    monkeypatch.setattr(slantmap.charts, "eval_jets", counted)
+    return evaluated
+
+
+def _chart_entries(chart):
+    """The entries a chart evaluates: the metric's upper triangle and J."""
+    n = chart.dim
+    entries = [chart.metric[i][j] for i in range(n) for j in range(i, n)]
+    return entries + [e for row in chart.complex_structure or () for e in row]
 
 
 def _budget_map(name):
@@ -271,20 +298,20 @@ def _budget_map(name):
 @pytest.mark.parametrize("name, derived", [("warped_fiber", True),
                                            ("rank4_into_c3", False),
                                            ("rank4_isometric_into_c3", True)])
-def test_derivative_budget_per_frame(frame_builds, monkeypatch, name, derived):
+def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
+                                     monkeypatch, name, derived):
     # the section derivatives along the whole horizontal frame, and the
-    # adjoint and projector they read, are formed once per frame; J and its
-    # gradient come from one jet per frame.  The target checks' own J
-    # evaluations at the image points are not counted.
+    # adjoint and projector they read, are formed once per frame.  Every
+    # metric and J entry of the target chart is evaluated once per image, for
+    # the frames and both target checks together, and every source metric
+    # entry once per sample point.
     calls = Counter()
 
     def count(owner, attribute, key):
         original = getattr(owner, attribute)
 
         def counted(*args, **kwargs):
-            caller = sys._getframe(1).f_code.co_name
-            if caller not in ("check_almost_hermitian", "check_kahler"):
-                calls[key] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attribute, counted)
@@ -293,17 +320,19 @@ def test_derivative_budget_per_frame(frame_builds, monkeypatch, name, derived):
         count(module, "metric_adjoint", "adjoint")
         count(module, "range_projector", "projector")
     count(slantmap.maps, "section_derivatives", "derivatives")
-    count(ChartManifold, "complex_structure_jet", "J")
-    count(ChartManifold, "complex_structure_at", "J")
     samples = 4
-    run_analysis(LoadedMap(_budget_map(name), AnalysisSettings(points=samples),
-                           origin="inline"))
+    spec = _budget_map(name)
+    report = run_analysis(LoadedMap(spec, AnalysisSettings(points=samples),
+                                    origin="inline"))
+    assert report.check("kahler").status != "skipped"
     frames = len(frame_builds)
     assert frames == samples
     per_frame = frames if derived else 0
     assert calls["derivatives"] == calls["adjoint"] == per_frame
     assert calls["projector"] == per_frame
-    assert calls["J"] == frames
+    for chart in (spec.source, spec.target):
+        assert [entry_evaluations[id(e)] for e in _chart_entries(chart)] == (
+            [samples] * len(_chart_entries(chart)))
 
 
 def test_frames_are_freed_by_reference_counting():
@@ -347,17 +376,18 @@ def test_tol_reaches_every_check(tol, capsys):
 
 @pytest.mark.parametrize("name, frames", [("kahler", 0),
                                           ("riemannian_map", 5)])
-def test_single_check_frame_budget(frame_builds, monkeypatch, capsys, name,
-                                   frames):
+def test_single_check_frame_budget(frame_builds, entry_evaluations,
+                                   monkeypatch, capsys, name, frames):
     # kahler reads only the image points; riemannian_map one frame per point.
-    # Each chart's metric is evaluated once per point it is needed at: once
-    # per image for kahler, once per chart (source and target) per frame.
+    # Each chart's metric is evaluated and validated once per point it is
+    # needed at: once per image for kahler, once per chart (source and
+    # target) per frame.
     metrics = []
     original = slantmap.linalg.InnerProduct.__init__
 
-    def counted(self, *args, **kwargs):
-        metrics.append(self)
-        original(self, *args, **kwargs)
+    def counted(self, matrix, *args, **kwargs):
+        metrics.extend(np.asarray(matrix).reshape(-1, *np.shape(matrix)[-2:]))
+        original(self, matrix, *args, **kwargs)
 
     monkeypatch.setattr(slantmap.linalg.InnerProduct, "__init__", counted)
     samples = 5
@@ -366,6 +396,10 @@ def test_single_check_frame_budget(frame_builds, monkeypatch, capsys, name,
     assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == name
     assert len(frame_builds) == frames
     assert len(metrics) == (2 * frames if frames else samples)
+    spec = load_catalog("warped_fiber")
+    charts = (spec.source, spec.target) if frames else (spec.target,)
+    assert sorted(entry_evaluations.values()) == [samples] * sum(
+        len(_chart_entries(chart)) for chart in charts)
 
 
 @pytest.mark.parametrize("catalog_id", catalog_ids())
@@ -518,6 +552,116 @@ def test_cli_overflow_leaves_stderr_empty(tmp_path):
         "ExpressionDomainError: non-finite value at point [")
     assert entry["reason"].endswith(
         "in subexpression 'exp(exp(exp(3.0 * x1)))'")
+
+
+# Each rule's derivative at x1 near 1e-200 leaves the floats: x1 * x1
+# underflows to zero under log's second derivative, and 1 / x1**3 overflows
+# under the reciprocal's and the negative power's.
+UNDERFLOW = {"log": ("log(x1)", "log(x1)"),
+             "reciprocal": ("1/x1", "1.0 / x1"),
+             "negative_power": ("pow(x1, -3)", "pow(x1, -3)")}
+
+
+@pytest.mark.parametrize("rule", sorted(UNDERFLOW))
+def test_underflowing_argument_gives_located_error(rule, tmp_path, capsys):
+    component, subexpression = UNDERFLOW[rule]
+    box = [[1e-200, 2e-200]]
+    doc = dict(MINIMAL_SPEC, source={"dim": 1}, domain={"box": box},
+               components=[component, "0", "0", "0"])
+    path = tmp_path / f"{rule}.json"
+    path.write_text(json.dumps(doc))
+    point = [float(x) for x in sample_points(box, 50, 42)[0]]
+    assert main(["check", "riemannian_map", "--map", str(path)]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["reason"] == (
+        f"ExpressionDomainError: non-finite value at point {point} in "
+        f"subexpression '{subexpression}'")
+
+
+def _second_block_seed(box, block):
+    """A sampling seed whose first point with x1 below -0.3 is in the second
+    block of frames and comes after no point with x1 below zero."""
+    for seed in range(1000):
+        x1 = np.array(sample_points(box, 3 * block, seed))[:, 0]
+        first = int(np.argmax(x1 < 0.0))
+        if block <= first < 2 * block and x1[first] < -0.3:
+            return seed, first
+    raise AssertionError("no seed found")
+
+
+# J and the target metric both fail where x1 <= 0: a frame reports the
+# metric's error there, the almost Hermitian check J's
+TWO_FAULTS = {"j_and_target_metric": {"target": {
+    "dim": 4,
+    "metric": [[("x1" if i == j < 2 else "1" if i == j else "0")
+                for j in range(4)] for i in range(4)],
+    "J": [[STANDARD_J[0][0], "-1 + 0*log(x1)", *STANDARD_J[0][2:]],
+          *STANDARD_J[1:]]}}}
+
+
+@pytest.mark.parametrize("case", sorted(STRADDLING) + sorted(NON_FINITE)
+                         + sorted(TWO_FAULTS))
+def test_failure_in_a_later_frame_block(case, tmp_path, monkeypatch):
+    # the first failing point lies in the second block of frames: its entries
+    # are those of a single block, and the frames before it still count
+    box = [[-0.5, 2.0], [-1.0, 1.0]]
+    seed, first = _second_block_seed(box, 4)
+    overrides = {**STRADDLING, **NON_FINITE, **TWO_FAULTS}[case]
+    if case in STRADDLING:
+        overrides = overrides[0]
+    doc = dict(MINIMAL_SPEC, domain={"box": box},
+               sampling={"points": 12, "seed": seed}, **overrides)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+
+    def entries():
+        analysis = Analysis(load_map_spec(str(path)))
+        report = {name: analysis.entry(name) for name in CHECK_NAMES}
+        frames = analysis.sample.frames()
+        assert len([next(frames) for _ in range(first)]) == first
+        with pytest.raises(Exception) as failure:
+            next(frames)
+        error = failure.value  # a ChartError's entry is its message alone
+        assert report["riemannian_map"].reason == (
+            str(error) if isinstance(error, ChartError)
+            else f"{type(error).__name__}: {error}")
+        return {name: (e.status, e.reason) for name, e in report.items() if e}
+
+    one_block = entries()
+    monkeypatch.setattr(slantmap.maps, "FRAME_BLOCK", 4)
+    assert entries() == one_block
+    assert one_block["riemannian_map"][0] == "error"
+    if case in TWO_FAULTS:
+        assert one_block["riemannian_map"][1].startswith(
+            "metric is not positive definite at")
+        assert one_block["almost_hermitian"] == ("error", (
+            "ExpressionDomainError: log of a non-positive value in "
+            "subexpression 'log(x1)'"))
+
+
+# an almost Hermitian target whose metric and J both vary along the image
+VARYING_TARGET = dict(MINIMAL_SPEC, target={
+    "dim": 4,
+    "metric": [[("exp(x1)" if i == j else "0") for j in range(4)]
+               for i in range(4)],
+    "J": [["0", "-cos(x1)", "0", "-sin(x1)"], ["cos(x1)", "0", "-sin(x1)", "0"],
+          ["0", "sin(x1)", "0", "-cos(x1)"], ["sin(x1)", "0", "cos(x1)", "0"]]},
+    components=["x1", "x1*x2", "x2", "0"])
+
+
+@pytest.mark.parametrize("identifier", ["catalog:warped_fiber",
+                                        "catalog:kahler_twist", "varying"])
+def test_frame_blocks_do_not_change_reports(identifier, tmp_path, monkeypatch):
+    # frames built four points at a time read the target chart at their own
+    # images: the report is the one of a single block, byte for byte
+    if identifier == "varying":
+        identifier = str(tmp_path / "varying.json")
+        Path(identifier).write_text(json.dumps(VARYING_TARGET))
+    loaded = load_map_spec(identifier)
+    settings = AnalysisSettings(points=10, seed=7)
+    one_block = render_report(run_analysis(loaded, settings))
+    monkeypatch.setattr(slantmap.maps, "FRAME_BLOCK", 4)
+    assert render_report(run_analysis(loaded, settings)) == one_block
 
 
 def test_report_serialization_deterministic():
