@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .expressions import Expression, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
-from .linalg import InnerProduct, MetricError
+from .linalg import InnerProduct, MetricError, frobenius_norms
 from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
 
 
@@ -141,9 +140,10 @@ def christoffel(G, dG) -> np.ndarray:
 
 def metric_derivative(G, gamma, X) -> np.ndarray:
     """Derivatives of the metric matrix G along the columns of X, stacked
-    along a leading axis and recovered from its Levi-Civita symbols:
+    along an axis before the matrix axes (after the point axis, for a stack
+    of metrics) and recovered from its Levi-Civita symbols:
     d_k g_ij = g_il Gamma^l_kj + g_jl Gamma^l_ki."""
-    lowered = G @ np.einsum("lkj,ka->alj", gamma, X)
+    lowered = G[..., None, :, :] @ np.einsum("...lkj,...ka->...alj", gamma, X)
     return lowered + np.swapaxes(lowered, -1, -2)
 
 
@@ -236,22 +236,15 @@ def check_almost_hermitian(fields: ChartFields,
     _raise_first(len(fields.points), fields._structure_failure,
                  fields._metric_jet_failure)
     J, G = fields.J, fields.G
-    square = _norms(J @ J + np.eye(fields.chart.dim))
-    compatibility = _norms(np.swapaxes(J, 1, 2) @ G @ J - G)
+    square = frobenius_norms(J @ J + np.eye(fields.chart.dim))
+    compatibility = frobenius_norms(np.swapaxes(J, 1, 2) @ G @ J - G)
     worst, witness = worst_residual(
-        zip(np.maximum(square, compatibility), fields.points, repeat({})))
+        [(slice(None), np.maximum(square, compatibility))], fields.points)
     return CheckResult.from_residual(
         "almost_hermitian", worst, tol, samples=len(fields.points),
         witness=witness,
         detail={"square_residual": float(square.max(initial=0.0)),
                 "compatibility_residual": float(compatibility.max(initial=0.0))})
-
-
-def _norms(matrices) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, summed as np.linalg.norm
-    sums one matrix."""
-    flat = matrices.reshape(len(matrices), 1, -1)
-    return np.sqrt((flat @ flat.transpose(0, 2, 1))[:, 0, 0])
 
 
 def check_kahler(fields: ChartFields, dirs: int = 4,
@@ -287,7 +280,7 @@ def check_kahler(fields: ChartFields, dirs: int = 4,
     # (nabla_X J) Y for every pair of sampled directions, one column each
     values = np.einsum("niab,nxi,nyb->naxy", nabla, directions, directions)
     pair_squares = np.einsum("naxy,nab,nbxy->nxy", values, G, values)
-    worst, witness = worst_residual(zip(residuals, fields.points, repeat({})))
+    worst, witness = worst_residual([(slice(None), residuals)], fields.points)
     return CheckResult.from_residual(
         "kahler", worst, tol, samples=count, witness=witness,
         detail={"direction_max": float(

@@ -9,7 +9,6 @@ positive) so repeated runs produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +69,6 @@ class InnerProduct:
         return _trusted(InnerProduct, matrix=self.matrix[i],
                         cholesky=self.cholesky[i])
 
-    @cached_property
-    def per_point(self) -> list:
-        """The inner product at each point of a stack, each built once."""
-        return [self[i] for i in range(len(self.matrix))]
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
@@ -82,14 +76,43 @@ class InnerProduct:
     def inner(self, u, v) -> float:
         return float(np.asarray(u) @ self.matrix @ np.asarray(v))
 
-    def norm(self, v) -> float:
-        return float(np.sqrt(max(self.inner(v, v), 0.0)))
+    def norm(self, v):
+        """Norm of a vector, or of each vector of a stack (N, m) under the
+        inner product at its point."""
+        v = np.asarray(v, dtype=float)
+        square = (v[..., None, :] @ self.matrix @ v[..., :, None])[..., 0, 0]
+        norm = np.sqrt(np.maximum(square, 0.0))
+        return float(norm) if v.ndim == 1 else norm
 
     def norms(self, vectors: np.ndarray) -> np.ndarray:
-        """Norms of the columns (of each matrix, for a stack of them)."""
-        squares = np.einsum("...ia,ij,...ja->...a", vectors, self.matrix,
-                            vectors)
+        """Norms of the columns (of each matrix, for a stack of them); a
+        stacked inner product reads vectors (N, ..., m, a), those of point i
+        under the inner product at point i."""
+        squares = np.einsum("...ia,...ij,...ja->...a", vectors,
+                            lift(self.matrix, vectors.ndim), vectors)
         return np.sqrt(np.maximum(squares, 0.0))
+
+
+def frobenius_norms(matrices) -> np.ndarray:
+    """Frobenius norm of a matrix (of each matrix of a stack), summed as
+    np.linalg.norm sums one matrix."""
+    *stack, rows, columns = matrices.shape
+    flat = matrices.reshape(*stack, 1, rows * columns)
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
+
+
+def lift(x: np.ndarray, ndim: int) -> np.ndarray:
+    """A matrix, or a stack (N, k, l) of them, with unit axes inserted before
+    the matrix axes so that it broadcasts against an array of ``ndim``
+    dimensions whose extra axes sit between the point and matrix axes."""
+    return x.reshape(x.shape[:-2] + (1,) * (ndim - x.ndim) + x.shape[-2:])
+
+
+def apply(x: np.ndarray, w) -> np.ndarray:
+    """The matrix x (at each point, for a stack) applied to w: to a vector, to
+    the columns of a matrix, or to each matrix of w's extra axes."""
+    w = np.asarray(w, dtype=float)
+    return lift(x, w.ndim) @ w
 
 
 @dataclass
@@ -107,7 +130,7 @@ class SubspaceBasis:
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[1]
+        return self.columns.shape[-1]
 
 
 def _check_orthonormal(columns, matrix, rank=None) -> None:
@@ -131,6 +154,14 @@ class TangentSplit:
     horizontal: SubspaceBasis
     range: SubspaceBasis
     range_perp: SubspaceBasis
+
+    def __getitem__(self, i) -> "TangentSplit":
+        """The split at point i of a split whose bases are stacked."""
+        g1, g2 = self.kernel.metric[i], self.range.metric[i]
+        return TangentSplit(self.rank, _basis(self.kernel.columns[i], g1),
+                            _basis(self.horizontal.columns[i], g1),
+                            _basis(self.range.columns[i], g2),
+                            _basis(self.range_perp.columns[i], g2))
 
 
 def _fix_signs(columns: np.ndarray) -> np.ndarray:
@@ -168,28 +199,40 @@ def gram_schmidt(vectors, ip: InnerProduct, tol: float = 1e-10) -> SubspaceBasis
 
 
 def metric_adjoint(A, g1: InnerProduct, g2: InnerProduct) -> np.ndarray:
-    """Adjoint B of A with g1(x, B y) = g2(A x, y) for all x, y."""
+    """Adjoint B of A with g1(x, B y) = g2(A x, y) for all x, y (of each map
+    of a stack (N, m, n), under the inner products at its point)."""
     A = np.asarray(A, dtype=float)
-    if A.shape != (g2.dim, g1.dim):
+    if A.shape[-2:] != (g2.dim, g1.dim):
         raise ValueError(f"matrix shape {A.shape} does not match metrics "
                          f"({g2.dim}x{g1.dim} expected)")
-    return np.linalg.solve(g1.matrix, A.T @ g2.matrix)
+    return np.linalg.solve(g1.matrix, np.swapaxes(A, -1, -2) @ g2.matrix)
+
+
+def _along_velocities(dA, A, *point_quantities):
+    """The point quantities made to broadcast along the velocity axis that
+    dA carries before its matrix axes, when it has one more axis than A."""
+    if dA.ndim == A.ndim:
+        return point_quantities
+    return tuple(lift(x, dA.ndim) for x in point_quantities)
 
 
 def metric_adjoint_derivative(adjoint, A, dA, g1: InnerProduct, dG1,
                               g2: InnerProduct, dG2) -> np.ndarray:
     """Derivative of ``adjoint``, the metric adjoint of A, when A, G1 and G2
     move with velocities dA, dG1 and dG2: G1^-1 (dA^T G2 + A^T dG2 - dG1
-    adjoint).  Velocities stacked along a leading axis give one derivative
-    per entry."""
-    return np.linalg.solve(g1.matrix, np.swapaxes(dA, -1, -2) @ g2.matrix
-                           + A.T @ dG2 - dG1 @ adjoint)
+    adjoint).  Velocities stacked along an axis before the matrix axes (after
+    the point axis, for a stack) give one derivative per entry."""
+    G1, G2, At, adjoint = _along_velocities(
+        dA, A, g1.matrix, g2.matrix, np.swapaxes(A, -1, -2), adjoint)
+    return np.linalg.solve(G1, np.swapaxes(dA, -1, -2) @ G2 + At @ dG2
+                           - dG1 @ adjoint)
 
 
 def range_projector(split: TangentSplit) -> np.ndarray:
-    """The g2-orthogonal projector R R^T G2 onto the range of the split map."""
+    """The g2-orthogonal projector R R^T G2 onto the range of the split map
+    (at each point, for a stacked split)."""
     R = split.range.columns
-    return R @ R.T @ split.range.metric.matrix
+    return R @ np.swapaxes(R, -1, -2) @ split.range.metric.matrix
 
 
 def range_projector_derivative(P, A, dA, split: TangentSplit,
@@ -203,16 +246,19 @@ def range_projector_derivative(P, A, dA, split: TangentSplit,
         dP = K + G2^-1 K^T G2 + G2^-1 P^T dG2 (I - P)
 
     (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  Velocities stacked
-    along a leading axis give one derivative per entry.
+    along an axis before the matrix axes (after the point axis, for a stack)
+    give one derivative per entry.
     """
     G2 = split.range.metric.matrix
     H = split.horizontal.columns
-    R = split.range.columns
-    pseudo_inverse = H @ np.linalg.solve(R.T @ G2 @ A @ H, R.T @ G2)
-    complement = np.eye(len(G2)) - P
+    Rt_G2 = np.swapaxes(split.range.columns, -1, -2) @ G2
+    pseudo_inverse = H @ np.linalg.solve(Rt_G2 @ A @ H, Rt_G2)
+    complement = np.eye(G2.shape[-1]) - P
+    complement, pseudo_inverse, G2, Pt = _along_velocities(
+        dA, A, complement, pseudo_inverse, G2, np.swapaxes(P, -1, -2))
     K = complement @ dA @ pseudo_inverse
     return K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2
-                               + P.T @ dG2 @ complement)
+                               + Pt @ dG2 @ complement)
 
 
 def split_tangent(A, g1: InnerProduct, g2: InnerProduct,
@@ -224,13 +270,17 @@ def split_tangent(A, g1: InnerProduct, g2: InnerProduct,
         raise ValueError(f"matrix shape {A.shape} does not match metrics")
     stacked = [_trusted(InnerProduct, matrix=g.matrix[None], cholesky=g.cholesky[None])
                for g in (g1, g2)]
-    return split_tangents(A[None], *stacked, tol)[0]
+    (_, split), = split_tangents(A[None], *stacked, tol)
+    return split[0]
 
 
 def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
                    tol: float = DEFAULT_RANK_TOL) -> list:
-    """The TangentSplit of each map A[i] of a stack (N, m, n) between the
-    inner products g1[i] and g2[i].
+    """The splits of the maps A[i] of a stack (N, m, n) between the inner
+    products g1[i] and g2[i], grouped by rank: one (at, split) per rank, in
+    increasing rank, where ``at`` indexes the points of that rank (a slice of
+    all of them when the rank is constant) and ``split`` is a TangentSplit
+    whose bases are stacked over those points.
 
     The map is whitened to M = L2^T A L1^{-T}; a Euclidean SVD of M then
     yields g1-orthonormal kernel/horizontal bases and g2-orthonormal
@@ -245,22 +295,20 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
                      np.sum(s > tol * sigma_max[:, None], axis=1), 0)
     V = Vt.transpose(0, 2, 1)
     if (ranks == ranks[0]).all():
-        groups = [(ranks[0], range(len(A)), slice(None))]
+        groups = [(ranks[0], slice(None))]
     else:
-        groups = [(rank, at, at) for rank in np.unique(ranks)
-                  for at in [np.flatnonzero(ranks == rank)]]
-    splits = [None] * len(A)
-    for rank, points, at in groups:
+        groups = [(rank, np.flatnonzero(ranks == rank)) for rank in np.unique(ranks)]
+    splits = []
+    for rank, at in groups:
         # horizontal then kernel columns, and range then normal columns
         source = _unwhitened(g1, at, rank, V[at])
         target = _unwhitened(g2, at, rank, U[at])
-        for j, i in enumerate(points):
-            h1, h2 = g1.per_point[i], g2.per_point[i]
-            splits[i] = TangentSplit(
-                int(rank), kernel=_basis(source[j, :, rank:], h1),
-                horizontal=_basis(source[j, :, :rank], h1),
-                range=_basis(target[j, :, :rank], h2),
-                range_perp=_basis(target[j, :, rank:], h2))
+        h1, h2 = (g1, g2) if isinstance(at, slice) else (g1[at], g2[at])
+        splits.append((at, TangentSplit(
+            int(rank), kernel=_basis(source[..., rank:], h1),
+            horizontal=_basis(source[..., :rank], h1),
+            range=_basis(target[..., :rank], h2),
+            range_perp=_basis(target[..., rank:], h2))))
     return splits
 
 

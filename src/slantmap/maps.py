@@ -8,18 +8,21 @@ coordinate formula
 
 so no vector-field extensions enter; jets supply every derivative exactly.
 
-A ``PointFrame`` holds what is known at one point, and each pointwise
-quantity (phi/omega and B/C, Q, the slant angle, the tension field, the fiber
-mean curvature, S_V, the adapted frame, the section derivatives and defects)
-is one of its members, computed on first use.  Frames are built in stacks
-from stacked jets (``frame_block``).  A ``Sample`` is the analysis context of
-one run, whose frames are built once and read by every check.
+A ``FrameStack`` holds what is known at the points of one rank in a block
+of points, stacked along a leading point axis, built from stacked jets
+(``frame_block``).  Each derived pointwise quantity (phi/omega, Q, the
+tension field, the fiber mean curvature, the section derivatives and
+defects) is one of its members, formed once over the stack on first use.  A
+``PointFrame`` is one point of a stack and reads its row; the algebra that
+takes arguments (B/C, slant angles, the adapted frame, sff values) is shared
+by both.  A ``Sample`` is the analysis context of one run, whose stacks are
+built once, and every check is a reduction over them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -28,7 +31,7 @@ import numpy as np
 from .charts import (ChartError, ChartFields, ChartManifold, evaluate_prefix,
                      metric_derivative)
 from .expressions import Expression, eval_jet2, eval_jets, parse_expression
-from .linalg import (InnerProduct, TangentSplit, metric_adjoint,
+from .linalg import (InnerProduct, TangentSplit, apply, lift, metric_adjoint,
                      metric_adjoint_derivative, range_projector,
                      range_projector_derivative, split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
@@ -99,30 +102,162 @@ class PointOperators:
     jhat: Optional[np.ndarray] = None
 
 
-@dataclass
-class PointFrame:
-    """Everything the per-point analysis needs, computed once."""
+# Why an adapted frame does not close at a point: failure code k is entry k - 1.
+ADAPTED_FRAME_FAILURES = (
+    "horizontal space exhausted before the frame closed",
+    "Q vanishes for an anti-invariant map: no adapted frame")
 
-    point: np.ndarray
-    image: np.ndarray
-    jacobian: np.ndarray
-    g_source: InnerProduct
-    g_target: InnerProduct
-    split: TangentSplit
-    gamma_source: np.ndarray
-    gamma_target: np.ndarray
-    sff: np.ndarray  # (m, n, n)
-    complex_structure: Optional[np.ndarray]
-    complex_structure_grad: Optional[np.ndarray]  # dJ[c, a, b] = d_c J^a_b
-    hessian: np.ndarray  # (m, n, n), d_i d_j F^g
+
+class _Frames:
+    """Algebra shared by a PointFrame, whose arrays are those of one point,
+    and a FrameStack, whose arrays carry a leading point axis.  Vectors are
+    the columns of (..., m, k) arrays, and the extra axes of an argument sit
+    between the point axis and the matrix axes."""
 
     @property
     def rank(self) -> int:
         return self.split.rank
 
+    @property
+    def g_source(self) -> InnerProduct:
+        """The source metric, that of the kernel and horizontal bases."""
+        return self.split.kernel.metric
+
+    @property
+    def g_target(self) -> InnerProduct:
+        """The target metric, that of the range and normal bases."""
+        return self.split.range.metric
+
+    def pushforward(self, X) -> np.ndarray:
+        return apply(self.jacobian, X)
+
+    def tangential(self, w) -> np.ndarray:
+        """Range part of a target vector (of each column, for a matrix)."""
+        return apply(self.range_projector, w)
+
+    def normal(self, w) -> np.ndarray:
+        """Part of a target vector normal to the range."""
+        return np.asarray(w, dtype=float) - self.tangential(w)
+
+    def phi_omega(self, X):
+        """Split J F_*X into its range part (phi) and normal part (omega)."""
+        phi = apply(self.phi, X)
+        return phi, apply(self.j_pushforward, X) - phi
+
+    def bc(self, V):
+        """Split J V for a normal vector V into range part (B) and normal
+        part (C)."""
+        w = apply(require_complex_structure(self), V)
+        b = self.tangential(w)
+        return b, w - b
+
+    def slant_angles(self, X) -> np.ndarray:
+        """Angle in [0, pi/2] between J F_*X and the range of F_*, for each
+        column of X.
+
+        Computed as atan2(|omega part|, |phi part|), which stays accurate at
+        both extremes where an arccos of the cosine ratio loses half the
+        digits.
+        """
+        X = np.asarray(X, dtype=float)
+        if (self.g_target.norms(self.pushforward(X)) == 0.0).any():
+            raise ValueError("direction lies in the kernel of the differential")
+        return self._angles(X)
+
+    def _angles(self, X) -> np.ndarray:
+        phi, omega = self.phi_omega(X)
+        return np.arctan2(self.g_target.norms(omega), self.g_target.norms(phi))
+
+    def adapted_frames(self, angle_tol: float = DEFAULT_ANGLE_TOL):
+        """Orthonormal horizontal frame of the form {e, sec(theta) Q e, ...}
+        and its failure code, 0 where the frame closes (see
+        ADAPTED_FRAME_FAILURES).
+
+        Greedy construction: pick a horizontal unit vector, append its
+        normalized Q-partner, re-orthogonalize the remaining horizontal
+        directions, repeat.  Fails for anti-invariant maps, where Q vanishes.
+        """
+        r = self.rank
+        if r == 0:
+            raise MapDefinitionError("map has rank zero: no horizontal space")
+        G1 = self.g_source.matrix
+        candidates = self.split.horizontal.columns
+        failure = np.zeros(candidates.shape[:-2], dtype=int)
+        chosen: list = []
+        while len(chosen) < r:
+            residuals = candidates
+            for _ in range(2):
+                for b in chosen:
+                    inner = np.einsum("...i,...ij,...ja->...a", b, G1, residuals)
+                    residuals = residuals - b[..., :, None] * inner[..., None, :]
+            norms = self.g_source.norms(residuals)
+            best = norms.argmax(axis=-1)[..., None]
+            norm = np.take_along_axis(norms, best, -1)[..., 0]
+            exhausted = norm < 1e-10
+            e = (np.take_along_axis(residuals, best[..., None, :], -1)[..., 0]
+                 / np.where(exhausted, 1.0, norm)[..., None])
+            theta = self._angles(e[..., None])[..., 0]
+            code = np.where(exhausted, 1, np.where(theta >= math.pi / 2 - angle_tol,
+                                                   2, 0))
+            failure = np.where(failure > 0, failure, code)
+            chosen.append(e)
+            chosen.append((self.adjoint_phi @ e[..., None])[..., 0]
+                          / np.cos(theta)[..., None])
+        return np.stack(chosen[:r], axis=-1), failure
+
+    def sff_value(self, X, Y) -> np.ndarray:
+        """sff(X, Y); a matrix Y gives one column per column of Y, and a
+        matrix X one leading entry per column of X."""
+        return _bilinear(self.sff, X, Y)
+
+    def covariant_source(self, X, Y) -> np.ndarray:
+        """Source connection applied to constant-coefficient extensions of X, Y,
+        with matrices read as in sff_value."""
+        return _bilinear(self.gamma_source, X, Y)
+
+
+def _bilinear(tensor, X, Y) -> np.ndarray:
+    """tensor(x_a, y_b) at [..., a, :, b] for the columns x_a of X and y_b
+    of Y; a vector X or Y (one per point, for a stack) drops its axis."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    x_vector, y_vector = (Z.ndim == tensor.ndim - 2 for Z in (X, Y))
+    if x_vector:
+        X = X[..., None]
+    if y_vector:
+        Y = Y[..., None]
+    out = (np.einsum("...gij,...ia->...agj", tensor, X)
+           @ lift(Y, X.ndim + 1))
+    if y_vector:
+        out = out[..., 0]
+    if x_vector:
+        out = out[..., 0, :] if y_vector else out[..., 0, :, :]
+    return out
+
+
+@dataclass(eq=False)
+class FrameStack(_Frames):
+    """The frames of the points of one rank in a block, each field stacked
+    along a leading point axis, and every derived quantity formed once over
+    the stack on first use."""
+
+    rows: np.ndarray        # index of each point in its sample
+    points: np.ndarray      # (N, n)
+    images: np.ndarray      # (N, m)
+    jacobian: np.ndarray    # (N, m, n)
+    split: TangentSplit     # with bases and metrics stacked over the points
+    gamma_source: np.ndarray  # (N, n, n, n)
+    gamma_target: np.ndarray  # (N, m, m, m)
+    sff: np.ndarray         # (N, m, n, n)
+    complex_structure: Optional[np.ndarray]       # (N, m, m)
+    complex_structure_grad: Optional[np.ndarray]  # dJ[:, c, a, b] = d_c J^a_b
+    hessian: np.ndarray     # (N, m, n, n), d_i d_j F^g
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
     @cached_property
     def adjoint(self) -> np.ndarray:
-        """Metric adjoint of F_*, solved once per frame."""
+        """Metric adjoint of F_*, solved once per stack."""
         return metric_adjoint(self.jacobian, self.g_source, self.g_target)
 
     @cached_property
@@ -132,7 +267,7 @@ class PointFrame:
 
     @cached_property
     def j_pushforward(self) -> np.ndarray:
-        """J F_* as an (m, n) matrix."""
+        """J F_* as an (m, n) matrix at each point."""
         return require_complex_structure(self) @ self.jacobian
 
     @cached_property
@@ -150,7 +285,7 @@ class PointFrame:
     def q(self) -> np.ndarray:
         """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
         h = self.split.horizontal.columns
-        return h.T @ self.g_source.matrix @ self.adjoint_phi @ h
+        return np.swapaxes(h, -1, -2) @ self.g_source.matrix @ self.adjoint_phi @ h
 
     @cached_property
     def horizontal_derivatives(self) -> "SectionDerivatives":
@@ -159,67 +294,83 @@ class PointFrame:
 
     @cached_property
     def omega_defects(self) -> np.ndarray:
-        """The omega defect over horizontal pairs: [a, :, b] along h_a at
-        h_b, shape (r, m, r)."""
-        h = self.split.horizontal.columns
-        return self.horizontal_derivatives.omega_defect @ h
+        """The omega defect over horizontal pairs: [:, a, :, b] along h_a at
+        h_b, shape (N, r, m, r)."""
+        return (self.horizontal_derivatives.omega_defect
+                @ lift(self.split.horizontal.columns, 4))
 
     @cached_property
     def phi_defects(self) -> np.ndarray:
         """The phi defect over horizontal pairs, laid out as omega_defects."""
-        h = self.split.horizontal.columns
-        return self.horizontal_derivatives.phi_defect @ h
+        return (self.horizontal_derivatives.phi_defect
+                @ lift(self.split.horizontal.columns, 4))
 
     @cached_property
     def tension(self) -> np.ndarray:
         """Tension field: the metric trace of the second fundamental form."""
         inverse = np.linalg.inv(self.g_source.matrix)
-        return np.einsum("ij,gij->g", inverse, self.sff)
+        return np.einsum("...ij,...gij->...g", inverse, self.sff)
 
     @cached_property
     def fiber_mean_curvature(self) -> np.ndarray:
         """Trace of the second fundamental form over the kernel; zero iff the
         fiber through the point is minimal."""
         kernel = self.split.kernel.columns
-        if kernel.shape[1] == 0:
+        if kernel.shape[-1] == 0:
             raise MapDefinitionError("map is an immersion: the kernel is trivial")
-        return np.einsum("gij,ia,ja->g", self.sff, kernel, kernel)
+        return np.einsum("...gij,...ia,...ja->...g", self.sff, kernel, kernel)
 
-    def pushforward(self, X) -> np.ndarray:
-        return self.jacobian @ np.asarray(X, dtype=float)
 
-    def tangential(self, w) -> np.ndarray:
-        """Range part of a target vector (of each column, for a matrix)."""
-        return self.range_projector @ np.asarray(w, dtype=float)
+def _row(name: str, doc: str = "") -> property:
+    """The row of the stack's ``name`` (None where the stack has none)."""
+    def get(self):
+        value = getattr(self.stack, name)
+        return None if value is None else value[self.row]
+    return property(get, doc=doc)
 
-    def normal(self, w) -> np.ndarray:
-        """Part of a target vector normal to the range."""
-        return np.asarray(w, dtype=float) - self.tangential(w)
 
-    def phi_omega(self, X):
-        """Split J F_*X into its range part (phi) and normal part (omega)."""
-        X = np.asarray(X, dtype=float)
-        phi = self.phi @ X
-        return phi, self.j_pushforward @ X - phi
+class PointFrame(_Frames):
+    """Everything the per-point analysis needs at one point: row ``row`` of
+    a FrameStack, whose members are formed once for the whole stack."""
 
-    def bc(self, V):
-        """Split J V for a normal vector V into range part (B) and normal
-        part (C)."""
-        w = require_complex_structure(self) @ np.asarray(V, dtype=float)
-        b = self.tangential(w)
-        return b, w - b
+    def __init__(self, stack: FrameStack, row: int):
+        self.stack = stack
+        self.row = row
+
+    point = _row("points")
+    image = _row("images")
+    jacobian = _row("jacobian")
+    gamma_source = _row("gamma_source")
+    gamma_target = _row("gamma_target")
+    sff = _row("sff", "(m, n, n)")
+    complex_structure = _row("complex_structure")
+    complex_structure_grad = _row("complex_structure_grad")
+    hessian = _row("hessian", "(m, n, n), d_i d_j F^g")
+    adjoint = _row("adjoint", "Metric adjoint of F_*.")
+    range_projector = _row("range_projector")
+    j_pushforward = _row("j_pushforward")
+    phi = _row("phi")
+    adjoint_phi = _row("adjoint_phi", "Q X = adjoint_phi @ X.")
+    q = _row("q", "Matrix of Q in the orthonormal horizontal frame.")
+    omega_defects = _row("omega_defects", "[a, :, b] along h_a at h_b, (r, m, r).")
+    phi_defects = _row("phi_defects")
+    tension = _row("tension")
+    fiber_mean_curvature = _row("fiber_mean_curvature")
+
+    @cached_property
+    def split(self) -> TangentSplit:
+        return self.stack.split[self.row]
+
+    @property
+    def horizontal_derivatives(self) -> "SectionDerivatives":
+        """section_derivatives along the horizontal frame, one entry per h_a."""
+        derivatives = self.stack.horizontal_derivatives
+        return SectionDerivatives(*(getattr(derivatives, f.name)[self.row]
+                                    for f in fields(derivatives)))
 
     def slant_angle(self, X) -> float:
-        """Angle in [0, pi/2] between J F_*X and the range of F_*.
-
-        Computed as atan2(|omega part|, |phi part|), which stays accurate at
-        both extremes where an arccos of the cosine ratio loses half the
-        digits.
-        """
-        if self.g_target.norm(self.pushforward(X)) == 0.0:
-            raise ValueError("direction lies in the kernel of the differential")
-        phi, omega = self.phi_omega(X)
-        return math.atan2(self.g_target.norm(omega), self.g_target.norm(phi))
+        """Angle in [0, pi/2] between J F_*X and the range of F_*."""
+        return float(self.slant_angles(np.asarray(X, dtype=float)[:, None])[0])
 
     def s_v(self, V, tol: float = DEFAULT_CHECK_TOL) -> np.ndarray:
         """Shape operator S[a, b] = g2(V, sff(h_a, h_b)) on the horizontal
@@ -258,82 +409,44 @@ class PointFrame:
         return ops
 
     def adapted_frame(self, angle_tol: float = DEFAULT_ANGLE_TOL) -> np.ndarray:
-        """Orthonormal horizontal frame of the form {e, sec(theta) Q e, ...}.
-
-        Greedy construction: pick a horizontal unit vector, append its
-        normalized Q-partner, re-orthogonalize the remaining horizontal
-        directions, repeat.  Fails for anti-invariant maps, where Q vanishes.
-        """
-        r = self.rank
-        if r == 0:
-            raise MapDefinitionError("map has rank zero: no horizontal space")
-        g1 = self.g_source
-        chosen: list = []
-
-        def orthogonalized(w):
-            for _ in range(2):
-                for b in chosen:
-                    w = w - g1.inner(b, w) * b
-            return w
-
-        candidates = [self.split.horizontal.columns[:, a] for a in range(r)]
-        while len(chosen) < r:
-            residuals = [orthogonalized(c) for c in candidates]
-            norms = [g1.norm(w) for w in residuals]
-            best = int(np.argmax(norms))
-            if norms[best] < 1e-10:
-                raise ValueError("horizontal space exhausted before the frame closed")
-            e = residuals[best] / norms[best]
-            theta = self.slant_angle(e)
-            if theta >= math.pi / 2 - angle_tol:
-                raise ValueError("Q vanishes for an anti-invariant map: no adapted frame")
-            chosen.append(e)
-            chosen.append(self.adjoint_phi @ e / math.cos(theta))
-        return np.column_stack(chosen[:r])
-
-    def sff_value(self, X, Y) -> np.ndarray:
-        """sff(X, Y); a matrix Y gives one column per column of Y, and a
-        matrix X one leading entry per column of X."""
-        return _bilinear(self.sff, X, Y)
-
-    def covariant_source(self, X, Y) -> np.ndarray:
-        """Source connection applied to constant-coefficient extensions of X, Y,
-        with matrices read as in sff_value."""
-        return _bilinear(self.gamma_source, X, Y)
-
-
-def _bilinear(tensor, X, Y) -> np.ndarray:
-    return (np.einsum("gij,i...->...gj", tensor, np.asarray(X, float))
-            @ np.asarray(Y, float))
+        """Orthonormal horizontal frame {e, sec(theta) Q e, ...} at the point."""
+        columns, failure = self.adapted_frames(angle_tol)
+        if failure:
+            raise ValueError(ADAPTED_FRAME_FAILURES[failure - 1])
+        return columns
 
 
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
     """The frame at p: a block of one."""
-    return frame_block(spec, np.asarray(p, dtype=float)[None], rank_tol)[0]
+    stack, = frame_block(spec, np.asarray(p, dtype=float)[None], rank_tol)
+    return PointFrame(stack, 0)
 
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
                 target: Optional[ChartFields] = None, start: int = 0) -> list:
-    """The PointFrames of a stack of points (N, n), built from stacked jets
-    with one batched factorisation of each kind.  ``target`` holds the
-    target chart at the images, where points[i] is its point start + i;
-    without it the target chart is evaluated here."""
+    """The FrameStacks of a stack of points (N, n), one per rank among them,
+    built from stacked jets with one batched factorisation of each kind.
+    points[i] is the point start + i of its sample, and the point start + i
+    of ``target``, which holds the target chart at the images; without it
+    the target chart is evaluated here."""
+    rows = np.arange(start, start + len(points))
     image, jac, hess = eval_jets(spec.components, points, 2)
     g1, gamma1 = spec.source.metric_at(points)
     if target is None:
         target, start = ChartFields(spec.target, image), 0
     stop = start + len(points)
     g2, gamma2 = target.metric(start, stop)
-    splits = split_tangents(jac, g1, g2, rank_tol)
+    groups = split_tangents(jac, g1, g2, rank_tol)
     sff = (hess - np.einsum("nkij,ngk->ngij", gamma1, jac)
            + np.einsum("ngab,nai,nbj->ngij", gamma2, jac, jac))
-    J = dJ = [None] * len(points)
+    J = dJ = None
     if spec.target.complex_structure is not None:
         J, dJ = target.structure(start, stop)
-    return [PointFrame(points[i], image[i], jac[i], g1.per_point[i],
-                       g2.per_point[i], splits[i], gamma1[i], gamma2[i], sff[i],
-                       J[i], dJ[i], hess[i])
-            for i in range(len(points))]
+    return [FrameStack(rows[at], points[at], image[at], jac[at], split,
+                       gamma1[at], gamma2[at], sff[at],
+                       None if J is None else J[at],
+                       None if dJ is None else dJ[at], hess[at])
+            for at, split in groups]
 
 
 # Wrappers over PointFrame members, kept (as are map_point and differential)
@@ -357,10 +470,10 @@ FRAME_BLOCK = 1024
 
 class Sample:
     """Analysis context of one run: the sample points, the target chart at
-    their images, and one PointFrame per point, built on first use in stacks
-    of at most FRAME_BLOCK points and read by every check.  A failed build is
-    kept and raised again at the same point, so each check fails where it
-    would."""
+    their images, and the FrameStacks of their frames, built on first use in
+    blocks of at most FRAME_BLOCK points (one stack per rank in a block) and
+    read by every check.  A failed build is kept and raised again at the same
+    point, so each check fails where it would."""
 
     def __init__(self, spec: MapSpec, points,
                  rank_tol: float = DEFAULT_RANK_TOL):
@@ -368,11 +481,31 @@ class Sample:
         self.points = np.array(points, dtype=float).reshape(len(points),
                                                             spec.source.dim)
         self.rank_tol = rank_tol
+        self._stacks: list = []
         self._frames: list = []
         self._failure: Optional[Exception] = None
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def stacks(self):
+        """The stacks in block order, each block built when first reached; a
+        failed build raises after the stacks of the points before it."""
+        k = 0
+        while k < len(self._stacks) or len(self._frames) < len(self):
+            if k == len(self._stacks):
+                if self._failure is None:
+                    self._build(len(self._frames))
+                if k == len(self._stacks):
+                    raise self._failure
+            yield self._stacks[k]
+            k += 1
+
+    def worst(self, residual, fields=lambda *index: {}):
+        """worst_residual of residual(stack), an array (len(stack), ...) of
+        the residuals at each point of the stack, over the stacks."""
+        return worst_residual([(s.rows, residual(s)) for s in self.stacks()],
+                              self.points, fields)
 
     def frames(self):
         """The frames in point order, each block built when first reached."""
@@ -386,11 +519,16 @@ class Sample:
 
     def _build(self, start: int) -> None:
         stop = min(start + FRAME_BLOCK, len(self))
-        frames, _, self._failure = evaluate_prefix(
+        stacks, count, self._failure = evaluate_prefix(
             lambda lo, hi: frame_block(self.spec, self.points[start + lo:start + hi],
                                        self.rank_tol, self.target, start + lo),
             stop - start)
-        self._frames.extend(frames or [])
+        frames = [None] * count
+        for stack in stacks or []:
+            for row, i in enumerate(stack.rows):
+                frames[i - start] = PointFrame(stack, row)
+        self._stacks.extend(stacks or [])
+        self._frames.extend(frames)
 
     @cached_property
     def _images(self):
@@ -416,33 +554,35 @@ class Sample:
 
 
 # ---------------------------------------------------------------------------
-# Complex-structure parts at one frame and their covariant derivatives
+# Complex-structure parts and their covariant derivatives
 
-def require_complex_structure(frame: PointFrame) -> np.ndarray:
-    if frame.complex_structure is None:
+def require_complex_structure(frames) -> np.ndarray:
+    if frames.complex_structure is None:
         raise ChartError("target chart has no complex structure")
-    return frame.complex_structure
+    return frames.complex_structure
 
 
 @dataclass
 class SectionDerivatives:
     """Covariant derivatives of the sections Y -> phi(F_*Y), omega(F_*Y) and
     QY along each direction X_a, and the omega defect (nabla_X omega)Y and
-    phi defect (nabla_X phi)Y - sff(X, QY), stacked along a leading direction
-    axis: entry [a] is a matrix acting on Y, extended by constant
-    coefficients.  A defect vanishes everywhere iff its operator is parallel."""
+    phi defect (nabla_X phi)Y - sff(X, QY), stacked along a direction axis
+    (after the point axis, for a stack): entry [..., a, :, :] is a matrix
+    acting on Y, extended by constant coefficients.  A defect vanishes
+    everywhere iff its operator is parallel."""
 
-    phi: np.ndarray           # (k, m, n), pullback connection
-    omega: np.ndarray         # (k, m, n), pullback connection
-    q: np.ndarray             # (k, n, n), source connection
-    omega_defect: np.ndarray  # (k, m, n)
-    phi_defect: np.ndarray    # (k, m, n)
+    phi: np.ndarray           # (..., k, m, n), pullback connection
+    omega: np.ndarray         # (..., k, m, n), pullback connection
+    q: np.ndarray             # (..., k, n, n), source connection
+    omega_defect: np.ndarray  # (..., k, m, n)
+    phi_defect: np.ndarray    # (..., k, m, n)
 
 
-def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
+def section_derivatives(frames, X) -> SectionDerivatives:
     """Exact derivatives of the phi, omega and Q sections along the curves
     t -> p + tX_a, one for each column X_a of the (n, k) matrix X, taken in
-    one stacked pass.
+    one stacked pass: at one frame, or at every point of a FrameStack with
+    X of shape (N, n, k).
 
     Along a curve F_* moves by dA = Hess(F) X_a, the metrics by dG1 (along
     X_a) and dG2 (along F_*X_a), and J by its gradient along F_*X_a, all read
@@ -452,46 +592,54 @@ def section_derivatives(frame: PointFrame, X) -> SectionDerivatives:
     constant rank.  The target (pullback) and source Christoffel terms then
     turn the plain derivatives into covariant ones.
     """
-    JA, phi, A = frame.j_pushforward, frame.phi, frame.jacobian
     X = np.asarray(X, dtype=float)
+    A = frames.jacobian
     fx = A @ X
-    dA = np.moveaxis(frame.hessian @ X, -1, 0)
-    dG1 = metric_derivative(frame.g_source.matrix, frame.gamma_source, X)
-    dG2 = metric_derivative(frame.g_target.matrix, frame.gamma_target, fx)
-    dJ = np.einsum("cab,ck->kab", frame.complex_structure_grad, fx)
-    dP = range_projector_derivative(frame.range_projector, A, dA, frame.split,
+    dA = np.moveaxis(frames.hessian @ X[..., None, :, :], -1, -3)
+
+    def along(x):  # a point quantity, broadcast along the directions
+        return lift(x, dA.ndim)
+
+    JA, phi, P = along(frames.j_pushforward), along(frames.phi), along(frames.range_projector)
+    dG1 = metric_derivative(frames.g_source.matrix, frames.gamma_source, X)
+    dG2 = metric_derivative(frames.g_target.matrix, frames.gamma_target, fx)
+    dJ = np.einsum("...cab,...ck->...kab", frames.complex_structure_grad, fx)
+    dP = range_projector_derivative(frames.range_projector, A, dA, frames.split,
                                     dG2)
-    dJA = dJ @ A + frame.complex_structure @ dA
-    d_phi = dP @ JA + frame.range_projector @ dJA
-    d_adjoint = metric_adjoint_derivative(frame.adjoint, A, dA, frame.g_source,
-                                          dG1, frame.g_target, dG2)
-    target_connection = np.einsum("gab,ak->kgb", frame.gamma_target, fx)
-    source_connection = np.einsum("kij,ia->akj", frame.gamma_source, X)
+    dJA = dJ @ along(A) + along(frames.complex_structure) @ dA
+    d_phi = dP @ JA + P @ dJA
+    d_adjoint = metric_adjoint_derivative(frames.adjoint, A, dA, frames.g_source,
+                                          dG1, frames.g_target, dG2)
+    target_connection = np.einsum("...gab,...ak->...kgb", frames.gamma_target, fx)
+    source_connection = np.einsum("...kij,...ia->...akj", frames.gamma_source, X)
     nabla_phi = d_phi + target_connection @ phi
     nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
     return SectionDerivatives(
         phi=nabla_phi, omega=nabla_omega,
-        q=(d_adjoint @ phi + frame.adjoint @ d_phi
-           + source_connection @ frame.adjoint_phi),
-        omega_defect=(frame.normal(nabla_omega)
+        q=(d_adjoint @ phi + along(frames.adjoint) @ d_phi
+           + source_connection @ along(frames.adjoint_phi)),
+        omega_defect=(nabla_omega - P @ nabla_omega
                       - (JA - phi) @ source_connection),
         phi_defect=(nabla_phi - phi @ source_connection
-                    - frame.sff_value(X, frame.adjoint_phi)))
+                    - frames.sff_value(X, frames.adjoint_phi)))
 
 
 # ---------------------------------------------------------------------------
-# Checks
+# Checks: reductions over the stacks of a Sample
+
+def pair_fields(a: int, b: int) -> dict:
+    """Witness fields of a horizontal pair."""
+    return {"pair": [a, b]}
+
 
 def is_riemannian_map(sample: Sample,
                       tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Gram-matrix test of the horizontal restriction plus rank constancy."""
-    frames = list(sample.frames())
-    worst, witness = worst_residual(
-        (gram_residual(frame.jacobian @ frame.split.horizontal.columns,
-                       frame.g_target), frame.point, {}) for frame in frames)
-    ranks = [frame.rank for frame in frames]
-    rank_constant = len(set(ranks)) <= 1
-    detail = {"rank": ranks[0] if rank_constant and ranks else sorted(set(ranks)),
+    worst, witness = sample.worst(lambda s: gram_residual(
+        s.jacobian @ s.split.horizontal.columns, s.g_target))
+    ranks = sorted({s.rank for s in sample.stacks()})
+    rank_constant = len(ranks) <= 1
+    detail = {"rank": ranks[0] if rank_constant and ranks else ranks,
               "rank_constant": rank_constant}
     if not rank_constant or (ranks and ranks[0] == 0):
         reason = ("differential vanishes on this box: rank is zero" if rank_constant
@@ -504,49 +652,49 @@ def is_riemannian_map(sample: Sample,
                                      detail=detail)
 
 
-def gram_residual(columns: np.ndarray, metric: InnerProduct) -> float:
-    """How far the columns are from orthonormal under the metric."""
-    gram = columns.T @ metric.matrix @ columns
-    return float(np.abs(gram - np.eye(columns.shape[1])).max(initial=0.0))
+def gram_residual(columns: np.ndarray, metric: InnerProduct) -> np.ndarray:
+    """How far the columns (of each matrix of a stack) are from orthonormal
+    under the metric (at the same point)."""
+    gram = np.swapaxes(columns, -1, -2) @ metric.matrix @ columns
+    return np.abs(gram - np.eye(columns.shape[-1])).max(axis=(-2, -1),
+                                                         initial=0.0)
 
 
 def check_sff_range_perp(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
-    def residuals(frame):
-        h = frame.split.horizontal.columns
-        for a in range(frame.rank):
-            tangential = frame.tangential(frame.sff_value(h[:, a], h[:, a:]))
-            for b, residual in enumerate(frame.g_target.norms(tangential), start=a):
-                yield residual, frame.point, {"pair": [a, b]}
+    def residuals(s):
+        h = s.split.horizontal.columns
+        # pairs [a, b] with b >= a: the lower triangle repeats them
+        return np.triu(s.g_target.norms(s.tangential(s.sff_value(h, h))))
 
-    worst, witness = worst_residual(
-        item for frame in sample.frames() for item in residuals(frame))
+    worst, witness = sample.worst(residuals, pair_fields)
     return CheckResult.from_residual("sff_range_perp", worst, tol,
                                      samples=len(sample), witness=witness)
 
 
-def _sff_norm_max(frame: PointFrame, basis: np.ndarray) -> float:
+def _sff_norm_max(frames, basis: np.ndarray) -> np.ndarray:
     """Largest sff norm over pairs of columns of ``basis``."""
-    return float(frame.g_target.norms(frame.sff_value(basis, basis))
-                 .max(initial=0.0))
+    return frames.g_target.norms(frames.sff_value(basis, basis)).max(
+        axis=(-2, -1), initial=0.0)
 
 
-def sff_global_max(frame: PointFrame) -> float:
+def sff_global_max(frames) -> np.ndarray:
     """Largest sff norm over all pairs from the full orthonormal source basis."""
-    return _sff_norm_max(frame, np.hstack([frame.split.kernel.columns,
-                                           frame.split.horizontal.columns]))
+    return _sff_norm_max(frames, np.concatenate(
+        [frames.split.kernel.columns, frames.split.horizontal.columns], axis=-1))
 
 
-def fiber_geodesy_residual(frame: PointFrame) -> float:
+def fiber_geodesy_residual(frames) -> np.ndarray:
     """How far the fibers are from totally geodesic: sff over kernel pairs."""
-    return _sff_norm_max(frame, frame.split.kernel.columns)
+    return _sff_norm_max(frames, frames.split.kernel.columns)
 
 
-def horizontal_geodesy_residual(frame: PointFrame) -> float:
+def horizontal_geodesy_residual(frames) -> np.ndarray:
     """Vertical component of the source connection on horizontal pairs,
     measured as g1(nabla_X Y, W) over frame vectors."""
-    h = frame.split.horizontal.columns
-    vertical = (frame.split.kernel.columns.T @ frame.g_source.matrix
-                @ frame.covariant_source(h, h))
-    return float(np.abs(vertical).max(initial=0.0))
+    h = frames.split.horizontal.columns
+    kernel_covector = (np.swapaxes(frames.split.kernel.columns, -1, -2)
+                       @ frames.g_source.matrix)
+    vertical = apply(kernel_covector, frames.covariant_source(h, h))
+    return np.abs(vertical).max(axis=(-3, -2, -1), initial=0.0)

@@ -119,10 +119,13 @@ class Analysis:
 
     def entry(self, name: str) -> Optional[CheckResult]:
         """The report entry of a check in CHECK_NAMES (None for a
-        slant_classification that ran); a check that raises gets an error."""
+        slant_classification that ran); a check that raises gets an error.
+        An overflow in the checks' arithmetic is its residual (inf or NaN),
+        not a warning."""
         if name not in self._entries:
             try:
-                self._entries[name] = self._compute(name)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self._entries[name] = self._compute(name)
             except ChartError as exc:
                 self._entries[name] = CheckResult.error(name, str(exc))
             except Exception as exc:

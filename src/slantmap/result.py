@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 PASS = "pass"
 FAIL = "fail"
@@ -70,14 +73,34 @@ class CheckResult:
         return out
 
 
-def worst_residual(items):
-    """The largest residual of (residual, point, fields) triples and its
-    witness, the point plus ``fields``.  The maximum starts at 0.0 with no
-    witness and moves only to a strictly larger residual, so the first of
-    equal maxima is the witness."""
-    worst, witness = 0.0, None
-    for residual, point, fields in items:
-        if residual > worst:
-            worst = float(residual)
-            witness = {"point": [float(x) for x in point], **fields}
-    return worst, witness
+def worst_residual(parts, points, fields=lambda *index: {}):
+    """The largest residual and its witness: the point plus ``fields`` of
+    the residual's index at that point.
+
+    ``parts`` holds (rows, residuals) pairs: residuals (len(rows), ...) at the
+    points ``points[rows]``.  The witness is the one a fold over the points
+    in order, and over each point's residuals in C order, takes when it
+    starts at 0.0 and moves only to a strictly larger residual: the first of
+    equal maxima.  NaN is passed over, and with no residual above 0.0 there
+    is no witness.
+    """
+    best = np.zeros(len(points))
+    at = np.zeros(len(points), dtype=np.intp)
+    part = np.zeros(len(points), dtype=np.intp)
+    shapes = []
+    for k, (rows, residuals) in enumerate(parts):
+        residuals = np.asarray(residuals, dtype=float)
+        flat = np.fmax(residuals.reshape(len(residuals),
+                                         math.prod(residuals.shape[1:])), 0.0)
+        if flat.shape[1]:
+            first = flat.argmax(axis=1)
+            at[rows] = first
+            best[rows] = np.take_along_axis(flat, first[:, None], 1)[:, 0]
+        part[rows] = k
+        shapes.append(residuals.shape[1:])
+    i = int(best.argmax()) if len(best) else 0
+    if not len(best) or not best[i] > 0.0:
+        return 0.0, None
+    index = np.unravel_index(at[i], shapes[part[i]])
+    return float(best[i]), {"point": [float(x) for x in points[i]],
+                            **fields(*(int(j) for j in index))}

@@ -19,10 +19,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from .maps import (MapDefinitionError, MapSpec, PointFrame, PointOperators,
-                   Sample, fiber_geodesy_residual, gram_residual,
-                   horizontal_geodesy_residual, is_riemannian_map,
-                   point_frame, require_complex_structure, sff_global_max)
+from .linalg import apply, frobenius_norms, lift
+from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
+                   PointFrame, PointOperators, Sample, fiber_geodesy_residual,
+                   gram_residual, horizontal_geodesy_residual,
+                   is_riemannian_map, pair_fields, point_frame,
+                   require_complex_structure, sff_global_max)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      EXACT_IDENTITY_TOL, CheckResult, worst_residual)
 
@@ -65,15 +67,16 @@ def adapted_frame(spec: MapSpec, p, angle_tol: float = DEFAULT_ANGLE_TOL,
 # ---------------------------------------------------------------------------
 # Parallelism defects
 
-def omega_defect_algebraic(frame: PointFrame, X, Y) -> np.ndarray:
-    """Closed form of the omega defect: C(sff(X, Y)) - sff(X, QY).
+def omega_defect_algebraic(frames, X, Y) -> np.ndarray:
+    """Closed form of the omega defect: C(sff(X, Y)) - sff(X, QY), at one
+    frame or at every point of a FrameStack.
 
     Valid when the target structure is parallel; it uses only the second
     fundamental form, so it cross-checks the derivative-based defect.
     """
-    J = require_complex_structure(frame)
-    c_part = frame.normal(J @ frame.normal(frame.sff_value(X, Y)))
-    return c_part - frame.sff_value(X, frame.adjoint_phi @ Y)
+    J = require_complex_structure(frames)
+    c_part = frames.normal(apply(J, frames.normal(frames.sff_value(X, Y))))
+    return c_part - frames.sff_value(X, apply(frames.adjoint_phi, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +128,15 @@ class SlantReport:
         return out
 
 
-def _horizontal_directions(frame: PointFrame, rng: np.random.Generator,
-                           count: int) -> np.ndarray:
-    """Unit horizontal vectors drawn as coefficients on the orthonormal frame."""
-    h = frame.split.horizontal.columns
-    coeff = rng.standard_normal((count, frame.rank))
-    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    return coeff @ h.T
+def _horizontal_directions(stacks, count: int, rng: np.random.Generator,
+                           dirs: int, rank: int) -> list:
+    """Unit horizontal vectors drawn as coefficients on the orthonormal
+    frame, ``dirs`` per point of the sample in point order: one (N, n, dirs)
+    array per stack."""
+    coeff = rng.standard_normal((count, dirs, rank))
+    coeff /= np.linalg.norm(coeff, axis=2, keepdims=True)
+    return [s.split.horizontal.columns @ np.swapaxes(coeff[s.rows], 1, 2)
+            for s in stacks]
 
 
 def classify_slant(sample: Sample, dirs_per_point: int = 6,
@@ -147,7 +152,7 @@ def classify_slant(sample: Sample, dirs_per_point: int = 6,
     ``riemannian`` is the riemannian_map result for the same sample and
     tolerance, when the caller already has it.
     """
-    frames = list(sample.frames())  # a failed build raises as the Riemannian test would
+    stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
     if riemannian is None:
         riemannian = is_riemannian_map(sample, tol)
     if not riemannian.passed:
@@ -156,22 +161,20 @@ def classify_slant(sample: Sample, dirs_per_point: int = 6,
                            rank=riemannian.detail.get("rank"))
 
     rng = np.random.default_rng(seed)
-    rank = frames[0].rank
+    rank = stacks[0].rank
 
-    angles = []
-    point_angles = []
-    for frame in frames:
-        directions = _horizontal_directions(frame, rng, dirs_per_point)
-        theta_here = [frame.slant_angle(X) for X in directions]
-        angles.extend(theta_here)
-        point_angles.append({"point": [float(x) for x in frame.point],
-                             "angles": [float(t) for t in theta_here]})
+    angles = np.empty((len(sample), dirs_per_point))
+    for s, X in zip(stacks, _horizontal_directions(
+            stacks, len(sample), rng, dirs_per_point, rank)):
+        angles[s.rows] = s.slant_angles(X)
+    point_angles = [{"point": p, "angles": a}
+                    for p, a in zip(sample.points.tolist(), angles.tolist())]
     mean_angle = float(np.mean(angles))
-    deviations = [abs(t - mean_angle) for t in angles]
-    max_dev = float(max(deviations))
+    deviations = np.abs(angles - mean_angle)
+    max_dev = float(deviations.max())
     worst = int(np.argmax(deviations))
     witness = {"point": point_angles[worst // dirs_per_point]["point"],
-               "angle": float(angles[worst])}
+               "angle": float(angles.flat[worst])}
 
     if max_dev > angle_tol:
         classification = NOT_SLANT
@@ -187,83 +190,82 @@ def classify_slant(sample: Sample, dirs_per_point: int = 6,
                          point_angles=point_angles,
                          witness=witness if classification == NOT_SLANT else None)
 
-    _fit_lambda(report, frames, rng, dirs_per_point)
-    _fit_mu(report, frames)
-    _parallelism(report, frames, tol)
-    _phwc_flags(report, frames, tol)
+    _fit_lambda(report, sample, stacks, rng, dirs_per_point)
+    _fit_mu(report, sample, stacks)
+    _parallelism(report, sample, tol)
+    _phwc_flags(report, sample, tol)
     return report
 
 
-def _fit_lambda(report: SlantReport, frames, rng, dirs_per_point: int) -> None:
-    numerator = denominator = 0.0
-    samples = []
-    for frame in frames:
-        X = _horizontal_directions(frame, rng, dirs_per_point).T
-        fx = frame.jacobian @ X  # one column per direction, as is phi2
-        phi2 = frame.tangential(frame.complex_structure @ (frame.phi @ X))
-        numerator += np.einsum("ia,ij,ja->", phi2, frame.g_target.matrix, fx)
-        denominator += np.einsum("ia,ij,ja->", fx, frame.g_target.matrix, fx)
-        samples.append((frame, phi2, fx))
-    lam = numerator / denominator
+def _fit_lambda(report: SlantReport, sample: Sample, stacks, rng,
+                dirs_per_point: int) -> None:
+    numerator, denominator = np.empty(len(sample)), np.empty(len(sample))
+    fitted = []
+    for s, X in zip(stacks, _horizontal_directions(
+            stacks, len(sample), rng, dirs_per_point, report.rank)):
+        fx = s.jacobian @ X  # one column per direction, as is phi2
+        phi2 = s.tangential(s.complex_structure @ (s.phi @ X))
+        G = s.g_target.matrix
+        numerator[s.rows] = np.einsum("nia,nij,nja->n", phi2, G, fx)
+        denominator[s.rows] = np.einsum("nia,nij,nja->n", fx, G, fx)
+        fitted.append((s, phi2, fx))
+    lam = numerator.sum() / denominator.sum()
     report.lambda_estimate = float(lam)
-    report.lambda_residual = float(max(max(frame.g_target.norms(phi2 - lam * fx))
-                                       for frame, phi2, fx in samples))
+    report.lambda_residual = float(max(
+        s.g_target.norms(phi2 - lam * fx).max() for s, phi2, fx in fitted))
 
 
-def _fit_mu(report: SlantReport, frames) -> None:
-    squares = [frame.q @ frame.q for frame in frames]
-    mu = sum(np.trace(q2) for q2 in squares) / sum(len(q2) for q2 in squares)
+def _fit_mu(report: SlantReport, sample: Sample, stacks) -> None:
+    traces = np.empty(len(sample))
+    for s in stacks:
+        traces[s.rows] = np.trace(s.q @ s.q, axis1=1, axis2=2)
+    mu = traces.sum() / (len(sample) * report.rank)
     report.mu_estimate = float(mu)
-    report.mu_residual = max([0.0] + [float(np.abs(q2 - mu * np.eye(len(q2))).max())
-                                      for q2 in squares])
+    report.mu_residual = sample.worst(
+        lambda s: np.abs(s.q @ s.q - mu * np.eye(report.rank)))[0]
 
 
-def _parallelism(report: SlantReport, frames, tol: float) -> None:
-    omega_max = phi_max = 0.0
-    for frame in frames:
-        norms = frame.g_target.norms
-        omega_max = max(omega_max, norms(frame.omega_defects).max())
-        phi_max = max(phi_max, norms(frame.phi_defects).max())
-    report.omega_defect = float(omega_max)
+def _parallelism(report: SlantReport, sample: Sample, tol: float) -> None:
+    report.omega_defect = sample.worst(
+        lambda s: s.g_target.norms(s.omega_defects))[0]
     report.omega_parallel = report.omega_defect <= tol
-    report.phi_defect = float(phi_max)
+    report.phi_defect = sample.worst(lambda s: s.g_target.norms(s.phi_defects))[0]
     report.phi_parallel = report.phi_defect <= tol
 
 
-def _phwc_flags(report: SlantReport, frames, tol: float) -> None:
+def _phwc_flags(report: SlantReport, sample: Sample, tol: float) -> None:
     if not report.sec_defined:
         return
     sec = 1.0 / math.cos(report.mean_angle)
-    worst = 0.0
-    for frame in frames:
-        worst = max(worst, *phwc_residuals(frame, sec))
+    worst = sample.worst(lambda s: np.stack(phwc_residuals(s, sec), axis=1))[0]
     report.phwc_residual = worst
     report.phwc = worst <= tol
     if not report.phwc:
         return
-    mixed, _ = worst_residual(item for frame in frames
-                              for item in mixed_sff(frame))
+    mixed = sample.worst(mixed_sff)[0]
     residual = max(report.phi_defect or 0.0, mixed)
     report.pseudo_homothetic_residual = float(residual)
     report.pseudo_homothetic = residual <= tol
 
 
-def phwc_residuals(frame: PointFrame, sec: float):
-    """How far sec(theta) Q is from a compatible complex structure at the
-    frame: the norms of jhat^2 + I (square) and jhat^T jhat - I (Hermitian)."""
-    jhat = sec * frame.q
-    identity = np.eye(frame.rank)
-    return (float(np.linalg.norm(jhat @ jhat + identity)),
-            float(np.linalg.norm(jhat.T @ jhat - identity)))
+def phwc_residuals(frames, sec: float):
+    """How far sec(theta) Q is from a compatible complex structure at each
+    point: the norms of jhat^2 + I (square) and jhat^T jhat - I (Hermitian)."""
+    jhat = sec * frames.q
+    identity = np.eye(frames.rank)
+    return (frobenius_norms(jhat @ jhat + identity),
+            frobenius_norms(np.swapaxes(jhat, -1, -2) @ jhat - identity))
 
 
-def mixed_sff(frame: PointFrame):
-    """(|sff(h_a, u_c)|, point, where) over horizontal h_a and vertical u_c,
-    in the order worst_residual reads them."""
-    values = frame.sff_value(frame.split.horizontal.columns,
-                             frame.split.kernel.columns)
-    for (a, c), value in np.ndenumerate(frame.g_target.norms(values)):
-        yield value, frame.point, {"horizontal": a, "vertical": c}
+def mixed_sff(frames) -> np.ndarray:
+    """|sff(h_a, u_c)| over horizontal h_a and vertical u_c, at [..., a, c]."""
+    return frames.g_target.norms(frames.sff_value(
+        frames.split.horizontal.columns, frames.split.kernel.columns))
+
+
+def mixed_fields(a: int, c: int) -> dict:
+    """Witness fields of a horizontal-vertical pair."""
+    return {"horizontal": a, "vertical": c}
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +326,14 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
         return CheckResult.skipped(
             "adapted_frame", f"classification is {report.classification}: "
             "sec(angle) construction undefined")
-    worst, witness = worst_residual(
-        (gram_residual(frame.adapted_frame(report.angle_tol),
-                       frame.g_source), frame.point, {})
-        for frame in sample.frames())
+    parts = []
+    failure = np.zeros(len(sample), dtype=int)
+    for s in sample.stacks():
+        columns, failure[s.rows] = s.adapted_frames(report.angle_tol)
+        parts.append((s.rows, gram_residual(columns, s.g_source)))
+    if failure.any():  # the error of the first point whose frame fails
+        raise ValueError(ADAPTED_FRAME_FAILURES[failure[failure > 0][0] - 1])
+    worst, witness = worst_residual(parts, sample.points)
     return CheckResult.from_residual("adapted_frame", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -355,13 +361,11 @@ def check_omega_defect_identity(sample: Sample,
     only the second fundamental form and Q.  The two routes share no
     derivative formula, so agreement validates both.
     """
-    def residuals(frame):
-        h = frame.split.horizontal.columns
-        return frame.omega_defects - omega_defect_algebraic(frame, h, h)
+    def residuals(s):
+        h = s.split.horizontal.columns
+        return s.g_target.norms(s.omega_defects - omega_defect_algebraic(s, h, h))
 
-    worst, witness = worst_residual(
-        item for frame in sample.frames()
-        for item in _pair_items(frame, residuals(frame)))
+    worst, witness = sample.worst(residuals, pair_fields)
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -378,30 +382,19 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
                                    "precondition unmet: omega is not parallel")
     factor = -math.cos(report.mean_angle) ** 2
 
-    def residuals(frame):
-        h = frame.split.horizontal.columns
-        qh = frame.adjoint_phi @ h
-        return frame.sff_value(qh, qh) - factor * frame.sff_value(h, h)
+    def residuals(s):
+        h = s.split.horizontal.columns
+        qh = s.adjoint_phi @ h
+        return s.g_target.norms(s.sff_value(qh, qh) - factor * s.sff_value(h, h))
 
-    worst, witness = worst_residual(
-        item for frame in sample.frames()
-        for item in _pair_items(frame, residuals(frame)))
+    worst, witness = sample.worst(residuals, pair_fields)
     return CheckResult.from_residual("sff_q_scaling", worst, tol,
                                      samples=len(sample), witness=witness)
 
 
-def _pair_items(frame: PointFrame, vectors: np.ndarray):
-    """(norm, point, pair) of the vectors [a, :, b] of a horizontal-pair
-    tensor, a before b, in the order worst_residual reads them."""
-    for (a, b), residual in np.ndenumerate(frame.g_target.norms(vectors)):
-        yield residual, frame.point, {"pair": [a, b]}
-
-
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
-    worst, witness = worst_residual(
-        (frame.g_target.norm(frame.tension), frame.point, {})
-        for frame in sample.frames())
+    worst, witness = sample.worst(lambda s: s.g_target.norm(s.tension))
     return CheckResult.from_residual("harmonic", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -410,9 +403,8 @@ def check_minimal_fibers(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
     try:
-        worst, witness = worst_residual(
-            (frame.g_target.norm(frame.fiber_mean_curvature),
-             frame.point, {}) for frame in sample.frames())
+        worst, witness = sample.worst(
+            lambda s: s.g_target.norm(s.fiber_mean_curvature))
     except MapDefinitionError as exc:  # an immersion has no fibers
         return CheckResult.skipped("minimal_fibers", str(exc))
     return CheckResult.from_residual("minimal_fibers", worst, tol,
@@ -452,25 +444,29 @@ def check_harmonic_minimal_equivalence(sample: Sample, report: SlantReport,
                 "harmonic": harmonic.passed, "minimal_fibers": fibers.passed})
 
 
-def _condition_three_residual(frame: PointFrame) -> float:
+def _condition_three_residual(frames) -> np.ndarray:
     """Pairing identity linking the shape operator, B/C parts and the normal
     connection on horizontal pairs against every normal frame vector:
     sum_c g2(BV, F_*h_c) g2(omega F_*Y, sff(X, h_c))
-        = g2(nabla^perp_X omega F_*Y, CV) - g2(nabla^perp_X omega F_*QY, V)."""
-    h = frame.split.horizontal.columns
-    perp = frame.split.range_perp.columns
-    if perp.shape[1] == 0 or frame.rank == 0:
-        return 0.0
-    G = frame.g_target.matrix
-    bv, cv = frame.bc(perp)
-    _, omega_h = frame.phi_omega(h)                   # omega F_*h_b
-    d_omega = frame.horizontal_derivatives.omega      # along h_a at [a]
-    sff_h = frame.sff_value(h, h)                     # sff(h_a, h_c) at [a]
-    lhs = (bv.T @ G @ frame.jacobian @ h              # g2(BV, F_*h_c): (v, c)
-           @ np.swapaxes(sff_h, 1, 2) @ G @ omega_h)  # (a, v, b)
-    rhs = (cv.T @ G @ frame.normal(d_omega @ h)
-           - perp.T @ G @ frame.normal(d_omega @ frame.adjoint_phi @ h))
-    return float(np.abs(lhs - rhs).max())
+        = g2(nabla^perp_X omega F_*Y, CV) - g2(nabla^perp_X omega F_*QY, V);
+    the largest mismatch at each point of a FrameStack."""
+    h = frames.split.horizontal.columns
+    perp = frames.split.range_perp.columns
+    if perp.shape[-1] == 0 or frames.rank == 0:
+        return np.zeros(len(frames))
+    G = frames.g_target.matrix
+    bv, cv = frames.bc(perp)
+    _, omega_h = frames.phi_omega(h)                   # omega F_*h_b
+    d_omega = frames.horizontal_derivatives.omega      # along h_a at [:, a]
+    sff_h = frames.sff_value(h, h)                     # sff(h_a, h_c) at [:, a]
+    paired = np.swapaxes(bv, -1, -2) @ G @ frames.jacobian @ h  # g2(BV, F_*h_c)
+    lhs = (lift(paired, 4) @ np.swapaxes(sff_h, -1, -2)
+           @ lift(G, 4) @ lift(omega_h, 4))            # (N, a, v, b)
+    rhs = (apply(np.swapaxes(cv, -1, -2) @ G, frames.normal(d_omega @ lift(h, 4)))
+           - apply(np.swapaxes(perp, -1, -2) @ G,
+                   frames.normal(d_omega @ lift(frames.adjoint_phi, 4)
+                                 @ lift(h, 4))))
+    return np.abs(lhs - rhs).max(axis=(1, 2, 3))
 
 
 def check_totally_geodesic(sample: Sample,
@@ -481,11 +477,9 @@ def check_totally_geodesic(sample: Sample,
     conditions: totally geodesic fibers, totally geodesic horizontal
     distribution, and the shape-operator pairing identity on normal vectors.
     """
-    frames = list(sample.frames())
-    global_max, witness = worst_residual((sff_global_max(frame), frame.point, {})
-                                         for frame in frames)
-    fiber_max = max([0.0] + [fiber_geodesy_residual(f) for f in frames])
-    horizontal_max = max([0.0] + [horizontal_geodesy_residual(f) for f in frames])
+    global_max, witness = sample.worst(sff_global_max)
+    fiber_max = sample.worst(fiber_geodesy_residual)[0]
+    horizontal_max = sample.worst(horizontal_geodesy_residual)[0]
     detail = {
         "fiber_residual": fiber_max,
         "fibers_totally_geodesic": fiber_max <= tol,
@@ -493,7 +487,7 @@ def check_totally_geodesic(sample: Sample,
         "horizontal_totally_geodesic": horizontal_max <= tol,
     }
     if sample.spec.target.complex_structure is not None:
-        third_max = max([0.0] + [_condition_three_residual(f) for f in frames])
+        third_max = sample.worst(_condition_three_residual)[0]
         detail["pairing_residual"] = third_max
         detail["pairing_holds"] = third_max <= tol
         joint = (fiber_max <= tol and horizontal_max <= tol and third_max <= tol)
@@ -514,14 +508,18 @@ def check_phwc(sample: Sample, report: SlantReport,
         return CheckResult.skipped(
             "phwc", "the induced horizontal structure is undefined at angle pi/2")
     sec = 1.0 / math.cos(report.mean_angle)
-    frames = list(sample.frames())
-    pairs = [phwc_residuals(frame, sec) for frame in frames]
-    residual, witness = worst_residual((max(pair), frame.point, {})
-                                       for frame, pair in zip(frames, pairs))
+
+    def larger(s):  # of the two at each point, the square one at a tie or a NaN
+        square, hermitian = phwc_residuals(s, sec)
+        return np.where(hermitian > square, hermitian, square)
+
+    residual, witness = sample.worst(larger)
     return CheckResult.from_residual(
         "phwc", residual, tol, samples=len(sample), witness=witness,
-        detail={"square_residual": max([0.0] + [s for s, _ in pairs]),
-                "hermitian_residual": max([0.0] + [h for _, h in pairs])})
+        detail={"square_residual": sample.worst(
+                    lambda s: phwc_residuals(s, sec)[0])[0],
+                "hermitian_residual": sample.worst(
+                    lambda s: phwc_residuals(s, sec)[1])[0]})
 
 
 def check_pseudo_homothetic(sample: Sample, report: SlantReport,
@@ -540,28 +538,31 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         return CheckResult.skipped("pseudo_homothetic",
                                    "precondition unmet: map is not PHWC")
     sec = 1.0 / math.cos(report.mean_angle)
-    frames = list(sample.frames())
-    mixed_max, witness = worst_residual(item for frame in frames
-                                        for item in mixed_sff(frame))
-    frame_deriv_max = vertical_pair_max = 0.0
-    for frame in frames:
-        h = frame.split.horizontal.columns
-        kernel = frame.split.kernel.columns
-        phi_h = frame.phi @ h
-        # [a, :, b]: sec(theta) (nabla_{h_a}(Q h_b) - Q nabla_{h_a} h_b)
-        jhat_deriv = sec * (frame.horizontal_derivatives.q @ h
-                            - frame.adjoint_phi @ frame.covariant_source(h, h))
-        frame_deriv_max = max(frame_deriv_max, frame.g_target.norms(
-            frame.pushforward(jhat_deriv) - sec * frame.phi_defects).max())
-        lhs = np.swapaxes(jhat_deriv, 1, 2) @ frame.g_source.matrix @ kernel
-        rhs = sec * phi_h.T @ frame.g_target.matrix @ frame.sff_value(h, kernel)
-        vertical_pair_max = max(vertical_pair_max,
-                                float(np.abs(lhs - rhs).max(initial=0.0)))
+    mixed_max, witness = sample.worst(mixed_sff, mixed_fields)
+
+    def jhat_derivative(s):
+        """[:, a, :, b]: sec(theta) (nabla_{h_a}(Q h_b) - Q nabla_{h_a} h_b)"""
+        h = s.split.horizontal.columns
+        return sec * (s.horizontal_derivatives.q @ lift(h, 4)
+                      - apply(s.adjoint_phi, s.covariant_source(h, h)))
+
+    def vertical_pairing(s):
+        h = s.split.horizontal.columns
+        kernel = s.split.kernel.columns
+        lhs = (np.swapaxes(jhat_derivative(s), -1, -2)
+               @ lift(s.g_source.matrix, 4) @ lift(kernel, 4))
+        rhs = apply(sec * np.swapaxes(s.phi @ h, -1, -2) @ s.g_target.matrix,
+                    s.sff_value(h, kernel))
+        return np.abs(lhs - rhs)
+
+    frame_deriv_max = sample.worst(lambda s: s.g_target.norms(
+        s.pushforward(jhat_derivative(s)) - sec * s.phi_defects))[0]
+    vertical_pair_max = sample.worst(vertical_pairing)[0]
     # phi parallelism was measured, over the same pairs, by the classification
     residual = max(report.phi_defect, mixed_max)
     return CheckResult.from_residual(
         "pseudo_homothetic", residual, tol, samples=len(sample),
         witness=witness,
         detail={"phi_defect": report.phi_defect, "mixed_sff": mixed_max,
-                "structure_derivative_residual": float(frame_deriv_max),
+                "structure_derivative_residual": frame_deriv_max,
                 "vertical_pairing_residual": vertical_pair_max})

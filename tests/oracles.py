@@ -1,4 +1,5 @@
-"""Independent finite-difference oracles used to pin expected values.
+"""Independent finite-difference oracles used to pin expected values, and
+the reference fold the checks' witness reduction is compared against.
 
 Everything here differentiates plain evaluations with central differences,
 so agreement with the library's exact derivatives is a real two-route check.
@@ -108,3 +109,16 @@ def fd_source_derivative(frame, X, section, h=FD_STEP):
     dv = _centered_curve_difference(frame.point, X, section, h)
     return dv + np.einsum("kij,i,j->k", frame.gamma_source,
                           np.asarray(X, dtype=float), section(frame.point))
+
+
+def fold_worst_residual(items):
+    """The reference reduction: a fold over (residual, point, fields)
+    triples that starts at 0.0 with no witness and moves only to a strictly
+    larger residual, so the first of equal maxima is the witness and NaN is
+    passed over."""
+    worst, witness = 0.0, None
+    for residual, point, fields in items:
+        if residual > worst:
+            worst = float(residual)
+            witness = {"point": [float(x) for x in point], **fields}
+    return worst, witness

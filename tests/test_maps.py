@@ -8,7 +8,8 @@ from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
                            check_sff_range_perp, differential,
                            is_riemannian_map, map_point, point_frame,
                            second_fundamental_form, tension_field)
-from slantmap.slant import (adapted_frame, point_operators, q_matrix,
+from slantmap.slant import (adapted_frame, check_harmonic,
+                            check_minimal_fibers, point_operators, q_matrix,
                             q_operator, slant_angle)
 from oracles import fd_sff
 
@@ -95,6 +96,46 @@ def test_rank_drop_reported():
     result = is_riemannian_map(Sample(pinch, points))
     assert result.status == "fail"
     assert "subimmersion" in result.reason
+
+
+# Entries of the pinch map at points of rank 1 (x1 = 0) and rank 2, taken
+# from the checks when they still read the frames one at a time
+PINCH_POINTS = [[0.0, 0.3], [0.9, 0.1], [-0.6, -0.8], [0.0, -0.5], [0.3, 0.7],
+                [0.0, 0.9], [-0.2, 0.4]]
+PINCH_ENTRIES = {
+    is_riemannian_map: {
+        "name": "riemannian_map", "status": "fail", "residual": 0.96,
+        "tol": 1e-08, "samples": 7,
+        "reason": "rank varies across samples: not a subimmersion on this box",
+        "witness": {"point": [-0.2, 0.4]},
+        "detail": {"rank": [1, 2], "rank_constant": False}},
+    check_sff_range_perp: {
+        "name": "sff_range_perp", "status": "fail", "residual": 1.0,
+        "tol": 1e-08, "samples": 7,
+        "witness": {"point": [0.9, 0.1], "pair": [1, 1]}},
+    check_harmonic: {
+        "name": "harmonic", "status": "fail", "residual": 1.0, "tol": 1e-08,
+        "samples": 7, "witness": {"point": [0.0, 0.3]}},
+    check_minimal_fibers: {
+        "name": "minimal_fibers", "status": "skipped",
+        "reason": "map is an immersion: the kernel is trivial"},
+}
+
+
+@pytest.mark.parametrize("block", [1024, 2])
+def test_mixed_rank_sample_entries(block, monkeypatch):
+    # the points of each rank form their own stack in every block; the
+    # entries, witnesses included, are those of the points read in order
+    monkeypatch.setattr(slantmap.maps, "FRAME_BLOCK", block)
+    pinch = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["x1*x1/2", "x2"])
+    for check, entry in PINCH_ENTRIES.items():
+        result = check(Sample(pinch, PINCH_POINTS)).to_dict()
+        assert result.keys() == entry.keys()
+        for key, value in entry.items():
+            if key == "residual":
+                assert result[key] == pytest.approx(value, abs=1e-12)
+            else:
+                assert result[key] == value
 
 
 def test_sff_affine_map_vanishes():

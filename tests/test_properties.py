@@ -1,15 +1,20 @@
 """Properties of the jets over random expression trees in x1..x3: stacked
 and one-point evaluations agree bit for bit, the jets agree with the
-finite-difference oracles, and printing then parsing gives the tree back."""
+finite-difference oracles, and printing then parsing gives the tree back.
+And the witness reduction of the checks, over the stacks of a Sample, takes
+the witness of the reference fold."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import slantmap.maps
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   Fun, Lit, Neg, Pow, Var, eval_jet2,
                                   parse_expression, to_text)
-from oracles import fd_gradient, fd_hessian
+from slantmap.charts import ChartManifold
+from slantmap.maps import MapSpec, Sample, pair_fields
+from oracles import fd_gradient, fd_hessian, fold_worst_residual
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None,
@@ -95,3 +100,43 @@ def test_random_jets_match_finite_differences(root, point):
 @given(TREES)
 def test_printed_tree_parses_back(root):
     assert parse_expression(to_text(root), 3).root == root
+
+
+# Residuals from a small set, so that ties, zeros, inf and NaN are common
+RESIDUALS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 3.0, np.inf, np.nan, -1.0])
+# rank 1 where x1 = 0, rank 2 elsewhere
+PINCH = MapSpec.create(ChartManifold.euclidean(2), ChartManifold.euclidean(2),
+                       ["x1*x1/2", "x2"])
+
+
+@st.composite
+def _pair_residuals(draw):
+    """Residuals over horizontal pairs at up to 14 points of rank 1 or 2."""
+    count = draw(st.integers(0, 14))
+    ranks = draw(st.lists(st.sampled_from([1, 2]), min_size=count,
+                          max_size=count))
+    return [np.array(draw(st.lists(RESIDUALS, min_size=r * r, max_size=r * r))
+                     ).reshape(r, r) for r in ranks]
+
+
+@PROPERTY_SETTINGS
+@given(_pair_residuals())
+def test_worst_residual_matches_the_reference_fold(per_point):
+    # the residuals reach the reduction as the stacks of a Sample hold their
+    # points: blocks of three, one stack per rank in a block
+    points = [[0.0 if len(r) == 1 else 0.5, 0.1 * i]
+              for i, r in enumerate(per_point)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(slantmap.maps, "FRAME_BLOCK", 3)
+        sample = Sample(PINCH, points)
+
+        def residuals(stack):
+            assert all(len(per_point[i]) == stack.rank for i in stack.rows)
+            return np.stack([per_point[i] for i in stack.rows])
+
+        actual = sample.worst(residuals, pair_fields)
+    expected = fold_worst_residual(
+        (value, point, pair_fields(a, b))
+        for point, pairs in zip(points, per_point)
+        for (a, b), value in np.ndenumerate(pairs))
+    assert actual == expected

@@ -301,25 +301,28 @@ def _budget_map(name):
 def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
                                      monkeypatch, name, derived):
     # the section derivatives along the whole horizontal frame, and the
-    # adjoint and projector they read, are formed once per frame.  Every
-    # metric and J entry of the target chart is evaluated once per image, for
-    # the frames and both target checks together, and every source metric
-    # entry once per sample point.
-    calls = Counter()
+    # adjoint and projector they read, are formed once per sample point, in
+    # calls over stacks of points: the points those calls cover add up to
+    # the sample exactly.  Every metric and J entry of the target chart is
+    # evaluated once per image, for the frames and both target checks
+    # together, and every source metric entry once per sample point.
+    points = Counter()
 
-    def count(owner, attribute, key):
+    def count(owner, attribute, key, stacked):
         original = getattr(owner, attribute)
 
         def counted(*args, **kwargs):
-            calls[key] += 1
+            points[key] += int(np.prod(stacked(*args).shape[:-2]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, attribute, counted)
 
     for module in (slantmap.linalg, slantmap.maps):
-        count(module, "metric_adjoint", "adjoint")
-        count(module, "range_projector", "projector")
-    count(slantmap.maps, "section_derivatives", "derivatives")
+        count(module, "metric_adjoint", "adjoint", lambda A, *_: np.asarray(A))
+        count(module, "range_projector", "projector",
+              lambda split: split.range.columns)
+    count(slantmap.maps, "section_derivatives", "derivatives",
+          lambda frames, X: np.asarray(X))
     samples = 4
     spec = _budget_map(name)
     report = run_analysis(LoadedMap(spec, AnalysisSettings(points=samples),
@@ -327,17 +330,18 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
     assert report.check("kahler").status != "skipped"
     frames = len(frame_builds)
     assert frames == samples
-    per_frame = frames if derived else 0
-    assert calls["derivatives"] == calls["adjoint"] == per_frame
-    assert calls["projector"] == per_frame
+    per_point = samples if derived else 0
+    assert points["derivatives"] == points["adjoint"] == per_point
+    assert points["projector"] == per_point
     for chart in (spec.source, spec.target):
         assert [entry_evaluations[id(e)] for e in _chart_entries(chart)] == (
             [samples] * len(_chart_entries(chart)))
 
 
 def test_frames_are_freed_by_reference_counting():
-    # the cached derivatives and defects hold no reference back to their
-    # frame: with the cyclic collector off, frames die with their Sample
+    # the derivatives and defects cached on a stack hold no reference back
+    # to it or its frames: with the cyclic collector off, frames and stacks
+    # die with their Sample
     gc.disable()
     try:
         analysis = Analysis(load_map_spec("catalog:warped_fiber"),
@@ -345,10 +349,11 @@ def test_frames_are_freed_by_reference_counting():
         for name in CHECK_NAMES:
             analysis.entry(name)
         frames = [weakref.ref(frame) for frame in analysis.sample.frames()]
+        stacks = [weakref.ref(stack) for stack in analysis.sample.stacks()]
         assert all({"omega_defects", "phi_defects"} <= set(vars(ref()))
-                   for ref in frames)
+                   for ref in stacks)
         del analysis
-        assert [ref() for ref in frames] == [None] * 3
+        assert [ref() for ref in frames + stacks] == [None] * (3 + len(stacks))
     finally:
         gc.enable()
 
@@ -532,26 +537,59 @@ def test_non_finite_value_on_part_of_the_box(case, tmp_path, capsys):
         assert code == (1 if entry[0] == "error" else 0)
 
 
+# F_* is finite, but the Gram matrix of its horizontal part overflows
+GRAM_OVERFLOW = {"source": {"dim": 2},
+                 "target": {"dim": 2, "J": [["0", "-1"], ["1", "0"]]},
+                 "components": ["1e300*x1", "x2"], "sampling": {"points": 5}}
+
+
+def _gram_overflow_entry():
+    """The riemannian_map entry of GRAM_OVERFLOW: an infinite residual,
+    first reached at the first sample point."""
+    box = [(-1.0, 1.0)] * 2
+    point = [float(x) for x in sample_points(box, 5, 42)[0]]
+    return {"name": "riemannian_map", "status": "fail", "residual": "inf",
+            "tol": 1e-8, "samples": 5, "witness": {"point": point},
+            "detail": {"rank": 1, "rank_constant": True}}
+
+
 def test_cli_overflow_leaves_stderr_empty(tmp_path):
     # the located entry is the whole report of an overflow: numpy's
-    # RuntimeWarnings must not reach stderr of the console script
-    doc = dict(MINIMAL_SPEC, source={"dim": 1}, domain={"box": [[-1.0, 2.0]]},
-               components=["exp(exp(exp(3*x1)))", "0", "0", "0"])
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(doc))
+    # RuntimeWarnings must not reach stderr of the console script, neither
+    # from the jets nor from the checks' arithmetic
+    jets = dict(MINIMAL_SPEC, source={"dim": 1}, domain={"box": [[-1.0, 2.0]]},
+                components=["exp(exp(exp(3*x1)))", "0", "0", "0"])
     env = dict(os.environ,
                PYTHONPATH=str(Path(slantmap.__file__).resolve().parent.parent))
-    run = subprocess.run([sys.executable, "-m", "slantmap.cli", "check",
-                          "riemannian_map", "--map", str(path)],
-                         capture_output=True, text=True, env=env)
-    assert run.returncode == 1
-    assert run.stderr == ""
-    (entry,) = json.loads(run.stdout)["checks"]
-    assert entry["status"] == "error"
-    assert entry["reason"].startswith(
+    entries = {}
+    for case, doc, command in (("jets", jets, ["check", "riemannian_map"]),
+                               ("gram", GRAM_OVERFLOW, ["analyze"])):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        run = subprocess.run([sys.executable, "-m", "slantmap.cli", *command,
+                              "--map", str(path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 1
+        assert run.stderr == ""
+        entries[case] = {entry["name"]: entry for entry
+                         in json.loads(run.stdout)["checks"]}["riemannian_map"]
+    assert entries["jets"]["status"] == "error"
+    assert entries["jets"]["reason"].startswith(
         "ExpressionDomainError: non-finite value at point [")
-    assert entry["reason"].endswith(
+    assert entries["jets"]["reason"].endswith(
         "in subexpression 'exp(exp(exp(3.0 * x1)))'")
+    assert entries["gram"] == _gram_overflow_entry()
+
+
+def test_gram_overflow_is_an_infinite_residual(tmp_path, capsys):
+    # in-process, where a RuntimeWarning is an error, the entry is the one
+    # the console script prints
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(GRAM_OVERFLOW))
+    assert main(["analyze", "--map", str(path)]) == 1
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    assert {e["name"]: e for e in entries}["riemannian_map"] == (
+        _gram_overflow_entry())
 
 
 # Each rule's derivative at x1 near 1e-200 leaves the floats: x1 * x1
