@@ -16,7 +16,8 @@ import numpy as np
 
 from .expressions import Expression, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
-from .linalg import InnerProduct, MetricError, frobenius_norms
+from .linalg import (InnerProduct, MetricError, apply_along, frobenius_norms,
+                     lift, pairings)
 from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
 
 
@@ -133,9 +134,10 @@ def christoffel(G, dG) -> np.ndarray:
     if not dG.any():  # a constant metric: exactly the zeros the formula gives
         return np.zeros(dG.shape)
     inverse = np.linalg.inv(G)
-    # lower[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    lower = (np.moveaxis(dG, -1, -3) + np.swapaxes(dG, -1, -2)) - dG
-    return 0.5 * np.einsum("...kl,...ijl->...kij", inverse, lower)
+    # lower[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    lower = ((np.moveaxis(dG, -3, -1) + np.swapaxes(dG, -3, -2))
+             - np.moveaxis(dG, -1, -3))
+    return 0.5 * apply_along(inverse, lower, 0)
 
 
 def metric_derivative(G, gamma, X) -> np.ndarray:
@@ -143,7 +145,7 @@ def metric_derivative(G, gamma, X) -> np.ndarray:
     along an axis before the matrix axes (after the point axis, for a stack
     of metrics) and recovered from its Levi-Civita symbols:
     d_k g_ij = g_il Gamma^l_kj + g_jl Gamma^l_ki."""
-    lowered = G[..., None, :, :] @ np.einsum("...lkj,...ka->...alj", gamma, X)
+    lowered = G[..., None, :, :] @ apply_along(np.swapaxes(X, -1, -2), gamma, 1)
     return lowered + np.swapaxes(lowered, -1, -2)
 
 
@@ -247,6 +249,11 @@ def check_almost_hermitian(fields: ChartFields,
                 "compatibility_residual": float(compatibility.max(initial=0.0))})
 
 
+def _along_pairs(nabla, rows):
+    """(nabla_x J) y at [:, x, :, y] for the rows x, y of ``rows`` (N, d, n)."""
+    return apply_along(rows, nabla @ lift(np.swapaxes(rows, 1, 2), 4), 0)
+
+
 def check_kahler(fields: ChartFields, dirs: int = 4,
                  tol: float = DEFAULT_CHECK_TOL, seed: int = 42) -> CheckResult:
     """Verify that the complex structure is parallel at the points of
@@ -267,19 +274,20 @@ def check_kahler(fields: ChartFields, dirs: int = 4,
     J, dJ = fields.structure()
     G = ip.matrix
     count, n = J.shape[:2]
-    nabla = (dJ + np.einsum("naic,ncb->niab", gamma, J)
-             - np.einsum("nac,ncib->niab", J, gamma))
+    # the connection terms come as [:, a, i, b]
+    nabla = (dJ + np.swapaxes(gamma @ J[:, None], 1, 2)
+             - np.swapaxes(apply_along(J, gamma, 0), 1, 2))
     # a g-orthonormal frame at each point; eye(n) carries a stack axis so that
     # numpy 1.x reads it as matrices, not as a stack of vectors
     frame = np.linalg.solve(np.swapaxes(ip.cholesky, 1, 2), np.eye(n)[None])
-    contracted = np.einsum("niab,nix,nby->naxy", nabla, frame, frame)
-    squares = np.einsum("naxy,nab,nbxy->n", contracted, G, contracted)
+    contracted = _along_pairs(nabla, np.swapaxes(frame, 1, 2))
+    squares = pairings(contracted, G, contracted).reshape(count, n * n).sum(axis=1)
     residuals = np.sqrt(np.maximum(squares, 0.0))
     directions = np.random.default_rng(seed).standard_normal((count, dirs, n))
     directions /= np.linalg.norm(directions, axis=2, keepdims=True)
-    # (nabla_X J) Y for every pair of sampled directions, one column each
-    values = np.einsum("niab,nxi,nyb->naxy", nabla, directions, directions)
-    pair_squares = np.einsum("naxy,nab,nbxy->nxy", values, G, values)
+    # (nabla_X J) Y for every pair of sampled directions
+    values = _along_pairs(nabla, directions)
+    pair_squares = pairings(values, G, values)
     worst, witness = worst_residual([(slice(None), residuals)], fields.points)
     return CheckResult.from_residual(
         "kahler", worst, tol, samples=count, witness=witness,

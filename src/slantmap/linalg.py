@@ -88,9 +88,7 @@ class InnerProduct:
         """Norms of the columns (of each matrix, for a stack of them); a
         stacked inner product reads vectors (N, ..., m, a), those of point i
         under the inner product at point i."""
-        squares = np.einsum("...ia,...ij,...ja->...a", vectors,
-                            lift(self.matrix, vectors.ndim), vectors)
-        return np.sqrt(np.maximum(squares, 0.0))
+        return np.sqrt(np.maximum(pairings(vectors, self.matrix, vectors), 0.0))
 
 
 def frobenius_norms(matrices) -> np.ndarray:
@@ -113,6 +111,25 @@ def apply(x: np.ndarray, w) -> np.ndarray:
     the columns of a matrix, or to each matrix of w's extra axes."""
     w = np.asarray(w, dtype=float)
     return lift(x, w.ndim) @ w
+
+
+def pairings(U, G, V) -> np.ndarray:
+    """sum_ij U[i, a] G[i, j] V[j, a] for each column a: the pairing of
+    matching columns under the matrix G (at each point, for a stack, lifted
+    over the extra axes of V as in ``lift``)."""
+    return ((lift(G, V.ndim) @ V) * U).sum(axis=-2)
+
+
+def apply_along(x, tensor, axis: int) -> np.ndarray:
+    """The matrix x (at each point, for a stack) applied along index ``axis``
+    (0 or 1) of the 3-tensor ``tensor`` (at each point), its index placed
+    first: out[k, i, j] = sum_l x[k, l] tensor[l, i, j] for axis 0 and
+    sum_l x[k, l] tensor[i, l, j] for axis 1."""
+    if axis == 1:
+        return np.swapaxes(x[..., None, :, :] @ tensor, -3, -2)
+    *lead, rows, i, j = tensor.shape
+    out = x @ tensor.reshape(*lead, rows, i * j)
+    return out.reshape(out.shape[:-1] + (i, j))
 
 
 @dataclass

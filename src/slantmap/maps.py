@@ -31,9 +31,10 @@ import numpy as np
 from .charts import (ChartError, ChartFields, ChartManifold, evaluate_prefix,
                      metric_derivative)
 from .expressions import Expression, eval_jet2, eval_jets, parse_expression
-from .linalg import (InnerProduct, TangentSplit, apply, lift, metric_adjoint,
-                     metric_adjoint_derivative, range_projector,
-                     range_projector_derivative, split_tangents)
+from .linalg import (InnerProduct, TangentSplit, apply, apply_along, lift,
+                     metric_adjoint, metric_adjoint_derivative, pairings,
+                     range_projector, range_projector_derivative,
+                     split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, worst_residual)
 
@@ -188,7 +189,7 @@ class _Frames:
             residuals = candidates
             for _ in range(2):
                 for b in chosen:
-                    inner = np.einsum("...i,...ij,...ja->...a", b, G1, residuals)
+                    inner = pairings(b[..., None], G1, residuals)
                     residuals = residuals - b[..., :, None] * inner[..., None, :]
             norms = self.g_source.norms(residuals)
             best = norms.argmax(axis=-1)[..., None]
@@ -225,8 +226,7 @@ def _bilinear(tensor, X, Y) -> np.ndarray:
         X = X[..., None]
     if y_vector:
         Y = Y[..., None]
-    out = (np.einsum("...gij,...ia->...agj", tensor, X)
-           @ lift(Y, X.ndim + 1))
+    out = apply_along(np.swapaxes(X, -1, -2), tensor, 1) @ lift(Y, X.ndim + 1)
     if y_vector:
         out = out[..., 0]
     if x_vector:
@@ -309,7 +309,9 @@ class FrameStack(_Frames):
     def tension(self) -> np.ndarray:
         """Tension field: the metric trace of the second fundamental form."""
         inverse = np.linalg.inv(self.g_source.matrix)
-        return np.einsum("...ij,...gij->...g", inverse, self.sff)
+        # summed over j, then i: where |tension| ties across points to the
+        # last ulp, the summation order picks the harmonic witness
+        return (self.sff * lift(inverse, 4)).sum(axis=-1).sum(axis=-1)
 
     @cached_property
     def fiber_mean_curvature(self) -> np.ndarray:
@@ -318,7 +320,10 @@ class FrameStack(_Frames):
         kernel = self.split.kernel.columns
         if kernel.shape[-1] == 0:
             raise MapDefinitionError("map is an immersion: the kernel is trivial")
-        return np.einsum("...gij,...ia,...ja->...g", self.sff, kernel, kernel)
+        # sff[g, i, j] k[i, a] k[j, a], summed over i, j and a at once
+        terms = (self.sff[..., None] * kernel[:, None, :, None, :]
+                 * kernel[:, None, None, :, :])
+        return terms.sum(axis=(-3, -2, -1))
 
 
 def _row(name: str, doc: str = "") -> property:
@@ -437,8 +442,8 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     stop = start + len(points)
     g2, gamma2 = target.metric(start, stop)
     groups = split_tangents(jac, g1, g2, rank_tol)
-    sff = (hess - np.einsum("nkij,ngk->ngij", gamma1, jac)
-           + np.einsum("ngab,nai,nbj->ngij", gamma2, jac, jac))
+    sff = (hess - apply_along(jac, gamma1, 0)
+           + lift(np.swapaxes(jac, 1, 2), 4) @ gamma2 @ lift(jac, 4))
     J = dJ = None
     if spec.target.complex_structure is not None:
         J, dJ = target.structure(start, stop)
@@ -595,6 +600,7 @@ def section_derivatives(frames, X) -> SectionDerivatives:
     X = np.asarray(X, dtype=float)
     A = frames.jacobian
     fx = A @ X
+    fx_rows = np.swapaxes(fx, -1, -2)
     dA = np.moveaxis(frames.hessian @ X[..., None, :, :], -1, -3)
 
     def along(x):  # a point quantity, broadcast along the directions
@@ -603,15 +609,15 @@ def section_derivatives(frames, X) -> SectionDerivatives:
     JA, phi, P = along(frames.j_pushforward), along(frames.phi), along(frames.range_projector)
     dG1 = metric_derivative(frames.g_source.matrix, frames.gamma_source, X)
     dG2 = metric_derivative(frames.g_target.matrix, frames.gamma_target, fx)
-    dJ = np.einsum("...cab,...ck->...kab", frames.complex_structure_grad, fx)
+    dJ = apply_along(fx_rows, frames.complex_structure_grad, 0)
     dP = range_projector_derivative(frames.range_projector, A, dA, frames.split,
                                     dG2)
     dJA = dJ @ along(A) + along(frames.complex_structure) @ dA
     d_phi = dP @ JA + P @ dJA
     d_adjoint = metric_adjoint_derivative(frames.adjoint, A, dA, frames.g_source,
                                           dG1, frames.g_target, dG2)
-    target_connection = np.einsum("...gab,...ak->...kgb", frames.gamma_target, fx)
-    source_connection = np.einsum("...kij,...ia->...akj", frames.gamma_source, X)
+    target_connection = apply_along(fx_rows, frames.gamma_target, 1)
+    source_connection = apply_along(np.swapaxes(X, -1, -2), frames.gamma_source, 1)
     nabla_phi = d_phi + target_connection @ phi
     nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
     return SectionDerivatives(

@@ -245,6 +245,10 @@ def _write_json(value, pieces: list, indent: Optional[int], level: int) -> None:
         if not items:
             pieces.append("[]")
             return
+        if all(isinstance(item, float) for item in items):  # np.float64 too
+            pieces.append("[" + pad + ("," + pad).join(
+                [_format_float(float(item)) for item in items]) + closing + "]")
+            return
         pieces.append("[")
         for i, item in enumerate(items):
             if i:

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import apply, frobenius_norms, lift
+from .linalg import apply, frobenius_norms, lift, pairings
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_geodesy_residual,
                    gram_residual, horizontal_geodesy_residual,
@@ -206,8 +206,8 @@ def _fit_lambda(report: SlantReport, sample: Sample, stacks, rng,
         fx = s.jacobian @ X  # one column per direction, as is phi2
         phi2 = s.tangential(s.complex_structure @ (s.phi @ X))
         G = s.g_target.matrix
-        numerator[s.rows] = np.einsum("nia,nij,nja->n", phi2, G, fx)
-        denominator[s.rows] = np.einsum("nia,nij,nja->n", fx, G, fx)
+        numerator[s.rows] = pairings(phi2, G, fx).sum(axis=1)
+        denominator[s.rows] = pairings(fx, G, fx).sum(axis=1)
         fitted.append((s, phi2, fx))
     lam = numerator.sum() / denominator.sum()
     report.lambda_estimate = float(lam)

@@ -1,5 +1,6 @@
-"""Independent finite-difference oracles used to pin expected values, and
-the reference fold the checks' witness reduction is compared against.
+"""Independent finite-difference oracles used to pin expected values, the
+reference fold the checks' witness reduction is compared against, and the
+np.einsum forms of the library's stacked contractions.
 
 Everything here differentiates plain evaluations with central differences,
 so agreement with the library's exact derivatives is a real two-route check.
@@ -10,6 +11,7 @@ the base point; only their Christoffel correction comes from the frame.
 import numpy as np
 
 from slantmap.expressions import eval_value
+from slantmap.linalg import lift
 from slantmap.maps import differential, map_point
 
 FD_STEP = 1e-5
@@ -122,3 +124,40 @@ def fold_worst_residual(items):
             worst = float(residual)
             witness = {"point": [float(x) for x in point], **fields}
     return worst, witness
+
+
+# The np.einsum call each stacked contraction of the library was written as,
+# by the site that computes it; the library now forms them with batched
+# matrix products through slantmap.linalg.pairings and apply_along.
+REPLACED_EINSUMS = {
+    "linalg.InnerProduct.norms": "...ia,...ij,...ja->...a",
+    "slant._fit_lambda": "nia,nij,nja->n",
+    "maps.PointFrame.adapted_frames": "...i,...ij,...ja->...a",
+    "maps._bilinear": "...gij,...ia->...agj",
+    "maps.FrameStack.tension": "...ij,...gij->...g",
+    "maps.FrameStack.fiber_mean_curvature": "...gij,...ia,...ja->...g",
+    "maps.frame_block.source_christoffel": "nkij,ngk->ngij",
+    "maps.frame_block.target_christoffel": "ngab,nai,nbj->ngij",
+    "maps.section_derivatives.dJ": "...cab,...ck->...kab",
+    "maps.section_derivatives.target_connection": "...gab,...ak->...kgb",
+    "maps.section_derivatives.source_connection": "...kij,...ia->...akj",
+    "charts.christoffel": "...kl,...ijl->...kij",
+    "charts.metric_derivative": "...lkj,...ka->...alj",
+    "charts.check_kahler.gamma_j": "naic,ncb->niab",
+    "charts.check_kahler.j_gamma": "nac,ncib->niab",
+    "charts.check_kahler.contracted": "niab,nix,nby->naxy",
+    "charts.check_kahler.squares": "naxy,nab,nbxy->n",
+    "charts.check_kahler.values": "niab,nxi,nyb->naxy",
+    "charts.check_kahler.pair_squares": "naxy,nab,nbxy->nxy",
+}
+
+
+def einsum_pairings(U, G, V):
+    """Reference for linalg.pairings."""
+    return np.einsum("...ia,...ij,...ja->...a", U, lift(G, V.ndim), V)
+
+
+def einsum_apply_along(x, tensor, axis):
+    """Reference for linalg.apply_along."""
+    return np.einsum(("...kl,...lij->...kij", "...kl,...ilj->...kij")[axis],
+                     x, tensor)

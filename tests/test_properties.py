@@ -2,7 +2,8 @@
 and one-point evaluations agree bit for bit, the jets agree with the
 finite-difference oracles, and printing then parsing gives the tree back.
 And the witness reduction of the checks, over the stacks of a Sample, takes
-the witness of the reference fold."""
+the witness of the reference fold; the batched-matmul contractions agree
+with the np.einsum calls they replaced."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   Fun, Lit, Neg, Pow, Var, eval_jet2,
                                   parse_expression, to_text)
 from slantmap.charts import ChartManifold
+from slantmap.linalg import apply_along, lift, pairings
 from slantmap.maps import MapSpec, Sample, pair_fields
-from oracles import fd_gradient, fd_hessian, fold_worst_residual
+from oracles import (REPLACED_EINSUMS, einsum_apply_along, einsum_pairings,
+                     fd_gradient, fd_hessian, fold_worst_residual)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None,
@@ -140,3 +143,129 @@ def test_worst_residual_matches_the_reference_fold(per_point):
         for point, pairs in zip(points, per_point)
         for (a, b), value in np.ndenumerate(pairs))
     assert actual == expected
+
+
+# The stacked contractions against the np.einsum calls they replaced: each
+# within 16 ulps of the sum of the magnitudes of its terms, and each row of a
+# stack equal to the same row computed alone or in a strided slice.
+
+def _swap(x):
+    return np.swapaxes(x, -1, -2)
+
+
+def _kahler_pairs(nabla, first, second):
+    # charts._along_pairs, with the two frames drawn apart, in einsum's layout
+    return np.swapaxes(apply_along(first, nabla @ lift(second, 4), 0), 1, 2)
+
+
+# each site's form, over the operands of its REPLACED_EINSUMS entry
+SITE_FORMS = {
+    "linalg.InnerProduct.norms": pairings,
+    "slant._fit_lambda": lambda U, G, V: pairings(U, G, V).sum(axis=1),
+    "maps.PointFrame.adapted_frames": lambda b, G, R: pairings(b[..., None], G, R),
+    "maps._bilinear": lambda T, X: apply_along(_swap(X), T, 1),
+    "maps.FrameStack.tension": lambda inverse, sff: (
+        (sff * lift(inverse, 4)).sum(axis=-1).sum(axis=-1)),
+    "maps.FrameStack.fiber_mean_curvature": lambda sff, K, L: (
+        sff[..., None] * K[:, None, :, None, :] * L[:, None, None, :, :]
+    ).sum(axis=(-3, -2, -1)),
+    "maps.frame_block.source_christoffel": lambda gamma, jac: apply_along(jac, gamma, 0),
+    "maps.frame_block.target_christoffel": lambda gamma, jac, jac2: (
+        lift(_swap(jac), 4) @ gamma @ lift(jac2, 4)),
+    "maps.section_derivatives.dJ": lambda dJ, fx: apply_along(_swap(fx), dJ, 0),
+    "maps.section_derivatives.target_connection": lambda gamma, fx: (
+        apply_along(_swap(fx), gamma, 1)),
+    "maps.section_derivatives.source_connection": lambda gamma, X: (
+        apply_along(_swap(X), gamma, 1)),
+    "charts.christoffel": lambda inverse, lower: (
+        apply_along(inverse, np.moveaxis(lower, -1, -3), 0)),
+    "charts.metric_derivative": lambda gamma, X: apply_along(_swap(X), gamma, 1),
+    "charts.check_kahler.gamma_j": lambda gamma, J: (
+        np.swapaxes(gamma @ J[:, None], 1, 2)),
+    "charts.check_kahler.j_gamma": lambda J, gamma: (
+        np.swapaxes(apply_along(J, gamma, 0), 1, 2)),
+    "charts.check_kahler.contracted": lambda nabla, F, H: (
+        _kahler_pairs(nabla, _swap(F), H)),
+    "charts.check_kahler.squares": lambda C, G, D: pairings(
+        np.swapaxes(C, 1, 2), G, np.swapaxes(D, 1, 2)
+    ).reshape(len(C), C.shape[2] * C.shape[3]).sum(axis=1),
+    "charts.check_kahler.values": lambda nabla, D, E: _kahler_pairs(nabla, D, _swap(E)),
+    "charts.check_kahler.pair_squares": lambda C, G, D: pairings(
+        np.swapaxes(C, 1, 2), G, np.swapaxes(D, 1, 2)),
+}
+
+
+def _operands(subscripts, sizes, count, seed):
+    """Random operands of the einsum subscripts: each letter of its size, and
+    "n" and "..." a stack of count points."""
+    rng = np.random.default_rng(seed)
+    terms = subscripts.split("->")[0].split(",")
+    return [rng.standard_normal(
+        ((count,) if term.startswith("...") else ())
+        + tuple(count if c == "n" else sizes[c] for c in term.replace("...", "")))
+        for term in terms]
+
+
+def _assert_close(actual, expected, scale):
+    assert actual.shape == expected.shape
+    assert (np.abs(actual - expected) <= 16 * np.finfo(float).eps * scale).all()
+
+
+def _assert_rows_stand_alone(form, operands, stacked):
+    for i in range(len(operands[0])):
+        alone = form(*[x[i:i + 1] for x in operands])
+        assert np.array_equal(alone[0], stacked[i])
+    strided = form(*[x[::2] for x in operands])
+    assert np.array_equal(strided, stacked[::2])
+
+
+# zero sizes give zero-width column matrices and rank-0 stacks
+SIZES = st.fixed_dictionaries({c: st.integers(0, 3) for c in "abcgijklxy"})
+COUNTS = st.integers(1, 4)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def test_every_replaced_einsum_has_a_form():
+    assert sorted(SITE_FORMS) == sorted(REPLACED_EINSUMS)
+
+
+@pytest.mark.parametrize("site", sorted(REPLACED_EINSUMS))
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(SIZES, COUNTS, SEEDS)
+def test_site_contraction_matches_its_einsum(site, sizes, count, seed):
+    subscripts = REPLACED_EINSUMS[site]
+    operands = _operands(subscripts, sizes, count, seed)
+    stacked = SITE_FORMS[site](*operands)
+    _assert_close(stacked, np.einsum(subscripts, *operands),
+                  np.einsum(subscripts, *map(np.abs, operands)))
+    _assert_rows_stand_alone(SITE_FORMS[site], operands, stacked)
+
+
+@PROPERTY_SETTINGS
+@given(SIZES, COUNTS, st.integers(0, 2), SEEDS)
+def test_pairings_match_their_einsum(sizes, count, extra, seed):
+    # vectors (N, d.., n, a) under metrics (N, n, n), lifted over the d axes
+    rng = np.random.default_rng(seed)
+    n, a = sizes["i"], sizes["a"]
+    U, V = (rng.standard_normal((count,) + (2,) * extra + (n, a)) for _ in "UV")
+    G = rng.standard_normal((count, n, n))
+    stacked = pairings(U, G, V)
+    _assert_close(stacked, einsum_pairings(U, G, V),
+                  einsum_pairings(np.abs(U), np.abs(G), np.abs(V)))
+    _assert_rows_stand_alone(pairings, (U, G, V), stacked)
+
+
+@PROPERTY_SETTINGS
+@given(SIZES, COUNTS, st.sampled_from([0, 1]), st.booleans(), SEEDS)
+def test_apply_along_matches_its_einsum(sizes, count, axis, stack, seed):
+    rng = np.random.default_rng(seed)
+    k, l, i, j = (sizes[c] for c in "klij")
+    lead = (count,) if stack else ()
+    x = rng.standard_normal(lead + (k, l))
+    tensor = rng.standard_normal(lead + ((l, i, j) if axis == 0 else (i, l, j)))
+    stacked = apply_along(x, tensor, axis)
+    _assert_close(stacked, einsum_apply_along(x, tensor, axis),
+                  einsum_apply_along(np.abs(x), np.abs(tensor), axis))
+    if stack:
+        _assert_rows_stand_alone(lambda *ops: apply_along(*ops, axis),
+                                 (x, tensor), stacked)

@@ -19,6 +19,7 @@ from slantmap.loader import (AnalysisSettings, LoadedMap, MapSpecError,
                              load_map_spec, map_spec_from_json)
 from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
                              run_analysis, sample_points)
+from slantmap.result import CheckResult
 from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
@@ -723,6 +724,96 @@ def test_report_float_precision():
     assert abs(angle - math.acos(math.sqrt(2 / 3))) < 1e-12
 
 
+# The writer's bytes for special and mixed values, recorded from the writer
+# that formatted every list item through its own call.
+WRITER_COMPACT = (
+    '{"schema":"slantmap-report/1","metadata":{"map":"demo",'
+    '"samples":3},"checks":[{"name":"demo","status":"fail",'
+    '"residual":"inf","tol":1e-08,"samples":3,"witness":{"point":[0.25,'
+    '-0.0,1.0000000000000001e-17]},"detail":{"values":["nan","inf",'
+    '"-inf",-0.0,3.0,10000000000000000,0.10000000000000001,2.5e-300,'
+    '-1.0000000000000002],"mixed":[1.5,2,-7.0,0.30000000000000004,true,'
+    'null],"empty":[],"nested":[[1.0,2.0],[],[3.5]]}}],'
+    '"summary":{"pass":0,"fail":1,"skipped":0,"error":0}}'
+    "\n")
+WRITER_PRETTY = (
+    '{\n'
+    '  "schema": "slantmap-report/1",\n'
+    '  "metadata": {\n'
+    '    "map": "demo",\n'
+    '    "samples": 3\n'
+    '  },\n'
+    '  "checks": [\n'
+    '    {\n'
+    '      "name": "demo",\n'
+    '      "status": "fail",\n'
+    '      "residual": "inf",\n'
+    '      "tol": 1e-08,\n'
+    '      "samples": 3,\n'
+    '      "witness": {\n'
+    '        "point": [\n'
+    '          0.25,\n'
+    '          -0.0,\n'
+    '          1.0000000000000001e-17\n'
+    '        ]\n'
+    '      },\n'
+    '      "detail": {\n'
+    '        "values": [\n'
+    '          "nan",\n'
+    '          "inf",\n'
+    '          "-inf",\n'
+    '          -0.0,\n'
+    '          3.0,\n'
+    '          10000000000000000,\n'
+    '          0.10000000000000001,\n'
+    '          2.5e-300,\n'
+    '          -1.0000000000000002\n'
+    '        ],\n'
+    '        "mixed": [\n'
+    '          1.5,\n'
+    '          2,\n'
+    '          -7.0,\n'
+    '          0.30000000000000004,\n'
+    '          true,\n'
+    '          null\n'
+    '        ],\n'
+    '        "empty": [],\n'
+    '        "nested": [\n'
+    '          [\n'
+    '            1.0,\n'
+    '            2.0\n'
+    '          ],\n'
+    '          [],\n'
+    '          [\n'
+    '            3.5\n'
+    '          ]\n'
+    '        ]\n'
+    '      }\n'
+    '    }\n'
+    '  ],\n'
+    '  "summary": {\n'
+    '    "pass": 0,\n'
+    '    "fail": 1,\n'
+    '    "skipped": 0,\n'
+    '    "error": 0\n'
+    '  }\n'
+    '}\n')
+
+
+def test_writer_bytes_for_special_and_mixed_floats():
+    values = [float("nan"), float("inf"), float("-inf"), -0.0, 3.0, 1e16,
+              np.float64(0.1), 2.5e-300, -1.0000000000000002]
+    mixed = [1.5, 2, np.float64(-7.0), 0.30000000000000004, True, None]
+    check = CheckResult("demo", "fail", residual=float("inf"), tol=1e-8,
+                        samples=3,
+                        witness={"point": (0.25, -0.0, np.float64(1e-17))},
+                        detail={"values": values, "mixed": mixed, "empty": [],
+                                "nested": [[1.0, 2.0], [], (3.5,)]})
+    report = Report({"map": "demo", "samples": 3}, [check])
+    assert render_report(report) == WRITER_COMPACT
+    assert render_report(report, pretty=True) == WRITER_PRETTY
+
+
 def test_seed_changes_no_verdicts():
     for catalog_id in ("example4", "invariant", "warped_fiber", "nonslant"):
         loaded = load_map_spec(f"catalog:{catalog_id}")
@@ -856,4 +947,22 @@ def test_catalog_reports_match_golden_files(catalog_id, capsys):
     actual = json.loads(capsys.readouterr().out)
     expected = json.loads((REPORTS / f"{catalog_id}.json").read_text())
     assert code == EXIT_CODES[catalog_id]
+    _assert_report_matches(actual, expected)
+
+
+MAP_REPORTS = REPORTS / "maps"
+MAP_EXIT_CODES = json.loads((MAP_REPORTS / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(MAP_EXIT_CODES))
+def test_map_file_reports_match_golden_files(name, capsys, monkeypatch):
+    # rank-4 maps into C^3 and C^4 (tests/data/maps, copies of the benchmark's
+    # map files), reports recorded as the catalog's; the metadata holds the
+    # map path as given, so it is given relative to tests/data
+    monkeypatch.chdir(REPORTS.parent)
+    code = main(["analyze", "--map", f"maps/{name}.json", "--pretty",
+                 "--samples", "5", "--seed", "3"])
+    actual = json.loads(capsys.readouterr().out)
+    expected = json.loads((MAP_REPORTS / f"{name}.json").read_text())
+    assert code == MAP_EXIT_CODES[name]
     _assert_report_matches(actual, expected)
