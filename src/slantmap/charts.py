@@ -249,21 +249,16 @@ def check_almost_hermitian(fields: ChartFields,
                 "compatibility_residual": float(compatibility.max(initial=0.0))})
 
 
-def _along_pairs(nabla, rows):
-    """(nabla_x J) y at [:, x, :, y] for the rows x, y of ``rows`` (N, d, n)."""
-    return apply_along(rows, nabla @ lift(np.swapaxes(rows, 1, 2), 4), 0)
-
-
-def check_kahler(fields: ChartFields, dirs: int = 4,
-                 tol: float = DEFAULT_CHECK_TOL, seed: int = 42) -> CheckResult:
+def check_kahler(fields: ChartFields,
+                 tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Verify that the complex structure is parallel at the points of
     ``fields``: (nabla_X J) Y = 0.
 
     (nabla_i J)^a_b = d_i J^a_b + Gamma^a_ic J^c_b - Gamma^c_ib J^a_c.  The
-    residual contracts the full tensor over a metric-orthonormal frame
-    (a Frobenius norm), so it does not depend on how directions are sampled;
-    the seeded unit directions only feed the per-direction maximum reported
-    in the detail block.
+    residual contracts the full tensor over a metric-orthonormal frame (a
+    Frobenius norm, which no choice of that frame changes); the detail
+    block's direction_max is the largest |(nabla_e J) f| over the pairs e, f
+    of the frame, one of the terms of that norm.
     """
     if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
@@ -280,14 +275,11 @@ def check_kahler(fields: ChartFields, dirs: int = 4,
     # a g-orthonormal frame at each point; eye(n) carries a stack axis so that
     # numpy 1.x reads it as matrices, not as a stack of vectors
     frame = np.linalg.solve(np.swapaxes(ip.cholesky, 1, 2), np.eye(n)[None])
-    contracted = _along_pairs(nabla, np.swapaxes(frame, 1, 2))
-    squares = pairings(contracted, G, contracted).reshape(count, n * n).sum(axis=1)
-    residuals = np.sqrt(np.maximum(squares, 0.0))
-    directions = np.random.default_rng(seed).standard_normal((count, dirs, n))
-    directions /= np.linalg.norm(directions, axis=2, keepdims=True)
-    # (nabla_X J) Y for every pair of sampled directions
-    values = _along_pairs(nabla, directions)
-    pair_squares = pairings(values, G, values)
+    # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
+    contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
+    pair_squares = pairings(contracted, G, contracted)
+    residuals = np.sqrt(np.maximum(
+        pair_squares.reshape(count, n * n).sum(axis=1), 0.0))
     worst, witness = worst_residual([(slice(None), residuals)], fields.points)
     return CheckResult.from_residual(
         "kahler", worst, tol, samples=count, witness=witness,

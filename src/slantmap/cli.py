@@ -16,8 +16,6 @@ def _add_map_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--map", required=True,
                         help="catalog:<id> or path to a map-spec JSON file")
     parser.add_argument("--samples", type=int, help="sample points (default 50)")
-    parser.add_argument("--dirs", type=int,
-                        help="tangent directions per point (default 6)")
     parser.add_argument("--seed", type=int, help="sampling seed (default 42)")
     parser.add_argument("--tol", type=float, help="check tolerance (default 1e-8)")
     parser.add_argument("--rank-tol", type=float,
@@ -49,9 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(settings, args) -> None:
-    for flag, attr in (("--samples", "points"), ("--dirs", "dirs"),
-                       ("--seed", "seed"), ("--tol", "check_tol"),
-                       ("--rank-tol", "rank_tol"), ("--angle-tol", "angle_tol")):
+    for flag, attr in (("--samples", "points"), ("--seed", "seed"),
+                       ("--tol", "check_tol"), ("--rank-tol", "rank_tol"),
+                       ("--angle-tol", "angle_tol")):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             set_setting(settings, attr, value, flag)

@@ -532,7 +532,3 @@ def _finite(node: Node, p: np.ndarray, n: int, order: int) -> bool:
     jet = eval_jet2(Expression(node, n), p, order)
     return all(np.isfinite(part).all()
                for part in (jet.value, jet.grad, jet.hess)[:order + 1])
-
-
-def eval_value(expr: Expression, p) -> float:
-    return eval_jet2(expr, p, 0).value

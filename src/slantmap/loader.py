@@ -18,7 +18,6 @@ from .result import DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
 SCHEMA_ID = "slantmap/1"
 
 DEFAULT_POINTS = 50
-DEFAULT_DIRS = 6
 DEFAULT_SEED = 42
 
 
@@ -33,7 +32,6 @@ class MapSpecError(ValueError):
 @dataclass
 class AnalysisSettings:
     points: int = DEFAULT_POINTS
-    dirs: int = DEFAULT_DIRS
     seed: int = DEFAULT_SEED
     rank_tol: float = DEFAULT_RANK_TOL
     check_tol: float = DEFAULT_CHECK_TOL
@@ -86,7 +84,7 @@ def set_setting(settings: AnalysisSettings, attr: str, value,
     """Check one analysis setting and store it.  The same rule serves the
     spec file's sampling/tolerances blocks and command-line overrides;
     ``where`` (a JSON pointer or a flag) locates a bad value in the error."""
-    if attr in ("points", "dirs", "seed"):
+    if attr in ("points", "seed"):
         least = 0 if attr == "seed" else 1  # numpy seeds must not be negative
         _expect(_is_number(value, int) and value >= least, where,
                 f"must be an integer >= {least}")
@@ -99,8 +97,8 @@ def set_setting(settings: AnalysisSettings, attr: str, value,
 
 def _settings_from_json(doc: dict) -> AnalysisSettings:
     settings = AnalysisSettings()
-    for pointer, attr in (("/sampling/points", "points"), ("/sampling/dirs", "dirs"),
-                          ("/sampling/seed", "seed"), ("/tolerances/rank", "rank_tol"),
+    for pointer, attr in (("/sampling/points", "points"), ("/sampling/seed", "seed"),
+                          ("/tolerances/rank", "rank_tol"),
                           ("/tolerances/check", "check_tol"),
                           ("/tolerances/angle", "angle_tol")):
         _, block, key = pointer.split("/")

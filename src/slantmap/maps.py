@@ -282,6 +282,16 @@ class FrameStack(_Frames):
         return self.adjoint @ self.phi
 
     @cached_property
+    def j_blocks(self) -> np.ndarray:
+        """J in the orthonormal range-then-normal target frame: the blocks
+        [:r, :r] (phi on the range), [r:, :r] (omega), [:r, r:] (B) and
+        [r:, r:] (C)."""
+        basis = np.concatenate([self.split.range.columns,
+                                self.split.range_perp.columns], axis=-1)
+        return (np.swapaxes(basis, -1, -2) @ self.g_target.matrix
+                @ require_complex_structure(self) @ basis)
+
+    @cached_property
     def q(self) -> np.ndarray:
         """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
         h = self.split.horizontal.columns
@@ -355,6 +365,7 @@ class PointFrame(_Frames):
     range_projector = _row("range_projector")
     j_pushforward = _row("j_pushforward")
     phi = _row("phi")
+    j_blocks = _row("j_blocks", "J in the range-then-normal target frame.")
     adjoint_phi = _row("adjoint_phi", "Q X = adjoint_phi @ X.")
     q = _row("q", "Matrix of Q in the orthonormal horizontal frame.")
     omega_defects = _row("omega_defects", "[a, :, b] along h_a at h_b, (r, m, r).")
@@ -397,11 +408,7 @@ class PointFrame(_Frames):
     def operators(self, theta: Optional[float] = None) -> "PointOperators":
         """The blocks of J in the range-then-normal target frame, and Q; with
         an angle, also the sec(theta)-rescaled jtilde and jhat."""
-        basis = np.hstack([self.split.range.columns,
-                           self.split.range_perp.columns])
-        blocks = (basis.T @ self.g_target.matrix
-                  @ require_complex_structure(self) @ basis)
-        r = self.rank
+        blocks, r = self.j_blocks, self.rank
         ops = PointOperators(phi=blocks[:r, :r], omega=blocks[r:, :r],
                              b=blocks[:r, r:], c=blocks[r:, r:], q=self.q,
                              point=self.point)
@@ -487,7 +494,7 @@ class Sample:
                                                             spec.source.dim)
         self.rank_tol = rank_tol
         self._stacks: list = []
-        self._frames: list = []
+        self._built = 0  # points whose frames are in the stacks
         self._failure: Optional[Exception] = None
 
     def __len__(self) -> int:
@@ -497,10 +504,10 @@ class Sample:
         """The stacks in block order, each block built when first reached; a
         failed build raises after the stacks of the points before it."""
         k = 0
-        while k < len(self._stacks) or len(self._frames) < len(self):
+        while k < len(self._stacks) or self._built < len(self):
             if k == len(self._stacks):
                 if self._failure is None:
-                    self._build(len(self._frames))
+                    self._build(self._built)
                 if k == len(self._stacks):
                     raise self._failure
             yield self._stacks[k]
@@ -512,28 +519,14 @@ class Sample:
         return worst_residual([(s.rows, residual(s)) for s in self.stacks()],
                               self.points, fields)
 
-    def frames(self):
-        """The frames in point order, each block built when first reached."""
-        for i in range(len(self)):
-            if i == len(self._frames):
-                if self._failure is None:
-                    self._build(i)
-                if i == len(self._frames):
-                    raise self._failure
-            yield self._frames[i]
-
     def _build(self, start: int) -> None:
         stop = min(start + FRAME_BLOCK, len(self))
         stacks, count, self._failure = evaluate_prefix(
             lambda lo, hi: frame_block(self.spec, self.points[start + lo:start + hi],
                                        self.rank_tol, self.target, start + lo),
             stop - start)
-        frames = [None] * count
-        for stack in stacks or []:
-            for row, i in enumerate(stack.rows):
-                frames[i - start] = PointFrame(stack, row)
         self._stacks.extend(stacks or [])
-        self._frames.extend(frames)
+        self._built += count
 
     @cached_property
     def _images(self):

@@ -108,7 +108,6 @@ class Analysis:
             "source_dim": spec.source.dim,
             "target_dim": spec.target.dim,
             "samples": settings.points,
-            "dirs": settings.dirs,
             "seed": settings.seed,
             "tolerances": {"rank": settings.rank_tol, "check": settings.check_tol,
                            "angle": settings.angle_tol},
@@ -143,7 +142,7 @@ class Analysis:
                                              "target has no complex structure")
         try:
             return classify_slant(
-                self.sample, s.dirs, s.angle_tol, s.check_tol, s.seed,
+                self.sample, s.angle_tol, s.check_tol,
                 riemannian=self.entry("riemannian_map")), None
         except Exception as exc:
             return None, CheckResult.error("slant_classification",
@@ -160,7 +159,7 @@ class Analysis:
                 return check_almost_hermitian(sample.target, tol)
             if not self.entry("almost_hermitian").passed:
                 return CheckResult.skipped(name, "target is not almost Hermitian")
-            return check_kahler(sample.target, dirs=4, tol=tol, seed=s.seed)
+            return check_kahler(sample.target, tol)
         sample_checks = {"riemannian_map": is_riemannian_map,
                          "sff_range_perp": check_sff_range_perp,
                          "harmonic": check_harmonic,

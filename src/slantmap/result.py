@@ -78,29 +78,27 @@ def worst_residual(parts, points, fields=lambda *index: {}):
     the residual's index at that point.
 
     ``parts`` holds (rows, residuals) pairs: residuals (len(rows), ...) at the
-    points ``points[rows]``.  The witness is the one a fold over the points
-    in order, and over each point's residuals in C order, takes when it
-    starts at 0.0 and moves only to a strictly larger residual: the first of
-    equal maxima.  NaN is passed over, and with no residual above 0.0 there
-    is no witness.
+    points ``points[rows]``.  The witness is the first point, and within it
+    the first residual in C order, that lies within 8 ulps (relative) of
+    the largest, so that rounding does not pick it.  NaN is passed over, and
+    with no residual above 0.0 there is no witness.
     """
     best = np.zeros(len(points))
-    at = np.zeros(len(points), dtype=np.intp)
-    part = np.zeros(len(points), dtype=np.intp)
-    shapes = []
-    for k, (rows, residuals) in enumerate(parts):
+    flats = []
+    for rows, residuals in parts:
         residuals = np.asarray(residuals, dtype=float)
         flat = np.fmax(residuals.reshape(len(residuals),
                                          math.prod(residuals.shape[1:])), 0.0)
         if flat.shape[1]:
-            first = flat.argmax(axis=1)
-            at[rows] = first
-            best[rows] = np.take_along_axis(flat, first[:, None], 1)[:, 0]
-        part[rows] = k
-        shapes.append(residuals.shape[1:])
-    i = int(best.argmax()) if len(best) else 0
-    if not len(best) or not best[i] > 0.0:
+            best[rows] = flat.max(axis=1)
+        flats.append((np.arange(len(points))[rows], flat, residuals.shape[1:]))
+    worst = best.max(initial=0.0)
+    if not worst > 0.0:
         return 0.0, None
-    index = np.unravel_index(at[i], shapes[part[i]])
-    return float(best[i]), {"point": [float(x) for x in points[i]],
-                            **fields(*(int(j) for j in index))}
+    near = worst * (1.0 - 8 * np.finfo(float).eps)
+    i = int(np.argmax(best >= near))
+    at, flat, shape = next(part for part in flats if i in part[0])
+    entry = int(np.argmax(flat[np.flatnonzero(at == i)[0]] >= near))
+    index = np.unravel_index(entry, shape)
+    return float(worst), {"point": [float(x) for x in points[i]],
+                          **fields(*(int(j) for j in index))}

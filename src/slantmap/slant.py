@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import apply, frobenius_norms, lift, pairings
+from .linalg import apply, frobenius_norms, lift
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_geodesy_residual,
                    gram_residual, horizontal_geodesy_residual,
@@ -128,26 +128,34 @@ class SlantReport:
         return out
 
 
-def _horizontal_directions(stacks, count: int, rng: np.random.Generator,
-                           dirs: int, rank: int) -> list:
-    """Unit horizontal vectors drawn as coefficients on the orthonormal
-    frame, ``dirs`` per point of the sample in point order: one (N, n, dirs)
-    array per stack."""
-    coeff = rng.standard_normal((count, dirs, rank))
-    coeff /= np.linalg.norm(coeff, axis=2, keepdims=True)
-    return [s.split.horizontal.columns @ np.swapaxes(coeff[s.rows], 1, 2)
-            for s in stacks]
+def angle_ranges(frames) -> np.ndarray:
+    """The least and the largest slant angle over all horizontal directions,
+    at [..., 0] and [..., 1] (at each point, for a stack).
+
+    For unit range coordinates u of F_*X, cos and sin of the angle of X are
+    |T u| and |W u|, where T and W are the range-range and normal-range
+    blocks of J.  Since T^T T + W^T W = I, the singular values c of T and s
+    of W pair up, and the extremes are atan2(s_min, c_max) and atan2(s_max,
+    c_min), with s_min = 0 when W has fewer rows than columns.  atan2 keeps
+    an angle at exactly 0 or pi/2 where W or T is 0.
+    """
+    r = frames.rank
+    c = np.linalg.svd(frames.j_blocks[..., :r, :r], compute_uv=False)
+    s = np.linalg.svd(frames.j_blocks[..., r:, :r], compute_uv=False)
+    if s.shape[-1] < r:
+        s = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
+    return np.stack([np.arctan2(s[..., -1], c[..., 0]),
+                     np.arctan2(s[..., 0], c[..., -1])], axis=-1)
 
 
-def classify_slant(sample: Sample, dirs_per_point: int = 6,
-                   angle_tol: float = DEFAULT_ANGLE_TOL,
+def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                    tol: float = DEFAULT_CHECK_TOL,
-                   seed: int = 42,
                    riemannian: Optional[CheckResult] = None) -> SlantReport:
-    """Sample the slant angle over points and directions and classify the map.
+    """Classify the map from the exact range of the slant angle at each point.
 
-    Fills the angle statistics, the proportionality constants fitted from
-    phi^2 and Q^2, the parallelism defects of omega and phi, and the
+    Fills the angle statistics (over the least and largest angle of every
+    point), the proportionality constants fitted from phi^2 and Q^2, the
+    parallelism defects of omega and phi, and the
     pseudo-horizontally-weakly-conformal / pseudo-homothetic flags.
     ``riemannian`` is the riemannian_map result for the same sample and
     tolerance, when the caller already has it.
@@ -160,20 +168,17 @@ def classify_slant(sample: Sample, dirs_per_point: int = 6,
                            witness=riemannian.witness,
                            rank=riemannian.detail.get("rank"))
 
-    rng = np.random.default_rng(seed)
     rank = stacks[0].rank
-
-    angles = np.empty((len(sample), dirs_per_point))
-    for s, X in zip(stacks, _horizontal_directions(
-            stacks, len(sample), rng, dirs_per_point, rank)):
-        angles[s.rows] = s.slant_angles(X)
+    angles = np.empty((len(sample), 2))
+    for s in stacks:
+        angles[s.rows] = angle_ranges(s)
     point_angles = [{"point": p, "angles": a}
                     for p, a in zip(sample.points.tolist(), angles.tolist())]
     mean_angle = float(np.mean(angles))
     deviations = np.abs(angles - mean_angle)
     max_dev = float(deviations.max())
     worst = int(np.argmax(deviations))
-    witness = {"point": point_angles[worst // dirs_per_point]["point"],
+    witness = {"point": point_angles[worst // 2]["point"],
                "angle": float(angles.flat[worst])}
 
     if max_dev > angle_tol:
@@ -190,39 +195,30 @@ def classify_slant(sample: Sample, dirs_per_point: int = 6,
                          point_angles=point_angles,
                          witness=witness if classification == NOT_SLANT else None)
 
-    _fit_lambda(report, sample, stacks, rng, dirs_per_point)
-    _fit_mu(report, sample, stacks)
+    # phi^2 on the range, in the range frame, and Q^2
+    report.lambda_estimate, report.lambda_residual = _fit_identity(
+        sample, rank,
+        lambda s: s.j_blocks[:, :rank, :rank] @ s.j_blocks[:, :rank, :rank])
+    report.mu_estimate, report.mu_residual = _fit_identity(
+        sample, rank, lambda s: s.q @ s.q)
     _parallelism(report, sample, tol)
     _phwc_flags(report, sample, tol)
     return report
 
 
-def _fit_lambda(report: SlantReport, sample: Sample, stacks, rng,
-                dirs_per_point: int) -> None:
-    numerator, denominator = np.empty(len(sample)), np.empty(len(sample))
-    fitted = []
-    for s, X in zip(stacks, _horizontal_directions(
-            stacks, len(sample), rng, dirs_per_point, report.rank)):
-        fx = s.jacobian @ X  # one column per direction, as is phi2
-        phi2 = s.tangential(s.complex_structure @ (s.phi @ X))
-        G = s.g_target.matrix
-        numerator[s.rows] = pairings(phi2, G, fx).sum(axis=1)
-        denominator[s.rows] = pairings(fx, G, fx).sum(axis=1)
-        fitted.append((s, phi2, fx))
-    lam = numerator.sum() / denominator.sum()
-    report.lambda_estimate = float(lam)
-    report.lambda_residual = float(max(
-        s.g_target.norms(phi2 - lam * fx).max() for s, phi2, fx in fitted))
-
-
-def _fit_mu(report: SlantReport, sample: Sample, stacks) -> None:
+def _fit_identity(sample: Sample, rank: int, square):
+    """The constant c of square(stack) = c I (rank x rank at each point)
+    and the residual of the fit: c is the mean of the traces over the
+    points, taken per point first so the blocks do not change it, and the
+    residual is the largest spectral norm of square - c I, which no
+    orthonormal basis changes."""
     traces = np.empty(len(sample))
-    for s in stacks:
-        traces[s.rows] = np.trace(s.q @ s.q, axis1=1, axis2=2)
-    mu = traces.sum() / (len(sample) * report.rank)
-    report.mu_estimate = float(mu)
-    report.mu_residual = sample.worst(
-        lambda s: np.abs(s.q @ s.q - mu * np.eye(report.rank)))[0]
+    for s in sample.stacks():
+        traces[s.rows] = np.trace(square(s), axis1=1, axis2=2)
+    identity = np.eye(rank)
+    c = float(traces.sum() / (len(sample) * rank))
+    return c, sample.worst(lambda s: np.linalg.norm(
+        square(s) - c * identity, 2, axis=(1, 2)))[0]
 
 
 def _parallelism(report: SlantReport, sample: Sample, tol: float) -> None:
@@ -277,7 +273,7 @@ def check_phi_squared_scaling(report: SlantReport,
     """phi^2 acts as a constant lambda in [-1, 0] on the range iff the map is slant.
 
     The detail block cross-checks the fitted constant against the angle
-    samples: for a slant map lambda must equal -cos^2(mean angle).
+    ranges: for a slant map lambda must equal -cos^2(mean angle).
     """
     if report.classification == NOT_RIEMANNIAN:
         return CheckResult.skipped("phi_squared_scaling", "map is not Riemannian")

@@ -3,8 +3,7 @@ import pytest
 
 from slantmap.charts import (ChartError, ChartFields, ChartManifold,
                              check_almost_hermitian, check_kahler)
-from slantmap.expressions import eval_value
-from oracles import fd_christoffel
+from oracles import eval_value, fd_christoffel, fd_nabla_j, metric_values
 
 STANDARD_J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
                ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
@@ -179,9 +178,26 @@ def test_kahler_warped_block_passes():
     assert result.passed
 
 
-def test_kahler_residual_stable_under_direction_resampling():
-    chart = ChartManifold.euclidean(4, rotated_j4())
-    points = [np.array([0.4, -0.1, 0.3, 0.2])]
-    first = check_kahler(ChartFields(chart, points), dirs=16, seed=1)
-    second = check_kahler(ChartFields(chart, points), dirs=16, seed=2)
-    assert abs(first.residual - second.residual) <= 1e-9
+@pytest.mark.parametrize("curved", [False, True])
+def test_kahler_direction_max_is_the_largest_frame_pair_value(curved):
+    # direction_max is the largest |(nabla_e J) f| over the pairs e, f of
+    # the Cholesky frame: one term of the residual's Frobenius norm, here
+    # against finite differences of J and the metric
+    metric = [[("exp(x1 + x3)" if i == j else "0") for j in range(4)]
+              for i in range(4)] if curved else None
+    chart = ChartManifold.from_strings(4, metric, rotated_j4())
+    gen = np.random.default_rng(17)
+    points = [gen.uniform(-1, 1, 4) for _ in range(3)]
+    result = check_kahler(ChartFields(chart, points))
+    assert result.status == "fail"
+    assert result.detail["direction_max"] <= result.residual
+    expected = 0.0
+    for p in points:
+        G = metric_values(chart, p)
+        frame = np.linalg.inv(np.linalg.cholesky(G)).T  # g-orthonormal columns
+        nabla = fd_nabla_j(chart, p)
+        for e in frame.T:
+            for f in frame.T:
+                v = np.einsum("i,iab,b->a", e, nabla, f)
+                expected = max(expected, np.sqrt(v @ G @ v))
+    assert result.detail["direction_max"] == pytest.approx(expected, rel=1e-7)

@@ -62,10 +62,10 @@ def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
     sample = Sample(example4, points)
     assert is_riemannian_map(sample) == is_riemannian_map(
         Sample(example4, points))
-    first = list(sample.frames())
+    first = list(sample.stacks())
     assert check_sff_range_perp(sample).passed
-    assert all(a is b for a, b in zip(first, sample.frames()))
-    assert len(first) == len(sample) == 5
+    assert all(a is b for a, b in zip(first, sample.stacks()))
+    assert sum(len(stack) for stack in first) == len(sample) == 5
 
 
 def test_riemannian_rejects_dilation():

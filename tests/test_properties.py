@@ -16,6 +16,7 @@ from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
 from slantmap.charts import ChartManifold
 from slantmap.linalg import apply_along, lift, pairings
 from slantmap.maps import MapSpec, Sample, pair_fields
+from slantmap.result import worst_residual
 from oracles import (REPLACED_EINSUMS, einsum_apply_along, einsum_pairings,
                      fd_gradient, fd_hessian, fold_worst_residual)
 
@@ -105,8 +106,12 @@ def test_printed_tree_parses_back(root):
     assert parse_expression(to_text(root), 3).root == root
 
 
-# Residuals from a small set, so that ties, zeros, inf and NaN are common
-RESIDUALS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 3.0, np.inf, np.nan, -1.0])
+# Residuals from a small set, so that ties (exact and to the last ulps),
+# zeros, inf and NaN are common
+ULP = np.finfo(float).eps
+RESIDUALS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 1.0 + ULP, 1.0 + 2 * ULP,
+                             1.0 - ULP / 2, 3.0, 3.0 * (1.0 + 8 * ULP),
+                             np.inf, np.nan, -1.0])
 # rank 1 where x1 = 0, rank 2 elsewhere
 PINCH = MapSpec.create(ChartManifold.euclidean(2), ChartManifold.euclidean(2),
                        ["x1*x1/2", "x2"])
@@ -145,6 +150,23 @@ def test_worst_residual_matches_the_reference_fold(per_point):
     assert actual == expected
 
 
+def test_witness_ties_to_the_last_ulp():
+    # residuals that agree up to their last ulps, as sums taken in another
+    # order would round them: the residual is the largest, and the witness
+    # the first point, and within it the first entry in C order, that lies
+    # within 8 ulps of it
+    points = np.array([[0.0], [1.0], [2.0]])
+    residuals = np.array([[1.0, 1.0 + 2 * ULP], [1.0 + 4 * ULP, 0.5],
+                          [0.25, 1.0 + 9 * ULP]])
+    fields = lambda k: {"entry": k}  # noqa: E731
+    assert worst_residual([(slice(None), residuals)], points, fields) == (
+        1.0 + 9 * ULP, {"point": [0.0], "entry": 1})
+    # 1.0 is 9 ulps below the largest: the next point is the witness
+    residuals[0, 1] = 1.0
+    assert worst_residual([(slice(None), residuals)], points, fields) == (
+        1.0 + 9 * ULP, {"point": [1.0], "entry": 0})
+
+
 # The stacked contractions against the np.einsum calls they replaced: each
 # within 16 ulps of the sum of the magnitudes of its terms, and each row of a
 # stack equal to the same row computed alone or in a strided slice.
@@ -161,7 +183,6 @@ def _kahler_pairs(nabla, first, second):
 # each site's form, over the operands of its REPLACED_EINSUMS entry
 SITE_FORMS = {
     "linalg.InnerProduct.norms": pairings,
-    "slant._fit_lambda": lambda U, G, V: pairings(U, G, V).sum(axis=1),
     "maps.PointFrame.adapted_frames": lambda b, G, R: pairings(b[..., None], G, R),
     "maps._bilinear": lambda T, X: apply_along(_swap(X), T, 1),
     "maps.FrameStack.tension": lambda inverse, sff: (
@@ -189,7 +210,6 @@ SITE_FORMS = {
     "charts.check_kahler.squares": lambda C, G, D: pairings(
         np.swapaxes(C, 1, 2), G, np.swapaxes(D, 1, 2)
     ).reshape(len(C), C.shape[2] * C.shape[3]).sum(axis=1),
-    "charts.check_kahler.values": lambda nabla, D, E: _kahler_pairs(nabla, D, _swap(E)),
     "charts.check_kahler.pair_squares": lambda C, G, D: pairings(
         np.swapaxes(C, 1, 2), G, np.swapaxes(D, 1, 2)),
 }

@@ -141,7 +141,6 @@ def test_map_spec_sampling_and_tolerances():
     doc["tolerances"] = {"rank": 1e-9, "check": 1e-7, "angle": 1e-5}
     loaded = map_spec_from_json(doc)
     assert loaded.settings.points == 7
-    assert loaded.settings.dirs == 3
     assert loaded.settings.seed == 5
     assert loaded.settings.check_tol == 1e-7
 
@@ -341,7 +340,7 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
 
 def test_frames_are_freed_by_reference_counting():
     # the derivatives and defects cached on a stack hold no reference back
-    # to it or its frames: with the cyclic collector off, frames and stacks
+    # to it: with the cyclic collector off, the stacks of all three points
     # die with their Sample
     gc.disable()
     try:
@@ -349,12 +348,12 @@ def test_frames_are_freed_by_reference_counting():
                             AnalysisSettings(points=3))
         for name in CHECK_NAMES:
             analysis.entry(name)
-        frames = [weakref.ref(frame) for frame in analysis.sample.frames()]
         stacks = [weakref.ref(stack) for stack in analysis.sample.stacks()]
         assert all({"omega_defects", "phi_defects"} <= set(vars(ref()))
                    for ref in stacks)
+        assert sum(len(ref()) for ref in stacks) == 3
         del analysis
-        assert [ref() for ref in frames + stacks] == [None] * (3 + len(stacks))
+        assert [ref() for ref in stacks] == [None] * len(stacks)
     finally:
         gc.enable()
 
@@ -656,10 +655,11 @@ def test_failure_in_a_later_frame_block(case, tmp_path, monkeypatch):
     def entries():
         analysis = Analysis(load_map_spec(str(path)))
         report = {name: analysis.entry(name) for name in CHECK_NAMES}
-        frames = analysis.sample.frames()
-        assert len([next(frames) for _ in range(first)]) == first
+        built = []
         with pytest.raises(Exception) as failure:
-            next(frames)
+            for stack in analysis.sample.stacks():
+                built.append(len(stack))
+        assert sum(built) == first
         error = failure.value  # a ChartError's entry is its message alone
         assert report["riemannian_map"].reason == (
             str(error) if isinstance(error, ChartError)
@@ -885,7 +885,14 @@ def test_cli_single_check(tmp_path, capsys):
                                          ("--tol", "-1"), ("--rank-tol", "0"),
                                          ("--seed", "-1"), ("--tol", "inf")])
 def test_cli_rejects_bad_overrides(command, flag, value, capsys):
-    # overrides follow the spec file's rules: exit 2 and name the flag
+    # overrides follow the spec file's rules: exit 2 and name the flag;
+    # --dirs is no option, so argparse exits 2 on it
+    if flag == "--dirs":
+        with pytest.raises(SystemExit) as exit_:
+            main(command + ["--map", "catalog:example4", flag, value])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --dirs" in capsys.readouterr().err
+        return
     code = main(command + ["--map", "catalog:example4", flag, value])
     captured = capsys.readouterr()
     assert code == 2
@@ -940,8 +947,8 @@ def _assert_report_matches(actual, expected, where="report"):
 
 @pytest.mark.parametrize("catalog_id", sorted(EXIT_CODES))
 def test_catalog_reports_match_golden_files(catalog_id, capsys):
-    # tests/data/reports holds `analyze --pretty --samples 5 --seed 3` output
-    # recorded before the checks moved onto shared per-frame matrices
+    # tests/data/reports holds `analyze --pretty --samples 5 --seed 3` output,
+    # recorded again when the slant angles became exact per-point ranges
     code = main(["analyze", "--map", f"catalog:{catalog_id}", "--pretty",
                  "--samples", "5", "--seed", "3"])
     actual = json.loads(capsys.readouterr().out)

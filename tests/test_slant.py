@@ -1,11 +1,17 @@
+import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import fd_pullback_derivative, fd_source_derivative
-from slantmap.catalog import load_catalog
+import slantmap.maps
+from oracles import (fd_pullback_derivative, fd_source_derivative,
+                     sampled_slant_angles)
+from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
+from slantmap.linalg import TangentSplit, split_tangents
+from slantmap.loader import load_map_spec
 from slantmap.maps import MapSpec, Sample, point_frame, section_derivatives
 from slantmap.slant import (adapted_frame, check_adapted_frame,
                             check_harmonic_minimal_equivalence,
@@ -17,6 +23,15 @@ from slantmap.slant import (adapted_frame, check_adapted_frame,
                             q_operator, slant_angle)
 
 EX4_THETA = math.acos(math.sqrt(2.0 / 3.0))
+DATA_MAPS = Path(__file__).resolve().parent / "data" / "maps"
+# every catalog map and the rank-4 map files
+MAP_IDS = catalog_ids() + sorted(f"maps/{p.stem}" for p in DATA_MAPS.glob("*.json"))
+
+
+def load_any(identifier):
+    if identifier.startswith("maps/"):
+        return load_map_spec(str(DATA_MAPS.parent / f"{identifier}.json")).spec
+    return load_catalog(identifier)
 
 
 def points_for(spec, count, seed):
@@ -169,7 +184,7 @@ def test_classify_nonslant_with_witness():
     assert report.classification == "not_slant"
     assert report.max_deviation > 1e-3
     assert report.witness is not None
-    # the witness records the sampled angle farthest from the mean
+    # the witness records the extreme angle farthest from the mean
     assert abs(report.witness["angle"] - report.mean_angle) == pytest.approx(
         report.max_deviation, abs=1e-15)
 
@@ -185,14 +200,57 @@ def test_classify_not_riemannian():
     assert report.classification == "not_riemannian"
 
 
-def test_classification_stable_under_reseeding():
-    for catalog_id in ("example4", "compose_slant", "invariant"):
-        spec = load_catalog(catalog_id)
-        points = points_for(spec, 8, 50)
-        first = classify_slant(Sample(spec, points), seed=1)
-        second = classify_slant(Sample(spec, points), seed=99)
-        assert first.classification == second.classification
-        assert abs(first.mean_angle - second.mean_angle) <= first.angle_tol
+@pytest.mark.parametrize("identifier", MAP_IDS)
+def test_sampled_angles_lie_in_the_exact_ranges(identifier):
+    # 200 random unit horizontal directions per point, each angle through
+    # PointFrame.slant_angle, against the [min, max] the report gives
+    spec = load_any(identifier)
+    sample = Sample(spec, points_for(spec, 10, 51))
+    report = classify_slant(sample)
+    ranges = np.array([p["angles"] for p in report.point_angles])
+    assert ranges.shape == (10, 2)
+    sampled = sampled_slant_angles(sample)
+    assert (sampled >= ranges[:, :1] - 1e-14).all()
+    assert (sampled <= ranges[:, 1:] + 1e-14).all()
+
+
+def _turning_split_tangents(seed):
+    """linalg.split_tangents with each of the four bases turned inside its
+    subspace by a random orthogonal matrix, another one at each point."""
+    rng = np.random.default_rng(seed)
+
+    def turned(basis):
+        k = basis.columns.shape[-1]
+        rotation, _ = np.linalg.qr(rng.standard_normal((len(basis.columns), k, k)))
+        out = copy.copy(basis)
+        out.columns = basis.columns @ rotation
+        return out
+
+    def turning(*args):
+        return [(at, TangentSplit(split.rank, *map(turned, (
+                    split.kernel, split.horizontal, split.range, split.range_perp))))
+                for at, split in split_tangents(*args)]
+    return turning
+
+
+@pytest.mark.parametrize("identifier", MAP_IDS)
+def test_slant_data_do_not_depend_on_the_frame_bases(identifier, monkeypatch):
+    spec = load_any(identifier)
+    points = points_for(spec, 8, 50)
+    fixed_sample = Sample(spec, points)
+    fixed = classify_slant(fixed_sample)
+    monkeypatch.setattr(slantmap.maps, "split_tangents", _turning_split_tangents(7))
+    turned_sample = Sample(spec, points)
+    turned = classify_slant(turned_sample)
+    h = [next(s.stacks()).split.horizontal.columns
+         for s in (fixed_sample, turned_sample)]
+    assert not np.allclose(*h)  # the bases did turn
+    assert turned.classification == fixed.classification
+    for key in ("mean_angle", "max_deviation", "lambda_estimate",
+                "lambda_residual", "mu_estimate", "mu_residual"):
+        assert abs(getattr(turned, key) - getattr(fixed, key)) <= 1e-12, key
+    assert np.abs(np.array([p["angles"] for p in turned.point_angles])
+                  - [p["angles"] for p in fixed.point_angles]).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +490,7 @@ def test_omega_defect_identity_with_both_connections_curved():
         ChartManifold.from_strings(4, tgt_metric, j4),
         [f"x2*{s!r}", "0", "x1", f"x2*{c!r}"], name="double_warp")
     points = points_for(spec, 4, 79)
-    report = classify_slant(Sample(spec, points), dirs_per_point=4)
+    report = classify_slant(Sample(spec, points))
     assert report.classification == "proper_slant"
     assert report.mean_angle == pytest.approx(beta, abs=1e-10)
     assert report.omega_defect > 0.1  # substantive, not a trivial zero
