@@ -16,13 +16,17 @@ import numpy as np
 
 from .expressions import Expression, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
-from .linalg import (InnerProduct, MetricError, apply_along, frobenius_norms,
-                     lift, pairings)
+from .linalg import InnerProduct, MetricError, apply_along, lift, pairings
 from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
 
 
 class ChartError(ValueError):
-    """Raised for structurally invalid charts or out-of-domain evaluations."""
+    """Raised for structurally invalid charts or out-of-domain evaluations;
+    ``index`` is the first failing point of a stack."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,9 @@ class ChartManifold:
 def _metric_error(exc: MetricError, p) -> ChartError:
     """The error for a metric at p (at the failing point of a stack) that is
     not positive definite."""
-    point = p if np.ndim(p) == 1 else p[exc.index]
-    return ChartError(f"metric is not positive definite at {list(point)}: {exc}")
+    point = [float(x) for x in (p if np.ndim(p) == 1 else p[exc.index])]
+    return ChartError(f"metric is not positive definite at {point}: {exc}",
+                      exc.index)
 
 
 def _parse_matrix(entries, dim: int, what: str):
@@ -150,27 +155,20 @@ def metric_derivative(G, gamma, X) -> np.ndarray:
 
 
 def evaluate_prefix(evaluate, count: int):
-    """(evaluate(0, count), count, None) when it succeeds; else (evaluate(0,
-    k), k, error) for the first index k where evaluate(k, k + 1) raises
-    error.  evaluate(lo, hi) must fail exactly when it fails on one of its
-    indices alone; the failing range is bisected (None stands for an empty
-    prefix)."""
-    try:
-        return evaluate(0, count), count, None
-    except Exception as exc:
-        error = exc
-    good, bad, result = 0, count, None  # evaluate(0, bad) is known to fail
-    while bad - good > 1:
-        mid = (good + bad) // 2
+    """(evaluate(count), count, None) when it succeeds; else (evaluate(k), k,
+    error) for the first index k where evaluation fails and the error raised
+    there (None stands for an empty prefix).  evaluate(k) evaluates indices
+    0..k-1, and an error it raises names a failing index as its ``index`` (0
+    when it has none); the indices before it are evaluated next, until an
+    evaluation succeeds."""
+    error = None
+    while True:
         try:
-            result, good = evaluate(0, mid), mid
-        except Exception:
-            bad = mid
-    try:
-        evaluate(good, good + 1)
-    except Exception as exc:
-        error = exc
-    return result, good, error
+            return evaluate(count), count, error
+        except Exception as exc:
+            error, count = exc, getattr(exc, "index", 0)
+        if not count:
+            return None, 0, error
 
 
 class ChartFields:
@@ -201,32 +199,35 @@ class ChartFields:
         """jet at the points up to its first failure, and that failure as
         (index, error), or None."""
         fields, count, error = evaluate_prefix(
-            lambda lo, hi: jet(self.points[lo:hi]), len(self.points))
+            lambda k: jet(self.points[:k]), len(self.points))
         return fields or jet(self.points[:0]), None if error is None else (count, error)
 
     def metric(self, lo: int = 0, hi: Optional[int] = None):
         """(InnerProduct, Gamma) at the points lo..hi-1 (all by default); the
         metric's first failure before hi, of its jet or of positive
-        definiteness, is raised."""
+        definiteness, is raised with its index counted from lo."""
         hi = len(self.points) if hi is None else hi
-        _raise_first(hi, self._metric_failure)
+        _raise_first(lo, hi, self._metric_failure)
         return self._ip[lo:hi], self._gamma[lo:hi]
 
     def structure(self, lo: int = 0, hi: Optional[int] = None):
         """(J, dJ) at the points lo..hi-1 (all by default); the first failure
-        of J's jet before hi is raised."""
+        of J's jet before hi is raised with its index counted from lo."""
         hi = len(self.points) if hi is None else hi
-        _raise_first(hi, self._structure_failure)
+        _raise_first(lo, hi, self._structure_failure)
         return self.J[lo:hi], self.dJ[lo:hi]
 
 
-def _raise_first(hi: int, *failures) -> None:
+def _raise_first(lo: int, hi: int, *failures) -> None:
     """Raise the earliest of the (index, error) failures before index hi, the
-    first one given at a tie (None stands for no failure)."""
+    first one given at a tie (None stands for no failure), its ``index`` set
+    to index - lo."""
     found = [failure for failure in failures
              if failure is not None and failure[0] < hi]
     if found:
-        raise min(found, key=lambda failure: failure[0])[1]
+        index, error = min(found, key=lambda failure: failure[0])
+        error.index = index - lo
+        raise error
 
 
 def check_almost_hermitian(fields: ChartFields,
@@ -235,11 +236,11 @@ def check_almost_hermitian(fields: ChartFields,
     points of ``fields``; at each point J is read before the metric."""
     if fields.chart.complex_structure is None:
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
-    _raise_first(len(fields.points), fields._structure_failure,
+    _raise_first(0, len(fields.points), fields._structure_failure,
                  fields._metric_jet_failure)
     J, G = fields.J, fields.G
-    square = frobenius_norms(J @ J + np.eye(fields.chart.dim))
-    compatibility = frobenius_norms(np.swapaxes(J, 1, 2) @ G @ J - G)
+    square = np.linalg.norm(J @ J + np.eye(fields.chart.dim), axis=(1, 2))
+    compatibility = np.linalg.norm(np.swapaxes(J, 1, 2) @ G @ J - G, axis=(1, 2))
     worst, witness = worst_residual(
         [(slice(None), np.maximum(square, compatibility))], fields.points)
     return CheckResult.from_residual(
@@ -263,7 +264,7 @@ def check_kahler(fields: ChartFields,
     if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
     # at each point the metric is read before J
-    _raise_first(len(fields.points), fields._metric_failure,
+    _raise_first(0, len(fields.points), fields._metric_failure,
                  fields._structure_failure)
     ip, gamma = fields.metric()
     J, dJ = fields.structure()

@@ -15,7 +15,6 @@ Grammar (whitespace-insensitive)::
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,11 +34,15 @@ class ExpressionSyntaxError(ValueError):
 
 
 class ExpressionDomainError(ValueError):
-    """Raised when evaluation leaves the real domain (sqrt/log/division)."""
+    """Raised when evaluation leaves the real domain (sqrt/log/division) or
+    the floats; ``index`` is the first point of the evaluated stack where the
+    subexpression fails, and the message names that point once it is known."""
 
-    def __init__(self, message: str, subexpression: str):
-        super().__init__(f"{message} in subexpression '{subexpression}'")
-        self.subexpression = subexpression
+    def __init__(self, reason: str, subexpression: str, point=None,
+                 index: int = 0):
+        where = "" if point is None else f" at point {[float(x) for x in point]}"
+        super().__init__(f"{reason}{where} in subexpression '{subexpression}'")
+        self.reason, self.subexpression, self.index = reason, subexpression, index
 
 
 @dataclass(frozen=True)
@@ -275,28 +278,8 @@ def to_text(node: Node) -> str:
 # value (N,), grad (N, n) and hess (N, n, n); None marks a structurally zero
 # derivative or one above ``order``, and a constant value may be a float.
 # Constant subtrees are folded at compile time.  Every entry goes through the
-# same elementwise operations, in the same order, as a scalar forward jet
-# would take, so a point gives the same bits alone or in any stack.
-
-def _float_power(x: float, k: int) -> float:
-    try:
-        return x ** k
-    except OverflowError:
-        return math.copysign(math.inf, x) if k % 2 else math.inf
-
-
-_FLOAT_POWER = np.frompyfunc(_float_power, 2, 1)
-
-
-def _power_of(v, k: int):
-    """v ** k entrywise as Python's float power rounds it (numpy's vectorised
-    power may differ in the last bit); an overflow gives inf."""
-    if k == 1:
-        return v
-    if k == 0:
-        return np.ones_like(v)
-    return np.asarray(_FLOAT_POWER(v, k), dtype=float)
-
+# same elementwise operations, in the same order, wherever it sits in a
+# stack, so a point's jet does not depend on the points evaluated with it.
 
 def _scaled(s, array):
     """s * array for s (N,) or a float, broadcast along array's trailing axes."""
@@ -373,13 +356,13 @@ def _elementary(name: str, v):
         e = np.exp(v)
         return e, lambda: e, lambda: e
     if name == "log":
-        return np.log(v), lambda: 1.0 / v, lambda: -1.0 / _power_of(v, 2)
+        return np.log(v), lambda: 1.0 / v, lambda: -1.0 / np.power(v, 2)
     if name == "reciprocal":
         w = 1.0 / v
-        return w, lambda: -w * w, lambda: 2.0 * _power_of(w, 3)
+        return w, lambda: -w * w, lambda: 2.0 * np.power(w, 3)
     k = int(name[3:])
-    return (_power_of(v, k), lambda: k * _power_of(v, k - 1),
-            lambda: k * (k - 1) * _power_of(v, k - 2))
+    return (np.power(v, k), lambda: k * np.power(v, k - 1),
+            lambda: k * (k - 1) * np.power(v, k - 2))
 
 
 # the domain of each function: (test of a bad argument, what it breaks)
@@ -392,13 +375,14 @@ _DOMAIN = {"sqrt": ((lambda v: v < 0.0, "sqrt of a negative value"),
 
 def _function(name: str, text: str):
     """combine for g(u): the node text names the subexpression of a domain
-    error."""
+    error, raised at the first point whose argument is bad."""
     domain = _DOMAIN.get(name.rstrip("0123456789"), ())  # 'pow-3' -> 'pow-'
 
     def function(u, order):
         for bad, what in domain:
-            if np.any(bad(u[0])):
-                raise ExpressionDomainError(what, text)
+            mask = bad(u[0])
+            if np.any(mask):
+                raise ExpressionDomainError(what, text, index=int(np.argmax(mask)))
         return _chained(*_elementary(name, u[0]), u, order)
     return function
 
@@ -471,8 +455,12 @@ def eval_jet2(expr: Expression, p, order: int = 2) -> Jet2:
     points, stack = _point_stack(p, expr.dim)
     shape = (len(stack),) + (expr.dim,) * 2
     compiled = expr.compiled
-    value, grad, hess = (compiled(stack, order) if callable(compiled)
-                         else (compiled, None, None))
+    try:
+        value, grad, hess = (compiled(stack, order) if callable(compiled)
+                             else (compiled, None, None))
+    except ExpressionDomainError as exc:  # now the point is known
+        raise ExpressionDomainError(exc.reason, exc.subexpression,
+                                    stack[exc.index], exc.index) from None
     if np.ndim(value) == 0:
         value = np.full(shape[0], value)
     if order > 0 and grad is None:
@@ -506,25 +494,26 @@ def eval_jets(expressions, p, order: int) -> list:
         finite = np.ones(len(stack), dtype=bool)
         for a in arrays:
             finite &= np.isfinite(a.reshape(len(stack), -1)).all(axis=1)
-        raise non_finite_error(expressions, stack[np.argmin(finite)], order)
+        raise non_finite_error(expressions, stack, int(np.argmin(finite)), order)
     return arrays if points.ndim == 2 else [a[0] for a in arrays]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def non_finite_error(expressions, p, order: int) -> ExpressionDomainError:
-    """The error for a non-finite jet of ``expressions`` at p up to derivative
-    ``order`` (0 values, 1 gradients, 2 Hessians): it names the point and the
-    innermost subexpression whose jet is not finite while its arguments' are."""
-    point = np.asarray(p, dtype=float)
+def non_finite_error(expressions, stack, index: int,
+                     order: int) -> ExpressionDomainError:
+    """The error for a non-finite jet of ``expressions`` at the point
+    stack[index] up to derivative ``order`` (0 values, 1 gradients, 2
+    Hessians): it names the point and the innermost subexpression whose jet
+    is not finite while its arguments' are."""
+    point = stack[index]
     expr = next(e for e in expressions if not _finite(e.root, point, e.dim, order))
     node = expr.root
     while True:
         inner = [a for a in vars(node).values()  # the node's arguments
                  if isinstance(a, Node) and not _finite(a, point, expr.dim, order)]
         if not inner:
-            return ExpressionDomainError(
-                f"non-finite value at point {[float(x) for x in point]}",
-                to_text(node))
+            return ExpressionDomainError("non-finite value", to_text(node),
+                                         point, index)
         node = inner[0]
 
 

@@ -91,14 +91,6 @@ class InnerProduct:
         return np.sqrt(np.maximum(pairings(vectors, self.matrix, vectors), 0.0))
 
 
-def frobenius_norms(matrices) -> np.ndarray:
-    """Frobenius norm of a matrix (of each matrix of a stack), summed as
-    np.linalg.norm sums one matrix."""
-    *stack, rows, columns = matrices.shape
-    flat = matrices.reshape(*stack, 1, rows * columns)
-    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
-
-
 def lift(x: np.ndarray, ndim: int) -> np.ndarray:
     """A matrix, or a stack (N, k, l) of them, with unit axes inserted before
     the matrix axes so that it broadcasts against an array of ``ndim``
@@ -150,16 +142,21 @@ class SubspaceBasis:
         return self.columns.shape[-1]
 
 
-def _check_orthonormal(columns, matrix, rank=None) -> None:
+def _check_orthonormal(columns, matrix, rank=None, rows=None) -> None:
     """Raise unless the columns (of each matrix of a stack) are orthonormal
     under the metric matrix (of the same point); with ``rank``, the first
-    rank columns and the rest are two bases, each checked on its own."""
+    rank columns and the rest are two bases, each checked on its own.  The
+    error's ``index`` is the first failing matrix, or its entry in ``rows``,
+    the places of the stack's matrices in a larger one."""
     gram = np.swapaxes(columns, -1, -2) @ matrix @ columns
     error = np.abs(gram - np.eye(columns.shape[-1]))
     if rank is not None:
         error[..., :rank, rank:] = error[..., rank:, :rank] = 0.0
-    if error.max(initial=0.0) > 1e-10:
-        raise ValueError("basis columns are not orthonormal under the metric")
+    bad = np.flatnonzero((error > 1e-10).any(axis=(-2, -1)))
+    if bad.size:
+        exc = ValueError("basis columns are not orthonormal under the metric")
+        exc.index = int(bad[0] if rows is None else rows[bad[0]])
+        raise exc
 
 
 @dataclass
@@ -343,7 +340,8 @@ def _unwhitened(ip: InnerProduct, at, rank, whitened) -> np.ndarray:
     columns = _fix_signs(np.concatenate(
         [np.linalg.solve(factors, block)
          for block in (whitened[..., :rank], whitened[..., rank:])], axis=2))
-    _check_orthonormal(columns, ip.matrix[at], rank)
+    _check_orthonormal(columns, ip.matrix[at], rank,
+                       np.arange(len(ip.matrix))[at])
     return columns
 
 

@@ -319,9 +319,7 @@ class FrameStack(_Frames):
     def tension(self) -> np.ndarray:
         """Tension field: the metric trace of the second fundamental form."""
         inverse = np.linalg.inv(self.g_source.matrix)
-        # summed over j, then i: where |tension| ties across points to the
-        # last ulp, the summation order picks the harmonic witness
-        return (self.sff * lift(inverse, 4)).sum(axis=-1).sum(axis=-1)
+        return (self.sff * lift(inverse, 4)).sum(axis=(-2, -1))
 
     @cached_property
     def fiber_mean_curvature(self) -> np.ndarray:
@@ -475,8 +473,8 @@ def tension_field(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> np.nd
     return point_frame(spec, p, rank_tol).tension
 
 
-# Most points whose frames are built in one stack.  A failing point is found
-# by rebuilding prefixes of its own block only, which the block size bounds.
+# Most points whose frames are built in one stack.  The blocks' one job is to
+# bound the memory that the stacked intermediates of a build take.
 FRAME_BLOCK = 1024
 
 
@@ -522,8 +520,8 @@ class Sample:
     def _build(self, start: int) -> None:
         stop = min(start + FRAME_BLOCK, len(self))
         stacks, count, self._failure = evaluate_prefix(
-            lambda lo, hi: frame_block(self.spec, self.points[start + lo:start + hi],
-                                       self.rank_tol, self.target, start + lo),
+            lambda k: frame_block(self.spec, self.points[start:start + k],
+                                  self.rank_tol, self.target, start),
             stop - start)
         self._stacks.extend(stacks or [])
         self._built += count
@@ -531,7 +529,7 @@ class Sample:
     @cached_property
     def _images(self):
         return evaluate_prefix(
-            lambda lo, hi: eval_jets(self.spec.components, self.points[lo:hi], 0)[0],
+            lambda k: eval_jets(self.spec.components, self.points[:k], 0)[0],
             len(self))
 
     @property

@@ -5,12 +5,14 @@ Riemannian property, slant classification, then the structural identities);
 a check whose precondition fails is reported as skipped, never as failed.
 An entry is computed on first request, with only what it depends on, from one
 shared ``Sample``.  Reports are byte-identical for a fixed input and seed:
-floats are written with 17 significant digits and containers keep insertion
-order.
+containers keep insertion order, and floats are written in Python's shortest
+round-trip form, which parses back to the same double (NaN and infinities as
+the strings "nan", "inf" and "-inf").
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -212,65 +214,26 @@ def run_analysis(loaded: LoadedMap,
 
 
 # ---------------------------------------------------------------------------
-# Deterministic JSON writer: floats carry 17 significant digits.
+# Deterministic JSON: strict, with floats in their shortest round-trip form.
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}"
-    return format(x, ".17g")
-
-
-def _write_json(value, pieces: list, indent: Optional[int], level: int) -> None:
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    closing = "" if indent is None else "\n" + " " * (indent * level)
+def _plain(value):
+    """value with numpy scalars made Python ones, tuples made lists, and NaN
+    and the infinities made strings, as json.dumps writes them strictly."""
     if isinstance(value, dict):
-        if not value:
-            pieces.append("{}")
-            return
-        pieces.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                pieces.append(",")
-            pieces.append(pad)
-            pieces.append(f'"{key}": ' if indent is not None else f'"{key}":')
-            _write_json(item, pieces, indent, level + 1)
-        pieces.append(closing + "}")
-    elif isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            pieces.append("[]")
-            return
-        if all(isinstance(item, float) for item in items):  # np.float64 too
-            pieces.append("[" + pad + ("," + pad).join(
-                [_format_float(float(item)) for item in items]) + closing + "]")
-            return
-        pieces.append("[")
-        for i, item in enumerate(items):
-            if i:
-                pieces.append(",")
-            pieces.append(pad)
-            _write_json(item, pieces, indent, level + 1)
-        pieces.append(closing + "]")
-    elif isinstance(value, bool) or isinstance(value, np.bool_):
-        pieces.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        pieces.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        pieces.append(_format_float(float(value)))
-    elif value is None:
-        pieces.append("null")
-    else:
-        escaped = (str(value).replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n"))
-        pieces.append(f'"{escaped}"')
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x):
+            return "nan"
+        return x if math.isfinite(x) else "inf" if x > 0 else "-inf"
+    if isinstance(value, np.generic):  # numpy integers and booleans
+        return value.item()
+    return value
 
 
 def render_report(report: Report, pretty: bool = False) -> str:
-    pieces: list = []
-    _write_json(report.to_dict(), pieces, 2 if pretty else None, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    return json.dumps(_plain(report.to_dict()), ensure_ascii=False,
+                      allow_nan=False, **layout) + "\n"

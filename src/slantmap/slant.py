@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import apply, frobenius_norms, lift
+from .linalg import apply, lift
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_geodesy_residual,
                    gram_residual, horizontal_geodesy_residual,
@@ -249,8 +249,9 @@ def phwc_residuals(frames, sec: float):
     point: the norms of jhat^2 + I (square) and jhat^T jhat - I (Hermitian)."""
     jhat = sec * frames.q
     identity = np.eye(frames.rank)
-    return (frobenius_norms(jhat @ jhat + identity),
-            frobenius_norms(np.swapaxes(jhat, -1, -2) @ jhat - identity))
+    return (np.linalg.norm(jhat @ jhat + identity, axis=(-2, -1)),
+            np.linalg.norm(np.swapaxes(jhat, -1, -2) @ jhat - identity,
+                           axis=(-2, -1)))
 
 
 def mixed_sff(frames) -> np.ndarray:

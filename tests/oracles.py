@@ -1,7 +1,7 @@
 """Independent finite-difference oracles used to pin expected values, slant
 angles of sampled directions, the reference fold the checks' witness
-reduction is compared against, and the np.einsum forms of the library's
-stacked contractions.
+reduction is compared against, the first failing frame found one point at a
+time, and the np.einsum forms of the library's stacked contractions.
 
 Everything here differentiates plain evaluations with central differences,
 so agreement with the library's exact derivatives is a real two-route check.
@@ -11,9 +11,10 @@ the base point; only their Christoffel correction comes from the frame.
 
 import numpy as np
 
+from slantmap.charts import ChartError
 from slantmap.expressions import eval_jet2
 from slantmap.linalg import lift
-from slantmap.maps import PointFrame, differential, map_point
+from slantmap.maps import PointFrame, differential, map_point, point_frame
 
 FD_STEP = 1e-5
 
@@ -161,6 +162,20 @@ def fold_worst_residual(items, ulps=8):
         if worst > 0.0 and residual >= worst * (1.0 - ulps * np.finfo(float).eps):
             return worst, {"point": [float(x) for x in point], **fields}
     return 0.0, None
+
+
+def first_failing_frame(spec, points):
+    """How many of the points, in order, get a frame before the first whose
+    ``point_frame`` raises, and the riemannian_map reason of that error (None
+    when every point gets one): each point is built alone."""
+    for count, p in enumerate(points):
+        try:
+            point_frame(spec, p)
+        except ChartError as exc:  # a ChartError's entry is its message alone
+            return count, str(exc)
+        except Exception as exc:
+            return count, f"{type(exc).__name__}: {exc}"
+    return len(points), None
 
 
 # The np.einsum call each stacked contraction of the library was written as,

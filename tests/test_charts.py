@@ -3,6 +3,7 @@ import pytest
 
 from slantmap.charts import (ChartError, ChartFields, ChartManifold,
                              check_almost_hermitian, check_kahler)
+from slantmap.expressions import ExpressionDomainError
 from oracles import eval_value, fd_christoffel, fd_nabla_j, metric_values
 
 STANDARD_J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
@@ -201,3 +202,16 @@ def test_kahler_direction_max_is_the_largest_frame_pair_value(curved):
                 v = np.einsum("i,iab,b->a", e, nabla, f)
                 expected = max(expected, np.sqrt(v @ G @ v))
     assert result.detail["direction_max"] == pytest.approx(expected, rel=1e-7)
+
+
+def test_chart_fields_raise_failures_counted_from_lo():
+    # sqrt(x1) leaves its domain at row 5; a window of the points from row 3
+    # raises that failure as its row 2, naming the point
+    chart = ChartManifold.from_strings(2, [["sqrt(x1)", "0"], ["0", "1"]])
+    fields = ChartFields(chart, [[1.125 - 0.25 * i, 0.0] for i in range(8)])
+    assert len(fields.metric(3, 5)[0].matrix) == 2
+    with pytest.raises(ExpressionDomainError) as failure:
+        fields.metric(3, 7)
+    assert failure.value.index == 2
+    assert str(failure.value) == ("sqrt of a negative value at point "
+                                  "[-0.125, 0.0] in subexpression 'sqrt(x1)'")

@@ -4,6 +4,7 @@ import pytest
 import slantmap
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
+from slantmap.expressions import ExpressionDomainError
 from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
                            check_sff_range_perp, differential,
                            is_riemannian_map, map_point, point_frame,
@@ -136,6 +137,24 @@ def test_mixed_rank_sample_entries(block, monkeypatch):
                 assert result[key] == pytest.approx(value, abs=1e-12)
             else:
                 assert result[key] == value
+
+
+def test_failing_block_is_built_again_once(monkeypatch):
+    # a failure carries its row, so a block that fails is built once more, up
+    # to that row, and not searched
+    builds = []
+    original = slantmap.maps.frame_block
+
+    def counted(spec, points, *args):
+        builds.append(len(points))
+        return original(spec, points, *args)
+
+    monkeypatch.setattr(slantmap.maps, "frame_block", counted)
+    spec = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["sqrt(x1)", "x2"])
+    sample = Sample(spec, [[0.95 - 0.1 * i, 0.0] for i in range(15)])
+    with pytest.raises(ExpressionDomainError, match="sqrt of a negative"):
+        list(sample.stacks())
+    assert builds == [15, 10]
 
 
 def test_sff_affine_map_vanishes():

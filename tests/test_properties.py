@@ -2,8 +2,9 @@
 and one-point evaluations agree bit for bit, the jets agree with the
 finite-difference oracles, and printing then parsing gives the tree back.
 And the witness reduction of the checks, over the stacks of a Sample, takes
-the witness of the reference fold; the batched-matmul contractions agree
-with the np.einsum calls they replaced."""
+the witness of the reference fold; a Sample's frames stop at the point, and
+with the error, that building one point at a time finds; the batched-matmul
+contractions agree with the np.einsum calls they replaced."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   parse_expression, to_text)
 from slantmap.charts import ChartManifold
 from slantmap.linalg import apply_along, lift, pairings
+from slantmap.loader import AnalysisSettings, LoadedMap
 from slantmap.maps import MapSpec, Sample, pair_fields
+from slantmap.report import Analysis, sample_points
 from slantmap.result import worst_residual
 from oracles import (REPLACED_EINSUMS, einsum_apply_along, einsum_pairings,
-                     fd_gradient, fd_hessian, fold_worst_residual)
+                     fd_gradient, fd_hessian, first_failing_frame,
+                     fold_worst_residual)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None,
@@ -165,6 +169,67 @@ def test_witness_ties_to_the_last_ulp():
     residuals[0, 1] = 1.0
     assert worst_residual([(slice(None), residuals)], points, fields) == (
         1.0 + 9 * ULP, {"point": [1.0], "entry": 0})
+
+
+# Maps of [-1, 1]^2 into C^2 whose box crosses the edge of the domain of a
+# sqrt or log, in a component, the source metric, the target metric or J
+# (in the image coordinates of the target chart).  A weighted log also makes
+# its metric entry 1 + 2 log(.) negative before its domain ends: a metric that
+# is not positive definite, as a second way to fail.
+EDGE_PLACES = ("component", "source_metric", "target_metric", "j")
+STANDARD_J = (("0", "-1", "0", "0"), ("1", "0", "0", "0"),
+              ("0", "0", "0", "-1"), ("0", "0", "1", "0"))
+
+
+@st.composite
+def _straddling_specs(draw):
+    def edge(variables):
+        choices = (("0", "0.5", "2"), ("sqrt", "log"), ("", "-"), variables,
+                   ("0.75", "0.5", "0.9"))
+        weight, function, sign, variable, shift = (
+            draw(st.sampled_from(c)) for c in choices)
+        return f"{weight}*{function}({sign}{variable} + {shift})"
+
+    places = draw(st.sets(st.sampled_from(EDGE_PLACES), min_size=1))
+    components = ["x1", "0", "x2", "0"]
+    source = [["1", "0"], ["0", "1"]]
+    target = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    j = [list(row) for row in STANDARD_J]
+    if "component" in places:
+        components[1] = edge(("x1", "x2"))
+    if "source_metric" in places:
+        i = draw(st.integers(0, 1))
+        source[i][i] = f"1 + {edge(('x1', 'x2'))}"
+    if "target_metric" in places:
+        i = draw(st.integers(0, 3))
+        target[i][i] = f"1 + {edge(('x1', 'x3'))}"
+    if "j" in places:
+        j[0][1] = f"-1 + {edge(('x1', 'x3'))}"
+    return MapSpec.create(ChartManifold.from_strings(2, source),
+                          ChartManifold.from_strings(4, target, j), components)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(_straddling_specs(), st.integers(1, 16), st.integers(0, 2**16))
+def test_failure_locator_matches_one_point_frames(spec, count, seed):
+    # the stacks of a Sample hold the points before the first one whose frame
+    # fails when built alone, and riemannian_map reports that point's error,
+    # in blocks of two points and in one block
+    expected = first_failing_frame(spec, sample_points(spec.box, count, seed))
+    for block in (2, 1024):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(slantmap.maps, "FRAME_BLOCK", block)
+            analysis = Analysis(LoadedMap(
+                spec, AnalysisSettings(points=count, seed=seed), "generated"))
+            built = 0
+            try:
+                for stack in analysis.sample.stacks():
+                    built += len(stack)
+            except Exception:
+                pass
+            entry = analysis.entry("riemannian_map")
+        reason = entry.reason if entry.status == "error" else None
+        assert (built, reason) == expected, block
 
 
 # The stacked contractions against the np.einsum calls they replaced: each

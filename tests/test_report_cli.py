@@ -431,10 +431,14 @@ def test_cli_unknown_check_lists_every_name(capsys):
         assert name in err
 
 
-SQRT_REASON = ("ExpressionDomainError: sqrt of a negative value in "
-               "subexpression 'sqrt(x1)'")
-LOG_REASON = ("ExpressionDomainError: log of a non-positive value in "
-              "subexpression 'log(x1)'")
+# the third of six sample points (seed 42) on [-0.5, 2] x [-1, 1], the first
+# outside the domain of sqrt(x1) and log(x1)
+STRADDLING_POINT = [float(x) for x in
+                    sample_points([[-0.5, 2.0], [-1.0, 1.0]], 6, 42)[2]]
+SQRT_REASON = ("ExpressionDomainError: sqrt of a negative value at point "
+               f"{STRADDLING_POINT} in subexpression 'sqrt(x1)'")
+LOG_REASON = ("ExpressionDomainError: log of a non-positive value at point "
+              f"{STRADDLING_POINT} in subexpression 'log(x1)'")
 NOT_RIEMANNIAN = ("skipped", "map is not Riemannian")
 UNCLASSIFIED = ("skipped", "slant classification failed")
 SLANT_NAMES = ("phi_squared_scaling", "q_squared_scaling",
@@ -535,6 +539,36 @@ def test_non_finite_value_on_part_of_the_box(case, tmp_path, capsys):
         single = json.loads(capsys.readouterr().out)["checks"]
         assert [(c["status"], c.get("reason")) for c in single] == [entry]
         assert code == (1 if entry[0] == "error" else 0)
+
+
+# A domain error names the first point where it occurs: the sample point for
+# a source component, the image point for an entry of J.
+DOMAIN_EDGE = {
+    "component": ({"components": ["x1", "sqrt(x1)", "x2", "0"]},
+                  lambda x1, x2: [x1, x2]),
+    "j_entry": ({"components": ["2*x1", "0", "x2", "0"],
+                 "target": {"dim": 4, "J": [
+                     [STANDARD_J[0][0], "-1 + 0*sqrt(x1)", *STANDARD_J[0][2:]],
+                     *STANDARD_J[1:]]}},
+                lambda x1, x2: [2 * x1, 0.0, x2, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMAIN_EDGE))
+def test_domain_error_names_its_point(case, tmp_path):
+    overrides, located = DOMAIN_EDGE[case]
+    box = [[-0.5, 1.0], [-1.0, 1.0]]
+    doc = dict(MINIMAL_SPEC, domain={"box": box}, sampling={"points": 20},
+               **overrides)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    first = next(p for p in sample_points(box, 20, 42) if p[0] < 0.0)
+    reason = ("ExpressionDomainError: sqrt of a negative value at point "
+              f"{located(*(float(x) for x in first))} in subexpression "
+              "'sqrt(x1)'")
+    report = run_analysis(load_map_spec(str(path)))
+    assert report.check("riemannian_map").reason == reason
+    assert report.check("almost_hermitian").reason == reason
 
 
 # F_* is finite, but the Gram matrix of its horizontal part overflows
@@ -671,11 +705,12 @@ def test_failure_in_a_later_frame_block(case, tmp_path, monkeypatch):
     assert entries() == one_block
     assert one_block["riemannian_map"][0] == "error"
     if case in TWO_FAULTS:
+        x1, x2 = (float(x) for x in sample_points(box, 12, seed)[first])
         assert one_block["riemannian_map"][1].startswith(
             "metric is not positive definite at")
         assert one_block["almost_hermitian"] == ("error", (
-            "ExpressionDomainError: log of a non-positive value in "
-            "subexpression 'log(x1)'"))
+            "ExpressionDomainError: log of a non-positive value at point "
+            f"{[x1, 0.0, x2, 0.0]} in subexpression 'log(x1)'"))
 
 
 # an almost Hermitian target whose metric and J both vary along the image
@@ -724,16 +759,15 @@ def test_report_float_precision():
     assert abs(angle - math.acos(math.sqrt(2 / 3))) < 1e-12
 
 
-# The writer's bytes for special and mixed values, recorded from the writer
-# that formatted every list item through its own call.
+# The writer's bytes for special and mixed values: floats in Python's
+# shortest round-trip form, NaN and the infinities as strings.
 WRITER_COMPACT = (
     '{"schema":"slantmap-report/1","metadata":{"map":"demo",'
     '"samples":3},"checks":[{"name":"demo","status":"fail",'
     '"residual":"inf","tol":1e-08,"samples":3,"witness":{"point":[0.25,'
-    '-0.0,1.0000000000000001e-17]},"detail":{"values":["nan","inf",'
-    '"-inf",-0.0,3.0,10000000000000000,0.10000000000000001,2.5e-300,'
-    '-1.0000000000000002],"mixed":[1.5,2,-7.0,0.30000000000000004,true,'
-    'null],"empty":[],"nested":[[1.0,2.0],[],[3.5]]}}],'
+    '-0.0,1e-17]},"detail":{"values":["nan","inf","-inf",-0.0,3.0,1e+16,'
+    '0.1,2.5e-300,-1.0000000000000002],"mixed":[1.5,2,-7.0,'
+    '0.30000000000000004,true,null],"empty":[],"nested":[[1.0,2.0],[],[3.5]]}}],'
     '"summary":{"pass":0,"fail":1,"skipped":0,"error":0}}'
     "\n")
 WRITER_PRETTY = (
@@ -754,7 +788,7 @@ WRITER_PRETTY = (
     '        "point": [\n'
     '          0.25,\n'
     '          -0.0,\n'
-    '          1.0000000000000001e-17\n'
+    '          1e-17\n'
     '        ]\n'
     '      },\n'
     '      "detail": {\n'
@@ -764,8 +798,8 @@ WRITER_PRETTY = (
     '          "-inf",\n'
     '          -0.0,\n'
     '          3.0,\n'
-    '          10000000000000000,\n'
-    '          0.10000000000000001,\n'
+    '          1e+16,\n'
+    '          0.1,\n'
     '          2.5e-300,\n'
     '          -1.0000000000000002\n'
     '        ],\n'
@@ -812,6 +846,37 @@ def test_writer_bytes_for_special_and_mixed_floats():
     report = Report({"map": "demo", "samples": 3}, [check])
     assert render_report(report) == WRITER_COMPACT
     assert render_report(report, pretty=True) == WRITER_PRETTY
+    for text in (WRITER_COMPACT, WRITER_PRETTY):
+        _assert_floats_round_trip(report.to_dict(), json.loads(text))
+
+
+def _assert_floats_round_trip(written, parsed, where="report"):
+    # every float parses back to the same double, sign of zero included;
+    # NaN and the infinities are their strings
+    if isinstance(written, dict):
+        assert list(parsed) == list(written), where
+        for key, value in written.items():
+            _assert_floats_round_trip(value, parsed[key], f"{where}/{key}")
+    elif isinstance(written, (list, tuple)):
+        assert len(parsed) == len(written), where
+        for i, value in enumerate(written):
+            _assert_floats_round_trip(value, parsed[i], f"{where}/{i}")
+    elif isinstance(written, (float, np.floating)):
+        x = float(written)
+        if math.isfinite(x):
+            assert type(parsed) is float and parsed.hex() == x.hex(), where
+        else:
+            assert parsed == ("nan" if math.isnan(x) else repr(x)), where
+
+
+@pytest.mark.parametrize("identifier", ["catalog:nonslant",
+                                        "catalog:warped_fiber",
+                                        "catalog:curved_target"])
+def test_report_floats_round_trip(identifier):
+    report = run_analysis(load_map_spec(identifier), AnalysisSettings(points=7))
+    for pretty in (False, True):
+        _assert_floats_round_trip(report.to_dict(),
+                                  json.loads(render_report(report, pretty)))
 
 
 def test_seed_changes_no_verdicts():
