@@ -282,9 +282,7 @@ def split_tangent(A, g1: InnerProduct, g2: InnerProduct,
     A = np.asarray(A, dtype=float)
     if A.shape != (g2.dim, g1.dim):
         raise ValueError(f"matrix shape {A.shape} does not match metrics")
-    stacked = [_trusted(InnerProduct, matrix=g.matrix[None], cholesky=g.cholesky[None])
-               for g in (g1, g2)]
-    (_, split), = split_tangents(A[None], *stacked, tol)
+    (_, split), = split_tangents(A[None], g1[None], g2[None], tol)
     return split[0]
 
 

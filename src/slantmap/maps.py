@@ -12,11 +12,11 @@ A ``FrameStack`` holds what is known at the points of one rank in a block
 of points, stacked along a leading point axis, built from stacked jets
 (``frame_block``).  Each derived pointwise quantity (phi/omega, Q, the
 tension field, the fiber mean curvature, the section derivatives and
-defects) is one of its members, formed once over the stack on first use.  A
-``PointFrame`` is one point of a stack and reads its row; the algebra that
-takes arguments (B/C, slant angles, the adapted frame, sff values) is shared
-by both.  A ``Sample`` is the analysis context of one run, whose stacks are
-built once, and every check is a reduction over them.
+defects) is one of its members, formed once over the stack on first use.
+Each member has one definition, which serves a stack and the ``PointFrame``
+``stack.row(i)`` of its point i alike.  A ``Sample`` is the analysis context
+of one run, whose stacks are built once, and every check is a reduction
+over them.
 """
 
 from __future__ import annotations
@@ -109,11 +109,52 @@ ADAPTED_FRAME_FAILURES = (
     "Q vanishes for an anti-invariant map: no adapted frame")
 
 
-class _Frames:
-    """Algebra shared by a PointFrame, whose arrays are those of one point,
-    and a FrameStack, whose arrays carry a leading point axis.  Vectors are
-    the columns of (..., m, k) arrays, and the extra axes of an argument sit
-    between the point axis and the matrix axes."""
+def _bilinear(tensor, X, Y) -> np.ndarray:
+    """tensor(x_a, y_b) at [..., a, :, b] for the columns x_a of X and y_b
+    of Y; a vector X or Y (one per point, for a stack) drops its axis."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    x_vector, y_vector = (Z.ndim == tensor.ndim - 2 for Z in (X, Y))
+    if x_vector:
+        X = X[..., None]
+    if y_vector:
+        Y = Y[..., None]
+    out = apply_along(np.swapaxes(X, -1, -2), tensor, 1) @ lift(Y, X.ndim + 1)
+    if y_vector:
+        out = out[..., 0]
+    if x_vector:
+        out = out[..., 0, :] if y_vector else out[..., 0, :, :]
+    return out
+
+
+@dataclass(eq=False)
+class FrameStack:
+    """The frames of the points of one rank in a block, each field stacked
+    along a leading point axis, and every derived quantity formed once over
+    the stack on first use; each member serves a row (``row(i)``) as well.
+    Vectors are the columns of (..., m, k) arrays, and the extra axes of an
+    argument sit between the point axis and the matrix axes."""
+
+    rows: np.ndarray        # index of each point in its sample
+    points: np.ndarray      # (N, n)
+    images: np.ndarray      # (N, m)
+    jacobian: np.ndarray    # (N, m, n)
+    split: TangentSplit     # with bases and metrics stacked over the points
+    gamma_source: np.ndarray  # (N, n, n, n)
+    gamma_target: np.ndarray  # (N, m, m, m)
+    sff: np.ndarray         # (N, m, n, n)
+    complex_structure: Optional[np.ndarray]       # (N, m, m)
+    complex_structure_grad: Optional[np.ndarray]  # dJ[:, c, a, b] = d_c J^a_b
+    hessian: np.ndarray     # (N, m, n, n), d_i d_j F^g
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def row(self, i: int) -> "PointFrame":
+        """The frame at point i of the stack, its members formed anew from
+        the row of each field."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return PointFrame(*(None if value is None else value[i]
+                            for value in values))
 
     @property
     def rank(self) -> int:
@@ -216,45 +257,6 @@ class _Frames:
         with matrices read as in sff_value."""
         return _bilinear(self.gamma_source, X, Y)
 
-
-def _bilinear(tensor, X, Y) -> np.ndarray:
-    """tensor(x_a, y_b) at [..., a, :, b] for the columns x_a of X and y_b
-    of Y; a vector X or Y (one per point, for a stack) drops its axis."""
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    x_vector, y_vector = (Z.ndim == tensor.ndim - 2 for Z in (X, Y))
-    if x_vector:
-        X = X[..., None]
-    if y_vector:
-        Y = Y[..., None]
-    out = apply_along(np.swapaxes(X, -1, -2), tensor, 1) @ lift(Y, X.ndim + 1)
-    if y_vector:
-        out = out[..., 0]
-    if x_vector:
-        out = out[..., 0, :] if y_vector else out[..., 0, :, :]
-    return out
-
-
-@dataclass(eq=False)
-class FrameStack(_Frames):
-    """The frames of the points of one rank in a block, each field stacked
-    along a leading point axis, and every derived quantity formed once over
-    the stack on first use."""
-
-    rows: np.ndarray        # index of each point in its sample
-    points: np.ndarray      # (N, n)
-    images: np.ndarray      # (N, m)
-    jacobian: np.ndarray    # (N, m, n)
-    split: TangentSplit     # with bases and metrics stacked over the points
-    gamma_source: np.ndarray  # (N, n, n, n)
-    gamma_target: np.ndarray  # (N, m, m, m)
-    sff: np.ndarray         # (N, m, n, n)
-    complex_structure: Optional[np.ndarray]       # (N, m, m)
-    complex_structure_grad: Optional[np.ndarray]  # dJ[:, c, a, b] = d_c J^a_b
-    hessian: np.ndarray     # (N, m, n, n), d_i d_j F^g
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
     @cached_property
     def adjoint(self) -> np.ndarray:
         """Metric adjoint of F_*, solved once per stack."""
@@ -304,22 +306,22 @@ class FrameStack(_Frames):
 
     @cached_property
     def omega_defects(self) -> np.ndarray:
-        """The omega defect over horizontal pairs: [:, a, :, b] along h_a at
-        h_b, shape (N, r, m, r)."""
-        return (self.horizontal_derivatives.omega_defect
-                @ lift(self.split.horizontal.columns, 4))
+        """The omega defect over horizontal pairs: [..., a, :, b] along h_a
+        at h_b, shape (N, r, m, r)."""
+        defect = self.horizontal_derivatives.omega_defect
+        return defect @ lift(self.split.horizontal.columns, defect.ndim)
 
     @cached_property
     def phi_defects(self) -> np.ndarray:
         """The phi defect over horizontal pairs, laid out as omega_defects."""
-        return (self.horizontal_derivatives.phi_defect
-                @ lift(self.split.horizontal.columns, 4))
+        defect = self.horizontal_derivatives.phi_defect
+        return defect @ lift(self.split.horizontal.columns, defect.ndim)
 
     @cached_property
     def tension(self) -> np.ndarray:
         """Tension field: the metric trace of the second fundamental form."""
         inverse = np.linalg.inv(self.g_source.matrix)
-        return (self.sff * lift(inverse, 4)).sum(axis=(-2, -1))
+        return (self.sff * inverse[..., None, :, :]).sum(axis=(-2, -1))
 
     @cached_property
     def fiber_mean_curvature(self) -> np.ndarray:
@@ -329,58 +331,23 @@ class FrameStack(_Frames):
         if kernel.shape[-1] == 0:
             raise MapDefinitionError("map is an immersion: the kernel is trivial")
         # sff[g, i, j] k[i, a] k[j, a], summed over i, j and a at once
-        terms = (self.sff[..., None] * kernel[:, None, :, None, :]
-                 * kernel[:, None, None, :, :])
+        terms = (self.sff[..., None] * kernel[..., None, :, None, :]
+                 * kernel[..., None, None, :, :])
         return terms.sum(axis=(-3, -2, -1))
 
 
-def _row(name: str, doc: str = "") -> property:
-    """The row of the stack's ``name`` (None where the stack has none)."""
-    def get(self):
-        value = getattr(self.stack, name)
-        return None if value is None else value[self.row]
-    return property(get, doc=doc)
-
-
-class PointFrame(_Frames):
-    """Everything the per-point analysis needs at one point: row ``row`` of
-    a FrameStack, whose members are formed once for the whole stack."""
-
-    def __init__(self, stack: FrameStack, row: int):
-        self.stack = stack
-        self.row = row
-
-    point = _row("points")
-    image = _row("images")
-    jacobian = _row("jacobian")
-    gamma_source = _row("gamma_source")
-    gamma_target = _row("gamma_target")
-    sff = _row("sff", "(m, n, n)")
-    complex_structure = _row("complex_structure")
-    complex_structure_grad = _row("complex_structure_grad")
-    hessian = _row("hessian", "(m, n, n), d_i d_j F^g")
-    adjoint = _row("adjoint", "Metric adjoint of F_*.")
-    range_projector = _row("range_projector")
-    j_pushforward = _row("j_pushforward")
-    phi = _row("phi")
-    j_blocks = _row("j_blocks", "J in the range-then-normal target frame.")
-    adjoint_phi = _row("adjoint_phi", "Q X = adjoint_phi @ X.")
-    q = _row("q", "Matrix of Q in the orthonormal horizontal frame.")
-    omega_defects = _row("omega_defects", "[a, :, b] along h_a at h_b, (r, m, r).")
-    phi_defects = _row("phi_defects")
-    tension = _row("tension")
-    fiber_mean_curvature = _row("fiber_mean_curvature")
-
-    @cached_property
-    def split(self) -> TangentSplit:
-        return self.stack.split[self.row]
+class PointFrame(FrameStack):
+    """Everything the per-point analysis needs at one point: ``stack.row(i)``,
+    each field without its point axis and each member formed from those
+    fields, and what makes sense at one point only."""
 
     @property
-    def horizontal_derivatives(self) -> "SectionDerivatives":
-        """section_derivatives along the horizontal frame, one entry per h_a."""
-        derivatives = self.stack.horizontal_derivatives
-        return SectionDerivatives(*(getattr(derivatives, f.name)[self.row]
-                                    for f in fields(derivatives)))
+    def point(self) -> np.ndarray:
+        return self.points
+
+    @property
+    def image(self) -> np.ndarray:
+        return self.images
 
     def slant_angle(self, X) -> float:
         """Angle in [0, pi/2] between J F_*X and the range of F_*."""
@@ -429,7 +396,7 @@ class PointFrame(_Frames):
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
     """The frame at p: a block of one."""
     stack, = frame_block(spec, np.asarray(p, dtype=float)[None], rank_tol)
-    return PointFrame(stack, 0)
+    return stack.row(0)
 
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
@@ -491,25 +458,17 @@ class Sample:
         self.points = np.array(points, dtype=float).reshape(len(points),
                                                             spec.source.dim)
         self.rank_tol = rank_tol
-        self._stacks: list = []
-        self._built = 0  # points whose frames are in the stacks
-        self._failure: Optional[Exception] = None
 
     def __len__(self) -> int:
         return len(self.points)
 
     def stacks(self):
-        """The stacks in block order, each block built when first reached; a
-        failed build raises after the stacks of the points before it."""
-        k = 0
-        while k < len(self._stacks) or self._built < len(self):
-            if k == len(self._stacks):
-                if self._failure is None:
-                    self._build(self._built)
-                if k == len(self._stacks):
-                    raise self._failure
-            yield self._stacks[k]
-            k += 1
+        """The stacks in block order; a failed build raises after the stacks
+        of the points before it."""
+        stacks, failure = self._frames
+        yield from stacks
+        if failure is not None:
+            raise failure
 
     def worst(self, residual, fields=lambda *index: {}):
         """worst_residual of residual(stack), an array (len(stack), ...) of
@@ -517,14 +476,20 @@ class Sample:
         return worst_residual([(s.rows, residual(s)) for s in self.stacks()],
                               self.points, fields)
 
-    def _build(self, start: int) -> None:
-        stop = min(start + FRAME_BLOCK, len(self))
-        stacks, count, self._failure = evaluate_prefix(
-            lambda k: frame_block(self.spec, self.points[start:start + k],
-                                  self.rank_tol, self.target, start),
-            stop - start)
-        self._stacks.extend(stacks or [])
-        self._built += count
+    @cached_property
+    def _frames(self):
+        """The stacks of every block up to the first failing point, and that
+        point's error (None when every point has its frame)."""
+        stacks: list = []
+        for start in range(0, len(self), FRAME_BLOCK):
+            built, _, failure = evaluate_prefix(
+                lambda k: frame_block(self.spec, self.points[start:start + k],
+                                      self.rank_tol, self.target, start),
+                min(FRAME_BLOCK, len(self) - start))
+            stacks.extend(built or [])
+            if failure is not None:
+                return stacks, failure
+        return stacks, None
 
     @cached_property
     def _images(self):

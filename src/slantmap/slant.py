@@ -7,8 +7,10 @@ composite Q = adjoint o phi o F_* acts on the horizontal space and its square
 is -cos^2(theta) times the identity exactly when the angle theta between
 J F_*X and the range is constant.  Every pointwise quantity (phi/omega, B/C,
 Q, the slant angle, the adapted frame, the covariant derivatives) is a member
-of ``maps.PointFrame``; this module classifies a map from those members and
-runs the checks built on the classification, reading one ``Sample``.
+of ``maps.FrameStack``, which serves a stack and its rows (the
+``maps.PointFrame`` of ``point_frame``) alike; this module classifies a map
+from those members and runs the checks built on the classification, reading
+one ``Sample``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,29 @@ from slantmap.charts import ChartManifold
 from slantmap.maps import MapSpec
 
 
+@pytest.fixture
+def numpy1_solve(monkeypatch):
+    """np.linalg.solve under numpy 1.x's broadcasting rule, where b is a
+    stack of vectors when it has one axis fewer than a (numpy 2 reads only a
+    1-d b as a vector).  Yields a list with one entry per call: whether
+    numpy 2 reads its b otherwise."""
+    solve = np.linalg.solve
+    calls = []
+
+    def solve_1x(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        vectors = b.ndim == a.ndim - 1
+        calls.append(vectors != (b.ndim == 1))
+        if vectors:
+            return solve(a, b[..., None])[..., 0]
+        if b.ndim < 2:
+            raise ValueError("numpy 1.x needs b with at least 2 dimensions here")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_1x)
+    yield calls
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240)

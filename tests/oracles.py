@@ -14,7 +14,7 @@ import numpy as np
 from slantmap.charts import ChartError
 from slantmap.expressions import eval_jet2
 from slantmap.linalg import lift
-from slantmap.maps import PointFrame, differential, map_point, point_frame
+from slantmap.maps import differential, map_point, point_frame
 
 FD_STEP = 1e-5
 
@@ -143,7 +143,7 @@ def sampled_slant_angles(sample, count=200, seed=0):
     angles = np.empty((len(sample), count))
     for stack in sample.stacks():
         for row, i in enumerate(stack.rows):
-            frame = PointFrame(stack, row)
+            frame = stack.row(row)
             coefficients = rng.standard_normal((count, frame.rank))
             coefficients /= np.linalg.norm(coefficients, axis=1, keepdims=True)
             for k, c in enumerate(coefficients):

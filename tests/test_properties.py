@@ -3,8 +3,14 @@ and one-point evaluations agree bit for bit, the jets agree with the
 finite-difference oracles, and printing then parsing gives the tree back.
 And the witness reduction of the checks, over the stacks of a Sample, takes
 the witness of the reference fold; a Sample's frames stop at the point, and
-with the error, that building one point at a time finds; the batched-matmul
-contractions agree with the np.einsum calls they replaced."""
+with the error, that building one point at a time finds; each member of a
+stack row, and of the frame built alone at its point, equals the stack's row
+of it; reports and frames do not depend on numpy's broadcasting rule for
+np.linalg.solve; the batched-matmul contractions agree with the np.einsum
+calls they replaced."""
+
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +20,13 @@ import slantmap.maps
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   Fun, Lit, Neg, Pow, Var, eval_jet2,
                                   parse_expression, to_text)
+from slantmap.catalog import catalog_ids
 from slantmap.charts import ChartManifold
 from slantmap.linalg import apply_along, lift, pairings
-from slantmap.loader import AnalysisSettings, LoadedMap
-from slantmap.maps import MapSpec, Sample, pair_fields
-from slantmap.report import Analysis, sample_points
+from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
+from slantmap.maps import MapSpec, Sample, pair_fields, point_frame
+from slantmap.report import (Analysis, render_report, run_analysis,
+                             sample_points)
 from slantmap.result import worst_residual
 from oracles import (REPLACED_EINSUMS, einsum_apply_along, einsum_pairings,
                      fd_gradient, fd_hessian, first_failing_frame,
@@ -171,21 +179,26 @@ def test_witness_ties_to_the_last_ulp():
         1.0 + 9 * ULP, {"point": [1.0], "entry": 0})
 
 
-# Maps of [-1, 1]^2 into C^2 whose box crosses the edge of the domain of a
-# sqrt or log, in a component, the source metric, the target metric or J
-# (in the image coordinates of the target chart).  A weighted log also makes
-# its metric entry 1 + 2 log(.) negative before its domain ends: a metric that
-# is not positive definite, as a second way to fail.
+# Maps of [-1, 1]^2 into C^2 with a weighted sqrt or log term in a
+# component, the source metric, the target metric or J (in the image
+# coordinates of the target chart).  STRADDLING terms cross the edge of their
+# domain inside the box.  A weighted log also makes its metric entry
+# 1 + 2 log(.) negative before its domain ends: a metric that is not positive
+# definite, as a second way to fail.  INSIDE terms stay in their domains, and
+# their metric entries stay above 0.6.
 EDGE_PLACES = ("component", "source_metric", "target_metric", "j")
 STANDARD_J = (("0", "-1", "0", "0"), ("1", "0", "0", "0"),
               ("0", "0", "0", "-1"), ("0", "0", "1", "0"))
+STRADDLING = (("0", "0.5", "2"), ("0.75", "0.5", "0.9"))
+INSIDE = (("0", "0.5"), ("1.5", "2", "3"))
 
 
 @st.composite
-def _straddling_specs(draw):
+def _specs_into_c2(draw, terms):
+    weights, shifts = terms
+
     def edge(variables):
-        choices = (("0", "0.5", "2"), ("sqrt", "log"), ("", "-"), variables,
-                   ("0.75", "0.5", "0.9"))
+        choices = (weights, ("sqrt", "log"), ("", "-"), variables, shifts)
         weight, function, sign, variable, shift = (
             draw(st.sampled_from(c)) for c in choices)
         return f"{weight}*{function}({sign}{variable} + {shift})"
@@ -210,7 +223,7 @@ def _straddling_specs(draw):
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
-@given(_straddling_specs(), st.integers(1, 16), st.integers(0, 2**16))
+@given(_specs_into_c2(STRADDLING), st.integers(1, 16), st.integers(0, 2**16))
 def test_failure_locator_matches_one_point_frames(spec, count, seed):
     # the stacks of a Sample hold the points before the first one whose frame
     # fails when built alone, and riemannian_map reports that point's error,
@@ -232,6 +245,81 @@ def test_failure_locator_matches_one_point_frames(spec, count, seed):
         assert (built, reason) == expected, block
 
 
+def _members(frames) -> dict:
+    """The members of a FrameStack, or of a point frame, that hold one array
+    per point, by name."""
+    members = {name: getattr(frames, name) for name in (
+        "adjoint", "range_projector", "phi", "adjoint_phi", "j_blocks", "q",
+        "tension", "omega_defects", "phi_defects")}
+    derivatives = frames.horizontal_derivatives
+    members.update((f"horizontal_derivatives.{f.name}", getattr(derivatives, f.name))
+                   for f in dataclasses.fields(derivatives))
+    members.update((f"split.{name}", getattr(frames.split, name).columns)
+                   for name in ("kernel", "horizontal", "range", "range_perp"))
+    if frames.split.kernel.dim:
+        members["fiber_mean_curvature"] = frames.fiber_mean_curvature
+    return members
+
+
+def _assert_within_scale(actual, expected, scale, name):
+    assert actual.shape == expected.shape, name
+    assert np.abs(actual - expected).max(initial=0.0) <= 1e-12 * scale, name
+
+
+DATA_MAPS = Path(__file__).resolve().parent / "data" / "maps"
+RANK4_SPECS = [load_map_spec(str(path)).spec
+               for path in sorted(DATA_MAPS.glob("*.json"))]
+
+
+@PROPERTY_SETTINGS
+@given(_specs_into_c2(INSIDE) | st.sampled_from(RANK4_SPECS),
+       st.integers(1, 8), st.integers(0, 2**16))
+def test_stack_rows_equal_point_frames(spec, count, seed):
+    # each member of a stack row, formed from the row's own arrays, and of
+    # the frame built alone at its point, equals the stack's row of it
+    sample = Sample(spec, sample_points(spec.box, count, seed))
+    for stack in sample.stacks():
+        stacked = _members(stack)
+        scales = {name: max(1.0, np.abs(value).max(initial=0.0))
+                  for name, value in stacked.items()}
+        for i, p in enumerate(stack.points):
+            for frame in (stack.row(i), point_frame(spec, p)):
+                members = _members(frame)
+                assert sorted(members) == sorted(stacked)
+                for name, value in members.items():
+                    _assert_within_scale(value, stacked[name][i], scales[name], name)
+
+
+def test_reports_and_frames_do_not_depend_on_the_solve_rule(request):
+    # numpy 1.x reads a b with one axis fewer than a as a stack of vectors,
+    # numpy 2 as a stack of matrices: every report and frame member is the
+    # same under both rules
+    maps = [f"catalog:{name}" for name in catalog_ids()] + [
+        str(path) for path in sorted(DATA_MAPS.glob("*.json"))]
+    specs = [load_map_spec(name).spec for name in ("catalog:example4",
+                                                   "catalog:warped_fiber",
+                                                   "catalog:curved_target")]
+    specs += RANK4_SPECS
+    points = [sample_points(spec.box, 2, 5) for spec in specs]
+
+    def run():
+        reports = [render_report(run_analysis(load_map_spec(name)))
+                   for name in maps]
+        members = [_members(point_frame(spec, p))
+                   for spec, at in zip(specs, points) for p in at]
+        return reports, members
+
+    expected_reports, expected_members = run()
+    calls = request.getfixturevalue("numpy1_solve")
+    reports, members = run()
+    assert calls
+    assert reports == expected_reports
+    for actual, expected in zip(members, expected_members):
+        assert sorted(actual) == sorted(expected)
+        for name, value in actual.items():
+            assert np.array_equal(value, expected[name]), name
+
+
 # The stacked contractions against the np.einsum calls they replaced: each
 # within 16 ulps of the sum of the magnitudes of its terms, and each row of a
 # stack equal to the same row computed alone or in a strided slice.
@@ -251,9 +339,9 @@ SITE_FORMS = {
     "maps.PointFrame.adapted_frames": lambda b, G, R: pairings(b[..., None], G, R),
     "maps._bilinear": lambda T, X: apply_along(_swap(X), T, 1),
     "maps.FrameStack.tension": lambda inverse, sff: (
-        (sff * lift(inverse, 4)).sum(axis=-1).sum(axis=-1)),
+        (sff * inverse[..., None, :, :]).sum(axis=-1).sum(axis=-1)),
     "maps.FrameStack.fiber_mean_curvature": lambda sff, K, L: (
-        sff[..., None] * K[:, None, :, None, :] * L[:, None, None, :, :]
+        sff[..., None] * K[..., None, :, None, :] * L[..., None, None, :, :]
     ).sum(axis=(-3, -2, -1)),
     "maps.frame_block.source_christoffel": lambda gamma, jac: apply_along(jac, gamma, 0),
     "maps.frame_block.target_christoffel": lambda gamma, jac, jac2: (
