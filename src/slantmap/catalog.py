@@ -146,8 +146,13 @@ def load_catalog(identifier: str) -> MapSpec:
     name, alpha = identifier, None
     match = _PARAM_RE.match(identifier.strip())
     if match:
-        name = match.group(1)
-        alpha = float(match.group(2))
+        name, text = match.groups()
+        try:
+            alpha = float(text)
+        except ValueError:
+            alpha = math.nan
+        if not math.isfinite(alpha):
+            raise CatalogError(f"alpha={text} is not a finite number")
     if name not in _BUILDERS:
         raise CatalogError(
             f"unknown catalog id {name!r}; available: {', '.join(catalog_ids())}")

@@ -93,11 +93,8 @@ class ChartManifold:
         return ip, christoffel(ip.matrix, dG)
 
     def complex_structure_at(self, p) -> np.ndarray:
-        """J at p (at each point of a stack): values only."""
-        if self.complex_structure is None:
-            raise ChartError("chart has no complex structure")
-        return eval_jets(self._structure_entries, p, 0)[0].reshape(
-            np.shape(p)[:-1] + (self.dim, self.dim))
+        """J at p (at each point of a stack)."""
+        return self.complex_structure_jet(p)[0]
 
     def complex_structure_jet(self, p):
         """J at p and its coordinate derivatives dJ[i, a, b] = d_i J^a_b; a
@@ -155,20 +152,21 @@ def metric_derivative(G, gamma, X) -> np.ndarray:
 
 
 def evaluate_prefix(evaluate, count: int):
-    """(evaluate(count), count, None) when it succeeds; else (evaluate(k), k,
-    error) for the first index k where evaluation fails and the error raised
-    there (None stands for an empty prefix).  evaluate(k) evaluates indices
-    0..k-1, and an error it raises names a failing index as its ``index`` (0
-    when it has none); the indices before it are evaluated next, until an
-    evaluation succeeds."""
-    error = None
+    """(evaluate(count), None) when it succeeds; else (evaluate(k), (k,
+    error)) for the first index k where evaluation fails and the error raised
+    there.  evaluate(k) evaluates indices 0..k-1, and an error it raises
+    names a failing index as its ``index`` (0 when it has none); the indices
+    before it are evaluated next, until an evaluation succeeds.  An error of
+    evaluate(0), which has no indices before it, is raised."""
+    failure = None
     while True:
         try:
-            return evaluate(count), count, error
+            return evaluate(count), failure
         except Exception as exc:
-            error, count = exc, getattr(exc, "index", 0)
-        if not count:
-            return None, 0, error
+            if not count:
+                raise
+            count = getattr(exc, "index", 0)
+            failure = count, exc
 
 
 class ChartFields:
@@ -181,7 +179,8 @@ class ChartFields:
     def __init__(self, chart: ChartManifold, points):
         self.chart = chart
         self.points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
-        (self.G, dG), self._metric_jet_failure = self._evaluate(chart.metric_jet)
+        (self.G, dG), self._metric_jet_failure = evaluate_prefix(
+            lambda k: chart.metric_jet(self.points[:k]), len(self.points))
         # the metric up to the first point where it is not positive definite
         self._metric_failure = self._metric_jet_failure
         try:
@@ -192,15 +191,9 @@ class ChartFields:
         self._gamma = christoffel(self._ip.matrix, dG[:len(self._ip.matrix)])
         self._structure_failure = None
         if chart.complex_structure is not None:
-            (self.J, self.dJ), self._structure_failure = self._evaluate(
-                chart.complex_structure_jet)
-
-    def _evaluate(self, jet):
-        """jet at the points up to its first failure, and that failure as
-        (index, error), or None."""
-        fields, count, error = evaluate_prefix(
-            lambda k: jet(self.points[:k]), len(self.points))
-        return fields or jet(self.points[:0]), None if error is None else (count, error)
+            (self.J, self.dJ), self._structure_failure = evaluate_prefix(
+                lambda k: chart.complex_structure_jet(self.points[:k]),
+                len(self.points))
 
     def metric(self, lo: int = 0, hi: Optional[int] = None):
         """(InnerProduct, Gamma) at the points lo..hi-1 (all by default); the

@@ -8,8 +8,8 @@ from pathlib import Path
 
 from .catalog import catalog_descriptions
 from .loader import MapSpecError, load_map_spec, set_setting
-from .report import (CHECK_NAMES, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR,
-                     EXIT_OK, Analysis, Report, render_report, run_analysis)
+from .report import (CHECK_NAMES, EXIT_INPUT_ERROR, EXIT_OK, Analysis, Report,
+                     render_report, run_analysis)
 
 
 def _add_map_options(parser: argparse.ArgumentParser) -> None:
@@ -55,13 +55,6 @@ def _apply_overrides(settings, args) -> None:
             set_setting(settings, attr, value, flag)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -84,12 +77,18 @@ def main(argv=None) -> int:
             print(f"error: no check {args.name!r} in the report; available: "
                   f"{', '.join(CHECK_NAMES)}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        _emit(render_report(Report(analysis.metadata, [single]), args.pretty),
-              args.out)
-        return EXIT_CHECK_FAILED if single.status in ("fail", "error") else EXIT_OK
-
-    report = run_analysis(loaded)
-    _emit(render_report(report, args.pretty), args.out)
+        report = Report(analysis.metadata, [single])
+    else:
+        report = run_analysis(loaded)
+    text = render_report(report, args.pretty)
+    if not args.out:
+        sys.stdout.write(text)
+        return report.exit_code
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return report.exit_code
 
 

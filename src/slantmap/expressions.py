@@ -317,12 +317,6 @@ def _add(a, b, order):
     return (a[0] + b[0], *(_total(x, y) for x, y in zip(a[1:], b[1:])))
 
 
-def _subtract(a, b, order):
-    return (a[0] - b[0],
-            *(x if y is None else (-y if x is None else x - y)
-              for x, y in zip(a[1:], b[1:])))
-
-
 def _negate(u, order):
     return tuple(None if x is None else -x for x in u)
 
@@ -404,8 +398,10 @@ def _operation(node: Node):
         reciprocal = _function("reciprocal", to_text(node))
         return (node.left, node.right), lambda a, b, order: _multiply(
             a, reciprocal(b, order), order)
-    return (node.left, node.right), {"+": _add, "-": _subtract,
-                                     "*": _multiply}[node.op]
+    if node.op == "-":  # a + (-b) is a - b, entry by entry, in IEEE arithmetic
+        return (node.left, node.right), lambda a, b, order: _add(
+            a, _negate(b, order), order)
+    return (node.left, node.right), {"+": _add, "*": _multiply}[node.op]
 
 
 def _compile(node: Node, n: int):

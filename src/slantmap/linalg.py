@@ -222,22 +222,14 @@ def metric_adjoint(A, g1: InnerProduct, g2: InnerProduct) -> np.ndarray:
     return np.linalg.solve(g1.matrix, np.swapaxes(A, -1, -2) @ g2.matrix)
 
 
-def _along_velocities(dA, A, *point_quantities):
-    """The point quantities made to broadcast along the velocity axis that
-    dA carries before its matrix axes, when it has one more axis than A."""
-    if dA.ndim == A.ndim:
-        return point_quantities
-    return tuple(lift(x, dA.ndim) for x in point_quantities)
-
-
 def metric_adjoint_derivative(adjoint, A, dA, g1: InnerProduct, dG1,
                               g2: InnerProduct, dG2) -> np.ndarray:
     """Derivative of ``adjoint``, the metric adjoint of A, when A, G1 and G2
     move with velocities dA, dG1 and dG2: G1^-1 (dA^T G2 + A^T dG2 - dG1
     adjoint).  Velocities stacked along an axis before the matrix axes (after
     the point axis, for a stack) give one derivative per entry."""
-    G1, G2, At, adjoint = _along_velocities(
-        dA, A, g1.matrix, g2.matrix, np.swapaxes(A, -1, -2), adjoint)
+    G1, G2, At, adjoint = (lift(x, dA.ndim) for x in (
+        g1.matrix, g2.matrix, np.swapaxes(A, -1, -2), adjoint))
     return np.linalg.solve(G1, np.swapaxes(dA, -1, -2) @ G2 + At @ dG2
                            - dG1 @ adjoint)
 
@@ -268,8 +260,8 @@ def range_projector_derivative(P, A, dA, split: TangentSplit,
     Rt_G2 = np.swapaxes(split.range.columns, -1, -2) @ G2
     pseudo_inverse = H @ np.linalg.solve(Rt_G2 @ A @ H, Rt_G2)
     complement = np.eye(G2.shape[-1]) - P
-    complement, pseudo_inverse, G2, Pt = _along_velocities(
-        dA, A, complement, pseudo_inverse, G2, np.swapaxes(P, -1, -2))
+    complement, pseudo_inverse, G2, Pt = (lift(x, dA.ndim) for x in (
+        complement, pseudo_inverse, G2, np.swapaxes(P, -1, -2)))
     K = complement @ dA @ pseudo_inverse
     return K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2
                                + Pt @ dG2 @ complement)
@@ -290,9 +282,10 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
                    tol: float = DEFAULT_RANK_TOL) -> list:
     """The splits of the maps A[i] of a stack (N, m, n) between the inner
     products g1[i] and g2[i], grouped by rank: one (at, split) per rank, in
-    increasing rank, where ``at`` indexes the points of that rank (a slice of
-    all of them when the rank is constant) and ``split`` is a TangentSplit
-    whose bases are stacked over those points.
+    increasing rank (none for an empty stack), where ``at`` indexes the
+    points of that rank (a slice of all of them when the rank is constant)
+    and ``split`` is a TangentSplit whose bases are stacked over those
+    points.
 
     The map is whitened to M = L2^T A L1^{-T}; a Euclidean SVD of M then
     yields g1-orthonormal kernel/horizontal bases and g2-orthonormal
@@ -306,12 +299,10 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     ranks = np.where(sigma_max > 0,
                      np.sum(s > tol * sigma_max[:, None], axis=1), 0)
     V = Vt.transpose(0, 2, 1)
-    if (ranks == ranks[0]).all():
-        groups = [(ranks[0], slice(None))]
-    else:
-        groups = [(rank, np.flatnonzero(ranks == rank)) for rank in np.unique(ranks)]
+    constant = (ranks == ranks[:1]).all()
     splits = []
-    for rank, at in groups:
+    for rank in ranks[:1] if constant else np.unique(ranks):
+        at = slice(None) if constant else np.flatnonzero(ranks == rank)
         # horizontal then kernel columns, and range then normal columns
         source = _unwhitened(g1, at, rank, V[at])
         target = _unwhitened(g2, at, rank, U[at])

@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charts import (ChartError, ChartFields, ChartManifold, evaluate_prefix,
-                     metric_derivative)
+from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
+                     evaluate_prefix, metric_derivative)
 from .expressions import Expression, eval_jet2, eval_jets, parse_expression
 from .linalg import (InnerProduct, TangentSplit, apply, apply_along, lift,
                      metric_adjoint, metric_adjoint_derivative, pairings,
@@ -482,13 +482,13 @@ class Sample:
         point's error (None when every point has its frame)."""
         stacks: list = []
         for start in range(0, len(self), FRAME_BLOCK):
-            built, _, failure = evaluate_prefix(
+            built, failure = evaluate_prefix(
                 lambda k: frame_block(self.spec, self.points[start:start + k],
                                       self.rank_tol, self.target, start),
                 min(FRAME_BLOCK, len(self) - start))
-            stacks.extend(built or [])
+            stacks.extend(built)
             if failure is not None:
-                return stacks, failure
+                return stacks, failure[1]
         return stacks, None
 
     @cached_property
@@ -500,18 +500,15 @@ class Sample:
     @property
     def images(self) -> np.ndarray:
         """F at every point, from the component values alone: no frames."""
-        images, _, error = self._images
-        if error is not None:
-            raise error
+        images, failure = self._images
+        _raise_first(0, len(self), failure)
         return images
 
     @cached_property
     def target(self) -> ChartFields:
         """The target chart at the images, up to the first point where F
         fails."""
-        images, count, _ = self._images
-        return ChartFields(self.spec.target,
-                           images if count else np.empty((0, self.spec.target.dim)))
+        return ChartFields(self.spec.target, self._images[0])
 
 
 # ---------------------------------------------------------------------------

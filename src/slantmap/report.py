@@ -4,10 +4,12 @@ Checks appear in dependency order (Hermitian target, parallel structure,
 Riemannian property, slant classification, then the structural identities);
 a check whose precondition fails is reported as skipped, never as failed.
 An entry is computed on first request, with only what it depends on, from one
-shared ``Sample``.  Reports are byte-identical for a fixed input and seed:
-containers keep insertion order, and floats are written in Python's shortest
-round-trip form, which parses back to the same double (NaN and infinities as
-the strings "nan", "inf" and "-inf").
+shared ``Sample``.  A check entry and the slant block are each written as
+their dataclass's fields in declaration order, those that are None or an
+empty dict left out (``result.record``).  Reports are byte-identical for a
+fixed input and seed: containers keep insertion order, and floats are
+written in Python's shortest round-trip form, which parses back to the same
+double (NaN and infinities as the strings "nan", "inf" and "-inf").
 """
 
 from __future__ import annotations
@@ -217,19 +219,14 @@ def run_analysis(loaded: LoadedMap,
 # Deterministic JSON: strict, with floats in their shortest round-trip form.
 
 def _plain(value):
-    """value with numpy scalars made Python ones, tuples made lists, and NaN
-    and the infinities made strings, as json.dumps writes them strictly."""
+    """value with tuples made lists, and NaN and the infinities made strings,
+    as json.dumps writes them strictly."""
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(item) for item in value]
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isnan(x):
-            return "nan"
-        return x if math.isfinite(x) else "inf" if x > 0 else "-inf"
-    if isinstance(value, np.generic):  # numpy integers and booleans
-        return value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else "inf" if value > 0 else "-inf"
     return value
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -24,6 +24,9 @@ EXACT_IDENTITY_TOL = 1e-10
 
 @dataclass
 class CheckResult:
+    """One check's outcome; its report record (``to_dict``) is its fields in
+    this order, without those that are None or an empty dict."""
+
     name: str
     status: str
     residual: Optional[float] = None
@@ -57,21 +60,15 @@ class CheckResult:
         return CheckResult(name, ERROR, reason=reason)
 
     def to_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status}
-        if self.residual is not None:
-            out["residual"] = self.residual
-        if self.tol is not None:
-            out["tol"] = self.tol
-        if self.samples is not None:
-            out["samples"] = self.samples
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+        return record(self)
 
+
+def record(obj) -> dict:
+    """The fields of the dataclass instance obj in declaration order, those
+    that are None or an empty dict left out: every report record's rule."""
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {name: value for name, value in values
+            if value is not None and value != {}}
 
 def worst_residual(parts, points, fields=lambda *index: {}):
     """The largest residual and its witness: the point plus ``fields`` of

@@ -28,7 +28,7 @@ from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    is_riemannian_map, pair_fields, point_frame,
                    require_complex_structure, sff_global_max)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     EXACT_IDENTITY_TOL, CheckResult, worst_residual)
+                     EXACT_IDENTITY_TOL, CheckResult, record, worst_residual)
 
 INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
@@ -93,7 +93,6 @@ class SlantReport:
     rank: Optional[int] = None
     mean_angle: Optional[float] = None
     max_deviation: Optional[float] = None
-    point_angles: List[dict] = field(default_factory=list)
     lambda_estimate: Optional[float] = None
     lambda_residual: Optional[float] = None
     mu_estimate: Optional[float] = None
@@ -107,6 +106,7 @@ class SlantReport:
     pseudo_homothetic: Optional[bool] = None
     pseudo_homothetic_residual: Optional[float] = None
     witness: Optional[dict] = None
+    point_angles: List[dict] = field(default_factory=list)
 
     @property
     def is_slant(self) -> bool:
@@ -117,18 +117,7 @@ class SlantReport:
         return self.classification in (INVARIANT, PROPER_SLANT)
 
     def to_dict(self) -> dict:
-        out = {"classification": self.classification, "angle_tol": self.angle_tol}
-        for key in ("rank", "mean_angle", "max_deviation", "lambda_estimate",
-                    "lambda_residual", "mu_estimate", "mu_residual",
-                    "omega_parallel", "omega_defect", "phi_parallel",
-                    "phi_defect", "phwc", "phwc_residual", "pseudo_homothetic",
-                    "pseudo_homothetic_residual", "witness"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out["point_angles"] = self.point_angles
-        return out
-
+        return record(self)
 
 def angle_ranges(frames) -> np.ndarray:
     """The least and the largest slant angle over all horizontal directions,
@@ -331,7 +320,9 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
         columns, failure[s.rows] = s.adapted_frames(report.angle_tol)
         parts.append((s.rows, gram_residual(columns, s.g_source)))
     if failure.any():  # the error of the first point whose frame fails
-        raise ValueError(ADAPTED_FRAME_FAILURES[failure[failure > 0][0] - 1])
+        first = int(np.argmax(failure > 0))
+        raise ValueError(f"{ADAPTED_FRAME_FAILURES[failure[first] - 1]} at "
+                         f"point {sample.points[first].tolist()}")
     worst, witness = worst_residual(parts, sample.points)
     return CheckResult.from_residual("adapted_frame", worst, tol,
                                      samples=len(sample), witness=witness)

@@ -157,6 +157,37 @@ def test_failing_block_is_built_again_once(monkeypatch):
     assert builds == [15, 10]
 
 
+FIRST_POINT_FAILS = {
+    "component": MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["sqrt(x1)", "x2"]),
+    "source_metric": MapSpec.create(
+        ChartManifold.from_strings(2, [["x1", "0"], ["0", "1"]]), EUCLIDEAN_2,
+        ["x1", "x2"]),
+    "target_structure": MapSpec.create(
+        EUCLIDEAN_2, ChartManifold.euclidean(2, [["0", "-1 + 0*log(x1)"],
+                                                 ["1", "0"]]),
+        ["x1", "x2"]),
+}
+
+
+@pytest.mark.parametrize("block", [2, 1024])
+@pytest.mark.parametrize("case", sorted(FIRST_POINT_FAILS))
+def test_failure_at_the_first_point_builds_no_frame(case, block, monkeypatch):
+    # the prefix before a failure at row 0 is the empty block, built like
+    # any other: frame_block on no points is []
+    monkeypatch.setattr(slantmap.maps, "FRAME_BLOCK", block)
+    spec = FIRST_POINT_FAILS[case]
+    points = [[-0.5, 0.2], [0.5, 0.1], [0.3, -0.4]]
+    with pytest.raises(Exception) as single:
+        point_frame(spec, points[0])
+    built = []
+    with pytest.raises(type(single.value)) as failure:
+        built.extend(Sample(spec, points).stacks())
+    assert built == []
+    assert str(failure.value) == str(single.value)
+    assert str(single.value).count(str(points[0])) == 1
+    assert slantmap.maps.frame_block(spec, np.empty((0, 2))) == []
+
+
 def test_sff_affine_map_vanishes():
     affine = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["x1 + 2*x2 - 1", "x2"])
     gen = np.random.default_rng(22)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,11 @@ from slantmap.charts import ChartError, ChartManifold
 from slantmap.cli import main
 from slantmap.loader import (AnalysisSettings, LoadedMap, MapSpecError,
                              load_map_spec, map_spec_from_json)
+from slantmap.maps import point_frame
 from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
                              run_analysis, sample_points)
 from slantmap.result import CheckResult
+from slantmap.slant import SlantReport
 from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
@@ -51,6 +54,21 @@ def test_catalog_parameter_parsing():
         load_catalog("no_such_map")
     with pytest.raises(CatalogError, match="parameter"):
         load_catalog("example4(alpha=0.3)")
+
+
+@pytest.mark.parametrize("alpha", ["1e", ".", "1e999"])
+def test_cli_rejects_a_catalog_parameter_that_is_no_finite_number(alpha,
+                                                                  capsys):
+    # the parameter pattern admits these; float rejects the first two and
+    # reads the third as inf: each is an input error, not a traceback
+    with pytest.raises(CatalogError, match="not a finite number"):
+        load_catalog(f"slant_plane(alpha={alpha})")
+    code = main(["check", "riemannian_map", "--map",
+                 f"catalog:slant_plane(alpha={alpha})"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: /map: ")
 
 
 def test_load_map_spec_catalog_prefix():
@@ -879,6 +897,77 @@ def test_report_floats_round_trip(identifier):
                                   json.loads(render_report(report, pretty)))
 
 
+def test_records_write_their_fields_in_declaration_order():
+    # one rule writes every report record: its dataclass's fields in
+    # declaration order, without those that are None or an empty dict
+    full = CheckResult("c", "fail", residual=0.5, tol=1e-8, samples=3,
+                       reason="r", witness={"point": [0.0]}, detail={"k": 1})
+    assert full.to_dict() == {
+        "name": "c", "status": "fail", "residual": 0.5, "tol": 1e-8,
+        "samples": 3, "reason": "r", "witness": {"point": [0.0]},
+        "detail": {"k": 1}}
+    assert list(full.to_dict()) == [f.name for f in fields(CheckResult)]
+    bare = CheckResult("c", "pass", detail={})
+    assert bare.to_dict() == {"name": "c", "status": "pass"}
+
+    order = ["classification", "angle_tol", "rank", "mean_angle",
+             "max_deviation", "lambda_estimate", "lambda_residual",
+             "mu_estimate", "mu_residual", "omega_parallel", "omega_defect",
+             "phi_parallel", "phi_defect", "phwc", "phwc_residual",
+             "pseudo_homothetic", "pseudo_homothetic_residual", "witness",
+             "point_angles"]
+    values = {name: index for index, name in enumerate(order)}
+    values["witness"] = {"point": [0.0], "angle": 0.5}
+    values["point_angles"] = [{"point": [0.0], "angles": [0.5, 0.5]}]
+    assert list(SlantReport(**values).to_dict().items()) == list(values.items())
+    # point_angles is written even when empty: a list, not None or {}
+    assert SlantReport("not_riemannian", 1e-6).to_dict() == {
+        "classification": "not_riemannian", "angle_tol": 1e-6,
+        "point_angles": []}
+
+
+def _numpy_scalars(value, where="report"):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numpy_scalars(item, f"{where}/{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _numpy_scalars(item, f"{where}/{i}")
+    elif isinstance(value, np.generic):
+        yield where, type(value).__name__
+
+
+@pytest.mark.parametrize("identifier", sorted(
+    [f"catalog:{c}" for c in catalog_ids()]
+    + [str(p) for p in (Path(__file__).resolve().parent / "data" / "maps")
+       .glob("*.json")]))
+def test_report_values_are_python_scalars(identifier):
+    # the writer converts no numpy scalar: every check hands over Python
+    # floats, ints and bools
+    report = run_analysis(load_map_spec(identifier))
+    assert list(_numpy_scalars(report.to_dict())) == []
+
+
+def test_adapted_frame_error_names_its_point():
+    # at angle_tol 0.8 nonslant is classified invariant, and Q vanishes at
+    # some points: the error names the first sample point whose frame fails
+    loaded = load_map_spec("catalog:nonslant")
+    loaded.settings.angle_tol = 0.8
+    analysis = Analysis(loaded)
+    assert analysis.classification[0].classification == "invariant"
+    text = "Q vanishes for an anti-invariant map: no adapted frame"
+    entry = analysis.entry("adapted_frame")
+    prefix = f"ValueError: {text} at point "
+    assert entry.status == "error" and entry.reason.startswith(prefix)
+    point = json.loads(entry.reason[len(prefix):])
+    points = analysis.sample.points.tolist()
+    for p in points[:points.index(point)]:
+        point_frame(loaded.spec, p).adapted_frame(0.8)
+    with pytest.raises(ValueError) as failure:
+        point_frame(loaded.spec, point).adapted_frame(0.8)
+    assert str(failure.value) == text
+
+
 def test_seed_changes_no_verdicts():
     for catalog_id in ("example4", "invariant", "warped_fiber", "nonslant"):
         loaded = load_map_spec(f"catalog:{catalog_id}")
@@ -910,6 +999,18 @@ def test_cli_analyze_stdout_byte_identical(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
+def test_cli_unwritable_out_is_an_input_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(command + ["--map", "catalog:identity2", "--samples", "3",
+                           "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ")
+    assert not out.parent.exists()
 
 
 def test_cli_exit_codes(tmp_path):
