@@ -126,7 +126,7 @@ _BUILDERS: Dict[str, Tuple[Callable, Optional[float], str]] = {
                  "structure varies from point to point"),
 }
 
-_PARAM_RE = re.compile(r"^([a-z0-9_]+)\(alpha=([-+0-9.eE]+)\)$")
+_PARAM_RE = re.compile(r"^([a-z0-9_]+)\(alpha=([^)]*)\)$")
 
 
 class CatalogError(KeyError):

@@ -235,7 +235,7 @@ def check_almost_hermitian(fields: ChartFields,
     square = np.linalg.norm(J @ J + np.eye(fields.chart.dim), axis=(1, 2))
     compatibility = np.linalg.norm(np.swapaxes(J, 1, 2) @ G @ J - G, axis=(1, 2))
     worst, witness = worst_residual(
-        [(slice(None), np.maximum(square, compatibility))], fields.points)
+        [(slice(None), np.stack([square, compatibility], axis=1))], fields.points)
     return CheckResult.from_residual(
         "almost_hermitian", worst, tol, samples=len(fields.points),
         witness=witness,
@@ -249,10 +249,9 @@ def check_kahler(fields: ChartFields,
     ``fields``: (nabla_X J) Y = 0.
 
     (nabla_i J)^a_b = d_i J^a_b + Gamma^a_ic J^c_b - Gamma^c_ib J^a_c.  The
-    residual contracts the full tensor over a metric-orthonormal frame (a
-    Frobenius norm, which no choice of that frame changes); the detail
-    block's direction_max is the largest |(nabla_e J) f| over the pairs e, f
-    of the frame, one of the terms of that norm.
+    residual entries at a point are |(nabla_e J) f| over the pairs e, f of a
+    metric-orthonormal frame, whose Frobenius norm no choice of that frame
+    changes; the detail block's direction_max is the largest of them.
     """
     if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
@@ -271,11 +270,8 @@ def check_kahler(fields: ChartFields,
     frame = np.linalg.solve(np.swapaxes(ip.cholesky, 1, 2), np.eye(n)[None])
     # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
     contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
-    pair_squares = pairings(contracted, G, contracted)
-    residuals = np.sqrt(np.maximum(
-        pair_squares.reshape(count, n * n).sum(axis=1), 0.0))
-    worst, witness = worst_residual([(slice(None), residuals)], fields.points)
+    lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))
+    worst, witness = worst_residual([(slice(None), lengths)], fields.points)
     return CheckResult.from_residual(
         "kahler", worst, tol, samples=count, witness=witness,
-        detail={"direction_max": float(
-            np.sqrt(np.maximum(pair_squares, 0.0)).max(initial=0.0))})
+        detail={"direction_max": float(lengths.max(initial=0.0))})

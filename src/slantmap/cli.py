@@ -67,16 +67,20 @@ def main(argv=None) -> int:
         loaded = load_map_spec(args.map)
         _apply_overrides(loaded.settings, args)
     except MapSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
 
+    if args.command == "check" and args.name not in CHECK_NAMES:
+        return _no_check(args.name)
+    try:  # opened, and not emptied, before any check runs
+        if args.out:
+            open(args.out, "a", encoding="utf-8").close()
+    except OSError as exc:
+        return _input_error(f"--out: {exc}")
     if args.command == "check":
         analysis = Analysis(loaded)
-        single = analysis.entry(args.name) if args.name in CHECK_NAMES else None
+        single = analysis.entry(args.name)
         if single is None:
-            print(f"error: no check {args.name!r} in the report; available: "
-                  f"{', '.join(CHECK_NAMES)}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            return _no_check(args.name)
         report = Report(analysis.metadata, [single])
     else:
         report = run_analysis(loaded)
@@ -87,9 +91,18 @@ def main(argv=None) -> int:
     try:
         Path(args.out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        print(f"error: --out: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(f"--out: {exc}")
     return report.exit_code
+
+
+def _input_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
+def _no_check(name: str) -> int:
+    return _input_error(f"no check {name!r} in the report; available: "
+                        f"{', '.join(CHECK_NAMES)}")
 
 
 if __name__ == "__main__":

@@ -470,11 +470,11 @@ class Sample:
         if failure is not None:
             raise failure
 
-    def worst(self, residual, fields=lambda *index: {}):
+    def worst(self, residual):
         """worst_residual of residual(stack), an array (len(stack), ...) of
-        the residuals at each point of the stack, over the stacks."""
+        the residual entries at each point of the stack, over the stacks."""
         return worst_residual([(s.rows, residual(s)) for s in self.stacks()],
-                              self.points, fields)
+                              self.points)
 
     @cached_property
     def _frames(self):
@@ -586,11 +586,6 @@ def section_derivatives(frames, X) -> SectionDerivatives:
 # ---------------------------------------------------------------------------
 # Checks: reductions over the stacks of a Sample
 
-def pair_fields(a: int, b: int) -> dict:
-    """Witness fields of a horizontal pair."""
-    return {"pair": [a, b]}
-
-
 def is_riemannian_map(sample: Sample,
                       tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Gram-matrix test of the horizontal restriction plus rank constancy."""
@@ -613,10 +608,9 @@ def is_riemannian_map(sample: Sample,
 
 def gram_residual(columns: np.ndarray, metric: InnerProduct) -> np.ndarray:
     """How far the columns (of each matrix of a stack) are from orthonormal
-    under the metric (at the same point)."""
+    under the metric (at the same point): their Gram matrix less I."""
     gram = np.swapaxes(columns, -1, -2) @ metric.matrix @ columns
-    return np.abs(gram - np.eye(columns.shape[-1])).max(axis=(-2, -1),
-                                                         initial=0.0)
+    return gram - np.eye(columns.shape[-1])
 
 
 def check_sff_range_perp(sample: Sample,
@@ -624,36 +618,33 @@ def check_sff_range_perp(sample: Sample,
     """The second fundamental form of horizontal pairs must be normal to the range."""
     def residuals(s):
         h = s.split.horizontal.columns
-        # pairs [a, b] with b >= a: the lower triangle repeats them
-        return np.triu(s.g_target.norms(s.tangential(s.sff_value(h, h))))
+        return s.g_target.norms(s.tangential(s.sff_value(h, h)))
 
-    worst, witness = sample.worst(residuals, pair_fields)
+    worst, witness = sample.worst(residuals)
     return CheckResult.from_residual("sff_range_perp", worst, tol,
                                      samples=len(sample), witness=witness)
 
 
-def _sff_norm_max(frames, basis: np.ndarray) -> np.ndarray:
-    """Largest sff norm over pairs of columns of ``basis``."""
-    return frames.g_target.norms(frames.sff_value(basis, basis)).max(
-        axis=(-2, -1), initial=0.0)
+def _sff_norms(frames, basis: np.ndarray) -> np.ndarray:
+    """sff norms over the pairs of columns of ``basis``, at [..., a, b]."""
+    return frames.g_target.norms(frames.sff_value(basis, basis))
 
 
-def sff_global_max(frames) -> np.ndarray:
-    """Largest sff norm over all pairs from the full orthonormal source basis."""
-    return _sff_norm_max(frames, np.concatenate(
+def sff_residual(frames) -> np.ndarray:
+    """sff norms over all pairs from the full orthonormal source basis."""
+    return _sff_norms(frames, np.concatenate(
         [frames.split.kernel.columns, frames.split.horizontal.columns], axis=-1))
 
 
 def fiber_geodesy_residual(frames) -> np.ndarray:
     """How far the fibers are from totally geodesic: sff over kernel pairs."""
-    return _sff_norm_max(frames, frames.split.kernel.columns)
+    return _sff_norms(frames, frames.split.kernel.columns)
 
 
 def horizontal_geodesy_residual(frames) -> np.ndarray:
     """Vertical component of the source connection on horizontal pairs,
-    measured as g1(nabla_X Y, W) over frame vectors."""
+    g1(nabla_X Y, W) over frame vectors."""
     h = frames.split.horizontal.columns
     kernel_covector = (np.swapaxes(frames.split.kernel.columns, -1, -2)
                        @ frames.g_source.matrix)
-    vertical = apply(kernel_covector, frames.covariant_source(h, h))
-    return np.abs(vertical).max(axis=(-3, -2, -1), initial=0.0)
+    return apply(kernel_covector, frames.covariant_source(h, h))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -70,32 +69,24 @@ def record(obj) -> dict:
     return {name: value for name, value in values
             if value is not None and value != {}}
 
-def worst_residual(parts, points, fields=lambda *index: {}):
-    """The largest residual and its witness: the point plus ``fields`` of
-    the residual's index at that point.
+def worst_residual(parts, points):
+    """The largest residual over the points and its witness point.
 
     ``parts`` holds (rows, residuals) pairs: residuals (len(rows), ...) at the
-    points ``points[rows]``.  The witness is the first point, and within it
-    the first residual in C order, that lies within 8 ulps (relative) of
-    the largest, so that rounding does not pick it.  NaN is passed over, and
-    with no residual above 0.0 there is no witness.
+    points ``points[rows]``.  A point's residual is the Frobenius norm of its
+    entries, which no orthonormal change of the frames they are taken in
+    alters; a NaN entry counts as 0.  The witness is the first point whose
+    residual lies within 8 ulps (relative) of the largest, so that rounding
+    does not pick it, and with no residual above 0.0 there is no witness.
     """
-    best = np.zeros(len(points))
-    flats = []
+    norms = np.zeros(len(points))
     for rows, residuals in parts:
-        residuals = np.asarray(residuals, dtype=float)
-        flat = np.fmax(residuals.reshape(len(residuals),
-                                         math.prod(residuals.shape[1:])), 0.0)
-        if flat.shape[1]:
-            best[rows] = flat.max(axis=1)
-        flats.append((np.arange(len(points))[rows], flat, residuals.shape[1:]))
-    worst = best.max(initial=0.0)
+        entries = np.asarray(residuals, dtype=float)
+        entries = np.where(np.isnan(entries), 0.0, entries)
+        norms[rows] = np.sqrt(np.square(entries).sum(
+            axis=tuple(range(1, entries.ndim))))
+    worst = norms.max(initial=0.0)
     if not worst > 0.0:
         return 0.0, None
-    near = worst * (1.0 - 8 * np.finfo(float).eps)
-    i = int(np.argmax(best >= near))
-    at, flat, shape = next(part for part in flats if i in part[0])
-    entry = int(np.argmax(flat[np.flatnonzero(at == i)[0]] >= near))
-    index = np.unravel_index(entry, shape)
-    return float(worst), {"point": [float(x) for x in points[i]],
-                          **fields(*(int(j) for j in index))}
+    i = int(np.argmax(norms >= worst * (1.0 - 8 * np.finfo(float).eps)))
+    return float(worst), {"point": [float(x) for x in points[i]]}

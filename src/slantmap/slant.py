@@ -25,8 +25,8 @@ from .linalg import apply, lift
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_geodesy_residual,
                    gram_residual, horizontal_geodesy_residual,
-                   is_riemannian_map, pair_fields, point_frame,
-                   require_complex_structure, sff_global_max)
+                   is_riemannian_map, point_frame,
+                   require_complex_structure, sff_residual)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      EXACT_IDENTITY_TOL, CheckResult, record, worst_residual)
 
@@ -201,15 +201,12 @@ def _fit_identity(sample: Sample, rank: int, square):
     """The constant c of square(stack) = c I (rank x rank at each point)
     and the residual of the fit: c is the mean of the traces over the
     points, taken per point first so the blocks do not change it, and the
-    residual is the largest spectral norm of square - c I, which no
-    orthonormal basis changes."""
+    residual is the largest Frobenius norm of square - c I."""
     traces = np.empty(len(sample))
     for s in sample.stacks():
         traces[s.rows] = np.trace(square(s), axis1=1, axis2=2)
-    identity = np.eye(rank)
     c = float(traces.sum() / (len(sample) * rank))
-    return c, sample.worst(lambda s: np.linalg.norm(
-        square(s) - c * identity, 2, axis=(1, 2)))[0]
+    return c, sample.worst(lambda s: square(s) - c * np.eye(rank))[0]
 
 
 def _parallelism(report: SlantReport, sample: Sample, tol: float) -> None:
@@ -249,11 +246,6 @@ def mixed_sff(frames) -> np.ndarray:
     """|sff(h_a, u_c)| over horizontal h_a and vertical u_c, at [..., a, c]."""
     return frames.g_target.norms(frames.sff_value(
         frames.split.horizontal.columns, frames.split.kernel.columns))
-
-
-def mixed_fields(a: int, c: int) -> dict:
-    """Witness fields of a horizontal-vertical pair."""
-    return {"horizontal": a, "vertical": c}
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +347,7 @@ def check_omega_defect_identity(sample: Sample,
         h = s.split.horizontal.columns
         return s.g_target.norms(s.omega_defects - omega_defect_algebraic(s, h, h))
 
-    worst, witness = sample.worst(residuals, pair_fields)
+    worst, witness = sample.worst(residuals)
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -377,7 +369,7 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
         qh = s.adjoint_phi @ h
         return s.g_target.norms(s.sff_value(qh, qh) - factor * s.sff_value(h, h))
 
-    worst, witness = sample.worst(residuals, pair_fields)
+    worst, witness = sample.worst(residuals)
     return CheckResult.from_residual("sff_q_scaling", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -439,7 +431,7 @@ def _condition_three_residual(frames) -> np.ndarray:
     connection on horizontal pairs against every normal frame vector:
     sum_c g2(BV, F_*h_c) g2(omega F_*Y, sff(X, h_c))
         = g2(nabla^perp_X omega F_*Y, CV) - g2(nabla^perp_X omega F_*QY, V);
-    the largest mismatch at each point of a FrameStack."""
+    the mismatches at [:, a, v, b] at each point of a FrameStack."""
     h = frames.split.horizontal.columns
     perp = frames.split.range_perp.columns
     if perp.shape[-1] == 0 or frames.rank == 0:
@@ -456,18 +448,18 @@ def _condition_three_residual(frames) -> np.ndarray:
            - apply(np.swapaxes(perp, -1, -2) @ G,
                    frames.normal(d_omega @ lift(frames.adjoint_phi, 4)
                                  @ lift(h, 4))))
-    return np.abs(lhs - rhs).max(axis=(1, 2, 3))
+    return lhs - rhs
 
 
 def check_totally_geodesic(sample: Sample,
                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Vanishing of the second fundamental form, with a per-condition breakdown.
 
-    Reports the global sff maximum together with the three structural
+    Reports the norm of the whole sff together with the three structural
     conditions: totally geodesic fibers, totally geodesic horizontal
     distribution, and the shape-operator pairing identity on normal vectors.
     """
-    global_max, witness = sample.worst(sff_global_max)
+    global_max, witness = sample.worst(sff_residual)
     fiber_max = sample.worst(fiber_geodesy_residual)[0]
     horizontal_max = sample.worst(horizontal_geodesy_residual)[0]
     detail = {
@@ -498,12 +490,8 @@ def check_phwc(sample: Sample, report: SlantReport,
         return CheckResult.skipped(
             "phwc", "the induced horizontal structure is undefined at angle pi/2")
     sec = 1.0 / math.cos(report.mean_angle)
-
-    def larger(s):  # of the two at each point, the square one at a tie or a NaN
-        square, hermitian = phwc_residuals(s, sec)
-        return np.where(hermitian > square, hermitian, square)
-
-    residual, witness = sample.worst(larger)
+    residual, witness = sample.worst(
+        lambda s: np.stack(phwc_residuals(s, sec), axis=1))
     return CheckResult.from_residual(
         "phwc", residual, tol, samples=len(sample), witness=witness,
         detail={"square_residual": sample.worst(
@@ -528,7 +516,7 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         return CheckResult.skipped("pseudo_homothetic",
                                    "precondition unmet: map is not PHWC")
     sec = 1.0 / math.cos(report.mean_angle)
-    mixed_max, witness = sample.worst(mixed_sff, mixed_fields)
+    mixed_max, witness = sample.worst(mixed_sff)
 
     def jhat_derivative(s):
         """[:, a, :, b]: sec(theta) (nabla_{h_a}(Q h_b) - Q nabla_{h_a} h_b)"""
@@ -543,7 +531,7 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
                @ lift(s.g_source.matrix, 4) @ lift(kernel, 4))
         rhs = apply(sec * np.swapaxes(s.phi @ h, -1, -2) @ s.g_target.matrix,
                     s.sff_value(h, kernel))
-        return np.abs(lhs - rhs)
+        return lhs - rhs
 
     frame_deriv_max = sample.worst(lambda s: s.g_target.norms(
         s.pushforward(jhat_derivative(s)) - sec * s.phi_defects))[0]

@@ -1,7 +1,8 @@
 """Independent finite-difference oracles used to pin expected values, slant
 angles of sampled directions, the reference fold the checks' witness
 reduction is compared against, the first failing frame found one point at a
-time, and the np.einsum forms of the library's stacked contractions.
+time, the np.einsum forms of the library's stacked contractions, and the
+rule by which two reports match.
 
 Everything here differentiates plain evaluations with central differences,
 so agreement with the library's exact derivatives is a real two-route check.
@@ -152,15 +153,17 @@ def sampled_slant_angles(sample, count=200, seed=0):
 
 
 def fold_worst_residual(items, ulps=8):
-    """The reference reduction over (residual, point, fields) triples: the
-    largest residual, and as witness the first triple whose residual lies
-    within ``ulps`` relative ulps of it; NaN is passed over, and with no
-    residual above 0.0 there is no witness."""
-    items = list(items)
-    worst = max((float(r) for r, _, _ in items if r > 0.0), default=0.0)
-    for residual, point, fields in items:
+    """The reference reduction over (entries, point) pairs, one point at a
+    time: a point's residual is the Frobenius norm of its entries, a NaN
+    entry counted as 0; the largest residual, and as witness the first point
+    whose residual lies within ``ulps`` relative ulps of it; with no residual
+    above 0.0 there is no witness."""
+    items = [(np.sqrt(np.square(np.where(np.isnan(entries), 0.0, entries)).sum()),
+              point) for entries, point in items]
+    worst = max((float(r) for r, _ in items), default=0.0)
+    for residual, point in items:
         if worst > 0.0 and residual >= worst * (1.0 - ulps * np.finfo(float).eps):
-            return worst, {"point": [float(x) for x in point], **fields}
+            return worst, {"point": [float(x) for x in point]}
     return 0.0, None
 
 
@@ -211,3 +214,21 @@ def einsum_apply_along(x, tensor, axis):
     """Reference for linalg.apply_along."""
     return np.einsum(("...kl,...lij->...kij", "...kl,...ilj->...kij")[axis],
                      x, tensor)
+
+
+def assert_report_matches(actual, expected, where="report"):
+    """The golden files' rule: non-float values must be identical, floats
+    within 1e-12 absolute, and dict keys in the same order."""
+    if isinstance(expected, float):
+        assert isinstance(actual, float), where
+        assert abs(actual - expected) <= 1e-12, (where, actual, expected)
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and list(actual) == list(expected), where
+        for key, value in expected.items():
+            assert_report_matches(actual[key], value, f"{where}/{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, value in enumerate(expected):
+            assert_report_matches(actual[i], value, f"{where}/{i}")
+    else:
+        assert type(actual) is type(expected) and actual == expected, where

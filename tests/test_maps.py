@@ -74,7 +74,8 @@ def test_riemannian_rejects_dilation():
     result = is_riemannian_map(
         Sample(dilation, [np.zeros(2), np.ones(2) * 0.5]))
     assert result.status == "fail"
-    assert result.residual == pytest.approx(3.0, abs=1e-12)
+    # the Gram matrix less I is 3 I: its Frobenius norm is 3 sqrt(2)
+    assert result.residual == pytest.approx(3.0 * np.sqrt(2.0), abs=1e-12)
 
 
 def test_riemannian_composed_slant_construction(sample_box):
@@ -113,7 +114,7 @@ PINCH_ENTRIES = {
     check_sff_range_perp: {
         "name": "sff_range_perp", "status": "fail", "residual": 1.0,
         "tol": 1e-08, "samples": 7,
-        "witness": {"point": [0.9, 0.1], "pair": [1, 1]}},
+        "witness": {"point": [0.9, 0.1]}},
     check_harmonic: {
         "name": "harmonic", "status": "fail", "residual": 1.0, "tol": 1e-08,
         "samples": 7, "witness": {"point": [0.0, 0.3]}},

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import slantmap.maps
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
@@ -24,7 +24,7 @@ from slantmap.catalog import catalog_ids
 from slantmap.charts import ChartManifold
 from slantmap.linalg import apply_along, lift, pairings
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
-from slantmap.maps import MapSpec, Sample, pair_fields, point_frame
+from slantmap.maps import MapSpec, Sample, point_frame
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
 from slantmap.result import worst_residual
@@ -141,6 +141,7 @@ def _pair_residuals(draw):
 
 @PROPERTY_SETTINGS
 @given(_pair_residuals())
+@example([np.array([[np.nan, 0.25], [0.0, 3.0]]), np.array([[1.0]])])
 def test_worst_residual_matches_the_reference_fold(per_point):
     # the residuals reach the reduction as the stacks of a Sample hold their
     # points: blocks of three, one stack per rank in a block
@@ -154,29 +155,26 @@ def test_worst_residual_matches_the_reference_fold(per_point):
             assert all(len(per_point[i]) == stack.rank for i in stack.rows)
             return np.stack([per_point[i] for i in stack.rows])
 
-        actual = sample.worst(residuals, pair_fields)
-    expected = fold_worst_residual(
-        (value, point, pair_fields(a, b))
-        for point, pairs in zip(points, per_point)
-        for (a, b), value in np.ndenumerate(pairs))
-    assert actual == expected
+        actual = sample.worst(residuals)
+    assert actual == fold_worst_residual(zip(per_point, points))
 
 
 def test_witness_ties_to_the_last_ulp():
-    # residuals that agree up to their last ulps, as sums taken in another
-    # order would round them: the residual is the largest, and the witness
-    # the first point, and within it the first entry in C order, that lies
-    # within 8 ulps of it
+    # a point's residual is the Frobenius norm of its entries, a NaN entry
+    # counted as 0; residuals that agree up to their last ulps, as sums taken
+    # in another order would round them, tie: the witness is the first point
+    # within 8 ulps (relative) of the largest residual
+    step = np.spacing(5.0)  # 4/5 of an ulp, relative
     points = np.array([[0.0], [1.0], [2.0]])
-    residuals = np.array([[1.0, 1.0 + 2 * ULP], [1.0 + 4 * ULP, 0.5],
-                          [0.25, 1.0 + 9 * ULP]])
-    fields = lambda k: {"entry": k}  # noqa: E731
-    assert worst_residual([(slice(None), residuals)], points, fields) == (
-        1.0 + 9 * ULP, {"point": [0.0], "entry": 1})
-    # 1.0 is 9 ulps below the largest: the next point is the witness
-    residuals[0, 1] = 1.0
-    assert worst_residual([(slice(None), residuals)], points, fields) == (
-        1.0 + 9 * ULP, {"point": [1.0], "entry": 0})
+    residuals = np.array([[3.0, 4.0], [0.0, 5.0 + 6 * step],
+                          [-(5.0 + 9 * step), np.nan]])
+    assert worst_residual([(slice(None), residuals)], points) == (
+        5.0 + 9 * step, {"point": [0.0]})
+    # 5.0 is 11 steps (8.8 ulps) below the largest: the next point is the
+    # witness
+    residuals[2, 0] = 5.0 + 11 * step
+    assert worst_residual([(slice(None), residuals)], points) == (
+        5.0 + 11 * step, {"point": [1.0]})
 
 
 # Maps of [-1, 1]^2 into C^2 with a weighted sqrt or log term in a

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import slantmap
+import slantmap.cli
 from slantmap.catalog import CatalogError, catalog_ids, load_catalog
 from slantmap.charts import ChartError, ChartManifold
 from slantmap.cli import main
@@ -23,6 +24,7 @@ from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
                              run_analysis, sample_points)
 from slantmap.result import CheckResult
 from slantmap.slant import SlantReport
+from oracles import assert_report_matches
 from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
@@ -56,11 +58,11 @@ def test_catalog_parameter_parsing():
         load_catalog("example4(alpha=0.3)")
 
 
-@pytest.mark.parametrize("alpha", ["1e", ".", "1e999"])
+@pytest.mark.parametrize("alpha", ["1e", ".", "1e999", "inf", "nan", "pi/4"])
 def test_cli_rejects_a_catalog_parameter_that_is_no_finite_number(alpha,
                                                                   capsys):
-    # the parameter pattern admits these; float rejects the first two and
-    # reads the third as inf: each is an input error, not a traceback
+    # float rejects 1e, . and pi/4 and reads 1e999 as inf: each is an input
+    # error naming the parameter, not a traceback or an unknown catalog id
     with pytest.raises(CatalogError, match="not a finite number"):
         load_catalog(f"slant_plane(alpha={alpha})")
     code = main(["check", "riemannian_map", "--map",
@@ -68,7 +70,7 @@ def test_cli_rejects_a_catalog_parameter_that_is_no_finite_number(alpha,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: /map: ")
+    assert captured.err.startswith("error: /map: alpha=")
 
 
 def test_load_map_spec_catalog_prefix():
@@ -1002,7 +1004,20 @@ def test_cli_analyze_stdout_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
-def test_cli_unwritable_out_is_an_input_error(command, tmp_path, capsys):
+def test_cli_unwritable_out_is_an_input_error(command, tmp_path, capsys,
+                                              monkeypatch):
+    # reported before any check runs
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(slantmap.cli, "run_analysis",
+                        counted("run_analysis", run_analysis))
+    monkeypatch.setattr(Analysis, "entry", counted("entry", Analysis.entry))
     out = tmp_path / "missing" / "report.json"
     code = main(command + ["--map", "catalog:identity2", "--samples", "3",
                            "--out", str(out)])
@@ -1011,6 +1026,20 @@ def test_cli_unwritable_out_is_an_input_error(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: --out: ")
     assert not out.parent.exists()
+    assert not calls
+
+
+def test_cli_unknown_check_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("kept")
+    code = main(["check", "no_such_check", "--map", "catalog:identity2",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: no check 'no_such_check'")
+    assert out.read_text() == "kept"
+    assert main(["check", "harmonic", "--map", "catalog:identity2",
+                 "--samples", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"][0]["name"] == "harmonic"
 
 
 def test_cli_exit_codes(tmp_path):
@@ -1094,23 +1123,6 @@ REPORTS = Path(__file__).resolve().parent / "data" / "reports"
 EXIT_CODES = json.loads((REPORTS / "exit_codes.json").read_text())
 
 
-def _assert_report_matches(actual, expected, where="report"):
-    # non-float values must be identical, floats within 1e-12 absolute
-    if isinstance(expected, float):
-        assert isinstance(actual, float), where
-        assert abs(actual - expected) <= 1e-12, (where, actual, expected)
-    elif isinstance(expected, dict):
-        assert isinstance(actual, dict) and list(actual) == list(expected), where
-        for key, value in expected.items():
-            _assert_report_matches(actual[key], value, f"{where}/{key}")
-    elif isinstance(expected, list):
-        assert isinstance(actual, list) and len(actual) == len(expected), where
-        for i, value in enumerate(expected):
-            _assert_report_matches(actual[i], value, f"{where}/{i}")
-    else:
-        assert type(actual) is type(expected) and actual == expected, where
-
-
 @pytest.mark.parametrize("catalog_id", sorted(EXIT_CODES))
 def test_catalog_reports_match_golden_files(catalog_id, capsys):
     # tests/data/reports holds `analyze --pretty --samples 5 --seed 3` output,
@@ -1120,7 +1132,7 @@ def test_catalog_reports_match_golden_files(catalog_id, capsys):
     actual = json.loads(capsys.readouterr().out)
     expected = json.loads((REPORTS / f"{catalog_id}.json").read_text())
     assert code == EXIT_CODES[catalog_id]
-    _assert_report_matches(actual, expected)
+    assert_report_matches(actual, expected)
 
 
 MAP_REPORTS = REPORTS / "maps"
@@ -1138,4 +1150,4 @@ def test_map_file_reports_match_golden_files(name, capsys, monkeypatch):
     actual = json.loads(capsys.readouterr().out)
     expected = json.loads((MAP_REPORTS / f"{name}.json").read_text())
     assert code == MAP_EXIT_CODES[name]
-    _assert_report_matches(actual, expected)
+    assert_report_matches(actual, expected)
