@@ -142,13 +142,15 @@ def christoffel(G, dG) -> np.ndarray:
     return 0.5 * apply_along(inverse, lower, 0)
 
 
-def metric_derivative(G, gamma, X) -> np.ndarray:
-    """Derivatives of the metric matrix G along the columns of X, stacked
-    along an axis before the matrix axes (after the point axis, for a stack
-    of metrics) and recovered from its Levi-Civita symbols:
-    d_k g_ij = g_il Gamma^l_kj + g_jl Gamma^l_ki."""
-    lowered = G[..., None, :, :] @ apply_along(np.swapaxes(X, -1, -2), gamma, 1)
-    return lowered + np.swapaxes(lowered, -1, -2)
+def nabla_j(J, dJ, gamma) -> np.ndarray:
+    """(nabla_i J)^a_b = d_i J^a_b + Gamma^a_ic J^c_b - Gamma^c_ib J^a_c at
+    [..., i, a, b], for stacks of J, of dJ[..., i, a, b] = d_i J^a_b and of
+    the Christoffel symbols Gamma at the same points."""
+    if not (dJ.any() or gamma.any()):  # the zeros, in pages never written
+        return np.zeros(dJ.shape)
+    # the connection terms come as [..., a, i, b]
+    return (dJ + np.swapaxes(gamma @ J[..., None, :, :], -3, -2)
+            - np.swapaxes(apply_along(J, gamma, 0), -3, -2))
 
 
 def evaluate_prefix(evaluate, count: int):
@@ -170,9 +172,9 @@ def evaluate_prefix(evaluate, count: int):
 
 
 class ChartFields:
-    """A chart's metric and complex structure with their first derivatives
-    at each point of a stack (N, n), every entry evaluated once per point,
-    and the metric's InnerProduct and Christoffel symbols.  Each field is
+    """A chart's metric and complex structure at each point of a stack (N,
+    n), every entry evaluated once per point with its first derivatives, the
+    metric's InnerProduct and Christoffel symbols, and nabla J.  Each field is
     evaluated up to the first point where it fails, and that failure, kept
     as (index, error), is raised by whatever reads the field there."""
 
@@ -191,9 +193,11 @@ class ChartFields:
         self._gamma = christoffel(self._ip.matrix, dG[:len(self._ip.matrix)])
         self._structure_failure = None
         if chart.complex_structure is not None:
-            (self.J, self.dJ), self._structure_failure = evaluate_prefix(
+            (self.J, dJ), self._structure_failure = evaluate_prefix(
                 lambda k: chart.complex_structure_jet(self.points[:k]),
                 len(self.points))
+            known = min(len(self.J), len(self._gamma))  # where both are known
+            self._nabla_j = nabla_j(self.J[:known], dJ[:known], self._gamma[:known])
 
     def metric(self, lo: int = 0, hi: Optional[int] = None):
         """(InnerProduct, Gamma) at the points lo..hi-1 (all by default); the
@@ -204,11 +208,12 @@ class ChartFields:
         return self._ip[lo:hi], self._gamma[lo:hi]
 
     def structure(self, lo: int = 0, hi: Optional[int] = None):
-        """(J, dJ) at the points lo..hi-1 (all by default); the first failure
-        of J's jet before hi is raised with its index counted from lo."""
+        """(J, nabla J) at the points lo..hi-1 (all by default); the first
+        failure before hi, of J's jet or of the metric that nabla J needs, is
+        raised with its index counted from lo."""
         hi = len(self.points) if hi is None else hi
-        _raise_first(lo, hi, self._structure_failure)
-        return self.J[lo:hi], self.dJ[lo:hi]
+        _raise_first(lo, hi, self._structure_failure, self._metric_failure)
+        return self.J[lo:hi], self._nabla_j[lo:hi]
 
 
 def _raise_first(lo: int, hi: int, *failures) -> None:
@@ -248,23 +253,20 @@ def check_kahler(fields: ChartFields,
     """Verify that the complex structure is parallel at the points of
     ``fields``: (nabla_X J) Y = 0.
 
-    (nabla_i J)^a_b = d_i J^a_b + Gamma^a_ic J^c_b - Gamma^c_ib J^a_c.  The
-    residual entries at a point are |(nabla_e J) f| over the pairs e, f of a
-    metric-orthonormal frame, whose Frobenius norm no choice of that frame
-    changes; the detail block's direction_max is the largest of them.
+    The residual entries at a point are |(nabla_e J) f| (``nabla_j``) over
+    the pairs e, f of a metric-orthonormal frame, whose Frobenius norm no
+    choice of that frame changes; the detail block's direction_max is the
+    largest of them.
     """
     if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
     # at each point the metric is read before J
     _raise_first(0, len(fields.points), fields._metric_failure,
                  fields._structure_failure)
-    ip, gamma = fields.metric()
-    J, dJ = fields.structure()
+    ip = fields.metric()[0]
+    J, nabla = fields.structure()
     G = ip.matrix
     count, n = J.shape[:2]
-    # the connection terms come as [:, a, i, b]
-    nabla = (dJ + np.swapaxes(gamma @ J[:, None], 1, 2)
-             - np.swapaxes(apply_along(J, gamma, 0), 1, 2))
     # a g-orthonormal frame at each point; eye(n) carries a stack axis so that
     # numpy 1.x reads it as matrices, not as a stack of vectors
     frame = np.linalg.solve(np.swapaxes(ip.cholesky, 1, 2), np.eye(n)[None])

@@ -79,9 +79,9 @@ def main(argv=None) -> int:
     if args.command == "check":
         analysis = Analysis(loaded)
         single = analysis.entry(args.name)
-        if single is None:
-            return _no_check(args.name)
-        report = Report(analysis.metadata, [single])
+        # a slant_classification that ran has no entry: it is the slant block
+        report = (Report(analysis.metadata, [single]) if single is not None
+                  else Report(analysis.metadata, [], analysis.classification[0]))
     else:
         report = run_analysis(loaded)
     text = render_report(report, args.pretty)

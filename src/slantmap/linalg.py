@@ -222,49 +222,11 @@ def metric_adjoint(A, g1: InnerProduct, g2: InnerProduct) -> np.ndarray:
     return np.linalg.solve(g1.matrix, np.swapaxes(A, -1, -2) @ g2.matrix)
 
 
-def metric_adjoint_derivative(adjoint, A, dA, g1: InnerProduct, dG1,
-                              g2: InnerProduct, dG2) -> np.ndarray:
-    """Derivative of ``adjoint``, the metric adjoint of A, when A, G1 and G2
-    move with velocities dA, dG1 and dG2: G1^-1 (dA^T G2 + A^T dG2 - dG1
-    adjoint).  Velocities stacked along an axis before the matrix axes (after
-    the point axis, for a stack) give one derivative per entry."""
-    G1, G2, At, adjoint = (lift(x, dA.ndim) for x in (
-        g1.matrix, g2.matrix, np.swapaxes(A, -1, -2), adjoint))
-    return np.linalg.solve(G1, np.swapaxes(dA, -1, -2) @ G2 + At @ dG2
-                           - dG1 @ adjoint)
-
-
 def range_projector(split: TangentSplit) -> np.ndarray:
     """The g2-orthogonal projector R R^T G2 onto the range of the split map
     (at each point, for a stacked split)."""
     R = split.range.columns
     return R @ np.swapaxes(R, -1, -2) @ split.range.metric.matrix
-
-
-def range_projector_derivative(P, A, dA, split: TangentSplit,
-                               dG2) -> np.ndarray:
-    """Derivative of P, the g2-orthogonal projector onto range A.
-
-    A moves with velocity dA and the target metric with velocity dG2, at
-    constant rank.  With the metric pseudo-inverse A+ = H S^-1 R^T G2 built
-    from the split bases (S = R^T G2 A H) and K = (I - P) dA A+,
-
-        dP = K + G2^-1 K^T G2 + G2^-1 P^T dG2 (I - P)
-
-    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  Velocities stacked
-    along an axis before the matrix axes (after the point axis, for a stack)
-    give one derivative per entry.
-    """
-    G2 = split.range.metric.matrix
-    H = split.horizontal.columns
-    Rt_G2 = np.swapaxes(split.range.columns, -1, -2) @ G2
-    pseudo_inverse = H @ np.linalg.solve(Rt_G2 @ A @ H, Rt_G2)
-    complement = np.eye(G2.shape[-1]) - P
-    complement, pseudo_inverse, G2, Pt = (lift(x, dA.ndim) for x in (
-        complement, pseudo_inverse, G2, np.swapaxes(P, -1, -2)))
-    K = complement @ dA @ pseudo_inverse
-    return K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2
-                               + Pt @ dG2 @ complement)
 
 
 def split_tangent(A, g1: InnerProduct, g2: InnerProduct,

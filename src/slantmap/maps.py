@@ -7,6 +7,8 @@ coordinate formula
                  + Gamma2^g_ab(F(p)) d_i F^a d_j F^b,
 
 so no vector-field extensions enter; jets supply every derivative exactly.
+The form is the covariant derivative of F_*: with nabla J it gives those of
+the operators phi, omega and Q (``section_derivatives``).
 
 A ``FrameStack`` holds what is known at the points of one rank in a block
 of points, stacked along a leading point axis, built from stacked jets
@@ -29,11 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
-                     evaluate_prefix, metric_derivative)
+                     evaluate_prefix)
 from .expressions import Expression, eval_jet2, eval_jets, parse_expression
 from .linalg import (InnerProduct, TangentSplit, apply, apply_along, lift,
-                     metric_adjoint, metric_adjoint_derivative, pairings,
-                     range_projector, range_projector_derivative,
+                     metric_adjoint, pairings, range_projector,
                      split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, worst_residual)
@@ -142,9 +143,8 @@ class FrameStack:
     gamma_source: np.ndarray  # (N, n, n, n)
     gamma_target: np.ndarray  # (N, m, m, m)
     sff: np.ndarray         # (N, m, n, n)
-    complex_structure: Optional[np.ndarray]       # (N, m, m)
-    complex_structure_grad: Optional[np.ndarray]  # dJ[:, c, a, b] = d_c J^a_b
-    hessian: np.ndarray     # (N, m, n, n), d_i d_j F^g
+    complex_structure: Optional[np.ndarray]  # (N, m, m)
+    nabla_j: Optional[np.ndarray]  # [:, c, a, b] = (nabla_c J)^a_b
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -266,6 +266,13 @@ class FrameStack:
     def range_projector(self) -> np.ndarray:
         """g2-orthogonal projector onto the range of F_*."""
         return range_projector(self.split)
+
+    @cached_property
+    def pseudo_inverse(self) -> np.ndarray:
+        """Metric pseudo-inverse H (R^T G2 F_* H)^-1 R^T G2 of F_*."""
+        H = self.split.horizontal.columns
+        Rt_G2 = np.swapaxes(self.split.range.columns, -1, -2) @ self.g_target.matrix
+        return H @ np.linalg.solve(Rt_G2 @ self.jacobian @ H, Rt_G2)
 
     @cached_property
     def j_pushforward(self) -> np.ndarray:
@@ -416,13 +423,13 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     groups = split_tangents(jac, g1, g2, rank_tol)
     sff = (hess - apply_along(jac, gamma1, 0)
            + lift(np.swapaxes(jac, 1, 2), 4) @ gamma2 @ lift(jac, 4))
-    J = dJ = None
+    J = nabla = None
     if spec.target.complex_structure is not None:
-        J, dJ = target.structure(start, stop)
+        J, nabla = target.structure(start, stop)
     return [FrameStack(rows[at], points[at], image[at], jac[at], split,
                        gamma1[at], gamma2[at], sff[at],
                        None if J is None else J[at],
-                       None if dJ is None else dJ[at], hess[at])
+                       None if nabla is None else nabla[at])
             for at, split in groups]
 
 
@@ -537,50 +544,46 @@ class SectionDerivatives:
 
 
 def section_derivatives(frames, X) -> SectionDerivatives:
-    """Exact derivatives of the phi, omega and Q sections along the curves
-    t -> p + tX_a, one for each column X_a of the (n, k) matrix X, taken in
-    one stacked pass: at one frame, or at every point of a FrameStack with
-    X of shape (N, n, k).
+    """Exact covariant derivatives of the phi, omega and Q sections along
+    each column X_a of the (n, k) matrix X, in one stacked pass: at one
+    frame, or at every point of a FrameStack with X of shape (N, n, k).
 
-    Along a curve F_* moves by dA = Hess(F) X_a, the metrics by dG1 (along
-    X_a) and dG2 (along F_*X_a), and J by its gradient along F_*X_a, all read
-    from the jets at p.  With the projector P onto the range, phi = P J A and
-    omega = (I - P) J A, so d phi = dP J A + P d(J A) and Q = adjoint phi;
-    P and the adjoint, read from the frame, are differentiated exactly at
-    constant rank.  The target (pullback) and source Christoffel terms then
-    turn the plain derivatives into covariant ones.
+    With A = F_*, P the projector onto its range and * the metric adjoint,
+    phi = P J A, omega = (I - P) J A, Q = A* phi and nabla_X A = sff(X, .):
+
+        nabla_X P     = K + K*,  K = (I - P) sff(X, .) A+,
+        nabla_X phi   = (nabla_X P) J A + P (nabla_X J) A + P J sff(X, .),
+        nabla_X omega = (nabla_X J) A + J sff(X, .) - nabla_X phi,
+        nabla_X Q     = sff(X, .)* phi + A* nabla_X phi.
+
+    The defects are (I - P) nabla_X omega and nabla_X phi - sff(X, Q.), and
+    the phi, omega and Q fields add phi, omega and Q of Gamma1(X, .).
     """
     X = np.asarray(X, dtype=float)
-    A = frames.jacobian
-    fx = A @ X
-    fx_rows = np.swapaxes(fx, -1, -2)
-    dA = np.moveaxis(frames.hessian @ X[..., None, :, :], -1, -3)
-
-    def along(x):  # a point quantity, broadcast along the directions
-        return lift(x, dA.ndim)
-
-    JA, phi, P = along(frames.j_pushforward), along(frames.phi), along(frames.range_projector)
-    dG1 = metric_derivative(frames.g_source.matrix, frames.gamma_source, X)
-    dG2 = metric_derivative(frames.g_target.matrix, frames.gamma_target, fx)
-    dJ = apply_along(fx_rows, frames.complex_structure_grad, 0)
-    dP = range_projector_derivative(frames.range_projector, A, dA, frames.split,
-                                    dG2)
-    dJA = dJ @ along(A) + along(frames.complex_structure) @ dA
-    d_phi = dP @ JA + P @ dJA
-    d_adjoint = metric_adjoint_derivative(frames.adjoint, A, dA, frames.g_source,
-                                          dG1, frames.g_target, dG2)
-    target_connection = apply_along(fx_rows, frames.gamma_target, 1)
-    source_connection = apply_along(np.swapaxes(X, -1, -2), frames.gamma_source, 1)
-    nabla_phi = d_phi + target_connection @ phi
-    nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
+    Xt = np.swapaxes(X, -1, -2)
+    sff_x = apply_along(Xt, frames.sff, 1)  # sff(X_a, .) at [..., a, :, :]
+    # the point quantities, broadcast along the directions
+    A, J, JA, phi, P, Q, A_plus, adjoint, G1, G2 = (lift(x, sff_x.ndim) for x in (
+        frames.jacobian, require_complex_structure(frames),
+        frames.j_pushforward, frames.phi, frames.range_projector,
+        frames.adjoint_phi, frames.pseudo_inverse, frames.adjoint,
+        frames.g_source.matrix, frames.g_target.matrix))
+    K = (np.eye(P.shape[-1]) - P) @ sff_x @ A_plus
+    nabla_P = K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2)
+    nabla_J = apply_along(np.swapaxes(frames.jacobian @ X, -1, -2),
+                          frames.nabla_j, 0)
+    nabla_JA = nabla_J @ A + J @ sff_x
+    nabla_phi = nabla_P @ JA + P @ nabla_JA
+    nabla_omega = nabla_JA - nabla_phi
+    nabla_q = (np.linalg.solve(G1, np.swapaxes(sff_x, -1, -2) @ G2 @ phi)
+               + adjoint @ nabla_phi)
+    source_connection = apply_along(Xt, frames.gamma_source, 1)
     return SectionDerivatives(
-        phi=nabla_phi, omega=nabla_omega,
-        q=(d_adjoint @ phi + along(frames.adjoint) @ d_phi
-           + source_connection @ along(frames.adjoint_phi)),
-        omega_defect=(nabla_omega - P @ nabla_omega
-                      - (JA - phi) @ source_connection),
-        phi_defect=(nabla_phi - phi @ source_connection
-                    - frames.sff_value(X, frames.adjoint_phi)))
+        phi=nabla_phi + phi @ source_connection,
+        omega=nabla_omega + (JA - phi) @ source_connection,
+        q=nabla_q + Q @ source_connection,
+        omega_defect=nabla_omega - P @ nabla_omega,
+        phi_defect=nabla_phi - sff_x @ Q)
 
 
 # ---------------------------------------------------------------------------

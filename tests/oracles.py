@@ -1,21 +1,27 @@
 """Independent finite-difference oracles used to pin expected values, slant
 angles of sampled directions, the reference fold the checks' witness
 reduction is compared against, the first failing frame found one point at a
-time, the np.einsum forms of the library's stacked contractions, and the
-rule by which two reports match.
+time, the plain-derivative route to the section derivatives, the np.einsum
+forms of the library's stacked contractions, and the rule by which two
+reports match.
 
-Everything here differentiates plain evaluations with central differences,
-so agreement with the library's exact derivatives is a real two-route check.
-The curve-derivative oracles differentiate a section by rebuilding it off
-the base point; only their Christoffel correction comes from the frame.
+The finite-difference oracles differentiate plain evaluations with central
+differences, so agreement with the library's exact derivatives is a real
+two-route check.  The curve-derivative oracles differentiate a section by
+rebuilding it off the base point; only their Christoffel correction comes
+from the frame.  The plain route differentiates F_*, the metrics and J
+exactly along coordinate curves, the projector and the adjoint through their
+matrix derivatives, and adds the Christoffel terms back, where the library
+reads the second fundamental form and nabla J.
 """
 
 import numpy as np
 
 from slantmap.charts import ChartError
-from slantmap.expressions import eval_jet2
-from slantmap.linalg import lift
-from slantmap.maps import differential, map_point, point_frame
+from slantmap.expressions import eval_jet2, eval_jets
+from slantmap.linalg import apply_along, lift
+from slantmap.maps import (SectionDerivatives, differential, map_point,
+                           point_frame)
 
 FD_STEP = 1e-5
 
@@ -136,6 +142,101 @@ def fd_source_derivative(frame, X, section, h=FD_STEP):
                           np.asarray(X, dtype=float), section(frame.point))
 
 
+def metric_derivative(G, gamma, X) -> np.ndarray:
+    """Derivatives of the metric matrix G along the columns of X, stacked
+    along an axis before the matrix axes (after the point axis, for a stack
+    of metrics) and recovered from its Levi-Civita symbols:
+    d_k g_ij = g_il Gamma^l_kj + g_jl Gamma^l_ki."""
+    lowered = G[..., None, :, :] @ apply_along(np.swapaxes(X, -1, -2), gamma, 1)
+    return lowered + np.swapaxes(lowered, -1, -2)
+
+
+def metric_adjoint_derivative(adjoint, A, dA, g1, dG1, g2, dG2) -> np.ndarray:
+    """Derivative of ``adjoint``, the metric adjoint of A, when A, G1 and G2
+    move with velocities dA, dG1 and dG2: G1^-1 (dA^T G2 + A^T dG2 - dG1
+    adjoint).  Velocities stacked along an axis before the matrix axes (after
+    the point axis, for a stack) give one derivative per entry."""
+    G1, G2, At, adjoint = (lift(x, dA.ndim) for x in (
+        g1.matrix, g2.matrix, np.swapaxes(A, -1, -2), adjoint))
+    return np.linalg.solve(G1, np.swapaxes(dA, -1, -2) @ G2 + At @ dG2
+                           - dG1 @ adjoint)
+
+
+def range_projector_derivative(P, A, dA, split, dG2) -> np.ndarray:
+    """Derivative of P, the g2-orthogonal projector onto range A.
+
+    A moves with velocity dA and the target metric with velocity dG2, at
+    constant rank.  With the metric pseudo-inverse A+ = H S^-1 R^T G2 built
+    from the split bases (S = R^T G2 A H) and K = (I - P) dA A+,
+
+        dP = K + G2^-1 K^T G2 + G2^-1 P^T dG2 (I - P)
+
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  Velocities stacked
+    along an axis before the matrix axes (after the point axis, for a stack)
+    give one derivative per entry.
+    """
+    G2 = split.range.metric.matrix
+    H = split.horizontal.columns
+    Rt_G2 = np.swapaxes(split.range.columns, -1, -2) @ G2
+    pseudo_inverse = H @ np.linalg.solve(Rt_G2 @ A @ H, Rt_G2)
+    complement = np.eye(G2.shape[-1]) - P
+    complement, pseudo_inverse, G2, Pt = (lift(x, dA.ndim) for x in (
+        complement, pseudo_inverse, G2, np.swapaxes(P, -1, -2)))
+    K = complement @ dA @ pseudo_inverse
+    return K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2
+                               + Pt @ dG2 @ complement)
+
+
+def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
+    """maps.section_derivatives by the plain route: derivatives along the
+    curves t -> p + tX_a, one for each column X_a of the (n, k) matrix X, at
+    one frame of ``spec`` or at every point of a FrameStack with X of shape
+    (N, n, k).
+
+    Along a curve F_* moves by dA = Hess(F) X_a, the metrics by dG1 (along
+    X_a) and dG2 (along F_*X_a), and J by its gradient along F_*X_a, the
+    Hessian and the gradient of J evaluated here from the expressions.  With
+    the projector P onto the range, phi = P J A and omega = (I - P) J A, so
+    d phi = dP J A + P d(J A) and Q = adjoint phi; P and the adjoint are
+    differentiated exactly at constant rank.  The target (pullback) and
+    source Christoffel terms then turn the plain derivatives into covariant
+    ones.
+    """
+    X = np.asarray(X, dtype=float)
+    A = frames.jacobian
+    fx = A @ X
+    fx_rows = np.swapaxes(fx, -1, -2)
+    hessian = eval_jets(spec.components, frames.points, 2)[2]
+    dA = np.moveaxis(hessian @ X[..., None, :, :], -1, -3)
+    J, J_grad = spec.target.complex_structure_jet(frames.images)
+
+    def along(x):  # a point quantity, broadcast along the directions
+        return lift(x, dA.ndim)
+
+    JA, phi, P = along(frames.j_pushforward), along(frames.phi), along(frames.range_projector)
+    dG1 = metric_derivative(frames.g_source.matrix, frames.gamma_source, X)
+    dG2 = metric_derivative(frames.g_target.matrix, frames.gamma_target, fx)
+    dJ = apply_along(fx_rows, J_grad, 0)
+    dP = range_projector_derivative(frames.range_projector, A, dA, frames.split,
+                                    dG2)
+    dJA = dJ @ along(A) + along(J) @ dA
+    d_phi = dP @ JA + P @ dJA
+    d_adjoint = metric_adjoint_derivative(frames.adjoint, A, dA, frames.g_source,
+                                          dG1, frames.g_target, dG2)
+    target_connection = apply_along(fx_rows, frames.gamma_target, 1)
+    source_connection = apply_along(np.swapaxes(X, -1, -2), frames.gamma_source, 1)
+    nabla_phi = d_phi + target_connection @ phi
+    nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
+    return SectionDerivatives(
+        phi=nabla_phi, omega=nabla_omega,
+        q=(d_adjoint @ phi + along(frames.adjoint) @ d_phi
+           + source_connection @ along(frames.adjoint_phi)),
+        omega_defect=(nabla_omega - P @ nabla_omega
+                      - (JA - phi) @ source_connection),
+        phi_defect=(nabla_phi - phi @ source_connection
+                    - frames.sff_value(X, frames.adjoint_phi)))
+
+
 def sampled_slant_angles(sample, count=200, seed=0):
     """The slant angles of ``count`` random unit horizontal directions at
     each point of a Sample, (len(sample), count), one
@@ -181,9 +282,10 @@ def first_failing_frame(spec, points):
     return len(points), None
 
 
-# The np.einsum call each stacked contraction of the library was written as,
-# by the site that computes it; the library now forms them with batched
-# matrix products through slantmap.linalg.pairings and apply_along.
+# The np.einsum call each stacked contraction of the library, and of the
+# plain route above, was written as, by the site that computes it; they are
+# now formed with batched matrix products through slantmap.linalg.pairings
+# and apply_along.
 REPLACED_EINSUMS = {
     "linalg.InnerProduct.norms": "...ia,...ij,...ja->...a",
     "maps.PointFrame.adapted_frames": "...i,...ij,...ja->...a",
@@ -193,10 +295,10 @@ REPLACED_EINSUMS = {
     "maps.frame_block.source_christoffel": "nkij,ngk->ngij",
     "maps.frame_block.target_christoffel": "ngab,nai,nbj->ngij",
     "maps.section_derivatives.dJ": "...cab,...ck->...kab",
-    "maps.section_derivatives.target_connection": "...gab,...ak->...kgb",
     "maps.section_derivatives.source_connection": "...kij,...ia->...akj",
     "charts.christoffel": "...kl,...ijl->...kij",
-    "charts.metric_derivative": "...lkj,...ka->...alj",
+    "oracles.metric_derivative": "...lkj,...ka->...alj",
+    "oracles.curve_section_derivatives.target_connection": "...gab,...ak->...kgb",
     "charts.check_kahler.gamma_j": "naic,ncb->niab",
     "charts.check_kahler.j_gamma": "nac,ncib->niab",
     "charts.check_kahler.contracted": "niab,nix,nby->naxy",

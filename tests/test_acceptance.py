@@ -188,7 +188,7 @@ def test_criterion_08_omega_defect_closed_form():
                                          tol=1e-7)
     assert result.passed
     assert result.residual <= 1e-7
-    _announce(8, "curve-based omega defect equals C(sff(X,Y)) - sff(X,QY) "
+    _announce(8, "exact omega defect equals C(sff(X,Y)) - sff(X,QY) "
                  "on curved_target")
 
 

@@ -5,9 +5,11 @@ And the witness reduction of the checks, over the stacks of a Sample, takes
 the witness of the reference fold; a Sample's frames stop at the point, and
 with the error, that building one point at a time finds; each member of a
 stack row, and of the frame built alone at its point, equals the stack's row
-of it; reports and frames do not depend on numpy's broadcasting rule for
-np.linalg.solve; the batched-matmul contractions agree with the np.einsum
-calls they replaced."""
+of it; the section derivatives from the second fundamental form and nabla J
+agree with the plain route of the oracle, and reports do not depend on the
+frame block; reports and frames do not depend on numpy's broadcasting rule
+for np.linalg.solve; the batched-matmul contractions agree with the
+np.einsum calls they replaced."""
 
 import dataclasses
 from pathlib import Path
@@ -24,13 +26,13 @@ from slantmap.catalog import catalog_ids
 from slantmap.charts import ChartManifold
 from slantmap.linalg import apply_along, lift, pairings
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
-from slantmap.maps import MapSpec, Sample, point_frame
+from slantmap.maps import MapSpec, Sample, point_frame, section_derivatives
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
 from slantmap.result import worst_residual
-from oracles import (REPLACED_EINSUMS, einsum_apply_along, einsum_pairings,
-                     fd_gradient, fd_hessian, first_failing_frame,
-                     fold_worst_residual)
+from oracles import (REPLACED_EINSUMS, curve_section_derivatives,
+                     einsum_apply_along, einsum_pairings, fd_gradient,
+                     fd_hessian, first_failing_frame, fold_worst_residual)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None,
@@ -288,6 +290,34 @@ def test_stack_rows_equal_point_frames(spec, count, seed):
                     _assert_within_scale(value, stacked[name][i], scales[name], name)
 
 
+@PROPERTY_SETTINGS
+@given(_specs_into_c2(INSIDE) | st.sampled_from(RANK4_SPECS),
+       st.integers(1, 8), st.integers(0, 2**16))
+def test_section_derivatives_match_the_plain_route(spec, count, seed):
+    # along the horizontal frame and along random directions, every field
+    # agrees with the oracle's curve derivatives, projector and adjoint
+    # derivatives and Christoffel terms; and the report is the same whether
+    # its frames are built in blocks of two points or in one block
+    rng = np.random.default_rng(seed)
+    for stack in Sample(spec, sample_points(spec.box, count, seed)).stacks():
+        random = rng.standard_normal((len(stack), spec.source.dim, 3))
+        for X in (stack.split.horizontal.columns, random):
+            library = section_derivatives(stack, X)
+            oracle = curve_section_derivatives(spec, stack, X)
+            for field in dataclasses.fields(library):
+                expected = getattr(oracle, field.name)
+                _assert_within_scale(getattr(library, field.name), expected,
+                                     max(1.0, np.abs(expected).max(initial=0.0)),
+                                     field.name)
+    reports = []
+    for block in (2, 1024):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(slantmap.maps, "FRAME_BLOCK", block)
+            reports.append(render_report(run_analysis(LoadedMap(
+                spec, AnalysisSettings(points=count, seed=seed), "generated"))))
+    assert reports[0] == reports[1]
+
+
 def test_reports_and_frames_do_not_depend_on_the_solve_rule(request):
     # numpy 1.x reads a b with one axis fewer than a as a stack of vectors,
     # numpy 2 as a stack of matrices: every report and frame member is the
@@ -345,13 +375,13 @@ SITE_FORMS = {
     "maps.frame_block.target_christoffel": lambda gamma, jac, jac2: (
         lift(_swap(jac), 4) @ gamma @ lift(jac2, 4)),
     "maps.section_derivatives.dJ": lambda dJ, fx: apply_along(_swap(fx), dJ, 0),
-    "maps.section_derivatives.target_connection": lambda gamma, fx: (
-        apply_along(_swap(fx), gamma, 1)),
     "maps.section_derivatives.source_connection": lambda gamma, X: (
         apply_along(_swap(X), gamma, 1)),
     "charts.christoffel": lambda inverse, lower: (
         apply_along(inverse, np.moveaxis(lower, -1, -3), 0)),
-    "charts.metric_derivative": lambda gamma, X: apply_along(_swap(X), gamma, 1),
+    "oracles.metric_derivative": lambda gamma, X: apply_along(_swap(X), gamma, 1),
+    "oracles.curve_section_derivatives.target_connection": lambda gamma, fx: (
+        apply_along(_swap(fx), gamma, 1)),
     "charts.check_kahler.gamma_j": lambda gamma, J: (
         np.swapaxes(gamma @ J[:, None], 1, 2)),
     "charts.check_kahler.j_gamma": lambda J, gamma: (

@@ -1074,6 +1074,20 @@ def test_cli_single_check(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_single_check_slant_classification(capsys):
+    # a classification that ran has no check entry: its report is analyze's
+    # slant block alone
+    args = ["--map", "catalog:example4", "--samples", "4"]
+    code = main(["check", "slant_classification"] + args)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    parsed = json.loads(captured.out)
+    assert parsed["checks"] == []
+    assert main(["analyze"] + args) == 0
+    assert parsed["slant"] == json.loads(capsys.readouterr().out)["slant"]
+
+
 
 @pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--dirs", "0"),

@@ -409,7 +409,7 @@ def test_omega_defect_compose_slant_zero(sample_box):
 
 def test_omega_defect_kahler_twist_nonzero_and_matches_identity():
     # the warped-block target twists the normal bundle: omega is not parallel,
-    # and the curve-based defect must still equal the closed form because the
+    # and the exact defect must still equal the closed form because the
     # target structure is parallel
     spec = load_catalog("kahler_twist")
     for p in points_for(spec, 4, 55):
@@ -470,8 +470,8 @@ def test_phi_defect_matches_finite_difference_route(catalog_id):
 
 def test_omega_defect_identity_with_both_connections_curved():
     # sheared source metric AND warped Kaehler target: every Christoffel term
-    # of both routes fires, the defect is far from zero, and the curve-based
-    # and jet-exact computations must still agree
+    # of both routes fires, the defect is far from zero, and the derivative
+    # and algebraic computations must still agree
     src_metric = [["1 + exp(2*x1)*pow(x2,2)", "0", "exp(2*x1)*x2"],
                   ["0", "1", "0"],
                   ["exp(2*x1)*x2", "0", "exp(2*x1)"]]
