@@ -7,14 +7,15 @@ coordinate formula
                  + Gamma2^g_ab(F(p)) d_i F^a d_j F^b,
 
 so no vector-field extensions enter; jets supply every derivative exactly.
-The form is the covariant derivative of F_*: with nabla J it gives those of
-the operators phi, omega and Q (``section_derivatives``).
+The form is the covariant derivative of F_*: with nabla J it gives, as
+tensors, nabla Q and the defects of omega and phi (``section_derivatives``).
 
 A ``FrameStack`` holds what is known at the points of one rank in a block
 of points, stacked along a leading point axis, built from stacked jets
 (``frame_block``).  Each derived pointwise quantity (phi/omega, Q, the
-tension field, the fiber mean curvature, the section derivatives and
-defects) is one of its members, formed once over the stack on first use.
+tension field, the fiber mean curvature, nabla Q and the two defects on
+horizontal pairs) is one of its members, formed once over the stack on
+first use.
 Each member has one definition, which serves a stack and the ``PointFrame``
 ``stack.row(i)`` of its point i alike.  A ``Sample`` is the analysis context
 of one run, whose stacks are built once, and every check is a reduction
@@ -308,21 +309,11 @@ class FrameStack:
 
     @cached_property
     def horizontal_derivatives(self) -> "SectionDerivatives":
-        """section_derivatives along the horizontal frame, one entry per h_a."""
-        return section_derivatives(self, self.split.horizontal.columns)
-
-    @cached_property
-    def omega_defects(self) -> np.ndarray:
-        """The omega defect over horizontal pairs: [..., a, :, b] along h_a
-        at h_b, shape (N, r, m, r)."""
-        defect = self.horizontal_derivatives.omega_defect
-        return defect @ lift(self.split.horizontal.columns, defect.ndim)
-
-    @cached_property
-    def phi_defects(self) -> np.ndarray:
-        """The phi defect over horizontal pairs, laid out as omega_defects."""
-        defect = self.horizontal_derivatives.phi_defect
-        return defect @ lift(self.split.horizontal.columns, defect.ndim)
+        """section_derivatives on horizontal pairs: each field at
+        [..., a, :, b] along h_a at h_b, shape (N, r, ., r)."""
+        h = self.split.horizontal.columns
+        return SectionDerivatives(*(x @ lift(h, x.ndim) for x in
+                                    vars(section_derivatives(self, h)).values()))
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -529,24 +520,22 @@ def require_complex_structure(frames) -> np.ndarray:
 
 @dataclass
 class SectionDerivatives:
-    """Covariant derivatives of the sections Y -> phi(F_*Y), omega(F_*Y) and
-    QY along each direction X_a, and the omega defect (nabla_X omega)Y and
-    phi defect (nabla_X phi)Y - sff(X, QY), stacked along a direction axis
-    (after the point axis, for a stack): entry [..., a, :, :] is a matrix
-    acting on Y, extended by constant coefficients.  A defect vanishes
-    everywhere iff its operator is parallel."""
+    """The covariant derivatives along each direction X_a that the checks
+    read, stacked along a direction axis (after the point axis, for a
+    stack): entry [..., a, :, :] is the tensor (nabla_{X_a} Q) and the omega
+    defect (I - P)(nabla_{X_a} omega) and phi defect (nabla_{X_a} phi) -
+    sff(X_a, Q.), each a matrix acting on Y.  A defect vanishes everywhere
+    iff its operator is parallel."""
 
-    phi: np.ndarray           # (..., k, m, n), pullback connection
-    omega: np.ndarray         # (..., k, m, n), pullback connection
-    q: np.ndarray             # (..., k, n, n), source connection
+    q: np.ndarray             # (..., k, n, n)
     omega_defect: np.ndarray  # (..., k, m, n)
     phi_defect: np.ndarray    # (..., k, m, n)
 
 
 def section_derivatives(frames, X) -> SectionDerivatives:
-    """Exact covariant derivatives of the phi, omega and Q sections along
-    each column X_a of the (n, k) matrix X, in one stacked pass: at one
-    frame, or at every point of a FrameStack with X of shape (N, n, k).
+    """Exact covariant derivatives along each column X_a of the (n, k)
+    matrix X, in one stacked pass: at one frame, or at every point of a
+    FrameStack with X of shape (N, n, k).
 
     With A = F_*, P the projector onto its range and * the metric adjoint,
     phi = P J A, omega = (I - P) J A, Q = A* phi and nabla_X A = sff(X, .):
@@ -554,14 +543,12 @@ def section_derivatives(frames, X) -> SectionDerivatives:
         nabla_X P     = K + K*,  K = (I - P) sff(X, .) A+,
         nabla_X phi   = (nabla_X P) J A + P (nabla_X J) A + P J sff(X, .),
         nabla_X omega = (nabla_X J) A + J sff(X, .) - nabla_X phi,
-        nabla_X Q     = sff(X, .)* phi + A* nabla_X phi.
+        nabla_X Q     = sff(X, .)* phi + A* nabla_X phi,
 
-    The defects are (I - P) nabla_X omega and nabla_X phi - sff(X, Q.), and
-    the phi, omega and Q fields add phi, omega and Q of Gamma1(X, .).
+    all tensors, so no connection term enters.
     """
     X = np.asarray(X, dtype=float)
-    Xt = np.swapaxes(X, -1, -2)
-    sff_x = apply_along(Xt, frames.sff, 1)  # sff(X_a, .) at [..., a, :, :]
+    sff_x = apply_along(np.swapaxes(X, -1, -2), frames.sff, 1)  # sff(X_a, .)
     # the point quantities, broadcast along the directions
     A, J, JA, phi, P, Q, A_plus, adjoint, G1, G2 = (lift(x, sff_x.ndim) for x in (
         frames.jacobian, require_complex_structure(frames),
@@ -575,13 +562,9 @@ def section_derivatives(frames, X) -> SectionDerivatives:
     nabla_JA = nabla_J @ A + J @ sff_x
     nabla_phi = nabla_P @ JA + P @ nabla_JA
     nabla_omega = nabla_JA - nabla_phi
-    nabla_q = (np.linalg.solve(G1, np.swapaxes(sff_x, -1, -2) @ G2 @ phi)
-               + adjoint @ nabla_phi)
-    source_connection = apply_along(Xt, frames.gamma_source, 1)
     return SectionDerivatives(
-        phi=nabla_phi + phi @ source_connection,
-        omega=nabla_omega + (JA - phi) @ source_connection,
-        q=nabla_q + Q @ source_connection,
+        q=(np.linalg.solve(G1, np.swapaxes(sff_x, -1, -2) @ G2 @ phi)
+           + adjoint @ nabla_phi),
         omega_defect=nabla_omega - P @ nabla_omega,
         phi_defect=nabla_phi - sff_x @ Q)
 

@@ -95,6 +95,13 @@ def sample_points(box, count: int, seed: int) -> list:
     return [lows + rng.random(len(box)) * (highs - lows) for _ in range(count)]
 
 
+def error_entry(name: str, exc: Exception) -> CheckResult:
+    """The entry of a check that raised exc: a ChartError's message alone
+    (it says where the chart fails), any other error's type and message."""
+    return CheckResult.error(name, str(exc) if isinstance(exc, ChartError)
+                             else f"{type(exc).__name__}: {exc}")
+
+
 class Analysis:
     """One run over a map: the shared Sample of its seeded points and the
     report entries, each computed once, on first request."""
@@ -129,11 +136,8 @@ class Analysis:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     self._entries[name] = self._compute(name)
-            except ChartError as exc:
-                self._entries[name] = CheckResult.error(name, str(exc))
             except Exception as exc:
-                self._entries[name] = CheckResult.error(
-                    name, f"{type(exc).__name__}: {exc}")
+                self._entries[name] = error_entry(name, exc)
         return self._entries[name]
 
     @cached_property
@@ -149,8 +153,7 @@ class Analysis:
                 self.sample, s.angle_tol, s.check_tol,
                 riemannian=self.entry("riemannian_map")), None
         except Exception as exc:
-            return None, CheckResult.error("slant_classification",
-                                           f"{type(exc).__name__}: {exc}")
+            return None, error_entry("slant_classification", exc)
 
     def _compute(self, name: str) -> Optional[CheckResult]:
         spec, sample, s = self.spec, self.sample, self.settings

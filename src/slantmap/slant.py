@@ -210,10 +210,11 @@ def _fit_identity(sample: Sample, rank: int, square):
 
 
 def _parallelism(report: SlantReport, sample: Sample, tol: float) -> None:
-    report.omega_defect = sample.worst(
-        lambda s: s.g_target.norms(s.omega_defects))[0]
+    report.omega_defect = sample.worst(lambda s: s.g_target.norms(
+        s.horizontal_derivatives.omega_defect))[0]
     report.omega_parallel = report.omega_defect <= tol
-    report.phi_defect = sample.worst(lambda s: s.g_target.norms(s.phi_defects))[0]
+    report.phi_defect = sample.worst(lambda s: s.g_target.norms(
+        s.horizontal_derivatives.phi_defect))[0]
     report.phi_parallel = report.phi_defect <= tol
 
 
@@ -338,14 +339,16 @@ def check_omega_defect_identity(sample: Sample,
                                 tol: float = EXACT_IDENTITY_TOL) -> CheckResult:
     """The omega defect must match its algebraic form C(sff) - sff(., Q.).
 
-    One side differentiates omega(F_*Y) along X exactly (projector and
-    complex-structure derivatives plus the normal connection); the other uses
-    only the second fundamental form and Q.  The two routes share no
-    derivative formula, so agreement validates both.
+    Both sides are closed forms in the second fundamental form.  One is the
+    normal part of nabla omega from ``section_derivatives``, which also reads
+    nabla J, the projector derivative K + K* and the pseudo-inverse; the
+    other reads only sff, J and Q at the point and holds when nabla J = 0.
+    Agreement on a Kaehler target validates the derivative route.
     """
     def residuals(s):
         h = s.split.horizontal.columns
-        return s.g_target.norms(s.omega_defects - omega_defect_algebraic(s, h, h))
+        return s.g_target.norms(s.horizontal_derivatives.omega_defect
+                                - omega_defect_algebraic(s, h, h))
 
     worst, witness = sample.worst(residuals)
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
@@ -439,15 +442,16 @@ def _condition_three_residual(frames) -> np.ndarray:
     G = frames.g_target.matrix
     bv, cv = frames.bc(perp)
     _, omega_h = frames.phi_omega(h)                   # omega F_*h_b
-    d_omega = frames.horizontal_derivatives.omega      # along h_a at [:, a]
+    # nabla^perp_{h_a}(omega F_*h_b) at [:, a, :, b]: omega is normal-valued
+    d_omega = (frames.horizontal_derivatives.omega_defect
+               + frames.phi_omega(frames.covariant_source(h, h))[1])
     sff_h = frames.sff_value(h, h)                     # sff(h_a, h_c) at [:, a]
     paired = np.swapaxes(bv, -1, -2) @ G @ frames.jacobian @ h  # g2(BV, F_*h_c)
     lhs = (lift(paired, 4) @ np.swapaxes(sff_h, -1, -2)
            @ lift(G, 4) @ lift(omega_h, 4))            # (N, a, v, b)
-    rhs = (apply(np.swapaxes(cv, -1, -2) @ G, frames.normal(d_omega @ lift(h, 4)))
-           - apply(np.swapaxes(perp, -1, -2) @ G,
-                   frames.normal(d_omega @ lift(frames.adjoint_phi, 4)
-                                 @ lift(h, 4))))
+    # Q h_b = sum_c q[c, b] h_c
+    rhs = (apply(np.swapaxes(cv, -1, -2) @ G, d_omega)
+           - apply(np.swapaxes(perp, -1, -2) @ G, d_omega @ lift(frames.q, 4)))
     return lhs - rhs
 
 
@@ -490,14 +494,14 @@ def check_phwc(sample: Sample, report: SlantReport,
         return CheckResult.skipped(
             "phwc", "the induced horizontal structure is undefined at angle pi/2")
     sec = 1.0 / math.cos(report.mean_angle)
-    residual, witness = sample.worst(
-        lambda s: np.stack(phwc_residuals(s, sec), axis=1))
+    parts = [(s.rows, np.stack(phwc_residuals(s, sec), axis=1))
+             for s in sample.stacks()]
+    residual, witness = worst_residual(parts, sample.points)
+    square, hermitian = (worst_residual([(rows, r[:, k]) for rows, r in parts],
+                                        sample.points)[0] for k in (0, 1))
     return CheckResult.from_residual(
         "phwc", residual, tol, samples=len(sample), witness=witness,
-        detail={"square_residual": sample.worst(
-                    lambda s: phwc_residuals(s, sec)[0])[0],
-                "hermitian_residual": sample.worst(
-                    lambda s: phwc_residuals(s, sec)[1])[0]})
+        detail={"square_residual": square, "hermitian_residual": hermitian})
 
 
 def check_pseudo_homothetic(sample: Sample, report: SlantReport,
@@ -520,9 +524,7 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
 
     def jhat_derivative(s):
         """[:, a, :, b]: sec(theta) (nabla_{h_a}(Q h_b) - Q nabla_{h_a} h_b)"""
-        h = s.split.horizontal.columns
-        return sec * (s.horizontal_derivatives.q @ lift(h, 4)
-                      - apply(s.adjoint_phi, s.covariant_source(h, h)))
+        return sec * s.horizontal_derivatives.q
 
     def vertical_pairing(s):
         h = s.split.horizontal.columns
@@ -534,7 +536,8 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         return lhs - rhs
 
     frame_deriv_max = sample.worst(lambda s: s.g_target.norms(
-        s.pushforward(jhat_derivative(s)) - sec * s.phi_defects))[0]
+        s.pushforward(jhat_derivative(s))
+        - sec * s.horizontal_derivatives.phi_defect))[0]
     vertical_pair_max = sample.worst(vertical_pairing)[0]
     # phi parallelism was measured, over the same pairs, by the classification
     residual = max(report.phi_defect, mixed_max)

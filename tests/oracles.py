@@ -199,8 +199,8 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     the projector P onto the range, phi = P J A and omega = (I - P) J A, so
     d phi = dP J A + P d(J A) and Q = adjoint phi; P and the adjoint are
     differentiated exactly at constant rank.  The target (pullback) and
-    source Christoffel terms then turn the plain derivatives into covariant
-    ones.
+    source Christoffel terms then turn the plain derivatives into the
+    tensors nabla Q and the two defects.
     """
     X = np.asarray(X, dtype=float)
     A = frames.jacobian
@@ -227,10 +227,10 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     source_connection = apply_along(np.swapaxes(X, -1, -2), frames.gamma_source, 1)
     nabla_phi = d_phi + target_connection @ phi
     nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
+    Q = along(frames.adjoint_phi)
     return SectionDerivatives(
-        phi=nabla_phi, omega=nabla_omega,
         q=(d_adjoint @ phi + along(frames.adjoint) @ d_phi
-           + source_connection @ along(frames.adjoint_phi)),
+           + source_connection @ Q - Q @ source_connection),
         omega_defect=(nabla_omega - P @ nabla_omega
                       - (JA - phi) @ source_connection),
         phi_defect=(nabla_phi - phi @ source_connection
@@ -295,10 +295,10 @@ REPLACED_EINSUMS = {
     "maps.frame_block.source_christoffel": "nkij,ngk->ngij",
     "maps.frame_block.target_christoffel": "ngab,nai,nbj->ngij",
     "maps.section_derivatives.dJ": "...cab,...ck->...kab",
-    "maps.section_derivatives.source_connection": "...kij,...ia->...akj",
     "charts.christoffel": "...kl,...ijl->...kij",
     "oracles.metric_derivative": "...lkj,...ka->...alj",
     "oracles.curve_section_derivatives.target_connection": "...gab,...ak->...kgb",
+    "oracles.curve_section_derivatives.source_connection": "...kij,...ia->...akj",
     "charts.check_kahler.gamma_j": "naic,ncb->niab",
     "charts.check_kahler.j_gamma": "nac,ncib->niab",
     "charts.check_kahler.contracted": "niab,nix,nby->naxy",

@@ -7,7 +7,8 @@ with the error, that building one point at a time finds; each member of a
 stack row, and of the frame built alone at its point, equals the stack's row
 of it; the section derivatives from the second fundamental form and nabla J
 agree with the plain route of the oracle, and reports do not depend on the
-frame block; reports and frames do not depend on numpy's broadcasting rule
+frame block; the pairing identity's Q h_b term read through the matrix of Q
+is the derivative at the explicit vector; reports and frames do not depend on numpy's broadcasting rule
 for np.linalg.solve; the batched-matmul contractions agree with the
 np.einsum calls they replaced."""
 
@@ -24,12 +25,13 @@ from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   parse_expression, to_text)
 from slantmap.catalog import catalog_ids
 from slantmap.charts import ChartManifold
-from slantmap.linalg import apply_along, lift, pairings
+from slantmap.linalg import apply, apply_along, lift, pairings
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
 from slantmap.maps import MapSpec, Sample, point_frame, section_derivatives
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
 from slantmap.result import worst_residual
+from slantmap.slant import _condition_three_residual
 from oracles import (REPLACED_EINSUMS, curve_section_derivatives,
                      einsum_apply_along, einsum_pairings, fd_gradient,
                      fd_hessian, first_failing_frame, fold_worst_residual)
@@ -250,7 +252,7 @@ def _members(frames) -> dict:
     per point, by name."""
     members = {name: getattr(frames, name) for name in (
         "adjoint", "range_projector", "phi", "adjoint_phi", "j_blocks", "q",
-        "tension", "omega_defects", "phi_defects")}
+        "tension")}
     derivatives = frames.horizontal_derivatives
     members.update((f"horizontal_derivatives.{f.name}", getattr(derivatives, f.name))
                    for f in dataclasses.fields(derivatives))
@@ -318,6 +320,30 @@ def test_section_derivatives_match_the_plain_route(spec, count, seed):
     assert reports[0] == reports[1]
 
 
+@PROPERTY_SETTINGS
+@given(_specs_into_c2(INSIDE) | st.sampled_from(RANK4_SPECS),
+       st.integers(1, 8), st.integers(0, 2**16))
+def test_condition_three_takes_the_q_term_through_the_frame(spec, count, seed):
+    # _condition_three_residual forms nabla^perp_{h_a}(omega F_*Q h_b) as
+    # sum_c q[c, b] times its value at h_c: that term, the part of the
+    # residual linear in frames.q, equals the derivative that the operators
+    # of section_derivatives give at the explicit vector Q h_b
+    for stack in Sample(spec, sample_points(spec.box, count, seed)).stacks():
+        h = stack.split.horizontal.columns
+        without_q = dataclasses.replace(stack)
+        without_q.q = np.zeros_like(stack.q)
+        residuals = (_condition_three_residual(stack),
+                     _condition_three_residual(without_q))
+        qh = stack.adjoint_phi @ h
+        d_omega = (section_derivatives(stack, h).omega_defect @ lift(qh, 4)
+                   + stack.phi_omega(stack.covariant_source(h, qh))[1])
+        expected = apply(np.swapaxes(stack.split.range_perp.columns, -1, -2)
+                         @ stack.g_target.matrix, d_omega)
+        scale = max(1.0, *(np.abs(x).max() for x in (*residuals, expected)))
+        _assert_within_scale(residuals[0] - residuals[1], expected, scale,
+                             "Q h_b term")
+
+
 def test_reports_and_frames_do_not_depend_on_the_solve_rule(request):
     # numpy 1.x reads a b with one axis fewer than a as a stack of vectors,
     # numpy 2 as a stack of matrices: every report and frame member is the
@@ -375,13 +401,13 @@ SITE_FORMS = {
     "maps.frame_block.target_christoffel": lambda gamma, jac, jac2: (
         lift(_swap(jac), 4) @ gamma @ lift(jac2, 4)),
     "maps.section_derivatives.dJ": lambda dJ, fx: apply_along(_swap(fx), dJ, 0),
-    "maps.section_derivatives.source_connection": lambda gamma, X: (
-        apply_along(_swap(X), gamma, 1)),
     "charts.christoffel": lambda inverse, lower: (
         apply_along(inverse, np.moveaxis(lower, -1, -3), 0)),
     "oracles.metric_derivative": lambda gamma, X: apply_along(_swap(X), gamma, 1),
     "oracles.curve_section_derivatives.target_connection": lambda gamma, fx: (
         apply_along(_swap(fx), gamma, 1)),
+    "oracles.curve_section_derivatives.source_connection": lambda gamma, X: (
+        apply_along(_swap(X), gamma, 1)),
     "charts.check_kahler.gamma_j": lambda gamma, J: (
         np.swapaxes(gamma @ J[:, None], 1, 2)),
     "charts.check_kahler.j_gamma": lambda J, gamma: (

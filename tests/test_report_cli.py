@@ -369,13 +369,40 @@ def test_frames_are_freed_by_reference_counting():
         for name in CHECK_NAMES:
             analysis.entry(name)
         stacks = [weakref.ref(stack) for stack in analysis.sample.stacks()]
-        assert all({"omega_defects", "phi_defects"} <= set(vars(ref()))
-                   for ref in stacks)
+        assert all("horizontal_derivatives" in vars(ref()) for ref in stacks)
         assert sum(len(ref()) for ref in stacks) == 3
         del analysis
         assert [ref() for ref in stacks] == [None] * len(stacks)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("identifier", ["catalog:warped_fiber",
+                                        "warped_product.json"])
+def test_horizontal_derivatives_hold_horizontal_pairs(identifier, monkeypatch):
+    # after a run, each stack keeps nabla Q and the two defects on horizontal
+    # pairs only, [:, a, :, b] along h_a at h_b: (len(stack), r, ., r)
+    if not identifier.startswith("catalog:"):
+        identifier = str(REPORTS.parent / "maps" / identifier)
+    analyses = []
+
+    class Recorded(Analysis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            analyses.append(self)
+
+    monkeypatch.setattr(slantmap.report, "Analysis", Recorded)
+    run_analysis(load_map_spec(identifier))
+    (analysis,) = analyses
+    stacks = list(analysis.sample.stacks())
+    assert stacks and all("horizontal_derivatives" in vars(s) for s in stacks)
+    for stack in stacks:
+        r = stack.rank
+        assert r < stack.points.shape[1]
+        derivatives = stack.horizontal_derivatives
+        for field in fields(derivatives):
+            shape = getattr(derivatives, field.name).shape
+            assert (shape[:2], shape[3:]) == ((len(stack), r), (r,)), field.name
 
 
 TIGHTEN_ONLY = {"lambda_mu_consistency": 1e-8, "adapted_frame": 1e-10,
@@ -718,6 +745,11 @@ def test_failure_in_a_later_frame_block(case, tmp_path, monkeypatch):
         assert report["riemannian_map"].reason == (
             str(error) if isinstance(error, ChartError)
             else f"{type(error).__name__}: {error}")
+        # the classification fails on the same error, and writes it the same
+        assert ((report["slant_classification"].status,
+                 report["slant_classification"].reason)
+                == (report["riemannian_map"].status,
+                    report["riemannian_map"].reason))
         return {name: (e.status, e.reason) for name, e in report.items() if e}
 
     one_block = entries()

@@ -368,12 +368,19 @@ def test_section_derivatives_match_finite_difference_oracle(map_name):
                     def qy(q):
                         return point_frame(spec, q).adjoint_phi @ Y
 
+                    # the sections' derivatives along X with Y extended by
+                    # constant coefficients: the tensors plus what the
+                    # source connection adds, nabla_X Y = Gamma1(X, Y)
+                    nabla_y = frame.covariant_source(X, Y)
+                    phi_gamma, omega_gamma = frame.phi_omega(nabla_y)
                     for derivative, oracle in (
-                            (exact.phi[a] @ Y,
+                            (exact.phi_defect[a] @ Y + phi_gamma
+                             + frame.sff_value(X, frame.adjoint_phi @ Y),
                              fd_pullback_derivative(frame, X, phi)),
-                            (exact.omega[a] @ Y,
-                             fd_pullback_derivative(frame, X, omega)),
-                            (exact.q[a] @ Y,
+                            (exact.omega_defect[a] @ Y + omega_gamma,
+                             frame.normal(fd_pullback_derivative(frame, X,
+                                                                 omega))),
+                            (exact.q[a] @ Y + frame.adjoint_phi @ nabla_y,
                              fd_source_derivative(frame, X, qy))):
                         np.testing.assert_allclose(derivative, oracle, rtol=0,
                                                    atol=1e-8)
@@ -403,7 +410,7 @@ def test_omega_defect_compose_slant_zero(sample_box):
         h = frame.split.horizontal.columns
         for a in range(2):
             for b in range(2):
-                defect = frame.omega_defects[a, :, b]
+                defect = frame.horizontal_derivatives.omega_defect[a, :, b]
                 assert np.abs(defect).max() <= 1e-10
 
 
@@ -418,7 +425,7 @@ def test_omega_defect_kahler_twist_nonzero_and_matches_identity():
         largest = 0.0
         for a in range(2):
             for b in range(2):
-                measured = frame.omega_defects[a, :, b]
+                measured = frame.horizontal_derivatives.omega_defect[a, :, b]
                 algebraic = omega_defect_algebraic(frame, h[:, a], h[:, b])
                 assert np.abs(measured - algebraic).max() <= 1e-8
                 largest = max(largest, np.abs(measured).max())
@@ -512,7 +519,7 @@ def test_phi_defect_range_expansion_identity():
             for a in range(frame.rank):
                 for b in range(frame.rank):
                     X, Y = h[:, a], h[:, b]
-                    lhs = frame.phi_defects[a, :, b]
+                    lhs = frame.horizontal_derivatives.phi_defect[a, :, b]
                     sff_xy = frame.sff_value(X, Y)
                     normal = sff_xy - frame.tangential(sff_xy)
                     b_part = frame.tangential(J @ normal)
