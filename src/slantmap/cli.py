@@ -81,7 +81,7 @@ def main(argv=None) -> int:
         single = analysis.entry(args.name)
         # a slant_classification that ran has no entry: it is the slant block
         report = (Report(analysis.metadata, [single]) if single is not None
-                  else Report(analysis.metadata, [], analysis.classification[0]))
+                  else Report(analysis.metadata, [], analysis.slant_block()))
     else:
         report = run_analysis(loaded)
     text = render_report(report, args.pretty)

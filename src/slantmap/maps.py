@@ -411,7 +411,14 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
         target, start = ChartFields(spec.target, image), 0
     stop = start + len(points)
     g2, gamma2 = target.metric(start, stop)
-    groups = split_tangents(jac, g1, g2, rank_tol)
+    try:
+        groups = split_tangents(jac, g1, g2, rank_tol)
+    except ValueError as exc:  # a split too ill-conditioned to be orthonormal
+        if not hasattr(exc, "index"):
+            raise
+        located = ValueError(f"{exc} at point {points[exc.index].tolist()}")
+        located.index = exc.index
+        raise located from None
     sff = (hess - apply_along(jac, gamma1, 0)
            + lift(np.swapaxes(jac, 1, 2), 4) @ gamma2 @ lift(jac, 4))
     J = nabla = None

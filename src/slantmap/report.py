@@ -1,15 +1,19 @@
 """Analysis orchestration and deterministic JSON report emission.
 
 Checks appear in dependency order (Hermitian target, parallel structure,
-Riemannian property, slant classification, then the structural identities);
-a check whose precondition fails is reported as skipped, never as failed.
-An entry is computed on first request, with only what it depends on, from one
-shared ``Sample``.  A check entry and the slant block are each written as
-their dataclass's fields in declaration order, those that are None or an
-empty dict left out (``result.record``).  Reports are byte-identical for a
-fixed input and seed: containers keep insertion order, and floats are
-written in Python's shortest round-trip form, which parses back to the same
-double (NaN and infinities as the strings "nan", "inf" and "-inf").
+Riemannian property, slant classification, then the structural identities).
+``CHECKS`` is the one place where a check's preconditions are written, as
+gates: a check whose gate fails is reported as skipped, never as failed, and
+the check functions assume their preconditions.  An entry is computed on
+first request, with only what it depends on, from one shared ``Sample``, and
+each quantity is reduced once: the slant block's PHWC and pseudo-homothetic
+fields are the outcomes of those two entries.  A check entry and the slant
+block are each written as their dataclass's fields in declaration order,
+those that are None or an empty dict left out (``result.record``).  Reports
+are byte-identical for a fixed input and seed: containers keep insertion
+order, and floats are written in Python's shortest round-trip form, which
+parses back to the same double (NaN and infinities as the strings "nan",
+"inf" and "-inf").
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .charts import ChartError, check_almost_hermitian, check_kahler
 from .loader import AnalysisSettings, LoadedMap
 from .maps import Sample, check_sff_range_perp, is_riemannian_map
 from .result import DEFAULT_CHECK_TOL, EXACT_IDENTITY_TOL, CheckResult
-from .slant import (NOT_RIEMANNIAN, SlantReport, check_adapted_frame,
+from .slant import (SlantReport, check_adapted_frame,
                     check_harmonic, check_harmonic_minimal_equivalence,
                     check_lambda_mu_consistency, check_minimal_fibers,
                     check_omega_defect_identity, check_omega_parallel,
@@ -41,17 +45,95 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-TARGET_CHECKS = ("almost_hermitian", "kahler")
-RIEMANNIAN_CHECKS = ("sff_range_perp", "harmonic", "minimal_fibers",
-                     "totally_geodesic")
-SLANT_CHECKS = ("phi_squared_scaling", "q_squared_scaling",
-                "lambda_mu_consistency", "adapted_frame", "omega_parallel",
-                "phi_parallel", "omega_defect_identity", "sff_q_scaling",
-                "harmonic_minimal_equivalence", "phwc", "pseudo_homothetic")
-# Report order.  slant_classification has an entry only when the
-# classification could not run; its outcome is otherwise the slant block.
-CHECK_NAMES = (TARGET_CHECKS + ("riemannian_map",) + RIEMANNIAN_CHECKS
-               + ("slant_classification",) + SLANT_CHECKS)
+
+def _target_has_j(a) -> bool:
+    """Whether the target has J; where F fails, raises that error, which
+    both target checks report."""
+    if a.spec.target.complex_structure is None:
+        return False
+    a.sample.images
+    return True
+
+
+# A gate is (holds, reason): where holds(analysis) is false, the check is
+# skipped with the reason, formatted with a=analysis.
+_NO_J = "target has no complex structure"
+_RIEMANNIAN = (lambda a: a.entry("riemannian_map").passed,
+               "map is not Riemannian")
+_HAS_J = (lambda a: a.spec.target.complex_structure is not None, _NO_J)
+_CLASSIFIED = (_HAS_J, (lambda a: a.entry("slant_classification") is None,
+                        "slant classification failed"), _RIEMANNIAN)
+_SLANT = (lambda a: a.slant.is_slant,
+          "classification is {a.slant.classification}")
+_SLANT_OMEGA_PARALLEL = (
+    (lambda a: a.slant.is_slant,
+     "precondition unmet: classification is {a.slant.classification}"),
+    (lambda a: a.slant.omega_parallel,
+     "precondition unmet: omega is not parallel"))
+
+# name -> (gates, run), in report order: run(analysis) gives the entry once
+# every gate holds.  Gates and runs look the check functions up when they
+# are called.  The run tolerance may tighten lambda_mu_consistency and the
+# exact identities (adapted_frame, omega_defect_identity), never loosen them.
+CHECKS = {
+    "almost_hermitian": (
+        ((_target_has_j, _NO_J),),
+        lambda a: check_almost_hermitian(a.sample.target, a.tol)),
+    "kahler": (
+        ((_target_has_j, _NO_J), (lambda a: a.entry("almost_hermitian").passed,
+                                  "target is not almost Hermitian")),
+        lambda a: check_kahler(a.sample.target, a.tol)),
+    "riemannian_map": ((), lambda a: is_riemannian_map(a.sample, a.tol)),
+    "sff_range_perp": (
+        (_RIEMANNIAN,), lambda a: check_sff_range_perp(a.sample, a.tol)),
+    "harmonic": ((_RIEMANNIAN,), lambda a: check_harmonic(a.sample, a.tol)),
+    "minimal_fibers": (
+        (_RIEMANNIAN,), lambda a: check_minimal_fibers(a.sample, a.tol)),
+    "totally_geodesic": (
+        (_RIEMANNIAN,), lambda a: check_totally_geodesic(a.sample, a.tol)),
+    # classifies the map; an entry only when the classification could not
+    # run, its outcome being otherwise the slant block
+    "slant_classification": ((_HAS_J,), lambda a: a.slant and None),
+    "phi_squared_scaling": (
+        _CLASSIFIED, lambda a: check_phi_squared_scaling(a.slant, a.tol)),
+    "q_squared_scaling": (
+        _CLASSIFIED, lambda a: check_q_squared_scaling(a.slant, a.tol)),
+    "lambda_mu_consistency": (
+        _CLASSIFIED + (_SLANT,), lambda a: check_lambda_mu_consistency(
+            a.slant, min(a.tol, DEFAULT_CHECK_TOL))),
+    "adapted_frame": (
+        _CLASSIFIED + ((lambda a: a.slant.sec_defined, "classification is "
+                        "{a.slant.classification}: sec(angle) construction "
+                        "undefined"),),
+        lambda a: check_adapted_frame(a.sample, a.slant,
+                                      min(a.tol, EXACT_IDENTITY_TOL))),
+    "omega_parallel": (
+        _CLASSIFIED, lambda a: check_omega_parallel(a.slant, a.tol)),
+    "phi_parallel": (
+        _CLASSIFIED, lambda a: check_phi_parallel(a.slant, a.tol)),
+    "omega_defect_identity": (
+        _CLASSIFIED, lambda a: check_omega_defect_identity(
+            a.sample, min(a.tol, EXACT_IDENTITY_TOL))),
+    "sff_q_scaling": (
+        _CLASSIFIED + _SLANT_OMEGA_PARALLEL,
+        lambda a: check_sff_q_scaling(a.sample, a.slant, a.tol)),
+    "harmonic_minimal_equivalence": (
+        _CLASSIFIED + _SLANT_OMEGA_PARALLEL + (
+            (lambda a: a.entry("minimal_fibers").status != "skipped",
+             "{a.entries[minimal_fibers].reason}"),),
+        lambda a: check_harmonic_minimal_equivalence(
+            a.entry("harmonic"), a.entry("minimal_fibers"), a.tol)),
+    "phwc": (
+        _CLASSIFIED + (_SLANT, (lambda a: a.slant.sec_defined,
+                                "the induced horizontal structure is "
+                                "undefined at angle pi/2")),
+        lambda a: check_phwc(a.sample, a.slant, a.tol)),
+    "pseudo_homothetic": (
+        _CLASSIFIED + (_SLANT, (lambda a: a.entry("phwc").passed,
+                                "precondition unmet: map is not PHWC")),
+        lambda a: check_pseudo_homothetic(a.sample, a.slant, a.tol)),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 @dataclass
@@ -125,88 +207,49 @@ class Analysis:
         }
         if loaded.digest:
             self.metadata["sha256"] = loaded.digest
-        self._entries: dict = {}
+        self.tol = settings.check_tol
+        self.entries: dict = {}  # name -> entry, as computed
 
     def entry(self, name: str) -> Optional[CheckResult]:
         """The report entry of a check in CHECK_NAMES (None for a
-        slant_classification that ran); a check that raises gets an error.
-        An overflow in the checks' arithmetic is its residual (inf or NaN),
-        not a warning."""
-        if name not in self._entries:
+        slant_classification that ran): skipped at its first gate that does
+        not hold, else its run; a check that raises gets an error.  An
+        overflow in the checks' arithmetic is its residual (inf or NaN), not
+        a warning."""
+        if name not in self.entries:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    self._entries[name] = self._compute(name)
+                    self.entries[name] = self._compute(name)
             except Exception as exc:
-                self._entries[name] = error_entry(name, exc)
-        return self._entries[name]
-
-    @cached_property
-    def classification(self):
-        """(SlantReport, None) when the classification ran, else (None, the
-        slant_classification entry saying why not)."""
-        s = self.settings
-        if self.spec.target.complex_structure is None:
-            return None, CheckResult.skipped("slant_classification",
-                                             "target has no complex structure")
-        try:
-            return classify_slant(
-                self.sample, s.angle_tol, s.check_tol,
-                riemannian=self.entry("riemannian_map")), None
-        except Exception as exc:
-            return None, error_entry("slant_classification", exc)
+                self.entries[name] = error_entry(name, exc)
+        return self.entries[name]
 
     def _compute(self, name: str) -> Optional[CheckResult]:
-        spec, sample, s = self.spec, self.sample, self.settings
-        tol = s.check_tol
-        if name in TARGET_CHECKS:
-            if spec.target.complex_structure is None:
-                return CheckResult.skipped(name, "target has no complex structure")
-            sample.images  # if F fails here, both entries are that error
-            if name == "almost_hermitian":
-                return check_almost_hermitian(sample.target, tol)
-            if not self.entry("almost_hermitian").passed:
-                return CheckResult.skipped(name, "target is not almost Hermitian")
-            return check_kahler(sample.target, tol)
-        sample_checks = {"riemannian_map": is_riemannian_map,
-                         "sff_range_perp": check_sff_range_perp,
-                         "harmonic": check_harmonic,
-                         "minimal_fibers": check_minimal_fibers,
-                         "totally_geodesic": check_totally_geodesic}
-        if name in sample_checks:
-            if name != "riemannian_map" and not self.entry("riemannian_map").passed:
-                return CheckResult.skipped(name, "map is not Riemannian")
-            return sample_checks[name](sample, tol)
-        report, unclassified = self.classification
-        if name == "slant_classification":
-            return unclassified
-        if unclassified is not None:
-            return CheckResult.skipped(
-                name, unclassified.reason if unclassified.status == "skipped"
-                else "slant classification failed")
-        if report.classification == NOT_RIEMANNIAN:
-            return CheckResult.skipped(name, "map is not Riemannian")
-        # the run tolerance may tighten these three checks, never loosen them
-        exact_tol = min(tol, EXACT_IDENTITY_TOL)
-        checks = {
-            "phi_squared_scaling": lambda: check_phi_squared_scaling(report, tol),
-            "q_squared_scaling": lambda: check_q_squared_scaling(report, tol),
-            "lambda_mu_consistency": lambda: check_lambda_mu_consistency(
-                report, min(tol, DEFAULT_CHECK_TOL)),
-            "adapted_frame": lambda: check_adapted_frame(sample, report,
-                                                         exact_tol),
-            "omega_parallel": lambda: check_omega_parallel(report, tol),
-            "phi_parallel": lambda: check_phi_parallel(report, tol),
-            "omega_defect_identity": lambda: check_omega_defect_identity(
-                sample, exact_tol),
-            "sff_q_scaling": lambda: check_sff_q_scaling(sample, report, tol),
-            "harmonic_minimal_equivalence": lambda: (
-                check_harmonic_minimal_equivalence(
-                    sample, report, tol, harmonic=self.entry("harmonic"),
-                    fibers=self.entry("minimal_fibers"))),
-            "phwc": lambda: check_phwc(sample, report, tol),
-            "pseudo_homothetic": lambda: check_pseudo_homothetic(sample, report, tol),
-        }
-        return checks[name]()
+        gates, run = CHECKS[name]
+        for holds, reason in gates:
+            if not holds(self):
+                return CheckResult.skipped(name, reason.format(a=self))
+        return run(self)
+
+    @cached_property
+    def slant(self) -> SlantReport:
+        """The slant classification of the sample; raises where it fails."""
+        s = self.settings
+        return classify_slant(self.sample, s.angle_tol, s.check_tol,
+                              riemannian=self.entry("riemannian_map"))
+
+    def slant_block(self) -> Optional[SlantReport]:
+        """The report's slant block (None when the classification did not
+        run): the classification with the outcomes of the phwc and
+        pseudo_homothetic checks where they ran."""
+        if self.entry("slant_classification") is not None:
+            return None
+        for name in ("phwc", "pseudo_homothetic"):
+            entry = self.entry(name)
+            if entry.residual is not None:
+                setattr(self.slant, name, entry.passed)
+                setattr(self.slant, f"{name}_residual", entry.residual)
+        return self.slant
 
 
 def run_analysis(loaded: LoadedMap,
@@ -215,7 +258,7 @@ def run_analysis(loaded: LoadedMap,
     analysis = Analysis(loaded, settings)
     entries = [analysis.entry(name) for name in CHECK_NAMES]
     return Report(analysis.metadata, [e for e in entries if e is not None],
-                  analysis.classification[0])
+                  analysis.slant_block())
 
 
 # ---------------------------------------------------------------------------

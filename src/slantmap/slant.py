@@ -10,7 +10,9 @@ Q, the slant angle, the adapted frame, the covariant derivatives) is a member
 of ``maps.FrameStack``, which serves a stack and its rows (the
 ``maps.PointFrame`` of ``point_frame``) alike; this module classifies a map
 from those members and runs the checks built on the classification, reading
-one ``Sample``.
+one ``Sample``.  A check assumes its preconditions (a Riemannian map, a slant
+angle, sec(theta) defined, omega parallel, PHWC): ``report.CHECKS`` states
+them and skips the check where they fail.
 """
 
 from __future__ import annotations
@@ -145,11 +147,11 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     """Classify the map from the exact range of the slant angle at each point.
 
     Fills the angle statistics (over the least and largest angle of every
-    point), the proportionality constants fitted from phi^2 and Q^2, the
-    parallelism defects of omega and phi, and the
-    pseudo-horizontally-weakly-conformal / pseudo-homothetic flags.
-    ``riemannian`` is the riemannian_map result for the same sample and
-    tolerance, when the caller already has it.
+    point), the proportionality constants fitted from phi^2 and Q^2 and the
+    parallelism defects of omega and phi; ``report.Analysis`` copies in the
+    outcomes of the phwc and pseudo_homothetic checks.  ``riemannian`` is
+    the riemannian_map result for the same sample and tolerance, when the
+    caller already has it.
     """
     stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
     if riemannian is None:
@@ -193,7 +195,6 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     report.mu_estimate, report.mu_residual = _fit_identity(
         sample, rank, lambda s: s.q @ s.q)
     _parallelism(report, sample, tol)
-    _phwc_flags(report, sample, tol)
     return report
 
 
@@ -216,21 +217,6 @@ def _parallelism(report: SlantReport, sample: Sample, tol: float) -> None:
     report.phi_defect = sample.worst(lambda s: s.g_target.norms(
         s.horizontal_derivatives.phi_defect))[0]
     report.phi_parallel = report.phi_defect <= tol
-
-
-def _phwc_flags(report: SlantReport, sample: Sample, tol: float) -> None:
-    if not report.sec_defined:
-        return
-    sec = 1.0 / math.cos(report.mean_angle)
-    worst = sample.worst(lambda s: np.stack(phwc_residuals(s, sec), axis=1))[0]
-    report.phwc_residual = worst
-    report.phwc = worst <= tol
-    if not report.phwc:
-        return
-    mixed = sample.worst(mixed_sff)[0]
-    residual = max(report.phi_defect or 0.0, mixed)
-    report.pseudo_homothetic_residual = float(residual)
-    report.pseudo_homothetic = residual <= tol
 
 
 def phwc_residuals(frames, sec: float):
@@ -260,23 +246,18 @@ def check_phi_squared_scaling(report: SlantReport,
     The detail block cross-checks the fitted constant against the angle
     ranges: for a slant map lambda must equal -cos^2(mean angle).
     """
-    if report.classification == NOT_RIEMANNIAN:
-        return CheckResult.skipped("phi_squared_scaling", "map is not Riemannian")
     lam, residual = report.lambda_estimate, report.lambda_residual
     in_range = -1.0 - tol <= lam <= tol
     status = "pass" if residual <= tol and in_range else "fail"
-    detail = {"lambda": lam, "lambda_in_range": in_range}
-    if report.mean_angle is not None:
-        detail["angle_gap"] = abs(lam + math.cos(report.mean_angle) ** 2)
+    gap = abs(lam + math.cos(report.mean_angle) ** 2)
     return CheckResult("phi_squared_scaling", status, residual=residual, tol=tol,
-                       detail=detail)
+                       detail={"lambda": lam, "lambda_in_range": in_range,
+                               "angle_gap": gap})
 
 
 def check_q_squared_scaling(report: SlantReport,
                             tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Q^2 acts as a constant mu in [-1, 0] on the horizontal space iff slant."""
-    if report.classification == NOT_RIEMANNIAN:
-        return CheckResult.skipped("q_squared_scaling", "map is not Riemannian")
     mu, residual = report.mu_estimate, report.mu_residual
     in_range = -1.0 - tol <= mu <= tol
     status = "pass" if residual <= tol and in_range else "fail"
@@ -287,9 +268,6 @@ def check_q_squared_scaling(report: SlantReport,
 def check_lambda_mu_consistency(report: SlantReport,
                                 tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """For slant maps both fitted constants equal -cos^2(mean angle)."""
-    if not report.is_slant:
-        return CheckResult.skipped("lambda_mu_consistency",
-                                   f"classification is {report.classification}")
     expected = -math.cos(report.mean_angle) ** 2
     residual = max(abs(report.lambda_estimate - report.mu_estimate),
                    abs(report.lambda_estimate - expected),
@@ -303,10 +281,6 @@ def check_lambda_mu_consistency(report: SlantReport,
 def check_adapted_frame(sample: Sample, report: SlantReport,
                         tol: float = EXACT_IDENTITY_TOL) -> CheckResult:
     """Gram residual of the greedy adapted frame at every sample point."""
-    if not report.sec_defined:
-        return CheckResult.skipped(
-            "adapted_frame", f"classification is {report.classification}: "
-            "sec(angle) construction undefined")
     parts = []
     failure = np.zeros(len(sample), dtype=int)
     for s in sample.stacks():
@@ -323,15 +297,11 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
 
 def check_omega_parallel(report: SlantReport,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
-    if report.omega_defect is None:
-        return CheckResult.skipped("omega_parallel", "map is not Riemannian")
     return CheckResult.from_residual("omega_parallel", report.omega_defect, tol)
 
 
 def check_phi_parallel(report: SlantReport,
                        tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
-    if report.phi_defect is None:
-        return CheckResult.skipped("phi_parallel", "map is not Riemannian")
     return CheckResult.from_residual("phi_parallel", report.phi_defect, tol)
 
 
@@ -358,13 +328,6 @@ def check_omega_defect_identity(sample: Sample,
 def check_sff_q_scaling(sample: Sample, report: SlantReport,
                         tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """With omega parallel, sff(QX, QY) = -cos^2(theta) sff(X, Y)."""
-    if not report.is_slant:
-        return CheckResult.skipped("sff_q_scaling",
-                                   f"precondition unmet: classification is "
-                                   f"{report.classification}")
-    if not report.omega_parallel:
-        return CheckResult.skipped("sff_q_scaling",
-                                   "precondition unmet: omega is not parallel")
     factor = -math.cos(report.mean_angle) ** 2
 
     def residuals(s):
@@ -396,34 +359,18 @@ def check_minimal_fibers(sample: Sample,
                                      samples=len(sample), witness=witness)
 
 
-def check_harmonic_minimal_equivalence(sample: Sample, report: SlantReport,
-                                       tol: float = DEFAULT_CHECK_TOL,
-                                       harmonic: Optional[CheckResult] = None,
-                                       fibers: Optional[CheckResult] = None
+def check_harmonic_minimal_equivalence(harmonic: CheckResult,
+                                       fibers: CheckResult,
+                                       tol: float = DEFAULT_CHECK_TOL
                                        ) -> CheckResult:
-    """With omega parallel, harmonicity and minimal fibers hold or fail together.
-
-    ``harmonic`` and ``fibers`` are the harmonic and minimal_fibers results
-    for the same sample and tolerance, when the caller already has them.
-    """
-    if not report.is_slant:
-        return CheckResult.skipped("harmonic_minimal_equivalence",
-                                   f"precondition unmet: classification is "
-                                   f"{report.classification}")
-    if not report.omega_parallel:
-        return CheckResult.skipped("harmonic_minimal_equivalence",
-                                   "precondition unmet: omega is not parallel")
-    if harmonic is None:
-        harmonic = check_harmonic(sample, tol)
-    if fibers is None:
-        fibers = check_minimal_fibers(sample, tol)
-    if fibers.status == "skipped":
-        return CheckResult.skipped("harmonic_minimal_equivalence", fibers.reason)
+    """With omega parallel, harmonicity and minimal fibers hold or fail
+    together: ``harmonic`` and ``fibers`` are the harmonic and minimal_fibers
+    results of one sample and tolerance."""
     agree = harmonic.passed == fibers.passed
     return CheckResult(
         "harmonic_minimal_equivalence", "pass" if agree else "fail",
         residual=abs(harmonic.residual - fibers.residual), tol=tol,
-        samples=len(sample),
+        samples=harmonic.samples,
         detail={"tension_residual": harmonic.residual,
                 "fiber_residual": fibers.residual,
                 "harmonic": harmonic.passed, "minimal_fibers": fibers.passed})
@@ -487,12 +434,6 @@ def check_phwc(sample: Sample, report: SlantReport,
                tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Pseudo horizontal weak conformality: sec(theta) Q is a compatible
     complex structure for the horizontal metric."""
-    if not report.is_slant:
-        return CheckResult.skipped("phwc",
-                                   f"classification is {report.classification}")
-    if not report.sec_defined:
-        return CheckResult.skipped(
-            "phwc", "the induced horizontal structure is undefined at angle pi/2")
     sec = 1.0 / math.cos(report.mean_angle)
     parts = [(s.rows, np.stack(phwc_residuals(s, sec), axis=1))
              for s in sample.stacks()]
@@ -513,12 +454,6 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
     sec(theta) times the phi defect, and its pairing with vertical vectors
     must match sec(theta) g2(phi F_*Y, sff(X, U)).
     """
-    if not report.is_slant:
-        return CheckResult.skipped("pseudo_homothetic",
-                                   f"classification is {report.classification}")
-    if report.phwc is None or not report.phwc:
-        return CheckResult.skipped("pseudo_homothetic",
-                                   "precondition unmet: map is not PHWC")
     sec = 1.0 / math.cos(report.mean_angle)
     mixed_max, witness = sample.worst(mixed_sff)
 

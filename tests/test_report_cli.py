@@ -988,7 +988,7 @@ def test_adapted_frame_error_names_its_point():
     loaded = load_map_spec("catalog:nonslant")
     loaded.settings.angle_tol = 0.8
     analysis = Analysis(loaded)
-    assert analysis.classification[0].classification == "invariant"
+    assert analysis.slant.classification == "invariant"
     text = "Q vanishes for an anti-invariant map: no adapted frame"
     entry = analysis.entry("adapted_frame")
     prefix = f"ValueError: {text} at point "
@@ -1000,6 +1000,113 @@ def test_adapted_frame_error_names_its_point():
     with pytest.raises(ValueError) as failure:
         point_frame(loaded.spec, point).adapted_frame(0.8)
     assert str(failure.value) == text
+
+
+
+def test_ill_conditioned_split_names_its_point(tmp_path):
+    # the source metric is positive definite with condition number near 1e8,
+    # so the split's bases miss orthonormality by more than 1e-10: the entry
+    # and point_frame name the first sample point where that happens
+    doc = dict(MINIMAL_SPEC, sampling={"points": 20},
+               source={"dim": 2, "metric": [["1", "x1"], ["x1", "1"]]},
+               domain={"box": [[0.9999999, 0.99999999], [-1, 1]]})
+    path = tmp_path / "ill_conditioned.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_map_spec(str(path))
+    analysis = Analysis(loaded)
+    entry = analysis.entry("riemannian_map")
+    text = "basis columns are not orthonormal under the metric at point "
+    assert entry.status == "error"
+    assert entry.reason.startswith(f"ValueError: {text}")
+    assert analysis.entry("slant_classification").reason == entry.reason
+    point = json.loads(entry.reason[len(f"ValueError: {text}"):])
+    points = analysis.sample.points.tolist()
+    for p in points[:points.index(point)]:
+        point_frame(loaded.spec, p)
+    with pytest.raises(ValueError) as failure:
+        point_frame(loaded.spec, point)
+    assert str(failure.value) == f"{text}{point}"
+
+# One case or more per gate of report.CHECKS: (map, check, skip reason).
+GATE_SPECS = {
+    "no_j": {"target": {"dim": 4}},
+    "not_hermitian": {"target": {"dim": 4, "J": STANDARD_J, "metric": [
+        ["2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+        ["0", "0", "0", "1"]]}},
+    "not_riemannian": {"components": ["2*x1", "0", "x2", "0"]},
+    "unclassified": {"components": ["log(x1)", "0", "x2", "0"],
+                     "domain": {"box": [[-0.5, 2.0], [-1.0, 1.0]]}},
+}
+NO_J = "target has no complex structure"
+OMEGA = "precondition unmet: omega is not parallel"
+IMMERSION = "map is an immersion: the kernel is trivial"
+GATE_CASES = [
+    ("no_j", "almost_hermitian", NO_J), ("no_j", "kahler", NO_J),
+    ("no_j", "slant_classification", NO_J), ("no_j", "phwc", NO_J),
+    ("not_hermitian", "kahler", "target is not almost Hermitian"),
+    ("not_riemannian", "harmonic", "map is not Riemannian"),
+    ("not_riemannian", "phwc", "map is not Riemannian"),
+    ("unclassified", "phwc", "slant classification failed"),
+    ("nonslant", "lambda_mu_consistency", "classification is not_slant"),
+    ("nonslant", "sff_q_scaling",
+     "precondition unmet: classification is not_slant"),
+    ("nonslant", "pseudo_homothetic", "classification is not_slant"),
+    ("anti_invariant", "adapted_frame", "classification is anti_invariant: "
+                                        "sec(angle) construction undefined"),
+    ("anti_invariant", "phwc",
+     "the induced horizontal structure is undefined at angle pi/2"),
+    ("anti_invariant", "pseudo_homothetic",
+     "precondition unmet: map is not PHWC"),
+    ("kahler_twist", "sff_q_scaling", OMEGA),
+    ("kahler_twist", "harmonic_minimal_equivalence", OMEGA),
+    ("slant_plane", "minimal_fibers", IMMERSION),
+    ("slant_plane", "harmonic_minimal_equivalence", IMMERSION),
+]
+
+
+@pytest.mark.parametrize("map_id, name, reason", GATE_CASES)
+def test_every_gate_skips_with_its_reason(map_id, name, reason, tmp_path):
+    # the check functions assume their preconditions; Analysis.entry applies
+    # the gates of report.CHECKS
+    if map_id in GATE_SPECS:
+        path = tmp_path / f"{map_id}.json"
+        path.write_text(json.dumps({**MINIMAL_SPEC, **GATE_SPECS[map_id]}))
+        loaded = load_map_spec(str(path))
+    else:
+        loaded = load_map_spec(f"catalog:{map_id}")
+    loaded.settings.points = 6
+    entry = Analysis(loaded).entry(name)
+    assert (entry.status, entry.reason) == ("skipped", reason)
+
+
+def test_each_quantity_is_reduced_once(monkeypatch):
+    # the phwc residual and the mixed sff are reduced once per stack, by the
+    # phwc and pseudo_homothetic checks, whose outcomes the slant block
+    # copies; the report looks each check function up when it calls it
+    loaded = load_map_spec("catalog:example4")
+    loaded.settings.points = 50
+    stacks = len(list(Analysis(loaded).sample.stacks()))
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("phwc_residuals", "mixed_sff"):
+        count(slantmap.slant, name)
+    for name in ("check_phwc", "check_pseudo_homothetic"):
+        count(slantmap.report, name)
+    report = run_analysis(loaded)
+    assert calls == {"phwc_residuals": stacks, "mixed_sff": stacks,
+                     "check_phwc": 1, "check_pseudo_homothetic": 1}
+    for name in ("phwc", "pseudo_homothetic"):
+        entry = report.check(name)
+        assert entry.passed and getattr(report.slant, name) is True
+        assert getattr(report.slant, f"{name}_residual") == entry.residual
 
 
 def test_seed_changes_no_verdicts():

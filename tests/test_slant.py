@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,8 @@ from slantmap.charts import ChartManifold
 from slantmap.linalg import TangentSplit, split_tangents
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
 from slantmap.maps import MapSpec, Sample, point_frame, section_derivatives
-from slantmap.report import run_analysis
+from slantmap.report import Analysis, run_analysis
 from slantmap.slant import (adapted_frame, check_adapted_frame,
-                            check_harmonic_minimal_equivalence,
                             check_lambda_mu_consistency,
                             check_omega_defect_identity, check_phwc,
                             check_pseudo_homothetic, check_sff_q_scaling,
@@ -41,6 +41,13 @@ def points_for(spec, count, seed):
     highs = np.array([hi for _, hi in spec.box])
     return [lows + gen.random(len(spec.box)) * (highs - lows)
             for _ in range(count)]
+
+
+def analysis_for(catalog_id, count, seed):
+    """The Analysis of a catalog map whose sample is points_for(spec, count,
+    seed): a check entry with its gates applied."""
+    loaded = load_map_spec(f"catalog:{catalog_id}")
+    return Analysis(loaded, replace(loaded.settings, points=count, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -587,30 +594,23 @@ def test_sff_q_scaling_gating_and_pass():
     result = check_sff_q_scaling(sample, report)
     assert result.passed
 
-    twist = load_catalog("kahler_twist")
-    sample = Sample(twist, points_for(twist, 5, 65))
-    report = classify_slant(sample)
-    assert report.omega_parallel is False
-    result = check_sff_q_scaling(sample, report)
+    # the check assumes omega parallel; the report's gate skips it otherwise
+    twist = analysis_for("kahler_twist", 5, 65)
+    assert twist.slant.omega_parallel is False
+    result = twist.entry("sff_q_scaling")
     assert result.status == "skipped"
     assert "precondition unmet" in result.reason
 
 
 def test_harmonic_minimal_equivalence_catalog():
-    compose = load_catalog("compose_slant")
-    points = points_for(compose, 5, 66)
-    sample = Sample(compose, points)
-    report = classify_slant(sample)
-    result = check_harmonic_minimal_equivalence(sample, report)
+    result = analysis_for("compose_slant", 5, 66).entry(
+        "harmonic_minimal_equivalence")
     assert result.passed
     assert result.detail["harmonic"] and result.detail["minimal_fibers"]
 
-    warped = load_catalog("warped_fiber")
-    points = points_for(warped, 5, 67)
-    sample = Sample(warped, points)
-    report = classify_slant(sample)
-    assert report.omega_parallel
-    result = check_harmonic_minimal_equivalence(sample, report)
+    warped = analysis_for("warped_fiber", 5, 67)
+    assert warped.slant.omega_parallel
+    result = warped.entry("harmonic_minimal_equivalence")
     assert result.passed  # both sides fail together
     assert not result.detail["harmonic"]
     assert not result.detail["minimal_fibers"]
@@ -715,11 +715,8 @@ def test_phwc_catalog():
         assert result.passed, catalog_id
         assert result.residual <= 1e-9
 
-    anti = load_catalog("anti_invariant")
-    points = points_for(anti, 5, 73)
-    sample = Sample(anti, points)
-    report = classify_slant(sample)
-    result = check_phwc(sample, report)
+    # sec(theta) is undefined at angle pi/2: the report's gate skips the check
+    result = analysis_for("anti_invariant", 5, 73).entry("phwc")
     assert result.status == "skipped"
     assert "undefined" in result.reason
 
