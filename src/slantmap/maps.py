@@ -194,7 +194,7 @@ class FrameStack:
         b = self.tangential(w)
         return b, w - b
 
-    def slant_angles(self, X) -> np.ndarray:
+    def _angles(self, X) -> np.ndarray:
         """Angle in [0, pi/2] between J F_*X and the range of F_*, for each
         column of X.
 
@@ -202,12 +202,6 @@ class FrameStack:
         both extremes where an arccos of the cosine ratio loses half the
         digits.
         """
-        X = np.asarray(X, dtype=float)
-        if (self.g_target.norms(self.pushforward(X)) == 0.0).any():
-            raise ValueError("direction lies in the kernel of the differential")
-        return self._angles(X)
-
-    def _angles(self, X) -> np.ndarray:
         phi, omega = self.phi_omega(X)
         return np.arctan2(self.g_target.norms(omega), self.g_target.norms(phi))
 
@@ -349,7 +343,15 @@ class PointFrame(FrameStack):
 
     def slant_angle(self, X) -> float:
         """Angle in [0, pi/2] between J F_*X and the range of F_*."""
-        return float(self.slant_angles(np.asarray(X, dtype=float)[:, None])[0])
+        X = np.asarray(X, dtype=float)
+        n = len(self.point)
+        if X.shape != (n,):
+            raise ValueError(f"direction has shape {X.shape}, expected ({n},)")
+        column = X[:, None]
+        if self.g_target.norms(self.pushforward(column))[0] == 0.0:
+            raise ValueError("direction lies in the kernel of the differential "
+                             f"at point {self.point.tolist()}")
+        return float(self._angles(column)[0])
 
     def s_v(self, V, tol: float = DEFAULT_CHECK_TOL) -> np.ndarray:
         """Shape operator S[a, b] = g2(V, sff(h_a, h_b)) on the horizontal
@@ -391,10 +393,46 @@ class PointFrame(FrameStack):
         return columns
 
 
+# The one-point stack that point_frame built last, as (spec, key, stack):
+# read into locals and replaced whole, and only by a build that succeeded, so
+# concurrent callers may build twice but never read a torn slot.
+_last_frame: tuple = (None, None, None)
+
+
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
-    """The frame at p: a block of one."""
-    stack, = frame_block(spec, np.asarray(p, dtype=float)[None], rank_tol)
+    """The frame at p: a block of one.
+
+    Repeated calls at one point share one build: the stack of the last
+    (spec, p, rank_tol) is kept, spec by identity and p by its float64
+    bytes, and every call returns a fresh ``row(0)`` of it, whose derived
+    members are formed anew.  The arrays of that stack, and so those of a
+    returned frame, are read-only.  A build that raises is not kept."""
+    global _last_frame
+    point = np.array(p, dtype=float)  # a copy: the kept stack holds it
+    n = spec.source.dim
+    if point.shape != (n,):
+        raise ValueError(f"point has shape {point.shape}, expected ({n},)")
+    key = (point.tobytes(), rank_tol)
+    kept_spec, kept_key, stack = _last_frame
+    if kept_spec is not spec or kept_key != key:
+        stack, = frame_block(spec, point[None], rank_tol)
+        _freeze(stack)
+        _last_frame = (spec, key, stack)
     return stack.row(0)
+
+
+def _freeze(stack: FrameStack) -> None:
+    """Make every array of the stack read-only: its fields, and the basis
+    columns, metric matrices and Cholesky factors of its split."""
+    split = stack.split
+    bases = (split.kernel, split.horizontal, split.range, split.range_perp)
+    arrays = ([getattr(stack, f.name) for f in fields(stack)]
+              + [basis.columns for basis in bases]
+              + [x for basis in bases
+                 for x in (basis.metric.matrix, basis.metric.cholesky)])
+    for array in arrays:
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
 
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,

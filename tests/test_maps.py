@@ -140,22 +140,28 @@ def test_mixed_rank_sample_entries(block, monkeypatch):
                 assert result[key] == value
 
 
-def test_failing_block_is_built_again_once(monkeypatch):
-    # a failure carries its row, so a block that fails is built once more, up
-    # to that row, and not searched
+def _counted_builds(monkeypatch) -> list:
+    """The points of every maps.frame_block build from here on."""
     builds = []
     original = slantmap.maps.frame_block
 
     def counted(spec, points, *args):
-        builds.append(len(points))
+        builds.append(np.asarray(points).tolist())
         return original(spec, points, *args)
 
     monkeypatch.setattr(slantmap.maps, "frame_block", counted)
+    return builds
+
+
+def test_failing_block_is_built_again_once(monkeypatch):
+    # a failure carries its row, so a block that fails is built once more, up
+    # to that row, and not searched
+    builds = _counted_builds(monkeypatch)
     spec = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["sqrt(x1)", "x2"])
     sample = Sample(spec, [[0.95 - 0.1 * i, 0.0] for i in range(15)])
     with pytest.raises(ExpressionDomainError, match="sqrt of a negative"):
         list(sample.stacks())
-    assert builds == [15, 10]
+    assert [len(points) for points in builds] == [15, 10]
 
 
 FIRST_POINT_FAILS = {
@@ -405,6 +411,114 @@ def test_kept_wrappers_return_their_frame_members(sample_box):
             for wrapped, member in pairs:
                 assert type(wrapped) is type(member), catalog_id
                 assert np.array_equal(wrapped, member), catalog_id
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+WARPED_POINT = [0.1, 0.2, 0.3]
+
+
+def test_one_build_serves_the_pointwise_calls_at_a_point(monkeypatch):
+    spec = load_catalog("warped_fiber")
+    fresh = slantmap.maps.frame_block(spec, np.array([WARPED_POINT]))[0].row(0)
+    builds = _counted_builds(monkeypatch)
+    p = WARPED_POINT
+    frame = point_frame(spec, p)
+    h = frame.split.horizontal.columns
+    X, Y = h[:, 0], h[:, 1]
+    ops = point_operators(spec, p, theta=0.3)
+    pairs = [
+        (slant_angle(spec, p, X), fresh.slant_angle(X)),
+        (q_operator(spec, p), fresh.q),
+        (tension_field(spec, p), fresh.tension),
+        (second_fundamental_form(spec, p, X, Y), fresh.sff_value(X, Y)),
+        (adapted_frame(spec, p), fresh.adapted_frame()),
+    ]
+    assert len(builds) == 1
+    members = fresh.operators(0.3)
+    pairs += [(getattr(ops, f), getattr(members, f)) for f in vars(members)]
+    split, fresh_split = frame.split, fresh.split
+    pairs += [(getattr(frame, f), getattr(fresh, f))
+              for f in ("points", "images", "jacobian", "gamma_source",
+                        "gamma_target", "sff", "complex_structure", "nabla_j")]
+    for name in ("kernel", "horizontal", "range", "range_perp"):
+        basis, fresh_basis = getattr(split, name), getattr(fresh_split, name)
+        pairs += [(basis.columns, fresh_basis.columns),
+                  (basis.metric.matrix, fresh_basis.metric.matrix),
+                  (basis.metric.cholesky, fresh_basis.metric.cholesky)]
+    assert frame.rank == fresh.rank
+    for slot, built in pairs:
+        assert _same_bits(slot, built)
+    # a new point, an equal but distinct MapSpec and a new rank_tol each
+    # build again; so does the first point once the slot holds another
+    point_frame(spec, [0.1, 0.2, 0.4])
+    point_frame(spec, p)
+    point_frame(load_catalog("warped_fiber"), p)
+    point_frame(load_catalog("warped_fiber"), p, rank_tol=1e-8)
+    assert len(builds) == 5
+
+
+def test_kept_frame_is_read_only_and_failures_are_not_kept(monkeypatch):
+    spec = load_catalog("warped_fiber")
+    frame = point_frame(spec, WARPED_POINT)
+    with pytest.raises(ValueError, match="read-only"):
+        point_frame(spec, WARPED_POINT).jacobian[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        point_frame(spec, WARPED_POINT).split.horizontal.columns[0, 0] = 1.0
+    metric = frame.split.kernel.metric
+    for array in (metric.matrix, metric.cholesky, frame.sff, frame.point):
+        assert not array.flags.writeable
+    q = q_operator(spec, WARPED_POINT)
+    expected = q.copy()
+    q[...] = 7.0
+    assert _same_bits(q_operator(spec, WARPED_POINT), expected)
+    builds = _counted_builds(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ExpressionDomainError) as failure:
+            point_frame(spec, [np.nan, 0.2, 0.3])
+        messages.append(str(failure.value))
+    assert messages[0] == messages[1]
+    assert "at point [nan, 0.2, 0.3]" in messages[0]
+    assert len(builds) == 2
+    # the failures left the slot as it was: the good point needs no build
+    assert _same_bits(point_frame(spec, WARPED_POINT).jacobian, frame.jacobian)
+    assert len(builds) == 2
+
+
+def test_point_frame_shape_error_names_the_callers_shape():
+    spec = load_catalog("warped_fiber")
+    with pytest.raises(ValueError, match=r"^point has shape \(1,\), expected \(3,\)$"):
+        point_frame(spec, [0.1])
+    with pytest.raises(ValueError, match=r"^point has shape \(2, 3\), expected \(3,\)$"):
+        point_frame(spec, [WARPED_POINT, WARPED_POINT])
+
+
+SLANT_ANGLE_ROUTES = {
+    "wrapper": lambda spec, X: slant_angle(spec, WARPED_POINT, X),
+    "member": lambda spec, X: point_frame(spec, WARPED_POINT).slant_angle(X),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SLANT_ANGLE_ROUTES))
+def test_slant_angle_direction_of_the_wrong_shape(route):
+    spec = load_catalog("warped_fiber")
+    with pytest.raises(ValueError,
+                       match=r"^direction has shape \(2,\), expected \(3,\)$"):
+        SLANT_ANGLE_ROUTES[route](spec, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("route", sorted(SLANT_ANGLE_ROUTES))
+def test_slant_angle_kernel_direction_names_its_point(route):
+    # F = (x1, x2/sqrt 2, x2/sqrt 2, 0) does not depend on x3
+    spec = load_catalog("warped_fiber")
+    with pytest.raises(ValueError) as failure:
+        SLANT_ANGLE_ROUTES[route](spec, [0.0, 0.0, 1.0])
+    assert str(failure.value) == ("direction lies in the kernel of the "
+                                  f"differential at point {WARPED_POINT}")
 
 
 def test_every_exported_name_resolves():
