@@ -2,11 +2,14 @@
 
 All entries use Euclidean metrics and the standard pairwise complex structure
 on the target unless the description says otherwise.  Parameterized entries
-accept ``name(alpha=<float>)``.
+accept ``name(alpha=<float>)``.  Each map is built once per process and
+shared: ``MapSpec`` is frozen, so its parsed formulas and their compiled
+jets are formed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Callable, Dict, Optional, Tuple
@@ -142,9 +145,11 @@ def catalog_descriptions() -> Dict[str, str]:
 
 
 def load_catalog(identifier: str) -> MapSpec:
-    """Build a catalog map; parameterized entries accept name(alpha=value)."""
-    name, alpha = identifier, None
-    match = _PARAM_RE.match(identifier.strip())
+    """The catalog map named by identifier, surrounding whitespace ignored;
+    parameterized entries accept name(alpha=value).  Repeated loads of one
+    map return the same MapSpec."""
+    name, alpha = identifier.strip(), None
+    match = _PARAM_RE.match(name)
     if match:
         name, text = match.groups()
         try:
@@ -156,9 +161,16 @@ def load_catalog(identifier: str) -> MapSpec:
     if name not in _BUILDERS:
         raise CatalogError(
             f"unknown catalog id {name!r}; available: {', '.join(catalog_ids())}")
-    builder, default_alpha, _ = _BUILDERS[name]
+    default_alpha = _BUILDERS[name][1]
     if default_alpha is None:
         if alpha is not None:
             raise CatalogError(f"catalog entry {name!r} takes no parameter")
-        return builder()
-    return builder(default_alpha if alpha is None else alpha)
+        return _build(name, None)
+    # keyed on repr, which tells -0.0 from 0.0 (the two compare equal)
+    return _build(name, repr(default_alpha if alpha is None else alpha))
+
+
+@functools.lru_cache(maxsize=32)
+def _build(name: str, alpha: Optional[str]) -> MapSpec:
+    builder = _BUILDERS[name][0]
+    return builder() if alpha is None else builder(float(alpha))

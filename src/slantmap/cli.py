@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,7 +28,10 @@ def _add_map_options(parser: argparse.ArgumentParser) -> None:
                         help="indent the JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call
+    of ``main`` in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="slantmap",
         description="Numerical analysis of Riemannian maps into almost "

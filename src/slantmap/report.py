@@ -169,12 +169,13 @@ class Report:
         return out
 
 
-def sample_points(box, count: int, seed: int) -> list:
-    """Uniform points in the box; the fixed draw order makes runs repeatable."""
+def sample_points(box, count: int, seed: int) -> np.ndarray:
+    """Uniform points in the box, an array (count, dim) drawn in one call;
+    the fixed draw order (point by point) makes runs repeatable."""
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
-    return [lows + rng.random(len(box)) * (highs - lows) for _ in range(count)]
+    return lows + rng.random((count, len(box))) * (highs - lows)
 
 
 def error_entry(name: str, exc: Exception) -> CheckResult:

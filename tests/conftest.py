@@ -4,6 +4,7 @@ import pytest
 from slantmap.catalog import load_catalog
 from slantmap.charts import ChartManifold
 from slantmap.maps import MapSpec
+from oracles import sample_points_by_point
 
 
 @pytest.fixture
@@ -34,16 +35,9 @@ def rng():
     return np.random.default_rng(20240)
 
 
-def _sample(box, count, seed):
-    gen = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
-    return [lows + gen.random(len(box)) * (highs - lows) for _ in range(count)]
-
-
 @pytest.fixture(scope="session")
 def sample_box():
-    return _sample
+    return sample_points_by_point
 
 
 @pytest.fixture(scope="session")

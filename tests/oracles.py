@@ -1,9 +1,9 @@
 """Independent finite-difference oracles used to pin expected values, slant
 angles of sampled directions, the reference fold the checks' witness
 reduction is compared against, the first failing frame found one point at a
-time, the plain-derivative route to the section derivatives, the np.einsum
-forms of the library's stacked contractions, and the rule by which two
-reports match.
+time, the sample drawn one point at a time, the plain-derivative route to
+the section derivatives, the np.einsum forms of the library's stacked
+contractions, and the rule by which two reports match.
 
 The finite-difference oracles differentiate plain evaluations with central
 differences, so agreement with the library's exact derivatives is a real
@@ -266,6 +266,15 @@ def fold_worst_residual(items, ulps=8):
         if worst > 0.0 and residual >= worst * (1.0 - ulps * np.finfo(float).eps):
             return worst, {"point": [float(x) for x in point]}
     return 0.0, None
+
+
+def sample_points_by_point(box, count, seed):
+    """The sample one point at a time: a list of count arrays, each drawn by
+    its own rng.random(dim) call, in the generator's order."""
+    rng = np.random.default_rng(seed)
+    lows = np.array([lo for lo, _ in box])
+    highs = np.array([hi for _, hi in box])
+    return [lows + rng.random(len(box)) * (highs - lows) for _ in range(count)]
 
 
 def first_failing_frame(spec, points):

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -24,7 +26,7 @@ from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
                              run_analysis, sample_points)
 from slantmap.result import CheckResult
 from slantmap.slant import SlantReport
-from oracles import assert_report_matches
+from oracles import assert_report_matches, sample_points_by_point
 from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
@@ -77,6 +79,142 @@ def test_load_map_spec_catalog_prefix():
     loaded = load_map_spec("catalog:identity2")
     assert loaded.origin == "catalog:identity2"
     assert loaded.digest is None
+
+
+def test_catalog_id_with_surrounding_whitespace(capsys):
+    # one rule for plain and parameterized ids; the origin keeps the id as given
+    for identifier in (" example4", "example4 ", "\texample4\n",
+                       " slant_plane(alpha=0.3) "):
+        loaded = load_map_spec(f"catalog:{identifier}")
+        assert loaded.spec is load_catalog(identifier.strip())
+        assert loaded.origin == f"catalog:{identifier}"
+    assert main(["check", "riemannian_map", "--map",
+                 "catalog: slant_plane(alpha=inf) "]) == 2
+    assert capsys.readouterr().err.startswith("error: /map: alpha=")
+
+
+def test_catalog_map_is_built_once_and_frozen():
+    spec = load_catalog("warped_fiber")
+    assert load_catalog("warped_fiber") is spec
+    assert load_catalog(f"warped_fiber(alpha={math.pi / 4!r})") is spec
+    assert load_map_spec("catalog:warped_fiber").spec is spec
+    assert all(a.compiled is b.compiled for a, b in
+               zip(spec.components, load_catalog("warped_fiber").components))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.name = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.source.metric = ()
+    assert load_catalog("warped_fiber(alpha=0.3)") is not spec
+    # the settings are the caller's own: writing to one load leaves the next
+    first, second = (load_map_spec("catalog:warped_fiber") for _ in range(2))
+    first.settings.points = 7
+    assert second.settings == AnalysisSettings()
+
+
+def test_catalog_key_tells_negative_zero_from_zero():
+    # -0.0 == 0.0, yet the two maps differ in name and components
+    slantmap.catalog._build.cache_clear()
+    for first, second in (("0.0", "-0.0"), ("-0.0", "0.0")):
+        one = load_catalog(f"slant_plane(alpha={first})")
+        other = load_catalog(f"slant_plane(alpha={second})")
+        for alpha, spec in ((first, one), (second, other)):
+            assert spec.name == f"slant_plane(alpha={alpha})"
+            built = slantmap.catalog._slant_plane(float(alpha))
+            assert [str(c) for c in spec.components] == [str(c) for c in built.components]
+        assert [str(c) for c in one.components] != [str(c) for c in other.components]
+
+
+def test_catalog_failures_are_not_kept():
+    cache = slantmap.catalog._build
+    assert cache.cache_info().maxsize is not None
+    size = cache.cache_info().currsize
+    for identifier in ("no_such_map", " no_such_map", "example4(alpha=0.3)",
+                       "slant_plane(alpha=inf)", "slant_plane(alpha=nan)",
+                       "slant_plane(alpha=1e)"):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(CatalogError) as failure:
+                load_catalog(identifier)
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1], identifier
+    assert cache.cache_info().currsize == size
+
+
+def _counted_parsing(monkeypatch) -> Counter:
+    """Calls of parse_expression through every binding in the package, and
+    ArgumentParser constructions, from here on."""
+    calls = Counter()
+    parse = slantmap.expressions.parse_expression
+    for name, module in list(sys.modules.items()):
+        if name == "slantmap" or name.startswith("slantmap."):
+            for attribute, value in list(vars(module).items()):
+                if value is parse:
+                    def counted(*args, **kwargs):
+                        calls["parse_expression"] += 1
+                        return parse(*args, **kwargs)
+                    monkeypatch.setattr(module, attribute, counted)
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["ArgumentParser"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    return calls
+
+
+def test_cli_second_call_builds_no_parser_and_parses_no_formula(
+        tmp_path, capsys, monkeypatch):
+    argv = ["analyze", "--map", "catalog:kahler_twist", "--samples", "5"]
+    first = main(argv), capsys.readouterr()
+    calls = _counted_parsing(monkeypatch)
+    second = main(argv), capsys.readouterr()
+    assert not calls
+    assert second == first
+    assert first[1].out.strip() and first[1].err == ""
+    # a map-spec file is read and parsed on every call
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(MINIMAL_SPEC))
+    assert main(["analyze", "--map", str(path), "--samples", "3"]) == 0
+    # (the source metric, the target metric and J, and the components)
+    assert calls == {"parse_expression": 2 * 2 + 2 * 4 * 4 + 4}
+
+
+def test_cli_rejects_dirs_after_a_successful_call(capsys):
+    assert main(["analyze", "--map", "catalog:identity2", "--samples", "3"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--map", "catalog:identity2", "--dirs", "3"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --dirs" in capsys.readouterr().err
+
+
+def test_cli_options_do_not_carry_into_the_next_call(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--map", "catalog:identity2", "--samples", "3",
+                 "--seed", "7", "--tol", "1e-6", "--pretty",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"]["samples"] == 3
+    assert main(["analyze", "--map", "catalog:identity2"]) == 0
+    text = capsys.readouterr().out
+    assert "\n " not in text
+    metadata = json.loads(text)["metadata"]
+    assert (metadata["samples"], metadata["seed"], metadata["tolerances"]) == (
+        50, 42, {"rank": 1e-8, "check": 1e-8, "angle": 1e-6})
+
+
+@pytest.mark.parametrize("seed", [0, 42, 12345, 2**31 - 1])
+def test_sample_points_draws_the_points_of_the_per_point_loop(seed):
+    gen = np.random.default_rng(seed)
+    for dim in range(1, 5):
+        lows = gen.uniform(-3.0, 1.0, dim)
+        box = [(float(lo), float(lo + w)) for lo, w in
+               zip(lows, gen.uniform(0.1, 4.0, dim))]
+        for count in (0, 1, 50, 1025):
+            points = sample_points(box, count, seed)
+            expected = np.array(sample_points_by_point(box, count, seed),
+                                dtype=float).reshape(count, dim)
+            assert points.shape == (count, dim) and points.dtype == np.float64
+            assert points.tobytes() == expected.tobytes(), (dim, count)
 
 
 def test_load_map_spec_missing_file():
