@@ -2,9 +2,9 @@
 
 All entries use Euclidean metrics and the standard pairwise complex structure
 on the target unless the description says otherwise.  Parameterized entries
-accept ``name(alpha=<float>)``.  Each map is built once per process and
-shared: ``MapSpec`` is frozen, so its parsed formulas and their compiled
-jets are formed once.
+accept ``name(alpha=<number>)``, the number written as in JSON.  Each map is
+built once per process and shared: ``MapSpec`` is frozen, so its parsed
+formulas and their compiled jets are formed once.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ _BUILDERS: Dict[str, Tuple[Callable, Optional[float], str]] = {
 }
 
 _PARAM_RE = re.compile(r"^([a-z0-9_]+)\(alpha=([^)]*)\)$")
+# a JSON number; float would also read 1_0, " 0.3 ", inf and nan
+_NUMBER_RE = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
 class CatalogError(KeyError):
@@ -146,16 +148,13 @@ def catalog_descriptions() -> Dict[str, str]:
 
 def load_catalog(identifier: str) -> MapSpec:
     """The catalog map named by identifier, surrounding whitespace ignored;
-    parameterized entries accept name(alpha=value).  Repeated loads of one
-    map return the same MapSpec."""
+    parameterized entries accept name(alpha=value), the value a JSON number.
+    Repeated loads of one map return the same MapSpec."""
     name, alpha = identifier.strip(), None
     match = _PARAM_RE.match(name)
     if match:
         name, text = match.groups()
-        try:
-            alpha = float(text)
-        except ValueError:
-            alpha = math.nan
+        alpha = float(text) if _NUMBER_RE.fullmatch(text) else math.nan
         if not math.isfinite(alpha):
             raise CatalogError(f"alpha={text} is not a finite number")
     if name not in _BUILDERS:

@@ -90,7 +90,7 @@ class ChartManifold:
             ip = InnerProduct(G)
         except MetricError as exc:
             raise _metric_error(exc, p)
-        return ip, christoffel(ip.matrix, dG)
+        return ip, christoffel(ip.inverse, dG)
 
     def complex_structure_at(self, p) -> np.ndarray:
         """J at p (at each point of a stack)."""
@@ -128,14 +128,13 @@ def _parse_matrix(entries, dim: int, what: str):
         for row in entries)
 
 
-def christoffel(G, dG) -> np.ndarray:
-    """Levi-Civita symbols Gamma[k, i, j] of the metric matrix G with
-    derivatives dG[i, j, l] = d_l g_ij (symmetric in i, j, and so is Gamma):
+def christoffel(inverse, dG) -> np.ndarray:
+    """Levi-Civita symbols Gamma[k, i, j] from the inverse metric ``inverse``
+    (g^{kl}) and dG[i, j, l] = d_l g_ij (symmetric in i, j, and so is Gamma):
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).  Stacks of
     matrices along leading axes give a stack of symbols."""
     if not dG.any():  # a constant metric: exactly the zeros the formula gives
         return np.zeros(dG.shape)
-    inverse = np.linalg.inv(G)
     # lower[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     lower = ((np.moveaxis(dG, -3, -1) + np.swapaxes(dG, -3, -2))
              - np.moveaxis(dG, -1, -3))
@@ -190,7 +189,7 @@ class ChartFields:
         except MetricError as exc:
             self._metric_failure = (exc.index, _metric_error(exc, self.points))
             self._ip = InnerProduct(self.G[:exc.index])
-        self._gamma = christoffel(self._ip.matrix, dG[:len(self._ip.matrix)])
+        self._gamma = christoffel(self._ip.inverse, dG[:len(self._ip.matrix)])
         self._structure_failure = None
         if chart.complex_structure is not None:
             (self.J, dJ), self._structure_failure = evaluate_prefix(
@@ -265,11 +264,8 @@ def check_kahler(fields: ChartFields,
                  fields._structure_failure)
     ip = fields.metric()[0]
     J, nabla = fields.structure()
-    G = ip.matrix
-    count, n = J.shape[:2]
-    # a g-orthonormal frame at each point; eye(n) carries a stack axis so that
-    # numpy 1.x reads it as matrices, not as a stack of vectors
-    frame = np.linalg.solve(np.swapaxes(ip.cholesky, 1, 2), np.eye(n)[None])
+    G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns
+    count = len(J)
     # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
     contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
     lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))

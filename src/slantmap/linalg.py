@@ -1,8 +1,9 @@
 """Linear algebra relative to symmetric positive-definite inner products.
 
-Every metric problem is whitened through a Cholesky factor G = L L^T and
-solved in Euclidean coordinates, then mapped back.  Basis vectors follow a
-fixed convention (decreasing singular value, first significant component
+Every metric problem is whitened through a Cholesky factor G = L L^T, which
+an ``InnerProduct`` inverts once: its g-orthonormal frame L^{-T} and G^{-1}
+serve every later step as matrix products.  Basis vectors follow a fixed
+convention (decreasing singular value, first significant component
 positive) so repeated runs produce identical output.
 """
 
@@ -64,10 +65,14 @@ class InnerProduct:
                 else "inner product matrix is not symmetric", valid)
         self.matrix = stack.reshape(G.shape)
         self.cholesky = np.linalg.cholesky(self.matrix)
+        # L^{-T}, whose columns are g-orthonormal, and G^{-1} = L^{-T} L^{-1}
+        self.frame = np.swapaxes(np.linalg.inv(self.cholesky), -1, -2)
+        self.inverse = self.frame @ np.swapaxes(self.frame, -1, -2)
 
     def __getitem__(self, i) -> "InnerProduct":
         return _trusted(InnerProduct, matrix=self.matrix[i],
-                        cholesky=self.cholesky[i])
+                        cholesky=self.cholesky[i], frame=self.frame[i],
+                        inverse=self.inverse[i])
 
     @property
     def dim(self) -> int:
@@ -219,7 +224,7 @@ def metric_adjoint(A, g1: InnerProduct, g2: InnerProduct) -> np.ndarray:
     if A.shape[-2:] != (g2.dim, g1.dim):
         raise ValueError(f"matrix shape {A.shape} does not match metrics "
                          f"({g2.dim}x{g1.dim} expected)")
-    return np.linalg.solve(g1.matrix, np.swapaxes(A, -1, -2) @ g2.matrix)
+    return g1.inverse @ (np.swapaxes(A, -1, -2) @ g2.matrix)
 
 
 def range_projector(split: TangentSplit) -> np.ndarray:
@@ -254,9 +259,7 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     range/normal bases.  Rank counts singular values above tol times the
     largest one.
     """
-    # A L1^{-T} without forming the inverse: solve L1 X^T = A^T.
-    X = np.linalg.solve(g1.cholesky, A.transpose(0, 2, 1)).transpose(0, 2, 1)
-    U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ X)
+    U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ (A @ g1.frame))
     sigma_max = s[:, 0] if s.shape[1] else np.zeros(len(A))
     ranks = np.where(sigma_max > 0,
                      np.sum(s > tol * sigma_max[:, None], axis=1), 0)
@@ -283,14 +286,10 @@ def _basis(columns, metric: InnerProduct) -> SubspaceBasis:
 
 
 def _unwhitened(ip: InnerProduct, at, rank, whitened) -> np.ndarray:
-    """The whitened columns mapped back through the Cholesky factors of ip at
+    """The whitened columns mapped back through the frames L^{-T} of ip at
     the points ``at`` of the stack, with signs fixed; the first ``rank``
-    columns and the rest are solved alone and checked orthonormal as two
-    bases."""
-    factors = ip.cholesky[at].transpose(0, 2, 1)
-    columns = _fix_signs(np.concatenate(
-        [np.linalg.solve(factors, block)
-         for block in (whitened[..., :rank], whitened[..., rank:])], axis=2))
+    columns and the rest are checked orthonormal as two bases."""
+    columns = _fix_signs(ip.frame[at] @ whitened)
     _check_orthonormal(columns, ip.matrix[at], rank,
                        np.arange(len(ip.matrix))[at])
     return columns

@@ -312,7 +312,7 @@ class FrameStack:
     @cached_property
     def tension(self) -> np.ndarray:
         """Tension field: the metric trace of the second fundamental form."""
-        inverse = np.linalg.inv(self.g_source.matrix)
+        inverse = self.g_source.inverse
         return (self.sff * inverse[..., None, :, :]).sum(axis=(-2, -1))
 
     @cached_property
@@ -423,13 +423,12 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
 
 def _freeze(stack: FrameStack) -> None:
     """Make every array of the stack read-only: its fields, and the basis
-    columns, metric matrices and Cholesky factors of its split."""
+    columns of its split and every array of their metrics."""
     split = stack.split
     bases = (split.kernel, split.horizontal, split.range, split.range_perp)
     arrays = ([getattr(stack, f.name) for f in fields(stack)]
               + [basis.columns for basis in bases]
-              + [x for basis in bases
-                 for x in (basis.metric.matrix, basis.metric.cholesky)])
+              + [x for basis in bases for x in vars(basis.metric).values()])
     for array in arrays:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -595,20 +594,22 @@ def section_derivatives(frames, X) -> SectionDerivatives:
     X = np.asarray(X, dtype=float)
     sff_x = apply_along(np.swapaxes(X, -1, -2), frames.sff, 1)  # sff(X_a, .)
     # the point quantities, broadcast along the directions
-    A, J, JA, phi, P, Q, A_plus, adjoint, G1, G2 = (lift(x, sff_x.ndim) for x in (
-        frames.jacobian, require_complex_structure(frames),
-        frames.j_pushforward, frames.phi, frames.range_projector,
-        frames.adjoint_phi, frames.pseudo_inverse, frames.adjoint,
-        frames.g_source.matrix, frames.g_target.matrix))
+    A, J, JA, phi, P, Q, A_plus, adjoint, G1_inv, G2, G2_inv = (
+        lift(x, sff_x.ndim) for x in (
+            frames.jacobian, require_complex_structure(frames),
+            frames.j_pushforward, frames.phi, frames.range_projector,
+            frames.adjoint_phi, frames.pseudo_inverse, frames.adjoint,
+            frames.g_source.inverse, frames.g_target.matrix,
+            frames.g_target.inverse))
     K = (np.eye(P.shape[-1]) - P) @ sff_x @ A_plus
-    nabla_P = K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2)
+    nabla_P = K + G2_inv @ (np.swapaxes(K, -1, -2) @ G2)
     nabla_J = apply_along(np.swapaxes(frames.jacobian @ X, -1, -2),
                           frames.nabla_j, 0)
     nabla_JA = nabla_J @ A + J @ sff_x
     nabla_phi = nabla_P @ JA + P @ nabla_JA
     nabla_omega = nabla_JA - nabla_phi
     return SectionDerivatives(
-        q=(np.linalg.solve(G1, np.swapaxes(sff_x, -1, -2) @ G2 @ phi)
+        q=(G1_inv @ (np.swapaxes(sff_x, -1, -2) @ G2 @ phi)
            + adjoint @ nabla_phi),
         omega_defect=nabla_omega - P @ nabla_omega,
         phi_defect=nabla_phi - sff_x @ Q)

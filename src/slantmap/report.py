@@ -279,5 +279,9 @@ def _plain(value):
 
 def render_report(report: Report, pretty: bool = False) -> str:
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
-    return json.dumps(_plain(report.to_dict()), ensure_ascii=False,
-                      allow_nan=False, **layout) + "\n"
+    layout.update(ensure_ascii=False, allow_nan=False)
+    data = report.to_dict()
+    try:  # json writes tuples as lists: only NaN and the infinities need _plain
+        return json.dumps(data, **layout) + "\n"
+    except ValueError:
+        return json.dumps(_plain(data), **layout) + "\n"

@@ -28,6 +28,30 @@ def test_inner_product_rejects_non_finite_matrices():
             InnerProduct([[bad, 0.0], [0.0, 1.0]])
 
 
+def test_inner_product_frame_and_inverse_on_random_stacks():
+    # the columns of frame = L^{-T} are g-orthonormal and inverse = G^{-1}
+    gen = np.random.default_rng(3)
+    for n in (1, 2, 3, 6, 8):
+        stack = np.array([random_spd(gen, n) for _ in range(7)])
+        ip = InnerProduct(stack)
+        eye = np.broadcast_to(np.eye(n), stack.shape)
+        gram = np.swapaxes(ip.frame, 1, 2) @ stack @ ip.frame
+        assert np.abs(gram - eye).max() <= 1e-12
+        assert np.abs(ip.inverse @ stack - eye).max() <= 1e-12
+
+
+def test_inner_product_rows_equal_the_one_matrix_result():
+    # row i of a stack is, bit for bit, the inner product of matrix i alone
+    gen = np.random.default_rng(4)
+    for n in (2, 3, 8):
+        stack = np.array([random_spd(gen, n) for _ in range(5)])
+        ip = InnerProduct(stack)
+        for i, matrix in enumerate(stack):
+            alone, row = InnerProduct(matrix), ip[i]
+            for name in ("matrix", "cholesky", "frame", "inverse"):
+                assert getattr(row, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
 def test_gram_schmidt_euclidean():
     ip = InnerProduct(np.eye(2))
     basis = gram_schmidt([[1.0, 0.0], [1.0, 1.0]], ip)

@@ -451,9 +451,9 @@ def test_one_build_serves_the_pointwise_calls_at_a_point(monkeypatch):
                         "gamma_target", "sff", "complex_structure", "nabla_j")]
     for name in ("kernel", "horizontal", "range", "range_perp"):
         basis, fresh_basis = getattr(split, name), getattr(fresh_split, name)
-        pairs += [(basis.columns, fresh_basis.columns),
-                  (basis.metric.matrix, fresh_basis.metric.matrix),
-                  (basis.metric.cholesky, fresh_basis.metric.cholesky)]
+        pairs += [(basis.columns, fresh_basis.columns)]
+        pairs += [(getattr(basis.metric, f), getattr(fresh_basis.metric, f))
+                  for f in ("matrix", "cholesky", "frame", "inverse")]
     assert frame.rank == fresh.rank
     for slot, built in pairs:
         assert _same_bits(slot, built)
@@ -475,8 +475,12 @@ def test_kept_frame_is_read_only_and_failures_are_not_kept(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         point_frame(spec, WARPED_POINT).split.horizontal.columns[0, 0] = 1.0
     metric = frame.split.kernel.metric
-    for array in (metric.matrix, metric.cholesky, frame.sff, frame.point):
+    for array in (metric.matrix, metric.cholesky, metric.frame, metric.inverse,
+                  frame.sff, frame.point):
         assert not array.flags.writeable
+    for name in ("frame", "inverse"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(point_frame(spec, WARPED_POINT).g_source, name)[0, 0] = 1.0
     q = q_operator(spec, WARPED_POINT)
     expected = q.copy()
     q[...] = 7.0

@@ -63,8 +63,9 @@ def test_catalog_parameter_parsing():
 @pytest.mark.parametrize("alpha", ["1e", ".", "1e999", "inf", "nan", "pi/4"])
 def test_cli_rejects_a_catalog_parameter_that_is_no_finite_number(alpha,
                                                                   capsys):
-    # float rejects 1e, . and pi/4 and reads 1e999 as inf: each is an input
-    # error naming the parameter, not a traceback or an unknown catalog id
+    # 1e, . and pi/4 are no JSON numbers and 1e999 overflows a float: each
+    # is an input error naming the parameter, not a traceback or an unknown
+    # catalog id
     with pytest.raises(CatalogError, match="not a finite number"):
         load_catalog(f"slant_plane(alpha={alpha})")
     code = main(["check", "riemannian_map", "--map",
@@ -73,6 +74,23 @@ def test_cli_rejects_a_catalog_parameter_that_is_no_finite_number(alpha,
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: /map: alpha=")
+
+
+@pytest.mark.parametrize("alpha", ["1_0", " 0.3 ", "+0.3", ".5", "1."])
+def test_catalog_parameter_is_a_json_number(alpha, capsys):
+    # float reads these (1_0 as 10.0, " 0.3 " as 0.3); a JSON number is
+    # written without digit-group underscores, spaces, a plus sign or a
+    # bare point
+    with pytest.raises(CatalogError, match=r"^'alpha=.* is not a finite number'$"):
+        load_catalog(f"slant_plane(alpha={alpha})")
+    assert main(["check", "riemannian_map", "--map",
+                 f"catalog:slant_plane(alpha={alpha})"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: /map: alpha={alpha} is not a finite number\n"
+    for number in ("0.3", "-0.0", "1e-05", "1E+2", "0"):
+        assert load_catalog(f"slant_plane(alpha={number})").name == (
+            f"slant_plane(alpha={float(number)!r})")
 
 
 def test_load_map_spec_catalog_prefix():
@@ -494,6 +512,39 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
     for chart in (spec.source, spec.target):
         assert [entry_evaluations[id(e)] for e in _chart_entries(chart)] == (
             [samples] * len(_chart_entries(chart)))
+
+
+@pytest.mark.parametrize("identifier", [
+    "catalog:warped_fiber",
+    str(Path(__file__).resolve().parent / "data" / "maps" / "warped_product.json")])
+def test_metric_solve_budget(identifier, monkeypatch):
+    # each InnerProduct inverts its Cholesky factor once, and every later
+    # metric step reads its frame or inverse: the one solve left is the
+    # r x r one of each stack's pseudo-inverse
+    counts = Counter()
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(slantmap.linalg.InnerProduct, "__init__", counted(
+        "InnerProduct", slantmap.linalg.InnerProduct.__init__))
+    original_block = slantmap.maps.frame_block
+
+    def block(*args, **kwargs):
+        stacks = original_block(*args, **kwargs)
+        counts["FrameStack"] += len(stacks)
+        return stacks
+
+    monkeypatch.setattr(slantmap.maps, "frame_block", block)
+    run_analysis(load_map_spec(identifier))
+    assert counts["FrameStack"] > 0
+    assert counts["solve"] == counts["FrameStack"]
+    assert counts["inv"] == counts["InnerProduct"]
 
 
 def test_frames_are_freed_by_reference_counting():
@@ -1038,6 +1089,39 @@ def test_writer_bytes_for_special_and_mixed_floats():
     assert render_report(report, pretty=True) == WRITER_PRETTY
     for text in (WRITER_COMPACT, WRITER_PRETTY):
         _assert_floats_round_trip(report.to_dict(), json.loads(text))
+
+
+def _plain_route(report, pretty):
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    return json.dumps(slantmap.report._plain(report.to_dict()),
+                      ensure_ascii=False, allow_nan=False, **layout) + "\n"
+
+
+@pytest.mark.parametrize("identifier", sorted(
+    [f"catalog:{c}" for c in catalog_ids()]
+    + [str(p) for p in (Path(__file__).resolve().parent / "data" / "maps")
+       .glob("*.json")]))
+def test_finite_reports_skip_the_plain_walk(identifier, monkeypatch):
+    # json writes tuples as lists, so a report without NaN or an infinity is
+    # written, byte for byte, as the _plain walk writes it, without the walk;
+    # one with them takes the walk and writes them as strings
+    report = run_analysis(load_map_spec(identifier))
+    expected = [_plain_route(report, pretty) for pretty in (False, True)]
+    walks = []
+    plain = slantmap.report._plain
+    monkeypatch.setattr(slantmap.report, "_plain",
+                        lambda value: walks.append(1) or plain(value))
+    assert [render_report(report, pretty) for pretty in (False, True)] == expected
+    assert walks == []
+    first, second = report.checks[:2]
+    report.checks[:2] = [dataclasses.replace(first, residual=math.nan),
+                         dataclasses.replace(second, residual=-math.inf)]
+    for pretty in (False, True):
+        text = render_report(report, pretty)
+        assert text == _plain_route(report, pretty)
+        checks = json.loads(text)["checks"]
+        assert (checks[0]["residual"], checks[1]["residual"]) == ("nan", "-inf")
+    assert walks
 
 
 def _assert_floats_round_trip(written, parsed, where="report"):
