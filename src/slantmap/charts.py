@@ -3,7 +3,8 @@
 A chart is a single global coordinate patch.  Metric and complex-structure
 entries are DSL expressions evaluated with jets; one metric jet per point
 gives the metric and, with exact derivatives, its Christoffel symbols.
-``ChartFields`` holds a chart evaluated once at each point of a stack.
+``ChartFields`` holds a chart evaluated once at each point of a stack, or
+once per process for a chart whose entries are all constants.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expressions import Expression, eval_jets, parse_expression
+from .expressions import Expression, _point_stack, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import InnerProduct, MetricError, apply_along, lift, pairings
 from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
@@ -85,6 +86,10 @@ class ChartManifold:
         """The metric at p and its Christoffel symbols, from one jet of the
         upper triangle; at a stack of points (N, n), the InnerProduct of the
         stack and Gamma (N, n, n, n)."""
+        points, stack = _point_stack(p, self.dim)
+        if self._kept_fields(stack) is not None:
+            ip, gamma = ChartFields(self, stack).metric()
+            return (ip[0], gamma[0]) if points.ndim == 1 else (ip, gamma)
         G, dG = self.metric_jet(p)
         try:
             ip = InnerProduct(G)
@@ -110,6 +115,21 @@ class ChartManifold:
     def _structure_entries(self) -> list:
         return [e for row in self.complex_structure for e in row]
 
+    def _kept_fields(self, stack) -> Optional["ChartFields"]:
+        """For a chart whose entries are all constants, its ChartFields at
+        one point, which hold at every point: evaluated on first use at the
+        stack's first point, as any chart is, and kept once that succeeds.
+        None for a varying chart, an empty stack or a failing evaluation."""
+        kept = self.__dict__.get("_kept")
+        if kept is None and len(stack) and all(
+                isinstance(e.compiled, float) for e in self._upper_triangle[2]
+                + [e for row in self.complex_structure or () for e in row]):
+            fields = object.__new__(ChartFields)
+            fields._evaluate(self, stack[:1].copy())
+            if fields._metric_failure is None and fields._structure_failure is None:
+                self.__dict__["_kept"] = kept = fields
+        return kept
+
 
 def _metric_error(exc: MetricError, p) -> ChartError:
     """The error for a metric at p (at the failing point of a stack) that is
@@ -133,8 +153,6 @@ def christoffel(inverse, dG) -> np.ndarray:
     (g^{kl}) and dG[i, j, l] = d_l g_ij (symmetric in i, j, and so is Gamma):
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).  Stacks of
     matrices along leading axes give a stack of symbols."""
-    if not dG.any():  # a constant metric: exactly the zeros the formula gives
-        return np.zeros(dG.shape)
     # lower[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     lower = ((np.moveaxis(dG, -3, -1) + np.swapaxes(dG, -3, -2))
              - np.moveaxis(dG, -1, -3))
@@ -145,8 +163,6 @@ def nabla_j(J, dJ, gamma) -> np.ndarray:
     """(nabla_i J)^a_b = d_i J^a_b + Gamma^a_ic J^c_b - Gamma^c_ib J^a_c at
     [..., i, a, b], for stacks of J, of dJ[..., i, a, b] = d_i J^a_b and of
     the Christoffel symbols Gamma at the same points."""
-    if not (dJ.any() or gamma.any()):  # the zeros, in pages never written
-        return np.zeros(dJ.shape)
     # the connection terms come as [..., a, i, b]
     return (dJ + np.swapaxes(gamma @ J[..., None, :, :], -3, -2)
             - np.swapaxes(apply_along(J, gamma, 0), -3, -2))
@@ -175,11 +191,27 @@ class ChartFields:
     n), every entry evaluated once per point with its first derivatives, the
     metric's InnerProduct and Christoffel symbols, and nabla J.  Each field is
     evaluated up to the first point where it fails, and that failure, kept
-    as (index, error), is raised by whatever reads the field there."""
+    as (index, error), is raised by whatever reads the field there.  A
+    chart whose entries are all constants gives read-only broadcast views of
+    the one point it keeps."""
 
     def __init__(self, chart: ChartManifold, points):
-        self.chart = chart
-        self.points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
+        points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
+        kept = chart._kept_fields(points)
+        if kept is None:
+            self._evaluate(chart, points)
+        else:  # the chart, no failures and the fields, repeated at each point
+            for name, value in vars(kept).items():
+                if isinstance(value, InnerProduct):
+                    value = value.repeated(len(points))
+                elif isinstance(value, np.ndarray):
+                    value = np.broadcast_to(value, (len(points),) + value.shape[1:])
+                setattr(self, name, value)
+            self.points = points
+
+    def _evaluate(self, chart: ChartManifold, points) -> None:
+        """Evaluate the chart's fields at every point."""
+        self.chart, self.points = chart, points
         (self.G, dG), self._metric_jet_failure = evaluate_prefix(
             lambda k: chart.metric_jet(self.points[:k]), len(self.points))
         # the metric up to the first point where it is not positive definite

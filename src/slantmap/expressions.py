@@ -93,10 +93,12 @@ class Expression:
         return to_text(self.root)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def compiled(self):
         """The compiled form, built on first use: a float when the formula is
         constant, else its evaluator (points, order) -> (value, grad, hess);
-        see ``_compile``."""
+        see ``_compile``.  A constant that leaves the floats folds to inf or
+        nan, which evaluation reports, so folding warns of nothing."""
         return _compile(self.root, self.dim)
 
 

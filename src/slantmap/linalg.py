@@ -74,6 +74,13 @@ class InnerProduct:
                         cholesky=self.cholesky[i], frame=self.frame[i],
                         inverse=self.inverse[i])
 
+    def repeated(self, count: int) -> "InnerProduct":
+        """The inner product of a one-point stack at each of count points:
+        read-only broadcast views of its arrays, not validated again."""
+        return _trusted(InnerProduct, **{
+            name: np.broadcast_to(x, (count,) + x.shape[1:])
+            for name, x in vars(self).items()})
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]

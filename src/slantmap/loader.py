@@ -51,6 +51,15 @@ def _expect(condition: bool, pointer: str, message: str) -> None:
         raise MapSpecError(pointer, message)
 
 
+def _expect_keys(doc: dict, pointer: str, known) -> None:
+    """Reject the first key of doc that is not among the known keys, by its
+    JSON pointer."""
+    for key in doc:
+        escaped = key.replace("~", "~0").replace("/", "~1")  # RFC 6901
+        _expect(key in known, f"{pointer}/{escaped}",
+                f"unknown key; expected one of {', '.join(known)}")
+
+
 def _is_number(value, kind=(int, float)) -> bool:
     """A finite JSON number of ``kind``; NaN, Infinity, true, false are not."""
     return (isinstance(value, kind) and not isinstance(value, bool)
@@ -59,6 +68,7 @@ def _is_number(value, kind=(int, float)) -> bool:
 
 def _chart_from_json(doc: dict, pointer: str) -> ChartManifold:
     _expect(isinstance(doc, dict), pointer, "must be an object")
+    _expect_keys(doc, pointer, ("dim", "metric", "J"))
     _expect("dim" in doc, pointer + "/dim", "missing")
     dim = doc["dim"]
     _expect(_is_number(dim, int) and dim >= 1, pointer + "/dim",
@@ -95,17 +105,22 @@ def set_setting(settings: AnalysisSettings, attr: str, value,
     setattr(settings, attr, value)
 
 
+# each settings block's keys and the setting each one sets; the sampling.dirs
+# of older files is accepted and ignored
+_SETTING_KEYS = {"sampling": {"points": "points", "seed": "seed", "dirs": None},
+                 "tolerances": {"rank": "rank_tol", "check": "check_tol",
+                                "angle": "angle_tol"}}
+
+
 def _settings_from_json(doc: dict) -> AnalysisSettings:
     settings = AnalysisSettings()
-    for pointer, attr in (("/sampling/points", "points"), ("/sampling/seed", "seed"),
-                          ("/tolerances/rank", "rank_tol"),
-                          ("/tolerances/check", "check_tol"),
-                          ("/tolerances/angle", "angle_tol")):
-        _, block, key = pointer.split("/")
+    for block, attrs in _SETTING_KEYS.items():
         values = doc.get(block, {})
         _expect(isinstance(values, dict), f"/{block}", "must be an object")
-        if key in values:
-            set_setting(settings, attr, values[key], pointer)
+        _expect_keys(values, f"/{block}", attrs)
+        for key, attr in attrs.items():
+            if attr is not None and key in values:
+                set_setting(settings, attr, values[key], f"/{block}/{key}")
     return settings
 
 
@@ -113,6 +128,8 @@ def map_spec_from_json(doc: dict, name: str = "") -> LoadedMap:
     _expect(isinstance(doc, dict), "", "document must be a JSON object")
     schema = doc.get("schema", SCHEMA_ID)
     _expect(schema == SCHEMA_ID, "/schema", f"unsupported schema {schema!r}")
+    _expect_keys(doc, "", ("schema", "source", "target", "components",
+                           "domain", "sampling", "tolerances"))
     _expect("source" in doc, "/source", "missing")
     _expect("target" in doc, "/target", "missing")
     _expect("components" in doc, "/components", "missing")
@@ -130,6 +147,7 @@ def map_spec_from_json(doc: dict, name: str = "") -> LoadedMap:
     if domain is not None:
         _expect(isinstance(domain, dict) and "box" in domain, "/domain",
                 "must be an object with a 'box' array")
+        _expect_keys(domain, "/domain", ("box",))
         box = domain["box"]
         _expect(isinstance(box, list) and len(box) == source.dim and
                 all(isinstance(b, list) and len(b) == 2 for b in box),

@@ -142,7 +142,6 @@ class FrameStack:
     jacobian: np.ndarray    # (N, m, n)
     split: TangentSplit     # with bases and metrics stacked over the points
     gamma_source: np.ndarray  # (N, n, n, n)
-    gamma_target: np.ndarray  # (N, m, m, m)
     sff: np.ndarray         # (N, m, n, n)
     complex_structure: Optional[np.ndarray]  # (N, m, m)
     nabla_j: Optional[np.ndarray]  # [:, c, a, b] = (nabla_c J)^a_b
@@ -462,7 +461,7 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     if spec.target.complex_structure is not None:
         J, nabla = target.structure(start, stop)
     return [FrameStack(rows[at], points[at], image[at], jac[at], split,
-                       gamma1[at], gamma2[at], sff[at],
+                       gamma1[at], sff[at],
                        None if J is None else J[at],
                        None if nabla is None else nabla[at])
             for at, split in groups]

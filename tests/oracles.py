@@ -125,13 +125,14 @@ def _centered_curve_difference(p, X, section, h):
     return (section(p + h * X) - section(p - h * X)) / (2.0 * h)
 
 
-def fd_pullback_derivative(frame, X, section, h=FD_STEP):
+def fd_pullback_derivative(spec, frame, X, section, h=FD_STEP):
     """Pullback-connection derivative of a target-vector section along
-    t -> p + tX: centered difference plus the target Christoffel term."""
+    t -> p + tX: centered difference plus the target Christoffel term, Gamma2
+    taken from spec's target chart at the image."""
     dv = _centered_curve_difference(frame.point, X, section, h)
     fx = frame.pushforward(X)
-    return dv + np.einsum("gab,a,b->g", frame.gamma_target, fx,
-                          section(frame.point))
+    gamma_target = spec.target.metric_at(frame.image)[1]
+    return dv + np.einsum("gab,a,b->g", gamma_target, fx, section(frame.point))
 
 
 def fd_source_derivative(frame, X, section, h=FD_STEP):
@@ -209,13 +210,14 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     hessian = eval_jets(spec.components, frames.points, 2)[2]
     dA = np.moveaxis(hessian @ X[..., None, :, :], -1, -3)
     J, J_grad = spec.target.complex_structure_jet(frames.images)
+    gamma_target = spec.target.metric_at(frames.images)[1]
 
     def along(x):  # a point quantity, broadcast along the directions
         return lift(x, dA.ndim)
 
     JA, phi, P = along(frames.j_pushforward), along(frames.phi), along(frames.range_projector)
     dG1 = metric_derivative(frames.g_source.matrix, frames.gamma_source, X)
-    dG2 = metric_derivative(frames.g_target.matrix, frames.gamma_target, fx)
+    dG2 = metric_derivative(frames.g_target.matrix, gamma_target, fx)
     dJ = apply_along(fx_rows, J_grad, 0)
     dP = range_projector_derivative(frames.range_projector, A, dA, frames.split,
                                     dG2)
@@ -223,7 +225,7 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     d_phi = dP @ JA + P @ dJA
     d_adjoint = metric_adjoint_derivative(frames.adjoint, A, dA, frames.g_source,
                                           dG1, frames.g_target, dG2)
-    target_connection = apply_along(fx_rows, frames.gamma_target, 1)
+    target_connection = apply_along(fx_rows, gamma_target, 1)
     source_connection = apply_along(np.swapaxes(X, -1, -2), frames.gamma_source, 1)
     nabla_phi = d_phi + target_connection @ phi
     nabla_omega = dJA - d_phi + target_connection @ (JA - phi)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import slantmap.charts
 from slantmap.charts import (ChartError, ChartFields, ChartManifold,
-                             check_almost_hermitian, check_kahler)
+                             check_almost_hermitian, check_kahler, christoffel,
+                             nabla_j)
 from slantmap.expressions import ExpressionDomainError
+from slantmap.linalg import InnerProduct
 from oracles import eval_value, fd_christoffel, fd_nabla_j, metric_values
 
 STANDARD_J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
@@ -215,3 +219,124 @@ def test_chart_fields_raise_failures_counted_from_lo():
     assert failure.value.index == 2
     assert str(failure.value) == ("sqrt of a negative value at point "
                                   "[-0.125, 0.0] in subexpression 'sqrt(x1)'")
+
+
+def _chart_text(matrix, factor=""):
+    return [[f"{x!r}{factor}" for x in row] for row in matrix.tolist()]
+
+
+def _alone(chart, p):
+    """The fields of the chart evaluated at the point p alone, from its jets:
+    G, its InnerProduct, Gamma, J and nabla J."""
+    G, dG = chart.metric_jet(p)
+    ip = InnerProduct(G)
+    gamma = christoffel(ip.inverse, dG)
+    J, dJ = chart.complex_structure_jet(p)
+    return G, ip, gamma, J, nabla_j(J, dJ, gamma)
+
+
+def _metric_arrays(metric, gamma):
+    return [getattr(metric, name) for name in ("matrix", "cholesky", "frame",
+                                                "inverse")] + [gamma]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 4, 6)), st.integers(1, 6), st.integers(0, 2**16))
+def test_constant_charts_are_shared_bit_for_bit(dim, count, seed):
+    # a chart whose metric and J entries are all constants is evaluated once
+    # and shared: every field that metric_at and ChartFields return, at every
+    # point, equals the chart evaluated at that point alone, and every array
+    # is read-only.  A varying chart beside it keeps its own evaluation.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((dim, dim))
+    G = A @ A.T + 0.1 * np.eye(dim)
+    G = 0.5 * (G + G.T)  # symmetric entry by entry, as the chart requires
+    J = rng.standard_normal((dim, dim))
+    constant = ChartManifold.from_strings(dim, _chart_text(G), _chart_text(J))
+    varying = ChartManifold.from_strings(dim, _chart_text(G, "*exp(x1)"),
+                                         _chart_text(J, "*cos(x2)"))
+    points = rng.uniform(-1.0, 1.0, (count, dim))
+    for chart in (constant, varying):
+        for _ in range(2):  # the first use keeps a constant chart
+            fields = ChartFields(chart, points)
+            stacked = [fields.G, *_metric_arrays(*fields.metric()),
+                       *fields.structure(),
+                       *_metric_arrays(*chart.metric_at(points))]
+            for i, p in enumerate(points):
+                G_i, ip, gamma, J_i, nabla = _alone(chart, p)
+                metric = _metric_arrays(ip, gamma)
+                expected = [G_i, *metric, J_i, nabla, *metric]
+                assert len(stacked) == len(expected)
+                for got, want in zip(stacked, expected):
+                    assert np.array_equal(got[i], want)
+                pointwise = _metric_arrays(*chart.metric_at(p))
+                for got, want in zip(pointwise, metric):
+                    assert np.array_equal(got, want)
+                if chart is constant:
+                    assert not any(x.flags.writeable for x in pointwise)
+            if chart is constant:
+                assert not any(x.flags.writeable for x in stacked)
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The number of points of each evaluation of chart entries from here on."""
+    counts = []
+    original = slantmap.charts.eval_jets
+
+    def counted(expressions, p, order):
+        counts.append(len(np.atleast_2d(p)))
+        return original(expressions, p, order)
+
+    monkeypatch.setattr(slantmap.charts, "eval_jets", counted)
+    return counts
+
+
+def test_a_constant_chart_is_evaluated_at_one_point_once(evaluated):
+    # its first use evaluates every entry at one point, and no later use of
+    # the chart, at any stack or point, evaluates an entry again
+    chart = ChartManifold.euclidean(4, STANDARD_J4)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 4))
+    assert check_kahler(ChartFields(chart, points)).passed
+    assert evaluated == [1, 1]  # the metric's jet and J's, at the first point
+    chart.metric_at(points)
+    chart.metric_at(points[2])
+    ChartFields(chart, points[3:]).structure()
+    assert check_almost_hermitian(ChartFields(chart, points)).passed
+    assert evaluated == [1, 1]
+
+
+FAILING_CONSTANT_CHARTS = {
+    "indefinite": ([["1", "0"], ["0", "-1"]], [["0", "-1"], ["1", "0"]],
+                   ChartError, "metric is not positive definite at {}: inner "
+                   "product is not positive definite (min eigenvalue -1)"),
+    "non_finite_metric": ([["exp(1000)", "0"], ["0", "1"]],
+                          [["0", "-1"], ["1", "0"]], ExpressionDomainError,
+                          "non-finite value at point {} in subexpression "
+                          "'exp(1000.0)'"),
+    "non_finite_j": (None, [["0", "-exp(1000)"], ["1", "0"]],
+                     ExpressionDomainError, "non-finite value at point {} in "
+                     "subexpression 'exp(1000.0)'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_CONSTANT_CHARTS))
+def test_failing_constant_charts_are_evaluated_on_every_call(case, evaluated):
+    # a constant chart whose evaluation fails is not kept: each call
+    # evaluates it again and raises the error of the caller's first point
+    metric, J, error, message = FAILING_CONSTANT_CHARTS[case]
+    chart = ChartManifold.from_strings(2, metric, J)
+    for first in ([0.25, -0.5], [-0.75, 0.5]):
+        points = [first, [0.5, 0.5]]
+        calls = [lambda: ChartFields(chart, points).structure()]
+        if metric is not None:
+            calls += [lambda: chart.metric_at(points),
+                      lambda: chart.metric_at(first),
+                      lambda: ChartFields(chart, points).metric()]
+        for call in calls:
+            before = len(evaluated)
+            with pytest.raises(error) as failure:
+                call()
+            assert str(failure.value) == message.format(first)
+            assert failure.value.index == 0
+            assert len(evaluated) > before

@@ -448,7 +448,7 @@ def test_one_build_serves_the_pointwise_calls_at_a_point(monkeypatch):
     split, fresh_split = frame.split, fresh.split
     pairs += [(getattr(frame, f), getattr(fresh, f))
               for f in ("points", "images", "jacobian", "gamma_source",
-                        "gamma_target", "sff", "complex_structure", "nabla_j")]
+                        "sff", "complex_structure", "nabla_j")]
     for name in ("kernel", "horizontal", "range", "range_perp"):
         basis, fresh_basis = getattr(split, name), getattr(fresh_split, name)
         pairs += [(basis.columns, fresh_basis.columns)]
@@ -496,6 +496,30 @@ def test_kept_frame_is_read_only_and_failures_are_not_kept(monkeypatch):
     assert len(builds) == 2
     # the failures left the slot as it was: the good point needs no build
     assert _same_bits(point_frame(spec, WARPED_POINT).jacobian, frame.jacobian)
+    assert len(builds) == 2
+
+
+def test_kept_frame_over_constant_charts_is_read_only(monkeypatch):
+    # example4's source and target charts are constant: the kept frame's
+    # metrics, Christoffel symbols, J and nabla J are views of the one point
+    # each chart keeps, read-only as the rest of the kept stack, and a
+    # failure is not kept
+    spec = load_catalog("example4")
+    p = [0.1, -0.2, 0.3, 0.4]
+    frame = point_frame(spec, p)
+    arrays = [frame.gamma_source, frame.complex_structure, frame.nabla_j,
+              frame.sff, frame.point]
+    arrays += [getattr(metric, name) for metric in (frame.g_source, frame.g_target)
+               for name in ("matrix", "cholesky", "frame", "inverse")]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    builds = _counted_builds(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ExpressionDomainError, match=r"at point \[nan, "):
+            point_frame(spec, [np.nan, 0.2, 0.3, 0.4])
+    assert len(builds) == 2
+    assert _same_bits(point_frame(spec, p).g_target.inverse, frame.g_target.inverse)
     assert len(builds) == 2
 
 

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -311,6 +312,36 @@ def test_map_spec_rejects_non_numbers(case, tmp_path, capsys):
     assert captured.err.startswith(f"error: {pointer}: must be")
 
 
+UNKNOWN_KEYS = {
+    "top_level": ({"settings": {"points": 7}}, "/settings"),
+    "tolerances_misspelt": ({"tolerance": {"check": 1e-3}}, "/tolerance"),
+    "sampling": ({"sampling": {"point": 7}}, "/sampling/point"),
+    "tolerances": ({"tolerances": {"checks": 1e-3}}, "/tolerances/checks"),
+    "source": ({"source": {"dim": 2, "metrics": [["1", "0"], ["0", "1"]]}},
+               "/source/metrics"),
+    "target": ({"target": dict(MINIMAL_SPEC["target"], j=None)}, "/target/j"),
+    "domain": ({"domain": {"box": [[-1, 1], [-1, 1]], "points": 7}},
+               "/domain/points"),
+    "escaped": ({"a/b~c": 1}, "/a~1b~0c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_map_spec_rejects_unknown_keys(case, tmp_path, capsys):
+    # a misspelt key would leave its setting at the default and run: at any
+    # level, an unknown key is an input error naming its JSON pointer (exit 2)
+    overrides, pointer = UNKNOWN_KEYS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(dict(MINIMAL_SPEC, **overrides)))
+    with pytest.raises(MapSpecError) as err:
+        load_map_spec(str(path))
+    assert err.value.pointer == pointer
+    assert main(["analyze", "--map", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {pointer}: unknown key; expected one of ")
+
+
 def test_map_spec_sampling_and_tolerances():
     doc = dict(MINIMAL_SPEC)
     doc["sampling"] = {"points": 7, "dirs": 3, "seed": 5}
@@ -462,6 +493,17 @@ def _chart_entries(chart):
     return entries + [e for row in chart.complex_structure or () for e in row]
 
 
+def _is_constant(chart):
+    return all(isinstance(e.compiled, float) for e in _chart_entries(chart))
+
+
+def _entry_budget(chart, points):
+    """Evaluations of each entry of a chart needed at ``points`` points, a
+    count over runs: a varying chart's entries at every point, a constant
+    chart's at one point on first use and at none after that."""
+    return [1 if _is_constant(chart) else points] * len(_chart_entries(chart))
+
+
 def _budget_map(name):
     if name == "warped_fiber":
         return load_catalog(name)
@@ -479,9 +521,12 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
     # the section derivatives along the whole horizontal frame, and the
     # adjoint and projector they read, are formed once per sample point, in
     # calls over stacks of points: the points those calls cover add up to
-    # the sample exactly.  Every metric and J entry of the target chart is
-    # evaluated once per image, for the frames and both target checks
-    # together, and every source metric entry once per sample point.
+    # the sample exactly.  Every metric and J entry of a varying target
+    # chart is evaluated once per image, for the frames and both target
+    # checks together, and every varying source metric entry once per
+    # sample point; a constant chart at one point on first use, and at none
+    # in a second run.  Fresh charts make the counts independent of what
+    # the process evaluated before.
     points = Counter()
 
     def count(owner, attribute, key, stacked):
@@ -501,17 +546,20 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
           lambda frames, X: np.asarray(X))
     samples = 4
     spec = _budget_map(name)
-    report = run_analysis(LoadedMap(spec, AnalysisSettings(points=samples),
-                                    origin="inline"))
-    assert report.check("kahler").status != "skipped"
-    frames = len(frame_builds)
-    assert frames == samples
-    per_point = samples if derived else 0
-    assert points["derivatives"] == points["adjoint"] == per_point
-    assert points["projector"] == per_point
-    for chart in (spec.source, spec.target):
-        assert [entry_evaluations[id(e)] for e in _chart_entries(chart)] == (
-            [samples] * len(_chart_entries(chart)))
+    spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source),
+                               target=dataclasses.replace(spec.target))
+    assert {_is_constant(spec.source), _is_constant(spec.target)} == {True, False}
+    for run in (1, 2):
+        report = run_analysis(LoadedMap(spec, AnalysisSettings(points=samples),
+                                        origin="inline"))
+        assert report.check("kahler").status != "skipped"
+        assert len(frame_builds) == samples * run
+        per_point = samples * run if derived else 0
+        assert points["derivatives"] == points["adjoint"] == per_point
+        assert points["projector"] == per_point
+        for chart in (spec.source, spec.target):
+            assert [entry_evaluations[id(e)] for e in _chart_entries(chart)] == (
+                _entry_budget(chart, samples * run))
 
 
 @pytest.mark.parametrize("identifier", [
@@ -620,9 +668,12 @@ def test_tol_reaches_every_check(tol, capsys):
 def test_single_check_frame_budget(frame_builds, entry_evaluations,
                                    monkeypatch, capsys, name, frames):
     # kahler reads only the image points; riemannian_map one frame per point.
-    # Each chart's metric is evaluated and validated once per point it is
-    # needed at: once per image for kahler, once per chart (source and
-    # target) per frame.
+    # warped_fiber's varying source metric is evaluated and validated once
+    # per frame; its constant target chart at one point on the first run,
+    # and at none on the second.  The catalog's specs are built afresh here,
+    # so the counts do not depend on what the process evaluated before.
+    monkeypatch.setattr(slantmap.catalog, "_build", functools.lru_cache(
+        maxsize=32)(slantmap.catalog._build.__wrapped__))
     metrics = []
     original = slantmap.linalg.InnerProduct.__init__
 
@@ -632,15 +683,17 @@ def test_single_check_frame_budget(frame_builds, entry_evaluations,
 
     monkeypatch.setattr(slantmap.linalg.InnerProduct, "__init__", counted)
     samples = 5
-    assert main(["check", name, "--map", "catalog:warped_fiber",
-                 "--samples", str(samples)]) == 0
-    assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == name
-    assert len(frame_builds) == frames
-    assert len(metrics) == (2 * frames if frames else samples)
     spec = load_catalog("warped_fiber")
-    charts = (spec.source, spec.target) if frames else (spec.target,)
-    assert sorted(entry_evaluations.values()) == [samples] * sum(
-        len(_chart_entries(chart)) for chart in charts)
+    assert _is_constant(spec.target) and not _is_constant(spec.source)
+    for run in (1, 2):
+        assert main(["check", name, "--map", "catalog:warped_fiber",
+                     "--samples", str(samples)]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == name
+        assert len(frame_builds) == frames * run
+        assert len(metrics) == frames * run + 1
+        assert sorted(entry_evaluations.values()) == sorted(
+            _entry_budget(spec.target, samples)
+            + (_entry_budget(spec.source, samples * run) if frames else []))
 
 
 @pytest.mark.parametrize("catalog_id", catalog_ids())

@@ -383,10 +383,10 @@ def test_section_derivatives_match_finite_difference_oracle(map_name):
                     for derivative, oracle in (
                             (exact.phi_defect[a] @ Y + phi_gamma
                              + frame.sff_value(X, frame.adjoint_phi @ Y),
-                             fd_pullback_derivative(frame, X, phi)),
+                             fd_pullback_derivative(spec, frame, X, phi)),
                             (exact.omega_defect[a] @ Y + omega_gamma,
-                             frame.normal(fd_pullback_derivative(frame, X,
-                                                                 omega))),
+                             frame.normal(fd_pullback_derivative(
+                                 spec, frame, X, omega))),
                             (exact.q[a] @ Y + frame.adjoint_phi @ nabla_y,
                              fd_source_derivative(frame, X, qy))):
                         np.testing.assert_allclose(derivative, oracle, rtol=0,
@@ -682,7 +682,7 @@ def test_pairing_expansion_identity_on_kahler_targets():
                             w = fq.complex_structure @ fq.pushforward(vec)
                             return fq.normal(w)
                         return frame.normal(
-                            fd_pullback_derivative(frame, X, section))
+                            fd_pullback_derivative(spec, frame, X, section))
 
                     n_y = perp_deriv(Y)
                     n_qy = perp_deriv(qy)
