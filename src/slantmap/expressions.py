@@ -452,7 +452,7 @@ def eval_jet2(expr: Expression, p, order: int = 2) -> Jet2:
     derivatives above ``order`` are None."""
     points, stack = _point_stack(p, expr.dim)
     shape = (len(stack),) + (expr.dim,) * 2
-    compiled = expr.compiled
+    compiled = expr.compiled if len(stack) else 0.0  # none to fail at
     try:
         value, grad, hess = (compiled(stack, order) if callable(compiled)
                              else (compiled, None, None))

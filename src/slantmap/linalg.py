@@ -2,9 +2,12 @@
 
 Every metric problem is whitened through a Cholesky factor G = L L^T, which
 an ``InnerProduct`` inverts once: its g-orthonormal frame L^{-T} and G^{-1}
-serve every later step as matrix products.  Basis vectors follow a fixed
-convention (decreasing singular value, first significant component
-positive) so repeated runs produce identical output.
+serve every later step as matrix products.  ``split_tangents`` turns them
+into the orthonormal frames [h | k] and [R | N] of a map, in which the
+checks read every tensor as components, so that the metric has done its
+work once the split is built.  Basis vectors follow a fixed convention
+(decreasing singular value, first significant component positive) so
+repeated runs produce identical output.
 """
 
 from __future__ import annotations
@@ -95,12 +98,6 @@ class InnerProduct:
         square = (v[..., None, :] @ self.matrix @ v[..., :, None])[..., 0, 0]
         norm = np.sqrt(np.maximum(square, 0.0))
         return float(norm) if v.ndim == 1 else norm
-
-    def norms(self, vectors: np.ndarray) -> np.ndarray:
-        """Norms of the columns (of each matrix, for a stack of them); a
-        stacked inner product reads vectors (N, ..., m, a), those of point i
-        under the inner product at point i."""
-        return np.sqrt(np.maximum(pairings(vectors, self.matrix, vectors), 0.0))
 
 
 def lift(x: np.ndarray, ndim: int) -> np.ndarray:
@@ -232,13 +229,6 @@ def metric_adjoint(A, g1: InnerProduct, g2: InnerProduct) -> np.ndarray:
         raise ValueError(f"matrix shape {A.shape} does not match metrics "
                          f"({g2.dim}x{g1.dim} expected)")
     return g1.inverse @ (np.swapaxes(A, -1, -2) @ g2.matrix)
-
-
-def range_projector(split: TangentSplit) -> np.ndarray:
-    """The g2-orthogonal projector R R^T G2 onto the range of the split map
-    (at each point, for a stacked split)."""
-    R = split.range.columns
-    return R @ np.swapaxes(R, -1, -2) @ split.range.metric.matrix
 
 
 def split_tangent(A, g1: InnerProduct, g2: InnerProduct,

@@ -12,14 +12,15 @@ tensors, nabla Q and the defects of omega and phi (``section_derivatives``).
 
 A ``FrameStack`` holds what is known at the points of one rank in a block
 of points, stacked along a leading point axis, built from stacked jets
-(``frame_block``).  Each derived pointwise quantity (phi/omega, Q, the
-tension field, the fiber mean curvature, nabla Q and the two defects on
-horizontal pairs) is one of its members, formed once over the stack on
-first use.
-Each member has one definition, which serves a stack and the ``PointFrame``
-``stack.row(i)`` of its point i alike.  A ``Sample`` is the analysis context
-of one run, whose stacks are built once, and every check is a reduction
-over them.
+(``frame_block``); each derived quantity is a member formed once over the
+stack on first use, whose one definition serves the ``PointFrame``
+``stack.row(i)`` too.  The checks read F_*, J, the sff, nabla J and Q as
+components in the orthonormal frames B1 = [h | k] and B2 = [R | N] of the
+split, where F_* is [[Sigma, 0], [0, 0]], the projector onto the range is
+diag(I_r, 0), adjoints are transposes and g-norms Euclidean norms; chart
+coordinates come back through one frame product where a vector leaves the
+library.  A ``Sample`` is the analysis context of one run, whose stacks are
+built once, and every check is a reduction over them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
                      evaluate_prefix)
 from .expressions import Expression, eval_jet2, eval_jets, parse_expression
 from .linalg import (InnerProduct, TangentSplit, apply, apply_along, lift,
-                     metric_adjoint, pairings, range_projector,
                      split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, worst_residual)
@@ -134,7 +134,9 @@ class FrameStack:
     along a leading point axis, and every derived quantity formed once over
     the stack on first use; each member serves a row (``row(i)``) as well.
     Vectors are the columns of (..., m, k) arrays, and the extra axes of an
-    argument sit between the point axis and the matrix axes."""
+    argument sit between the point axis and the matrix axes.  ``adapted_*``,
+    ``j_blocks``, ``q`` and ``horizontal_*`` are in B1 and B2, the rest in
+    chart coordinates."""
 
     rows: np.ndarray        # index of each point in its sample
     points: np.ndarray      # (N, n)
@@ -170,12 +172,34 @@ class FrameStack:
         """The target metric, that of the range and normal bases."""
         return self.split.range.metric
 
+    @cached_property
+    def source_basis(self) -> np.ndarray:
+        """B1 = [h | k]: the g1-orthonormal horizontal, then kernel, columns."""
+        return np.concatenate([self.split.horizontal.columns, self.split.kernel.columns], -1)
+
+    @cached_property
+    def target_basis(self) -> np.ndarray:
+        """B2 = [R | N]: the g2-orthonormal range, then normal, columns."""
+        return np.concatenate([self.split.range.columns, self.split.range_perp.columns], -1)
+
+    @cached_property
+    def source_coframe(self) -> np.ndarray:
+        """C1 = B1^T G1 = B1^-1: a source vector's components in B1."""
+        return np.swapaxes(self.source_basis, -1, -2) @ self.g_source.matrix
+
+    @cached_property
+    def target_coframe(self) -> np.ndarray:
+        """C2 = B2^T G2 = B2^-1: a target vector's components in B2."""
+        return np.swapaxes(self.target_basis, -1, -2) @ self.g_target.matrix
+
     def pushforward(self, X) -> np.ndarray:
         return apply(self.jacobian, X)
 
     def tangential(self, w) -> np.ndarray:
         """Range part of a target vector (of each column, for a matrix)."""
-        return apply(self.range_projector, w)
+        r = self.rank
+        return apply(self.split.range.columns,
+                     apply(self.target_coframe[..., :r, :], w))
 
     def normal(self, w) -> np.ndarray:
         """Part of a target vector normal to the range."""
@@ -183,31 +207,25 @@ class FrameStack:
 
     def phi_omega(self, X):
         """Split J F_*X into its range part (phi) and normal part (omega)."""
-        phi = apply(self.phi, X)
-        return phi, apply(self.j_pushforward, X) - phi
+        return self.bc(self.pushforward(X))
 
     def bc(self, V):
-        """Split J V for a normal vector V into range part (B) and normal
-        part (C)."""
+        """Split J V into its range and normal parts: B and C for a normal V."""
         w = apply(require_complex_structure(self), V)
         b = self.tangential(w)
         return b, w - b
 
-    def _angles(self, X) -> np.ndarray:
+    def _angles(self, w) -> np.ndarray:
         """Angle in [0, pi/2] between J F_*X and the range of F_*, for each
-        column of X.
-
-        Computed as atan2(|omega part|, |phi part|), which stays accurate at
-        both extremes where an arccos of the cosine ratio loses half the
-        digits.
-        """
-        phi, omega = self.phi_omega(X)
-        return np.arctan2(self.g_target.norms(omega), self.g_target.norms(phi))
+        column w of the components of J F_*X in B2, as atan2(|omega part|,
+        |phi part|): accurate at both extremes, where an arccos is not."""
+        r = self.rank
+        return np.arctan2(np.linalg.norm(w[..., r:, :], axis=-2),
+                          np.linalg.norm(w[..., :r, :], axis=-2))
 
     def adapted_frames(self, angle_tol: float = DEFAULT_ANGLE_TOL):
-        """Orthonormal horizontal frame of the form {e, sec(theta) Q e, ...}
-        and its failure code, 0 where the frame closes (see
-        ADAPTED_FRAME_FAILURES).
+        """Orthonormal horizontal frame {e, sec(theta) Q e, ...} in h, and
+        its failure code, 0 where the frame closes (ADAPTED_FRAME_FAILURES).
 
         Greedy construction: pick a horizontal unit vector, append its
         normalized Q-partner, re-orthogonalize the remaining horizontal
@@ -216,29 +234,27 @@ class FrameStack:
         r = self.rank
         if r == 0:
             raise MapDefinitionError("map has rank zero: no horizontal space")
-        G1 = self.g_source.matrix
-        candidates = self.split.horizontal.columns
+        candidates = np.broadcast_to(np.eye(r), self.q.shape)
         failure = np.zeros(candidates.shape[:-2], dtype=int)
         chosen: list = []
         while len(chosen) < r:
             residuals = candidates
             for _ in range(2):
                 for b in chosen:
-                    inner = pairings(b[..., None], G1, residuals)
-                    residuals = residuals - b[..., :, None] * inner[..., None, :]
-            norms = self.g_source.norms(residuals)
+                    inner = b[..., None, :] @ residuals
+                    residuals = residuals - b[..., :, None] * inner
+            norms = np.linalg.norm(residuals, axis=-2)
             best = norms.argmax(axis=-1)[..., None]
             norm = np.take_along_axis(norms, best, -1)[..., 0]
             exhausted = norm < 1e-10
-            e = (np.take_along_axis(residuals, best[..., None, :], -1)[..., 0]
-                 / np.where(exhausted, 1.0, norm)[..., None])
-            theta = self._angles(e[..., None])[..., 0]
+            e = (np.take_along_axis(residuals, best[..., None, :], -1)
+                 / np.where(exhausted, 1.0, norm)[..., None, None])
+            theta = self._angles(self.adapted_j_pushforward[..., :r] @ e)[..., 0]
             code = np.where(exhausted, 1, np.where(theta >= math.pi / 2 - angle_tol,
                                                    2, 0))
             failure = np.where(failure > 0, failure, code)
-            chosen.append(e)
-            chosen.append((self.adjoint_phi @ e[..., None])[..., 0]
-                          / np.cos(theta)[..., None])
+            chosen.append(e[..., 0])
+            chosen.append((self.q @ e)[..., 0] / np.cos(theta)[..., None])
         return np.stack(chosen[:r], axis=-1), failure
 
     def sff_value(self, X, Y) -> np.ndarray:
@@ -252,61 +268,75 @@ class FrameStack:
         return _bilinear(self.gamma_source, X, Y)
 
     @cached_property
-    def adjoint(self) -> np.ndarray:
-        """Metric adjoint of F_*, solved once per stack."""
-        return metric_adjoint(self.jacobian, self.g_source, self.g_target)
-
-    @cached_property
-    def range_projector(self) -> np.ndarray:
-        """g2-orthogonal projector onto the range of F_*."""
-        return range_projector(self.split)
-
-    @cached_property
-    def pseudo_inverse(self) -> np.ndarray:
-        """Metric pseudo-inverse H (R^T G2 F_* H)^-1 R^T G2 of F_*."""
-        H = self.split.horizontal.columns
-        Rt_G2 = np.swapaxes(self.split.range.columns, -1, -2) @ self.g_target.matrix
-        return H @ np.linalg.solve(Rt_G2 @ self.jacobian @ H, Rt_G2)
-
-    @cached_property
-    def j_pushforward(self) -> np.ndarray:
-        """J F_* as an (m, n) matrix at each point."""
-        return require_complex_structure(self) @ self.jacobian
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """P J F_*: phi @ X is the range part of J F_*X, and the rest of
-        j_pushforward @ X is its normal part omega."""
-        return self.range_projector @ self.j_pushforward
-
-    @cached_property
-    def adjoint_phi(self) -> np.ndarray:
-        """adjoint o phi, so that Q X = adjoint_phi @ X."""
-        return self.adjoint @ self.phi
+    def adapted_jacobian(self) -> np.ndarray:
+        """C2 F_* B1: [[Sigma, 0], [0, 0]] up to rounding, (N, m, n)."""
+        return self.target_coframe @ self.jacobian @ self.source_basis
 
     @cached_property
     def j_blocks(self) -> np.ndarray:
-        """J in the orthonormal range-then-normal target frame: the blocks
-        [:r, :r] (phi on the range), [r:, :r] (omega), [:r, r:] (B) and
-        [r:, r:] (C)."""
-        basis = np.concatenate([self.split.range.columns,
-                                self.split.range_perp.columns], axis=-1)
-        return (np.swapaxes(basis, -1, -2) @ self.g_target.matrix
-                @ require_complex_structure(self) @ basis)
+        """C2 J B2: the blocks [:r, :r] (phi on the range), [r:, :r]
+        (omega), [:r, r:] (B) and [r:, r:] (C)."""
+        return self.target_coframe @ require_complex_structure(self) @ self.target_basis
+
+    @cached_property
+    def adapted_j_pushforward(self) -> np.ndarray:
+        """C2 J F_* B1: rows [:r] are phi, rows [r:] omega, (N, m, n)."""
+        return self.j_blocks @ self.adapted_jacobian
+
+    @cached_property
+    def adapted_q(self) -> np.ndarray:
+        """Q = F_*^T phi in B1, (N, n, n)."""
+        r = self.rank
+        return (np.swapaxes(self.adapted_jacobian[..., :r, :], -1, -2)
+                @ self.adapted_j_pushforward[..., :r, :])
 
     @cached_property
     def q(self) -> np.ndarray:
         """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
+        return self.adapted_q[..., :self.rank, :self.rank]
+
+    @cached_property
+    def adjoint_phi(self) -> np.ndarray:
+        """Q in chart coordinates, so that Q X = adjoint_phi @ X."""
+        return self.source_basis @ self.adapted_q @ self.source_coframe
+
+    @cached_property
+    def adapted_sff(self) -> np.ndarray:
+        """C2 sff(B1 ., B1 .), (N, m, n, n)."""
+        B1 = lift(self.source_basis, self.sff.ndim)
+        return (np.swapaxes(B1, -1, -2)
+                @ apply_along(self.target_coframe, self.sff, 0) @ B1)
+
+    @property
+    def horizontal_sff(self) -> np.ndarray:
+        """adapted_sff(h_a, .) at [..., a, :, :], (N, r, m, n): a view."""
+        return np.moveaxis(self.adapted_sff[..., :self.rank, :], -2, -3)
+
+    @cached_property
+    def adapted_nabla_j(self) -> np.ndarray:
+        """C2 (nabla_{F_*h_a} J) B2 at [..., a, :, :], (N, r, m, m)."""
+        return _nabla_j_along(self, self.split.horizontal.columns)
+
+    @cached_property
+    def sigma_inverse(self) -> np.ndarray:
+        """Sigma^-1 by one r x r solve per stack."""
+        sigma = self.adapted_jacobian[..., :self.rank, :self.rank]
+        return np.linalg.solve(sigma, np.broadcast_to(np.eye(self.rank), sigma.shape))
+
+    @cached_property
+    def horizontal_connection(self) -> np.ndarray:
+        """C1 Gamma1(h_a, h_b) at [..., a, :, b], (N, r, n, r)."""
         h = self.split.horizontal.columns
-        return np.swapaxes(h, -1, -2) @ self.g_source.matrix @ self.adjoint_phi @ h
+        gamma = apply_along(self.source_coframe, self.gamma_source, 0)
+        return apply_along(np.swapaxes(h, -1, -2), gamma, 1) @ lift(h, gamma.ndim)
 
     @cached_property
     def horizontal_derivatives(self) -> "SectionDerivatives":
-        """section_derivatives on horizontal pairs: each field at
-        [..., a, :, b] along h_a at h_b, shape (N, r, ., r)."""
-        h = self.split.horizontal.columns
-        return SectionDerivatives(*(x @ lift(h, x.ndim) for x in
-                                    vars(section_derivatives(self, h)).values()))
+        """section_derivatives along h_a at h_b, at [..., a, :, b] and in
+        the adapted frames: nabla Q in B1 (N, r, n, r), the omega defect in
+        N (N, r, m - r, r) and the phi defect in B2 (N, r, m, r)."""
+        return _adapted_derivatives(self, self.horizontal_sff,
+                                    self.adapted_nabla_j, slice(0, self.rank))
 
     @cached_property
     def tension(self) -> np.ndarray:
@@ -316,15 +346,9 @@ class FrameStack:
 
     @cached_property
     def fiber_mean_curvature(self) -> np.ndarray:
-        """Trace of the second fundamental form over the kernel; zero iff the
-        fiber through the point is minimal."""
-        kernel = self.split.kernel.columns
-        if kernel.shape[-1] == 0:
-            raise MapDefinitionError("map is an immersion: the kernel is trivial")
-        # sff[g, i, j] k[i, a] k[j, a], summed over i, j and a at once
-        terms = (self.sff[..., None] * kernel[..., None, :, None, :]
-                 * kernel[..., None, None, :, :])
-        return terms.sum(axis=(-3, -2, -1))
+        """Trace of the second fundamental form over the kernel, in chart
+        coordinates; zero iff the fiber through the point is minimal."""
+        return (self.target_basis @ fiber_trace(self)[..., None])[..., 0]
 
 
 class PointFrame(FrameStack):
@@ -346,28 +370,25 @@ class PointFrame(FrameStack):
         n = len(self.point)
         if X.shape != (n,):
             raise ValueError(f"direction has shape {X.shape}, expected ({n},)")
-        column = X[:, None]
-        if self.g_target.norms(self.pushforward(column))[0] == 0.0:
+        pushed = self.jacobian @ X
+        if not pushed.any():
             raise ValueError("direction lies in the kernel of the differential "
                              f"at point {self.point.tolist()}")
-        return float(self._angles(column)[0])
+        w = self.target_coframe @ (require_complex_structure(self) @ pushed)
+        return float(self._angles(w[:, None])[0])
 
     def s_v(self, V, tol: float = DEFAULT_CHECK_TOL) -> np.ndarray:
         """Shape operator S[a, b] = g2(V, sff(h_a, h_b)) on the horizontal
         frame.  V must be normal to the range; a small stray range component
         is projected away and the norm restored, a large one is an error."""
-        g2 = self.g_target
-        norm = g2.norm(V)
+        v, r = self.target_coframe @ np.asarray(V, dtype=float), self.rank
+        norm, perp_norm = np.linalg.norm(v), np.linalg.norm(v[r:])
         if norm == 0.0:
-            return np.zeros((self.rank, self.rank))
-        if g2.norm(self.tangential(V)) > tol * norm:
+            return np.zeros((r, r))
+        if np.linalg.norm(v[:r]) > tol * norm:
             raise ValueError("vector has a range component beyond tolerance")
-        perp = self.normal(V)
-        perp_norm = g2.norm(perp)
-        if perp_norm > 0:
-            perp = perp * (norm / perp_norm)
-        h = self.split.horizontal.columns
-        return perp @ g2.matrix @ self.sff_value(h, h)
+        perp = v[r:] * (norm / perp_norm) if perp_norm > 0 else v[r:]
+        return perp @ self.horizontal_sff[:, r:, :r]
 
     def operators(self, theta: Optional[float] = None) -> "PointOperators":
         """The blocks of J in the range-then-normal target frame, and Q; with
@@ -389,7 +410,7 @@ class PointFrame(FrameStack):
         columns, failure = self.adapted_frames(angle_tol)
         if failure:
             raise ValueError(ADAPTED_FRAME_FAILURES[failure - 1])
-        return columns
+        return self.split.horizontal.columns @ columns
 
 
 # The one-point stack that point_frame built last, as (spec, key, stack):
@@ -577,51 +598,66 @@ class SectionDerivatives:
 
 def section_derivatives(frames, X) -> SectionDerivatives:
     """Exact covariant derivatives along each column X_a of the (n, k)
-    matrix X, in one stacked pass: at one frame, or at every point of a
-    FrameStack with X of shape (N, n, k).
-
-    With A = F_*, P the projector onto its range and * the metric adjoint,
-    phi = P J A, omega = (I - P) J A, Q = A* phi and nabla_X A = sff(X, .):
-
-        nabla_X P     = K + K*,  K = (I - P) sff(X, .) A+,
-        nabla_X phi   = (nabla_X P) J A + P (nabla_X J) A + P J sff(X, .),
-        nabla_X omega = (nabla_X J) A + J sff(X, .) - nabla_X phi,
-        nabla_X Q     = sff(X, .)* phi + A* nabla_X phi,
-
-    all tensors, so no connection term enters.
-    """
+    matrix X, at one frame, or at every point of a FrameStack with X of
+    shape (N, n, k), in chart coordinates: ``_adapted_derivatives`` with X
+    taken in through C1 and each field out through B1 or B2 and C1."""
     X = np.asarray(X, dtype=float)
-    sff_x = apply_along(np.swapaxes(X, -1, -2), frames.sff, 1)  # sff(X_a, .)
-    # the point quantities, broadcast along the directions
-    A, J, JA, phi, P, Q, A_plus, adjoint, G1_inv, G2, G2_inv = (
-        lift(x, sff_x.ndim) for x in (
-            frames.jacobian, require_complex_structure(frames),
-            frames.j_pushforward, frames.phi, frames.range_projector,
-            frames.adjoint_phi, frames.pseudo_inverse, frames.adjoint,
-            frames.g_source.inverse, frames.g_target.matrix,
-            frames.g_target.inverse))
-    K = (np.eye(P.shape[-1]) - P) @ sff_x @ A_plus
-    nabla_P = K + G2_inv @ (np.swapaxes(K, -1, -2) @ G2)
-    nabla_J = apply_along(np.swapaxes(frames.jacobian @ X, -1, -2),
-                          frames.nabla_j, 0)
-    nabla_JA = nabla_J @ A + J @ sff_x
-    nabla_phi = nabla_P @ JA + P @ nabla_JA
-    nabla_omega = nabla_JA - nabla_phi
+    S = apply_along(np.swapaxes(frames.source_coframe @ X, -1, -2),
+                    frames.adapted_sff, 1)
+    adapted = _adapted_derivatives(frames, S, _nabla_j_along(frames, X))
+    B1, C1, N, B2 = (lift(x, S.ndim) for x in (
+        frames.source_basis, frames.source_coframe,
+        frames.split.range_perp.columns, frames.target_basis))
+    return SectionDerivatives(q=B1 @ adapted.q @ C1,
+                              omega_defect=N @ adapted.omega_defect @ C1,
+                              phi_defect=B2 @ adapted.phi_defect @ C1)
+
+
+def _nabla_j_along(frames, X) -> np.ndarray:
+    """C2 (nabla_{F_*X_a} J) B2 at [..., a, :, :] for each column X_a."""
+    nabla = apply_along(np.swapaxes(frames.jacobian @ X, -1, -2),
+                        frames.nabla_j, 0)
+    return (lift(frames.target_coframe, nabla.ndim) @ nabla
+            @ lift(frames.target_basis, nabla.ndim))
+
+
+def _adapted_derivatives(frames, S, nabla_J, y=slice(None)) -> SectionDerivatives:
+    """The section derivatives in B1 (nabla Q), N (omega defect) and B2
+    (phi defect), acting on B1[:, y], along the directions X_a whose
+    S = C2 sff(X_a, B1 .) and nabla_J = C2 (nabla_{F_*X_a} J) B2 are stacked
+    at [..., a, :, :].  With A = C2 F_* B1, P = diag(I_r, 0), phi = P J A
+    and Q = A^T phi, P moves by [[0, W^T], [W, 0]], W = S[r:, :r] Sigma^-1,
+    nabla phi = nabla P J A + P (nabla J A + J S), nabla Q = S^T phi +
+    A^T nabla phi, the omega defect is the normal rows of nabla J A + J S -
+    nabla phi and the phi defect nabla phi - S Q: tensors, with no
+    connection term."""
+    r, ndim = frames.rank, S.ndim
+    A, J, JA, Q, sigma_inverse = (lift(x, ndim) for x in (
+        frames.adapted_jacobian, frames.j_blocks, frames.adapted_j_pushforward,
+        frames.adapted_q, frames.sigma_inverse))
+    W = S[..., r:, :r] @ sigma_inverse
+    JAy = JA[..., y]
+    nabla_JA = nabla_J @ A[..., y] + J @ S[..., y]
+    nabla_phi = np.concatenate(
+        [nabla_JA[..., :r, :] + np.swapaxes(W, -1, -2) @ JAy[..., r:, :],
+         W @ JAy[..., :r, :]], axis=-2)
     return SectionDerivatives(
-        q=(G1_inv @ (np.swapaxes(sff_x, -1, -2) @ G2 @ phi)
-           + adjoint @ nabla_phi),
-        omega_defect=nabla_omega - P @ nabla_omega,
-        phi_defect=nabla_phi - sff_x @ Q)
+        q=(np.swapaxes(S[..., :r, :], -1, -2) @ JAy[..., :r, :]
+           + np.swapaxes(A, -1, -2) @ nabla_phi),
+        omega_defect=nabla_JA[..., r:, :] - nabla_phi[..., r:, :],
+        phi_defect=nabla_phi - S @ Q[..., y])
 
 
 # ---------------------------------------------------------------------------
-# Checks: reductions over the stacks of a Sample
+# Checks: reductions over the stacks of a Sample.  Every residual entry is a
+# component in the orthonormal frames B1 and B2, so its Frobenius norm is the
+# g-norm.
 
 def is_riemannian_map(sample: Sample,
                       tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Gram-matrix test of the horizontal restriction plus rank constancy."""
-    worst, witness = sample.worst(lambda s: gram_residual(
-        s.jacobian @ s.split.horizontal.columns, s.g_target))
+    worst, witness = sample.worst(
+        lambda s: gram_residual(s.adapted_jacobian[..., :s.rank]))
     ranks = sorted({s.rank for s in sample.stacks()})
     rank_constant = len(ranks) <= 1
     detail = {"rank": ranks[0] if rank_constant and ranks else ranks,
@@ -637,45 +673,24 @@ def is_riemannian_map(sample: Sample,
                                      detail=detail)
 
 
-def gram_residual(columns: np.ndarray, metric: InnerProduct) -> np.ndarray:
-    """How far the columns (of each matrix of a stack) are from orthonormal
-    under the metric (at the same point): their Gram matrix less I."""
-    gram = np.swapaxes(columns, -1, -2) @ metric.matrix @ columns
-    return gram - np.eye(columns.shape[-1])
+def gram_residual(columns: np.ndarray) -> np.ndarray:
+    """How far columns of components in an orthonormal frame (of each matrix
+    of a stack) are from orthonormal: their Gram matrix less I."""
+    return np.swapaxes(columns, -1, -2) @ columns - np.eye(columns.shape[-1])
 
 
 def check_sff_range_perp(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
-    def residuals(s):
-        h = s.split.horizontal.columns
-        return s.g_target.norms(s.tangential(s.sff_value(h, h)))
-
-    worst, witness = sample.worst(residuals)
+    worst, witness = sample.worst(
+        lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank])
     return CheckResult.from_residual("sff_range_perp", worst, tol,
                                      samples=len(sample), witness=witness)
 
 
-def _sff_norms(frames, basis: np.ndarray) -> np.ndarray:
-    """sff norms over the pairs of columns of ``basis``, at [..., a, b]."""
-    return frames.g_target.norms(frames.sff_value(basis, basis))
-
-
-def sff_residual(frames) -> np.ndarray:
-    """sff norms over all pairs from the full orthonormal source basis."""
-    return _sff_norms(frames, np.concatenate(
-        [frames.split.kernel.columns, frames.split.horizontal.columns], axis=-1))
-
-
-def fiber_geodesy_residual(frames) -> np.ndarray:
-    """How far the fibers are from totally geodesic: sff over kernel pairs."""
-    return _sff_norms(frames, frames.split.kernel.columns)
-
-
-def horizontal_geodesy_residual(frames) -> np.ndarray:
-    """Vertical component of the source connection on horizontal pairs,
-    g1(nabla_X Y, W) over frame vectors."""
-    h = frames.split.horizontal.columns
-    kernel_covector = (np.swapaxes(frames.split.kernel.columns, -1, -2)
-                       @ frames.g_source.matrix)
-    return apply(kernel_covector, frames.covariant_source(h, h))
+def fiber_trace(frames) -> np.ndarray:
+    """The fiber mean curvature in B2: the trace of the sff over the kernel."""
+    r = frames.rank
+    if frames.jacobian.shape[-1] == r:
+        raise MapDefinitionError("map is an immersion: the kernel is trivial")
+    return np.trace(frames.adapted_sff[..., r:, r:], axis1=-2, axis2=-1)

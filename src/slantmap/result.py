@@ -73,8 +73,9 @@ def worst_residual(parts, points):
     """The largest residual over the points and its witness point.
 
     ``parts`` holds (rows, residuals) pairs: residuals (len(rows), ...) at the
-    points ``points[rows]``.  A point's residual is the Frobenius norm of its
-    entries, which no orthonormal change of the frames they are taken in
+    points ``points[rows]``, whose entries are components in orthonormal
+    frames.  A point's residual is the Frobenius norm of its entries, which
+    is then the g-norm and which no orthonormal change of those frames
     alters; a NaN entry counts as 0.  The witness is the first point whose
     residual lies within 8 ulps (relative) of the largest, so that rounding
     does not pick it, and with no residual above 0.0 there is no witness.

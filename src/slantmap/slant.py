@@ -10,7 +10,10 @@ Q, the slant angle, the adapted frame, the covariant derivatives) is a member
 of ``maps.FrameStack``, which serves a stack and its rows (the
 ``maps.PointFrame`` of ``point_frame``) alike; this module classifies a map
 from those members and runs the checks built on the classification, reading
-one ``Sample``.  A check assumes its preconditions (a Riemannian map, a slant
+one ``Sample``.  Each residual entry is a component in the orthonormal
+frames B1 = [h | k] and B2 = [R | N] of the split, a slice, trace or small
+block product of the adapted members: adjoints are transposes and no metric
+enters.  A check assumes its preconditions (a Riemannian map, a slant
 angle, sec(theta) defined, omega parallel, PHWC): ``report.CHECKS`` states
 them and skips the check where they fail.
 """
@@ -23,12 +26,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import apply, lift
+from .linalg import lift
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
-                   PointFrame, PointOperators, Sample, fiber_geodesy_residual,
-                   gram_residual, horizontal_geodesy_residual,
-                   is_riemannian_map, point_frame,
-                   require_complex_structure, sff_residual)
+                   PointFrame, PointOperators, Sample, fiber_trace,
+                   gram_residual, is_riemannian_map, point_frame)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      EXACT_IDENTITY_TOL, CheckResult, record, worst_residual)
 
@@ -71,16 +72,14 @@ def adapted_frame(spec: MapSpec, p, angle_tol: float = DEFAULT_ANGLE_TOL,
 # ---------------------------------------------------------------------------
 # Parallelism defects
 
-def omega_defect_algebraic(frames, X, Y) -> np.ndarray:
-    """Closed form of the omega defect: C(sff(X, Y)) - sff(X, QY), at one
-    frame or at every point of a FrameStack.
-
-    Valid when the target structure is parallel; it uses only the second
-    fundamental form, so it cross-checks the derivative-based defect.
-    """
-    J = require_complex_structure(frames)
-    c_part = frames.normal(apply(J, frames.normal(frames.sff_value(X, Y))))
-    return c_part - frames.sff_value(X, apply(frames.adjoint_phi, Y))
+def omega_defect_algebraic(frames) -> np.ndarray:
+    """C(sff(h_a, h_b)) - sff(h_a, Q h_b) at [..., a, :, b] in B2: the
+    closed form of the omega defect when the target structure is parallel.
+    It reads only the sff, so it cross-checks the derivative-based defect."""
+    r, S = frames.rank, frames.horizontal_sff
+    out = -(S @ lift(frames.adapted_q[..., :r], S.ndim))
+    out[..., r:, :] += lift(frames.j_blocks[..., r:, r:], S.ndim) @ S[..., r:, :r]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +210,11 @@ def _fit_identity(sample: Sample, rank: int, square):
 
 
 def _parallelism(report: SlantReport, sample: Sample, tol: float) -> None:
-    report.omega_defect = sample.worst(lambda s: s.g_target.norms(
-        s.horizontal_derivatives.omega_defect))[0]
+    report.omega_defect = sample.worst(
+        lambda s: s.horizontal_derivatives.omega_defect)[0]
     report.omega_parallel = report.omega_defect <= tol
-    report.phi_defect = sample.worst(lambda s: s.g_target.norms(
-        s.horizontal_derivatives.phi_defect))[0]
+    report.phi_defect = sample.worst(
+        lambda s: s.horizontal_derivatives.phi_defect)[0]
     report.phi_parallel = report.phi_defect <= tol
 
 
@@ -230,9 +229,8 @@ def phwc_residuals(frames, sec: float):
 
 
 def mixed_sff(frames) -> np.ndarray:
-    """|sff(h_a, u_c)| over horizontal h_a and vertical u_c, at [..., a, c]."""
-    return frames.g_target.norms(frames.sff_value(
-        frames.split.horizontal.columns, frames.split.kernel.columns))
+    """sff(h_a, u_c) over horizontal h_a and vertical u_c, at [..., :, a, c]."""
+    return frames.adapted_sff[..., :frames.rank, frames.rank:]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +283,7 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
     failure = np.zeros(len(sample), dtype=int)
     for s in sample.stacks():
         columns, failure[s.rows] = s.adapted_frames(report.angle_tol)
-        parts.append((s.rows, gram_residual(columns, s.g_source)))
+        parts.append((s.rows, gram_residual(columns)))
     if failure.any():  # the error of the first point whose frame fails
         first = int(np.argmax(failure > 0))
         raise ValueError(f"{ADAPTED_FRAME_FAILURES[failure[first] - 1]} at "
@@ -310,15 +308,15 @@ def check_omega_defect_identity(sample: Sample,
     """The omega defect must match its algebraic form C(sff) - sff(., Q.).
 
     Both sides are closed forms in the second fundamental form.  One is the
-    normal part of nabla omega from ``section_derivatives``, which also reads
-    nabla J, the projector derivative K + K* and the pseudo-inverse; the
-    other reads only sff, J and Q at the point and holds when nabla J = 0.
+    normal part of nabla omega from ``horizontal_derivatives``, which also
+    reads nabla J, the projector derivative and Sigma^-1; the other reads
+    only sff, J and Q at the point and holds when nabla J = 0.
     Agreement on a Kaehler target validates the derivative route.
     """
     def residuals(s):
-        h = s.split.horizontal.columns
-        return s.g_target.norms(s.horizontal_derivatives.omega_defect
-                                - omega_defect_algebraic(s, h, h))
+        algebraic = omega_defect_algebraic(s)
+        algebraic[..., s.rank:, :] -= s.horizontal_derivatives.omega_defect
+        return algebraic
 
     worst, witness = sample.worst(residuals)
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
@@ -331,9 +329,9 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
     factor = -math.cos(report.mean_angle) ** 2
 
     def residuals(s):
-        h = s.split.horizontal.columns
-        qh = s.adjoint_phi @ h
-        return s.g_target.norms(s.sff_value(qh, qh) - factor * s.sff_value(h, h))
+        r, S = s.rank, s.adapted_sff
+        qh = lift(s.adapted_q[..., :r], 4)
+        return np.swapaxes(qh, -1, -2) @ S @ qh - factor * S[..., :r, :r]
 
     worst, witness = sample.worst(residuals)
     return CheckResult.from_residual("sff_q_scaling", worst, tol,
@@ -342,7 +340,8 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
 
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
-    worst, witness = sample.worst(lambda s: s.g_target.norm(s.tension))
+    worst, witness = sample.worst(
+        lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1))
     return CheckResult.from_residual("harmonic", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -351,8 +350,7 @@ def check_minimal_fibers(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
     try:
-        worst, witness = sample.worst(
-            lambda s: s.g_target.norm(s.fiber_mean_curvature))
+        worst, witness = sample.worst(fiber_trace)
     except MapDefinitionError as exc:  # an immersion has no fibers
         return CheckResult.skipped("minimal_fibers", str(exc))
     return CheckResult.from_residual("minimal_fibers", worst, tol,
@@ -382,37 +380,35 @@ def _condition_three_residual(frames) -> np.ndarray:
     sum_c g2(BV, F_*h_c) g2(omega F_*Y, sff(X, h_c))
         = g2(nabla^perp_X omega F_*Y, CV) - g2(nabla^perp_X omega F_*QY, V);
     the mismatches at [:, a, v, b] at each point of a FrameStack."""
-    h = frames.split.horizontal.columns
-    perp = frames.split.range_perp.columns
-    if perp.shape[-1] == 0 or frames.rank == 0:
+    r, m = frames.rank, frames.jacobian.shape[-2]
+    if m == r or r == 0:
         return np.zeros(len(frames))
-    G = frames.g_target.matrix
-    bv, cv = frames.bc(perp)
-    _, omega_h = frames.phi_omega(h)                   # omega F_*h_b
+    J, JA = frames.j_blocks, frames.adapted_j_pushforward
+    omega_h = JA[:, r:, :r]                            # omega F_*h_b
     # nabla^perp_{h_a}(omega F_*h_b) at [:, a, :, b]: omega is normal-valued
     d_omega = (frames.horizontal_derivatives.omega_defect
-               + frames.phi_omega(frames.covariant_source(h, h))[1])
-    sff_h = frames.sff_value(h, h)                     # sff(h_a, h_c) at [:, a]
-    paired = np.swapaxes(bv, -1, -2) @ G @ frames.jacobian @ h  # g2(BV, F_*h_c)
-    lhs = (lift(paired, 4) @ np.swapaxes(sff_h, -1, -2)
-           @ lift(G, 4) @ lift(omega_h, 4))            # (N, a, v, b)
+               + lift(JA[:, r:], 4) @ frames.horizontal_connection)
+    paired = np.swapaxes(J[:, :r, r:], -1, -2) @ frames.adapted_jacobian[:, :r, :r]
+    # sff(h_a, h_c) on the normal frame, at [:, a, c, :]
+    sff_h = np.moveaxis(frames.adapted_sff[:, r:, :r, :r], 1, -1)
+    lhs = lift(paired, 4) @ sff_h @ lift(omega_h, 4)  # (N, a, v, b)
     # Q h_b = sum_c q[c, b] h_c
-    rhs = (apply(np.swapaxes(cv, -1, -2) @ G, d_omega)
-           - apply(np.swapaxes(perp, -1, -2) @ G, d_omega @ lift(frames.q, 4)))
+    rhs = (lift(np.swapaxes(J[:, r:, r:], -1, -2), 4) @ d_omega
+           - d_omega @ lift(frames.q, 4))
     return lhs - rhs
 
 
 def check_totally_geodesic(sample: Sample,
                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
-    """Vanishing of the second fundamental form, with a per-condition breakdown.
-
-    Reports the norm of the whole sff together with the three structural
+    """Vanishing of the second fundamental form, with the three structural
     conditions: totally geodesic fibers, totally geodesic horizontal
     distribution, and the shape-operator pairing identity on normal vectors.
     """
-    global_max, witness = sample.worst(sff_residual)
-    fiber_max = sample.worst(fiber_geodesy_residual)[0]
-    horizontal_max = sample.worst(horizontal_geodesy_residual)[0]
+    global_max, witness = sample.worst(lambda s: s.adapted_sff)
+    fiber_max = sample.worst(lambda s: s.adapted_sff[..., s.rank:, s.rank:])[0]
+    # g1(nabla_X Y, W) over horizontal X, Y and vertical W
+    horizontal_max = sample.worst(
+        lambda s: s.horizontal_connection[..., s.rank:, :])[0]
     detail = {
         "fiber_residual": fiber_max,
         "fibers_totally_geodesic": fiber_max <= tol,
@@ -462,16 +458,13 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         return sec * s.horizontal_derivatives.q
 
     def vertical_pairing(s):
-        h = s.split.horizontal.columns
-        kernel = s.split.kernel.columns
-        lhs = (np.swapaxes(jhat_derivative(s), -1, -2)
-               @ lift(s.g_source.matrix, 4) @ lift(kernel, 4))
-        rhs = apply(sec * np.swapaxes(s.phi @ h, -1, -2) @ s.g_target.matrix,
-                    s.sff_value(h, kernel))
-        return lhs - rhs
+        r = s.rank
+        lhs = np.swapaxes(jhat_derivative(s), -1, -2)[..., r:]
+        phi_h = np.swapaxes(s.adapted_j_pushforward[:, :r, :r], -1, -2)
+        return lhs - sec * lift(phi_h, 4) @ s.horizontal_sff[..., :r, r:]
 
-    frame_deriv_max = sample.worst(lambda s: s.g_target.norms(
-        s.pushforward(jhat_derivative(s))
+    frame_deriv_max = sample.worst(lambda s: (
+        lift(s.adapted_jacobian, 4) @ jhat_derivative(s)
         - sec * s.horizontal_derivatives.phi_defect))[0]
     vertical_pair_max = sample.worst(vertical_pairing)[0]
     # phi parallelism was measured, over the same pairs, by the classification

@@ -2,8 +2,9 @@
 angles of sampled directions, the reference fold the checks' witness
 reduction is compared against, the first failing frame found one point at a
 time, the sample drawn one point at a time, the plain-derivative route to
-the section derivatives, the np.einsum forms of the library's stacked
-contractions, and the rule by which two reports match.
+the section derivatives, the chart-coordinate route to every check
+residual, the np.einsum forms of the library's stacked contractions, and the
+rule by which two reports match.
 
 The finite-difference oracles differentiate plain evaluations with central
 differences, so agreement with the library's exact derivatives is a real
@@ -12,14 +13,19 @@ rebuilding it off the base point; only their Christoffel correction comes
 from the frame.  The plain route differentiates F_*, the metrics and J
 exactly along coordinate curves, the projector and the adjoint through their
 matrix derivatives, and adds the Christoffel terms back, where the library
-reads the second fundamental form and nabla J.
+reads the second fundamental form and nabla J.  The chart route forms each
+check residual in chart coordinates, with solved adjoints and g-norms taken
+under the metric matrices, where the library reads components in the
+split's orthonormal frames.
 """
+
+import math
 
 import numpy as np
 
 from slantmap.charts import ChartError
 from slantmap.expressions import eval_jet2, eval_jets
-from slantmap.linalg import apply_along, lift
+from slantmap.linalg import apply_along, lift, metric_adjoint
 from slantmap.maps import (SectionDerivatives, differential, map_point,
                            point_frame)
 
@@ -163,6 +169,13 @@ def metric_adjoint_derivative(adjoint, A, dA, g1, dG1, g2, dG2) -> np.ndarray:
                            - dG1 @ adjoint)
 
 
+def range_projector(split) -> np.ndarray:
+    """The g2-orthogonal projector R R^T G2 onto the range of the split map
+    (at each point, for a stacked split)."""
+    R = split.range.columns
+    return R @ np.swapaxes(R, -1, -2) @ split.range.metric.matrix
+
+
 def range_projector_derivative(P, A, dA, split, dG2) -> np.ndarray:
     """Derivative of P, the g2-orthogonal projector onto range A.
 
@@ -215,28 +228,30 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     def along(x):  # a point quantity, broadcast along the directions
         return lift(x, dA.ndim)
 
-    JA, phi, P = along(frames.j_pushforward), along(frames.phi), along(frames.range_projector)
+    projector = range_projector(frames.split)
+    adjoint = metric_adjoint(A, frames.g_source, frames.g_target)
+    JA, P = along(J @ A), along(projector)
+    phi = P @ JA
     dG1 = metric_derivative(frames.g_source.matrix, frames.gamma_source, X)
     dG2 = metric_derivative(frames.g_target.matrix, gamma_target, fx)
     dJ = apply_along(fx_rows, J_grad, 0)
-    dP = range_projector_derivative(frames.range_projector, A, dA, frames.split,
-                                    dG2)
+    dP = range_projector_derivative(projector, A, dA, frames.split, dG2)
     dJA = dJ @ along(A) + along(J) @ dA
     d_phi = dP @ JA + P @ dJA
-    d_adjoint = metric_adjoint_derivative(frames.adjoint, A, dA, frames.g_source,
+    d_adjoint = metric_adjoint_derivative(adjoint, A, dA, frames.g_source,
                                           dG1, frames.g_target, dG2)
     target_connection = apply_along(fx_rows, gamma_target, 1)
     source_connection = apply_along(np.swapaxes(X, -1, -2), frames.gamma_source, 1)
     nabla_phi = d_phi + target_connection @ phi
     nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
-    Q = along(frames.adjoint_phi)
+    Q = along(adjoint) @ phi
     return SectionDerivatives(
-        q=(d_adjoint @ phi + along(frames.adjoint) @ d_phi
+        q=(d_adjoint @ phi + along(adjoint) @ d_phi
            + source_connection @ Q - Q @ source_connection),
         omega_defect=(nabla_omega - P @ nabla_omega
                       - (JA - phi) @ source_connection),
         phi_defect=(nabla_phi - phi @ source_connection
-                    - frames.sff_value(X, frames.adjoint_phi)))
+                    - frames.sff_value(X, adjoint @ projector @ J @ A)))
 
 
 def sampled_slant_angles(sample, count=200, seed=0):
@@ -294,9 +309,11 @@ def first_failing_frame(spec, points):
 
 
 # The np.einsum call each stacked contraction of the library, and of the
-# plain route above, was written as, by the site that computes it; they are
-# now formed with batched matrix products through slantmap.linalg.pairings
-# and apply_along.
+# plain route above, was written as, by the site that computed it; they were
+# formed with batched matrix products through slantmap.linalg.pairings and
+# apply_along.  The sites that now read the adapted frames (InnerProduct.norms,
+# adapted_frames, fiber_mean_curvature) keep their entry, so the forms stay
+# checked.
 REPLACED_EINSUMS = {
     "linalg.InnerProduct.norms": "...ia,...ij,...ja->...a",
     "maps.PointFrame.adapted_frames": "...i,...ij,...ja->...a",
@@ -345,3 +362,170 @@ def assert_report_matches(actual, expected, where="report"):
             assert_report_matches(actual[i], value, f"{where}/{i}")
     else:
         assert type(actual) is type(expected) and actual == expected, where
+
+
+# ---------------------------------------------------------------------------
+# The plain chart-coordinate route to every check residual: the library's
+# residual functions before it read the adapted frames.  Vectors are chart
+# coordinates, adjoints are solved under the metrics, and each residual is a
+# g-norm taken with the metric matrices, one per entry; a point's residual
+# is the Frobenius norm of its g-norms.
+
+def _g_norms(V, G):
+    """g-norms of the columns of V (N, ..., m, a) under G (N, m, m)."""
+    squares = np.einsum("...ia,...ij,...ja->...a", V, lift(G, V.ndim), V)
+    return np.sqrt(np.maximum(squares, 0.0))
+
+
+def _point_norms(entries):
+    entries = np.asarray(entries, dtype=float)
+    return np.sqrt(np.square(entries).reshape(len(entries), -1).sum(axis=1))
+
+
+def _pairs(tensor, X, Y):
+    """tensor(x_a, y_b) at [:, a, :, b] over the columns of X and Y."""
+    return np.einsum("...gij,...ia,...jb->...agb", tensor, X, Y)
+
+
+def chart_operators(frames) -> dict:
+    """F_*, J, the g2-projector P onto the range, phi = P J F_*, the metric
+    adjoint of F_*, Q, its pseudo-inverse and the two metrics' matrices."""
+    A, J = frames.jacobian, frames.complex_structure
+    split = frames.split
+    P = range_projector(split)
+    adjoint = metric_adjoint(A, frames.g_source, frames.g_target)
+    H, G2 = split.horizontal.columns, frames.g_target.matrix
+    Rt_G2 = np.swapaxes(split.range.columns, -1, -2) @ G2
+    return {"A": A, "J": J, "P": P, "phi": P @ J @ A, "adjoint": adjoint,
+            "Q": adjoint @ P @ J @ A, "G1": frames.g_source.matrix, "G2": G2,
+            "A_plus": H @ np.linalg.solve(Rt_G2 @ A @ H, Rt_G2)}
+
+
+def chart_section_derivatives(frames, X) -> SectionDerivatives:
+    """The closed-form section derivatives in chart coordinates, with the
+    projector derivative K + K* and the adjoint solved under the metrics."""
+    o = chart_operators(frames)
+    sff_x = np.einsum("...gij,...ia->...agj", frames.sff, X)
+    A, J, P, phi, A_plus, adjoint, Q, G1, G2 = (lift(o[k], sff_x.ndim) for k in (
+        "A", "J", "P", "phi", "A_plus", "adjoint", "Q", "G1", "G2"))
+    K = (np.eye(P.shape[-1]) - P) @ sff_x @ A_plus
+    nabla_P = K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2)
+    nabla_J = np.einsum("...cab,...ck->...kab", frames.nabla_j, frames.jacobian @ X)
+    nabla_JA = nabla_J @ A + J @ sff_x
+    nabla_phi = nabla_P @ J @ A + P @ nabla_JA
+    nabla_omega = nabla_JA - nabla_phi
+    return SectionDerivatives(
+        q=(np.linalg.solve(G1, np.swapaxes(sff_x, -1, -2) @ G2 @ phi)
+           + adjoint @ nabla_phi),
+        omega_defect=nabla_omega - P @ nabla_omega,
+        phi_defect=nabla_phi - sff_x @ Q)
+
+
+def chart_residuals(frames, factor, sec, angle_tol) -> dict:
+    """Each check's residual at each point of a FrameStack, (N,), by the
+    plain chart route: the name of the check, or check.detail for a detail
+    and slant.field for a field of the slant block; ``factor`` is
+    -cos^2(mean angle), ``sec`` its secant, and the adapted frame is the
+    library's, mapped into chart coordinates."""
+    o = chart_operators(frames)
+    A, J, P, Q, G1, G2 = (o[k] for k in ("A", "J", "P", "Q", "G1", "G2"))
+    split, sff, r = frames.split, frames.sff, frames.rank
+    h, k = split.horizontal.columns, split.kernel.columns
+    perp = split.range_perp.columns
+    N, n, m = len(frames), h.shape[-2], A.shape[-2]
+    eye = np.eye(m)
+    sff_hh = _pairs(sff, h, h)
+    out = {}
+
+    def gram(columns, G):
+        return np.swapaxes(columns, -1, -2) @ G @ columns - np.eye(columns.shape[-1])
+
+    out["riemannian_map"] = _point_norms(gram(A @ h, G2))
+    out["sff_range_perp"] = _point_norms(_g_norms(lift(P, 4) @ sff_hh, G2))
+    tension = np.einsum("...gij,...ij->...g", sff, np.linalg.inv(G1))
+    out["harmonic"] = _point_norms(_g_norms(tension[..., None], G2))
+    if k.shape[-1]:
+        fibers = np.einsum("...gij,...ia,...ja->...g", sff, k, k)
+        out["minimal_fibers"] = _point_norms(_g_norms(fibers[..., None], G2))
+    basis = np.concatenate([k, h], axis=-1)
+    out["totally_geodesic"] = _point_norms(_g_norms(_pairs(sff, basis, basis), G2))
+    out["totally_geodesic.fiber_residual"] = _point_norms(
+        _g_norms(_pairs(sff, k, k), G2))
+    gamma_hh = _pairs(frames.gamma_source, h, h)
+    kernel_covector = np.swapaxes(k, -1, -2) @ G1
+    out["totally_geodesic.horizontal_residual"] = _point_norms(
+        lift(kernel_covector, 4) @ gamma_hh)
+    derivatives = chart_section_derivatives(frames, h)
+    omega_defect = derivatives.omega_defect @ lift(h, 4)
+    phi_defect = derivatives.phi_defect @ lift(h, 4)
+    dq = derivatives.q @ lift(h, 4)
+    omega = (lift(eye - P, 4) @ lift(J @ A, 4))
+    if perp.shape[-1] and r:
+        JV = J @ perp
+        bv, cv = P @ JV, JV - P @ JV
+        omega_h = (eye - P) @ J @ A @ h
+        d_omega = omega_defect + omega @ gamma_hh
+        paired = np.swapaxes(bv, -1, -2) @ G2 @ A @ h
+        lhs = (lift(paired, 4) @ np.swapaxes(sff_hh, -1, -2) @ lift(G2, 4)
+               @ lift(omega_h, 4))
+        q = np.swapaxes(h, -1, -2) @ G1 @ Q @ h
+        rhs = (lift(np.swapaxes(cv, -1, -2) @ G2, 4) @ d_omega
+               - lift(np.swapaxes(perp, -1, -2) @ G2, 4) @ d_omega @ lift(q, 4))
+        out["totally_geodesic.pairing_residual"] = _point_norms(lhs - rhs)
+    else:
+        out["totally_geodesic.pairing_residual"] = np.zeros(N)
+    out["slant.omega_defect"] = _point_norms(_g_norms(omega_defect, G2))
+    out["slant.phi_defect"] = _point_norms(_g_norms(phi_defect, G2))
+    columns = h @ frames.adapted_frames(angle_tol)[0]
+    out["adapted_frame"] = _point_norms(gram(columns, G1))
+    normal_sff = lift(eye - P, 4) @ sff_hh
+    c_part = lift(eye - P, 4) @ lift(J, 4) @ normal_sff
+    out["omega_defect_identity"] = _point_norms(_g_norms(
+        omega_defect - (c_part - _pairs(sff, h, Q @ h)), G2))
+    qh = Q @ h
+    out["sff_q_scaling"] = _point_norms(_g_norms(
+        _pairs(sff, qh, qh) - factor * sff_hh, G2))
+    jhat = sec * (np.swapaxes(h, -1, -2) @ G1 @ Q @ h)
+    identity = np.eye(r)
+    out["phwc.square_residual"] = _point_norms(jhat @ jhat + identity)
+    out["phwc.hermitian_residual"] = _point_norms(
+        np.swapaxes(jhat, -1, -2) @ jhat - identity)
+    out["phwc"] = np.hypot(out["phwc.square_residual"],
+                           out["phwc.hermitian_residual"])
+    out["pseudo_homothetic.mixed_sff"] = _point_norms(
+        _g_norms(_pairs(sff, h, k), G2))
+    out["pseudo_homothetic.structure_derivative_residual"] = _point_norms(
+        _g_norms(lift(A, 4) @ (sec * dq) - sec * phi_defect, G2))
+    lhs = np.swapaxes(sec * dq, -1, -2) @ lift(G1, 4) @ lift(k, 4)
+    rhs = (lift(sec * np.swapaxes(o["phi"] @ h, -1, -2) @ G2, 4)
+           @ _pairs(sff, h, k))
+    out["pseudo_homothetic.vertical_pairing_residual"] = _point_norms(lhs - rhs)
+    return out
+
+
+def plain_check_values(sample, mean_angle, angle_tol) -> dict:
+    """The largest of each chart_residuals entry over a Sample of one rank,
+    and the lambda and mu fits from phi^2 (in the range frame) and Q^2 (in
+    the horizontal frame), both formed with the metrics."""
+    factor = -math.cos(mean_angle) ** 2
+    per_point, squares = {}, {"lambda": [], "mu": []}
+    for s in sample.stacks():
+        for key, value in chart_residuals(s, factor, 1.0 / math.cos(mean_angle),
+                                          angle_tol).items():
+            per_point.setdefault(key, []).append(value)
+        o, r, split = chart_operators(s), s.rank, s.split
+        R, h = split.range.columns, split.horizontal.columns
+        phi = np.swapaxes(R, -1, -2) @ o["G2"] @ o["J"] @ R
+        q = np.swapaxes(h, -1, -2) @ o["G1"] @ o["Q"] @ h
+        squares["lambda"].append(phi @ phi)
+        squares["mu"].append(q @ q)
+    out = {key: float(np.concatenate(v).max(initial=0.0))
+           for key, v in per_point.items()}
+    for name, parts in squares.items():
+        square = np.concatenate(parts)
+        r = square.shape[-1]
+        c = float(np.trace(square, axis1=1, axis2=2).sum() / (len(square) * r))
+        out[f"slant.{name}_estimate"] = c
+        out[f"slant.{name}_residual"] = float(
+            _point_norms(square - c * np.eye(r)).max())
+    return out

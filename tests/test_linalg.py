@@ -3,9 +3,10 @@ import pytest
 
 from slantmap.linalg import (InnerProduct, MetricError, SubspaceBasis,
                              gram_schmidt, metric_adjoint, project,
-                             range_projector, split_tangent)
+                             split_tangent)
 from slantmap.maps import differential
-from oracles import metric_adjoint_derivative, range_projector_derivative
+from oracles import (metric_adjoint_derivative, range_projector,
+                     range_projector_derivative)
 
 
 def random_spd(gen, n):

@@ -8,16 +8,20 @@ stack row, and of the frame built alone at its point, equals the stack's row
 of it; the section derivatives from the second fundamental form and nabla J
 agree with the plain route of the oracle, and reports do not depend on the
 frame block; the pairing identity's Q h_b term read through the matrix of Q
-is the derivative at the explicit vector; reports and frames do not depend on numpy's broadcasting rule
-for np.linalg.solve; the batched-matmul contractions agree with the
-np.einsum calls they replaced."""
+is the derivative at the explicit vector; every check residual read from
+the adapted frames equals the oracle's chart route on random maps of rank
+1 to 4 and on the golden maps; reports and frames do not depend on numpy's
+broadcasting rule for np.linalg.solve; the batched-matmul contractions agree
+with the np.einsum calls they replaced."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 import slantmap.maps
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
@@ -30,11 +34,17 @@ from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
 from slantmap.maps import MapSpec, Sample, point_frame, section_derivatives
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
-from slantmap.result import worst_residual
-from slantmap.slant import _condition_three_residual
+from slantmap.result import CheckResult, worst_residual
+from slantmap.slant import (_condition_three_residual, check_adapted_frame,
+                            check_harmonic, check_minimal_fibers,
+                            check_omega_defect_identity, check_phwc,
+                            check_pseudo_homothetic, check_sff_q_scaling,
+                            check_totally_geodesic, classify_slant)
+from slantmap.maps import check_sff_range_perp, is_riemannian_map
 from oracles import (REPLACED_EINSUMS, curve_section_derivatives,
                      einsum_apply_along, einsum_pairings, fd_gradient,
-                     fd_hessian, first_failing_frame, fold_worst_residual)
+                     fd_hessian, first_failing_frame, fold_worst_residual,
+                     plain_check_values)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                              database=None,
@@ -251,8 +261,10 @@ def _members(frames) -> dict:
     """The members of a FrameStack, or of a point frame, that hold one array
     per point, by name."""
     members = {name: getattr(frames, name) for name in (
-        "adjoint", "range_projector", "phi", "adjoint_phi", "j_blocks", "q",
-        "tension")}
+        "source_coframe", "target_coframe", "adapted_jacobian", "j_blocks",
+        "adapted_j_pushforward", "adapted_q", "q", "adjoint_phi",
+        "adapted_sff", "adapted_nabla_j", "sigma_inverse",
+        "horizontal_connection", "tension")}
     derivatives = frames.horizontal_derivatives
     members.update((f"horizontal_derivatives.{f.name}", getattr(derivatives, f.name))
                    for f in dataclasses.fields(derivatives))
@@ -377,6 +389,108 @@ def test_reports_and_frames_do_not_depend_on_the_solve_rule(request):
 # The stacked contractions against the np.einsum calls they replaced: each
 # within 16 ulps of the sum of the magnitudes of its terms, and each row of a
 # stack equal to the same row computed alone or in a strided slice.
+
+@st.composite
+def _random_maps(draw):
+    """Maps of rank r in 1..4 from R^n (n in r..5) into R^m (m even, r <= m
+    <= 6, standard J): F = M phi + c phi_1^2 over a submersion phi onto R^r,
+    with M = orthonormal columns times singular values in [0.5, 2], so that
+    each route's rounding stays far below 1e-12 of the values.  The source
+    and target metrics are random SPD matrices (smallest eigenvalue at least
+    1), constant or with a bounded varying part that keeps them SPD."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, min(r + 2, 5)))
+    m = 2 * draw(st.integers((r + 1) // 2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = (np.linalg.qr(rng.standard_normal((m, r)))[0]
+         * rng.uniform(0.5, 2.0, r))
+    shear, bend = rng.uniform(-0.4, 0.4, r), rng.uniform(-0.3, 0.3, m)
+    phi = [f"(x{i + 1} + {shear[i]:.6f}*sin(x{(i + 1) % n + 1}))" for i in range(r)]
+    components = [" + ".join(f"{M[g, i]:.6f}*{phi[i]}" for i in range(r))
+                  + f" + {bend[g]:.6f}*pow({phi[0]}, 2)" for g in range(m)]
+
+    def metric(dim, varying):
+        B = rng.standard_normal((dim, dim))
+        G = np.eye(dim) + 0.5 * B.T @ B
+        entries = [[f"{G[i, j]:.6f}" for j in range(dim)] for i in range(dim)]
+        if varying:  # 0 <= 0.3 sin^2 on the diagonal, and a pair within 0.2
+            i, j, k = rng.integers(0, dim, 3)
+            entries[i][i] += f" + 0.3*pow(sin(x{k + 1}), 2)"
+            if i != j:
+                entries[i][j] += f" + 0.2*sin(x{k + 1})"
+                entries[j][i] += f" + 0.2*sin(x{k + 1})"
+        return entries
+
+    J = [["0"] * m for _ in range(m)]
+    for i in range(0, m, 2):
+        J[i][i + 1], J[i + 1][i] = "-1", "1"
+    return MapSpec.create(
+        ChartManifold.from_strings(n, metric(n, draw(st.booleans()))),
+        ChartManifold.from_strings(m, metric(m, draw(st.booleans())), J),
+        components, name="random")
+
+
+GOLDEN_SPECS = [load_map_spec(f"catalog:{name}").spec for name in catalog_ids()]
+GOLDEN_SPECS += RANK4_SPECS
+# the residuals that scale with sec(mean angle), compared only where it is
+# at most 10
+SEC_KEYS = ("phwc", "phwc.square_residual", "phwc.hermitian_residual",
+            "pseudo_homothetic.structure_derivative_residual",
+            "pseudo_homothetic.vertical_pairing_residual")
+
+
+def _library_check_values(sample, angle_tol):
+    """Every check residual, detail sub-residual and slant-block fit, from
+    the check functions without their gates, and the mean slant angle."""
+    slant = classify_slant(sample, angle_tol,
+                           riemannian=CheckResult("riemannian_map", "pass"))
+    values = {}
+    for check in (is_riemannian_map, check_sff_range_perp, check_harmonic,
+                  check_minimal_fibers, check_totally_geodesic,
+                  check_omega_defect_identity,
+                  lambda s: check_adapted_frame(s, slant),
+                  lambda s: check_sff_q_scaling(s, slant),
+                  lambda s: check_phwc(s, slant),
+                  lambda s: check_pseudo_homothetic(s, slant)):
+        try:
+            result = check(sample)
+        except ValueError:  # an adapted frame that does not close
+            continue
+        if result.residual is not None:  # minimal_fibers on an immersion
+            values[result.name] = result.residual
+        values.update((f"{result.name}.{key}", value)
+                      for key, value in result.detail.items()
+                      if key.endswith(("residual", "mixed_sff")))
+    values.update((f"slant.{key}", getattr(slant, key)) for key in (
+        "lambda_estimate", "lambda_residual", "mu_estimate", "mu_residual",
+        "omega_defect", "phi_defect"))
+    return values, slant.mean_angle
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(_random_maps() | st.sampled_from(GOLDEN_SPECS), st.integers(1, 5),
+       st.integers(0, 2**16))
+def test_adapted_residuals_match_the_chart_route(spec, count, seed):
+    # every check residual read from the adapted members, a component tensor
+    # in orthonormal frames, equals the plain chart route's g-norms within
+    # 1e-12 of its size; the pseudo-homothetic residual is the larger of the
+    # phi defect and the mixed sff
+    sample = Sample(spec, sample_points(spec.box, count, seed))
+    assume(len({s.rank for s in sample.stacks()}) == 1)
+    library, mean_angle = _library_check_values(sample, 1e-6)
+    plain = plain_check_values(sample, mean_angle, 1e-6)
+    plain["pseudo_homothetic"] = max(plain["slant.phi_defect"],
+                                     plain["pseudo_homothetic.mixed_sff"])
+    if "adapted_frame" not in library:
+        del plain["adapted_frame"]
+    if not abs(math.cos(mean_angle)) >= 0.1:
+        for key in SEC_KEYS:
+            library.pop(key), plain.pop(key)
+    assert sorted(library) == sorted(plain)
+    for key, value in library.items():
+        assert abs(value - plain[key]) <= 1e-12 * max(1.0, abs(value)), (
+            key, value, plain[key])
+
 
 def _swap(x):
     return np.swapaxes(x, -1, -2)

@@ -513,37 +513,54 @@ def _budget_map(name):
     return _rank4_into_c3(("x1", "x2", "cos(x3)", "x4", "sin(x3)", "0"))
 
 
+# The adapted members of a FrameStack; a map that is not Riemannian forms
+# only those that riemannian_map reads.
+ADAPTED_MEMBERS = ("target_coframe", "source_coframe", "adapted_jacobian",
+                   "j_blocks", "adapted_j_pushforward", "adapted_q",
+                   "adapted_sff", "adapted_nabla_j", "sigma_inverse",
+                   "horizontal_connection", "horizontal_derivatives")
+ALWAYS_FORMED = ("target_coframe", "adapted_jacobian")
+
+
 @pytest.mark.parametrize("name, derived", [("warped_fiber", True),
                                            ("rank4_into_c3", False),
                                            ("rank4_isometric_into_c3", True)])
 def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
                                      monkeypatch, name, derived):
-    # the section derivatives along the whole horizontal frame, and the
-    # adjoint and projector they read, are formed once per sample point, in
-    # calls over stacks of points: the points those calls cover add up to
-    # the sample exactly.  Every metric and J entry of a varying target
-    # chart is evaluated once per image, for the frames and both target
-    # checks together, and every varying source metric entry once per
-    # sample point; a constant chart at one point on first use, and at none
-    # in a second run.  Fresh charts make the counts independent of what
-    # the process evaluated before.
+    # each adapted member of a stack (F_*, J, the sff, nabla J along the
+    # horizontal frame, Q, the horizontal connection and derivatives) is
+    # formed once per sample point, over stacks of points: the points of the
+    # stacks that form it add up to the sample exactly.  No metric adjoint
+    # is solved and no chart-coordinate projector formed, and the public
+    # section_derivatives is not called.  Every metric and J entry of a
+    # varying target chart is evaluated once per image, for the frames and
+    # both target checks together, and every varying source metric entry
+    # once per sample point; a constant chart at one point on first use,
+    # and at none in a second run.  Fresh charts make the counts
+    # independent of what the process evaluated before.
     points = Counter()
+    for member in ADAPTED_MEMBERS:
+        form = vars(slantmap.maps.FrameStack)[member].func
 
-    def count(owner, attribute, key, stacked):
+        def counted(stack, form=form, member=member):
+            points[member] += len(stack)
+            return form(stack)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(slantmap.maps.FrameStack, member)
+        monkeypatch.setattr(slantmap.maps.FrameStack, member, cached)
+    for owner, attribute in ((slantmap.linalg, "metric_adjoint"),
+                             (slantmap.maps, "section_derivatives")):
         original = getattr(owner, attribute)
 
-        def counted(*args, **kwargs):
-            points[key] += int(np.prod(stacked(*args).shape[:-2]))
+        def called(*args, attribute=attribute, original=original, **kwargs):
+            points[attribute] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, attribute, counted)
-
-    for module in (slantmap.linalg, slantmap.maps):
-        count(module, "metric_adjoint", "adjoint", lambda A, *_: np.asarray(A))
-        count(module, "range_projector", "projector",
-              lambda split: split.range.columns)
-    count(slantmap.maps, "section_derivatives", "derivatives",
-          lambda frames, X: np.asarray(X))
+        monkeypatch.setattr(owner, attribute, called)
+    for owner in (slantmap.linalg, slantmap.maps, slantmap.slant,
+                  slantmap.maps.FrameStack):
+        assert not hasattr(owner, "range_projector")
     samples = 4
     spec = _budget_map(name)
     spec = dataclasses.replace(spec, source=dataclasses.replace(spec.source),
@@ -555,20 +572,23 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
         assert report.check("kahler").status != "skipped"
         assert len(frame_builds) == samples * run
         per_point = samples * run if derived else 0
-        assert points["derivatives"] == points["adjoint"] == per_point
-        assert points["projector"] == per_point
+        assert {member: points[member] for member in ADAPTED_MEMBERS} == {
+            member: samples * run if member in ALWAYS_FORMED else per_point
+            for member in ADAPTED_MEMBERS}
+        assert points["metric_adjoint"] == points["section_derivatives"] == 0
         for chart in (spec.source, spec.target):
             assert [entry_evaluations[id(e)] for e in _chart_entries(chart)] == (
                 _entry_budget(chart, samples * run))
 
 
-@pytest.mark.parametrize("identifier", [
-    "catalog:warped_fiber",
-    str(Path(__file__).resolve().parent / "data" / "maps" / "warped_product.json")])
+@pytest.mark.parametrize("identifier", ["catalog:warped_fiber",
+                                        "maps/warped_product.json"])
 def test_metric_solve_budget(identifier, monkeypatch):
     # each InnerProduct inverts its Cholesky factor once, and every later
-    # metric step reads its frame or inverse: the one solve left is the
-    # r x r one of each stack's pseudo-inverse
+    # metric step reads its frame or inverse; the checks read the adapted
+    # frames, so the one solve left is each stack's r x r Sigma^-1
+    if not identifier.startswith("catalog:"):
+        identifier = str(REPORTS.parent / identifier)
     counts = Counter()
 
     def counted(name, original):
@@ -757,6 +777,46 @@ STRADDLING = {
         _straddling_outcomes({"almost_hermitian": ("error", LOG_REASON),
                               "kahler": ("error", LOG_REASON)}, LOG_REASON)),
 }
+
+
+# A constant subexpression outside its domain fails at every point: its
+# error names the first sample point (seed 42) of the default box.
+FIRST_POINT = [float(x) for x in sample_points([[-1.0, 1.0]] * 2, 50, 42)[0]]
+CONSTANT_LOG_REASON = ("ExpressionDomainError: log of a non-positive value at "
+                       f"point {FIRST_POINT} in subexpression 'log(-1.0)'")
+J2 = [["0", "-1"], ["1", "0"]]
+CONSTANT_DOMAIN = {
+    "log_component": (
+        {"target": {"dim": 2, "J": J2}, "components": ["x1", "x2 + log(-1)"]},
+        {"almost_hermitian": ("error", CONSTANT_LOG_REASON),
+         "kahler": ("error", CONSTANT_LOG_REASON)}),
+    "log_target_metric": (
+        {"target": {"dim": 2, "metric": [["log(-1)", "0"], ["0", "1"]], "J": J2},
+         "components": ["x1", "x2"]},
+        {"almost_hermitian": ("error", CONSTANT_LOG_REASON),
+         "kahler": ("skipped", "target is not almost Hermitian")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTANT_DOMAIN))
+def test_constant_domain_error_names_the_first_point(case, tmp_path, capsys):
+    # the constant folds into a closure that fails on any stack of points;
+    # the empty prefix before the first point evaluates to nothing, so the
+    # error of that point is reported, through analyze and each check
+    overrides, target_checks = CONSTANT_DOMAIN[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(dict(MINIMAL_SPEC, **overrides)))
+    expected = _straddling_outcomes(target_checks, CONSTANT_LOG_REASON)
+    assert main(["analyze", "--map", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert {c["name"]: (c["status"], c.get("reason"))
+            for c in report["checks"]} == expected
+    for name, (status, reason) in expected.items():
+        code = main(["check", name, "--map", str(path)])
+        out, err = capsys.readouterr()
+        single = json.loads(out)["checks"]
+        assert [(c["status"], c.get("reason")) for c in single] == [(status, reason)]
+        assert (code, err) == (1 if status == "error" else 0, "")
 
 
 @pytest.mark.parametrize("case", sorted(STRADDLING))
