@@ -10,7 +10,7 @@ from pathlib import Path
 from .catalog import catalog_descriptions
 from .loader import MapSpecError, load_map_spec, set_setting
 from .report import (CHECK_NAMES, EXIT_INPUT_ERROR, EXIT_OK, Analysis, Report,
-                     render_report, run_analysis)
+                     render_json, render_report)
 
 
 def _add_map_options(parser: argparse.ArgumentParser) -> None:
@@ -24,6 +24,8 @@ def _add_map_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--angle-tol", type=float,
                         help="slant-angle tolerance in radians (default 1e-6)")
     parser.add_argument("--out", help="write the JSON report to this file")
+    parser.add_argument("--points", help="write each sample point's slant "
+                        "angle range to this file")
     parser.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
 
@@ -75,19 +77,27 @@ def main(argv=None) -> int:
 
     if args.command == "check" and args.name not in CHECK_NAMES:
         return _no_check(args.name)
-    try:  # opened, and not emptied, before any check runs
-        if args.out:
-            open(args.out, "a", encoding="utf-8").close()
-    except OSError as exc:
-        return _input_error(f"--out: {exc}")
+    for flag, path in (("--out", args.out), ("--points", args.points)):
+        try:  # opened, and not emptied, before any check runs
+            if path:
+                open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _input_error(f"{flag}: {exc}")
+    analysis = Analysis(loaded)
     if args.command == "check":
-        analysis = Analysis(loaded)
         single = analysis.entry(args.name)
         # a slant_classification that ran has no entry: it is the slant block
         report = (Report(analysis.metadata, [single]) if single is not None
                   else Report(analysis.metadata, [], analysis.slant_block()))
     else:
-        report = run_analysis(loaded)
+        report = analysis.report()
+    try:  # built only when asked for
+        if args.points:
+            Path(args.points).write_text(
+                render_json(analysis.point_records(), args.pretty),
+                encoding="utf-8")
+    except OSError as exc:
+        return _input_error(f"--points: {exc}")
     text = render_report(report, args.pretty)
     if not args.out:
         sys.stdout.write(text)

@@ -655,13 +655,20 @@ def _adapted_derivatives(frames, S, nabla_J, y=slice(None)) -> SectionDerivative
 
 def is_riemannian_map(sample: Sample,
                       tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
-    """Gram-matrix test of the horizontal restriction plus rank constancy."""
-    worst, witness = sample.worst(
-        lambda s: gram_residual(s.adapted_jacobian[..., :s.rank]))
+    """Gram-matrix test of the horizontal restriction plus rank constancy;
+    the detail adds the largest |(|F_*|^2 - rank)|, small wherever the Gram
+    test passes: a Riemannian map solves |F_*|^2 = rank F (Fischer)."""
+    parts, eikonal = [], np.zeros(len(sample))
+    for s in sample.stacks():
+        A = s.adapted_jacobian
+        parts.append((s.rows, gram_residual(A[..., :s.rank])))
+        eikonal[s.rows] = np.abs(np.square(A).sum(axis=(-2, -1)) - s.rank)
+    worst, witness = worst_residual(parts, sample.points)
     ranks = sorted({s.rank for s in sample.stacks()})
     rank_constant = len(ranks) <= 1
     detail = {"rank": ranks[0] if rank_constant and ranks else ranks,
-              "rank_constant": rank_constant}
+              "rank_constant": rank_constant,
+              "eikonal_residual": float(eikonal.max(initial=0.0))}
     if not rank_constant or (ranks and ranks[0] == 0):
         reason = ("differential vanishes on this box: rank is zero" if rank_constant
                   else "rank varies across samples: not a subimmersion on this box")

@@ -39,7 +39,7 @@ from .slant import (SlantReport, check_adapted_frame,
                     check_q_squared_scaling, check_sff_q_scaling,
                     check_totally_geodesic, classify_slant)
 
-REPORT_SCHEMA = "slantmap-report/1"
+REPORT_SCHEMA = "slantmap-report/2"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -252,14 +252,26 @@ class Analysis:
                 setattr(self.slant, f"{name}_residual", entry.residual)
         return self.slant
 
+    def report(self) -> Report:
+        """The report of every entry in CHECK_NAMES."""
+        entries = [self.entry(name) for name in CHECK_NAMES]
+        return Report(self.metadata, [e for e in entries if e is not None],
+                      self.slant_block())
+
+    def point_records(self) -> list:
+        """Each sample point with its least and largest slant angle, the
+        records of ``--points``: [] unless the classification has run."""
+        slant = self.__dict__.get("slant")  # the cached classification
+        if slant is None:
+            return []
+        return [{"point": p, "angles": a} for p, a in
+                zip(self.sample.points.tolist(), slant.point_angles.tolist())]
+
 
 def run_analysis(loaded: LoadedMap,
                  settings: Optional[AnalysisSettings] = None) -> Report:
     """Run every applicable check on the map and assemble the report."""
-    analysis = Analysis(loaded, settings)
-    entries = [analysis.entry(name) for name in CHECK_NAMES]
-    return Report(analysis.metadata, [e for e in entries if e is not None],
-                  analysis.slant_block())
+    return Analysis(loaded, settings).report()
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +290,13 @@ def _plain(value):
 
 
 def render_report(report: Report, pretty: bool = False) -> str:
+    return render_json(report.to_dict(), pretty)
+
+
+def render_json(data, pretty: bool = False) -> str:
+    """data as the report's deterministic JSON, with a final newline."""
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
     layout.update(ensure_ascii=False, allow_nan=False)
-    data = report.to_dict()
     try:  # json writes tuples as lists: only NaN and the infinities need _plain
         return json.dumps(data, **layout) + "\n"
     except ValueError:

@@ -21,8 +21,8 @@ them and skips the check where they fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -107,7 +107,9 @@ class SlantReport:
     pseudo_homothetic: Optional[bool] = None
     pseudo_homothetic_residual: Optional[float] = None
     witness: Optional[dict] = None
-    point_angles: List[dict] = field(default_factory=list)
+    # the least and the largest angle at each sample point, (N, 2) in the
+    # sample's order: not a field, so the report does not carry it
+    point_angles: ClassVar[np.ndarray] = np.empty((0, 2))
 
     @property
     def is_slant(self) -> bool:
@@ -164,13 +166,11 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     angles = np.empty((len(sample), 2))
     for s in stacks:
         angles[s.rows] = angle_ranges(s)
-    point_angles = [{"point": p, "angles": a}
-                    for p, a in zip(sample.points.tolist(), angles.tolist())]
     mean_angle = float(np.mean(angles))
     deviations = np.abs(angles - mean_angle)
     max_dev = float(deviations.max())
     worst = int(np.argmax(deviations))
-    witness = {"point": point_angles[worst // 2]["point"],
+    witness = {"point": sample.points[worst // 2].tolist(),
                "angle": float(angles.flat[worst])}
 
     if max_dev > angle_tol:
@@ -184,8 +184,8 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
 
     report = SlantReport(classification, angle_tol, rank=rank,
                          mean_angle=mean_angle, max_deviation=max_dev,
-                         point_angles=point_angles,
                          witness=witness if classification == NOT_SLANT else None)
+    report.point_angles = angles
 
     # phi^2 on the range, in the range frame, and Q^2
     report.lambda_estimate, report.lambda_residual = _fit_identity(

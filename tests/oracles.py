@@ -441,6 +441,10 @@ def chart_residuals(frames, factor, sec, angle_tol) -> dict:
         return np.swapaxes(columns, -1, -2) @ G @ columns - np.eye(columns.shape[-1])
 
     out["riemannian_map"] = _point_norms(gram(A @ h, G2))
+    # |F_*|^2 = tr(G1^-1 A^T G2 A), over every direction, kernel included
+    out["riemannian_map.eikonal_residual"] = np.abs(np.trace(
+        np.linalg.solve(G1, np.swapaxes(A, -1, -2) @ G2 @ A),
+        axis1=-2, axis2=-1) - r)
     out["sff_range_perp"] = _point_norms(_g_norms(lift(P, 4) @ sff_hh, G2))
     tension = np.einsum("...gij,...ij->...g", sff, np.linalg.inv(G1))
     out["harmonic"] = _point_norms(_g_norms(tension[..., None], G2))

@@ -56,7 +56,8 @@ def test_riemannian_example4(example4, sample_box):
     result = is_riemannian_map(Sample(example4, points))
     assert result.passed
     assert result.residual <= 1e-12
-    assert result.detail == {"rank": 2, "rank_constant": True}
+    assert result.detail == {"rank": 2, "rank_constant": True,
+                             "eikonal_residual": pytest.approx(0.0, abs=1e-12)}
 
 
 def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
@@ -112,7 +113,9 @@ PINCH_ENTRIES = {
         "tol": 1e-08, "samples": 7,
         "reason": "rank varies across samples: not a subimmersion on this box",
         "witness": {"point": [-0.2, 0.4]},
-        "detail": {"rank": [1, 2], "rank_constant": False}},
+        # |F_*|^2 - rank: 0 where x1 = 0, |x1^2 - 1| elsewhere
+        "detail": {"rank": [1, 2], "rank_constant": False,
+                   "eikonal_residual": pytest.approx(0.96, abs=1e-12)}},
     check_sff_range_perp: {
         "name": "sff_range_perp", "status": "fail", "residual": 1.0,
         "tol": 1e-08, "samples": 7,

@@ -492,6 +492,58 @@ def test_adapted_residuals_match_the_chart_route(spec, count, seed):
             key, value, plain[key])
 
 
+@st.composite
+def _linear_riemannian_maps(draw):
+    """F(x) = L2^-1 U V^T L1 x of rank r in 1..4 from R^n (n in r..5) into
+    R^m (m even, r <= m <= 6, standard J), with random constant SPD metrics
+    G1 = L1^T L1 and G2 = L2^T L2 and U, V of r orthonormal columns: a
+    Riemannian map by construction, its coefficients written in full."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, min(r + 2, 5)))
+    m = 2 * draw(st.integers((r + 1) // 2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def metric(dim):
+        B = rng.standard_normal((dim, dim))
+        G = np.eye(dim) + 0.5 * B.T @ B
+        return G, np.linalg.cholesky(G).T
+
+    (G1, L1), (G2, L2) = metric(n), metric(m)
+    U = np.linalg.qr(rng.standard_normal((m, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+    A = np.linalg.solve(L2, U) @ V.T @ L1
+    components = [" + ".join(f"({x!r})*x{i + 1}" for i, x in enumerate(row))
+                  for row in A.tolist()]
+    J = [["0"] * m for _ in range(m)]
+    for i in range(0, m, 2):
+        J[i][i + 1], J[i + 1][i] = "-1", "1"
+    return MapSpec.create(
+        ChartManifold.from_strings(n, [[repr(x) for x in row] for row in G1.tolist()]),
+        ChartManifold.from_strings(m, [[repr(x) for x in row] for row in G2.tolist()], J),
+        components, name="linear_riemannian")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(_linear_riemannian_maps() | _random_maps() | _specs_into_c2(INSIDE),
+       st.integers(1, 5), st.integers(0, 2**16))
+def test_eikonal_residual_is_small_wherever_riemannian_map_passes(spec, count,
+                                                                  seed):
+    # |F_*|^2 = rank F is necessary for a Riemannian map; the linear maps
+    # are Riemannian by construction, so the property is not vacuous
+    result = is_riemannian_map(Sample(spec, sample_points(spec.box, count, seed)))
+    if spec.name == "linear_riemannian":
+        assert result.passed, result.residual
+    if result.passed:
+        assert result.detail["eikonal_residual"] <= result.tol
+
+
+def test_eikonal_residual_is_small_on_the_golden_maps():
+    for spec in GOLDEN_SPECS:
+        result = is_riemannian_map(Sample(spec, sample_points(spec.box, 50, 7)))
+        assert result.passed, spec.name  # every golden map is Riemannian
+        assert result.detail["eikonal_residual"] <= result.tol, spec.name
+
+
 def _swap(x):
     return np.swapaxes(x, -1, -2)
 

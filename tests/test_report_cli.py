@@ -933,7 +933,8 @@ def _gram_overflow_entry():
     point = [float(x) for x in sample_points(box, 5, 42)[0]]
     return {"name": "riemannian_map", "status": "fail", "residual": "inf",
             "tol": 1e-8, "samples": 5, "witness": {"point": point},
-            "detail": {"rank": 1, "rank_constant": True}}
+            "detail": {"rank": 1, "rank_constant": True,
+                       "eikonal_residual": "inf"}}
 
 
 def test_cli_overflow_leaves_stderr_empty(tmp_path):
@@ -1100,7 +1101,7 @@ def test_report_serialization_deterministic():
                                         loaded.settings))
     assert first == second
     parsed = json.loads(first)
-    assert parsed["schema"] == "slantmap-report/1"
+    assert parsed["schema"] == "slantmap-report/2"
     assert parsed["summary"]["fail"] == 0
 
 
@@ -1116,7 +1117,7 @@ def test_report_float_precision():
 # The writer's bytes for special and mixed values: floats in Python's
 # shortest round-trip form, NaN and the infinities as strings.
 WRITER_COMPACT = (
-    '{"schema":"slantmap-report/1","metadata":{"map":"demo",'
+    '{"schema":"slantmap-report/2","metadata":{"map":"demo",'
     '"samples":3},"checks":[{"name":"demo","status":"fail",'
     '"residual":"inf","tol":1e-08,"samples":3,"witness":{"point":[0.25,'
     '-0.0,1e-17]},"detail":{"values":["nan","inf","-inf",-0.0,3.0,1e+16,'
@@ -1126,7 +1127,7 @@ WRITER_COMPACT = (
     "\n")
 WRITER_PRETTY = (
     '{\n'
-    '  "schema": "slantmap-report/1",\n'
+    '  "schema": "slantmap-report/2",\n'
     '  "metadata": {\n'
     '    "map": "demo",\n'
     '    "samples": 3\n'
@@ -1283,16 +1284,12 @@ def test_records_write_their_fields_in_declaration_order():
              "max_deviation", "lambda_estimate", "lambda_residual",
              "mu_estimate", "mu_residual", "omega_parallel", "omega_defect",
              "phi_parallel", "phi_defect", "phwc", "phwc_residual",
-             "pseudo_homothetic", "pseudo_homothetic_residual", "witness",
-             "point_angles"]
+             "pseudo_homothetic", "pseudo_homothetic_residual", "witness"]
     values = {name: index for index, name in enumerate(order)}
     values["witness"] = {"point": [0.0], "angle": 0.5}
-    values["point_angles"] = [{"point": [0.0], "angles": [0.5, 0.5]}]
     assert list(SlantReport(**values).to_dict().items()) == list(values.items())
-    # point_angles is written even when empty: a list, not None or {}
     assert SlantReport("not_riemannian", 1e-6).to_dict() == {
-        "classification": "not_riemannian", "angle_tol": 1e-6,
-        "point_angles": []}
+        "classification": "not_riemannian", "angle_tol": 1e-6}
 
 
 def _numpy_scalars(value, where="report"):
@@ -1489,8 +1486,7 @@ def test_cli_unwritable_out_is_an_input_error(command, tmp_path, capsys,
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(slantmap.cli, "run_analysis",
-                        counted("run_analysis", run_analysis))
+    monkeypatch.setattr(Analysis, "report", counted("report", Analysis.report))
     monkeypatch.setattr(Analysis, "entry", counted("entry", Analysis.entry))
     out = tmp_path / "missing" / "report.json"
     code = main(command + ["--map", "catalog:identity2", "--samples", "3",
@@ -1639,3 +1635,95 @@ def test_map_file_reports_match_golden_files(name, capsys, monkeypatch):
     expected = json.loads((MAP_REPORTS / f"{name}.json").read_text())
     assert code == MAP_EXIT_CODES[name]
     assert_report_matches(actual, expected)
+
+
+# ---------------------------------------------------------------------------
+# --points: the records of each sample point's slant angle range, written
+# beside the report; point_angles.json holds the slant.point_angles of the
+# golden reports of schema slantmap-report/1, which carried them
+
+POINT_ANGLES = json.loads((REPORTS / "point_angles.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ANGLES))
+def test_points_records_equal_the_golden_point_angles(name, tmp_path, capsys,
+                                                      monkeypatch):
+    if name in MAP_EXIT_CODES:
+        monkeypatch.chdir(REPORTS.parent)
+        identifier = f"maps/{name}.json"
+    else:
+        identifier = f"catalog:{name}"
+    expected = POINT_ANGLES[name]
+    points = tmp_path / "points.json"
+    for layout in ({"separators": (",", ":")}, {"indent": 2}):
+        main(["analyze", "--map", identifier, "--samples", "5", "--seed", "3",
+              "--points", str(points)] + (["--pretty"] if "indent" in layout
+                                          else []))
+        capsys.readouterr()
+        text = points.read_text()
+        assert json.loads(text) == expected  # every float bit for bit
+        assert text == json.dumps(expected, ensure_ascii=False, **layout) + "\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["check", "phwc"],
+                                     ["check", "slant_classification"]])
+def test_points_leave_the_report_bytes_unchanged(command, tmp_path, capsys):
+    points = tmp_path / "points.json"
+    for layout in ([], ["--pretty"]):
+        argv = command + ["--map", "catalog:nonslant", "--samples", "7"] + layout
+        code = main(argv)
+        plain = capsys.readouterr()
+        assert main(argv + ["--points", str(points)]) == code
+        assert capsys.readouterr() == plain
+        assert len(json.loads(points.read_text())) == 7
+
+
+def test_points_are_empty_where_the_classification_did_not_run(tmp_path,
+                                                               capsys):
+    no_j = tmp_path / "no_j.json"
+    no_j.write_text(json.dumps(dict(MINIMAL_SPEC, target={"dim": 4})))
+    dilation = tmp_path / "dilation.json"
+    dilation.write_text(json.dumps(dict(MINIMAL_SPEC, components=[
+        "2*x1", "0", "2*x2", "0"])))
+    points = tmp_path / "points.json"
+    for argv in (["analyze", "--map", str(no_j)],
+                 ["check", "riemannian_map", "--map", "catalog:example4"],
+                 # the classification runs, but the map is not Riemannian
+                 ["analyze", "--map", str(dilation)]):
+        main(argv + ["--samples", "4", "--points", str(points)])
+        capsys.readouterr()
+        assert points.read_text() == "[]\n"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
+def test_cli_unwritable_points_is_an_input_error(command, tmp_path, capsys,
+                                                 monkeypatch):
+    # reported before any check runs, as --out is
+    calls = Counter()
+    entry = Analysis.entry
+
+    def counted(self, name):
+        calls[name] += 1
+        return entry(self, name)
+
+    monkeypatch.setattr(Analysis, "entry", counted)
+    points = tmp_path / "missing" / "points.json"
+    code = main(command + ["--map", "catalog:identity2", "--samples", "3",
+                           "--points", str(points)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --points: ")
+    assert not points.parent.exists()
+    assert not calls
+
+
+def test_report_size_does_not_grow_with_the_sample_count(capsys, monkeypatch):
+    monkeypatch.chdir(REPORTS.parent)
+    for layout in ([], ["--pretty"]):
+        sizes = []
+        for samples in ("5", "2000"):
+            main(["analyze", "--map", "maps/warped_product.json", "--samples",
+                  samples] + layout)
+            sizes.append(len(capsys.readouterr().out.encode()))
+        assert abs(sizes[1] - sizes[0]) <= 1024, (layout, sizes)
