@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -83,6 +84,8 @@ def main(argv=None) -> int:
                 open(path, "a", encoding="utf-8").close()
         except OSError as exc:
             return _input_error(f"{flag}: {exc}")
+    if args.out and args.points and os.path.samefile(args.out, args.points):
+        return _input_error("--points: the same file as --out")
     analysis = Analysis(loaded)
     if args.command == "check":
         single = analysis.entry(args.name)

@@ -1718,6 +1718,17 @@ def test_cli_unwritable_points_is_an_input_error(command, tmp_path, capsys,
     assert not calls
 
 
+def test_cli_points_on_the_out_file_is_an_input_error(tmp_path, capsys):
+    # the report would replace the records
+    out = tmp_path / "report.json"
+    code = main(["analyze", "--map", "catalog:identity2", "--samples", "3",
+                 "--out", str(out), "--points", str(tmp_path / "." / out.name)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --points: the same file as --out\n"
+
+
 def test_report_size_does_not_grow_with_the_sample_count(capsys, monkeypatch):
     monkeypatch.chdir(REPORTS.parent)
     for layout in ([], ["--pretty"]):
