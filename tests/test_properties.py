@@ -506,7 +506,8 @@ def _linear_riemannian_maps(draw):
     def metric(dim):
         B = rng.standard_normal((dim, dim))
         G = np.eye(dim) + 0.5 * B.T @ B
-        return G, np.linalg.cholesky(G).T
+        entries = [[repr(x) for x in row] for row in G.tolist()]
+        return entries, np.linalg.cholesky(G).T
 
     (G1, L1), (G2, L2) = metric(n), metric(m)
     U = np.linalg.qr(rng.standard_normal((m, r)))[0]
@@ -518,8 +519,7 @@ def _linear_riemannian_maps(draw):
     for i in range(0, m, 2):
         J[i][i + 1], J[i + 1][i] = "-1", "1"
     return MapSpec.create(
-        ChartManifold.from_strings(n, [[repr(x) for x in row] for row in G1.tolist()]),
-        ChartManifold.from_strings(m, [[repr(x) for x in row] for row in G2.tolist()], J),
+        ChartManifold.from_strings(n, G1), ChartManifold.from_strings(m, G2, J),
         components, name="linear_riemannian")
 
 
