@@ -3,11 +3,12 @@
 Every metric problem is whitened through a Cholesky factor G = L L^T, which
 an ``InnerProduct`` inverts once: its g-orthonormal frame L^{-T} and G^{-1}
 serve every later step as matrix products.  ``split_tangents`` turns them
-into the orthonormal frames [h | k] and [R | N] of a map, in which the
-checks read every tensor as components, so that the metric has done its
-work once the split is built.  Basis vectors follow a fixed convention
-(decreasing singular value, first significant component positive) so
-repeated runs produce identical output.
+into the orthonormal frames B1 = [h | k] and B2 = [R | N] of a map, plain
+arrays with the rank, in which the checks read every tensor as components,
+so that the metric has done its work once the split is built; a
+``TangentSplit`` names their four blocks (``TangentSplit.of``).  Basis
+vectors follow a fixed convention (decreasing singular value, first
+significant component positive) so repeated runs produce identical output.
 """
 
 from __future__ import annotations
@@ -178,13 +179,14 @@ class TangentSplit:
     range: SubspaceBasis
     range_perp: SubspaceBasis
 
-    def __getitem__(self, i) -> "TangentSplit":
-        """The split at point i of a split whose bases are stacked."""
-        g1, g2 = self.kernel.metric[i], self.range.metric[i]
-        return TangentSplit(self.rank, _basis(self.kernel.columns[i], g1),
-                            _basis(self.horizontal.columns[i], g1),
-                            _basis(self.range.columns[i], g2),
-                            _basis(self.range_perp.columns[i], g2))
+    @staticmethod
+    def of(rank: int, B1, B2, g1: InnerProduct, g2: InnerProduct) -> "TangentSplit":
+        """The four bases as slices of B1 = [h | k] and B2 = [R | N] (stacked
+        or not), whose columns were checked orthonormal under g1 and g2."""
+        return TangentSplit(rank, kernel=_basis(B1[..., rank:], g1),
+                            horizontal=_basis(B1[..., :rank], g1),
+                            range=_basis(B2[..., :rank], g2),
+                            range_perp=_basis(B2[..., rank:], g2))
 
 
 def _fix_signs(columns: np.ndarray) -> np.ndarray:
@@ -238,18 +240,19 @@ def split_tangent(A, g1: InnerProduct, g2: InnerProduct,
     A = np.asarray(A, dtype=float)
     if A.shape != (g2.dim, g1.dim):
         raise ValueError(f"matrix shape {A.shape} does not match metrics")
-    (_, split), = split_tangents(A[None], g1[None], g2[None], tol)
-    return split[0]
+    (_, rank, B1, B2), = split_tangents(A[None], g1[None], g2[None], tol)
+    return TangentSplit.of(rank, B1[0], B2[0], g1, g2)
 
 
 def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
                    tol: float = DEFAULT_RANK_TOL) -> list:
     """The splits of the maps A[i] of a stack (N, m, n) between the inner
-    products g1[i] and g2[i], grouped by rank: one (at, split) per rank, in
-    increasing rank (none for an empty stack), where ``at`` indexes the
-    points of that rank (a slice of all of them when the rank is constant)
-    and ``split`` is a TangentSplit whose bases are stacked over those
-    points.
+    products g1[i] and g2[i], grouped by rank: one (at, rank, B1, B2) per
+    rank, in increasing rank (none for an empty stack), where ``at`` indexes
+    the points of that rank (a slice of all of them when the rank is
+    constant), B1 = [h | k] stacks the g1-orthonormal horizontal, then
+    kernel, columns at those points and B2 = [R | N] the g2-orthonormal
+    range, then normal, columns.
 
     The map is whitened to M = L2^T A L1^{-T}; a Euclidean SVD of M then
     yields g1-orthonormal kernel/horizontal bases and g2-orthonormal
@@ -265,15 +268,8 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     splits = []
     for rank in ranks[:1] if constant else np.unique(ranks):
         at = slice(None) if constant else np.flatnonzero(ranks == rank)
-        # horizontal then kernel columns, and range then normal columns
-        source = _unwhitened(g1, at, rank, V[at])
-        target = _unwhitened(g2, at, rank, U[at])
-        h1, h2 = (g1, g2) if isinstance(at, slice) else (g1[at], g2[at])
-        splits.append((at, TangentSplit(
-            int(rank), kernel=_basis(source[..., rank:], h1),
-            horizontal=_basis(source[..., :rank], h1),
-            range=_basis(target[..., :rank], h2),
-            range_perp=_basis(target[..., rank:], h2))))
+        splits.append((at, int(rank), _unwhitened(g1, at, rank, V[at]),
+                       _unwhitened(g2, at, rank, U[at])))
     return splits
 
 

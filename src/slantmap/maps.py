@@ -14,13 +14,15 @@ A ``FrameStack`` holds what is known at the points of one rank in a block
 of points, stacked along a leading point axis, built from stacked jets
 (``frame_block``); each derived quantity is a member formed once over the
 stack on first use, whose one definition serves the ``PointFrame``
-``stack.row(i)`` too.  The checks read F_*, J, the sff, nabla J and Q as
-components in the orthonormal frames B1 = [h | k] and B2 = [R | N] of the
-split, where F_* is [[Sigma, 0], [0, 0]], the projector onto the range is
-diag(I_r, 0), adjoints are transposes and g-norms Euclidean norms; chart
-coordinates come back through one frame product where a vector leaves the
-library.  A ``Sample`` is the analysis context of one run, whose stacks are
-built once, and every check is a reduction over them.
+``stack.row(i)`` too.  The split is held flat: the rank, both metrics and
+the orthonormal frames B1 = [h | k] and B2 = [R | N] are fields, and
+``split`` is a view of them by basis name.  The checks read F_*, J, the
+sff, nabla J and Q as components in B1 and B2, where F_* is
+[[Sigma, 0], [0, 0]], the projector onto the range is diag(I_r, 0),
+adjoints are transposes and g-norms Euclidean norms; chart coordinates come
+back through one frame product where a vector leaves the library.  A
+``Sample`` is the analysis context of one run, whose stacks are built once,
+and every check is a reduction over them.
 """
 
 from __future__ import annotations
@@ -136,13 +138,18 @@ class FrameStack:
     Vectors are the columns of (..., m, k) arrays, and the extra axes of an
     argument sit between the point axis and the matrix axes.  ``adapted_*``,
     ``j_blocks``, ``q`` and ``horizontal_*`` are in B1 and B2, the rest in
-    chart coordinates."""
+    chart coordinates; h is ``source_basis[..., :rank]``, k the rest, and
+    R and N likewise in ``target_basis``."""
 
     rows: np.ndarray        # index of each point in its sample
     points: np.ndarray      # (N, n)
     images: np.ndarray      # (N, m)
     jacobian: np.ndarray    # (N, m, n)
-    split: TangentSplit     # with bases and metrics stacked over the points
+    rank: int
+    g_source: InnerProduct  # stacked over the points
+    g_target: InnerProduct
+    source_basis: np.ndarray  # B1 = [h | k], g1-orthonormal, (N, n, n)
+    target_basis: np.ndarray  # B2 = [R | N], g2-orthonormal, (N, m, m)
     gamma_source: np.ndarray  # (N, n, n, n)
     sff: np.ndarray         # (N, m, n, n)
     complex_structure: Optional[np.ndarray]  # (N, m, m)
@@ -153,34 +160,17 @@ class FrameStack:
 
     def row(self, i: int) -> "PointFrame":
         """The frame at point i of the stack, its members formed anew from
-        the row of each field."""
+        the row of each field (the rank whole)."""
         values = (getattr(self, f.name) for f in fields(self))
-        return PointFrame(*(None if value is None else value[i]
-                            for value in values))
-
-    @property
-    def rank(self) -> int:
-        return self.split.rank
-
-    @property
-    def g_source(self) -> InnerProduct:
-        """The source metric, that of the kernel and horizontal bases."""
-        return self.split.kernel.metric
-
-    @property
-    def g_target(self) -> InnerProduct:
-        """The target metric, that of the range and normal bases."""
-        return self.split.range.metric
+        return PointFrame(*(value[i] if isinstance(value, (np.ndarray, InnerProduct))
+                            else value for value in values))
 
     @cached_property
-    def source_basis(self) -> np.ndarray:
-        """B1 = [h | k]: the g1-orthonormal horizontal, then kernel, columns."""
-        return np.concatenate([self.split.horizontal.columns, self.split.kernel.columns], -1)
-
-    @cached_property
-    def target_basis(self) -> np.ndarray:
-        """B2 = [R | N]: the g2-orthonormal range, then normal, columns."""
-        return np.concatenate([self.split.range.columns, self.split.range_perp.columns], -1)
+    def split(self) -> TangentSplit:
+        """The kernel, horizontal, range and normal bases by name: a view of
+        slices of B1 and B2 with their metrics."""
+        return TangentSplit.of(self.rank, self.source_basis, self.target_basis,
+                               self.g_source, self.g_target)
 
     @cached_property
     def source_coframe(self) -> np.ndarray:
@@ -198,7 +188,7 @@ class FrameStack:
     def tangential(self, w) -> np.ndarray:
         """Range part of a target vector (of each column, for a matrix)."""
         r = self.rank
-        return apply(self.split.range.columns,
+        return apply(self.target_basis[..., :r],
                      apply(self.target_coframe[..., :r, :], w))
 
     def normal(self, w) -> np.ndarray:
@@ -315,7 +305,7 @@ class FrameStack:
     @cached_property
     def adapted_nabla_j(self) -> np.ndarray:
         """C2 (nabla_{F_*h_a} J) B2 at [..., a, :, :], (N, r, m, m)."""
-        return _nabla_j_along(self, self.split.horizontal.columns)
+        return _nabla_j_along(self, self.source_basis[..., :self.rank])
 
     @cached_property
     def sigma_inverse(self) -> np.ndarray:
@@ -326,7 +316,7 @@ class FrameStack:
     @cached_property
     def horizontal_connection(self) -> np.ndarray:
         """C1 Gamma1(h_a, h_b) at [..., a, :, b], (N, r, n, r)."""
-        h = self.split.horizontal.columns
+        h = self.source_basis[..., :self.rank]
         gamma = apply_along(self.source_coframe, self.gamma_source, 0)
         return apply_along(np.swapaxes(h, -1, -2), gamma, 1) @ lift(h, gamma.ndim)
 
@@ -410,7 +400,7 @@ class PointFrame(FrameStack):
         columns, failure = self.adapted_frames(angle_tol)
         if failure:
             raise ValueError(ADAPTED_FRAME_FAILURES[failure - 1])
-        return self.split.horizontal.columns @ columns
+        return self.source_basis[:, :self.rank] @ columns
 
 
 # The one-point stack that point_frame built last, as (spec, key, stack):
@@ -442,13 +432,10 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
 
 
 def _freeze(stack: FrameStack) -> None:
-    """Make every array of the stack read-only: its fields, and the basis
-    columns of its split and every array of their metrics."""
-    split = stack.split
-    bases = (split.kernel, split.horizontal, split.range, split.range_perp)
+    """Make every array of the stack read-only: its fields and every array
+    of its two metrics."""
     arrays = ([getattr(stack, f.name) for f in fields(stack)]
-              + [basis.columns for basis in bases]
-              + [x for basis in bases for x in vars(basis.metric).values()])
+              + [x for g in (stack.g_source, stack.g_target) for x in vars(g).values()])
     for array in arrays:
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -481,11 +468,11 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     J = nabla = None
     if spec.target.complex_structure is not None:
         J, nabla = target.structure(start, stop)
-    return [FrameStack(rows[at], points[at], image[at], jac[at], split,
-                       gamma1[at], sff[at],
+    return [FrameStack(rows[at], points[at], image[at], jac[at], rank,
+                       g1[at], g2[at], B1, B2, gamma1[at], sff[at],
                        None if J is None else J[at],
                        None if nabla is None else nabla[at])
-            for at, split in groups]
+            for at, rank, B1, B2 in groups]
 
 
 # Wrappers over PointFrame members, kept (as are map_point and differential)
@@ -599,15 +586,19 @@ class SectionDerivatives:
 def section_derivatives(frames, X) -> SectionDerivatives:
     """Exact covariant derivatives along each column X_a of the (n, k)
     matrix X, at one frame, or at every point of a FrameStack with X of
-    shape (N, n, k), in chart coordinates: ``_adapted_derivatives`` with X
-    taken in through C1 and each field out through B1 or B2 and C1."""
+    shape (n, k) or (N, n, k), in chart coordinates: ``_adapted_derivatives``
+    with X taken in through C1 and each field out through B1 or B2 and C1."""
     X = np.asarray(X, dtype=float)
+    lead, n = frames.jacobian.shape[:-2], frames.jacobian.shape[-1]
+    if X.shape[:-1] not in ((n,), lead + (n,)):
+        stacked = f" or ({lead[0]}, {n}, k)" if lead else ""
+        raise ValueError(f"directions have shape {X.shape}, expected ({n}, k){stacked}")
     S = apply_along(np.swapaxes(frames.source_coframe @ X, -1, -2),
                     frames.adapted_sff, 1)
     adapted = _adapted_derivatives(frames, S, _nabla_j_along(frames, X))
     B1, C1, N, B2 = (lift(x, S.ndim) for x in (
         frames.source_basis, frames.source_coframe,
-        frames.split.range_perp.columns, frames.target_basis))
+        frames.target_basis[..., frames.rank:], frames.target_basis))
     return SectionDerivatives(q=B1 @ adapted.q @ C1,
                               omega_defect=N @ adapted.omega_defect @ C1,
                               phi_defect=B2 @ adapted.phi_defect @ C1)

@@ -7,10 +7,13 @@ import slantmap
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
 from slantmap.expressions import ExpressionDomainError
+from slantmap.linalg import split_tangent
 from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
                            check_sff_range_perp, differential,
                            is_riemannian_map, map_point, point_frame,
-                           second_fundamental_form, tension_field)
+                           second_fundamental_form, section_derivatives,
+                           tension_field)
+from slantmap.report import sample_points
 from slantmap.slant import (adapted_frame, check_harmonic,
                             check_minimal_fibers, point_operators, q_matrix,
                             q_operator, slant_angle)
@@ -477,9 +480,11 @@ def test_kept_frame_is_read_only_and_failures_are_not_kept(monkeypatch):
         point_frame(spec, WARPED_POINT).jacobian[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         point_frame(spec, WARPED_POINT).split.horizontal.columns[0, 0] = 1.0
-    metric = frame.split.kernel.metric
+    metric, target = frame.split.kernel.metric, frame.g_target
     for array in (metric.matrix, metric.cholesky, metric.frame, metric.inverse,
-                  frame.sff, frame.point):
+                  frame.sff, frame.point, target.matrix, target.cholesky,
+                  target.frame, target.inverse, frame.source_basis,
+                  frame.target_basis):
         assert not array.flags.writeable
     for name in ("frame", "inverse"):
         with pytest.raises(ValueError, match="read-only"):
@@ -532,6 +537,42 @@ def test_point_frame_shape_error_names_the_callers_shape():
         point_frame(spec, [0.1])
     with pytest.raises(ValueError, match=r"^point has shape \(2, 3\), expected \(3,\)$"):
         point_frame(spec, [WARPED_POINT, WARPED_POINT])
+
+
+def test_section_derivatives_directions_of_the_wrong_shape():
+    # a direction vector, or directions with the wrong number of rows or of
+    # points, is a located error at a point frame and at a stack
+    spec = load_catalog("warped_fiber")
+    frame = point_frame(spec, WARPED_POINT)
+    stack, = slantmap.maps.frame_block(spec, np.array([WARPED_POINT, [0.2, 0.1, -0.3]]))
+    with pytest.raises(ValueError,
+                       match=r"^directions have shape \(3,\), expected \(3, k\)$"):
+        section_derivatives(frame, [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError,
+                       match=r"^directions have shape \(4, 2\), expected \(3, k\)$"):
+        section_derivatives(frame, np.ones((4, 2)))
+    with pytest.raises(ValueError, match=r"^directions have shape \(3, 3, 1\), "
+                                         r"expected \(3, k\) or \(2, 3, k\)$"):
+        section_derivatives(stack, np.ones((3, 3, 1)))
+    # the accepted shapes give one tensor per direction
+    assert section_derivatives(frame, np.ones((3, 2))).q.shape == (2, 3, 3)
+    assert section_derivatives(stack, np.ones((3, 2))).q.shape == (2, 2, 3, 3)
+    assert section_derivatives(stack, np.ones((2, 3, 1))).q.shape == (2, 1, 3, 3)
+
+
+@pytest.mark.parametrize("catalog_id", catalog_ids())
+def test_point_frame_split_is_split_tangent_bit_for_bit(catalog_id):
+    # the two producers of a TangentSplit: a frame's view of its B1 and B2,
+    # and the one-point split of its Jacobian between its metrics
+    spec = load_catalog(catalog_id)
+    for p in sample_points(spec.box, 5, seed=11):
+        frame = point_frame(spec, p)
+        split = frame.split
+        expected = split_tangent(frame.jacobian, frame.g_source, frame.g_target)
+        assert split.rank == expected.rank == frame.rank
+        for name in ("kernel", "horizontal", "range", "range_perp"):
+            assert _same_bits(getattr(split, name).columns,
+                              getattr(expected, name).columns), name
 
 
 SLANT_ANGLE_ROUTES = {

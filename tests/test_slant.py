@@ -1,4 +1,3 @@
-import copy
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +10,7 @@ from oracles import (assert_report_matches, fd_pullback_derivative,
                      fd_source_derivative, sampled_slant_angles)
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
-from slantmap.linalg import TangentSplit, split_tangents
+from slantmap.linalg import split_tangents
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
 from slantmap.maps import (MapSpec, Sample, is_riemannian_map, point_frame,
                            section_derivatives)
@@ -231,21 +230,25 @@ def test_sampled_angles_lie_in_the_exact_ranges(identifier):
 
 
 def _turning_split_tangents(seed):
-    """linalg.split_tangents with each of the four bases turned inside its
-    subspace by a random orthogonal matrix, another one at each point."""
+    """linalg.split_tangents with each of the four bases, the blocks of
+    B1 = [h | k] and B2 = [R | N], turned inside its subspace by a random
+    orthogonal matrix, another one at each point; the rotations are drawn
+    for the kernel, horizontal, range and normal blocks in that order."""
     rng = np.random.default_rng(seed)
 
-    def turned(basis):
-        k = basis.columns.shape[-1]
-        rotation, _ = np.linalg.qr(rng.standard_normal((len(basis.columns), k, k)))
-        out = copy.copy(basis)
-        out.columns = basis.columns @ rotation
-        return out
+    def turned(columns):
+        k = columns.shape[-1]
+        rotation, _ = np.linalg.qr(rng.standard_normal((len(columns), k, k)))
+        return columns @ rotation
 
     def turning(*args):
-        return [(at, TangentSplit(split.rank, *map(turned, (
-                    split.kernel, split.horizontal, split.range, split.range_perp))))
-                for at, split in split_tangents(*args)]
+        splits = []
+        for at, rank, B1, B2 in split_tangents(*args):
+            kernel, horizontal, range_, normal = map(turned, (
+                B1[..., rank:], B1[..., :rank], B2[..., :rank], B2[..., rank:]))
+            splits.append((at, rank, np.concatenate([horizontal, kernel], -1),
+                           np.concatenate([range_, normal], -1)))
+        return splits
     return turning
 
 
