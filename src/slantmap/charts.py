@@ -193,7 +193,9 @@ class ChartFields:
     evaluated up to the first point where it fails, and that failure, kept
     as (index, error), is raised by whatever reads the field there.  A
     chart whose entries are all constants gives read-only broadcast views of
-    the one point it keeps."""
+    the one point it keeps, and ``constant`` is then true."""
+
+    constant = False
 
     def __init__(self, chart: ChartManifold, points):
         points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
@@ -207,7 +209,7 @@ class ChartFields:
                 elif isinstance(value, np.ndarray):
                     value = np.broadcast_to(value, (len(points),) + value.shape[1:])
                 setattr(self, name, value)
-            self.points = points
+            self.points, self.constant = points, True
 
     def _evaluate(self, chart: ChartManifold, points) -> None:
         """Evaluate the chart's fields at every point."""
@@ -262,12 +264,15 @@ def _raise_first(lo: int, hi: int, *failures) -> None:
 def check_almost_hermitian(fields: ChartFields,
                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y) at the
-    points of ``fields``; at each point J is read before the metric."""
+    points of ``fields``; at each point J is read before the metric.  A
+    constant chart's residuals are computed at its first point and stand for
+    every point, which keeps that point as the witness."""
     if fields.chart.complex_structure is None:
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
     _raise_first(0, len(fields.points), fields._structure_failure,
                  fields._metric_jet_failure)
-    J, G = fields.J, fields.G
+    held = 1 if fields.constant else None
+    J, G = fields.J[:held], fields.G[:held]
     square = np.linalg.norm(J @ J + np.eye(fields.chart.dim), axis=(1, 2))
     compatibility = np.linalg.norm(np.swapaxes(J, 1, 2) @ G @ J - G, axis=(1, 2))
     worst, witness = worst_residual(
@@ -287,21 +292,22 @@ def check_kahler(fields: ChartFields,
     The residual entries at a point are |(nabla_e J) f| (``nabla_j``) over
     the pairs e, f of a metric-orthonormal frame, whose Frobenius norm no
     choice of that frame changes; the detail block's direction_max is the
-    largest of them.
+    largest of them.  A constant chart's entries are computed at its first
+    point and stand for every point, which keeps that point as the witness.
     """
     if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
     # at each point the metric is read before J
     _raise_first(0, len(fields.points), fields._metric_failure,
                  fields._structure_failure)
-    ip = fields.metric()[0]
-    J, nabla = fields.structure()
+    held = 1 if fields.constant else None
+    ip = fields.metric(0, held)[0]
+    J, nabla = fields.structure(0, held)
     G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns
-    count = len(J)
     # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
     contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
     lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))
     worst, witness = worst_residual([(slice(None), lengths)], fields.points)
     return CheckResult.from_residual(
-        "kahler", worst, tol, samples=count, witness=witness,
+        "kahler", worst, tol, samples=len(fields.points), witness=witness,
         detail={"direction_max": float(lengths.max(initial=0.0))})

@@ -22,7 +22,10 @@ sff, nabla J and Q as components in B1 and B2, where F_* is
 adjoints are transposes and g-norms Euclidean norms; chart coordinates come
 back through one frame product where a vector leaves the library.  A
 ``Sample`` is the analysis context of one run, whose stacks are built once,
-and every check is a reduction over them.
+and every check is a reduction over them.  A map with affine components
+between constant charts has the same frame at every point; its Sample
+builds that frame once, at the first sample point, in a stack whose ``rows``
+are every sample index.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -113,10 +116,24 @@ ADAPTED_FRAME_FAILURES = (
     "Q vanishes for an anti-invariant map: no adapted frame")
 
 
+def _directions(X, lead: tuple, n: int, name: str) -> np.ndarray:
+    """X as floats when, after the leading axes ``lead`` of a stack, it is
+    a vector of dimension n or a matrix of such columns; else a ValueError
+    that names X and its shape."""
+    X = np.asarray(X, dtype=float)
+    rest = X.shape[len(lead):]  # n is a vector's last axis, a matrix's last but one
+    if X.shape[:len(lead)] != lead or rest[-2:][:1] != (n,):
+        matrix = ", ".join(map(str, lead + (n, "k")))
+        raise ValueError(f"{name} has shape {X.shape}, expected "
+                         f"{lead + (n,)} or ({matrix})")
+    return X
+
+
 def _bilinear(tensor, X, Y) -> np.ndarray:
     """tensor(x_a, y_b) at [..., a, :, b] for the columns x_a of X and y_b
     of Y; a vector X or Y (one per point, for a stack) drops its axis."""
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    lead, n = tensor.shape[:-3], tensor.shape[-1]
+    X, Y = (_directions(Z, lead, n, name) for Z, name in ((X, "X"), (Y, "Y")))
     x_vector, y_vector = (Z.ndim == tensor.ndim - 2 for Z in (X, Y))
     if x_vector:
         X = X[..., None]
@@ -135,13 +152,18 @@ class FrameStack:
     """The frames of the points of one rank in a block, each field stacked
     along a leading point axis, and every derived quantity formed once over
     the stack on first use; each member serves a row (``row(i)``) as well.
+    ``len(stack)`` counts the frames held, and ``rows`` the sample points
+    they stand for: one frame for all of them on a constant-frame stack.
     Vectors are the columns of (..., m, k) arrays, and the extra axes of an
     argument sit between the point axis and the matrix axes.  ``adapted_*``,
     ``j_blocks``, ``q`` and ``horizontal_*`` are in B1 and B2, the rest in
     chart coordinates; h is ``source_basis[..., :rank]``, k the rest, and
     R and N likewise in ``target_basis``."""
 
-    rows: np.ndarray        # index of each point in its sample
+    FIELDS: ClassVar[tuple]  # the field names, in order
+    # the sample index of each point; all the sample's indices, for the one
+    # frame of a constant-frame stack
+    rows: np.ndarray
     points: np.ndarray      # (N, n)
     images: np.ndarray      # (N, m)
     jacobian: np.ndarray    # (N, m, n)
@@ -156,12 +178,12 @@ class FrameStack:
     nabla_j: Optional[np.ndarray]  # [:, c, a, b] = (nabla_c J)^a_b
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.points)
 
     def row(self, i: int) -> "PointFrame":
-        """The frame at point i of the stack, its members formed anew from
-        the row of each field (the rank whole)."""
-        values = (getattr(self, f.name) for f in fields(self))
+        """Frame i of the stack, its members formed anew from the row of
+        each field (the rank whole)."""
+        values = (getattr(self, name) for name in self.FIELDS)
         return PointFrame(*(value[i] if isinstance(value, (np.ndarray, InnerProduct))
                             else value for value in values))
 
@@ -183,7 +205,8 @@ class FrameStack:
         return np.swapaxes(self.target_basis, -1, -2) @ self.g_target.matrix
 
     def pushforward(self, X) -> np.ndarray:
-        return apply(self.jacobian, X)
+        shape = self.jacobian.shape
+        return apply(self.jacobian, _directions(X, shape[:-2], shape[-1], "X"))
 
     def tangential(self, w) -> np.ndarray:
         """Range part of a target vector (of each column, for a matrix)."""
@@ -341,6 +364,9 @@ class FrameStack:
         return (self.target_basis @ fiber_trace(self)[..., None])[..., 0]
 
 
+FrameStack.FIELDS = tuple(f.name for f in fields(FrameStack))
+
+
 class PointFrame(FrameStack):
     """Everything the per-point analysis needs at one point: ``stack.row(i)``,
     each field without its point axis and each member formed from those
@@ -371,7 +397,10 @@ class PointFrame(FrameStack):
         """Shape operator S[a, b] = g2(V, sff(h_a, h_b)) on the horizontal
         frame.  V must be normal to the range; a small stray range component
         is projected away and the norm restored, a large one is an error."""
-        v, r = self.target_coframe @ np.asarray(V, dtype=float), self.rank
+        V, m = np.asarray(V, dtype=float), len(self.image)
+        if V.shape != (m,):
+            raise ValueError(f"V has shape {V.shape}, expected ({m},)")
+        v, r = self.target_coframe @ V, self.rank
         norm, perp_norm = np.linalg.norm(v), np.linalg.norm(v[r:])
         if norm == 0.0:
             return np.zeros((r, r))
@@ -434,7 +463,7 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
 def _freeze(stack: FrameStack) -> None:
     """Make every array of the stack read-only: its fields and every array
     of its two metrics."""
-    arrays = ([getattr(stack, f.name) for f in fields(stack)]
+    arrays = ([getattr(stack, name) for name in stack.FIELDS]
               + [x for g in (stack.g_source, stack.g_target) for x in vars(g).values()])
     for array in arrays:
         if isinstance(array, np.ndarray):
@@ -499,7 +528,13 @@ class Sample:
     their images, and the FrameStacks of their frames, built on first use in
     blocks of at most FRAME_BLOCK points (one stack per rank in a block) and
     read by every check.  A failed build is kept and raised again at the same
-    point, so each check fails where it would."""
+    point, so each check fails where it would.
+
+    A map with affine components (``Expression.affine``) between constant
+    charts, finite at every sample point, has the same frame at every point:
+    its one stack holds the frame at the first point, standing for every
+    sample index (``rows``).  Should that build fail, the blocks are built
+    and locate the error as for any map."""
 
     def __init__(self, spec: MapSpec, points,
                  rank_tol: float = DEFAULT_RANK_TOL):
@@ -521,14 +556,24 @@ class Sample:
 
     def worst(self, residual):
         """worst_residual of residual(stack), an array (len(stack), ...) of
-        the residual entries at each point of the stack, over the stacks."""
+        the residual entries at each frame of the stack, over the stacks."""
         return worst_residual([(s.rows, residual(s)) for s in self.stacks()],
                               self.points)
 
     @cached_property
     def _frames(self):
         """The stacks of every block up to the first failing point, and that
-        point's error (None when every point has its frame)."""
+        point's error (None when every point has its frame); or the one
+        stack of a frame that holds at every point."""
+        if self._constant_frame():
+            try:
+                stacks = frame_block(self.spec, self.points[:1], self.rank_tol,
+                                     self.target)
+            except Exception:  # the blocks locate it
+                pass
+            else:
+                stacks[0].rows = np.arange(len(self))
+                return stacks, None
         stacks: list = []
         for start in range(0, len(self), FRAME_BLOCK):
             built, failure = evaluate_prefix(
@@ -539,6 +584,15 @@ class Sample:
             if failure is not None:
                 return stacks, failure[1]
         return stacks, None
+
+    def _constant_frame(self) -> bool:
+        """Whether the components are affine, both charts constant and F
+        finite at every point: the frame is then the same at every point."""
+        spec = self.spec
+        return (len(self) > 0 and all(c.affine for c in spec.components)
+                and spec.source._kept_fields(self.points) is not None
+                and self._images[1] is None
+                and spec.target._kept_fields(self._images[0]) is not None)
 
     @cached_property
     def _images(self):

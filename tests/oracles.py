@@ -262,7 +262,8 @@ def sampled_slant_angles(sample, count=200, seed=0):
     angles = np.empty((len(sample), count))
     for stack in sample.stacks():
         for row, i in enumerate(stack.rows):
-            frame = stack.row(row)
+            # a stack holds a frame per row, or one frame for all its rows
+            frame = stack.row(row if len(stack) > 1 else 0)
             coefficients = rng.standard_normal((count, frame.rank))
             coefficients /= np.linalg.norm(coefficients, axis=1, keepdims=True)
             for k, c in enumerate(coefficients):

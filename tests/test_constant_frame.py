@@ -1,0 +1,238 @@
+"""The one-frame route of a constant-coefficient map: ``Expression.affine``
+accepts only formulas whose Hessian is zero and whose gradient is the same
+at every point; a Sample of an affine map between constant charts builds one
+frame, at its first point, and the constant target's checks read one point;
+reports and --points records are the same bytes as over the blocks of every
+point's frame; and a map that overflows at some sample points gets the
+blocks' located errors."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import slantmap.charts
+import slantmap.maps
+from slantmap.catalog import catalog_ids
+from slantmap.charts import ChartManifold
+from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
+                                  Fun, Lit, Neg, eval_jets, parse_expression)
+from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
+from slantmap.maps import MapSpec, Sample, point_frame
+from slantmap.report import (CHECK_NAMES, Analysis, render_json,
+                             render_report, sample_points)
+from test_properties import (PROPERTY_SETTINGS, TREES, VARIABLES,
+                             _linear_riemannian_maps)
+
+DATA_MAPS = Path(__file__).resolve().parent / "data" / "maps"
+MAPS = ([f"catalog:{name}" for name in catalog_ids()]
+        + [str(path) for path in sorted(DATA_MAPS.glob("*.json"))])
+J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+      ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
+
+
+@pytest.mark.parametrize("text, affine", [
+    ("x1", True), ("3", True), ("-x2", True), ("x1 - 2*x3 + 0.5", True),
+    ("(x2+x3)/sqrt(3)", True), ("x2*0.25*4", True), ("pow(2, 3)*x1", True),
+    ("-(x1 + x2)/-(4)", True), ("x1*1e308 + 1e308", True),
+    ("x1*x2", False), ("pow(x1,2)", False), ("sin(x1)", False),
+    ("1/x1", False), ("pow(sqrt(x1),0)", False), ("x1/0", False),
+    ("pow(x1,1)", False), ("x1*(x2 - x2)", False), ("x1/(1 - 1)", False),
+    ("x1*sqrt(-1)", False), ("x1 + log(-1)", False), ("x1 + 1e400", False),
+    ("x1*(1e308*10)", False), ("x1/5e-324", False), ("1e308*10", False),
+    ("x1 + 1e308*10", False), ("1/0", False)])
+def test_affine_table(text, affine):
+    assert parse_expression(text, 3).affine is affine
+
+
+def _affine_branches(children):
+    constants = st.floats(-4.0, 4.0, allow_nan=False).map(Lit)
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(BinOp, st.just("*"), constants, children),
+        st.builds(BinOp, st.just("/"), children, constants))
+
+
+# affine trees and near misses: constant subtrees may hold functions
+AFFINE_TREES = st.recursive(
+    VARIABLES | st.floats(0.0, 1e6, allow_nan=False).map(Lit)
+    | st.builds(Fun, st.sampled_from(("sqrt", "exp", "log", "sin")),
+                st.floats(0.0, 4.0).map(Lit)),
+    _affine_branches, max_leaves=10)
+
+
+@PROPERTY_SETTINGS
+@given(AFFINE_TREES | TREES,
+       st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=2, max_size=6))
+def test_affine_formulas_have_zero_hessians_and_equal_gradient_rows(root,
+                                                                    points):
+    expr = Expression(root, 3)
+    if not expr.affine:
+        return
+    try:
+        _, grad, hess = eval_jets([expr], np.array(points), 2)
+    except ExpressionDomainError:  # a value that leaves the floats
+        return
+    assert not hess.any()
+    rows = grad.view(np.int64)
+    assert (rows == rows[:1]).all()
+
+
+def _route_off(patch):
+    patch.setattr(Sample, "_constant_frame", lambda self: False)
+
+
+def _outputs(loaded):
+    """The report and the --points records of a run, as written."""
+    analysis = Analysis(loaded)
+    text = render_report(analysis.report())
+    return text, render_json(analysis.point_records())
+
+
+def _same_outputs_over_blocks(loaded):
+    expected = None
+    for block in (1, 7, 1024):
+        for route in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(slantmap.maps, "FRAME_BLOCK", block)
+                if not route:
+                    _route_off(patch)
+                outputs = _outputs(loaded)
+            expected = expected or outputs
+            assert outputs == expected, (block, route)
+
+
+@pytest.mark.parametrize("identifier", MAPS)
+def test_reports_and_points_equal_the_block_route(identifier):
+    loaded = load_map_spec(identifier)
+    loaded.settings.points = 20
+    _same_outputs_over_blocks(loaded)
+
+
+@st.composite
+def _affine_maps(draw):
+    """Affine components, with sums, differences, negations, products with
+    and divisions by constants and some zero coefficients, between the
+    constant SPD metrics (and standard J) of ``_linear_riemannian_maps``."""
+    spec = draw(_linear_riemannian_maps())
+    n, m = spec.source.dim, spec.target.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forms = ("({c!r})*x{i}", "x{i}/({c!r})", "-x{i}*({c!r})",
+             "(x{i} - {c!r})*2")
+    components = []
+    for _ in range(m):
+        terms = [forms[rng.integers(len(forms))].format(
+            c=float(rng.uniform(-2.0, 2.0)) or 1.0, i=i + 1)
+            for i in range(n) if rng.random() < 0.7]
+        components.append(" + ".join(terms + [repr(float(rng.uniform(-1, 1)))]))
+    return MapSpec.create(spec.source, spec.target, components, name="affine")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(_linear_riemannian_maps() | _affine_maps(), st.integers(1, 12),
+       st.integers(0, 2**16))
+def test_random_affine_maps_equal_the_block_route(spec, count, seed):
+    assert all(c.affine for c in spec.components)
+    _same_outputs_over_blocks(LoadedMap(
+        spec, AnalysisSettings(points=count, seed=seed), "generated"))
+
+
+def test_one_frame_is_built_at_the_first_point(monkeypatch):
+    built = []
+    block = slantmap.maps.frame_block
+
+    def spy(spec, points, *args, **kwargs):
+        built.append(np.array(points))
+        return block(spec, points, *args, **kwargs)
+
+    monkeypatch.setattr(slantmap.maps, "frame_block", spy)
+    loaded = load_map_spec("catalog:example4")
+    loaded.settings.points = 2000
+    analysis = Analysis(loaded)
+    report = analysis.report()
+    assert report.check("riemannian_map").samples == 2000
+    (points,) = built
+    assert np.array_equal(points, analysis.sample.points[:1])
+    (stack,) = analysis.sample.stacks()
+    assert len(stack) == 1
+    assert np.array_equal(stack.rows, np.arange(2000))
+
+
+def test_a_constant_target_is_checked_at_one_point(monkeypatch):
+    contracted = []
+    pairings = slantmap.charts.pairings
+
+    def spy(U, G, V):
+        contracted.append(len(U))
+        return pairings(U, G, V)
+
+    monkeypatch.setattr(slantmap.charts, "pairings", spy)
+    loaded = load_map_spec("catalog:slant_plane")
+    loaded.settings.points = 2000
+    analysis = Analysis(loaded)
+    for name in ("almost_hermitian", "kahler"):
+        entry = analysis.entry(name)
+        assert (entry.status, entry.samples) == ("pass", 2000), name
+    assert contracted == [1]
+
+
+def test_a_constant_targets_failure_keeps_the_first_point_as_witness():
+    # J^2 = -4 I at every point: the one residual stands for every point
+    j = [[str(2 * float(x)) for x in row] for row in J4]
+    spec = MapSpec.create(ChartManifold.euclidean(2),
+                          ChartManifold.euclidean(4, j), ["x1", "0", "x2", "0"])
+    analysis = Analysis(LoadedMap(spec, AnalysisSettings(points=30), "generated"))
+    entry = analysis.entry("almost_hermitian")
+    assert (entry.status, entry.samples) == ("fail", 30)
+    # the target's points are the images
+    assert entry.witness == {"point": analysis.sample.images[0].tolist()}
+
+
+def test_an_overflow_at_some_points_gets_the_blocks_errors():
+    # F_* is finite everywhere, F itself overflows where x1 > 0.797...: the
+    # frame at the first point builds, yet every entry is the blocks' error
+    # at the first point that overflows
+    spec = MapSpec.create(ChartManifold.euclidean(2),
+                          ChartManifold.euclidean(4, J4),
+                          ["x1*1e308 + 1e308", "0", "x2", "0"],
+                          box=[(-1.0, 1.0), (-1.0, 1.0)])
+    assert all(c.affine for c in spec.components)
+    seed = next(s for s in range(100)
+                if (lambda x: x[0, 0] < 0.5 and (x[1:, 0] > 0.9).any())(
+                    sample_points(spec.box, 12, s)))
+    point_frame(spec, sample_points(spec.box, 12, seed)[0])  # builds
+    loaded = LoadedMap(spec, AnalysisSettings(points=12, seed=seed), "generated")
+
+    def entries():
+        analysis = Analysis(loaded)
+        return {name: analysis.entry(name) for name in CHECK_NAMES}
+
+    route = entries()
+    with pytest.MonkeyPatch.context() as patch:
+        _route_off(patch)
+        blocks = entries()
+    assert route == blocks
+    reason = route["riemannian_map"].reason
+    assert reason.startswith("ExpressionDomainError: non-finite value at point")
+    _same_outputs_over_blocks(loaded)
+
+
+FRAME = point_frame(load_map_spec("catalog:warped_fiber").spec, [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FRAME.s_v(np.ones(3)), "V has shape (3,), expected (4,)"),
+    (lambda: FRAME.sff_value(np.ones(2), np.ones(3)),
+     "X has shape (2,), expected (3,) or (3, k)"),
+    (lambda: FRAME.sff_value(np.ones(3), np.ones((2, 4))),
+     "Y has shape (2, 4), expected (3,) or (3, k)"),
+    (lambda: FRAME.covariant_source(np.ones(3), np.ones(2)),
+     "Y has shape (2,), expected (3,) or (3, k)"),
+    (lambda: FRAME.phi_omega(np.ones(2)),
+     "X has shape (2,), expected (3,) or (3, k)")])
+def test_shape_errors_are_located(call, message):
+    with pytest.raises(ValueError) as error:
+        call()
+    assert str(error.value) == message

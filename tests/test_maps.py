@@ -72,7 +72,7 @@ def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
     first = list(sample.stacks())
     assert check_sff_range_perp(sample).passed
     assert all(a is b for a, b in zip(first, sample.stacks()))
-    assert sum(len(stack) for stack in first) == len(sample) == 5
+    assert sum(len(stack.rows) for stack in first) == len(sample) == 5
 
 
 def test_riemannian_rejects_dilation():
