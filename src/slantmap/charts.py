@@ -83,19 +83,13 @@ class ChartManifold:
         return G, dG
 
     def metric_at(self, p) -> tuple[InnerProduct, np.ndarray]:
-        """The metric at p and its Christoffel symbols, from one jet of the
-        upper triangle; at a stack of points (N, n), the InnerProduct of the
-        stack and Gamma (N, n, n, n)."""
+        """The metric at p and its Christoffel symbols, read from
+        ``ChartFields``; at a stack of points (N, n), the InnerProduct of the
+        stack and Gamma (N, n, n, n), and the error of its first failing
+        point."""
         points, stack = _point_stack(p, self.dim)
-        if self._kept_fields(stack) is not None:
-            ip, gamma = ChartFields(self, stack).metric()
-            return (ip[0], gamma[0]) if points.ndim == 1 else (ip, gamma)
-        G, dG = self.metric_jet(p)
-        try:
-            ip = InnerProduct(G)
-        except MetricError as exc:
-            raise _metric_error(exc, p)
-        return ip, christoffel(ip.inverse, dG)
+        ip, gamma = ChartFields(self, stack).metric()
+        return (ip[0], gamma[0]) if points.ndim == 1 else (ip, gamma)
 
     def complex_structure_at(self, p) -> np.ndarray:
         """J at p (at each point of a stack)."""
@@ -115,28 +109,26 @@ class ChartManifold:
     def _structure_entries(self) -> list:
         return [e for row in self.complex_structure for e in row]
 
+    @cached_property
+    def constant(self) -> bool:
+        """Whether every metric and J entry compiles to a float: the chart is
+        then the same at every point."""
+        return all(isinstance(e.compiled, float)
+                   for row in self.metric + (self.complex_structure or ())
+                   for e in row)
+
     def _kept_fields(self, stack) -> Optional["ChartFields"]:
-        """For a chart whose entries are all constants, its ChartFields at
-        one point, which hold at every point: evaluated on first use at the
-        stack's first point, as any chart is, and kept once that succeeds.
-        None for a varying chart, an empty stack or a failing evaluation."""
+        """For a constant chart, its ChartFields at one point, which hold at
+        every point: evaluated on first use at the stack's first point, as
+        any chart is, and kept once that succeeds.  None for a varying
+        chart, an empty stack or a failing evaluation."""
         kept = self.__dict__.get("_kept")
-        if kept is None and len(stack) and all(
-                isinstance(e.compiled, float) for e in self._upper_triangle[2]
-                + [e for row in self.complex_structure or () for e in row]):
+        if kept is None and self.constant and len(stack):
             fields = object.__new__(ChartFields)
             fields._evaluate(self, stack[:1].copy())
             if fields._metric_failure is None and fields._structure_failure is None:
                 self.__dict__["_kept"] = kept = fields
         return kept
-
-
-def _metric_error(exc: MetricError, p) -> ChartError:
-    """The error for a metric at p (at the failing point of a stack) that is
-    not positive definite."""
-    point = [float(x) for x in (p if np.ndim(p) == 1 else p[exc.index])]
-    return ChartError(f"metric is not positive definite at {point}: {exc}",
-                      exc.index)
 
 
 def _parse_matrix(entries, dim: int, what: str):
@@ -192,10 +184,8 @@ class ChartFields:
     metric's InnerProduct and Christoffel symbols, and nabla J.  Each field is
     evaluated up to the first point where it fails, and that failure, kept
     as (index, error), is raised by whatever reads the field there.  A
-    chart whose entries are all constants gives read-only broadcast views of
-    the one point it keeps, and ``constant`` is then true."""
-
-    constant = False
+    constant chart (``ChartManifold.constant``) that evaluates gives
+    read-only broadcast views of the one point it keeps."""
 
     def __init__(self, chart: ChartManifold, points):
         points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
@@ -209,7 +199,7 @@ class ChartFields:
                 elif isinstance(value, np.ndarray):
                     value = np.broadcast_to(value, (len(points),) + value.shape[1:])
                 setattr(self, name, value)
-            self.points, self.constant = points, True
+            self.points = points
 
     def _evaluate(self, chart: ChartManifold, points) -> None:
         """Evaluate the chart's fields at every point."""
@@ -221,7 +211,9 @@ class ChartFields:
         try:
             self._ip = InnerProduct(self.G)
         except MetricError as exc:
-            self._metric_failure = (exc.index, _metric_error(exc, self.points))
+            point = self.points[exc.index].tolist()
+            self._metric_failure = (exc.index, ChartError(
+                f"metric is not positive definite at {point}: {exc}", exc.index))
             self._ip = InnerProduct(self.G[:exc.index])
         self._gamma = christoffel(self._ip.inverse, dG[:len(self._ip.matrix)])
         self._structure_failure = None
@@ -238,6 +230,8 @@ class ChartFields:
         definiteness, is raised with its index counted from lo."""
         hi = len(self.points) if hi is None else hi
         _raise_first(lo, hi, self._metric_failure)
+        if (lo, hi) == (0, len(self.points)):  # the whole stack, not a copy
+            return self._ip, self._gamma
         return self._ip[lo:hi], self._gamma[lo:hi]
 
     def structure(self, lo: int = 0, hi: Optional[int] = None):
@@ -271,7 +265,7 @@ def check_almost_hermitian(fields: ChartFields,
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
     _raise_first(0, len(fields.points), fields._structure_failure,
                  fields._metric_jet_failure)
-    held = 1 if fields.constant else None
+    held = 1 if fields.chart.constant else None
     J, G = fields.J[:held], fields.G[:held]
     square = np.linalg.norm(J @ J + np.eye(fields.chart.dim), axis=(1, 2))
     compatibility = np.linalg.norm(np.swapaxes(J, 1, 2) @ G @ J - G, axis=(1, 2))
@@ -300,7 +294,7 @@ def check_kahler(fields: ChartFields,
     # at each point the metric is read before J
     _raise_first(0, len(fields.points), fields._metric_failure,
                  fields._structure_failure)
-    held = 1 if fields.constant else None
+    held = 1 if fields.chart.constant else None
     ip = fields.metric(0, held)[0]
     J, nabla = fields.structure(0, held)
     G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns

@@ -15,7 +15,6 @@ Grammar (whitespace-insensitive)::
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -103,37 +102,19 @@ class Expression:
         return _compile(self.root, self.dim)
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def affine(self) -> bool:
-        """Whether the formula is affine by its structure: literals and
-        variables combined by +, -, unary -, products with a constant subtree
-        and division by one, every constant folding to a finite float (a
-        divisor's reciprocal too).  Its Hessian is then exactly zero and its
-        gradient the same, bit for bit, at every point."""
-        return _affine(self.root, self.dim)
-
-
-def _affine(node: "Node", n: int) -> bool:
-    if not callable(Expression(node, n).compiled):  # a constant subtree
-        return _constant(node, n)
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return _affine(node.arg, n)
-    if not isinstance(node, BinOp):
-        return False
-    left, right = node.left, node.right
-    if node.op in "+-":
-        return _affine(left, n) and _affine(right, n)
-    if node.op == "*":
-        return (_constant(left, n) and _affine(right, n)
-                or _constant(right, n) and _affine(left, n))
-    return _constant(BinOp("/", Lit(1.0), right), n) and _affine(left, n)
-
-
-def _constant(node: "Node", n: int) -> bool:
-    """Whether the subtree has no variable and folds to a finite float."""
-    value = Expression(node, n).compiled
-    return isinstance(value, float) and math.isfinite(value)
+        """Whether the compiled jet's Hessian is structurally zero (None), as
+        probed once at the origin; a probe that raises reads as not affine.
+        The gradient is then built from constants alone, the same bit for
+        bit at every point; whether F is finite is for its evaluation to
+        say, at each point."""
+        if not callable(self.compiled):
+            return True
+        try:
+            return self.compiled(np.zeros((1, self.dim)), 2)[2] is None
+        except ExpressionDomainError:
+            return False
 
 
 @dataclass

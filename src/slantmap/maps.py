@@ -23,9 +23,9 @@ adjoints are transposes and g-norms Euclidean norms; chart coordinates come
 back through one frame product where a vector leaves the library.  A
 ``Sample`` is the analysis context of one run, whose stacks are built once,
 and every check is a reduction over them.  A map with affine components
-between constant charts has the same frame at every point; its Sample
-builds that frame once, at the first sample point, in a stack whose ``rows``
-are every sample index.
+between constant charts (``MapSpec.constant_frame``) has the same frame
+wherever F is finite; ``frame_block`` builds it once, at a block's first
+point, in a stack whose ``rows`` are every point of the block.
 """
 
 from __future__ import annotations
@@ -80,6 +80,13 @@ class MapSpec:
         if len(box) != source.dim or any(hi <= lo for lo, hi in box):
             raise MapDefinitionError("domain box must give a range per source coordinate")
         return MapSpec(source, target, parsed, box, name)
+
+    @cached_property
+    def constant_frame(self) -> bool:
+        """Whether the frame is the same at every point where F is finite:
+        both charts are constant and every component is affine."""
+        return (self.source.constant and self.target.constant
+                and all(c.affine for c in self.components))
 
 
 def map_point(spec: MapSpec, p) -> np.ndarray:
@@ -476,8 +483,14 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     built from stacked jets with one batched factorisation of each kind.
     points[i] is the point start + i of its sample, and the point start + i
     of ``target``, which holds the target chart at the images; without it
-    the target chart is evaluated here."""
+    the target chart is evaluated here.  Where the frame is the same at
+    every point (``MapSpec.constant_frame``) and ``target`` covers the
+    block, so that F is finite on it, one stack holds the frame at the first
+    point for every row."""
     rows = np.arange(start, start + len(points))
+    if (spec.constant_frame and target is not None
+            and len(target.points) >= start + len(points)):
+        points = points[:1]  # one rank, so its group's ``at`` takes every row
     image, jac, hess = eval_jets(spec.components, points, 2)
     g1, gamma1 = spec.source.metric_at(points)
     if target is None:
@@ -528,13 +541,10 @@ class Sample:
     their images, and the FrameStacks of their frames, built on first use in
     blocks of at most FRAME_BLOCK points (one stack per rank in a block) and
     read by every check.  A failed build is kept and raised again at the same
-    point, so each check fails where it would.
-
-    A map with affine components (``Expression.affine``) between constant
-    charts, finite at every sample point, has the same frame at every point:
-    its one stack holds the frame at the first point, standing for every
-    sample index (``rows``).  Should that build fail, the blocks are built
-    and locate the error as for any map."""
+    point, so each check fails where it would.  A constant frame
+    (``MapSpec.constant_frame``) is one block: its stack holds the frame at
+    the first point for every sample index (``rows``) up to F's first
+    failing point."""
 
     def __init__(self, spec: MapSpec, points,
                  rank_tol: float = DEFAULT_RANK_TOL):
@@ -563,36 +573,20 @@ class Sample:
     @cached_property
     def _frames(self):
         """The stacks of every block up to the first failing point, and that
-        point's error (None when every point has its frame); or the one
-        stack of a frame that holds at every point."""
-        if self._constant_frame():
-            try:
-                stacks = frame_block(self.spec, self.points[:1], self.rank_tol,
-                                     self.target)
-            except Exception:  # the blocks locate it
-                pass
-            else:
-                stacks[0].rows = np.arange(len(self))
-                return stacks, None
+        point's error (None when every point has its frame).  A constant
+        frame's block is the whole sample, since frame_block builds it at
+        one point."""
         stacks: list = []
-        for start in range(0, len(self), FRAME_BLOCK):
+        block = max(len(self), 1) if self.spec.constant_frame else FRAME_BLOCK
+        for start in range(0, len(self), block):
             built, failure = evaluate_prefix(
                 lambda k: frame_block(self.spec, self.points[start:start + k],
                                       self.rank_tol, self.target, start),
-                min(FRAME_BLOCK, len(self) - start))
+                min(block, len(self) - start))
             stacks.extend(built)
             if failure is not None:
                 return stacks, failure[1]
         return stacks, None
-
-    def _constant_frame(self) -> bool:
-        """Whether the components are affine, both charts constant and F
-        finite at every point: the frame is then the same at every point."""
-        spec = self.spec
-        return (len(self) > 0 and all(c.affine for c in spec.components)
-                and spec.source._kept_fields(self.points) is not None
-                and self._images[1] is None
-                and spec.target._kept_fields(self._images[0]) is not None)
 
     @cached_property
     def _images(self):

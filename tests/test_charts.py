@@ -85,6 +85,21 @@ def test_christoffel_rejects_indefinite_metric():
         chart.metric_at([-1.0, 0.0])
 
 
+def test_metric_at_names_the_earliest_failing_point():
+    # sqrt fails first at index 2, in the first entry; log at index 1, in a
+    # later one: the stack's error is the earliest point's, as ChartFields'
+    chart = ChartManifold.from_strings(
+        2, [["1 + 0*sqrt(x1)", "0"], ["0", "1 + 0*log(x1 - 0.5)"]])
+    points = [[1.0, 0.0], [0.3, 0.0], [-0.2, 0.0], [1.0, 0.0]]
+    for call in (lambda: chart.metric_at(points),
+                 lambda: ChartFields(chart, points).metric()):
+        with pytest.raises(ExpressionDomainError) as failure:
+            call()
+        assert str(failure.value).startswith(
+            "log of a non-positive value at point [0.3, 0.0]")
+        assert failure.value.index == 1
+
+
 def test_metric_compatibility_of_connection():
     chart = ChartManifold.from_strings(
         2, [["1 + pow(x1,2)", "x1*x2"], ["x1*x2", "2 + pow(x2,2)"]])

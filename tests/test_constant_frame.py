@@ -1,10 +1,11 @@
 """The one-frame route of a constant-coefficient map: ``Expression.affine``
 accepts only formulas whose Hessian is zero and whose gradient is the same
-at every point; a Sample of an affine map between constant charts builds one
-frame, at its first point, and the constant target's checks read one point;
-reports and --points records are the same bytes as over the blocks of every
-point's frame; and a map that overflows at some sample points gets the
-blocks' located errors."""
+at every point; a Sample of an affine map between constant charts
+(``MapSpec.constant_frame``) builds one frame, at its first point, and the
+constant target's checks read one point; reports and --points records are
+the same bytes as over the blocks of every point's frame; and a map that
+overflows at some sample points, or whose constants leave the floats, gets
+the blocks' located errors."""
 
 from pathlib import Path
 
@@ -38,11 +39,13 @@ J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
     ("-(x1 + x2)/-(4)", True), ("x1*1e308 + 1e308", True),
     ("x1*x2", False), ("pow(x1,2)", False), ("sin(x1)", False),
     ("1/x1", False), ("pow(sqrt(x1),0)", False), ("x1/0", False),
-    ("pow(x1,1)", False), ("x1*(x2 - x2)", False), ("x1/(1 - 1)", False),
-    ("x1*sqrt(-1)", False), ("x1 + log(-1)", False), ("x1 + 1e400", False),
-    ("x1*(1e308*10)", False), ("x1/5e-324", False), ("1e308*10", False),
-    ("x1 + 1e308*10", False), ("1/0", False)])
+    ("pow(x1,1)", True), ("x1*(x2 - x2)", False), ("x1/(1 - 1)", False),
+    ("x1*sqrt(-1)", False), ("x1 + log(-1)", False), ("x1 + 1e400", True),
+    ("x1*(1e308*10)", True), ("x1/5e-324", True), ("1e308*10", True),
+    ("x1 + 1e308*10", True), ("1/0", False)])
 def test_affine_table(text, affine):
+    # the compiler's verdict: a constant that leaves the floats is affine
+    # too, and F's evaluation at each point says that it is not finite
     assert parse_expression(text, 3).affine is affine
 
 
@@ -81,7 +84,8 @@ def test_affine_formulas_have_zero_hessians_and_equal_gradient_rows(root,
 
 
 def _route_off(patch):
-    patch.setattr(Sample, "_constant_frame", lambda self: False)
+    # a property: the value cached on a shared spec would shadow an attribute
+    patch.setattr(MapSpec, "constant_frame", property(lambda self: False))
 
 
 def _outputs(loaded):
@@ -140,22 +144,22 @@ def test_random_affine_maps_equal_the_block_route(spec, count, seed):
 
 
 def test_one_frame_is_built_at_the_first_point(monkeypatch):
-    built = []
-    block = slantmap.maps.frame_block
+    split = []
+    split_tangents = slantmap.maps.split_tangents
 
-    def spy(spec, points, *args, **kwargs):
-        built.append(np.array(points))
-        return block(spec, points, *args, **kwargs)
+    def spy(jac, *args):
+        split.append(len(jac))
+        return split_tangents(jac, *args)
 
-    monkeypatch.setattr(slantmap.maps, "frame_block", spy)
+    monkeypatch.setattr(slantmap.maps, "split_tangents", spy)
     loaded = load_map_spec("catalog:example4")
     loaded.settings.points = 2000
     analysis = Analysis(loaded)
     report = analysis.report()
     assert report.check("riemannian_map").samples == 2000
-    (points,) = built
-    assert np.array_equal(points, analysis.sample.points[:1])
+    assert split == [1]
     (stack,) = analysis.sample.stacks()
+    assert np.array_equal(stack.points, analysis.sample.points[:1])
     assert len(stack) == 1
     assert np.array_equal(stack.rows, np.arange(2000))
 
@@ -190,33 +194,78 @@ def test_a_constant_targets_failure_keeps_the_first_point_as_witness():
     assert entry.witness == {"point": analysis.sample.images[0].tolist()}
 
 
+def _entries(loaded):
+    analysis = Analysis(loaded)
+    return {name: analysis.entry(name) for name in CHECK_NAMES}
+
+
+def _overflowing_map(component, half_width=1.0):
+    return MapSpec.create(ChartManifold.euclidean(2),
+                          ChartManifold.euclidean(4, J4),
+                          [component, "0", "x2", "0"],
+                          box=[(-half_width, half_width), (-1.0, 1.0)])
+
+
 def test_an_overflow_at_some_points_gets_the_blocks_errors():
     # F_* is finite everywhere, F itself overflows where x1 > 0.797...: the
     # frame at the first point builds, yet every entry is the blocks' error
     # at the first point that overflows
-    spec = MapSpec.create(ChartManifold.euclidean(2),
-                          ChartManifold.euclidean(4, J4),
-                          ["x1*1e308 + 1e308", "0", "x2", "0"],
-                          box=[(-1.0, 1.0), (-1.0, 1.0)])
-    assert all(c.affine for c in spec.components)
+    spec = _overflowing_map("x1*1e308 + 1e308")
     seed = next(s for s in range(100)
                 if (lambda x: x[0, 0] < 0.5 and (x[1:, 0] > 0.9).any())(
                     sample_points(spec.box, 12, s)))
     point_frame(spec, sample_points(spec.box, 12, seed)[0])  # builds
-    loaded = LoadedMap(spec, AnalysisSettings(points=12, seed=seed), "generated")
+    cases = [(spec, seed)]
+    # constants that leave the floats: F is not finite at any point; and
+    # x1*1e308*10 on |x1| <= 0.01, whose F is finite and F_* infinite
+    cases += [(_overflowing_map(component), 1) for component in (
+        "x1 + 1e400", "x1*(1e308*10)", "x1/5e-324", "1e308*10",
+        "x1 + 1e308*10")]
+    finite_f = _overflowing_map("x1*1e308*10", 0.01)
+    assert np.isfinite(Sample(finite_f, sample_points(finite_f.box, 12, 1))
+                       .images).all()
+    cases.append((finite_f, 1))
+    for spec, seed in cases:
+        assert spec.constant_frame, spec.components[0]
+        loaded = LoadedMap(spec, AnalysisSettings(points=12, seed=seed),
+                           "generated")
+        route = _entries(loaded)
+        with pytest.MonkeyPatch.context() as patch:
+            _route_off(patch)
+            assert _entries(loaded) == route, spec.components[0]
+        reason = route["riemannian_map"].reason
+        assert reason.startswith(
+            "ExpressionDomainError: non-finite value at point"), reason
+        _same_outputs_over_blocks(loaded)
 
-    def entries():
-        analysis = Analysis(loaded)
-        return {name: analysis.entry(name) for name in CHECK_NAMES}
 
-    route = entries()
-    with pytest.MonkeyPatch.context() as patch:
-        _route_off(patch)
-        blocks = entries()
-    assert route == blocks
-    reason = route["riemannian_map"].reason
-    assert reason.startswith("ExpressionDomainError: non-finite value at point")
-    _same_outputs_over_blocks(loaded)
+# the maps whose frame is the same at every point
+ONE_FRAME = {"catalog:identity2", "catalog:invariant", "catalog:anti_invariant",
+             "catalog:example4", "catalog:slant_plane", "catalog:compose_slant",
+             str(DATA_MAPS / "slant_product.json")}
+
+
+@pytest.mark.parametrize("identifier", MAPS)
+def test_exactly_the_constant_coefficient_maps_hold_one_frame(identifier):
+    spec = load_map_spec(identifier).spec
+    assert spec.constant_frame is (identifier in ONE_FRAME)
+    for count in (1, 5, slantmap.maps.FRAME_BLOCK + 3):
+        stacks = list(Sample(spec, sample_points(spec.box, count, 3)).stacks())
+        assert sum(len(s.rows) for s in stacks) == count
+        frames = sum(len(s) for s in stacks)
+        assert frames == (1 if identifier in ONE_FRAME else count)
+
+
+def test_a_constant_power_of_a_root_gets_the_same_bytes():
+    # pow(sqrt(x1 + 1), 0) is 1 on the box, with sqrt's domain still tested
+    # at each point: the compiler finds the component affine
+    spec = MapSpec.create(ChartManifold.euclidean(2),
+                          ChartManifold.euclidean(4, J4),
+                          ["x1", "0", "pow(sqrt(x1+1),0)*x2", "0"],
+                          box=[(-0.5, 1.0), (-1.0, 1.0)])
+    assert spec.constant_frame
+    _same_outputs_over_blocks(
+        LoadedMap(spec, AnalysisSettings(points=20), "generated"))
 
 
 FRAME = point_frame(load_map_spec("catalog:warped_fiber").spec, [0.1, 0.2, 0.3])
