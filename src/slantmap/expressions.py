@@ -472,6 +472,8 @@ def eval_jet2(expr: Expression, p, order: int = 2) -> Jet2:
         value, grad, hess = (compiled(stack, order) if callable(compiled)
                              else (compiled, None, None))
     except ExpressionDomainError as exc:  # now the point is known
+        if exc.index:  # another subexpression may fail at an earlier point
+            eval_jet2(expr, stack[:exc.index], order)
         raise ExpressionDomainError(exc.reason, exc.subexpression,
                                     stack[exc.index], exc.index) from None
     if np.ndim(value) == 0:
@@ -500,7 +502,12 @@ def eval_jets(expressions, p, order: int) -> list:
         if isinstance(expr.compiled, float):  # a constant: no derivatives
             arrays[0][:, j] = expr.compiled
             continue
-        jet = eval_jet2(expr, stack, order)
+        try:
+            jet = eval_jet2(expr, stack, order)
+        except ExpressionDomainError as exc:  # a later expression may fail earlier
+            if exc.index:
+                eval_jets(expressions, stack[:exc.index], order)
+            raise
         for array, part in zip(arrays, (jet.value, jet.grad, jet.hess)):
             array[:, j] = part
     if any(np.count_nonzero(np.isfinite(a)) < a.size for a in arrays):

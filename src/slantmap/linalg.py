@@ -108,13 +108,6 @@ def lift(x: np.ndarray, ndim: int) -> np.ndarray:
     return x.reshape(x.shape[:-2] + (1,) * (ndim - x.ndim) + x.shape[-2:])
 
 
-def apply(x: np.ndarray, w) -> np.ndarray:
-    """The matrix x (at each point, for a stack) applied to w: to a vector, to
-    the columns of a matrix, or to each matrix of w's extra axes."""
-    w = np.asarray(w, dtype=float)
-    return lift(x, w.ndim) @ w
-
-
 def pairings(U, G, V) -> np.ndarray:
     """sum_ij U[i, a] G[i, j] V[j, a] for each column a: the pairing of
     matching columns under the matrix G (at each point, for a stack, lifted

@@ -20,7 +20,9 @@ the orthonormal frames B1 = [h | k] and B2 = [R | N] are fields, and
 sff, nabla J and Q as components in B1 and B2, where F_* is
 [[Sigma, 0], [0, 0]], the projector onto the range is diag(I_r, 0),
 adjoints are transposes and g-norms Euclidean norms; chart coordinates come
-back through one frame product where a vector leaves the library.  A
+back through one frame product where a vector leaves the library.  Each
+pointwise quantity has this one route: no member forms phi, omega, B, C, Q,
+a shape operator or the fiber mean curvature in chart coordinates.  A
 ``Sample`` is the analysis context of one run, whose stacks are built once,
 and every check is a reduction over them.  A map with affine components
 between constant charts (``MapSpec.constant_frame``) has the same frame
@@ -39,8 +41,9 @@ import numpy as np
 
 from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
                      evaluate_prefix)
-from .expressions import Expression, eval_jet2, eval_jets, parse_expression
-from .linalg import (InnerProduct, TangentSplit, apply, apply_along, lift,
+from .expressions import Expression, eval_jets, parse_expression
+from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
+from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
                      split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, worst_residual)
@@ -94,8 +97,8 @@ def map_point(spec: MapSpec, p) -> np.ndarray:
 
 
 def differential(spec: MapSpec, p) -> np.ndarray:
-    """Jacobian matrix, entry (g, i) = d_i F^g at p."""
-    return np.array([eval_jet2(c, p).grad for c in spec.components])
+    """Jacobian matrix, entry (g, i) = d_i F^g at p: the frame's jets."""
+    return eval_jets(spec.components, p, 1)[1]
 
 
 @dataclass
@@ -211,30 +214,6 @@ class FrameStack:
         """C2 = B2^T G2 = B2^-1: a target vector's components in B2."""
         return np.swapaxes(self.target_basis, -1, -2) @ self.g_target.matrix
 
-    def pushforward(self, X) -> np.ndarray:
-        shape = self.jacobian.shape
-        return apply(self.jacobian, _directions(X, shape[:-2], shape[-1], "X"))
-
-    def tangential(self, w) -> np.ndarray:
-        """Range part of a target vector (of each column, for a matrix)."""
-        r = self.rank
-        return apply(self.target_basis[..., :r],
-                     apply(self.target_coframe[..., :r, :], w))
-
-    def normal(self, w) -> np.ndarray:
-        """Part of a target vector normal to the range."""
-        return np.asarray(w, dtype=float) - self.tangential(w)
-
-    def phi_omega(self, X):
-        """Split J F_*X into its range part (phi) and normal part (omega)."""
-        return self.bc(self.pushforward(X))
-
-    def bc(self, V):
-        """Split J V into its range and normal parts: B and C for a normal V."""
-        w = apply(require_complex_structure(self), V)
-        b = self.tangential(w)
-        return b, w - b
-
     def _angles(self, w) -> np.ndarray:
         """Angle in [0, pi/2] between J F_*X and the range of F_*, for each
         column w of the components of J F_*X in B2, as atan2(|omega part|,
@@ -282,11 +261,6 @@ class FrameStack:
         matrix X one leading entry per column of X."""
         return _bilinear(self.sff, X, Y)
 
-    def covariant_source(self, X, Y) -> np.ndarray:
-        """Source connection applied to constant-coefficient extensions of X, Y,
-        with matrices read as in sff_value."""
-        return _bilinear(self.gamma_source, X, Y)
-
     @cached_property
     def adapted_jacobian(self) -> np.ndarray:
         """C2 F_* B1: [[Sigma, 0], [0, 0]] up to rounding, (N, m, n)."""
@@ -314,11 +288,6 @@ class FrameStack:
     def q(self) -> np.ndarray:
         """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
         return self.adapted_q[..., :self.rank, :self.rank]
-
-    @cached_property
-    def adjoint_phi(self) -> np.ndarray:
-        """Q in chart coordinates, so that Q X = adjoint_phi @ X."""
-        return self.source_basis @ self.adapted_q @ self.source_coframe
 
     @cached_property
     def adapted_sff(self) -> np.ndarray:
@@ -364,12 +333,6 @@ class FrameStack:
         inverse = self.g_source.inverse
         return (self.sff * inverse[..., None, :, :]).sum(axis=(-2, -1))
 
-    @cached_property
-    def fiber_mean_curvature(self) -> np.ndarray:
-        """Trace of the second fundamental form over the kernel, in chart
-        coordinates; zero iff the fiber through the point is minimal."""
-        return (self.target_basis @ fiber_trace(self)[..., None])[..., 0]
-
 
 FrameStack.FIELDS = tuple(f.name for f in fields(FrameStack))
 
@@ -399,22 +362,6 @@ class PointFrame(FrameStack):
                              f"at point {self.point.tolist()}")
         w = self.target_coframe @ (require_complex_structure(self) @ pushed)
         return float(self._angles(w[:, None])[0])
-
-    def s_v(self, V, tol: float = DEFAULT_CHECK_TOL) -> np.ndarray:
-        """Shape operator S[a, b] = g2(V, sff(h_a, h_b)) on the horizontal
-        frame.  V must be normal to the range; a small stray range component
-        is projected away and the norm restored, a large one is an error."""
-        V, m = np.asarray(V, dtype=float), len(self.image)
-        if V.shape != (m,):
-            raise ValueError(f"V has shape {V.shape}, expected ({m},)")
-        v, r = self.target_coframe @ V, self.rank
-        norm, perp_norm = np.linalg.norm(v), np.linalg.norm(v[r:])
-        if norm == 0.0:
-            return np.zeros((r, r))
-        if np.linalg.norm(v[:r]) > tol * norm:
-            raise ValueError("vector has a range component beyond tolerance")
-        perp = v[r:] * (norm / perp_norm) if perp_norm > 0 else v[r:]
-        return perp @ self.horizontal_sff[:, r:, :r]
 
     def operators(self, theta: Optional[float] = None) -> "PointOperators":
         """The blocks of J in the range-then-normal target frame, and Q; with

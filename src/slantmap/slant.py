@@ -5,15 +5,17 @@ For a horizontal vector X the image J F_*X splits into a tangential part
 the range split the same way into B (tangential) and C (normal).  The
 composite Q = adjoint o phi o F_* acts on the horizontal space and its square
 is -cos^2(theta) times the identity exactly when the angle theta between
-J F_*X and the range is constant.  Every pointwise quantity (phi/omega, B/C,
-Q, the slant angle, the adapted frame, the covariant derivatives) is a member
-of ``maps.FrameStack``, which serves a stack and its rows (the
-``maps.PointFrame`` of ``point_frame``) alike; this module classifies a map
-from those members and runs the checks built on the classification, reading
-one ``Sample``.  Each residual entry is a component in the orthonormal
-frames B1 = [h | k] and B2 = [R | N] of the split, a slice, trace or small
-block product of the adapted members: adjoints are transposes and no metric
-enters.  A check assumes its preconditions (a Riemannian map, a slant
+J F_*X and the range is constant.  Each pointwise quantity has one route,
+as components in the orthonormal frames B1 = [h | k] and B2 = [R | N] of
+the split: phi and omega are the rows of ``FrameStack.adapted_j_pushforward``,
+B and C the columns of ``j_blocks`` on N, Q is ``adapted_q``, and the
+covariant derivatives are ``horizontal_derivatives``
+(``maps.section_derivatives`` along other directions).  A member serves a
+stack and its rows (the ``maps.PointFrame`` of ``point_frame``) alike; this
+module classifies a map from those members and runs the checks built on the
+classification, reading one ``Sample``.  Each residual entry is a slice,
+trace or small block product of the adapted members: adjoints are
+transposes and no metric enters.  A check assumes its preconditions (a Riemannian map, a slant
 angle, sec(theta) defined, omega parallel, PHWC): ``report.CHECKS`` states
 them and skips the check where they fail.
 """

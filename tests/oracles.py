@@ -4,7 +4,10 @@ reduction is compared against, the first failing frame found one point at a
 time, the sample drawn one point at a time, the plain-derivative route to
 the section derivatives, the chart-coordinate route to every check
 residual, the np.einsum forms of the library's stacked contractions, and the
-rule by which two reports match.
+rule by which two reports match.  Beside them, for tests whose references
+are chart vectors, the library's adapted members (phi and omega, B and C,
+Q) are mapped into chart coordinates through B1, B2, C1 and C2: those
+helpers are the library side of such a test, never its reference.
 
 The finite-difference oracles differentiate plain evaluations with central
 differences, so agreement with the library's exact derivatives is a real
@@ -136,7 +139,7 @@ def fd_pullback_derivative(spec, frame, X, section, h=FD_STEP):
     t -> p + tX: centered difference plus the target Christoffel term, Gamma2
     taken from spec's target chart at the image."""
     dv = _centered_curve_difference(frame.point, X, section, h)
-    fx = frame.pushforward(X)
+    fx = frame.jacobian @ np.asarray(X, dtype=float)
     gamma_target = spec.target.metric_at(frame.image)[1]
     return dv + np.einsum("gab,a,b->g", gamma_target, fx, section(frame.point))
 
@@ -254,6 +257,42 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
                     - frames.sff_value(X, adjoint @ projector @ J @ A)))
 
 
+# ---------------------------------------------------------------------------
+# The library's adapted members in chart coordinates, for tests whose
+# references are chart vectors: a vector enters through C1 or C2, and a
+# result leaves through B1 or B2.
+
+def chart_phi_omega(frames, X):
+    """phi F_*X and omega F_*X in chart coordinates, from the rows of
+    adapted_j_pushforward: for a vector X, for each column of a matrix X, or
+    for each matrix of X's extra axes (after the point axis, for a stack)."""
+    return _range_and_normal(frames, frames.adapted_j_pushforward
+                             @ frames.source_coframe, X)
+
+
+def chart_bc(frames, V):
+    """The range and normal parts of J V in chart coordinates, B V and C V
+    for a normal V, from j_blocks; V is read as X in chart_phi_omega."""
+    return _range_and_normal(frames, frames.j_blocks @ frames.target_coframe, V)
+
+
+def chart_q(frames):
+    """Q in chart coordinates, B1 adapted_q C1, so that Q X = chart_q @ X."""
+    return frames.source_basis @ frames.adapted_q @ frames.source_coframe
+
+
+def _range_and_normal(frames, M, v):
+    """R and N times the range and normal rows of M v, where M maps chart
+    vectors to their images' components in B2."""
+    v = np.asarray(v, dtype=float)
+    vector = v.ndim == 1
+    if vector:
+        v = v[:, None]
+    w, B2, r = lift(M, v.ndim) @ v, lift(frames.target_basis, v.ndim), frames.rank
+    parts = B2[..., :r] @ w[..., :r, :], B2[..., r:] @ w[..., r:, :]
+    return tuple(part[:, 0] for part in parts) if vector else parts
+
+
 def sampled_slant_angles(sample, count=200, seed=0):
     """The slant angles of ``count`` random unit horizontal directions at
     each point of a Sample, (len(sample), count), one
@@ -313,14 +352,12 @@ def first_failing_frame(spec, points):
 # plain route above, was written as, by the site that computed it; they were
 # formed with batched matrix products through slantmap.linalg.pairings and
 # apply_along.  The sites that now read the adapted frames (InnerProduct.norms,
-# adapted_frames, fiber_mean_curvature) keep their entry, so the forms stay
-# checked.
+# adapted_frames) keep their entry, so the forms stay checked.
 REPLACED_EINSUMS = {
     "linalg.InnerProduct.norms": "...ia,...ij,...ja->...a",
     "maps.PointFrame.adapted_frames": "...i,...ij,...ja->...a",
     "maps._bilinear": "...gij,...ia->...agj",
     "maps.FrameStack.tension": "...ij,...gij->...g",
-    "maps.FrameStack.fiber_mean_curvature": "...gij,...ia,...ja->...g",
     "maps.frame_block.source_christoffel": "nkij,ngk->ngij",
     "maps.frame_block.target_christoffel": "ngab,nai,nbj->ngij",
     "maps.section_derivatives.dJ": "...cab,...ck->...kab",

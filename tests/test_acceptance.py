@@ -14,8 +14,8 @@ import numpy as np
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
 from slantmap.loader import load_map_spec
-from slantmap.maps import (Sample, check_sff_range_perp, is_riemannian_map,
-                           point_frame)
+from slantmap.maps import (Sample, check_sff_range_perp, fiber_trace,
+                           is_riemannian_map, point_frame)
 from slantmap.report import render_report, run_analysis, sample_points
 from slantmap.slant import (adapted_frame, check_omega_defect_identity,
                             check_phwc, classify_slant, q_operator)
@@ -85,7 +85,7 @@ def test_criterion_03_composed_submersion_immersion():
         assert abs(report.mean_angle - alpha) <= 1e-8
         for p in points[:8]:
             frame = point_frame(spec, p)
-            fmc = frame.fiber_mean_curvature
+            fmc = frame.target_basis @ fiber_trace(frame)
             assert frame.g_target.norm(fmc) <= 1e-8
     _announce(3, "submersion-then-slant-immersion composites: slant angle "
                  "alpha for alpha in {0.3, pi/4, 1.2}, minimal fibers")
@@ -131,8 +131,8 @@ def test_criterion_06_harmonic_iff_minimal_fibers():
             frame = point_frame(spec, p)
             tension_max = max(tension_max,
                               frame.g_target.norm(frame.tension))
-            fiber_max = max(fiber_max,
-                            frame.g_target.norm(frame.fiber_mean_curvature))
+            fiber_max = max(fiber_max, frame.g_target.norm(
+                frame.target_basis @ fiber_trace(frame)))
         harmonic = tension_max <= 1e-8
         minimal = fiber_max <= 1e-8
         assert harmonic == minimal, catalog_id

@@ -6,8 +6,10 @@ import slantmap.charts
 from slantmap.charts import (ChartError, ChartFields, ChartManifold,
                              check_almost_hermitian, check_kahler, christoffel,
                              nabla_j)
-from slantmap.expressions import ExpressionDomainError
+from slantmap.expressions import (ExpressionDomainError, eval_jet2,
+                                  parse_expression)
 from slantmap.linalg import InnerProduct
+from slantmap.maps import MapSpec, map_point
 from oracles import eval_value, fd_christoffel, fd_nabla_j, metric_values
 
 STANDARD_J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
@@ -93,6 +95,33 @@ def test_metric_at_names_the_earliest_failing_point():
     points = [[1.0, 0.0], [0.3, 0.0], [-0.2, 0.0], [1.0, 0.0]]
     for call in (lambda: chart.metric_at(points),
                  lambda: ChartFields(chart, points).metric()):
+        with pytest.raises(ExpressionDomainError) as failure:
+            call()
+        assert str(failure.value).startswith(
+            "log of a non-positive value at point [0.3, 0.0]")
+        assert failure.value.index == 1
+
+
+def test_stack_evaluations_name_the_earliest_failing_point():
+    # the same pair as a J, as a metric, as map components and summed in one
+    # formula: every direct stack evaluation names index 1, where log fails,
+    # not index 2, where sqrt fails in an entry or subexpression evaluated
+    # first
+    pair = ("0*sqrt(x1)", "0*log(x1 - 0.5)")
+    structure = ChartManifold.from_strings(
+        2, None, [["0", f"-1 + {pair[0]}"], [f"1 + {pair[1]}", "0"]])
+    metric = ChartManifold.from_strings(
+        2, [[f"1 + {pair[0]}", "0"], ["0", f"1 + {pair[1]}"]])
+    spec = MapSpec.create(ChartManifold.euclidean(2), ChartManifold.euclidean(2),
+                          ["sqrt(x1)", "log(x1 - 0.5)"])
+    formula = parse_expression("sqrt(x1) + log(x1 - 0.5)", 2)
+    points = np.array([[1.0, 0.0], [0.3, 0.0], [-0.2, 0.0], [1.0, 0.0]])
+    for call in (lambda: structure.complex_structure_jet(points),
+                 lambda: structure.complex_structure_at(points),
+                 lambda: ChartFields(structure, points).structure(),
+                 lambda: metric.metric_jet(points),
+                 lambda: map_point(spec, points),
+                 lambda: eval_jet2(formula, points)):
         with pytest.raises(ExpressionDomainError) as failure:
             call()
         assert str(failure.value).startswith(

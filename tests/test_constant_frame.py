@@ -272,15 +272,10 @@ FRAME = point_frame(load_map_spec("catalog:warped_fiber").spec, [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: FRAME.s_v(np.ones(3)), "V has shape (3,), expected (4,)"),
     (lambda: FRAME.sff_value(np.ones(2), np.ones(3)),
      "X has shape (2,), expected (3,) or (3, k)"),
     (lambda: FRAME.sff_value(np.ones(3), np.ones((2, 4))),
-     "Y has shape (2, 4), expected (3,) or (3, k)"),
-    (lambda: FRAME.covariant_source(np.ones(3), np.ones(2)),
-     "Y has shape (2,), expected (3,) or (3, k)"),
-    (lambda: FRAME.phi_omega(np.ones(2)),
-     "X has shape (2,), expected (3,) or (3, k)")])
+     "Y has shape (2, 4), expected (3,) or (3, k)")])
 def test_shape_errors_are_located(call, message):
     with pytest.raises(ValueError) as error:
         call()

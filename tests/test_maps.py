@@ -9,7 +9,7 @@ from slantmap.charts import ChartManifold
 from slantmap.expressions import ExpressionDomainError
 from slantmap.linalg import split_tangent
 from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
-                           check_sff_range_perp, differential,
+                           check_sff_range_perp, differential, fiber_trace,
                            is_riemannian_map, map_point, point_frame,
                            second_fundamental_form, section_derivatives,
                            tension_field)
@@ -52,6 +52,22 @@ def test_differential_identity_and_analytic():
     curved = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["x1*x1", "x2"])
     np.testing.assert_allclose(differential(curved, [1.0, 1.0]),
                                [[2.0, 0.0], [0.0, 1.0]], atol=1e-15)
+
+
+def test_differential_is_located_and_stacks_by_point():
+    # a constant that leaves the floats: the Jacobian is not finite, and the
+    # error names the point and the subexpression, as map_point's does
+    overflow = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["x1*(1e308*10)", "x2"])
+    with pytest.raises(ExpressionDomainError) as failure:
+        differential(overflow, [0.0, 0.5])
+    assert str(failure.value) == ("non-finite value at point [0.0, 0.5] in "
+                                  "subexpression '1e+308 * 10.0'")
+    spec = load_catalog("warped_fiber")
+    points = np.random.default_rng(26).uniform(-1, 1, (5, 3))
+    stacked = differential(spec, points)
+    assert stacked.shape == (5, 4, 3)
+    for p, jac in zip(points, stacked):
+        np.testing.assert_array_equal(differential(spec, p), jac)
 
 
 def test_riemannian_example4(example4, sample_box):
@@ -287,33 +303,13 @@ def test_tension_splits_into_fiber_and_horizontal_trace(sample_box):
         np.testing.assert_allclose(tau, parts, atol=1e-10)
 
 
+# S_V for the unit normal V = N[:, v] is the normal block of horizontal_sff:
+# S[a, b] = g2(V, sff(h_a, h_b)) = horizontal_sff[a, r + v, b]
+
 def test_s_v_operator_example4_zero(example4):
     frame = point_frame(example4, np.zeros(4))
-    V = frame.split.range_perp.columns[:, 0]
-    np.testing.assert_allclose(frame.s_v(V), 0.0, atol=1e-14)
-
-
-def test_s_v_operator_zero_vector(example4):
-    np.testing.assert_array_equal(
-        point_frame(example4, np.zeros(4)).s_v(np.zeros(4)), np.zeros((2, 2)))
-
-
-def test_s_v_operator_projects_small_range_component():
-    spec = load_catalog("curved_target")
-    p = np.array([0.2, -0.4])
-    frame = point_frame(spec, p)
-    V = frame.split.range_perp.columns[:, 0]
-    clean = frame.s_v(V)
-    stray = V + 1e-11 * frame.split.range.columns[:, 0]
-    repaired = frame.s_v(stray)
-    np.testing.assert_allclose(repaired, clean, atol=1e-9)
-
-
-def test_s_v_operator_rejects_range_vector(example4):
-    frame = point_frame(example4, np.zeros(4))
-    inside = frame.split.range.columns[:, 0]
-    with pytest.raises(ValueError, match="range component"):
-        frame.s_v(inside)
+    r = frame.rank
+    np.testing.assert_allclose(frame.horizontal_sff[:, r, :r], 0.0, atol=1e-14)
 
 
 def test_s_v_operator_curved_target_matches_gram_oracle(sample_box):
@@ -321,7 +317,7 @@ def test_s_v_operator_curved_target_matches_gram_oracle(sample_box):
     for p in sample_box(spec.box, 4, 37):
         frame = point_frame(spec, p)
         V = frame.split.range_perp.columns[:, 0]
-        S = frame.s_v(V)
+        S = frame.horizontal_sff[:, frame.rank, :frame.rank]
         # oracle: assemble from raw sff values
         h = frame.split.horizontal.columns
         expected = np.array([
@@ -340,7 +336,7 @@ def test_s_v_pairing_identity(sample_box):
         frame = point_frame(spec, p)
         h = frame.split.horizontal.columns
         V = frame.split.range_perp.columns[:, 1]
-        S = frame.s_v(V)
+        S = frame.horizontal_sff[:, frame.rank + 1, :frame.rank]
         for _ in range(4):
             a = gen.standard_normal(frame.rank)
             b = gen.standard_normal(frame.rank)
@@ -351,30 +347,35 @@ def test_s_v_pairing_identity(sample_box):
             assert abs(lhs - rhs) <= 1e-8
 
 
+def fiber_mean_curvature(spec, p):
+    """fiber_trace at p in chart coordinates: B2 times its components."""
+    frame = point_frame(spec, p)
+    return frame.target_basis @ fiber_trace(frame)
+
+
 def test_fiber_mean_curvature_example4(example4):
-    np.testing.assert_allclose(
-        point_frame(example4, np.zeros(4)).fiber_mean_curvature, 0.0,
-        atol=1e-14)
+    np.testing.assert_allclose(fiber_mean_curvature(example4, np.zeros(4)), 0.0,
+                               atol=1e-14)
 
 
 def test_fiber_mean_curvature_compose_slant_minimal(sample_box):
     spec = load_catalog("compose_slant(alpha=0.9)")
     for p in sample_box(spec.box, 5, 39):
-        assert np.abs(point_frame(spec, p).fiber_mean_curvature).max() <= 1e-12
+        assert np.abs(fiber_mean_curvature(spec, p)).max() <= 1e-12
 
 
 def test_fiber_mean_curvature_warped_fiber_pinned(sample_box):
     # the sheared warp makes the fiber curvature the first coordinate vector
     spec = load_catalog("warped_fiber")
     for p in sample_box(spec.box, 5, 40):
-        np.testing.assert_allclose(point_frame(spec, p).fiber_mean_curvature,
+        np.testing.assert_allclose(fiber_mean_curvature(spec, p),
                                    [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_fiber_mean_curvature_immersion_errors():
     spec = load_catalog("anti_invariant")
     with pytest.raises(MapDefinitionError, match="immersion"):
-        point_frame(spec, np.zeros(2)).fiber_mean_curvature
+        fiber_trace(point_frame(spec, np.zeros(2)))
 
 
 def test_map_point_evaluates_components(example4):

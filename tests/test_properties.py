@@ -29,9 +29,10 @@ from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   parse_expression, to_text)
 from slantmap.catalog import catalog_ids
 from slantmap.charts import ChartManifold
-from slantmap.linalg import apply, apply_along, lift, pairings
+from slantmap.linalg import apply_along, lift, pairings
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
-from slantmap.maps import MapSpec, Sample, point_frame, section_derivatives
+from slantmap.maps import (MapSpec, Sample, fiber_trace, point_frame,
+                           section_derivatives)
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
 from slantmap.result import CheckResult, worst_residual
@@ -41,9 +42,10 @@ from slantmap.slant import (_condition_three_residual, check_adapted_frame,
                             check_pseudo_homothetic, check_sff_q_scaling,
                             check_totally_geodesic, classify_slant)
 from slantmap.maps import check_sff_range_perp, is_riemannian_map
-from oracles import (REPLACED_EINSUMS, curve_section_derivatives,
-                     einsum_apply_along, einsum_pairings, fd_gradient,
-                     fd_hessian, first_failing_frame, fold_worst_residual,
+from oracles import (REPLACED_EINSUMS, chart_phi_omega, chart_q,
+                     curve_section_derivatives, einsum_apply_along,
+                     einsum_pairings, fd_gradient, fd_hessian,
+                     first_failing_frame, fold_worst_residual,
                      plain_check_values)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -262,16 +264,15 @@ def _members(frames) -> dict:
     per point, by name."""
     members = {name: getattr(frames, name) for name in (
         "source_coframe", "target_coframe", "adapted_jacobian", "j_blocks",
-        "adapted_j_pushforward", "adapted_q", "q", "adjoint_phi",
-        "adapted_sff", "adapted_nabla_j", "sigma_inverse",
-        "horizontal_connection", "tension")}
+        "adapted_j_pushforward", "adapted_q", "q", "adapted_sff",
+        "adapted_nabla_j", "sigma_inverse", "horizontal_connection", "tension")}
     derivatives = frames.horizontal_derivatives
     members.update((f"horizontal_derivatives.{f.name}", getattr(derivatives, f.name))
                    for f in dataclasses.fields(derivatives))
     members.update((f"split.{name}", getattr(frames.split, name).columns)
                    for name in ("kernel", "horizontal", "range", "range_perp"))
     if frames.split.kernel.dim:
-        members["fiber_mean_curvature"] = frames.fiber_mean_curvature
+        members["fiber_trace"] = fiber_trace(frames)
     return members
 
 
@@ -346,11 +347,12 @@ def test_condition_three_takes_the_q_term_through_the_frame(spec, count, seed):
         without_q.q = np.zeros_like(stack.q)
         residuals = (_condition_three_residual(stack),
                      _condition_three_residual(without_q))
-        qh = stack.adjoint_phi @ h
+        qh = chart_q(stack) @ h
+        gamma = np.einsum("...kij,...ia,...jb->...akb", stack.gamma_source, h, qh)
         d_omega = (section_derivatives(stack, h).omega_defect @ lift(qh, 4)
-                   + stack.phi_omega(stack.covariant_source(h, qh))[1])
-        expected = apply(np.swapaxes(stack.split.range_perp.columns, -1, -2)
-                         @ stack.g_target.matrix, d_omega)
+                   + chart_phi_omega(stack, gamma)[1])
+        expected = lift(np.swapaxes(stack.split.range_perp.columns, -1, -2)
+                        @ stack.g_target.matrix, 4) @ d_omega
         scale = max(1.0, *(np.abs(x).max() for x in (*residuals, expected)))
         _assert_within_scale(residuals[0] - residuals[1], expected, scale,
                              "Q h_b term")
@@ -560,9 +562,6 @@ SITE_FORMS = {
     "maps._bilinear": lambda T, X: apply_along(_swap(X), T, 1),
     "maps.FrameStack.tension": lambda inverse, sff: (
         (sff * inverse[..., None, :, :]).sum(axis=-1).sum(axis=-1)),
-    "maps.FrameStack.fiber_mean_curvature": lambda sff, K, L: (
-        sff[..., None] * K[..., None, :, None, :] * L[..., None, None, :, :]
-    ).sum(axis=(-3, -2, -1)),
     "maps.frame_block.source_christoffel": lambda gamma, jac: apply_along(jac, gamma, 0),
     "maps.frame_block.target_christoffel": lambda gamma, jac, jac2: (
         lift(_swap(jac), 4) @ gamma @ lift(jac2, 4)),

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import slantmap.maps
-from oracles import (assert_report_matches, fd_pullback_derivative,
-                     fd_source_derivative, sampled_slant_angles)
+from oracles import (assert_report_matches, chart_bc, chart_phi_omega,
+                     chart_q, fd_pullback_derivative, fd_source_derivative,
+                     range_projector, sampled_slant_angles)
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
 from slantmap.linalg import split_tangents
@@ -55,7 +56,7 @@ def analysis_for(catalog_id, count, seed):
 
 def test_phi_omega_example4_split(example4):
     p = np.array([0.1, -0.2, 0.3, 0.4])
-    phi, omega = point_frame(example4, p).phi_omega([1.0, 0.0, 0.0, 0.0])
+    phi, omega = chart_phi_omega(point_frame(example4, p), [1.0, 0.0, 0.0, 0.0])
     assert phi @ phi == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert omega @ omega == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -67,7 +68,7 @@ def test_phi_omega_invariant_map_no_normal_part():
         p = gen.uniform(-1, 1, 3)
         X = gen.standard_normal(3)
         X[2] = 0.0  # horizontal: kernel is the third coordinate
-        phi, omega = point_frame(spec, p).phi_omega(X)
+        phi, omega = chart_phi_omega(point_frame(spec, p), X)
         assert np.abs(omega).max() <= 1e-14
         np.testing.assert_allclose(phi, [-X[1], X[0], 0, 0], atol=1e-14)
 
@@ -77,7 +78,7 @@ def test_phi_omega_anti_invariant_map_no_tangential_part():
     gen = np.random.default_rng(42)
     for _ in range(4):
         X = gen.standard_normal(2)
-        phi, omega = point_frame(spec, gen.uniform(-1, 1, 2)).phi_omega(X)
+        phi, omega = chart_phi_omega(point_frame(spec, gen.uniform(-1, 1, 2)), X)
         assert np.abs(phi).max() <= 1e-14
         assert omega @ omega == pytest.approx(X @ X, abs=1e-12)
 
@@ -89,7 +90,7 @@ def test_bc_invariant_map_b_vanishes():
     frame = point_frame(spec, np.zeros(3))
     for v_idx in range(2):
         V = frame.split.range_perp.columns[:, v_idx]
-        b, c = frame.bc(V)
+        b, c = chart_bc(frame, V)
         assert np.abs(b).max() <= 1e-14
         assert c @ c == pytest.approx(V @ V, abs=1e-12)
 
@@ -98,13 +99,13 @@ def test_bc_anti_invariant_direct_projection():
     spec = load_catalog("anti_invariant")
     p = np.zeros(2)
     # V = J e1' = e2': B V = -e1'
-    b, c = point_frame(spec, p).bc([0.0, 1.0, 0.0, 0.0])
+    b, c = chart_bc(point_frame(spec, p), [0.0, 1.0, 0.0, 0.0])
     np.testing.assert_allclose(b, [-1.0, 0.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(c, 0.0, atol=1e-14)
 
 
 def test_bc_zero_vector(example4):
-    b, c = point_frame(example4, np.zeros(4)).bc(np.zeros(4))
+    b, c = chart_bc(point_frame(example4, np.zeros(4)), np.zeros(4))
     assert not b.any() and not c.any()
 
 
@@ -366,6 +367,8 @@ def test_section_derivatives_match_finite_difference_oracle(map_name):
     for p in points_for(spec, 2, 57):
         frame = point_frame(spec, p)
         h = frame.split.horizontal.columns
+        Q = chart_q(frame)
+        normal = np.eye(len(frame.image)) - range_projector(frame.split)
         # the horizontal frame, then 3 random unit directions, each stacked
         # into one call
         random = rng.standard_normal((len(p), 3))
@@ -378,27 +381,27 @@ def test_section_derivatives_match_finite_difference_oracle(map_name):
                     Y = h[:, b]
 
                     def phi(q):
-                        return point_frame(spec, q).phi_omega(Y)[0]
+                        return chart_phi_omega(point_frame(spec, q), Y)[0]
 
                     def omega(q):
-                        return point_frame(spec, q).phi_omega(Y)[1]
+                        return chart_phi_omega(point_frame(spec, q), Y)[1]
 
                     def qy(q):
-                        return point_frame(spec, q).adjoint_phi @ Y
+                        return chart_q(point_frame(spec, q)) @ Y
 
                     # the sections' derivatives along X with Y extended by
                     # constant coefficients: the tensors plus what the
                     # source connection adds, nabla_X Y = Gamma1(X, Y)
-                    nabla_y = frame.covariant_source(X, Y)
-                    phi_gamma, omega_gamma = frame.phi_omega(nabla_y)
+                    nabla_y = np.einsum("kij,i,j->k", frame.gamma_source, X, Y)
+                    phi_gamma, omega_gamma = chart_phi_omega(frame, nabla_y)
                     for derivative, oracle in (
                             (exact.phi_defect[a] @ Y + phi_gamma
-                             + frame.sff_value(X, frame.adjoint_phi @ Y),
+                             + frame.sff_value(X, Q @ Y),
                              fd_pullback_derivative(spec, frame, X, phi)),
                             (exact.omega_defect[a] @ Y + omega_gamma,
-                             frame.normal(fd_pullback_derivative(
-                                 spec, frame, X, omega))),
-                            (exact.q[a] @ Y + frame.adjoint_phi @ nabla_y,
+                             normal @ fd_pullback_derivative(
+                                 spec, frame, X, omega)),
+                            (exact.q[a] @ Y + Q @ nabla_y,
                              fd_source_derivative(frame, X, qy))):
                         np.testing.assert_allclose(derivative, oracle, rtol=0,
                                                    atol=1e-8)
@@ -482,12 +485,15 @@ def test_phi_defect_matches_finite_difference_route(catalog_id):
                 defect = (section_derivatives(frame, X[:, None]).phi_defect[0]
                           @ Y)
                 def qy_section(q):
-                    return point_frame(spec, q).adjoint_phi @ Y
+                    return chart_q(point_frame(spec, q)) @ Y
                 dq = (qy_section(p + h_step * X) - qy_section(p - h_step * X)
                       ) / (2 * h_step)
-                nabla_qy = dq + frame.covariant_source(X, frame.adjoint_phi @ Y)
-                phi_nab, _ = frame.phi_omega(frame.covariant_source(X, Y))
-                oracle = frame.pushforward(nabla_qy) - phi_nab
+                gamma = frame.gamma_source
+                nabla_qy = dq + np.einsum("kij,i,j->k", gamma, X,
+                                          chart_q(frame) @ Y)
+                phi_nab, _ = chart_phi_omega(
+                    frame, np.einsum("kij,i,j->k", gamma, X, Y))
+                oracle = frame.jacobian @ nabla_qy - phi_nab
                 assert np.abs(defect - oracle).max() <= 1e-8
 
 
@@ -533,15 +539,15 @@ def test_phi_defect_range_expansion_identity():
             frame = point_frame(spec, p)
             h = frame.split.horizontal.columns
             pushed = frame.jacobian @ h
-            J = frame.complex_structure
+            J, P = frame.complex_structure, range_projector(frame.split)
             for a in range(frame.rank):
                 for b in range(frame.rank):
                     X, Y = h[:, a], h[:, b]
                     lhs = section_derivatives(frame, h).phi_defect[a] @ Y
                     sff_xy = frame.sff_value(X, Y)
-                    normal = sff_xy - frame.tangential(sff_xy)
-                    b_part = frame.tangential(J @ normal)
-                    _, omega_y = frame.phi_omega(Y)
+                    normal = sff_xy - P @ sff_xy
+                    b_part = P @ (J @ normal)
+                    _, omega_y = chart_phi_omega(frame, Y)
                     shape = sum(
                         frame.g_target.inner(omega_y,
                                              frame.sff_value(X, h[:, c]))
@@ -585,8 +591,8 @@ def test_gram_identities_for_slant_maps():
             for _ in range(4):
                 ca, cb = gen.standard_normal(2), gen.standard_normal(2)
                 X, Y = h @ ca, h @ cb
-                phix, omx = frame.phi_omega(X)
-                phiy, omy = frame.phi_omega(Y)
+                phix, omx = chart_phi_omega(frame, X)
+                phiy, omy = chart_phi_omega(frame, Y)
                 g1xy = frame.g_source.inner(X, Y)
                 tangential = frame.g_target.inner(phix, phiy)
                 normal = frame.g_target.inner(omx, omy)
@@ -682,27 +688,26 @@ def test_pairing_expansion_identity_on_kahler_targets():
             h = frame.split.horizontal.columns
             perp = frame.split.range_perp.columns
             pushed = frame.jacobian @ h
+            normal = np.eye(len(frame.image)) - range_projector(frame.split)
             for a in range(frame.rank):
                 X = h[:, a]
                 for b in range(frame.rank):
                     Y = h[:, b]
-                    _, omega_y = frame.phi_omega(Y)
-                    qy = frame.adjoint_phi @ Y
+                    _, omega_y = chart_phi_omega(frame, Y)
+                    qy = chart_q(frame) @ Y
 
                     def perp_deriv(vec):
                         def section(q):
-                            fq = point_frame(spec, q)
-                            w = fq.complex_structure @ fq.pushforward(vec)
-                            return fq.normal(w)
-                        return frame.normal(
-                            fd_pullback_derivative(spec, frame, X, section))
+                            return chart_phi_omega(point_frame(spec, q), vec)[1]
+                        return normal @ fd_pullback_derivative(spec, frame, X,
+                                                               section)
 
                     n_y = perp_deriv(Y)
                     n_qy = perp_deriv(qy)
                     sff_xy = frame.sff_value(X, Y)
                     for v in range(perp.shape[1]):
                         V = perp[:, v]
-                        bv, cv = frame.bc(V)
+                        bv, cv = chart_bc(frame, V)
                         lhs = sin2 * frame.g_target.inner(sff_xy, V)
                         shape = sum(
                             frame.g_target.inner(bv, pushed[:, c])
