@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive)::
     VAR    := x1 .. xn   (n = chart dimension)
 
 ``pow`` takes an integer-literal exponent; fractional powers go through
-``sqrt``.  Expressions are immutable after parsing and evaluation is pure.
+``sqrt``.  A formula is at most ``MAX_DEPTH`` levels deep.  Expressions are
+immutable after parsing and evaluation is pure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from typing import Optional, Union
 import numpy as np
 
 _FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
+
+# The deepest formula that parses: at most MAX_DEPTH nodes from the root of
+# its tree to a leaf, and MAX_DEPTH parentheses, unary minus, functions and
+# pow open at once.  Parsing, printing, compiling, evaluating and comparing a
+# tree recurse a few frames per level, well inside Python's default limit.
+MAX_DEPTH = 200
 
 
 class ExpressionSyntaxError(ValueError):
@@ -141,6 +148,14 @@ def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
+def _level(depth: int, offset: int) -> int:
+    """depth, if at most MAX_DEPTH; deeper is an error at offset."""
+    if depth > MAX_DEPTH:
+        raise ExpressionSyntaxError(
+            f"formula nested more than {MAX_DEPTH} levels deep", offset)
+    return depth
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
@@ -166,6 +181,7 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -182,62 +198,56 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, off = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing input {text!r}", off)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
+    def expr(self, products: bool = False) -> tuple:
+        """The node of a sum, or with ``products`` of a term, and its depth:
+        the most nodes on a path from that node to a leaf, as in factor."""
+        ops = ("*", "/") if products else ("+", "-")
+        node, depth = self.factor() if products else self.expr(True)
+        while self.peek()[1] in ops:
+            _, op, off = self.advance()
+            right, right_depth = self.factor() if products else self.expr(True)
+            node = BinOp(op, node, right)
+            depth = _level(max(depth, right_depth) + 1, off)
+        return node, depth
 
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        kind, text, off = self.peek()
-        if text == "-":
-            self.advance()
-            return Neg(self.factor())
-        if text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
+    def factor(self) -> tuple:
+        kind, text, off = self.advance()
         if kind == "num":
-            self.advance()
-            return Lit(float(text))
-        if kind == "ident":
-            self.advance()
-            var = re.fullmatch(r"x(\d+)", text)
-            if var:
-                index = int(var.group(1))
-                if not 1 <= index <= self.dim:
-                    raise ExpressionSyntaxError(
-                        f"variable {text} out of range for dimension {self.dim}", off)
-                return Var(index)
+            return Lit(float(text)), 1
+        var = re.fullmatch(r"x(\d+)", text) if kind == "ident" else None
+        if var:
+            index = int(var.group(1))
+            if not 1 <= index <= self.dim:
+                raise ExpressionSyntaxError(
+                    f"variable {text} out of range for dimension {self.dim}", off)
+            return Var(index), 1
+        if text not in ("-", "(", "pow") + _FUNCTIONS:
+            raise ExpressionSyntaxError(
+                f"unknown identifier {text!r}" if kind == "ident"
+                else "expected a number, variable or '('", off)
+        # each of these opens a level of the parser's own recursion
+        self.nesting = _level(self.nesting + 1, off)
+        if text == "-":
+            node, depth = self.factor()
+            node = Neg(node)
+        else:
+            if text != "(":
+                self.expect("(")
+            node, depth = self.expr()
             if text == "pow":
-                self.expect("(")
-                base = self.expr()
                 self.expect(",")
-                exponent = self._integer_literal()
-                self.expect(")")
-                return Pow(base, exponent)
-            if text in _FUNCTIONS:
-                self.expect("(")
-                arg = self.expr()
-                self.expect(")")
-                return Fun(text, arg)
-            raise ExpressionSyntaxError(f"unknown identifier {text!r}", off)
-        raise ExpressionSyntaxError("expected a number, variable or '('", off)
+                node = Pow(node, self._integer_literal())
+            elif text != "(":
+                node = Fun(text, node)
+            self.expect(")")
+        self.nesting -= 1
+        return node, depth if text == "(" else _level(depth + 1, off)
 
     def _integer_literal(self) -> int:
         sign = 1

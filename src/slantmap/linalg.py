@@ -250,8 +250,11 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     The map is whitened to M = L2^T A L1^{-T}; a Euclidean SVD of M then
     yields g1-orthonormal kernel/horizontal bases and g2-orthonormal
     range/normal bases.  Rank counts singular values above tol times the
-    largest one.
+    largest one, and tol must be a positive finite number.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(
+            f"rank tolerance must be a positive finite number, got {tol!r}")
     U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ (A @ g1.frame))
     sigma_max = s[:, 0] if s.shape[1] else np.zeros(len(A))
     ranks = np.where(sigma_max > 0,

@@ -73,18 +73,18 @@ def _chart_from_json(doc: dict, pointer: str) -> ChartManifold:
     dim = doc["dim"]
     _expect(_is_number(dim, int) and dim >= 1, pointer + "/dim",
             "must be a positive integer")
-    metric = doc.get("metric")
-    if metric is not None:
-        _expect(isinstance(metric, list) and len(metric) == dim
-                and all(isinstance(r, list) and len(r) == dim for r in metric),
-                pointer + "/metric", f"must be a {dim}x{dim} array of strings")
-    j = doc.get("J")
-    if j is not None:
-        _expect(isinstance(j, list) and len(j) == dim
-                and all(isinstance(r, list) and len(r) == dim for r in j),
-                pointer + "/J", f"must be a {dim}x{dim} array of strings")
+    for key in ("metric", "J"):
+        matrix = doc.get(key)
+        if matrix is not None:
+            _expect(isinstance(matrix, list) and len(matrix) == dim
+                    and all(isinstance(r, list) and len(r) == dim for r in matrix),
+                    f"{pointer}/{key}", f"must be a {dim}x{dim} array of strings")
+            for i, row in enumerate(matrix):
+                for j, entry in enumerate(row):
+                    _expect(isinstance(entry, str), f"{pointer}/{key}/{i}/{j}",
+                            "must be an expression string")
     try:
-        return ChartManifold.from_strings(dim, metric, j)
+        return ChartManifold.from_strings(dim, doc.get("metric"), doc.get("J"))
     except (ChartError, ExpressionSyntaxError) as exc:
         raise MapSpecError(pointer, str(exc))
 

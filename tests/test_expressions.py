@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slantmap.expressions import (BinOp, ExpressionDomainError,
+from slantmap.expressions import (MAX_DEPTH, BinOp, ExpressionDomainError,
                                   ExpressionSyntaxError, Fun, Lit, Var,
                                   eval_jet2, parse_expression, to_text)
 from oracles import fd_gradient, fd_hessian
@@ -38,6 +38,37 @@ def test_syntax_error_reports_offset():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression("x1 @ x2", 2)
     assert err.value.offset == 3
+
+
+# Each construct nested to a given depth, a formula in x1 whose value stays
+# in [-200, 200] on [-1, 1], and the byte offset where the parser rejects it
+# one level deeper than MAX_DEPTH.  Sums and products are trees as deep as
+# their terms; a minus, sin or pow adds a node above its argument;
+# parentheses add none, yet each one open is a level of the parser's own
+# recursion.
+NESTED = {
+    "sum": (lambda d: "+".join(["x1"] * d), 3 * MAX_DEPTH - 1),
+    "product": (lambda d: "*".join(["x1"] * d), 3 * MAX_DEPTH - 1),
+    "parentheses": (lambda d: "(" * d + "x1" + ")" * d, MAX_DEPTH),
+    "unary_minus": (lambda d: "-" * (d - 1) + "x1", 0),
+    "sin": (lambda d: "sin(" * (d - 1) + "x1" + ")" * (d - 1), 0),
+    "pow": (lambda d: "pow(" * (d - 1) + "x1" + ", 1)" * (d - 1), 0),
+}
+
+
+@pytest.mark.parametrize("construct", sorted(NESTED))
+def test_a_formula_deeper_than_max_depth_is_a_syntax_error(construct):
+    # one level more ended in a RecursionError: in the parser for 330 open
+    # parentheses, in the evaluation of a check for a 500-term sum
+    nested, offset = NESTED[construct]
+    deepest = parse_expression(nested(MAX_DEPTH), 1)
+    assert parse_expression(to_text(deepest.root), 1) == deepest
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(nested(MAX_DEPTH + 1), 1)
+    assert str(err.value) == (f"formula nested more than {MAX_DEPTH} "
+                              f"levels deep (byte offset {offset})")
+    with pytest.raises(ExpressionSyntaxError, match="formula nested more than"):
+        parse_expression(nested(5 * MAX_DEPTH), 1)
 
 
 def test_pow_requires_integer_exponent():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ import slantmap
 from slantmap.catalog import catalog_ids, load_catalog
 from slantmap.charts import ChartManifold
 from slantmap.expressions import ExpressionDomainError
-from slantmap.linalg import split_tangent
+from slantmap.linalg import InnerProduct, split_tangent
+from slantmap.loader import AnalysisSettings, LoadedMap
 from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
                            check_sff_range_perp, differential, fiber_trace,
                            is_riemannian_map, map_point, point_frame,
                            second_fundamental_form, section_derivatives,
                            tension_field)
-from slantmap.report import sample_points
+from slantmap.report import run_analysis, sample_points
 from slantmap.slant import (adapted_frame, check_harmonic,
                             check_minimal_fibers, point_operators, q_matrix,
                             q_operator, slant_angle)
@@ -604,3 +606,24 @@ def test_every_exported_name_resolves():
     assert len(set(slantmap.__all__)) == len(slantmap.__all__)
     for name in slantmap.__all__:
         assert hasattr(slantmap, name), name
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_a_rank_tolerance_that_is_not_positive_and_finite_fails_every_route(
+        example4, tol):
+    # example4 has rank 2; such a tolerance read ranks 4 (-1), 3 (0) and 0
+    # (NaN, inf) from its differential and reported them as its geometry
+    message = f"rank tolerance must be a positive finite number, got {tol!r}"
+    point = [0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        point_frame(example4, point, rank_tol=tol)
+    euclidean = InnerProduct(np.eye(4))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        split_tangent(differential(example4, point), euclidean, euclidean, tol)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        is_riemannian_map(Sample(example4, [point], tol))
+    report = run_analysis(LoadedMap(example4, AnalysisSettings(points=5, rank_tol=tol),
+                                    "catalog:example4"))
+    errors = {c.name: c.reason for c in report.checks if c.status == "error"}
+    assert "riemannian_map" in errors
+    assert set(errors.values()) == {f"ValueError: {message}"}

@@ -17,9 +17,10 @@ import pytest
 
 import slantmap
 import slantmap.cli
-from slantmap.catalog import CatalogError, catalog_ids, load_catalog
+from slantmap.catalog import CatalogError, catalog_ids, load_catalog, standard_j
 from slantmap.charts import ChartError, ChartManifold
 from slantmap.cli import main
+from slantmap.expressions import MAX_DEPTH
 from slantmap.loader import (AnalysisSettings, LoadedMap, MapSpecError,
                              load_map_spec, map_spec_from_json)
 from slantmap.maps import point_frame
@@ -28,6 +29,7 @@ from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
 from slantmap.result import CheckResult
 from slantmap.slant import SlantReport
 from oracles import assert_report_matches, sample_points_by_point
+from test_expressions import NESTED
 from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
@@ -45,6 +47,24 @@ def test_catalog_has_required_entries():
                      "slant_plane", "compose_slant", "curved_target",
                      "warped_fiber", "nonslant"):
         assert required in ids
+
+
+# the catalog's complex structures as they were written out before standard_j
+STANDARD_J_LITERALS = {
+    2: [["0", "-1"], ["1", "0"]],
+    4: [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+        ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+}
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_standard_j_is_an_orthogonal_complex_structure(dim):
+    entries = standard_j(dim)
+    J = np.array(entries, dtype=float)
+    assert np.array_equal(J @ J, -np.eye(dim))
+    assert np.array_equal(J.T @ J, np.eye(dim))
+    if dim in STANDARD_J_LITERALS:
+        assert entries == STANDARD_J_LITERALS[dim]
 
 
 def test_catalog_loads_example4():
@@ -138,8 +158,9 @@ def test_catalog_key_tells_negative_zero_from_zero():
         other = load_catalog(f"slant_plane(alpha={second})")
         for alpha, spec in ((first, one), (second, other)):
             assert spec.name == f"slant_plane(alpha={alpha})"
-            built = slantmap.catalog._slant_plane(float(alpha))
-            assert [str(c) for c in spec.components] == [str(c) for c in built.components]
+            c, s = math.cos(float(alpha)), math.sin(float(alpha))
+            assert [str(e) for e in spec.components] == [
+                "x1", f"x2 * {c!r}", f"x2 * {s!r}", "0.0"]
         assert [str(c) for c in one.components] != [str(c) for c in other.components]
 
 
@@ -310,6 +331,81 @@ def test_map_spec_rejects_non_numbers(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {pointer}: must be")
+
+
+NOT_STRINGS = {
+    # json reads each into a Python value that str() would turn into a formula
+    "one": ({"source": {"dim": 2, "metric": [[1, 0], [0, 1]]}}, "/source/metric/0/0"),
+    "true": ({"target": dict(MINIMAL_SPEC["target"], J=[
+        [True, "-1", "0", "0"], *MINIMAL_SPEC["target"]["J"][1:]])}, "/target/J/0/0"),
+    "400_digits": ({"source": {"dim": 2, "metric": [["1", "0"], ["0", 10 ** 399]]}},
+                   "/source/metric/1/1"),
+    "mixed_row": ({"source": {"dim": 2, "metric": [["1", 0.0], ["0.0", "1"]]}},
+                  "/source/metric/0/1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_STRINGS))
+def test_map_spec_rejects_chart_entries_that_are_not_strings(case, tmp_path, capsys):
+    # a number or a literal is no expression string: [[1, 0], [0, 1]] loaded,
+    # 10**399 became inf and true the unknown identifier 'True'
+    overrides, pointer = NOT_STRINGS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(dict(MINIMAL_SPEC, **overrides)))
+    with pytest.raises(MapSpecError) as err:
+        load_map_spec(str(path))
+    assert err.value.pointer == pointer
+    assert main(["analyze", "--map", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {pointer}: must be an expression string\n"
+
+
+def _nested_map(formula: str) -> dict:
+    """A map with formula as a component and as both off-diagonal source
+    metric entries, which from_strings compares as trees; |formula| <= 200
+    keeps the metric positive definite."""
+    return {"source": {"dim": 2, "metric": [["401", formula], [formula, "401"]]},
+            "target": {"dim": 2, "J": [["0", "-1"], ["1", "0"]]},
+            "components": [formula, "x2"], "sampling": {"points": 5}}
+
+
+def _with_frames(count: int, call):
+    """call(), made with count more frames on the stack."""
+    return call() if count == 0 else _with_frames(count - 1, call)
+
+
+@pytest.mark.parametrize("construct", sorted(NESTED))
+def test_the_deepest_formula_runs_through_analyze(construct, tmp_path, capsys):
+    # from a stack 250 frames deeper than the test's own: MAX_DEPTH leaves a
+    # caller that much room under the default recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_nested_map(NESTED[construct][0](MAX_DEPTH))))
+    argv = ["analyze", "--map", str(path), "--points", str(tmp_path / "points.json")]
+    status = _with_frames(250, lambda: main(argv))
+    captured = capsys.readouterr()
+    assert status in (0, 1) and captured.err == ""
+    entries = {c["name"]: c for c in json.loads(captured.out)["checks"]}
+    assert entries["riemannian_map"]["status"] in ("pass", "fail")
+    assert not [c for c in entries.values() if "RecursionError" in c.get("reason", "")]
+
+
+@pytest.mark.parametrize("construct", sorted(NESTED))
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5 * MAX_DEPTH])
+def test_a_formula_too_deep_is_an_input_error(construct, depth, tmp_path, capsys):
+    # a component's pointer, and a metric entry's chart; not a traceback (exit
+    # 1) nor an unlocated RecursionError entry
+    formula = NESTED[construct][0](depth)
+    doc = _nested_map(formula)
+    for pointer, spec in (("/source", doc),
+                          ("/components", dict(doc, source={"dim": 2}))):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", "riemannian_map", "--map", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {pointer}: formula nested more than {MAX_DEPTH} levels deep")
 
 
 UNKNOWN_KEYS = {
