@@ -21,9 +21,9 @@ def _add_map_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="sampling seed (default 42)")
     parser.add_argument("--tol", type=float, help="check tolerance (default 1e-8)")
     parser.add_argument("--rank-tol", type=float,
-                        help="relative rank cutoff (default 1e-8)")
-    parser.add_argument("--angle-tol", type=float,
-                        help="slant-angle tolerance in radians (default 1e-6)")
+                        help="relative rank cutoff, below 1 (default 1e-8)")
+    parser.add_argument("--angle-tol", type=float, help="slant-angle tolerance "
+                        "in radians, below pi/4 (default 1e-6)")
     parser.add_argument("--out", help="write the JSON report to this file")
     parser.add_argument("--points", help="write each sample point's slant "
                         "angle range to this file")

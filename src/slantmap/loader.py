@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,6 +90,11 @@ def _chart_from_json(doc: dict, pointer: str) -> ChartManifold:
         raise MapSpecError(pointer, str(exc))
 
 
+# upper bounds: no singular value passes a relative rank cutoff of 1, and from
+# pi/4 on the invariant and anti-invariant angle bands overlap
+_BELOW = {"rank_tol": (1.0, "1"), "angle_tol": (math.pi / 4, "pi/4")}
+
+
 def set_setting(settings: AnalysisSettings, attr: str, value,
                 where: str) -> None:
     """Check one analysis setting and store it.  The same rule serves the
@@ -101,6 +107,8 @@ def set_setting(settings: AnalysisSettings, attr: str, value,
     else:
         _expect(_is_number(value) and value > 0, where,
                 "must be a positive finite number")
+        bound, name = _BELOW.get(attr, (math.inf, ""))
+        _expect(value < bound, where, f"must be below {name}")
         value = float(value)
     setattr(settings, attr, value)
 

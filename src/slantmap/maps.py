@@ -24,10 +24,10 @@ back through one frame product where a vector leaves the library.  Each
 pointwise quantity has this one route: no member forms phi, omega, B, C, Q,
 a shape operator or the fiber mean curvature in chart coordinates.  A
 ``Sample`` is the analysis context of one run, whose stacks are built once,
-and every check is a reduction over them.  A map with affine components
-between constant charts (``MapSpec.constant_frame``) has the same frame
-wherever F is finite; ``frame_block`` builds it once, at a block's first
-point, in a stack whose ``rows`` are every point of the block.
+each paired with its sample indices (``rows``), and every check is a
+reduction over the pairs.  A map with affine components between constant
+charts (``MapSpec.constant_frame``) has one frame wherever F is finite,
+which its MapSpec keeps, read-only, for every analysis of the map.
 """
 
 from __future__ import annotations
@@ -157,23 +157,40 @@ def _bilinear(tensor, X, Y) -> np.ndarray:
     return out
 
 
+class _member:
+    """A FrameStack member: formed on first use and kept, read-only on a
+    stack so that no check changes what a later one reads (a PointFrame's
+    are its own).  Two threads may form it twice, alike; none takes a lock."""
+
+    def __init__(self, func):  # func, as a cached_property names it
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, frames, owner=None):
+        if frames is None:
+            return self
+        value = self.func(frames)
+        if type(frames) is FrameStack:
+            for array in (vars(value).values()
+                          if isinstance(value, SectionDerivatives) else (value,)):
+                array.flags.writeable = False
+        frames.__dict__[self.name] = value
+        return value
+
+
 @dataclass(eq=False)
 class FrameStack:
     """The frames of the points of one rank in a block, each field stacked
     along a leading point axis, and every derived quantity formed once over
-    the stack on first use; each member serves a row (``row(i)``) as well.
-    ``len(stack)`` counts the frames held, and ``rows`` the sample points
-    they stand for: one frame for all of them on a constant-frame stack.
-    Vectors are the columns of (..., m, k) arrays, and the extra axes of an
-    argument sit between the point axis and the matrix axes.  ``adapted_*``,
-    ``j_blocks``, ``q`` and ``horizontal_*`` are in B1 and B2, the rest in
-    chart coordinates; h is ``source_basis[..., :rank]``, k the rest, and
-    R and N likewise in ``target_basis``."""
+    the stack on first use and read-only; each member serves a row
+    (``row(i)``) as well.  ``len(stack)`` counts the frames held: one for all
+    the sample indices paired with a constant-frame stack.  Vectors are the
+    columns of (..., m, k) arrays, and the extra axes of an argument sit
+    between the point axis and the matrix axes.  ``adapted_*``, ``j_blocks``,
+    ``q`` and ``horizontal_*`` are in B1 and B2, the rest in chart
+    coordinates; h is ``source_basis[..., :rank]``, k the rest, and R and N
+    likewise in ``target_basis``."""
 
     FIELDS: ClassVar[tuple]  # the field names, in order
-    # the sample index of each point; all the sample's indices, for the one
-    # frame of a constant-frame stack
-    rows: np.ndarray
     points: np.ndarray      # (N, n)
     images: np.ndarray      # (N, m)
     jacobian: np.ndarray    # (N, m, n)
@@ -204,12 +221,12 @@ class FrameStack:
         return TangentSplit.of(self.rank, self.source_basis, self.target_basis,
                                self.g_source, self.g_target)
 
-    @cached_property
+    @_member
     def source_coframe(self) -> np.ndarray:
         """C1 = B1^T G1 = B1^-1: a source vector's components in B1."""
         return np.swapaxes(self.source_basis, -1, -2) @ self.g_source.matrix
 
-    @cached_property
+    @_member
     def target_coframe(self) -> np.ndarray:
         """C2 = B2^T G2 = B2^-1: a target vector's components in B2."""
         return np.swapaxes(self.target_basis, -1, -2) @ self.g_target.matrix
@@ -261,35 +278,35 @@ class FrameStack:
         matrix X one leading entry per column of X."""
         return _bilinear(self.sff, X, Y)
 
-    @cached_property
+    @_member
     def adapted_jacobian(self) -> np.ndarray:
         """C2 F_* B1: [[Sigma, 0], [0, 0]] up to rounding, (N, m, n)."""
         return self.target_coframe @ self.jacobian @ self.source_basis
 
-    @cached_property
+    @_member
     def j_blocks(self) -> np.ndarray:
         """C2 J B2: the blocks [:r, :r] (phi on the range), [r:, :r]
         (omega), [:r, r:] (B) and [r:, r:] (C)."""
         return self.target_coframe @ require_complex_structure(self) @ self.target_basis
 
-    @cached_property
+    @_member
     def adapted_j_pushforward(self) -> np.ndarray:
         """C2 J F_* B1: rows [:r] are phi, rows [r:] omega, (N, m, n)."""
         return self.j_blocks @ self.adapted_jacobian
 
-    @cached_property
+    @_member
     def adapted_q(self) -> np.ndarray:
         """Q = F_*^T phi in B1, (N, n, n)."""
         r = self.rank
         return (np.swapaxes(self.adapted_jacobian[..., :r, :], -1, -2)
                 @ self.adapted_j_pushforward[..., :r, :])
 
-    @cached_property
+    @_member
     def q(self) -> np.ndarray:
         """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
         return self.adapted_q[..., :self.rank, :self.rank]
 
-    @cached_property
+    @_member
     def adapted_sff(self) -> np.ndarray:
         """C2 sff(B1 ., B1 .), (N, m, n, n)."""
         B1 = lift(self.source_basis, self.sff.ndim)
@@ -301,25 +318,25 @@ class FrameStack:
         """adapted_sff(h_a, .) at [..., a, :, :], (N, r, m, n): a view."""
         return np.moveaxis(self.adapted_sff[..., :self.rank, :], -2, -3)
 
-    @cached_property
+    @_member
     def adapted_nabla_j(self) -> np.ndarray:
         """C2 (nabla_{F_*h_a} J) B2 at [..., a, :, :], (N, r, m, m)."""
         return _nabla_j_along(self, self.source_basis[..., :self.rank])
 
-    @cached_property
+    @_member
     def sigma_inverse(self) -> np.ndarray:
         """Sigma^-1 by one r x r solve per stack."""
         sigma = self.adapted_jacobian[..., :self.rank, :self.rank]
         return np.linalg.solve(sigma, np.broadcast_to(np.eye(self.rank), sigma.shape))
 
-    @cached_property
+    @_member
     def horizontal_connection(self) -> np.ndarray:
         """C1 Gamma1(h_a, h_b) at [..., a, :, b], (N, r, n, r)."""
         h = self.source_basis[..., :self.rank]
         gamma = apply_along(self.source_coframe, self.gamma_source, 0)
         return apply_along(np.swapaxes(h, -1, -2), gamma, 1) @ lift(h, gamma.ndim)
 
-    @cached_property
+    @_member
     def horizontal_derivatives(self) -> "SectionDerivatives":
         """section_derivatives along h_a at h_b, at [..., a, :, b] and in
         the adapted frames: nabla Q in B1 (N, r, n, r), the omega defect in
@@ -327,7 +344,7 @@ class FrameStack:
         return _adapted_derivatives(self, self.horizontal_sff,
                                     self.adapted_nabla_j, slice(0, self.rank))
 
-    @cached_property
+    @_member
     def tension(self) -> np.ndarray:
         """Tension field: the metric trace of the second fundamental form."""
         inverse = self.g_source.inverse
@@ -408,7 +425,7 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
     key = (point.tobytes(), rank_tol)
     kept_spec, kept_key, stack = _last_frame
     if kept_spec is not spec or kept_key != key:
-        stack, = frame_block(spec, point[None], rank_tol)
+        (_, stack), = frame_block(spec, point[None], rank_tol)
         _freeze(stack)
         _last_frame = (spec, key, stack)
     return stack.row(0)
@@ -426,18 +443,24 @@ def _freeze(stack: FrameStack) -> None:
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
                 target: Optional[ChartFields] = None, start: int = 0) -> list:
-    """The FrameStacks of a stack of points (N, n), one per rank among them,
-    built from stacked jets with one batched factorisation of each kind.
-    points[i] is the point start + i of its sample, and the point start + i
-    of ``target``, which holds the target chart at the images; without it
-    the target chart is evaluated here.  Where the frame is the same at
-    every point (``MapSpec.constant_frame``) and ``target`` covers the
-    block, so that F is finite on it, one stack holds the frame at the first
-    point for every row."""
+    """(rows, stack) per rank among a stack of points (N, n): a FrameStack
+    built from stacked jets with one batched factorisation of each kind, and
+    the sample indices of its points.  points[i] is the point start + i of
+    its sample and of ``target``, the target chart at the images (evaluated
+    here when None).  Where the frame is the same at every point
+    (``MapSpec.constant_frame``) and ``target`` covers the block, so that F
+    is finite on it, one stack stands for every row: the map's, built at the
+    block's first point and kept read-only on the spec as (rank_tol, stack)
+    once that succeeds, read into locals and replaced whole."""
     rows = np.arange(start, start + len(points))
-    if (spec.constant_frame and target is not None
-            and len(target.points) >= start + len(points)):
-        points = points[:1]  # one rank, so its group's ``at`` takes every row
+    constant = (spec.constant_frame and len(points) > 0 and target is not None
+                and len(target.points) >= start + len(points))
+    if constant:
+        kept_tol, stack = spec.__dict__.get("_kept_frame", (None, None))
+        if kept_tol == rank_tol:
+            return [(rows, stack)]
+        # a copy, since the spec keeps it; one rank, so ``at`` takes every row
+        points = points[:1].copy()
     image, jac, hess = eval_jets(spec.components, points, 2)
     g1, gamma1 = spec.source.metric_at(points)
     if target is None:
@@ -457,11 +480,15 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     J = nabla = None
     if spec.target.complex_structure is not None:
         J, nabla = target.structure(start, stop)
-    return [FrameStack(rows[at], points[at], image[at], jac[at], rank,
-                       g1[at], g2[at], B1, B2, gamma1[at], sff[at],
-                       None if J is None else J[at],
-                       None if nabla is None else nabla[at])
-            for at, rank, B1, B2 in groups]
+    pairs = [(rows[at], FrameStack(points[at], image[at], jac[at], rank,
+                                   g1[at], g2[at], B1, B2, gamma1[at], sff[at],
+                                   None if J is None else J[at],
+                                   None if nabla is None else nabla[at]))
+             for at, rank, B1, B2 in groups]
+    if constant:
+        _freeze(pairs[0][1])
+        spec.__dict__["_kept_frame"] = (rank_tol, pairs[0][1])
+    return pairs
 
 
 # Wrappers over PointFrame members, kept (as are map_point and differential)
@@ -486,11 +513,11 @@ FRAME_BLOCK = 1024
 class Sample:
     """Analysis context of one run: the sample points, the target chart at
     their images, and the FrameStacks of their frames, built on first use in
-    blocks of at most FRAME_BLOCK points (one stack per rank in a block) and
-    read by every check.  A failed build is kept and raised again at the same
-    point, so each check fails where it would.  A constant frame
-    (``MapSpec.constant_frame``) is one block: its stack holds the frame at
-    the first point for every sample index (``rows``) up to F's first
+    blocks of at most FRAME_BLOCK points (one stack per rank in a block),
+    each paired with its sample indices and read by every check.  A failed
+    build is kept and raised again at the same point, so each check fails
+    where it would.  A constant frame (``MapSpec.constant_frame``) is one
+    block: the map's kept stack, paired with every index up to F's first
     failing point."""
 
     def __init__(self, spec: MapSpec, points,
@@ -504,36 +531,36 @@ class Sample:
         return len(self.points)
 
     def stacks(self):
-        """The stacks in block order; a failed build raises after the stacks
-        of the points before it."""
-        stacks, failure = self._frames
-        yield from stacks
+        """The (rows, stack) pairs in block order; a failed build raises
+        after the pairs of the points before it."""
+        pairs, failure = self._frames
+        yield from pairs
         if failure is not None:
             raise failure
 
     def worst(self, residual):
         """worst_residual of residual(stack), an array (len(stack), ...) of
         the residual entries at each frame of the stack, over the stacks."""
-        return worst_residual([(s.rows, residual(s)) for s in self.stacks()],
+        return worst_residual([(rows, residual(s)) for rows, s in self.stacks()],
                               self.points)
 
     @cached_property
     def _frames(self):
-        """The stacks of every block up to the first failing point, and that
-        point's error (None when every point has its frame).  A constant
-        frame's block is the whole sample, since frame_block builds it at
-        one point."""
-        stacks: list = []
+        """The (rows, stack) pairs of every block up to the first failing
+        point, and that point's error (None when every point has its frame).
+        A constant frame's block is the whole sample, since it has one
+        stack."""
+        pairs: list = []
         block = max(len(self), 1) if self.spec.constant_frame else FRAME_BLOCK
         for start in range(0, len(self), block):
             built, failure = evaluate_prefix(
                 lambda k: frame_block(self.spec, self.points[start:start + k],
                                       self.rank_tol, self.target, start),
                 min(block, len(self) - start))
-            stacks.extend(built)
+            pairs.extend(built)
             if failure is not None:
-                return stacks, failure[1]
-        return stacks, None
+                return pairs, failure[1]
+        return pairs, None
 
     @cached_property
     def _images(self):
@@ -645,12 +672,12 @@ def is_riemannian_map(sample: Sample,
     the detail adds the largest |(|F_*|^2 - rank)|, small wherever the Gram
     test passes: a Riemannian map solves |F_*|^2 = rank F (Fischer)."""
     parts, eikonal = [], np.zeros(len(sample))
-    for s in sample.stacks():
+    for rows, s in sample.stacks():
         A = s.adapted_jacobian
-        parts.append((s.rows, gram_residual(A[..., :s.rank])))
-        eikonal[s.rows] = np.abs(np.square(A).sum(axis=(-2, -1)) - s.rank)
+        parts.append((rows, gram_residual(A[..., :s.rank])))
+        eikonal[rows] = np.abs(np.square(A).sum(axis=(-2, -1)) - s.rank)
     worst, witness = worst_residual(parts, sample.points)
-    ranks = sorted({s.rank for s in sample.stacks()})
+    ranks = sorted({s.rank for _, s in sample.stacks()})
     rank_constant = len(ranks) <= 1
     detail = {"rank": ranks[0] if rank_constant and ranks else ranks,
               "rank_constant": rank_constant,

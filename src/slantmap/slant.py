@@ -154,8 +154,11 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     parallelism defects of omega and phi; ``report.Analysis`` copies in the
     outcomes of the phwc and pseudo_homothetic checks.  ``riemannian`` is
     the riemannian_map result for the same sample and tolerance, when the
-    caller already has it.
+    caller already has it.  0 < angle_tol < pi/4, as the loader requires.
     """
+    if not 0 < angle_tol < math.pi / 4:
+        raise ValueError("angle tolerance must be a positive number below pi/4, "
+                         f"got {angle_tol!r}")
     stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
     if riemannian is None:
         riemannian = is_riemannian_map(sample, tol)
@@ -164,10 +167,10 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                            witness=riemannian.witness,
                            rank=riemannian.detail.get("rank"))
 
-    rank = stacks[0].rank
+    rank = stacks[0][1].rank
     angles = np.empty((len(sample), 2))
-    for s in stacks:
-        angles[s.rows] = angle_ranges(s)
+    for rows, s in stacks:
+        angles[rows] = angle_ranges(s)
     mean_angle = float(np.mean(angles))
     deviations = np.abs(angles - mean_angle)
     max_dev = float(deviations.max())
@@ -205,8 +208,8 @@ def _fit_identity(sample: Sample, rank: int, square):
     points, taken per point first so the blocks do not change it, and the
     residual is the largest Frobenius norm of square - c I."""
     traces = np.empty(len(sample))
-    for s in sample.stacks():
-        traces[s.rows] = np.trace(square(s), axis1=1, axis2=2)
+    for rows, s in sample.stacks():
+        traces[rows] = np.trace(square(s), axis1=1, axis2=2)
     c = float(traces.sum() / (len(sample) * rank))
     return c, sample.worst(lambda s: square(s) - c * np.eye(rank))[0]
 
@@ -283,9 +286,9 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
     """Gram residual of the greedy adapted frame at every sample point."""
     parts = []
     failure = np.zeros(len(sample), dtype=int)
-    for s in sample.stacks():
-        columns, failure[s.rows] = s.adapted_frames(report.angle_tol)
-        parts.append((s.rows, gram_residual(columns)))
+    for rows, s in sample.stacks():
+        columns, failure[rows] = s.adapted_frames(report.angle_tol)
+        parts.append((rows, gram_residual(columns)))
     if failure.any():  # the error of the first point whose frame fails
         first = int(np.argmax(failure > 0))
         raise ValueError(f"{ADAPTED_FRAME_FAILURES[failure[first] - 1]} at "
@@ -433,8 +436,8 @@ def check_phwc(sample: Sample, report: SlantReport,
     """Pseudo horizontal weak conformality: sec(theta) Q is a compatible
     complex structure for the horizontal metric."""
     sec = 1.0 / math.cos(report.mean_angle)
-    parts = [(s.rows, np.stack(phwc_residuals(s, sec), axis=1))
-             for s in sample.stacks()]
+    parts = [(rows, np.stack(phwc_residuals(s, sec), axis=1))
+             for rows, s in sample.stacks()]
     residual, witness = worst_residual(parts, sample.points)
     square, hermitian = (worst_residual([(rows, r[:, k]) for rows, r in parts],
                                         sample.points)[0] for k in (0, 1))

@@ -299,8 +299,8 @@ def sampled_slant_angles(sample, count=200, seed=0):
     PointFrame.slant_angle call each."""
     rng = np.random.default_rng(seed)
     angles = np.empty((len(sample), count))
-    for stack in sample.stacks():
-        for row, i in enumerate(stack.rows):
+    for rows, stack in sample.stacks():
+        for row, i in enumerate(rows):
             # a stack holds a frame per row, or one frame for all its rows
             frame = stack.row(row if len(stack) > 1 else 0)
             coefficients = rng.standard_normal((count, frame.rank))
@@ -551,7 +551,7 @@ def plain_check_values(sample, mean_angle, angle_tol) -> dict:
     the horizontal frame), both formed with the metrics."""
     factor = -math.cos(mean_angle) ** 2
     per_point, squares = {}, {"lambda": [], "mu": []}
-    for s in sample.stacks():
+    for _, s in sample.stacks():
         for key, value in chart_residuals(s, factor, 1.0 / math.cos(mean_angle),
                                           angle_tol).items():
             per_point.setdefault(key, []).append(value)

@@ -5,8 +5,13 @@ at every point; a Sample of an affine map between constant charts
 constant target's checks read one point; reports and --points records are
 the same bytes as over the blocks of every point's frame; and a map that
 overflows at some sample points, or whose constants leave the floats, gets
-the blocks' located errors."""
+the blocks' located errors.  The one frame is the map's: kept on its
+MapSpec for a rank tolerance once a build succeeds, read-only, and read by
+every later analysis of the map."""
 
+import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +148,8 @@ def test_random_affine_maps_equal_the_block_route(spec, count, seed):
         spec, AnalysisSettings(points=count, seed=seed), "generated"))
 
 
-def test_one_frame_is_built_at_the_first_point(monkeypatch):
+def _spied_splits(patch) -> list:
+    """The number of points of every split_tangents call from here on."""
     split = []
     split_tangents = slantmap.maps.split_tangents
 
@@ -151,17 +157,34 @@ def test_one_frame_is_built_at_the_first_point(monkeypatch):
         split.append(len(jac))
         return split_tangents(jac, *args)
 
-    monkeypatch.setattr(slantmap.maps, "split_tangents", spy)
+    patch.setattr(slantmap.maps, "split_tangents", spy)
+    return split
+
+
+def test_one_frame_is_built_at_the_first_point(monkeypatch):
+    split = _spied_splits(monkeypatch)
     loaded = load_map_spec("catalog:example4")
+    loaded.spec = replace(loaded.spec)  # a catalog spec is shared: a fresh one
     loaded.settings.points = 2000
     analysis = Analysis(loaded)
     report = analysis.report()
     assert report.check("riemannian_map").samples == 2000
     assert split == [1]
-    (stack,) = analysis.sample.stacks()
+    ((rows, stack),) = analysis.sample.stacks()
     assert np.array_equal(stack.points, analysis.sample.points[:1])
     assert len(stack) == 1
-    assert np.array_equal(stack.rows, np.arange(2000))
+    assert np.array_equal(rows, np.arange(2000))
+    # a second analysis, of other points, builds no frame: the stack is the
+    # spec's, still at the first point of the sample that built it
+    split.clear()
+    loaded.settings.seed = 7
+    second = Analysis(loaded)
+    assert second.report().check("riemannian_map").samples == 2000
+    assert split == []
+    ((rows, kept),) = second.sample.stacks()
+    assert kept is stack
+    assert np.array_equal(kept.points, analysis.sample.points[:1])
+    assert np.array_equal(rows, np.arange(2000))
 
 
 def test_a_constant_target_is_checked_at_one_point(monkeypatch):
@@ -250,9 +273,9 @@ def test_exactly_the_constant_coefficient_maps_hold_one_frame(identifier):
     spec = load_map_spec(identifier).spec
     assert spec.constant_frame is (identifier in ONE_FRAME)
     for count in (1, 5, slantmap.maps.FRAME_BLOCK + 3):
-        stacks = list(Sample(spec, sample_points(spec.box, count, 3)).stacks())
-        assert sum(len(s.rows) for s in stacks) == count
-        frames = sum(len(s) for s in stacks)
+        pairs = list(Sample(spec, sample_points(spec.box, count, 3)).stacks())
+        assert sum(len(rows) for rows, _ in pairs) == count
+        frames = sum(len(s) for _, s in pairs)
         assert frames == (1 if identifier in ONE_FRAME else count)
 
 
@@ -280,3 +303,103 @@ def test_shape_errors_are_located(call, message):
     with pytest.raises(ValueError) as error:
         call()
     assert str(error.value) == message
+
+
+def _slant_plane():
+    """A constant-coefficient map built here, so that no other test has
+    analysed it: a proper slant plane in C^2, of angle 0.7."""
+    c, s = math.cos(0.7), math.sin(0.7)
+    return MapSpec.create(ChartManifold.euclidean(2), ChartManifold.euclidean(4, J4),
+                          ["x1", f"x2 * {c!r}", f"x2 * {s!r}", "0"])
+
+
+def test_a_second_analysis_reads_the_kept_frame(monkeypatch):
+    # the frame is the map's, once per process: an analysis of other points
+    # builds none, and its report and --points records are the bytes of a
+    # frame per point, over blocks of 1, 7 and 1024 points
+    spec = _slant_plane()
+    _outputs(LoadedMap(spec, AnalysisSettings(points=30, seed=1), "generated"))
+    split = _spied_splits(monkeypatch)
+    second = LoadedMap(spec, AnalysisSettings(points=45, seed=9), "generated")
+    outputs = _outputs(second)
+    assert split == []
+    assert json.loads(outputs[0])["slant"]["classification"] == "proper_slant"
+    with pytest.MonkeyPatch.context() as patch:
+        _route_off(patch)
+        assert _outputs(second) == outputs
+    _same_outputs_over_blocks(second)
+
+
+def test_another_rank_tolerance_builds_the_frame_once(monkeypatch):
+    # the spec keeps one frame, for the rank tolerance it was built with;
+    # another tolerance builds once and replaces it
+    spec = _slant_plane()
+    split = _spied_splits(monkeypatch)
+    for rank_tol, builds in ((1e-8, [1]), (1e-8, []), (1e-6, [1]), (1e-6, []),
+                             (1e-8, [1])):
+        split.clear()
+        Analysis(LoadedMap(spec, AnalysisSettings(points=10, rank_tol=rank_tol),
+                           "generated")).report()
+        assert split == builds, rank_tol
+
+
+def _ill_conditioned():
+    # a constant source metric too close to singular for an orthonormal split
+    c = "0.99999999999"
+    return MapSpec.create(ChartManifold.from_strings(2, [["1", c], [c, "1"]]),
+                          ChartManifold.euclidean(4, J4), ["x1", "0", "x2", "0"])
+
+
+def _indefinite_target():
+    metric = [[str(-1 if i == j == 1 else int(i == j)) for j in range(4)]
+              for i in range(4)]
+    return MapSpec.create(ChartManifold.euclidean(2),
+                          ChartManifold.from_strings(4, metric, J4),
+                          ["x1", "0", "x2", "0"])
+
+
+@pytest.mark.parametrize("build, located", [
+    (_ill_conditioned, lambda p: p),
+    (_indefinite_target, lambda p: [p[0], 0.0, p[1], 0.0])])
+def test_a_frame_that_fails_is_not_kept(build, located, monkeypatch):
+    # every analysis builds again and gets the same entries, each error
+    # naming the first point of its own sample (the image, for the target)
+    spec = build()
+    assert spec.constant_frame
+    split = _spied_splits(monkeypatch)
+    runs = []
+    for seed in (1, 1, 2):
+        split.clear()
+        entries = _entries(LoadedMap(spec, AnalysisSettings(points=6, seed=seed),
+                                     "generated"))
+        reason = entries["riemannian_map"].reason
+        assert str(located(sample_points(spec.box, 6, seed)[0].tolist())) in reason
+        runs.append((list(split), {name: (e.status, e.reason)
+                                   for name, e in entries.items() if e}))
+    assert runs[0] == runs[1]
+    assert runs[2][0] == runs[0][0]
+    assert runs[2][1] != runs[0][1]
+
+
+def test_the_kept_frames_members_are_read_only():
+    # no check can change what the next analysis of the map reads, and a
+    # varying map's stack members are read-only too; a row's members are
+    # its caller's own
+    analysis = Analysis(LoadedMap(_slant_plane(), AnalysisSettings(points=10),
+                                  "generated"))
+    analysis.report()
+    ((_, kept),) = analysis.sample.stacks()
+    ((_, varying),) = Sample(load_map_spec("catalog:warped_fiber").spec,
+                             [[0.1, 0.2, 0.3]]).stacks()
+    for stack in (kept, varying):
+        for array in (stack.adapted_q, stack.q, stack.horizontal_derivatives.q,
+                      stack.horizontal_derivatives.phi_defect, stack.adapted_sff,
+                      stack.tension):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 7.0
+        row = stack.row(0)
+        row.q[...] = 7.0
+        assert (row.q == 7.0).all() and not (stack.q == 7.0).any()
+    for array in (kept.jacobian, kept.source_basis, kept.points):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 7.0

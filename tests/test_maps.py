@@ -90,7 +90,7 @@ def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
     first = list(sample.stacks())
     assert check_sff_range_perp(sample).passed
     assert all(a is b for a, b in zip(first, sample.stacks()))
-    assert sum(len(stack.rows) for stack in first) == len(sample) == 5
+    assert sum(len(rows) for rows, _ in first) == len(sample) == 5
 
 
 def test_riemannian_rejects_dilation():
@@ -434,7 +434,7 @@ WARPED_POINT = [0.1, 0.2, 0.3]
 
 def test_one_build_serves_the_pointwise_calls_at_a_point(monkeypatch):
     spec = load_catalog("warped_fiber")
-    fresh = slantmap.maps.frame_block(spec, np.array([WARPED_POINT]))[0].row(0)
+    fresh = slantmap.maps.frame_block(spec, np.array([WARPED_POINT]))[0][1].row(0)
     # the catalog spec is shared, so an earlier test may have left its frame
     # at this point in the slot
     monkeypatch.setattr(slantmap.maps, "_last_frame", (None, None, None))
@@ -547,7 +547,8 @@ def test_section_derivatives_directions_of_the_wrong_shape():
     # points, is a located error at a point frame and at a stack
     spec = load_catalog("warped_fiber")
     frame = point_frame(spec, WARPED_POINT)
-    stack, = slantmap.maps.frame_block(spec, np.array([WARPED_POINT, [0.2, 0.1, -0.3]]))
+    (_, stack), = slantmap.maps.frame_block(
+        spec, np.array([WARPED_POINT, [0.2, 0.1, -0.3]]))
     with pytest.raises(ValueError,
                        match=r"^directions have shape \(3,\), expected \(3, k\)$"):
         section_derivatives(frame, [1.0, 0.0, 0.0])

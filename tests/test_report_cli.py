@@ -721,7 +721,7 @@ def test_frames_are_freed_by_reference_counting():
                             AnalysisSettings(points=3))
         for name in CHECK_NAMES:
             analysis.entry(name)
-        stacks = [weakref.ref(stack) for stack in analysis.sample.stacks()]
+        stacks = [weakref.ref(stack) for _, stack in analysis.sample.stacks()]
         assert all("horizontal_derivatives" in vars(ref()) for ref in stacks)
         assert sum(len(ref()) for ref in stacks) == 3
         del analysis
@@ -747,7 +747,7 @@ def test_horizontal_derivatives_hold_horizontal_pairs(identifier, monkeypatch):
     monkeypatch.setattr(slantmap.report, "Analysis", Recorded)
     run_analysis(load_map_spec(identifier))
     (analysis,) = analyses
-    stacks = list(analysis.sample.stacks())
+    stacks = [stack for _, stack in analysis.sample.stacks()]
     assert stacks and all("horizontal_derivatives" in vars(s) for s in stacks)
     for stack in stacks:
         r = stack.rank
@@ -1137,7 +1137,7 @@ def test_failure_in_a_later_frame_block(case, tmp_path, monkeypatch):
         report = {name: analysis.entry(name) for name in CHECK_NAMES}
         built = []
         with pytest.raises(Exception) as failure:
-            for stack in analysis.sample.stacks():
+            for _, stack in analysis.sample.stacks():
                 built.append(len(stack))
         assert sum(built) == first
         error = failure.value  # a ChartError's entry is its message alone
@@ -1411,10 +1411,10 @@ def test_report_values_are_python_scalars(identifier):
 
 
 def test_adapted_frame_error_names_its_point():
-    # at angle_tol 0.8 nonslant is classified invariant, and Q vanishes at
+    # at angle_tol 0.7 nonslant is classified invariant, and Q vanishes at
     # some points: the error names the first sample point whose frame fails
     loaded = load_map_spec("catalog:nonslant")
-    loaded.settings.angle_tol = 0.8
+    loaded.settings.angle_tol = 0.7
     analysis = Analysis(loaded)
     assert analysis.slant.classification == "invariant"
     text = "Q vanishes for an anti-invariant map: no adapted frame"
@@ -1424,9 +1424,9 @@ def test_adapted_frame_error_names_its_point():
     point = json.loads(entry.reason[len(prefix):])
     points = analysis.sample.points.tolist()
     for p in points[:points.index(point)]:
-        point_frame(loaded.spec, p).adapted_frame(0.8)
+        point_frame(loaded.spec, p).adapted_frame(0.7)
     with pytest.raises(ValueError) as failure:
-        point_frame(loaded.spec, point).adapted_frame(0.8)
+        point_frame(loaded.spec, point).adapted_frame(0.7)
     assert str(failure.value) == text
 
 
@@ -1673,6 +1673,57 @@ def test_cli_rejects_bad_overrides(command, flag, value, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}: must be")
+
+@pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
+@pytest.mark.parametrize("flag, value, bound, below", [
+    ("--rank-tol", "1", "1", "0.999"), ("--rank-tol", "1.5", "1", "0.999"),
+    ("--angle-tol", "0.8", "pi/4", "0.785"),
+    ("--angle-tol", repr(math.pi / 4), "pi/4", repr(math.pi / 4 - 1e-16))])
+def test_cli_rejects_tolerances_at_their_bounds(command, flag, value, bound,
+                                                below, capsys):
+    # a rank cutoff of 1 or more gave rank 0 to every map, and an angle
+    # tolerance of pi/4 or more called a proper slant map invariant
+    code = main(command + ["--map", "catalog:slant_plane(alpha=0.7)",
+                           "--samples", "5", flag, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {flag}: must be below {bound}\n"
+    assert main(command + ["--map", "catalog:slant_plane(alpha=0.7)",
+                           "--samples", "5", flag, below]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("key, value, bound", [
+    ("rank", 1, "1"), ("rank", 2.5, "1"), ("angle", 0.8, "pi/4")])
+def test_map_spec_rejects_tolerances_at_their_bounds(key, value, bound, tmp_path,
+                                                     capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(MINIMAL_SPEC, tolerances={key: value})))
+    code = main(["analyze", "--map", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: /tolerances/{key}: must be below {bound}\n"
+
+
+def test_library_tolerances_at_their_bounds_are_error_entries():
+    # AnalysisSettings is not checked: the frame build and the
+    # classification raise, and each check that reads them reports it; a
+    # negative angle tolerance called every map not_slant, with exit 0
+    spec = load_catalog("slant_plane")
+    with pytest.raises(ValueError, match=r"^rank tolerance must be below 1, got 1\.5$"):
+        point_frame(spec, [0.1, 0.2], rank_tol=1.5)
+    for settings, name, message in (
+            (AnalysisSettings(points=5, rank_tol=1.0), "riemannian_map",
+             "rank tolerance must be below 1, got 1.0"),
+            (AnalysisSettings(points=5, angle_tol=0.8), "slant_classification",
+             "angle tolerance must be a positive number below pi/4, got 0.8"),
+            (AnalysisSettings(points=5, angle_tol=-0.1), "slant_classification",
+             "angle tolerance must be a positive number below pi/4, got -0.1")):
+        report = run_analysis(LoadedMap(spec, settings, "catalog:slant_plane"))
+        entry = report.check(name)
+        assert (entry.status, entry.reason) == ("error", f"ValueError: {message}")
+        assert report.slant is None
+
 
 def test_cli_catalog_listing(capsys):
     assert main(["catalog"]) == 0

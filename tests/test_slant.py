@@ -263,8 +263,10 @@ def test_slant_data_do_not_depend_on_the_frame_bases(identifier, monkeypatch):
     fixed_sample = Sample(spec, points)
     fixed = run_analysis(loaded).to_dict()
     monkeypatch.setattr(slantmap.maps, "split_tangents", _turning_split_tangents(7))
+    # a fresh spec: a constant-frame map keeps the frame built unturned
+    loaded.spec = spec = replace(spec)
     turned_sample = Sample(spec, points)
-    h = [next(s.stacks()).split.horizontal.columns
+    h = [next(s.stacks())[1].split.horizontal.columns
          for s in (fixed_sample, turned_sample)]
     assert not np.allclose(*h)  # the bases did turn
     assert_report_matches(run_analysis(loaded).to_dict(), fixed)
