@@ -97,7 +97,13 @@ def catalog_descriptions() -> Dict[str, str]:
 def load_catalog(identifier: str) -> MapSpec:
     """The catalog map named by identifier, surrounding whitespace ignored;
     parameterized entries accept name(alpha=value), the value a JSON number.
-    Repeated loads of one map return the same MapSpec."""
+    Repeated loads of one map return the same MapSpec, shared by the
+    process, which with its charts keeps what analyses form on it (a
+    constant frame and its members, a constant chart's point and target
+    residuals; see ``maps``).  A caller that must form them anew takes a
+    fresh spec: ``replace(spec, source=replace(spec.source),
+    target=replace(spec.target))``, since ``replace(spec)`` keeps the
+    charts."""
     name, alpha = identifier.strip(), None
     match = _PARAM_RE.match(name)
     if match:

@@ -4,7 +4,11 @@ A chart is a single global coordinate patch.  Metric and complex-structure
 entries are DSL expressions evaluated with jets; one metric jet per point
 gives the metric and, with exact derivatives, its Christoffel symbols.
 ``ChartFields`` holds a chart evaluated once at each point of a stack, or
-once per process for a chart whose entries are all constants.
+once per process for a chart whose entries are all constants: such a chart
+keeps, read-only, its fields at one point and the target checks' residuals
+there, which every later ChartFields of the chart reads.  A chart shared by
+a catalog spec keeps them for the process; ``dataclasses.replace(chart)``
+is a fresh chart that has kept nothing.
 """
 
 from __future__ import annotations
@@ -120,13 +124,19 @@ class ChartManifold:
     def _kept_fields(self, stack) -> Optional["ChartFields"]:
         """For a constant chart, its ChartFields at one point, which hold at
         every point: evaluated on first use at the stack's first point, as
-        any chart is, and kept once that succeeds.  None for a varying
-        chart, an empty stack or a failing evaluation."""
+        any chart is, and kept, read-only, once that succeeds.  None for a
+        varying chart, an empty stack or a failing evaluation."""
         kept = self.__dict__.get("_kept")
         if kept is None and self.constant and len(stack):
             fields = object.__new__(ChartFields)
-            fields._evaluate(self, stack[:1].copy())
-            if fields._metric_failure is None and fields._structure_failure is None:
+            fields.chart, fields.points = self, stack[:1].copy()
+            fields._evaluate_metric()
+            if fields._metric_failure is None and (
+                    self.complex_structure is None or fields._structure[2] is None):
+                arrays = [fields.G, fields._gamma, *vars(fields._ip).values()]
+                if self.complex_structure is not None:
+                    arrays += fields._structure[:2]
+                _read_only(*arrays)
                 self.__dict__["_kept"] = kept = fields
         return kept
 
@@ -181,31 +191,33 @@ def evaluate_prefix(evaluate, count: int):
 class ChartFields:
     """A chart's metric and complex structure at each point of a stack (N,
     n), every entry evaluated once per point with its first derivatives, the
-    metric's InnerProduct and Christoffel symbols, and nabla J.  Each field is
-    evaluated up to the first point where it fails, and that failure, kept
-    as (index, error), is raised by whatever reads the field there.  A
-    constant chart (``ChartManifold.constant``) that evaluates gives
-    read-only broadcast views of the one point it keeps."""
+    metric's InnerProduct and Christoffel symbols, and nabla J; J and nabla J
+    are evaluated on first read.  Each field is evaluated up to the first
+    point where it fails, and that failure, kept as (index, error), is raised
+    by whatever reads the field there.  ``held`` is the fields whose arrays
+    hold the values: these, or for a constant chart (``ChartManifold.constant``)
+    that evaluates, the one point it keeps, which ``metric`` and
+    ``structure`` repeat as read-only broadcast views and which keeps the
+    residuals of ``check_almost_hermitian`` and ``check_kahler``."""
+
+    _metric_jet_failure = _metric_failure = None  # a kept point has none
+    _kept: Optional["ChartFields"] = None
 
     def __init__(self, chart: ChartManifold, points):
-        points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
-        kept = chart._kept_fields(points)
-        if kept is None:
-            self._evaluate(chart, points)
-        else:  # the chart, no failures and the fields, repeated at each point
-            for name, value in vars(kept).items():
-                if isinstance(value, InnerProduct):
-                    value = value.repeated(len(points))
-                elif isinstance(value, np.ndarray):
-                    value = np.broadcast_to(value, (len(points),) + value.shape[1:])
-                setattr(self, name, value)
-            self.points = points
+        self.chart = chart
+        self.points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
+        self._kept = chart._kept_fields(self.points)
+        if self._kept is None:
+            self._evaluate_metric()
 
-    def _evaluate(self, chart: ChartManifold, points) -> None:
-        """Evaluate the chart's fields at every point."""
-        self.chart, self.points = chart, points
+    @property
+    def held(self) -> "ChartFields":
+        return self if self._kept is None else self._kept
+
+    def _evaluate_metric(self) -> None:
+        """Evaluate the metric and its Christoffel symbols at every point."""
         (self.G, dG), self._metric_jet_failure = evaluate_prefix(
-            lambda k: chart.metric_jet(self.points[:k]), len(self.points))
+            lambda k: self.chart.metric_jet(self.points[:k]), len(self.points))
         # the metric up to the first point where it is not positive definite
         self._metric_failure = self._metric_jet_failure
         try:
@@ -216,13 +228,18 @@ class ChartFields:
                 f"metric is not positive definite at {point}: {exc}", exc.index))
             self._ip = InnerProduct(self.G[:exc.index])
         self._gamma = christoffel(self._ip.inverse, dG[:len(self._ip.matrix)])
-        self._structure_failure = None
-        if chart.complex_structure is not None:
-            (self.J, dJ), self._structure_failure = evaluate_prefix(
-                lambda k: chart.complex_structure_jet(self.points[:k]),
-                len(self.points))
-            known = min(len(self.J), len(self._gamma))  # where both are known
-            self._nabla_j = nabla_j(self.J[:known], dJ[:known], self._gamma[:known])
+
+    @cached_property
+    def _structure(self) -> tuple:
+        """(J, nabla J, failure): J evaluated at every point up to its first
+        failure, and nabla J where the metric is known too."""
+        if self.held is not self:
+            return self.held._structure
+        (J, dJ), failure = evaluate_prefix(
+            lambda k: self.chart.complex_structure_jet(self.points[:k]),
+            len(self.points))
+        known = min(len(J), len(self._gamma))  # where both are known
+        return J, nabla_j(J[:known], dJ[:known], self._gamma[:known]), failure
 
     def metric(self, lo: int = 0, hi: Optional[int] = None):
         """(InnerProduct, Gamma) at the points lo..hi-1 (all by default); the
@@ -230,6 +247,10 @@ class ChartFields:
         definiteness, is raised with its index counted from lo."""
         hi = len(self.points) if hi is None else hi
         _raise_first(lo, hi, self._metric_failure)
+        held = self.held
+        if held is not self:  # the kept point, at each of the points
+            count = len(self.points[lo:hi])
+            return held._ip.repeated(count), _repeated(held._gamma, count)
         if (lo, hi) == (0, len(self.points)):  # the whole stack, not a copy
             return self._ip, self._gamma
         return self._ip[lo:hi], self._gamma[lo:hi]
@@ -239,8 +260,46 @@ class ChartFields:
         failure before hi, of J's jet or of the metric that nabla J needs, is
         raised with its index counted from lo."""
         hi = len(self.points) if hi is None else hi
-        _raise_first(lo, hi, self._structure_failure, self._metric_failure)
-        return self.J[lo:hi], self._nabla_j[lo:hi]
+        J, nabla, failure = self._structure
+        _raise_first(lo, hi, failure, self._metric_failure)
+        if self.held is not self:
+            count = len(self.points[lo:hi])
+            return _repeated(J, count), _repeated(nabla, count)
+        return J[lo:hi], nabla[lo:hi]
+
+    @cached_property
+    def _hermitian_residuals(self) -> np.ndarray:
+        """|J^2 + I| and |J^T G J - G| at [:, 0] and [:, 1], at each point."""
+        J, G = self._structure[0], self.G
+        residuals = np.stack(
+            [np.linalg.norm(J @ J + np.eye(self.chart.dim), axis=(1, 2)),
+             np.linalg.norm(np.swapaxes(J, 1, 2) @ G @ J - G, axis=(1, 2))],
+            axis=1)
+        _read_only(residuals)
+        return residuals
+
+    @cached_property
+    def _kahler_lengths(self) -> np.ndarray:
+        """|(nabla_e J) f| at [:, e, f] at each point, over the pairs e, f of
+        a metric-orthonormal frame."""
+        ip = self.metric()[0]
+        nabla = self.structure()[1]
+        G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns
+        # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
+        contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
+        lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))
+        _read_only(lengths)
+        return lengths
+
+
+def _repeated(x: np.ndarray, count: int) -> np.ndarray:
+    """A one-point stack's array at each of count points: a read-only view."""
+    return np.broadcast_to(x, (count,) + x.shape[1:])
+
+
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        array.flags.writeable = False
 
 
 def _raise_first(lo: int, hi: int, *failures) -> None:
@@ -259,23 +318,19 @@ def check_almost_hermitian(fields: ChartFields,
                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y) at the
     points of ``fields``; at each point J is read before the metric.  A
-    constant chart's residuals are computed at its first point and stand for
-    every point, which keeps that point as the witness."""
+    constant chart's residuals are its kept point's and stand for every
+    point, which keeps the first point of ``fields`` as the witness."""
     if fields.chart.complex_structure is None:
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
-    _raise_first(0, len(fields.points), fields._structure_failure,
+    _raise_first(0, len(fields.points), fields._structure[2],
                  fields._metric_jet_failure)
-    held = 1 if fields.chart.constant else None
-    J, G = fields.J[:held], fields.G[:held]
-    square = np.linalg.norm(J @ J + np.eye(fields.chart.dim), axis=(1, 2))
-    compatibility = np.linalg.norm(np.swapaxes(J, 1, 2) @ G @ J - G, axis=(1, 2))
-    worst, witness = worst_residual(
-        [(slice(None), np.stack([square, compatibility], axis=1))], fields.points)
+    residuals = fields.held._hermitian_residuals
+    worst, witness = worst_residual([(slice(None), residuals)], fields.points)
     return CheckResult.from_residual(
         "almost_hermitian", worst, tol, samples=len(fields.points),
         witness=witness,
-        detail={"square_residual": float(square.max(initial=0.0)),
-                "compatibility_residual": float(compatibility.max(initial=0.0))})
+        detail={"square_residual": float(residuals[:, 0].max(initial=0.0)),
+                "compatibility_residual": float(residuals[:, 1].max(initial=0.0))})
 
 
 def check_kahler(fields: ChartFields,
@@ -286,21 +341,16 @@ def check_kahler(fields: ChartFields,
     The residual entries at a point are |(nabla_e J) f| (``nabla_j``) over
     the pairs e, f of a metric-orthonormal frame, whose Frobenius norm no
     choice of that frame changes; the detail block's direction_max is the
-    largest of them.  A constant chart's entries are computed at its first
-    point and stand for every point, which keeps that point as the witness.
+    largest of them.  A constant chart's entries are its kept point's and
+    stand for every point, which keeps the first point of ``fields`` as the
+    witness.
     """
     if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
     # at each point the metric is read before J
     _raise_first(0, len(fields.points), fields._metric_failure,
-                 fields._structure_failure)
-    held = 1 if fields.chart.constant else None
-    ip = fields.metric(0, held)[0]
-    J, nabla = fields.structure(0, held)
-    G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns
-    # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
-    contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
-    lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))
+                 fields._structure[2])
+    lengths = fields.held._kahler_lengths
     worst, witness = worst_residual([(slice(None), lengths)], fields.points)
     return CheckResult.from_residual(
         "kahler", worst, tol, samples=len(fields.points), witness=witness,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .result import DEFAULT_RANK_TOL
+from .result import DEFAULT_RANK_TOL, SETTING_RULES
 
 
 class MetricError(ValueError):
@@ -252,11 +252,10 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     range/normal bases.  Rank counts singular values above tol times the
     largest one, and tol must be a positive number below 1.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(
-            f"rank tolerance must be a positive finite number, got {tol!r}")
-    if tol >= 1:
-        raise ValueError(f"rank tolerance must be below 1, got {tol!r}")
+    try:
+        SETTING_RULES["rank_tol"](tol)
+    except ValueError as exc:
+        raise ValueError(f"rank tolerance {exc}, got {tol!r}") from None
     U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ (A @ g1.frame))
     sigma_max = s[:, 0] if s.shape[1] else np.zeros(len(A))
     ranks = np.where(sigma_max > 0,

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -14,7 +12,8 @@ from .catalog import CatalogError, load_catalog
 from .charts import ChartError, ChartManifold
 from .expressions import ExpressionSyntaxError
 from .maps import MapDefinitionError, MapSpec
-from .result import DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL
+from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
+                     SETTING_RULES, is_number)
 
 SCHEMA_ID = "slantmap/1"
 
@@ -32,11 +31,22 @@ class MapSpecError(ValueError):
 
 @dataclass
 class AnalysisSettings:
+    """The settings of one analysis, each checked by its rule
+    (``result.SETTING_RULES``) as the command line and a spec file check
+    it: a bad value is a ValueError that names its field."""
+
     points: int = DEFAULT_POINTS
     seed: int = DEFAULT_SEED
     rank_tol: float = DEFAULT_RANK_TOL
     check_tol: float = DEFAULT_CHECK_TOL
     angle_tol: float = DEFAULT_ANGLE_TOL
+
+    def __post_init__(self):
+        for name in (f.name for f in fields(self)):
+            try:
+                setattr(self, name, SETTING_RULES[name](getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -61,18 +71,12 @@ def _expect_keys(doc: dict, pointer: str, known) -> None:
                 f"unknown key; expected one of {', '.join(known)}")
 
 
-def _is_number(value, kind=(int, float)) -> bool:
-    """A finite JSON number of ``kind``; NaN, Infinity, true, false are not."""
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _chart_from_json(doc: dict, pointer: str) -> ChartManifold:
     _expect(isinstance(doc, dict), pointer, "must be an object")
     _expect_keys(doc, pointer, ("dim", "metric", "J"))
     _expect("dim" in doc, pointer + "/dim", "missing")
     dim = doc["dim"]
-    _expect(_is_number(dim, int) and dim >= 1, pointer + "/dim",
+    _expect(is_number(dim, int) and dim >= 1, pointer + "/dim",
             "must be a positive integer")
     for key in ("metric", "J"):
         matrix = doc.get(key)
@@ -90,26 +94,16 @@ def _chart_from_json(doc: dict, pointer: str) -> ChartManifold:
         raise MapSpecError(pointer, str(exc))
 
 
-# upper bounds: no singular value passes a relative rank cutoff of 1, and from
-# pi/4 on the invariant and anti-invariant angle bands overlap
-_BELOW = {"rank_tol": (1.0, "1"), "angle_tol": (math.pi / 4, "pi/4")}
-
-
 def set_setting(settings: AnalysisSettings, attr: str, value,
                 where: str) -> None:
-    """Check one analysis setting and store it.  The same rule serves the
-    spec file's sampling/tolerances blocks and command-line overrides;
-    ``where`` (a JSON pointer or a flag) locates a bad value in the error."""
-    if attr in ("points", "seed"):
-        least = 0 if attr == "seed" else 1  # numpy seeds must not be negative
-        _expect(_is_number(value, int) and value >= least, where,
-                f"must be an integer >= {least}")
-    else:
-        _expect(_is_number(value) and value > 0, where,
-                "must be a positive finite number")
-        bound, name = _BELOW.get(attr, (math.inf, ""))
-        _expect(value < bound, where, f"must be below {name}")
-        value = float(value)
+    """Check one analysis setting by its rule and store it.  The same rule
+    serves the spec file's sampling/tolerances blocks, command-line
+    overrides and ``AnalysisSettings``; ``where`` (a JSON pointer or a flag)
+    locates a bad value in the error."""
+    try:
+        value = SETTING_RULES[attr](value)
+    except ValueError as exc:
+        raise MapSpecError(where, str(exc)) from None
     setattr(settings, attr, value)
 
 
@@ -161,7 +155,7 @@ def map_spec_from_json(doc: dict, name: str = "") -> LoadedMap:
                 all(isinstance(b, list) and len(b) == 2 for b in box),
                 "/domain/box", "must list [lo, hi] per source coordinate")
         for i, (lo, hi) in enumerate(box):
-            _expect(_is_number(lo) and _is_number(hi) and lo < hi,
+            _expect(is_number(lo) and is_number(hi) and lo < hi,
                     f"/domain/box/{i}", "must be finite numbers lo < hi")
     try:
         spec = MapSpec.create(source, target, components, box, name=name)

@@ -28,6 +28,14 @@ each paired with its sample indices (``rows``), and every check is a
 reduction over the pairs.  A map with affine components between constant
 charts (``MapSpec.constant_frame``) has one frame wherever F is finite,
 which its MapSpec keeps, read-only, for every analysis of the map.
+
+What a MapSpec keeps is kept for the process, once formed without error,
+read-only, and replaced whole: that one stack (for the last rank
+tolerance), every member formed on it, the angle ranges and the adapted
+frames (for the last angle tolerance) among them; its charts keep their
+own (``charts``).  A catalog spec is shared by the process, so a caller that
+patches or counts what forms these takes a fresh spec over fresh charts,
+``replace(spec, source=replace(spec.source), target=replace(spec.target))``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
-                     evaluate_prefix)
+                     _read_only, evaluate_prefix)
 from .expressions import Expression, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
@@ -170,9 +178,8 @@ class _member:
             return self
         value = self.func(frames)
         if type(frames) is FrameStack:
-            for array in (vars(value).values()
-                          if isinstance(value, SectionDerivatives) else (value,)):
-                array.flags.writeable = False
+            _read_only(*(vars(value).values()
+                         if isinstance(value, SectionDerivatives) else (value,)))
         frames.__dict__[self.name] = value
         return value
 
@@ -246,7 +253,19 @@ class FrameStack:
         Greedy construction: pick a horizontal unit vector, append its
         normalized Q-partner, re-orthogonalize the remaining horizontal
         directions, repeat.  Fails for anti-invariant maps, where Q vanishes.
+        Kept as a member is, and read-only on a stack, for the last angle
+        tolerance asked for: (angle_tol, value), read into locals and
+        replaced whole.
         """
+        kept_tol, value = self.__dict__.get("_adapted", (None, None))
+        if kept_tol != angle_tol:
+            value = self._adapted_frames(angle_tol)
+            if type(self) is FrameStack:
+                _read_only(*value)
+            self.__dict__["_adapted"] = (angle_tol, value)
+        return value
+
+    def _adapted_frames(self, angle_tol: float):
         r = self.rank
         if r == 0:
             raise MapDefinitionError("map has rank zero: no horizontal space")
@@ -272,6 +291,27 @@ class FrameStack:
             chosen.append(e[..., 0])
             chosen.append((self.q @ e)[..., 0] / np.cos(theta)[..., None])
         return np.stack(chosen[:r], axis=-1), failure
+
+    @_member
+    def angle_ranges(self) -> np.ndarray:
+        """The least and the largest slant angle over all horizontal
+        directions, at [..., 0] and [..., 1] (at each point, for a stack).
+
+        For unit range coordinates u of F_*X, cos and sin of the angle of X
+        are |T u| and |W u|, where T and W are the range-range and
+        normal-range blocks of J.  Since T^T T + W^T W = I, the singular
+        values c of T and s of W pair up, and the extremes are atan2(s_min,
+        c_max) and atan2(s_max, c_min), with s_min = 0 when W has fewer rows
+        than columns.  atan2 keeps an angle at exactly 0 or pi/2 where W or
+        T is 0.
+        """
+        r = self.rank
+        c = np.linalg.svd(self.j_blocks[..., :r, :r], compute_uv=False)
+        s = np.linalg.svd(self.j_blocks[..., r:, :r], compute_uv=False)
+        if s.shape[-1] < r:
+            s = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
+        return np.stack([np.arctan2(s[..., -1], c[..., 0]),
+                         np.arctan2(s[..., 0], c[..., -1])], axis=-1)
 
     def sff_value(self, X, Y) -> np.ndarray:
         """sff(X, Y); a matrix Y gives one column per column of Y, and a
@@ -436,9 +476,7 @@ def _freeze(stack: FrameStack) -> None:
     of its two metrics."""
     arrays = ([getattr(stack, name) for name in stack.FIELDS]
               + [x for g in (stack.g_source, stack.g_target) for x in vars(g).values()])
-    for array in arrays:
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
+    _read_only(*(array for array in arrays if isinstance(array, np.ndarray)))
 
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -19,6 +22,41 @@ DEFAULT_ANGLE_TOL = 1e-6  # radians
 # Ceiling of the checks of exact identities (adapted_frame,
 # omega_defect_identity): a run tolerance may tighten it, never loosen it.
 EXACT_IDENTITY_TOL = 1e-10
+
+
+# The rule of each analysis setting: the value as stored, or a ValueError
+# saying what the value must be, which the caller locates by a flag, a JSON
+# pointer or a field name.
+
+def is_number(value, kind=(int, float)) -> bool:
+    """A finite number of ``kind``; NaN, the infinities, True, False are not."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _integer(value, least: int) -> int:
+    if not (is_number(value, int) and value >= least):
+        raise ValueError(f"must be an integer >= {least}")
+    return value
+
+
+def _tolerance(value, below: tuple = (math.inf, "")) -> float:
+    if not (is_number(value) and value > 0):
+        raise ValueError("must be a positive finite number")
+    if not value < below[0]:
+        raise ValueError(f"must be below {below[1]}")
+    return float(value)
+
+
+SETTING_RULES = {
+    "points": partial(_integer, least=1),
+    "seed": partial(_integer, least=0),  # numpy seeds must not be negative
+    # no singular value passes a relative rank cutoff of 1
+    "rank_tol": partial(_tolerance, below=(1.0, "1")),
+    "check_tol": _tolerance,
+    # from pi/4 on the invariant and anti-invariant angle bands overlap
+    "angle_tol": partial(_tolerance, below=(math.pi / 4, "pi/4")),
+}
 
 
 @dataclass

@@ -124,25 +124,6 @@ class SlantReport:
     def to_dict(self) -> dict:
         return record(self)
 
-def angle_ranges(frames) -> np.ndarray:
-    """The least and the largest slant angle over all horizontal directions,
-    at [..., 0] and [..., 1] (at each point, for a stack).
-
-    For unit range coordinates u of F_*X, cos and sin of the angle of X are
-    |T u| and |W u|, where T and W are the range-range and normal-range
-    blocks of J.  Since T^T T + W^T W = I, the singular values c of T and s
-    of W pair up, and the extremes are atan2(s_min, c_max) and atan2(s_max,
-    c_min), with s_min = 0 when W has fewer rows than columns.  atan2 keeps
-    an angle at exactly 0 or pi/2 where W or T is 0.
-    """
-    r = frames.rank
-    c = np.linalg.svd(frames.j_blocks[..., :r, :r], compute_uv=False)
-    s = np.linalg.svd(frames.j_blocks[..., r:, :r], compute_uv=False)
-    if s.shape[-1] < r:
-        s = np.concatenate([s, np.zeros(s.shape[:-1] + (1,))], axis=-1)
-    return np.stack([np.arctan2(s[..., -1], c[..., 0]),
-                     np.arctan2(s[..., 0], c[..., -1])], axis=-1)
-
 
 def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                    tol: float = DEFAULT_CHECK_TOL,
@@ -170,7 +151,7 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     rank = stacks[0][1].rank
     angles = np.empty((len(sample), 2))
     for rows, s in stacks:
-        angles[rows] = angle_ranges(s)
+        angles[rows] = s.angle_ranges
     mean_angle = float(np.mean(angles))
     deviations = np.abs(angles - mean_angle)
     max_dev = float(deviations.max())

@@ -1,7 +1,7 @@
 """Independent finite-difference oracles used to pin expected values, slant
 angles of sampled directions, the reference fold the checks' witness
 reduction is compared against, the first failing frame found one point at a
-time, the sample drawn one point at a time, the plain-derivative route to
+time, the sample drawn one point at a time, a fresh copy of a shared spec, the plain-derivative route to
 the section derivatives, the chart-coordinate route to every check
 residual, the np.einsum forms of the library's stacked contractions, and the
 rule by which two reports match.  Beside them, for tests whose references
@@ -23,6 +23,7 @@ split's orthonormal frames.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -332,6 +333,17 @@ def sample_points_by_point(box, count, seed):
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
     return [lows + rng.random(len(box)) * (highs - lows) for _ in range(count)]
+
+
+def fresh_spec(spec):
+    """A copy of spec that has kept nothing: a new MapSpec over new
+    ChartManifolds.  A catalog spec is shared by the process, and it and its
+    charts keep what an analysis forms on them (the frame, its members and
+    the target's residuals), so a test that patches what forms them, or
+    counts it, analyses a fresh copy; ``replace(spec)`` alone keeps the
+    shared charts."""
+    return replace(spec, source=replace(spec.source),
+                   target=replace(spec.target))
 
 
 def first_failing_frame(spec, points):

@@ -303,13 +303,12 @@ def test_constant_charts_are_shared_bit_for_bit(dim, count, seed):
     for chart in (constant, varying):
         for _ in range(2):  # the first use keeps a constant chart
             fields = ChartFields(chart, points)
-            stacked = [fields.G, *_metric_arrays(*fields.metric()),
-                       *fields.structure(),
+            stacked = [*_metric_arrays(*fields.metric()), *fields.structure(),
                        *_metric_arrays(*chart.metric_at(points))]
             for i, p in enumerate(points):
-                G_i, ip, gamma, J_i, nabla = _alone(chart, p)
+                _, ip, gamma, J_i, nabla = _alone(chart, p)
                 metric = _metric_arrays(ip, gamma)
-                expected = [G_i, *metric, J_i, nabla, *metric]
+                expected = [*metric, J_i, nabla, *metric]
                 assert len(stacked) == len(expected)
                 for got, want in zip(stacked, expected):
                     assert np.array_equal(got[i], want)
@@ -384,3 +383,26 @@ def test_failing_constant_charts_are_evaluated_on_every_call(case, evaluated):
             assert str(failure.value) == message.format(first)
             assert failure.value.index == 0
             assert len(evaluated) > before
+
+
+def test_metric_at_evaluates_no_complex_structure(monkeypatch):
+    # metric_at reads the metric alone: J and nabla J are evaluated when
+    # they are read (a constant chart's first use evaluates them once, to
+    # keep the chart)
+    calls = []
+    jet = ChartManifold.complex_structure_jet
+
+    def spy(chart, p):
+        calls.append(len(np.atleast_2d(p)))
+        return jet(chart, p)
+
+    monkeypatch.setattr(ChartManifold, "complex_structure_jet", spy)
+    chart = ChartManifold.from_strings(2, [["exp(x1)", "0"], ["0", "exp(x1)"]],
+                                       [["0", "-1"], ["1", "0"]])
+    points = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
+    chart.metric_at(points)
+    chart.metric_at(points[1])
+    ChartFields(chart, points).metric(1, 2)
+    assert calls == []
+    assert check_kahler(ChartFields(chart, points)).passed
+    assert calls == [3]

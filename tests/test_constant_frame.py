@@ -20,12 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 import slantmap.charts
 import slantmap.maps
+from oracles import fresh_spec
 from slantmap.catalog import catalog_ids
-from slantmap.charts import ChartManifold
+from slantmap.charts import ChartFields, ChartManifold
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   Fun, Lit, Neg, eval_jets, parse_expression)
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
-from slantmap.maps import MapSpec, Sample, point_frame
+from slantmap.maps import FrameStack, MapSpec, Sample, point_frame
 from slantmap.report import (CHECK_NAMES, Analysis, render_json,
                              render_report, sample_points)
 from test_properties import (PROPERTY_SETTINGS, TREES, VARIABLES,
@@ -164,7 +165,7 @@ def _spied_splits(patch) -> list:
 def test_one_frame_is_built_at_the_first_point(monkeypatch):
     split = _spied_splits(monkeypatch)
     loaded = load_map_spec("catalog:example4")
-    loaded.spec = replace(loaded.spec)  # a catalog spec is shared: a fresh one
+    loaded.spec = fresh_spec(loaded.spec)  # a catalog spec is shared
     loaded.settings.points = 2000
     analysis = Analysis(loaded)
     report = analysis.report()
@@ -197,11 +198,20 @@ def test_a_constant_target_is_checked_at_one_point(monkeypatch):
 
     monkeypatch.setattr(slantmap.charts, "pairings", spy)
     loaded = load_map_spec("catalog:slant_plane")
+    # a fresh spec: the shared one's target keeps its residuals
+    loaded.spec = fresh_spec(loaded.spec)
     loaded.settings.points = 2000
     analysis = Analysis(loaded)
     for name in ("almost_hermitian", "kahler"):
         entry = analysis.entry(name)
         assert (entry.status, entry.samples) == ("pass", 2000), name
+    assert contracted == [1]
+    # the chart keeps them: a second analysis, of other points, contracts
+    # nothing and gets the same entries
+    loaded.settings.seed = 7
+    second = Analysis(loaded)
+    for name in ("almost_hermitian", "kahler"):
+        assert second.entry(name) == analysis.entry(name), name
     assert contracted == [1]
 
 
@@ -401,5 +411,83 @@ def test_the_kept_frames_members_are_read_only():
         row.q[...] = 7.0
         assert (row.q == 7.0).all() and not (stack.q == 7.0).any()
     for array in (kept.jacobian, kept.source_basis, kept.points):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 7.0
+
+
+# the settings of the analyses that warm a spec before the one compared:
+# another seed, then other check and angle tolerances
+WARMING = ({"seed": 7}, {"check_tol": 1e-6, "angle_tol": 1e-3})
+
+
+def _run(loaded, spec, samples, **settings):
+    return _outputs(replace(loaded, spec=spec,
+                            settings=AnalysisSettings(points=samples, **settings)))
+
+
+@pytest.mark.parametrize("samples", [50, 2000])
+@pytest.mark.parametrize("identifier", MAPS)
+def test_warm_reports_equal_cold_ones(identifier, samples):
+    # what a spec and its charts keep (the frame, the adapted frames, the
+    # angle ranges, the target's residuals) gives the bytes of a spec that
+    # has kept nothing, after analyses with other settings
+    loaded = load_map_spec(identifier)
+    spec = fresh_spec(loaded.spec)
+    for settings in WARMING:
+        _run(loaded, spec, samples, **settings)
+    warm = _run(loaded, spec, samples)
+    assert warm == _run(loaded, fresh_spec(spec), samples)
+
+
+def _spied_members(patch) -> list:
+    """The names of the kept members formed from here on: the adapted
+    frames, the angle ranges and the target's residuals."""
+    formed = []
+
+    def spy(name, func):
+        def counted(*args):
+            formed.append(name)
+            return func(*args)
+        return counted
+
+    patch.setattr(FrameStack, "_adapted_frames",
+                  spy("adapted_frames", FrameStack._adapted_frames))
+    for owner, name in ((FrameStack, "angle_ranges"),
+                        (ChartFields, "_hermitian_residuals"),
+                        (ChartFields, "_kahler_lengths")):
+        member = owner.__dict__[name]
+        patch.setattr(member, "func", spy(name, member.func))
+    return formed
+
+
+@pytest.mark.parametrize("identifier", sorted(ONE_FRAME))
+def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
+    # the first analysis of a spec forms each kept member once; a second,
+    # of other points and check tolerance, forms none; another angle
+    # tolerance forms the adapted frames once more, and nothing else
+    loaded = load_map_spec(identifier)
+    spec = fresh_spec(loaded.spec)
+    formed = _spied_members(monkeypatch)
+    first = Analysis(replace(loaded, spec=spec,
+                             settings=AnalysisSettings(points=30)))
+    first.report()
+    assert sorted(formed) == sorted(
+        ["angle_ranges", "_hermitian_residuals", "_kahler_lengths"]
+        + ["adapted_frames"] * first.slant.sec_defined)
+    for settings, expected in (({"seed": 7, "check_tol": 1e-6}, []),
+                               ({"angle_tol": 1e-3}, ["adapted_frames"]),
+                               ({"angle_tol": 1e-3}, [])):
+        formed.clear()
+        _run(loaded, spec, 40, **settings)
+        assert formed == (expected if first.slant.sec_defined else []), settings
+    # the kept arrays are read-only
+    ((_, stack),) = first.sample.stacks()
+    kept = [stack.angle_ranges, *stack.adapted_frames(1e-3)]
+    if spec.target.complex_structure is not None:
+        held = first.sample.target.held
+        assert held is not first.sample.target  # the chart's kept point
+        kept += [held.G, held._gamma, held._ip.matrix, *held._structure[:2],
+                 held._hermitian_residuals, held._kahler_lengths]
+    for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 7.0

@@ -623,8 +623,12 @@ def test_a_rank_tolerance_that_is_not_positive_and_finite_fails_every_route(
         split_tangent(differential(example4, point), euclidean, euclidean, tol)
     with pytest.raises(ValueError, match=f"^{message}$"):
         is_riemannian_map(Sample(example4, [point], tol))
-    report = run_analysis(LoadedMap(example4, AnalysisSettings(points=5, rank_tol=tol),
-                                    "catalog:example4"))
+    # AnalysisSettings rejects it; set after the check, the analysis does too
+    with pytest.raises(ValueError, match="^rank_tol: must be a positive finite number$"):
+        AnalysisSettings(points=5, rank_tol=tol)
+    settings = AnalysisSettings(points=5)
+    settings.rank_tol = tol
+    report = run_analysis(LoadedMap(example4, settings, "catalog:example4"))
     errors = {c.name: c.reason for c in report.checks if c.status == "error"}
     assert "riemannian_map" in errors
     assert set(errors.values()) == {f"ValueError: {message}"}

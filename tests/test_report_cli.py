@@ -1705,20 +1705,62 @@ def test_map_spec_rejects_tolerances_at_their_bounds(key, value, bound, tmp_path
     assert captured.err == f"error: /tolerances/{key}: must be below {bound}\n"
 
 
+# each field's message for the bad values of the two tests above, None where
+# the value is good for that field
+_POSITIVE, _BELOW_1, _BELOW_PI_4 = ("must be a positive finite number",
+                                    "must be below 1", "must be below pi/4")
+_SETTING_VALUES = (0, -1, math.inf, 1, 1.5, 0.8, math.pi / 4)
+_AT_LEAST_0, _AT_LEAST_1 = "must be an integer >= 0", "must be an integer >= 1"
+_SETTING_MESSAGES = {
+    "points": (_AT_LEAST_1,) * 3 + (None,) + (_AT_LEAST_1,) * 3,
+    "seed": (None,) + (_AT_LEAST_0,) * 2 + (None,) + (_AT_LEAST_0,) * 3,
+    "rank_tol": (_POSITIVE,) * 3 + (_BELOW_1,) * 2 + (None,) * 2,
+    "check_tol": (_POSITIVE,) * 3 + (None,) * 4,
+    "angle_tol": (_POSITIVE,) * 3 + (_BELOW_PI_4,) * 4}
+_SETTING_POINTERS = {"points": "/sampling/points", "seed": "/sampling/seed",
+                     "rank_tol": "/tolerances/rank", "check_tol": "/tolerances/check",
+                     "angle_tol": "/tolerances/angle"}
+
+
+@pytest.mark.parametrize("field", sorted(_SETTING_MESSAGES))
+def test_analysis_settings_are_checked_as_the_cli_checks_them(field):
+    # points=0 gave an IndexError and check_tol=-1 failed riemannian_map
+    # with no error; now each bad value is a ValueError naming the field,
+    # with the message a spec file gets at its JSON pointer
+    assert {f.name for f in fields(AnalysisSettings)} == set(_SETTING_MESSAGES)
+    block, key = _SETTING_POINTERS[field][1:].split("/")
+    for value, message in zip(_SETTING_VALUES, _SETTING_MESSAGES[field]):
+        doc = dict(MINIMAL_SPEC, **{block: {key: value}})
+        if message is None:
+            settings = AnalysisSettings(**{field: value})
+            assert getattr(settings, field) == value
+            assert map_spec_from_json(doc).settings == settings
+            continue
+        with pytest.raises(ValueError) as error:
+            AnalysisSettings(**{field: value})
+        assert str(error.value) == f"{field}: {message}", value
+        with pytest.raises(MapSpecError) as error:
+            map_spec_from_json(doc)
+        assert str(error.value) == f"{_SETTING_POINTERS[field]}: {message}", value
+
+
 def test_library_tolerances_at_their_bounds_are_error_entries():
-    # AnalysisSettings is not checked: the frame build and the
-    # classification raise, and each check that reads them reports it; a
-    # negative angle tolerance called every map not_slant, with exit 0
+    # AnalysisSettings rejects them (test_analysis_settings_are_checked_as_
+    # the_cli_checks_them); set after that check, the frame build and the classification raise,
+    # and each check that reads them reports it; a negative angle tolerance
+    # called every map not_slant, with exit 0
     spec = load_catalog("slant_plane")
     with pytest.raises(ValueError, match=r"^rank tolerance must be below 1, got 1\.5$"):
         point_frame(spec, [0.1, 0.2], rank_tol=1.5)
-    for settings, name, message in (
-            (AnalysisSettings(points=5, rank_tol=1.0), "riemannian_map",
+    for attr, value, name, message in (
+            ("rank_tol", 1.0, "riemannian_map",
              "rank tolerance must be below 1, got 1.0"),
-            (AnalysisSettings(points=5, angle_tol=0.8), "slant_classification",
+            ("angle_tol", 0.8, "slant_classification",
              "angle tolerance must be a positive number below pi/4, got 0.8"),
-            (AnalysisSettings(points=5, angle_tol=-0.1), "slant_classification",
+            ("angle_tol", -0.1, "slant_classification",
              "angle tolerance must be a positive number below pi/4, got -0.1")):
+        settings = AnalysisSettings(points=5)
+        setattr(settings, attr, value)
         report = run_analysis(LoadedMap(spec, settings, "catalog:slant_plane"))
         entry = report.check(name)
         assert (entry.status, entry.reason) == ("error", f"ValueError: {message}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import slantmap.maps
-from oracles import (assert_report_matches, chart_bc, chart_phi_omega,
+from oracles import (assert_report_matches, chart_bc, chart_phi_omega, fresh_spec,
                      chart_q, fd_pullback_derivative, fd_source_derivative,
                      range_projector, sampled_slant_angles)
 from slantmap.catalog import catalog_ids, load_catalog
@@ -264,7 +264,7 @@ def test_slant_data_do_not_depend_on_the_frame_bases(identifier, monkeypatch):
     fixed = run_analysis(loaded).to_dict()
     monkeypatch.setattr(slantmap.maps, "split_tangents", _turning_split_tangents(7))
     # a fresh spec: a constant-frame map keeps the frame built unturned
-    loaded.spec = spec = replace(spec)
+    loaded.spec = spec = fresh_spec(spec)
     turned_sample = Sample(spec, points)
     h = [next(s.stacks())[1].split.horizontal.columns
          for s in (fixed_sample, turned_sample)]
