@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .expressions import Expression, _point_stack, eval_jets, parse_expression
+from .expressions import (Expression, Formulas, _point_stack, eval_jets,
+                          parse_expression)
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import InnerProduct, MetricError, apply_along, lift, pairings
 from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
@@ -73,7 +74,7 @@ class ChartManifold:
         """Indices and entries of the metric's upper triangle, which
         ``from_strings`` makes the whole metric."""
         rows, cols = np.triu_indices(self.dim)
-        return rows, cols, [self.metric[i][j] for i, j in zip(rows, cols)]
+        return rows, cols, Formulas(self.metric[i][j] for i, j in zip(rows, cols))
 
     def metric_jet(self, p):
         """The metric G at p and its derivatives dG[i, j, l] = d_l g_ij, from
@@ -110,8 +111,8 @@ class ChartManifold:
                 np.swapaxes(grads, -1, -2).reshape(lead + (self.dim,) * 3))
 
     @cached_property
-    def _structure_entries(self) -> list:
-        return [e for row in self.complex_structure for e in row]
+    def _structure_entries(self) -> Formulas:
+        return Formulas(e for row in self.complex_structure for e in row)
 
     @cached_property
     def constant(self) -> bool:
@@ -196,9 +197,10 @@ class ChartFields:
     point where it fails, and that failure, kept as (index, error), is raised
     by whatever reads the field there.  ``held`` is the fields whose arrays
     hold the values: these, or for a constant chart (``ChartManifold.constant``)
-    that evaluates, the one point it keeps, which ``metric`` and
-    ``structure`` repeat as read-only broadcast views and which keeps the
-    residuals of ``check_almost_hermitian`` and ``check_kahler``."""
+    that evaluates, the one point it keeps, whose read-only arrays
+    ``metric`` and ``structure`` hand out themselves at one point and as
+    broadcast views at more, and which keeps the residuals of
+    ``check_almost_hermitian`` and ``check_kahler``."""
 
     _metric_jet_failure = _metric_failure = None  # a kept point has none
     _kept: Optional["ChartFields"] = None
@@ -293,8 +295,9 @@ class ChartFields:
 
 
 def _repeated(x: np.ndarray, count: int) -> np.ndarray:
-    """A one-point stack's array at each of count points: a read-only view."""
-    return np.broadcast_to(x, (count,) + x.shape[1:])
+    """A one-point stack's read-only array at each of count points: the
+    array itself at one point, else a read-only broadcast view."""
+    return x if len(x) == count else np.broadcast_to(x, (count,) + x.shape[1:])
 
 
 def _read_only(*arrays) -> None:

@@ -312,7 +312,7 @@ def _scaled(s, array):
     """s * array for s (N,) or a float, broadcast along array's trailing axes."""
     if array is None:
         return None
-    if np.ndim(s):
+    if isinstance(s, np.ndarray):
         s = s.reshape(s.shape + (1,) * (array.ndim - 1))
     return s * array
 
@@ -497,21 +497,36 @@ def eval_jet2(expr: Expression, p, order: int = 2) -> Jet2:
     return Jet2(value, grad, hess)
 
 
+class Formulas(tuple):
+    """Formulas that ``eval_jets`` evaluates together, planned once, on
+    first use: ``plan`` is a row holding each constant formula's value (0.0
+    where a formula varies) and the (column, formula) of each varying one.
+    ``eval_jets`` plans any other sequence of formulas on every call."""
+
+    @cached_property
+    def plan(self) -> tuple:
+        row = np.array([e.compiled if isinstance(e.compiled, float) else 0.0
+                        for e in self])
+        return row, [(j, e) for j, e in enumerate(self) if callable(e.compiled)]
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def eval_jets(expressions, p, order: int) -> list:
     """The values (k,) and, up to derivative ``order``, the gradients (k, n)
     and Hessians (k, n, n) of k expressions at p; at a stack of points (N, n)
-    each array gains a leading point axis.  Each array is tested with one
+    each array gains a leading point axis.  The constant expressions' values
+    are filled in one assignment, and each varying one is evaluated over
+    the stack by ``eval_jet2``.  Each array is tested with one
     np.isfinite (count_nonzero is cheaper than .all() on small arrays); a
     non-finite entry raises ``non_finite_error`` at its first point."""
     points, stack = _point_stack(p, expressions[0].dim)
+    row, varying = (expressions if isinstance(expressions, Formulas)
+                    else Formulas(expressions)).plan
     shape = (len(stack), len(expressions)) + stack.shape[1:] * 2
     arrays = [np.empty(shape[:2])] + [np.zeros(shape[:k + 2])
                                       for k in range(1, order + 1)]
-    for j, expr in enumerate(expressions):
-        if isinstance(expr.compiled, float):  # a constant: no derivatives
-            arrays[0][:, j] = expr.compiled
-            continue
+    arrays[0][:] = row
+    for j, expr in varying:
         try:
             jet = eval_jet2(expr, stack, order)
         except ExpressionDomainError as exc:  # a later expression may fail earlier

@@ -29,11 +29,10 @@ class MetricError(ValueError):
         self.index = index
 
 
-def _trusted(cls, **fields):
+def _trusted(cls, fields: dict):
     """An instance of cls holding fields, without re-validating them."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        setattr(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -74,16 +73,18 @@ class InnerProduct:
         self.inverse = self.frame @ np.swapaxes(self.frame, -1, -2)
 
     def __getitem__(self, i) -> "InnerProduct":
-        return _trusted(InnerProduct, matrix=self.matrix[i],
-                        cholesky=self.cholesky[i], frame=self.frame[i],
-                        inverse=self.inverse[i])
+        return _trusted(InnerProduct,
+                        {name: x[i] for name, x in self.__dict__.items()})
 
     def repeated(self, count: int) -> "InnerProduct":
-        """The inner product of a one-point stack at each of count points:
-        read-only broadcast views of its arrays, not validated again."""
-        return _trusted(InnerProduct, **{
+        """The inner product of a one-point stack, its arrays read-only, at
+        each of count points: itself at one point, else read-only broadcast
+        views of its arrays, not validated again."""
+        if len(self.matrix) == count:
+            return self
+        return _trusted(InnerProduct, {
             name: np.broadcast_to(x, (count,) + x.shape[1:])
-            for name, x in vars(self).items()})
+            for name, x in self.__dict__.items()})
 
     @property
     def dim(self) -> int:
@@ -183,14 +184,17 @@ class TangentSplit:
 
 
 def _fix_signs(columns: np.ndarray) -> np.ndarray:
-    """Each column (of each matrix of a stack) with its first significant
-    component made positive."""
+    """Each column of each matrix of a stack (N, n, k) with its first
+    significant component made positive."""
     magnitude = np.abs(columns)
     largest = np.maximum(magnitude.max(axis=-2, keepdims=True, initial=0.0), 1e-300)
-    significant = magnitude > 1e-10 * largest
-    first = significant & (np.cumsum(significant, axis=-2) == 1)
-    flip = (np.where(first, columns, 0.0).sum(axis=-2, keepdims=True) < 0)
-    return np.where(flip, -columns, columns)
+    floor = 1e-10 * largest  # a component above it is significant
+    first = (magnitude > floor).argmax(axis=-2)
+    # one gather: the first significant component of each column or, where
+    # none is (a zero or non-finite column), one that is not below -floor
+    gathered = columns[np.arange(len(columns))[:, None], first,
+                       np.arange(columns.shape[-1])]
+    return np.where((gathered < -floor[:, 0])[:, None, :], -columns, columns)
 
 
 def gram_schmidt(vectors, ip: InnerProduct, tol: float = 1e-10) -> SubspaceBasis:
@@ -272,7 +276,7 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
 
 def _basis(columns, metric: InnerProduct) -> SubspaceBasis:
     """A basis whose columns were checked orthonormal with their stack."""
-    return _trusted(SubspaceBasis, columns=columns, metric=metric)
+    return _trusted(SubspaceBasis, {"columns": columns, "metric": metric})
 
 
 def _unwhitened(ip: InnerProduct, at, rank, whitened) -> np.ndarray:

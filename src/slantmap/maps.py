@@ -49,7 +49,7 @@ import numpy as np
 
 from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
                      _read_only, evaluate_prefix)
-from .expressions import Expression, eval_jets, parse_expression
+from .expressions import Expression, Formulas, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
                      split_tangents)
@@ -75,7 +75,7 @@ class MapSpec:
     def create(source: ChartManifold, target: ChartManifold,
                components: Sequence, box: Optional[Sequence] = None,
                name: str = "") -> "MapSpec":
-        parsed = tuple(
+        parsed = Formulas(
             c if isinstance(c, Expression) else parse_expression(str(c), source.dim)
             for c in components)
         if len(parsed) != target.dim:
@@ -217,9 +217,11 @@ class FrameStack:
     def row(self, i: int) -> "PointFrame":
         """Frame i of the stack, its members formed anew from the row of
         each field (the rank whole)."""
-        values = (getattr(self, name) for name in self.FIELDS)
-        return PointFrame(*(value[i] if isinstance(value, (np.ndarray, InnerProduct))
-                            else value for value in values))
+        values, frame = self.__dict__, object.__new__(PointFrame)
+        frame.__dict__.update(
+            {name: None if (value := values[name]) is None else value[i]
+             for name in self.FIELDS if name != "rank"}, rank=self.rank)
+        return frame
 
     @cached_property
     def split(self) -> TangentSplit:
@@ -394,6 +396,14 @@ class FrameStack:
 FrameStack.FIELDS = tuple(f.name for f in fields(FrameStack))
 
 
+# slant_angle's kernel: the directions whose horizontal part is at most
+# KERNEL_TOL times their g1-norm.  Beside such an F_*X, the rounding of F_*
+# on X's kernel part (about eps |X|) is no longer negligible: for a
+# Riemannian map it moves the angle by up to about eps / KERNEL_TOL (2e-8)
+# radians, below the default angle tolerance.
+KERNEL_TOL = 1e-8
+
+
 class PointFrame(FrameStack):
     """Everything the per-point analysis needs at one point: ``stack.row(i)``,
     each field without its point axis and each member formed from those
@@ -408,15 +418,21 @@ class PointFrame(FrameStack):
         return self.images
 
     def slant_angle(self, X) -> float:
-        """Angle in [0, pi/2] between J F_*X and the range of F_*."""
+        """Angle in [0, pi/2] between J F_*X and the range of F_*, for a
+        finite direction X outside the kernel: its horizontal components in
+        B1 exceed KERNEL_TOL times its g1-norm (the norm of all of them)."""
         X = np.asarray(X, dtype=float)
         n = len(self.point)
         if X.shape != (n,):
             raise ValueError(f"direction has shape {X.shape}, expected ({n},)")
-        pushed = self.jacobian @ X
-        if not pushed.any():
+        if not np.isfinite(X).all():
+            raise ValueError(f"direction {X.tolist()} is not finite")
+        components = self.source_coframe @ X
+        horizontal = components[:self.rank]
+        if not horizontal @ horizontal > KERNEL_TOL ** 2 * (components @ components):
             raise ValueError("direction lies in the kernel of the differential "
                              f"at point {self.point.tolist()}")
+        pushed = self.jacobian @ X
         w = self.target_coframe @ (require_complex_structure(self) @ pushed)
         return float(self._angles(w[:, None])[0])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -103,9 +103,16 @@ class CheckResult:
 def record(obj) -> dict:
     """The fields of the dataclass instance obj in declaration order, those
     that are None or an empty dict left out: every report record's rule."""
-    values = ((f.name, getattr(obj, f.name)) for f in fields(obj))
-    return {name: value for name, value in values
-            if value is not None and value != {}}
+    values = obj.__dict__
+    return {name: value for name in _field_names(type(obj))
+            if (value := values[name]) is not None and value != {}}
+
+
+@cache
+def _field_names(cls) -> tuple:
+    """The field names of the dataclass cls in order, read once per class."""
+    return tuple(f.name for f in fields(cls))
+
 
 def worst_residual(parts, points):
     """The largest residual over the points and its witness point.

@@ -406,3 +406,32 @@ def test_metric_at_evaluates_no_complex_structure(monkeypatch):
     assert calls == []
     assert check_kahler(ChartFields(chart, points)).passed
     assert calls == [3]
+
+
+def test_a_constant_charts_one_point_fields_are_its_kept_arrays():
+    # at one point metric(lo, hi) and structure(lo, hi) hand out the kept
+    # point's read-only objects themselves; at more points, read-only
+    # broadcast views of them
+    chart = ChartManifold.from_strings(4, [["2", "1", "0", "0"],
+                                           ["1", "2", "0", "0"],
+                                           ["0", "0", "1", "0"],
+                                           ["0", "0", "0", "1"]], STANDARD_J4)
+    points = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 4))
+    kept = ChartFields(chart, points[:1]).held
+    J, nabla, _ = kept._structure
+    one = [kept._ip, kept._gamma, J, nabla]
+    for fields, lo in ((ChartFields(chart, points[:1]), 0),
+                       (ChartFields(chart, points), 1)):
+        got = [*fields.metric(lo, lo + 1), *fields.structure(lo, lo + 1)]
+        assert all(x is y for x, y in zip(got, one)) and len(got) == len(one)
+    arrays = [*vars(kept._ip).values(), kept._gamma, J, nabla]
+    assert not any(x.flags.writeable for x in arrays)
+    fields = ChartFields(chart, points)
+    ip, gamma = fields.metric(0, 3)
+    views = [*vars(ip).values(), gamma, *fields.structure(0, 3)]
+    assert len(views) == len(arrays)
+    for view, array in zip(views, arrays):
+        assert view.shape == (3,) + array.shape[1:]
+        assert not view.flags.writeable
+        assert np.shares_memory(view, array)
+        assert np.array_equal(view, np.repeat(array, 3, axis=0))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from slantmap.expressions import (MAX_DEPTH, BinOp, ExpressionDomainError,
-                                  ExpressionSyntaxError, Fun, Lit, Var,
-                                  eval_jet2, parse_expression, to_text)
+                                  ExpressionSyntaxError, Formulas, Fun, Lit,
+                                  Var, eval_jet2, eval_jets, parse_expression,
+                                  to_text)
 from oracles import fd_gradient, fd_hessian
 
 
@@ -236,3 +237,25 @@ def test_print_parse_round_trip():
         second = parse_expression(printed, dim)
         assert first.root == second.root
         assert to_text(second.root) == printed
+
+
+def test_eval_jets_of_planned_formulas_is_each_formulas_jet():
+    # constants (folded to floats) fill one row, planned once per Formulas;
+    # every column equals its formula's own eval_jet2, bit for bit, and a
+    # plain list, planned on each call, gives the same arrays
+    texts = ["2", "x1*x2", "-(3/4)", "pow(x2, 0)", "sin(x1) + 1", "1e-3"]
+    formulas = Formulas(parse_expression(t, 2) for t in texts)
+    row, varying = formulas.plan
+    assert row.tolist() == [2.0, 0.0, -0.75, 0.0, 0.0, 1e-3]
+    assert [j for j, _ in varying] == [1, 3, 4]
+    assert formulas.plan is formulas.plan
+    for p in ([0.3, -0.7], np.random.default_rng(2).uniform(-1, 1, (5, 2))):
+        arrays = eval_jets(formulas, p, 2)
+        plain = eval_jets(list(formulas), p, 2)
+        for j, expr in enumerate(formulas):
+            jet = eval_jet2(expr, p, 2)
+            for array, other, part in zip(arrays, plain,
+                                          (jet.value, jet.grad, jet.hess)):
+                column = array[j] if np.ndim(p) == 1 else array[:, j]
+                assert column.tobytes() == np.asarray(part).tobytes()
+                assert array.tobytes() == other.tobytes()

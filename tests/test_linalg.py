@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from slantmap.linalg import (InnerProduct, MetricError, SubspaceBasis,
-                             gram_schmidt, metric_adjoint, project,
-                             split_tangent)
+                             _fix_signs, gram_schmidt, metric_adjoint,
+                             project, split_tangent)
 from slantmap.maps import differential
 from oracles import (metric_adjoint_derivative, range_projector,
                      range_projector_derivative)
@@ -283,3 +283,29 @@ def test_projector_and_adjoint_derivatives_match_centered_differences():
                                        G1[1], g2, G2[1])
         np.testing.assert_allclose(
             dB, (adjoint(h) - adjoint(-h)) / (2 * h), atol=1e-7)
+
+
+def _masked_fix_signs(columns):
+    """_fix_signs by a mask of each column's first significant component
+    (the running count of significant ones is 1 there), summed out."""
+    magnitude = np.abs(columns)
+    largest = np.maximum(magnitude.max(axis=-2, keepdims=True, initial=0.0), 1e-300)
+    significant = magnitude > 1e-10 * largest
+    first = significant & (np.cumsum(significant, axis=-2) == 1)
+    flip = np.where(first, columns, 0.0).sum(axis=-2, keepdims=True) < 0
+    return np.where(flip, -columns, columns)
+
+
+def test_fix_signs_gather_equals_the_masked_sum_bit_for_bit():
+    # columns of zeros, tiny and non-finite entries among normal ones: a
+    # column with no significant component (zero, NaN or infinite) is never
+    # flipped, and every other byte is the masked route's
+    gen = np.random.default_rng(13)
+    specials = [0.0, -0.0, 1e-300, -1e-300, 5e-11, -5e-11, 1.0, -1.0,
+                np.nan, np.inf, -np.inf]
+    for _ in range(2000):
+        shape = tuple(gen.integers(1, 5, size=3))
+        columns = gen.standard_normal(shape) * 10.0 ** gen.integers(-20, 5, size=shape)
+        mask = gen.random(shape) < 0.3
+        columns[mask] = gen.choice(specials, size=mask.sum())
+        assert _fix_signs(columns).tobytes() == _masked_fix_signs(columns).tobytes()

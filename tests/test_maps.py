@@ -19,7 +19,7 @@ from slantmap.report import run_analysis, sample_points
 from slantmap.slant import (adapted_frame, check_harmonic,
                             check_minimal_fibers, point_operators, q_matrix,
                             q_operator, slant_angle)
-from oracles import fd_sff
+from oracles import fd_sff, fresh_spec
 
 EUCLIDEAN_2 = ChartManifold.euclidean(2)
 
@@ -601,6 +601,94 @@ def test_slant_angle_kernel_direction_names_its_point(route):
         SLANT_ANGLE_ROUTES[route](spec, [0.0, 0.0, 1.0])
     assert str(failure.value) == ("direction lies in the kernel of the "
                                   f"differential at point {WARPED_POINT}")
+
+
+def test_slant_angle_of_a_kernel_basis_vector_is_a_kernel_error():
+    # example4's F_* takes its kernel basis vector k to 1.7e-16 rounding,
+    # not to exactly 0, and the angle of that rounding is no slant angle,
+    # whatever multiple of k is asked for
+    spec = load_catalog("example4")
+    p = [0.1, -0.2, 0.3, 0.4]
+    frame = point_frame(spec, p)
+    k = frame.source_basis[:, frame.rank]
+    message = f"direction lies in the kernel of the differential at point {p}"
+    for X in (k, 1e6 * k, -k + 1e-9 * frame.source_basis[:, 0]):
+        for angle in (frame.slant_angle, lambda X: slant_angle(spec, p, X)):
+            with pytest.raises(ValueError) as failure:
+                angle(X)
+            assert str(failure.value) == message
+    # a horizontal part above KERNEL_TOL times the norm has its angle
+    X = k + 1e-7 * frame.source_basis[:, 0]
+    assert frame.slant_angle(X) == pytest.approx(math.acos(math.sqrt(2 / 3)),
+                                                 abs=1e-8)
+
+
+@pytest.mark.parametrize("route", sorted(SLANT_ANGLE_ROUTES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_slant_angle_of_a_direction_that_is_not_finite(route, bad):
+    # no nan angle and no RuntimeWarning: an error that names the direction
+    spec = load_catalog("warped_fiber")
+    with pytest.raises(ValueError) as failure:
+        SLANT_ANGLE_ROUTES[route](spec, [1.0, bad, 0.0])
+    assert str(failure.value) == f"direction [1.0, {bad}, 0.0] is not finite"
+
+
+def _counted_broadcasts(monkeypatch) -> list:
+    """The shapes of every np.broadcast_to call from here on."""
+    calls = []
+    original = np.broadcast_to
+
+    def counted(array, shape, *args, **kwargs):
+        calls.append(shape)
+        return original(array, shape, *args, **kwargs)
+    monkeypatch.setattr(np, "broadcast_to", counted)
+    return calls
+
+
+# the maps of perfbench's pointwise_api workload: a constant target
+# (warped_fiber) or a constant source (kahler_twist, curved_target)
+POINTWISE_MAPS = ("warped_fiber", "kahler_twist", "curved_target")
+
+
+@pytest.mark.parametrize("catalog_id", POINTWISE_MAPS)
+def test_a_one_point_frame_broadcasts_nothing(catalog_id, monkeypatch):
+    # a constant chart hands a one-point build the arrays of the point it
+    # keeps, which are read-only already; a fresh spec keeps nothing yet, so
+    # its build also evaluates that point
+    spec = fresh_spec(load_catalog(catalog_id))
+    p = sample_points(spec.box, 1, seed=5)[0]
+    calls = _counted_broadcasts(monkeypatch)
+    frame = point_frame(spec, p)
+    assert calls == []
+    constant = spec.source if spec.source.constant else spec.target
+    assert constant.__dict__["_kept"] is not None
+    # a block of three repeats the kept point as broadcast views
+    slantmap.maps.frame_block(spec, np.array([p, p, p]))
+    assert calls and all(shape[0] == 3 for shape in calls)
+    assert frame.rank == 2
+
+
+@pytest.mark.parametrize("spec", [load_catalog("warped_fiber"), parabola_map()],
+                         ids=["with_J", "without_J"])
+def test_a_row_is_every_field_at_its_point(spec):
+    points = sample_points(spec.box, 3, seed=8)
+    (_, stack), = slantmap.maps.frame_block(spec, points)
+    for i in range(len(stack)):
+        row = stack.row(i)
+        assert type(row) is slantmap.maps.PointFrame
+        assert set(vars(row)) == set(stack.FIELDS)
+        for name in stack.FIELDS:
+            field, value = getattr(stack, name), getattr(row, name)
+            if name == "rank" or field is None:
+                assert value is field, name
+            elif isinstance(field, InnerProduct):
+                assert set(vars(value)) == set(vars(field)), name
+                for part in vars(field):
+                    assert _same_bits(getattr(value, part),
+                                      getattr(field, part)[i]), (name, part)
+            else:
+                assert _same_bits(value, field[i]), name
+    assert (stack.complex_structure is None) == (spec.target.complex_structure is None)
 
 
 def test_every_exported_name_resolves():
