@@ -23,7 +23,7 @@ from .expressions import (Expression, Formulas, _point_stack, eval_jets,
                           parse_expression)
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import InnerProduct, MetricError, apply_along, lift, pairings
-from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residual
+from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residuals
 
 
 class ChartError(ValueError):
@@ -328,7 +328,7 @@ def check_almost_hermitian(fields: ChartFields,
     _raise_first(0, len(fields.points), fields._structure[2],
                  fields._metric_jet_failure)
     residuals = fields.held._hermitian_residuals
-    worst, witness = worst_residual([(slice(None), residuals)], fields.points)
+    (worst,), witness = worst_residuals([(slice(None), (residuals,))], fields.points)
     return CheckResult.from_residual(
         "almost_hermitian", worst, tol, samples=len(fields.points),
         witness=witness,
@@ -354,7 +354,7 @@ def check_kahler(fields: ChartFields,
     _raise_first(0, len(fields.points), fields._metric_failure,
                  fields._structure[2])
     lengths = fields.held._kahler_lengths
-    worst, witness = worst_residual([(slice(None), lengths)], fields.points)
+    (worst,), witness = worst_residuals([(slice(None), (lengths,))], fields.points)
     return CheckResult.from_residual(
         "kahler", worst, tol, samples=len(fields.points), witness=witness,
         detail={"direction_max": float(lengths.max(initial=0.0))})

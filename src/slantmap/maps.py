@@ -54,7 +54,7 @@ from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it 
 from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
                      split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     CheckResult, worst_residual)
+                     CheckResult, worst_residuals)
 
 
 class MapDefinitionError(ValueError):
@@ -425,8 +425,11 @@ class PointFrame(FrameStack):
         n = len(self.point)
         if X.shape != (n,):
             raise ValueError(f"direction has shape {X.shape}, expected ({n},)")
-        if not np.isfinite(X).all():
+        size = np.abs(X).max()
+        if not math.isfinite(size):
             raise ValueError(f"direction {X.tolist()} is not finite")
+        if not 2.0 ** -300 < size < 2.0 ** 300:  # too large or small to square:
+            X = np.ldexp(X, -np.frexp(size)[1])  # a power of two rounds nothing
         components = self.source_coframe @ X
         horizontal = components[:self.rank]
         if not horizontal @ horizontal > KERNEL_TOL ** 2 * (components @ components):
@@ -592,11 +595,13 @@ class Sample:
         if failure is not None:
             raise failure
 
-    def worst(self, residual):
-        """worst_residual of residual(stack), an array (len(stack), ...) of
-        the residual entries at each frame of the stack, over the stacks."""
-        return worst_residual([(rows, residual(s)) for rows, s in self.stacks()],
-                              self.points)
+    def reduce(self, *residuals):
+        """worst_residuals of the residual(stack) of each residual, an array
+        (len(stack), ...) of the entries at each frame of the stack, in one
+        walk of the stacks: the first is the check's own, with the witness."""
+        return worst_residuals([(rows, [residual(s) for residual in residuals])
+                                for rows, s in self.stacks()],
+                               self.points, len(residuals))
 
     @cached_property
     def _frames(self):
@@ -725,13 +730,14 @@ def is_riemannian_map(sample: Sample,
     """Gram-matrix test of the horizontal restriction plus rank constancy;
     the detail adds the largest |(|F_*|^2 - rank)|, small wherever the Gram
     test passes: a Riemannian map solves |F_*|^2 = rank F (Fischer)."""
-    parts, eikonal = [], np.zeros(len(sample))
+    parts, eikonal, ranks = [], np.zeros(len(sample)), set()
     for rows, s in sample.stacks():
         A = s.adapted_jacobian
-        parts.append((rows, gram_residual(A[..., :s.rank])))
+        parts.append((rows, (gram_residual(A[..., :s.rank]),)))
         eikonal[rows] = np.abs(np.square(A).sum(axis=(-2, -1)) - s.rank)
-    worst, witness = worst_residual(parts, sample.points)
-    ranks = sorted({s.rank for _, s in sample.stacks()})
+        ranks.add(s.rank)
+    (worst,), witness = worst_residuals(parts, sample.points)
+    ranks = sorted(ranks)
     rank_constant = len(ranks) <= 1
     detail = {"rank": ranks[0] if rank_constant and ranks else ranks,
               "rank_constant": rank_constant,
@@ -756,7 +762,7 @@ def gram_residual(columns: np.ndarray) -> np.ndarray:
 def check_sff_range_perp(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
-    worst, witness = sample.worst(
+    (worst,), witness = sample.reduce(
         lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank])
     return CheckResult.from_residual("sff_range_perp", worst, tol,
                                      samples=len(sample), witness=witness)

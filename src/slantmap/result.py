@@ -114,25 +114,32 @@ def _field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 
 
-def worst_residual(parts, points):
-    """The largest residual over the points and its witness point.
+# A point's residual of at least TIE times the largest ties with it: 8 ulps,
+# relative, so that rounding does not pick the witness.
+TIE = 1.0 - 8 * np.finfo(float).eps
 
-    ``parts`` holds (rows, residuals) pairs: residuals (len(rows), ...) at the
-    points ``points[rows]``, whose entries are components in orthonormal
-    frames.  A point's residual is the Frobenius norm of its entries, which
-    is then the g-norm and which no orthonormal change of those frames
-    alters; a NaN entry counts as 0.  The witness is the first point whose
-    residual lies within 8 ulps (relative) of the largest, so that rounding
-    does not pick it, and with no residual above 0.0 there is no witness.
+
+def worst_residuals(parts, points, count: int = 1):
+    """The largest of each of count residuals over the points, and the
+    witness point of the first.  ``parts`` holds (rows, residuals) pairs:
+    count arrays (len(rows), ...), or (1, ...) for every row, of entries at
+    the points ``points[rows]`` that are components in orthonormal frames.
+    A point's residual is the Frobenius norm of its entries, which is then
+    the g-norm and which no orthonormal change of those frames alters; a
+    NaN entry counts as 0.  The witness is the first point whose first
+    residual is at least TIE times the largest, and none when that is 0.0.
     """
-    norms = np.zeros(len(points))
+    norms = np.zeros((count, len(points)))
     for rows, residuals in parts:
-        entries = np.asarray(residuals, dtype=float)
-        entries = np.where(np.isnan(entries), 0.0, entries)
-        norms[rows] = np.sqrt(np.square(entries).sum(
-            axis=tuple(range(1, entries.ndim))))
-    worst = norms.max(initial=0.0)
-    if not worst > 0.0:
-        return 0.0, None
-    i = int(np.argmax(norms >= worst * (1.0 - 8 * np.finfo(float).eps)))
-    return float(worst), {"point": [float(x) for x in points[i]]}
+        for k, entries in enumerate(residuals):
+            square = np.square(entries, dtype=float)
+            norms[k][rows] = np.sqrt(
+                np.add.reduce(square, axis=tuple(range(1, square.ndim))))
+    worsts = norms.max(axis=1, initial=0.0).tolist()
+    if math.isnan(sum(worsts)):  # fold again, with the NaN entries as 0
+        return worst_residuals([(rows, [np.where(np.isnan(r), 0.0, r) for r in rs])
+                                for rows, rs in parts], points, count)
+    if not worsts[0] > 0.0:
+        return worsts, None
+    i = int(np.argmax(norms[0] >= worsts[0] * TIE))
+    return worsts, {"point": points[i].tolist()}

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_trace,
                    gram_residual, is_riemannian_map, point_frame)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     EXACT_IDENTITY_TOL, CheckResult, record, worst_residual)
+                     EXACT_IDENTITY_TOL, CheckResult, record, worst_residuals)
 
 INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
@@ -149,9 +150,14 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                            rank=riemannian.detail.get("rank"))
 
     rank = stacks[0][1].rank
-    angles = np.empty((len(sample), 2))
+    # phi^2 on the range, in the range frame, and Q^2, with their traces
+    squares = cache(lambda s: (s.j_blocks[:, :rank, :rank]
+                               @ s.j_blocks[:, :rank, :rank], s.q @ s.q))
+    angles, traces = np.empty((len(sample), 2)), np.empty((2, len(sample)))
     for rows, s in stacks:
         angles[rows] = s.angle_ranges
+        for k, square in enumerate(squares(s)):
+            traces[k, rows] = np.trace(square, axis1=1, axis2=2)
     mean_angle = float(np.mean(angles))
     deviations = np.abs(angles - mean_angle)
     max_dev = float(deviations.max())
@@ -172,36 +178,19 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                          mean_angle=mean_angle, max_deviation=max_dev,
                          witness=witness if classification == NOT_SLANT else None)
     report.point_angles = angles
-
-    # phi^2 on the range, in the range frame, and Q^2
-    report.lambda_estimate, report.lambda_residual = _fit_identity(
-        sample, rank,
-        lambda s: s.j_blocks[:, :rank, :rank] @ s.j_blocks[:, :rank, :rank])
-    report.mu_estimate, report.mu_residual = _fit_identity(
-        sample, rank, lambda s: s.q @ s.q)
-    _parallelism(report, sample, tol)
-    return report
-
-
-def _fit_identity(sample: Sample, rank: int, square):
-    """The constant c of square(stack) = c I (rank x rank at each point)
-    and the residual of the fit: c is the mean of the traces over the
-    points, taken per point first so the blocks do not change it, and the
-    residual is the largest Frobenius norm of square - c I."""
-    traces = np.empty(len(sample))
-    for rows, s in sample.stacks():
-        traces[rows] = np.trace(square(s), axis1=1, axis2=2)
-    c = float(traces.sum() / (len(sample) * rank))
-    return c, sample.worst(lambda s: square(s) - c * np.eye(rank))[0]
-
-
-def _parallelism(report: SlantReport, sample: Sample, tol: float) -> None:
-    report.omega_defect = sample.worst(
-        lambda s: s.horizontal_derivatives.omega_defect)[0]
+    # lambda and mu fit square = c I with c the mean of the per-point traces,
+    # which blocks do not change; a fit's residual is that of square - c I
+    lam, mu = (float(t.sum() / (len(sample) * rank)) for t in traces)
+    (report.lambda_residual, report.mu_residual, report.omega_defect,
+     report.phi_defect), _ = sample.reduce(
+        lambda s: squares(s)[0] - lam * np.eye(rank),
+        lambda s: squares(s)[1] - mu * np.eye(rank),
+        lambda s: s.horizontal_derivatives.omega_defect,
+        lambda s: s.horizontal_derivatives.phi_defect)
+    report.lambda_estimate, report.mu_estimate = lam, mu
     report.omega_parallel = report.omega_defect <= tol
-    report.phi_defect = sample.worst(
-        lambda s: s.horizontal_derivatives.phi_defect)[0]
     report.phi_parallel = report.phi_defect <= tol
+    return report
 
 
 def phwc_residuals(frames, sec: float):
@@ -269,12 +258,12 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
     failure = np.zeros(len(sample), dtype=int)
     for rows, s in sample.stacks():
         columns, failure[rows] = s.adapted_frames(report.angle_tol)
-        parts.append((rows, gram_residual(columns)))
+        parts.append((rows, (gram_residual(columns),)))
     if failure.any():  # the error of the first point whose frame fails
         first = int(np.argmax(failure > 0))
         raise ValueError(f"{ADAPTED_FRAME_FAILURES[failure[first] - 1]} at "
                          f"point {sample.points[first].tolist()}")
-    worst, witness = worst_residual(parts, sample.points)
+    (worst,), witness = worst_residuals(parts, sample.points)
     return CheckResult.from_residual("adapted_frame", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -304,7 +293,7 @@ def check_omega_defect_identity(sample: Sample,
         algebraic[..., s.rank:, :] -= s.horizontal_derivatives.omega_defect
         return algebraic
 
-    worst, witness = sample.worst(residuals)
+    (worst,), witness = sample.reduce(residuals)
     return CheckResult.from_residual("omega_defect_identity", worst, tol,
                                      samples=len(sample), witness=witness)
 
@@ -319,14 +308,14 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
         qh = lift(s.adapted_q[..., :r], 4)
         return np.swapaxes(qh, -1, -2) @ S @ qh - factor * S[..., :r, :r]
 
-    worst, witness = sample.worst(residuals)
+    (worst,), witness = sample.reduce(residuals)
     return CheckResult.from_residual("sff_q_scaling", worst, tol,
                                      samples=len(sample), witness=witness)
 
 
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
-    worst, witness = sample.worst(
+    (worst,), witness = sample.reduce(
         lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1))
     return CheckResult.from_residual("harmonic", worst, tol,
                                      samples=len(sample), witness=witness)
@@ -336,7 +325,7 @@ def check_minimal_fibers(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
     try:
-        worst, witness = sample.worst(fiber_trace)
+        (worst,), witness = sample.reduce(fiber_trace)
     except MapDefinitionError as exc:  # an immersion has no fibers
         return CheckResult.skipped("minimal_fibers", str(exc))
     return CheckResult.from_residual("minimal_fibers", worst, tol,
@@ -390,23 +379,23 @@ def check_totally_geodesic(sample: Sample,
     conditions: totally geodesic fibers, totally geodesic horizontal
     distribution, and the shape-operator pairing identity on normal vectors.
     """
-    global_max, witness = sample.worst(lambda s: s.adapted_sff)
-    fiber_max = sample.worst(lambda s: s.adapted_sff[..., s.rank:, s.rank:])[0]
-    # g1(nabla_X Y, W) over horizontal X, Y and vertical W
-    horizontal_max = sample.worst(
-        lambda s: s.horizontal_connection[..., s.rank:, :])[0]
+    has_j = sample.spec.target.complex_structure is not None
+    (global_max, fiber_max, horizontal_max, *third), witness = sample.reduce(
+        lambda s: s.adapted_sff,
+        lambda s: s.adapted_sff[..., s.rank:, s.rank:],
+        # g1(nabla_X Y, W) over horizontal X, Y and vertical W
+        lambda s: s.horizontal_connection[..., s.rank:, :],
+        *[_condition_three_residual] * has_j)
     detail = {
         "fiber_residual": fiber_max,
         "fibers_totally_geodesic": fiber_max <= tol,
         "horizontal_residual": horizontal_max,
         "horizontal_totally_geodesic": horizontal_max <= tol,
     }
-    if sample.spec.target.complex_structure is not None:
-        third_max = sample.worst(_condition_three_residual)[0]
-        detail["pairing_residual"] = third_max
-        detail["pairing_holds"] = third_max <= tol
-        joint = (fiber_max <= tol and horizontal_max <= tol and third_max <= tol)
-        detail["conditions_agree"] = joint == (global_max <= tol)
+    for pairing in third:  # the pairing identity, on a target with J
+        joint = max(fiber_max, horizontal_max, pairing) <= tol
+        detail.update(pairing_residual=pairing, pairing_holds=pairing <= tol,
+                      conditions_agree=joint == (global_max <= tol))
     return CheckResult.from_residual("totally_geodesic", global_max, tol,
                                      samples=len(sample), witness=witness,
                                      detail=detail)
@@ -417,11 +406,10 @@ def check_phwc(sample: Sample, report: SlantReport,
     """Pseudo horizontal weak conformality: sec(theta) Q is a compatible
     complex structure for the horizontal metric."""
     sec = 1.0 / math.cos(report.mean_angle)
-    parts = [(rows, np.stack(phwc_residuals(s, sec), axis=1))
-             for rows, s in sample.stacks()]
-    residual, witness = worst_residual(parts, sample.points)
-    square, hermitian = (worst_residual([(rows, r[:, k]) for rows, r in parts],
-                                        sample.points)[0] for k in (0, 1))
+    pair = cache(lambda s: phwc_residuals(s, sec))
+    (residual, square, hermitian), witness = sample.reduce(
+        lambda s: np.stack(pair(s), axis=1), lambda s: pair(s)[0],
+        lambda s: pair(s)[1])
     return CheckResult.from_residual(
         "phwc", residual, tol, samples=len(sample), witness=witness,
         detail={"square_residual": square, "hermitian_residual": hermitian})
@@ -437,7 +425,6 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
     must match sec(theta) g2(phi F_*Y, sff(X, U)).
     """
     sec = 1.0 / math.cos(report.mean_angle)
-    mixed_max, witness = sample.worst(mixed_sff)
 
     def jhat_derivative(s):
         """[:, a, :, b]: sec(theta) (nabla_{h_a}(Q h_b) - Q nabla_{h_a} h_b)"""
@@ -449,10 +436,10 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         phi_h = np.swapaxes(s.adapted_j_pushforward[:, :r, :r], -1, -2)
         return lhs - sec * lift(phi_h, 4) @ s.horizontal_sff[..., :r, r:]
 
-    frame_deriv_max = sample.worst(lambda s: (
-        lift(s.adapted_jacobian, 4) @ jhat_derivative(s)
-        - sec * s.horizontal_derivatives.phi_defect))[0]
-    vertical_pair_max = sample.worst(vertical_pairing)[0]
+    (mixed_max, frame_deriv_max, vertical_pair_max), witness = sample.reduce(
+        mixed_sff, lambda s: (lift(s.adapted_jacobian, 4) @ jhat_derivative(s)
+                              - sec * s.horizontal_derivatives.phi_defect),
+        vertical_pairing)
     # phi parallelism was measured, over the same pairs, by the classification
     residual = max(report.phi_defect, mixed_max)
     return CheckResult.from_residual(

@@ -633,6 +633,20 @@ def test_slant_angle_of_a_direction_that_is_not_finite(route, bad):
     assert str(failure.value) == f"direction [1.0, {bad}, 0.0] is not finite"
 
 
+@pytest.mark.parametrize("k", [-600, -520, 520, 600])
+def test_slant_angle_of_a_direction_too_large_or_small_to_square(k):
+    # X is scaled by a power of two, which rounds nothing, where its square
+    # would overflow or lose digits: the angle of 2^k X is the angle of X,
+    # bit for bit, with no RuntimeWarning (the pytest settings make one an
+    # error), and a zero or kernel direction is still a kernel error
+    frame = point_frame(load_catalog("example4"), np.zeros(4))
+    h0, kernel = (frame.source_basis[:, a] for a in (0, frame.rank))
+    assert frame.slant_angle(2.0 ** k * h0) == frame.slant_angle(h0)
+    for X in (0.0 * h0, 2.0 ** k * kernel):
+        with pytest.raises(ValueError, match="^direction lies in the kernel"):
+            frame.slant_angle(X)
+
+
 def _counted_broadcasts(monkeypatch) -> list:
     """The shapes of every np.broadcast_to call from here on."""
     calls = []

@@ -35,7 +35,7 @@ from slantmap.maps import (MapSpec, Sample, fiber_trace, point_frame,
                            section_derivatives)
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
-from slantmap.result import CheckResult, worst_residual
+from slantmap.result import CheckResult, worst_residuals
 from slantmap.slant import (_condition_three_residual, check_adapted_frame,
                             check_harmonic, check_minimal_fibers,
                             check_omega_defect_identity, check_phwc,
@@ -135,11 +135,12 @@ def test_printed_tree_parses_back(root):
 
 
 # Residuals from a small set, so that ties (exact and to the last ulps),
-# zeros, inf and NaN are common
+# zeros of both signs, the infinities and NaN are common
 ULP = np.finfo(float).eps
-RESIDUALS = st.sampled_from([0.0, 0.0, 0.25, 1.0, 1.0, 1.0 + ULP, 1.0 + 2 * ULP,
-                             1.0 - ULP / 2, 3.0, 3.0 * (1.0 + 8 * ULP),
-                             np.inf, np.nan, -1.0])
+RESIDUALS = st.sampled_from([0.0, 0.0, -0.0, 0.25, 1.0, 1.0, 1.0 + ULP,
+                             1.0 + 2 * ULP, 1.0 - ULP / 2, 3.0,
+                             3.0 * (1.0 + 8 * ULP), np.inf, -np.inf, np.nan,
+                             -1.0])
 # rank 1 where x1 = 0, rank 2 elsewhere
 PINCH = MapSpec.create(ChartManifold.euclidean(2), ChartManifold.euclidean(2),
                        ["x1*x1/2", "x2"])
@@ -147,33 +148,62 @@ PINCH = MapSpec.create(ChartManifold.euclidean(2), ChartManifold.euclidean(2),
 
 @st.composite
 def _pair_residuals(draw):
-    """Residuals over horizontal pairs at up to 14 points of rank 1 or 2."""
+    """One to three residuals over horizontal pairs at the same up to 14
+    points of rank 1 or 2: a list per residual of an (r, r) array per point."""
     count = draw(st.integers(0, 14))
     ranks = draw(st.lists(st.sampled_from([1, 2]), min_size=count,
                           max_size=count))
-    return [np.array(draw(st.lists(RESIDUALS, min_size=r * r, max_size=r * r))
-                     ).reshape(r, r) for r in ranks]
+    return [[np.array(draw(st.lists(RESIDUALS, min_size=r * r, max_size=r * r))
+                      ).reshape(r, r) for r in ranks]
+            for _ in range(draw(st.integers(1, 3)))]
 
 
 @PROPERTY_SETTINGS
 @given(_pair_residuals())
-@example([np.array([[np.nan, 0.25], [0.0, 3.0]]), np.array([[1.0]])])
-def test_worst_residual_matches_the_reference_fold(per_point):
-    # the residuals reach the reduction as the stacks of a Sample hold their
-    # points: blocks of three, one stack per rank in a block
+@example([[np.array([[np.nan, 0.25], [0.0, 3.0]]), np.array([[1.0]])]])
+@example([[np.zeros((2, 2)), np.array([[-0.0]])],
+          [np.array([[1.0, np.nan], [-np.inf, 0.0]]), np.array([[np.nan]])]])
+def test_worst_residual_matches_the_reference_fold(residuals):
+    # the residuals reach Sample.reduce as the stacks of a Sample hold their
+    # points: blocks of three, one stack per rank in a block; each residual
+    # folds as the reference fold does alone, and the witness is the first's
     points = [[0.0 if len(r) == 1 else 0.5, 0.1 * i]
-              for i, r in enumerate(per_point)]
+              for i, r in enumerate(residuals[0])]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(slantmap.maps, "FRAME_BLOCK", 3)
         sample = Sample(PINCH, points)
 
-        def residuals(stack):
-            rows, = [rows for rows, s in sample.stacks() if s is stack]
-            assert all(len(per_point[i]) == stack.rank for i in rows)
-            return np.stack([per_point[i] for i in rows])
+        def stacked(per_point):
+            def residual(stack):
+                rows, = [rows for rows, s in sample.stacks() if s is stack]
+                assert all(len(per_point[i]) == stack.rank for i in rows)
+                return np.stack([per_point[i] for i in rows])
+            return residual
 
-        actual = sample.worst(residuals)
-    assert actual == fold_worst_residual(zip(per_point, points))
+        worsts, witness = sample.reduce(*map(stacked, residuals))
+    expected = [fold_worst_residual(zip(r, points)) for r in residuals]
+    assert worsts == [worst for worst, _ in expected]
+    assert witness == expected[0][1]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.lists(RESIDUALS, min_size=3, max_size=3), min_size=1,
+                max_size=3), st.integers(1, 9))
+def test_a_constant_stack_folds_as_every_row_it_stands_for(residuals, count):
+    # a constant frame's one-row stack stands for every sample index, and
+    # its one row of entries for the entries at each of them
+    spec = MapSpec.create(ChartManifold.euclidean(2),
+                          ChartManifold.euclidean(2), ["x1 + x2", "x2"])
+    points = [[0.1 * i, -0.2 * i] for i in range(count)]
+    sample = Sample(spec, points)
+    (rows, stack), = sample.stacks()
+    assert (len(stack), len(rows)) == (1, count)
+    worsts, witness = sample.reduce(
+        *[lambda s, r=r: np.array(r)[None] for r in residuals])
+    expected = [fold_worst_residual((np.array(r), p) for p in points)
+                for r in residuals]
+    assert worsts == [worst for worst, _ in expected]
+    assert witness == expected[0][1]
 
 
 def test_witness_ties_to_the_last_ulp():
@@ -185,13 +215,13 @@ def test_witness_ties_to_the_last_ulp():
     points = np.array([[0.0], [1.0], [2.0]])
     residuals = np.array([[3.0, 4.0], [0.0, 5.0 + 6 * step],
                           [-(5.0 + 9 * step), np.nan]])
-    assert worst_residual([(slice(None), residuals)], points) == (
-        5.0 + 9 * step, {"point": [0.0]})
+    assert worst_residuals([(slice(None), (residuals,))], points) == (
+        [5.0 + 9 * step], {"point": [0.0]})
     # 5.0 is 11 steps (8.8 ulps) below the largest: the next point is the
     # witness
     residuals[2, 0] = 5.0 + 11 * step
-    assert worst_residual([(slice(None), residuals)], points) == (
-        5.0 + 11 * step, {"point": [1.0]})
+    assert worst_residuals([(slice(None), (residuals,))], points) == (
+        [5.0 + 11 * step], {"point": [1.0]})
 
 
 # Maps of [-1, 1]^2 into C^2 with a weighted sqrt or log term in a

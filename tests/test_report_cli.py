@@ -17,6 +17,7 @@ import pytest
 
 import slantmap
 import slantmap.cli
+import slantmap.maps
 from slantmap.catalog import CatalogError, catalog_ids, load_catalog, standard_j
 from slantmap.charts import ChartError, ChartManifold
 from slantmap.cli import main
@@ -1535,6 +1536,29 @@ def test_each_quantity_is_reduced_once(monkeypatch):
         entry = report.check(name)
         assert entry.passed and getattr(report.slant, name) is True
         assert getattr(report.slant, f"{name}_residual") == entry.residual
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("map_id", ["example4", "warped_fiber"])
+def test_each_check_walks_the_stacks_once(map_id, block, monkeypatch):
+    # a check folds every residual it names in one walk of Sample.stacks,
+    # however many blocks the frames take; the classification walks them
+    # twice, for the angles and the traces of its fits, then for its folds
+    loaded = load_map_spec(f"catalog:{map_id}")
+    loaded.settings.points = 20
+    monkeypatch.setattr(slantmap.maps, "FRAME_BLOCK", block)
+    walks = []
+    stacks = slantmap.maps.Sample.stacks
+    monkeypatch.setattr(slantmap.maps.Sample, "stacks",
+                        lambda self: walks.append(1) or stacks(self))
+    analysis = Analysis(loaded)
+    for name, expected in (("riemannian_map", 1), ("slant_classification", 2),
+                           ("totally_geodesic", 1), ("phwc", 1),
+                           ("pseudo_homothetic", 1)):
+        walks.clear()
+        entry = analysis.entry(name)
+        assert (entry is None or entry.status in ("pass", "fail")), name
+        assert len(walks) == expected, name
 
 
 def test_seed_changes_no_verdicts():
