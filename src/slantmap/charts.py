@@ -23,7 +23,7 @@ from .expressions import (Expression, Formulas, _point_stack, eval_jets,
                           parse_expression)
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import InnerProduct, MetricError, apply_along, lift, pairings
-from .result import DEFAULT_CHECK_TOL, CheckResult, worst_residuals
+from .result import DEFAULT_CHECK_TOL, CheckResult, checked
 
 
 class ChartError(ValueError):
@@ -328,12 +328,10 @@ def check_almost_hermitian(fields: ChartFields,
     _raise_first(0, len(fields.points), fields._structure[2],
                  fields._metric_jet_failure)
     residuals = fields.held._hermitian_residuals
-    (worst,), witness = worst_residuals([(slice(None), (residuals,))], fields.points)
-    return CheckResult.from_residual(
-        "almost_hermitian", worst, tol, samples=len(fields.points),
-        witness=witness,
-        detail={"square_residual": float(residuals[:, 0].max(initial=0.0)),
-                "compatibility_residual": float(residuals[:, 1].max(initial=0.0))})
+    return checked("almost_hermitian", tol,
+                   [(slice(None), (residuals, *residuals.T))], fields.points, 3,
+                   lambda _, square, compatibility: dict(
+                       square_residual=square, compatibility_residual=compatibility))
 
 
 def check_kahler(fields: ChartFields,
@@ -354,7 +352,5 @@ def check_kahler(fields: ChartFields,
     _raise_first(0, len(fields.points), fields._metric_failure,
                  fields._structure[2])
     lengths = fields.held._kahler_lengths
-    (worst,), witness = worst_residuals([(slice(None), (lengths,))], fields.points)
-    return CheckResult.from_residual(
-        "kahler", worst, tol, samples=len(fields.points), witness=witness,
-        detail={"direction_max": float(lengths.max(initial=0.0))})
+    return checked("kahler", tol, [(slice(None), (lengths, lengths.max(axis=(1, 2))))],
+                   fields.points, 2, lambda _, largest: {"direction_max": largest})

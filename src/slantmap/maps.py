@@ -54,7 +54,7 @@ from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it 
 from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
                      split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     CheckResult, worst_residuals)
+                     CheckResult, checked, worst_residuals)
 
 
 class MapDefinitionError(ValueError):
@@ -595,13 +595,18 @@ class Sample:
         if failure is not None:
             raise failure
 
-    def reduce(self, *residuals):
-        """worst_residuals of the residual(stack) of each residual, an array
-        (len(stack), ...) of the entries at each frame of the stack, in one
-        walk of the stacks: the first is the check's own, with the witness."""
-        return worst_residuals([(rows, [residual(s) for residual in residuals])
-                                for rows, s in self.stacks()],
-                               self.points, len(residuals))
+    def reduce(self, *residuals, fold=worst_residuals):
+        """fold(parts, points, count) of the entries residual(stack), an
+        array (len(stack), ...), of each of the count residuals, in one walk
+        of the stacks: by default their worsts and the first one's witness."""
+        return fold([(rows, [residual(s) for residual in residuals])
+                     for rows, s in self.stacks()], self.points, len(residuals))
+
+    def check(self, name: str, tol: float, *residuals, detail=None,
+              reason=None) -> CheckResult:
+        """The entry (``result.checked``) of the residuals, in one walk."""
+        return self.reduce(*residuals, fold=lambda *fold: checked(
+            name, tol, *fold, detail, reason))
 
     @cached_property
     def _frames(self):
@@ -721,36 +726,29 @@ def _adapted_derivatives(frames, S, nabla_J, y=slice(None)) -> SectionDerivative
 
 
 # ---------------------------------------------------------------------------
-# Checks: reductions over the stacks of a Sample.  Every residual entry is a
-# component in the orthonormal frames B1 and B2, so its Frobenius norm is the
-# g-norm.
+# Checks: each is the entry of residuals that it reads on the stacks
+# (``Sample.check``), components in B1 and B2 whose Frobenius norm is the g-norm.
 
 def is_riemannian_map(sample: Sample,
                       tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Gram-matrix test of the horizontal restriction plus rank constancy;
     the detail adds the largest |(|F_*|^2 - rank)|, small wherever the Gram
     test passes: a Riemannian map solves |F_*|^2 = rank F (Fischer)."""
-    parts, eikonal, ranks = [], np.zeros(len(sample)), set()
-    for rows, s in sample.stacks():
-        A = s.adapted_jacobian
-        parts.append((rows, (gram_residual(A[..., :s.rank]),)))
-        eikonal[rows] = np.abs(np.square(A).sum(axis=(-2, -1)) - s.rank)
+    ranks: set = set()  # of the stacks, as the fold walks them
+
+    def gram(s):
         ranks.add(s.rank)
-    (worst,), witness = worst_residuals(parts, sample.points)
-    ranks = sorted(ranks)
-    rank_constant = len(ranks) <= 1
-    detail = {"rank": ranks[0] if rank_constant and ranks else ranks,
-              "rank_constant": rank_constant,
-              "eikonal_residual": float(eikonal.max(initial=0.0))}
-    if not rank_constant or (ranks and ranks[0] == 0):
-        reason = ("differential vanishes on this box: rank is zero" if rank_constant
-                  else "rank varies across samples: not a subimmersion on this box")
-        return CheckResult("riemannian_map", "fail", residual=worst, tol=tol,
-                           samples=len(sample), reason=reason, detail=detail,
-                           witness=None if rank_constant else witness)
-    return CheckResult.from_residual("riemannian_map", worst, tol,
-                                     samples=len(sample), witness=witness,
-                                     detail=detail)
+        return gram_residual(s.adapted_jacobian[..., :s.rank])
+
+    return sample.check(
+        "riemannian_map", tol, gram,
+        lambda s: np.abs(np.square(s.adapted_jacobian).sum(axis=(-2, -1)) - s.rank),
+        detail=lambda _, eikonal: {
+            "rank": min(ranks) if len(ranks) == 1 else sorted(ranks),
+            "rank_constant": len(ranks) <= 1, "eikonal_residual": eikonal},
+        reason=lambda: ("rank varies across samples: not a subimmersion on this box"
+                        if len(ranks) > 1 else None if ranks != {0} else
+                        "differential vanishes on this box: rank is zero"))
 
 
 def gram_residual(columns: np.ndarray) -> np.ndarray:
@@ -762,10 +760,8 @@ def gram_residual(columns: np.ndarray) -> np.ndarray:
 def check_sff_range_perp(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
-    (worst,), witness = sample.reduce(
-        lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank])
-    return CheckResult.from_residual("sff_range_perp", worst, tol,
-                                     samples=len(sample), witness=witness)
+    return sample.check("sff_range_perp", tol,
+                        lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank])
 
 
 def fiber_trace(frames) -> np.ndarray:

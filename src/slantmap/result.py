@@ -79,14 +79,12 @@ class CheckResult:
 
     @staticmethod
     def from_residual(name: str, residual: float, tol: float,
-                      samples: Optional[int] = None,
-                      witness: Optional[dict] = None,
-                      detail: Optional[dict] = None) -> "CheckResult":
-        status = PASS if residual <= tol else FAIL
-        return CheckResult(name, status, residual=float(residual), tol=tol,
-                           samples=samples,
-                           witness=witness if status == FAIL else None,
-                           detail=detail or {})
+                      samples: Optional[int] = None, witness: Optional[dict] = None,
+                      detail: Optional[dict] = None,
+                      reason: Optional[str] = None) -> "CheckResult":
+        status = PASS if residual <= tol and reason is None else FAIL
+        return CheckResult(name, status, float(residual), tol, samples, reason,
+                           witness if status == FAIL else None, detail or {})
 
     @staticmethod
     def skipped(name: str, reason: str) -> "CheckResult":
@@ -114,9 +112,20 @@ def _field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 
 
+def checked(name: str, tol: float, parts, points, count: int = 1,
+            detail=None, reason=None) -> CheckResult:
+    """The entry of a check whose count residuals fold as worst_residuals
+    folds them: the first worst is its residual, samples the number of
+    points, detail(*worsts) its detail, and reason() fails it if not None."""
+    worsts, witness = worst_residuals(parts, points, count)
+    return CheckResult.from_residual(name, worsts[0], tol, len(points), witness,
+                                     detail and detail(*worsts), reason and reason())
+
+
 # A point's residual of at least TIE times the largest ties with it: 8 ulps,
-# relative, so that rounding does not pick the witness.
-TIE = 1.0 - 8 * np.finfo(float).eps
+# relative, so that rounding does not pick the witness.  Below TINY a worst
+# may have lost bits to underflow.
+TIE, TINY = 1.0 - 8 * np.finfo(float).eps, 2.0 ** -500
 
 
 def worst_residuals(parts, points, count: int = 1):
@@ -128,17 +137,30 @@ def worst_residuals(parts, points, count: int = 1):
     the g-norm and which no orthonormal change of those frames alters; a
     NaN entry counts as 0.  The witness is the first point whose first
     residual is at least TIE times the largest, and none when that is 0.0.
+    A worst that is NaN, infinite or below TINY while an entry is not 0
+    folds again, each array times the power of two that brings its largest
+    finite entry into [0.5, 1), each norm times the inverse: exact, so a worst
+    whose squares overflow or underflow is itself, and the others keep their bits.
     """
-    norms = np.zeros((count, len(points)))
-    for rows, residuals in parts:
-        for k, entries in enumerate(residuals):
-            square = np.square(entries, dtype=float)
-            norms[k][rows] = np.sqrt(
-                np.add.reduce(square, axis=tuple(range(1, square.ndim))))
-    worsts = norms.max(axis=1, initial=0.0).tolist()
-    if math.isnan(sum(worsts)):  # fold again, with the NaN entries as 0
-        return worst_residuals([(rows, [np.where(np.isnan(r), 0.0, r) for r in rs])
-                                for rows, rs in parts], points, count)
+    for scaled in (False, True):
+        norms = np.zeros((count, len(points)))
+        for rows, residuals in parts:
+            for k, entries in enumerate(residuals):
+                if scaled:
+                    entries = np.where(np.isnan(entries), 0.0, entries)
+                    _, exponent = np.frexp(np.max(np.abs(entries), initial=0.0,
+                                                  where=np.isfinite(entries)))
+                    entries = np.ldexp(entries, -exponent)
+                # one entry per point: |x|, the bits of sqrt(x^2) where x^2 is normal
+                norm = (np.sqrt(np.add.reduce(np.square(entries, dtype=float),
+                                              axis=tuple(range(1, entries.ndim))))
+                        if entries.ndim > 1 else np.abs(entries))
+                norms[k][rows] = np.ldexp(norm, exponent) if scaled else norm
+        worsts = norms.max(axis=1, initial=0.0).tolist()
+        if scaled or TINY <= min(worsts) and sum(worsts) < math.inf or not any(
+                np.count_nonzero(rs[k]) if w == 0.0 else not TINY <= w < math.inf
+                for k, w in enumerate(worsts) for _, rs in parts):
+            break
     if not worsts[0] > 0.0:
         return worsts, None
     i = int(np.argmax(norms[0] >= worsts[0] * TIE))

@@ -34,7 +34,7 @@ from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_trace,
                    gram_residual, is_riemannian_map, point_frame)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     EXACT_IDENTITY_TOL, CheckResult, record, worst_residuals)
+                     EXACT_IDENTITY_TOL, CheckResult, record)
 
 INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
@@ -253,19 +253,19 @@ def check_lambda_mu_consistency(report: SlantReport,
 
 def check_adapted_frame(sample: Sample, report: SlantReport,
                         tol: float = EXACT_IDENTITY_TOL) -> CheckResult:
-    """Gram residual of the greedy adapted frame at every sample point."""
-    parts = []
-    failure = np.zeros(len(sample), dtype=int)
-    for rows, s in sample.stacks():
-        columns, failure[rows] = s.adapted_frames(report.angle_tol)
-        parts.append((rows, (gram_residual(columns),)))
-    if failure.any():  # the error of the first point whose frame fails
-        first = int(np.argmax(failure > 0))
-        raise ValueError(f"{ADAPTED_FRAME_FAILURES[failure[first] - 1]} at "
-                         f"point {sample.points[first].tolist()}")
-    (worst,), witness = worst_residuals(parts, sample.points)
-    return CheckResult.from_residual("adapted_frame", worst, tol,
-                                     samples=len(sample), witness=witness)
+    """Gram residual of the greedy adapted frame at every sample point; a
+    frame that does not close raises at the first point of the first stack
+    where it fails, the first such sample point at a constant rank."""
+    def residual(s):
+        columns, failure = s.adapted_frames(report.angle_tol)
+        if failure.any():  # a constant frame's one stack stands for points 0, 1, ...
+            i = int(np.argmax(failure > 0))
+            point = (sample.points if sample.spec.constant_frame else s.points)[i]
+            raise ValueError(f"{ADAPTED_FRAME_FAILURES[failure[i] - 1]} at "
+                             f"point {point.tolist()}")
+        return gram_residual(columns)
+
+    return sample.check("adapted_frame", tol, residual)
 
 
 def check_omega_parallel(report: SlantReport,
@@ -293,9 +293,7 @@ def check_omega_defect_identity(sample: Sample,
         algebraic[..., s.rank:, :] -= s.horizontal_derivatives.omega_defect
         return algebraic
 
-    (worst,), witness = sample.reduce(residuals)
-    return CheckResult.from_residual("omega_defect_identity", worst, tol,
-                                     samples=len(sample), witness=witness)
+    return sample.check("omega_defect_identity", tol, residuals)
 
 
 def check_sff_q_scaling(sample: Sample, report: SlantReport,
@@ -308,28 +306,22 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
         qh = lift(s.adapted_q[..., :r], 4)
         return np.swapaxes(qh, -1, -2) @ S @ qh - factor * S[..., :r, :r]
 
-    (worst,), witness = sample.reduce(residuals)
-    return CheckResult.from_residual("sff_q_scaling", worst, tol,
-                                     samples=len(sample), witness=witness)
+    return sample.check("sff_q_scaling", tol, residuals)
 
 
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
-    (worst,), witness = sample.reduce(
-        lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1))
-    return CheckResult.from_residual("harmonic", worst, tol,
-                                     samples=len(sample), witness=witness)
+    return sample.check("harmonic", tol,
+                        lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1))
 
 
 def check_minimal_fibers(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
     try:
-        (worst,), witness = sample.reduce(fiber_trace)
+        return sample.check("minimal_fibers", tol, fiber_trace)
     except MapDefinitionError as exc:  # an immersion has no fibers
         return CheckResult.skipped("minimal_fibers", str(exc))
-    return CheckResult.from_residual("minimal_fibers", worst, tol,
-                                     samples=len(sample), witness=witness)
 
 
 def check_harmonic_minimal_equivalence(harmonic: CheckResult,
@@ -379,26 +371,24 @@ def check_totally_geodesic(sample: Sample,
     conditions: totally geodesic fibers, totally geodesic horizontal
     distribution, and the shape-operator pairing identity on normal vectors.
     """
+    def detail(global_max, fiber_max, horizontal_max, *third):
+        detail = {"fiber_residual": fiber_max,
+                  "fibers_totally_geodesic": fiber_max <= tol,
+                  "horizontal_residual": horizontal_max,
+                  "horizontal_totally_geodesic": horizontal_max <= tol}
+        for pairing in third:  # the pairing identity, on a target with J
+            joint = max(fiber_max, horizontal_max, pairing) <= tol
+            detail.update(pairing_residual=pairing, pairing_holds=pairing <= tol,
+                          conditions_agree=joint == (global_max <= tol))
+        return detail
+
     has_j = sample.spec.target.complex_structure is not None
-    (global_max, fiber_max, horizontal_max, *third), witness = sample.reduce(
-        lambda s: s.adapted_sff,
+    return sample.check(
+        "totally_geodesic", tol, lambda s: s.adapted_sff,
         lambda s: s.adapted_sff[..., s.rank:, s.rank:],
         # g1(nabla_X Y, W) over horizontal X, Y and vertical W
         lambda s: s.horizontal_connection[..., s.rank:, :],
-        *[_condition_three_residual] * has_j)
-    detail = {
-        "fiber_residual": fiber_max,
-        "fibers_totally_geodesic": fiber_max <= tol,
-        "horizontal_residual": horizontal_max,
-        "horizontal_totally_geodesic": horizontal_max <= tol,
-    }
-    for pairing in third:  # the pairing identity, on a target with J
-        joint = max(fiber_max, horizontal_max, pairing) <= tol
-        detail.update(pairing_residual=pairing, pairing_holds=pairing <= tol,
-                      conditions_agree=joint == (global_max <= tol))
-    return CheckResult.from_residual("totally_geodesic", global_max, tol,
-                                     samples=len(sample), witness=witness,
-                                     detail=detail)
+        *[_condition_three_residual] * has_j, detail=detail)
 
 
 def check_phwc(sample: Sample, report: SlantReport,
@@ -407,12 +397,10 @@ def check_phwc(sample: Sample, report: SlantReport,
     complex structure for the horizontal metric."""
     sec = 1.0 / math.cos(report.mean_angle)
     pair = cache(lambda s: phwc_residuals(s, sec))
-    (residual, square, hermitian), witness = sample.reduce(
-        lambda s: np.stack(pair(s), axis=1), lambda s: pair(s)[0],
-        lambda s: pair(s)[1])
-    return CheckResult.from_residual(
-        "phwc", residual, tol, samples=len(sample), witness=witness,
-        detail={"square_residual": square, "hermitian_residual": hermitian})
+    return sample.check(
+        "phwc", tol, lambda s: np.stack(pair(s), axis=1), lambda s: pair(s)[0],
+        lambda s: pair(s)[1], detail=lambda _, square, hermitian: {
+            "square_residual": square, "hermitian_residual": hermitian})
 
 
 def check_pseudo_homothetic(sample: Sample, report: SlantReport,
@@ -441,10 +429,8 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
                               - sec * s.horizontal_derivatives.phi_defect),
         vertical_pairing)
     # phi parallelism was measured, over the same pairs, by the classification
-    residual = max(report.phi_defect, mixed_max)
     return CheckResult.from_residual(
-        "pseudo_homothetic", residual, tol, samples=len(sample),
-        witness=witness,
-        detail={"phi_defect": report.phi_defect, "mixed_sff": mixed_max,
-                "structure_derivative_residual": frame_deriv_max,
-                "vertical_pairing_residual": vertical_pair_max})
+        "pseudo_homothetic", max(report.phi_defect, mixed_max), tol, len(sample),
+        witness, {"phi_defect": report.phi_defect, "mixed_sff": mixed_max,
+                  "structure_derivative_residual": frame_deriv_max,
+                  "vertical_pairing_residual": vertical_pair_max})

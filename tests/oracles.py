@@ -314,11 +314,19 @@ def sampled_slant_angles(sample, count=200, seed=0):
 def fold_worst_residual(items, ulps=8):
     """The reference reduction over (entries, point) pairs, one point at a
     time: a point's residual is the Frobenius norm of its entries, a NaN
-    entry counted as 0; the largest residual, and as witness the first point
-    whose residual lies within ``ulps`` relative ulps of it; with no residual
-    above 0.0 there is no witness."""
-    items = [(np.sqrt(np.square(np.where(np.isnan(entries), 0.0, entries)).sum()),
-              point) for entries, point in items]
+    entry counted as 0, taken of the entries times the power of two that
+    brings the largest finite one into [0.5, 1) and then times the inverse,
+    so that no square overflows or underflows; the largest residual, and as
+    witness the first point whose residual lies within ``ulps`` relative
+    ulps of it; with no residual above 0.0 there is no witness."""
+    def norm(entries):
+        entries = np.where(np.isnan(entries), 0.0, entries)
+        finite = np.abs(entries[np.isfinite(entries)])
+        exponent = np.frexp(finite.max(initial=0.0))[1]
+        return np.ldexp(np.sqrt(np.square(np.ldexp(entries, -exponent)).sum()),
+                        exponent)
+
+    items = [(norm(entries), point) for entries, point in items]
     worst = max((float(r) for r, _ in items), default=0.0)
     for residual, point in items:
         if worst > 0.0 and residual >= worst * (1.0 - ulps * np.finfo(float).eps):

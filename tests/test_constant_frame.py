@@ -27,6 +27,7 @@ from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   Fun, Lit, Neg, eval_jets, parse_expression)
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
 from slantmap.maps import FrameStack, MapSpec, Sample, point_frame
+from slantmap.slant import check_adapted_frame, classify_slant
 from slantmap.report import (CHECK_NAMES, Analysis, render_json,
                              render_report, sample_points)
 from test_properties import (PROPERTY_SETTINGS, TREES, VARIABLES,
@@ -287,6 +288,20 @@ def test_exactly_the_constant_coefficient_maps_hold_one_frame(identifier):
         assert sum(len(rows) for rows, _ in pairs) == count
         frames = sum(len(s) for _, s in pairs)
         assert frames == (1 if identifier in ONE_FRAME else count)
+
+
+def test_an_adapted_frame_error_names_the_samples_own_point():
+    # Q vanishes on anti_invariant, whose one frame stands for every point:
+    # the error names the first point of the sample that asks, not the
+    # point of the sample that built the frame
+    spec = fresh_spec(load_map_spec("catalog:anti_invariant").spec)
+    for seed in (1, 2):
+        sample = Sample(spec, sample_points(spec.box, 4, seed))
+        with pytest.raises(ValueError) as failure:
+            check_adapted_frame(sample, classify_slant(sample))
+        assert str(failure.value) == (
+            "Q vanishes for an anti-invariant map: no adapted frame at point "
+            f"{sample.points[0].tolist()}")
 
 
 def test_a_constant_power_of_a_root_gets_the_same_bytes():

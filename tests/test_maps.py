@@ -124,6 +124,18 @@ def test_rank_drop_reported():
     assert "subimmersion" in result.reason
 
 
+def test_a_vanishing_differential_fails_with_its_reason():
+    # rank 0 at every point: the Gram residual of no columns is 0.0, and the
+    # reason fails the map, with no witness
+    zero = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["0", "0"])
+    result = is_riemannian_map(Sample(zero, [np.zeros(2), np.ones(2) * 0.5]))
+    assert result.to_dict() == {
+        "name": "riemannian_map", "status": "fail", "residual": 0.0,
+        "tol": 1e-08, "samples": 2,
+        "reason": "differential vanishes on this box: rank is zero",
+        "detail": {"rank": 0, "rank_constant": True, "eikonal_residual": 0.0}}
+
+
 # Entries of the pinch map at points of rank 1 (x1 = 0) and rank 2, taken
 # from the checks when they still read the frames one at a time
 PINCH_POINTS = [[0.0, 0.3], [0.9, 0.1], [-0.6, -0.8], [0.0, -0.5], [0.3, 0.7],

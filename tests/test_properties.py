@@ -35,7 +35,7 @@ from slantmap.maps import (MapSpec, Sample, fiber_trace, point_frame,
                            section_derivatives)
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
-from slantmap.result import CheckResult, worst_residuals
+from slantmap.result import CheckResult, checked, worst_residuals
 from slantmap.slant import (_condition_three_residual, check_adapted_frame,
                             check_harmonic, check_minimal_fibers,
                             check_omega_defect_identity, check_phwc,
@@ -135,12 +135,13 @@ def test_printed_tree_parses_back(root):
 
 
 # Residuals from a small set, so that ties (exact and to the last ulps),
-# zeros of both signs, the infinities and NaN are common
+# zeros of both signs, the infinities, NaN, and finite entries whose squares
+# overflow or underflow are common
 ULP = np.finfo(float).eps
 RESIDUALS = st.sampled_from([0.0, 0.0, -0.0, 0.25, 1.0, 1.0, 1.0 + ULP,
                              1.0 + 2 * ULP, 1.0 - ULP / 2, 3.0,
                              3.0 * (1.0 + 8 * ULP), np.inf, -np.inf, np.nan,
-                             -1.0])
+                             -1.0, 1e200, -1e200, 1e-170])
 # rank 1 where x1 = 0, rank 2 elsewhere
 PINCH = MapSpec.create(ChartManifold.euclidean(2), ChartManifold.euclidean(2),
                        ["x1*x1/2", "x2"])
@@ -163,10 +164,14 @@ def _pair_residuals(draw):
 @example([[np.array([[np.nan, 0.25], [0.0, 3.0]]), np.array([[1.0]])]])
 @example([[np.zeros((2, 2)), np.array([[-0.0]])],
           [np.array([[1.0, np.nan], [-np.inf, 0.0]]), np.array([[np.nan]])]])
+@example([[np.array([[1e200, 1e200], [1.0, 0.0]]), np.array([[1e-170]])],
+          [np.array([[1e-170, 0.0], [0.0, -1e-170]]), np.array([[0.0]])]])
 def test_worst_residual_matches_the_reference_fold(residuals):
     # the residuals reach Sample.reduce as the stacks of a Sample hold their
     # points: blocks of three, one stack per rank in a block; each residual
-    # folds as the reference fold does alone, and the witness is the first's
+    # folds as the reference fold does alone, and the witness is the first's;
+    # a check's entry (Sample.check) has the first worst as its residual,
+    # samples the number of points, and the witness exactly when it fails
     points = [[0.0 if len(r) == 1 else 0.5, 0.1 * i]
               for i, r in enumerate(residuals[0])]
     with pytest.MonkeyPatch.context() as patch:
@@ -180,10 +185,19 @@ def test_worst_residual_matches_the_reference_fold(residuals):
                 return np.stack([per_point[i] for i in rows])
             return residual
 
-        worsts, witness = sample.reduce(*map(stacked, residuals))
+        with np.errstate(over="ignore"):  # a square of 1e200
+            worsts, witness = sample.reduce(*map(stacked, residuals))
+            entries = [sample.check("fold", tol, *map(stacked, residuals))
+                       for tol in (0.0, 1.0, np.inf)]
     expected = [fold_worst_residual(zip(r, points)) for r in residuals]
     assert worsts == [worst for worst, _ in expected]
     assert witness == expected[0][1]
+    for entry, tol in zip(entries, (0.0, 1.0, np.inf)):
+        fails = expected[0][0] > tol
+        assert (entry.name, entry.status, entry.tol) == (
+            "fold", "fail" if fails else "pass", tol)
+        assert entry.residual == expected[0][0] and entry.samples == len(points)
+        assert entry.witness == (expected[0][1] if fails else None)
 
 
 @PROPERTY_SETTINGS
@@ -198,8 +212,9 @@ def test_a_constant_stack_folds_as_every_row_it_stands_for(residuals, count):
     sample = Sample(spec, points)
     (rows, stack), = sample.stacks()
     assert (len(stack), len(rows)) == (1, count)
-    worsts, witness = sample.reduce(
-        *[lambda s, r=r: np.array(r)[None] for r in residuals])
+    with np.errstate(over="ignore"):  # a square of 1e200
+        worsts, witness = sample.reduce(
+            *[lambda s, r=r: np.array(r)[None] for r in residuals])
     expected = [fold_worst_residual((np.array(r), p) for p in points)
                 for r in residuals]
     assert worsts == [worst for worst, _ in expected]
@@ -222,6 +237,49 @@ def test_witness_ties_to_the_last_ulp():
     residuals[2, 0] = 5.0 + 11 * step
     assert worst_residuals([(slice(None), (residuals,))], points) == (
         [5.0 + 11 * step], {"point": [1.0]})
+
+
+def test_a_finite_residual_folds_as_itself():
+    # a worst whose squares overflow or underflow (or that is 0.0 over
+    # nonzero entries) folds again with the entries scaled by a power of
+    # two, exactly: the reference fold's residual, an infinite entry's inf,
+    # and the bits of an ordinary residual folded beside it
+    with np.errstate(over="ignore"):  # a square of 1e160
+        for big_or_small in (1e160, 1e-170):
+            assert worst_residuals([(slice(None), (np.array([[big_or_small, 0.0]]),))],
+                                   np.zeros((1, 1))) == ([big_or_small], {"point": [0.0]})
+        points = np.array([[0.0], [1.0]])
+        for entries in ([[1e-170, -1e-170], [1e-171, 0.0]], [[5e-324, 0.0], [0.0, 0.0]],
+                        [[1e200, np.nan], [np.inf, 1.0]], [[1e200, 1e200], [-1e200, 1.0]],
+                        [[1e-200, 1e200], [3.0, 4.0]]):
+            entries = np.array(entries)
+            expected = fold_worst_residual(zip(entries, points))
+            worsts, witness = worst_residuals(
+                [(slice(None), (np.array([[3.0, 4.0]]), entries))], points, 2)
+            assert (worsts, witness) == ([5.0, expected[0]], {"point": [0.0]})
+            assert worst_residuals([(slice(None), (entries,))], points) == (
+                [expected[0]], expected[1])
+        # one entry per point: its norm is its magnitude
+        for entries in ([1e-170, -1e200, np.nan], [np.nan, -1e-170, 5e-324], [0.0, -0.0, 3.0]):
+            points = np.array([[0.0], [1.0], [2.0]])
+            top = max(range(3), key=lambda i: abs(np.nan_to_num(entries[i])))
+            assert worst_residuals([(slice(None), (np.array(entries),))], points) == (
+                [abs(entries[top])], {"point": [float(top)]})
+
+
+def test_a_reason_fails_an_entry_and_keeps_its_witness():
+    # result.checked: the first worst is the residual, and an entry fails
+    # with its witness when the residual exceeds tol or reason() gives one
+    points = np.array([[0.0], [1.0]])
+    parts = [(slice(None), (np.array([[0.5], [1.0]]), np.array([[2.0], [0.0]])))]
+    entry = {"name": "c", "status": "pass", "residual": 1.0, "tol": 2.0,
+             "samples": 2}
+    assert checked("c", 2.0, parts, points, 2, reason=lambda: None).to_dict() == entry
+    assert checked("c", 2.0, parts, points, 2, lambda _, second: {
+        "second": second}).to_dict() == dict(entry, detail={"second": 2.0})
+    assert checked("c", 2.0, parts, points, 2, reason=lambda: "why").to_dict() == dict(
+        entry, status="fail", reason="why", witness={"point": [1.0]})
+    assert checked("c", 0.5, parts, points, 2).witness == {"point": [1.0]}
 
 
 # Maps of [-1, 1]^2 into C^2 with a weighted sqrt or log term in a

@@ -28,7 +28,7 @@ from slantmap.maps import point_frame
 from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
                              run_analysis, sample_points)
 from slantmap.result import CheckResult
-from slantmap.slant import SlantReport
+from slantmap.slant import SlantReport, check_harmonic
 from oracles import assert_report_matches, sample_points_by_point
 from test_expressions import NESTED
 from test_slant import _rank4_into_c3
@@ -1073,6 +1073,50 @@ def test_gram_overflow_is_an_infinite_residual(tmp_path, capsys):
         _gram_overflow_entry())
 
 
+# F_* and its Gram residual are finite, but the squares of the residual's
+# entries (about 1e200) overflow
+LARGE_GRAM = dict(GRAM_OVERFLOW, components=["1e100*x1", "x2"])
+# the tension (0, 2e-170) and the Gram residual of F_* = [[1, 0], [e, 1]],
+# e = 2e-170 x1, are finite, but their squares underflow
+TINY_TENSION = dict(GRAM_OVERFLOW, components=["x1", "x2 + 1e-170*x1*x1"],
+                    sampling={"points": 50})
+
+
+def test_a_residual_whose_squares_overflow_is_itself(tmp_path, capsys):
+    # the fold scales the entries by a power of two: the residual is finite,
+    # and |F_*|^2 - rank F is the same number, to rounding
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(LARGE_GRAM))
+    assert main(["check", "riemannian_map", "--map", str(path)]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    box = [(-1.0, 1.0)] * 2
+    assert entry["status"] == "fail"
+    assert isinstance(entry["residual"], float) and 1e199 < entry["residual"] < 1e201
+    assert entry["residual"] == pytest.approx(
+        entry["detail"]["eikonal_residual"], rel=1e-12)
+    assert entry["witness"] == {"point": sample_points(box, 5, 42)[0].tolist()}
+
+
+def test_a_residual_whose_squares_underflow_is_itself(tmp_path):
+    # at tolerance 1e-200 the Gram residual, sqrt(2) |e| at the largest |x1|,
+    # fails the map, and harmonic, called on its own, fails on the tension
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_TENSION))
+    loaded = load_map_spec(str(path))
+    loaded.settings.check_tol = 1e-200
+    analysis = Analysis(loaded)
+    x1 = np.abs(analysis.sample.points[:, 0]).max()
+    riemannian = analysis.entry("riemannian_map")
+    assert riemannian.status == "fail"
+    assert riemannian.residual == pytest.approx(math.sqrt(2) * 2e-170 * x1,
+                                                rel=1e-12)
+    assert analysis.entry("harmonic").reason == "map is not Riemannian"
+    harmonic = check_harmonic(analysis.sample, 1e-200)
+    assert harmonic.status == "fail"
+    assert harmonic.residual == pytest.approx(2e-170, rel=1e-12)
+    assert harmonic.witness == {"point": analysis.sample.points[0].tolist()}
+
+
 # Each rule's derivative at x1 near 1e-200 leaves the floats: x1 * x1
 # underflows to zero under log's second derivative, and 1 / x1**3 overflows
 # under the reciprocal's and the negative power's.
@@ -1542,8 +1586,10 @@ def test_each_quantity_is_reduced_once(monkeypatch):
 @pytest.mark.parametrize("map_id", ["example4", "warped_fiber"])
 def test_each_check_walks_the_stacks_once(map_id, block, monkeypatch):
     # a check folds every residual it names in one walk of Sample.stacks,
-    # however many blocks the frames take; the classification walks them
-    # twice, for the angles and the traces of its fits, then for its folds
+    # however many blocks the frames take (the Riemannian test its ranks and
+    # eikonal residual too, adapted_frame its failure codes); the
+    # classification walks them twice, for the angles and the traces of its
+    # fits, then for its folds
     loaded = load_map_spec(f"catalog:{map_id}")
     loaded.settings.points = 20
     monkeypatch.setattr(slantmap.maps, "FRAME_BLOCK", block)
@@ -1552,7 +1598,10 @@ def test_each_check_walks_the_stacks_once(map_id, block, monkeypatch):
     monkeypatch.setattr(slantmap.maps.Sample, "stacks",
                         lambda self: walks.append(1) or stacks(self))
     analysis = Analysis(loaded)
-    for name, expected in (("riemannian_map", 1), ("slant_classification", 2),
+    for name, expected in (("riemannian_map", 1), ("sff_range_perp", 1),
+                           ("harmonic", 1), ("minimal_fibers", 1),
+                           ("slant_classification", 2), ("adapted_frame", 1),
+                           ("omega_defect_identity", 1), ("sff_q_scaling", 1),
                            ("totally_geodesic", 1), ("phwc", 1),
                            ("pseudo_homothetic", 1)):
         walks.clear()
