@@ -5,8 +5,10 @@ entries are DSL expressions evaluated with jets; one metric jet per point
 gives the metric and, with exact derivatives, its Christoffel symbols.
 ``ChartFields`` holds a chart evaluated once at each point of a stack, or
 once per process for a chart whose entries are all constants: such a chart
-keeps, read-only, its fields at one point and the target checks' residuals
-there, which every later ChartFields of the chart reads.  A chart shared by
+keeps its fields at one point and the target checks' residuals there, which
+every later ChartFields of the chart reads.  ``kept`` is the one rule by
+which a chart, a spec and a stack keep a value: formed once without error,
+read-only, replaced whole, and held by its owner alone.  A chart shared by
 a catalog spec keeps them for the process; ``dataclasses.replace(chart)``
 is a fresh chart that has kept nothing.
 """
@@ -125,21 +127,17 @@ class ChartManifold:
     def _kept_fields(self, stack) -> Optional["ChartFields"]:
         """For a constant chart, its ChartFields at one point, which hold at
         every point: evaluated on first use at the stack's first point, as
-        any chart is, and kept, read-only, once that succeeds.  None for a
-        varying chart, an empty stack or a failing evaluation."""
-        kept = self.__dict__.get("_kept")
-        if kept is None and self.constant and len(stack):
+        any chart is, and kept once that succeeds.  None for a varying chart,
+        and, until one is kept, for an empty stack or a failing evaluation."""
+        def form():
             fields = object.__new__(ChartFields)
             fields.chart, fields.points = self, stack[:1].copy()
-            fields._evaluate_metric()
-            if fields._metric_failure is None and (
-                    self.complex_structure is None or fields._structure[2] is None):
-                arrays = [fields.G, fields._gamma, *vars(fields._ip).values()]
-                if self.complex_structure is not None:
-                    arrays += fields._structure[:2]
-                _read_only(*arrays)
-                self.__dict__["_kept"] = kept = fields
-        return kept
+            if len(stack):
+                fields._evaluate_metric()
+                if fields._metric_failure is None and (
+                        self.complex_structure is None or fields._structure[2] is None):
+                    return fields
+        return kept(self, "_kept", None, form) if self.constant else None
 
 
 def _parse_matrix(entries, dim: int, what: str):
@@ -271,14 +269,8 @@ class ChartFields:
 
     @cached_property
     def _hermitian_residuals(self) -> np.ndarray:
-        """|J^2 + I| and |J^T G J - G| at [:, 0] and [:, 1], at each point."""
-        J, G = self._structure[0], self.G
-        residuals = np.stack(
-            [np.linalg.norm(J @ J + np.eye(self.chart.dim), axis=(1, 2)),
-             np.linalg.norm(np.swapaxes(J, 1, 2) @ G @ J - G, axis=(1, 2))],
-            axis=1)
-        _read_only(residuals)
-        return residuals
+        """``structure_residuals`` of J under the metric, at each point."""
+        return _read_only(structure_residuals(self._structure[0], self.G))
 
     @cached_property
     def _kahler_lengths(self) -> np.ndarray:
@@ -289,9 +281,16 @@ class ChartFields:
         G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns
         # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
         contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
-        lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))
-        _read_only(lengths)
-        return lengths
+        return _read_only(np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0)))
+
+
+def structure_residuals(J, G=None) -> np.ndarray:
+    """|J^2 + I| and |J^T G J - G| at [..., 0] and [..., 1], for each matrix
+    J of a stack and its metric G (I when None, and then not multiplied)."""
+    identity, Jt = np.eye(J.shape[-1]), np.swapaxes(J, -1, -2)
+    compatibility = Jt @ J - identity if G is None else Jt @ G @ J - G
+    return np.stack([np.linalg.norm(J @ J + identity, axis=(-2, -1)),
+                     np.linalg.norm(compatibility, axis=(-2, -1))], axis=-1)
 
 
 def _repeated(x: np.ndarray, count: int) -> np.ndarray:
@@ -300,9 +299,35 @@ def _repeated(x: np.ndarray, count: int) -> np.ndarray:
     return x if len(x) == count else np.broadcast_to(x, (count,) + x.shape[1:])
 
 
-def _read_only(*arrays) -> None:
-    for array in arrays:
-        array.flags.writeable = False
+_MISS = (object(), None)  # what ``kept`` reads where nothing is kept: no key equals it
+
+
+def kept(owner, name: str, key, form):
+    """The value ``owner`` keeps under ``name`` for ``key``: the library's one
+    keep rule.  The kept (key, value) pair is read into locals; on a miss
+    form() gives the value, made read-only and kept as a new pair, whole,
+    unless form() raises or gives None.  Threads may form it twice, alike."""
+    kept_key, value = owner.__dict__.get(name, _MISS)
+    if kept_key != key:
+        value = form()
+        if value is not None:
+            _read_only(value)
+            owner.__dict__[name] = (key, value)
+    return value
+
+
+def _read_only(value):
+    """value, every array it holds made read-only, in turn: an array, a
+    tuple's items and an object's attributes, but not a chart's."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif hasattr(value, "__dict__") and not isinstance(value, ChartManifold):
+        for item in vars(value).values():
+            _read_only(item)
+    return value
 
 
 def _raise_first(lo: int, hi: int, *failures) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .result import DEFAULT_RANK_TOL, SETTING_RULES
+from .result import DEFAULT_RANK_TOL, library_setting
 
 
 class MetricError(ValueError):
@@ -36,12 +36,15 @@ def _trusted(cls, fields: dict):
     return obj
 
 
+SYM_TOL = 1e-12  # the largest |G - G^T| of a metric, relative to its largest entry
+
+
 class InnerProduct:
     """Gram matrix of a Riemannian metric at a point, or at each point of a
     stack (..., n, n); ``ip[i]`` is the inner product at point i."""
 
     @np.errstate(invalid="ignore", over="ignore")
-    def __init__(self, matrix, sym_tol: float = 1e-12):
+    def __init__(self, matrix):
         G = np.asarray(matrix, dtype=float)
         if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
             raise MetricError(f"inner product matrix must be square, got {G.shape}")
@@ -52,7 +55,7 @@ class InnerProduct:
         asymmetry = np.abs(stack - transposed).max(axis=(1, 2), initial=0.0)
         # the first matrix that is non-finite or not symmetric, and the first
         # before it that is not positive definite
-        invalid = ~(np.isfinite(scale) & (asymmetry <= sym_tol * scale))
+        invalid = ~(np.isfinite(scale) & (asymmetry <= SYM_TOL * scale))
         valid = int(invalid.argmax()) if invalid.any() else len(stack)
         stack = 0.5 * (stack + transposed)
         lowest = np.linalg.eigvalsh(stack[:valid]).min(axis=1)
@@ -197,12 +200,13 @@ def _fix_signs(columns: np.ndarray) -> np.ndarray:
     return np.where((gathered < -floor[:, 0])[:, None, :], -columns, columns)
 
 
-def gram_schmidt(vectors, ip: InnerProduct, tol: float = 1e-10) -> SubspaceBasis:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+# a vector's residual below DEPENDENT_TOL times the largest norm: dependent
+DEPENDENT_TOL = 1e-10
 
-    Vectors whose residual drops below tol times the largest input norm are
-    treated as dependent and dropped.
-    """
+
+def gram_schmidt(vectors, ip: InnerProduct) -> SubspaceBasis:
+    """Modified Gram-Schmidt with one re-orthogonalization pass; a vector
+    dependent on those before it (``DEPENDENT_TOL``) is dropped."""
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     if not vecs:
         return SubspaceBasis(np.zeros((ip.dim, 0)), ip)
@@ -214,7 +218,7 @@ def gram_schmidt(vectors, ip: InnerProduct, tol: float = 1e-10) -> SubspaceBasis
             for b in kept:
                 w = w - ip.inner(b, w) * b
         norm = ip.norm(w)
-        if max_norm > 0 and norm >= tol * max_norm:
+        if max_norm > 0 and norm >= DEPENDENT_TOL * max_norm:
             kept.append(w / norm)
     columns = np.column_stack(kept) if kept else np.zeros((ip.dim, 0))
     return SubspaceBasis(columns, ip)
@@ -256,10 +260,7 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     range/normal bases.  Rank counts singular values above tol times the
     largest one, and tol must be a positive number below 1.
     """
-    try:
-        SETTING_RULES["rank_tol"](tol)
-    except ValueError as exc:
-        raise ValueError(f"rank tolerance {exc}, got {tol!r}") from None
+    library_setting("rank_tol", tol, "rank tolerance")
     U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ (A @ g1.frame))
     sigma_max = s[:, 0] if s.shape[1] else np.zeros(len(A))
     ranks = np.where(sigma_max > 0,

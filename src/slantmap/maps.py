@@ -29,12 +29,14 @@ reduction over the pairs.  A map with affine components between constant
 charts (``MapSpec.constant_frame``) has one frame wherever F is finite,
 which its MapSpec keeps, read-only, for every analysis of the map.
 
-What a MapSpec keeps is kept for the process, once formed without error,
-read-only, and replaced whole: that one stack (for the last rank
-tolerance), every member formed on it, the angle ranges and the adapted
-frames (for the last angle tolerance) among them; its charts keep their
-own (``charts``).  A catalog spec is shared by the process, so a caller that
-patches or counts what forms these takes a fresh spec over fresh charts,
+A MapSpec keeps, by the one rule of ``charts.kept`` (formed once without
+error, read-only, replaced whole), that one stack (for the last rank
+tolerance) with every member formed on it, the angle ranges and the adapted
+frames (for the last angle tolerance) among them, and ``point_frame``'s
+stack (for the last point); its charts keep their own (``charts``), and a
+dropped spec takes all of it along.  A catalog spec is shared by the
+process, so a caller that patches or counts what forms these takes a fresh
+spec over fresh charts,
 ``replace(spec, source=replace(spec.source), target=replace(spec.target))``.
 """
 
@@ -48,7 +50,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
-                     _read_only, evaluate_prefix)
+                     _read_only, evaluate_prefix, kept)
 from .expressions import Expression, Formulas, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
@@ -178,8 +180,7 @@ class _member:
             return self
         value = self.func(frames)
         if type(frames) is FrameStack:
-            _read_only(*(vars(value).values()
-                         if isinstance(value, SectionDerivatives) else (value,)))
+            _read_only(value)
         frames.__dict__[self.name] = value
         return value
 
@@ -255,17 +256,12 @@ class FrameStack:
         Greedy construction: pick a horizontal unit vector, append its
         normalized Q-partner, re-orthogonalize the remaining horizontal
         directions, repeat.  Fails for anti-invariant maps, where Q vanishes.
-        Kept as a member is, and read-only on a stack, for the last angle
-        tolerance asked for: (angle_tol, value), read into locals and
-        replaced whole.
+        A stack keeps them (``kept``) for the last angle tolerance asked for;
+        a row forms them on each call, writable, as its caller's own.
         """
-        kept_tol, value = self.__dict__.get("_adapted", (None, None))
-        if kept_tol != angle_tol:
-            value = self._adapted_frames(angle_tol)
-            if type(self) is FrameStack:
-                _read_only(*value)
-            self.__dict__["_adapted"] = (angle_tol, value)
-        return value
+        if type(self) is not FrameStack:
+            return self._adapted_frames(angle_tol)
+        return kept(self, "_adapted", angle_tol, lambda: self._adapted_frames(angle_tol))
 
     def _adapted_frames(self, angle_tol: float):
         r = self.rank
@@ -462,40 +458,21 @@ class PointFrame(FrameStack):
         return self.source_basis[:, :self.rank] @ columns
 
 
-# The one-point stack that point_frame built last, as (spec, key, stack):
-# read into locals and replaced whole, and only by a build that succeeded, so
-# concurrent callers may build twice but never read a torn slot.
-_last_frame: tuple = (None, None, None)
-
-
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
     """The frame at p: a block of one.
 
-    Repeated calls at one point share one build: the stack of the last
-    (spec, p, rank_tol) is kept, spec by identity and p by its float64
+    Repeated calls at one point share one build: the spec keeps the stack
+    of the last (p, rank_tol) it was asked for (``kept``), p by its float64
     bytes, and every call returns a fresh ``row(0)`` of it, whose derived
     members are formed anew.  The arrays of that stack, and so those of a
-    returned frame, are read-only.  A build that raises is not kept."""
-    global _last_frame
+    returned frame, are read-only.  A build that raises is not kept, and a
+    spec that is dropped takes its stack with it."""
     point = np.array(p, dtype=float)  # a copy: the kept stack holds it
     n = spec.source.dim
     if point.shape != (n,):
         raise ValueError(f"point has shape {point.shape}, expected ({n},)")
-    key = (point.tobytes(), rank_tol)
-    kept_spec, kept_key, stack = _last_frame
-    if kept_spec is not spec or kept_key != key:
-        (_, stack), = frame_block(spec, point[None], rank_tol)
-        _freeze(stack)
-        _last_frame = (spec, key, stack)
-    return stack.row(0)
-
-
-def _freeze(stack: FrameStack) -> None:
-    """Make every array of the stack read-only: its fields and every array
-    of its two metrics."""
-    arrays = ([getattr(stack, name) for name in stack.FIELDS]
-              + [x for g in (stack.g_source, stack.g_target) for x in vars(g).values()])
-    _read_only(*(array for array in arrays if isinstance(array, np.ndarray)))
+    return kept(spec, "_point_frame", (point.tobytes(), rank_tol),
+                lambda: frame_block(spec, point[None], rank_tol)[0][1]).row(0)
 
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
@@ -507,17 +484,19 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     here when None).  Where the frame is the same at every point
     (``MapSpec.constant_frame``) and ``target`` covers the block, so that F
     is finite on it, one stack stands for every row: the map's, built at the
-    block's first point and kept read-only on the spec as (rank_tol, stack)
-    once that succeeds, read into locals and replaced whole."""
+    block's first point and kept on the spec for the rank tolerance."""
+    if (spec.constant_frame and len(points) > 0 and target is not None
+            and len(target.points) >= start + len(points)):
+        # one rank, so ``at`` takes every row; a copy, since the spec keeps it
+        return [(np.arange(start, start + len(points)), kept(
+            spec, "_kept_frame", rank_tol, lambda: _frame_stacks(
+                spec, points[:1].copy(), rank_tol, target, start)[0][1]))]
+    return _frame_stacks(spec, points, rank_tol, target, start)
+
+
+def _frame_stacks(spec, points, rank_tol, target, start) -> list:
+    """``frame_block``'s (rows, stack) pairs, built: one stack per rank."""
     rows = np.arange(start, start + len(points))
-    constant = (spec.constant_frame and len(points) > 0 and target is not None
-                and len(target.points) >= start + len(points))
-    if constant:
-        kept_tol, stack = spec.__dict__.get("_kept_frame", (None, None))
-        if kept_tol == rank_tol:
-            return [(rows, stack)]
-        # a copy, since the spec keeps it; one rank, so ``at`` takes every row
-        points = points[:1].copy()
     image, jac, hess = eval_jets(spec.components, points, 2)
     g1, gamma1 = spec.source.metric_at(points)
     if target is None:
@@ -537,15 +516,11 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
     J = nabla = None
     if spec.target.complex_structure is not None:
         J, nabla = target.structure(start, stop)
-    pairs = [(rows[at], FrameStack(points[at], image[at], jac[at], rank,
-                                   g1[at], g2[at], B1, B2, gamma1[at], sff[at],
-                                   None if J is None else J[at],
-                                   None if nabla is None else nabla[at]))
-             for at, rank, B1, B2 in groups]
-    if constant:
-        _freeze(pairs[0][1])
-        spec.__dict__["_kept_frame"] = (rank_tol, pairs[0][1])
-    return pairs
+    return [(rows[at], FrameStack(points[at], image[at], jac[at], rank,
+                                  g1[at], g2[at], B1, B2, gamma1[at], sff[at],
+                                  None if J is None else J[at],
+                                  None if nabla is None else nabla[at]))
+            for at, rank, B1, B2 in groups]
 
 
 # Wrappers over PointFrame members, kept (as are map_point and differential)

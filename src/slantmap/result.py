@@ -59,6 +59,14 @@ SETTING_RULES = {
 }
 
 
+def library_setting(name: str, value, what: str):
+    """SETTING_RULES[name](value), its error as "<what> must be ..., got <value>"."""
+    try:
+        return SETTING_RULES[name](value)
+    except ValueError as exc:
+        raise ValueError(f"{what} {exc}, got {value!r}") from None
+
+
 @dataclass
 class CheckResult:
     """One check's outcome; its report record (``to_dict``) is its fields in

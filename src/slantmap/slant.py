@@ -29,12 +29,13 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
+from .charts import structure_residuals
 from .linalg import lift
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_trace,
                    gram_residual, is_riemannian_map, point_frame)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     EXACT_IDENTITY_TOL, CheckResult, record)
+                     EXACT_IDENTITY_TOL, CheckResult, library_setting, record)
 
 INVARIANT = "invariant"
 ANTI_INVARIANT = "anti_invariant"
@@ -138,9 +139,7 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     the riemannian_map result for the same sample and tolerance, when the
     caller already has it.  0 < angle_tol < pi/4, as the loader requires.
     """
-    if not 0 < angle_tol < math.pi / 4:
-        raise ValueError("angle tolerance must be a positive number below pi/4, "
-                         f"got {angle_tol!r}")
+    library_setting("angle_tol", angle_tol, "angle tolerance")
     stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
     if riemannian is None:
         riemannian = is_riemannian_map(sample, tol)
@@ -191,16 +190,6 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     report.omega_parallel = report.omega_defect <= tol
     report.phi_parallel = report.phi_defect <= tol
     return report
-
-
-def phwc_residuals(frames, sec: float):
-    """How far sec(theta) Q is from a compatible complex structure at each
-    point: the norms of jhat^2 + I (square) and jhat^T jhat - I (Hermitian)."""
-    jhat = sec * frames.q
-    identity = np.eye(frames.rank)
-    return (np.linalg.norm(jhat @ jhat + identity, axis=(-2, -1)),
-            np.linalg.norm(np.swapaxes(jhat, -1, -2) @ jhat - identity,
-                           axis=(-2, -1)))
 
 
 def mixed_sff(frames) -> np.ndarray:
@@ -394,12 +383,12 @@ def check_totally_geodesic(sample: Sample,
 def check_phwc(sample: Sample, report: SlantReport,
                tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Pseudo horizontal weak conformality: sec(theta) Q is a compatible
-    complex structure for the horizontal metric."""
+    complex structure for the horizontal metric, I in the adapted frame."""
     sec = 1.0 / math.cos(report.mean_angle)
-    pair = cache(lambda s: phwc_residuals(s, sec))
+    residuals = cache(lambda s: structure_residuals(sec * s.q))
     return sample.check(
-        "phwc", tol, lambda s: np.stack(pair(s), axis=1), lambda s: pair(s)[0],
-        lambda s: pair(s)[1], detail=lambda _, square, hermitian: {
+        "phwc", tol, residuals, lambda s: residuals(s)[:, 0],
+        lambda s: residuals(s)[:, 1], detail=lambda _, square, hermitian: {
             "square_residual": square, "hermitian_residual": hermitian})
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -448,8 +450,8 @@ def test_one_build_serves_the_pointwise_calls_at_a_point(monkeypatch):
     spec = load_catalog("warped_fiber")
     fresh = slantmap.maps.frame_block(spec, np.array([WARPED_POINT]))[0][1].row(0)
     # the catalog spec is shared, so an earlier test may have left its frame
-    # at this point in the slot
-    monkeypatch.setattr(slantmap.maps, "_last_frame", (None, None, None))
+    # at this point in the spec's slot
+    monkeypatch.delitem(spec.__dict__, "_point_frame", raising=False)
     builds = _counted_builds(monkeypatch)
     p = WARPED_POINT
     frame = point_frame(spec, p)
@@ -486,6 +488,28 @@ def test_one_build_serves_the_pointwise_calls_at_a_point(monkeypatch):
     point_frame(distinct, p)
     point_frame(distinct, p, rank_tol=1e-6)
     assert len(builds) == 5
+
+
+def test_each_spec_keeps_its_own_point_frame(monkeypatch):
+    # two specs asked in turn at one point build once each: the slot is the
+    # spec's, not one that the other spec's call replaces
+    specs = [fresh_spec(load_catalog("warped_fiber")) for _ in range(2)]
+    builds = _counted_builds(monkeypatch)
+    frames = [point_frame(spec, WARPED_POINT) for spec in specs * 2]
+    assert len(builds) == 2
+    for first, again in zip(frames[:2], frames[2:]):
+        assert _same_bits(first.jacobian, again.jacobian)
+
+
+def test_a_dropped_spec_is_freed_with_its_point_frame():
+    # what point_frame keeps lives on the spec, so nothing holds a spec that
+    # its caller has dropped
+    spec = MapSpec.create(EUCLIDEAN_2, EUCLIDEAN_2, ["x1 * x2", "x2"])
+    point_frame(spec, [0.1, 0.2])
+    dropped = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert dropped() is None
 
 
 def test_kept_frame_is_read_only_and_failures_are_not_kept(monkeypatch):

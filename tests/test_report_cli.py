@@ -1569,12 +1569,12 @@ def test_each_quantity_is_reduced_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("phwc_residuals", "mixed_sff"):
+    for name in ("structure_residuals", "mixed_sff"):
         count(slantmap.slant, name)
     for name in ("check_phwc", "check_pseudo_homothetic"):
         count(slantmap.report, name)
     report = run_analysis(loaded)
-    assert calls == {"phwc_residuals": stacks, "mixed_sff": stacks,
+    assert calls == {"structure_residuals": stacks, "mixed_sff": stacks,
                      "check_phwc": 1, "check_pseudo_homothetic": 1}
     for name in ("phwc", "pseudo_homothetic"):
         entry = report.check(name)
@@ -1829,9 +1829,9 @@ def test_library_tolerances_at_their_bounds_are_error_entries():
             ("rank_tol", 1.0, "riemannian_map",
              "rank tolerance must be below 1, got 1.0"),
             ("angle_tol", 0.8, "slant_classification",
-             "angle tolerance must be a positive number below pi/4, got 0.8"),
+             "angle tolerance must be below pi/4, got 0.8"),
             ("angle_tol", -0.1, "slant_classification",
-             "angle tolerance must be a positive number below pi/4, got -0.1")):
+             "angle tolerance must be a positive finite number, got -0.1")):
         settings = AnalysisSettings(points=5)
         setattr(settings, attr, value)
         report = run_analysis(LoadedMap(spec, settings, "catalog:slant_plane"))
