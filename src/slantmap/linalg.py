@@ -260,7 +260,7 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     range/normal bases.  Rank counts singular values above tol times the
     largest one, and tol must be a positive number below 1.
     """
-    library_setting("rank_tol", tol, "rank tolerance")
+    tol = library_setting("rank_tol", tol, "rank tolerance")
     U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ (A @ g1.frame))
     sigma_max = s[:, 0] if s.shape[1] else np.zeros(len(A))
     ranks = np.where(sigma_max > 0,

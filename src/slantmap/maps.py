@@ -32,7 +32,8 @@ which its MapSpec keeps, read-only, for every analysis of the map.
 A MapSpec keeps, by the one rule of ``charts.kept`` (formed once without
 error, read-only, replaced whole), that one stack (for the last rank
 tolerance) with every member formed on it, the angle ranges and the adapted
-frames (for the last angle tolerance) among them, and ``point_frame``'s
+frames (for the last angle tolerance) among them, the residual norms of
+each ``Sample.reduce`` call (for the last keys), and ``point_frame``'s
 stack (for the last point); its charts keep their own (``charts``), and a
 dropped spec takes all of it along.  A catalog spec is shared by the
 process, so a caller that patches or counts what forms these takes a fresh
@@ -56,7 +57,7 @@ from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it 
 from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
                      split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
-                     CheckResult, checked, worst_residuals)
+                     CheckResult, checked, point_norms, worst_norms)
 
 
 class MapDefinitionError(ValueError):
@@ -570,18 +571,28 @@ class Sample:
         if failure is not None:
             raise failure
 
-    def reduce(self, *residuals, fold=worst_residuals):
-        """fold(parts, points, count) of the entries residual(stack), an
-        array (len(stack), ...), of each of the count residuals, in one walk
-        of the stacks: by default their worsts and the first one's witness."""
-        return fold([(rows, [residual(s) for residual in residuals])
-                     for rows, s in self.stacks()], self.points, len(residuals))
+    def reduce(self, *residuals, fold=worst_norms):
+        """fold(parts, points, count) of the ``point_norms`` of the entries
+        form(stack), an array (len(stack), ...), of each of the count named
+        residuals (name, form, key), in one walk of the stacks: by default
+        their worsts and the first one's witness.  key is the sample-level
+        value a form reads (None if none).  A kept frame's stack keeps the
+        norms per call (``kept``) under the names, for the keys; a varying
+        map's stacks are this Sample's, and keep none."""
+        names, forms, keys = zip(*residuals)
+        keep, slot = self.spec.constant_frame, "norms: " + " ".join(names)
+
+        def norms(s):
+            return tuple(point_norms(form(s)) for form in forms)
+        return fold([(rows, kept(s, slot, keys, lambda s=s: norms(s)) if keep
+                      else norms(s)) for rows, s in self.stacks()],
+                    self.points, len(residuals))
 
     def check(self, name: str, tol: float, *residuals, detail=None,
               reason=None) -> CheckResult:
         """The entry (``result.checked``) of the residuals, in one walk."""
         return self.reduce(*residuals, fold=lambda *fold: checked(
-            name, tol, *fold, detail, reason))
+            name, tol, *fold, detail, reason, worst_norms))
 
     @cached_property
     def _frames(self):
@@ -709,15 +720,14 @@ def is_riemannian_map(sample: Sample,
     """Gram-matrix test of the horizontal restriction plus rank constancy;
     the detail adds the largest |(|F_*|^2 - rank)|, small wherever the Gram
     test passes: a Riemannian map solves |F_*|^2 = rank F (Fischer)."""
-    ranks: set = set()  # of the stacks, as the fold walks them
-
-    def gram(s):
-        ranks.add(s.rank)
-        return gram_residual(s.adapted_jacobian[..., :s.rank])
-
+    # the ranks of the stacks the fold reads (a kept residual is not formed)
+    ranks = {s.rank for _, s in sample._frames[0]}
     return sample.check(
-        "riemannian_map", tol, gram,
-        lambda s: np.abs(np.square(s.adapted_jacobian).sum(axis=(-2, -1)) - s.rank),
+        "riemannian_map", tol,
+        ("riemannian_map", lambda s: gram_residual(s.adapted_jacobian[..., :s.rank]),
+         None),
+        ("eikonal_residual", lambda s: np.abs(
+            np.square(s.adapted_jacobian).sum(axis=(-2, -1)) - s.rank), None),
         detail=lambda _, eikonal: {
             "rank": min(ranks) if len(ranks) == 1 else sorted(ranks),
             "rank_constant": len(ranks) <= 1, "eikonal_residual": eikonal},
@@ -735,8 +745,8 @@ def gram_residual(columns: np.ndarray) -> np.ndarray:
 def check_sff_range_perp(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
-    return sample.check("sff_range_perp", tol,
-                        lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank])
+    return sample.check("sff_range_perp", tol, (
+        "sff_range_perp", lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank], None))
 
 
 def fiber_trace(frames) -> np.ndarray:

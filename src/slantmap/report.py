@@ -210,6 +210,7 @@ class Analysis:
             self.metadata["sha256"] = loaded.digest
         self.tol = settings.check_tol
         self.entries: dict = {}  # name -> entry, as computed
+        self._quiet = False  # True inside _quietly
 
     def entry(self, name: str) -> Optional[CheckResult]:
         """The report entry of a check in CHECK_NAMES (None for a
@@ -218,12 +219,23 @@ class Analysis:
         overflow in the checks' arithmetic is its residual (inf or NaN), not
         a warning."""
         if name not in self.entries:
+            if not self._quiet:
+                return self._quietly(self.entry, name)
             try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    self.entries[name] = self._compute(name)
+                self.entries[name] = self._compute(name)
             except Exception as exc:
                 self.entries[name] = error_entry(name, exc)
         return self.entries[name]
+
+    def _quietly(self, call, *args):
+        """call(*args) with overflow and invalid arithmetic ignored: one
+        np.errstate for the entries it computes, however they nest."""
+        self._quiet = True
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return call(*args)
+        finally:
+            self._quiet = False
 
     def _compute(self, name: str) -> Optional[CheckResult]:
         gates, run = CHECKS[name]
@@ -253,7 +265,9 @@ class Analysis:
         return self.slant
 
     def report(self) -> Report:
-        """The report of every entry in CHECK_NAMES."""
+        """The report of every entry in CHECK_NAMES, under one np.errstate."""
+        if not self._quiet:
+            return self._quietly(self.report)
         entries = [self.entry(name) for name in CHECK_NAMES]
         return Report(self.metadata, [e for e in entries if e is not None],
                       self.slant_block())

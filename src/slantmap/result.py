@@ -24,12 +24,15 @@ DEFAULT_ANGLE_TOL = 1e-6  # radians
 EXACT_IDENTITY_TOL = 1e-10
 
 
-# The rule of each analysis setting: the value as stored, or a ValueError
-# saying what the value must be, which the caller locates by a flag, a JSON
-# pointer or a field name.
+# The rule of each analysis setting: the value as stored, a Python int or
+# float (a numpy scalar's too), or a ValueError saying what the value must
+# be, which the caller locates by a flag, a JSON pointer or a field name.
 
 def is_number(value, kind=(int, float)) -> bool:
-    """A finite number of ``kind``; NaN, the infinities, True, False are not."""
+    """A finite number of ``kind``, a numpy scalar read as its Python number;
+    NaN, the infinities, True, False are not."""
+    if isinstance(value, np.generic):
+        value = value.item()
     return (isinstance(value, kind) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 
@@ -37,7 +40,7 @@ def is_number(value, kind=(int, float)) -> bool:
 def _integer(value, least: int) -> int:
     if not (is_number(value, int) and value >= least):
         raise ValueError(f"must be an integer >= {least}")
-    return value
+    return int(value)
 
 
 def _tolerance(value, below: tuple = (math.inf, "")) -> float:
@@ -121,11 +124,11 @@ def _field_names(cls) -> tuple:
 
 
 def checked(name: str, tol: float, parts, points, count: int = 1,
-            detail=None, reason=None) -> CheckResult:
-    """The entry of a check whose count residuals fold as worst_residuals
-    folds them: the first worst is its residual, samples the number of
-    points, detail(*worsts) its detail, and reason() fails it if not None."""
-    worsts, witness = worst_residuals(parts, points, count)
+            detail=None, reason=None, fold=None) -> CheckResult:
+    """The entry of a check whose count residuals fold as worst_residuals (or
+    ``fold``) folds them: the first worst is its residual, samples the number
+    of points, detail(*worsts) its detail, and reason() fails it if not None."""
+    worsts, witness = (fold or worst_residuals)(parts, points, count)
     return CheckResult.from_residual(name, worsts[0], tol, len(points), witness,
                                      detail and detail(*worsts), reason and reason())
 
@@ -136,40 +139,54 @@ def checked(name: str, tol: float, parts, points, count: int = 1,
 TIE, TINY = 1.0 - 8 * np.finfo(float).eps, 2.0 ** -500
 
 
-def worst_residuals(parts, points, count: int = 1):
-    """The largest of each of count residuals over the points, and the
-    witness point of the first.  ``parts`` holds (rows, residuals) pairs:
-    count arrays (len(rows), ...), or (1, ...) for every row, of entries at
-    the points ``points[rows]`` that are components in orthonormal frames.
-    A point's residual is the Frobenius norm of its entries, which is then
-    the g-norm and which no orthonormal change of those frames alters; a
-    NaN entry counts as 0.  The witness is the first point whose first
-    residual is at least TIE times the largest, and none when that is 0.0.
-    A worst that is NaN, infinite or below TINY while an entry is not 0
-    folds again, each array times the power of two that brings its largest
-    finite entry into [0.5, 1), each norm times the inverse: exact, so a worst
-    whose squares overflow or underflow is itself, and the others keep their bits.
-    """
-    for scaled in (False, True):
-        norms = np.zeros((count, len(points)))
-        for rows, residuals in parts:
-            for k, entries in enumerate(residuals):
-                if scaled:
-                    entries = np.where(np.isnan(entries), 0.0, entries)
-                    _, exponent = np.frexp(np.max(np.abs(entries), initial=0.0,
-                                                  where=np.isfinite(entries)))
-                    entries = np.ldexp(entries, -exponent)
-                # one entry per point: |x|, the bits of sqrt(x^2) where x^2 is normal
-                norm = (np.sqrt(np.add.reduce(np.square(entries, dtype=float),
-                                              axis=tuple(range(1, entries.ndim))))
-                        if entries.ndim > 1 else np.abs(entries))
-                norms[k][rows] = np.ldexp(norm, exponent) if scaled else norm
-        worsts = norms.max(axis=1, initial=0.0).tolist()
-        if scaled or TINY <= min(worsts) and sum(worsts) < math.inf or not any(
-                np.count_nonzero(rs[k]) if w == 0.0 else not TINY <= w < math.inf
-                for k, w in enumerate(worsts) for _, rs in parts):
-            break
+def _norms(entries) -> np.ndarray:
+    # one entry per point: |x|, the bits of sqrt(x^2) where x^2 is normal
+    return (np.sqrt(np.add.reduce(np.square(entries, dtype=float),
+                                  axis=tuple(range(1, entries.ndim))))
+            if entries.ndim > 1 else np.abs(entries))
+
+
+def point_norms(entries):
+    """(norms, worst): each point's Frobenius norm of its entries (an array
+    (points, ...) of components in orthonormal frames, so the g-norm), and
+    the largest.  A worst that is NaN, infinite or below TINY while an entry
+    is not 0 folds again, the entries times the power of two that brings the
+    largest finite one into [0.5, 1), a NaN entry as 0, and each norm times
+    the inverse: exact, so a norm whose squares overflow or underflow is
+    itself."""
+    norms = _norms(entries)
+    worst = float(np.maximum.reduce(norms, initial=0.0))
+    if not TINY <= worst < math.inf and entries.any():
+        entries = np.where(np.isnan(entries), 0.0, entries)
+        _, exponent = np.frexp(np.max(np.abs(entries), initial=0.0,
+                                      where=np.isfinite(entries)))
+        norms = np.ldexp(_norms(np.ldexp(entries, -exponent)), exponent)
+        worst = float(np.maximum.reduce(norms, initial=0.0))
+    return norms, worst
+
+
+def worst_norms(parts, points, count: int = 1):
+    """The largest of each of count residuals, and the witness of the first:
+    ``parts`` holds (rows, norms) pairs, count ``point_norms`` of the points
+    ``points[rows]`` (rows increasing), or of one that stands for every row.
+    The witness is the first point in sample order whose first residual is
+    at least TIE times the largest, and none when that is 0.0."""
+    worsts = [0.0] * count
+    for _, norms in parts:
+        worsts = [max(worst, part) for worst, (_, part) in zip(worsts, norms)]
     if not worsts[0] > 0.0:
         return worsts, None
-    i = int(np.argmax(norms[0] >= worsts[0] * TIE))
+    tie = worsts[0] * TIE  # the first such point of each part that has one
+    i = min(rows[(norms[0][0] >= tie).argmax()]  # parts of two ranks interleave
+            for rows, norms in parts if norms[0][1] >= tie)
     return worsts, {"point": points[i].tolist()}
+
+
+def worst_residuals(parts, points, count: int = 1):
+    """``worst_norms`` of the ``point_norms`` of (rows, residuals) pairs, rows
+    any index of ``points`` and count arrays (len(rows), ...), or (1, ...)
+    for every row; an overflow in the squares is no warning."""
+    index = np.arange(len(points))
+    with np.errstate(over="ignore"):
+        return worst_norms([(index[rows], [point_norms(e) for e in residuals])
+                            for rows, residuals in parts], points, count)

@@ -29,7 +29,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .charts import structure_residuals
+from .charts import kept, structure_residuals
 from .linalg import lift
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_trace,
@@ -139,7 +139,7 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     the riemannian_map result for the same sample and tolerance, when the
     caller already has it.  0 < angle_tol < pi/4, as the loader requires.
     """
-    library_setting("angle_tol", angle_tol, "angle tolerance")
+    angle_tol = library_setting("angle_tol", angle_tol, "angle tolerance")
     stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
     if riemannian is None:
         riemannian = is_riemannian_map(sample, tol)
@@ -149,14 +149,10 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                            rank=riemannian.detail.get("rank"))
 
     rank = stacks[0][1].rank
-    # phi^2 on the range, in the range frame, and Q^2, with their traces
-    squares = cache(lambda s: (s.j_blocks[:, :rank, :rank]
-                               @ s.j_blocks[:, :rank, :rank], s.q @ s.q))
     angles, traces = np.empty((len(sample), 2)), np.empty((2, len(sample)))
     for rows, s in stacks:
         angles[rows] = s.angle_ranges
-        for k, square in enumerate(squares(s)):
-            traces[k, rows] = np.trace(square, axis1=1, axis2=2)
+        traces[:, rows] = _squares(s)[2]
     mean_angle = float(np.mean(angles))
     deviations = np.abs(angles - mean_angle)
     max_dev = float(deviations.max())
@@ -182,14 +178,24 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     lam, mu = (float(t.sum() / (len(sample) * rank)) for t in traces)
     (report.lambda_residual, report.mu_residual, report.omega_defect,
      report.phi_defect), _ = sample.reduce(
-        lambda s: squares(s)[0] - lam * np.eye(rank),
-        lambda s: squares(s)[1] - mu * np.eye(rank),
-        lambda s: s.horizontal_derivatives.omega_defect,
-        lambda s: s.horizontal_derivatives.phi_defect)
+        ("lambda_residual", lambda s: _squares(s)[0] - lam * np.eye(rank), lam),
+        ("mu_residual", lambda s: _squares(s)[1] - mu * np.eye(rank), mu),
+        ("omega_defect", lambda s: s.horizontal_derivatives.omega_defect, None),
+        ("phi_defect", lambda s: s.horizontal_derivatives.phi_defect, None))
     report.lambda_estimate, report.mu_estimate = lam, mu
     report.omega_parallel = report.omega_defect <= tol
     report.phi_parallel = report.phi_defect <= tol
     return report
+
+
+def _squares(s):
+    """phi^2 on the range, in the range frame, Q^2, and their traces (2, N):
+    kept on the stack."""
+    def form():
+        phi = s.j_blocks[:, :s.rank, :s.rank]
+        squares = phi @ phi, s.q @ s.q
+        return (*squares, np.trace(squares, axis1=2, axis2=3))
+    return kept(s, "_squares", None, form)
 
 
 def mixed_sff(frames) -> np.ndarray:
@@ -254,7 +260,8 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
                              f"point {point.tolist()}")
         return gram_residual(columns)
 
-    return sample.check("adapted_frame", tol, residual)
+    return sample.check("adapted_frame", tol,
+                        ("adapted_frame", residual, report.angle_tol))
 
 
 def check_omega_parallel(report: SlantReport,
@@ -282,7 +289,8 @@ def check_omega_defect_identity(sample: Sample,
         algebraic[..., s.rank:, :] -= s.horizontal_derivatives.omega_defect
         return algebraic
 
-    return sample.check("omega_defect_identity", tol, residuals)
+    return sample.check("omega_defect_identity", tol,
+                        ("omega_defect_identity", residuals, None))
 
 
 def check_sff_q_scaling(sample: Sample, report: SlantReport,
@@ -295,20 +303,20 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
         qh = lift(s.adapted_q[..., :r], 4)
         return np.swapaxes(qh, -1, -2) @ S @ qh - factor * S[..., :r, :r]
 
-    return sample.check("sff_q_scaling", tol, residuals)
+    return sample.check("sff_q_scaling", tol, ("sff_q_scaling", residuals, factor))
 
 
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
-    return sample.check("harmonic", tol,
-                        lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1))
+    return sample.check("harmonic", tol, (
+        "harmonic", lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1), None))
 
 
 def check_minimal_fibers(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
     try:
-        return sample.check("minimal_fibers", tol, fiber_trace)
+        return sample.check("minimal_fibers", tol, ("minimal_fibers", fiber_trace, None))
     except MapDefinitionError as exc:  # an immersion has no fibers
         return CheckResult.skipped("minimal_fibers", str(exc))
 
@@ -373,11 +381,13 @@ def check_totally_geodesic(sample: Sample,
 
     has_j = sample.spec.target.complex_structure is not None
     return sample.check(
-        "totally_geodesic", tol, lambda s: s.adapted_sff,
-        lambda s: s.adapted_sff[..., s.rank:, s.rank:],
+        "totally_geodesic", tol, ("totally_geodesic", lambda s: s.adapted_sff, None),
+        ("fiber_residual", lambda s: s.adapted_sff[..., s.rank:, s.rank:], None),
         # g1(nabla_X Y, W) over horizontal X, Y and vertical W
-        lambda s: s.horizontal_connection[..., s.rank:, :],
-        *[_condition_three_residual] * has_j, detail=detail)
+        ("horizontal_residual", lambda s: s.horizontal_connection[..., s.rank:, :],
+         None),
+        *[("pairing_residual", _condition_three_residual, None)] * has_j,
+        detail=detail)
 
 
 def check_phwc(sample: Sample, report: SlantReport,
@@ -387,8 +397,10 @@ def check_phwc(sample: Sample, report: SlantReport,
     sec = 1.0 / math.cos(report.mean_angle)
     residuals = cache(lambda s: structure_residuals(sec * s.q))
     return sample.check(
-        "phwc", tol, residuals, lambda s: residuals(s)[:, 0],
-        lambda s: residuals(s)[:, 1], detail=lambda _, square, hermitian: {
+        "phwc", tol, ("phwc", residuals, sec),
+        ("square_residual", lambda s: residuals(s)[:, 0], sec),
+        ("hermitian_residual", lambda s: residuals(s)[:, 1], sec),
+        detail=lambda _, square, hermitian: {
             "square_residual": square, "hermitian_residual": hermitian})
 
 
@@ -414,9 +426,11 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         return lhs - sec * lift(phi_h, 4) @ s.horizontal_sff[..., :r, r:]
 
     (mixed_max, frame_deriv_max, vertical_pair_max), witness = sample.reduce(
-        mixed_sff, lambda s: (lift(s.adapted_jacobian, 4) @ jhat_derivative(s)
-                              - sec * s.horizontal_derivatives.phi_defect),
-        vertical_pairing)
+        ("mixed_sff", mixed_sff, None),
+        ("structure_derivative_residual",
+         lambda s: (lift(s.adapted_jacobian, 4) @ jhat_derivative(s)
+                    - sec * s.horizontal_derivatives.phi_defect), sec),
+        ("vertical_pairing_residual", vertical_pairing, sec))
     # phi parallelism was measured, over the same pairs, by the classification
     return CheckResult.from_residual(
         "pseudo_homothetic", max(report.phi_defect, mixed_max), tol, len(sample),

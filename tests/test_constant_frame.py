@@ -11,6 +11,7 @@ every later analysis of the map."""
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -293,7 +294,8 @@ def test_exactly_the_constant_coefficient_maps_hold_one_frame(identifier):
 def test_an_adapted_frame_error_names_the_samples_own_point():
     # Q vanishes on anti_invariant, whose one frame stands for every point:
     # the error names the first point of the sample that asks, not the
-    # point of the sample that built the frame
+    # point of the sample that built the frame; a residual that raises is
+    # not kept, so the second sample forms it again
     spec = fresh_spec(load_map_spec("catalog:anti_invariant").spec)
     for seed in (1, 2):
         sample = Sample(spec, sample_points(spec.box, 4, seed))
@@ -506,3 +508,42 @@ def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 7.0
+
+
+def test_a_kept_frame_folds_its_residuals_once(monkeypatch):
+    # a second analysis of a fresh constant-frame spec, with another seed,
+    # reads the residual norms its stack kept and forms no residual; another
+    # sample size moves the keys that depend on it (lambda and mu, the mean
+    # angle's cos^2), and another angle tolerance the adapted frame's, so
+    # those residuals are formed again, and each run writes a fresh spec's
+    # bytes
+    loaded = load_map_spec("catalog:example4")
+    spec = fresh_spec(loaded.spec)
+    calls = Counter()
+    for module, name in ((slantmap.slant, "structure_residuals"),
+                         (slantmap.slant, "mixed_sff"),
+                         (slantmap.maps, "gram_residual"),
+                         (slantmap.slant, "gram_residual"),
+                         (slantmap.slant, "omega_defect_algebraic"),
+                         (slantmap.maps, "point_norms")):
+        def counted(*args, name=name, original=getattr(module, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    first = _run(loaded, spec, 50)
+    assert {"structure_residuals", "mixed_sff", "gram_residual",
+            "omega_defect_algebraic"} <= set(calls)
+    slant = json.loads(first[0])["slant"]
+    for settings, samples in (({"seed": 7}, 50), ({"angle_tol": 1e-3}, 50),
+                              ({"angle_tol": 1e-3}, 30)):
+        calls.clear()
+        warm = _run(loaded, spec, samples, **settings)
+        formed = dict(calls)
+        assert warm == _run(loaded, fresh_spec(spec), samples, **settings)
+        if samples == 30:  # the fits' lambda moved, so its residuals fold anew
+            assert json.loads(warm[0])["slant"]["lambda_estimate"] != (
+                slant["lambda_estimate"])
+            assert formed["point_norms"] >= 4 and "gram_residual" not in formed
+        else:  # the adapted frame's Gram residual alone reads angle_tol
+            assert formed == ({"gram_residual": 1, "point_norms": 1}
+                              if "angle_tol" in settings else {}), settings

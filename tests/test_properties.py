@@ -16,6 +16,7 @@ with the np.einsum calls they replaced."""
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ from slantmap.maps import (MapSpec, Sample, fiber_trace, point_frame,
                            section_derivatives)
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
-from slantmap.result import CheckResult, checked, worst_residuals
+from slantmap.result import (CheckResult, checked, point_norms, worst_norms,
+                             worst_residuals)
 from slantmap.slant import (_condition_three_residual, check_adapted_frame,
                             check_harmonic, check_minimal_fibers,
                             check_omega_defect_identity, check_phwc,
@@ -178,16 +180,17 @@ def test_worst_residual_matches_the_reference_fold(residuals):
         patch.setattr(slantmap.maps, "FRAME_BLOCK", 3)
         sample = Sample(PINCH, points)
 
-        def stacked(per_point):
+        def stacked(k, per_point):
             def residual(stack):
                 rows, = [rows for rows, s in sample.stacks() if s is stack]
                 assert all(len(per_point[i]) == stack.rank for i in rows)
                 return np.stack([per_point[i] for i in rows])
-            return residual
+            return f"residual {k}", residual, None
 
+        named = [stacked(k, r) for k, r in enumerate(residuals)]
         with np.errstate(over="ignore"):  # a square of 1e200
-            worsts, witness = sample.reduce(*map(stacked, residuals))
-            entries = [sample.check("fold", tol, *map(stacked, residuals))
+            worsts, witness = sample.reduce(*named)
+            entries = [sample.check("fold", tol, *named)
                        for tol in (0.0, 1.0, np.inf)]
     expected = [fold_worst_residual(zip(r, points)) for r in residuals]
     assert worsts == [worst for worst, _ in expected]
@@ -214,9 +217,52 @@ def test_a_constant_stack_folds_as_every_row_it_stands_for(residuals, count):
     assert (len(stack), len(rows)) == (1, count)
     with np.errstate(over="ignore"):  # a square of 1e200
         worsts, witness = sample.reduce(
-            *[lambda s, r=r: np.array(r)[None] for r in residuals])
+            *[(f"residual {k}", lambda s, r=r: np.array(r)[None], None)
+              for k, r in enumerate(residuals)])
     expected = [fold_worst_residual((np.array(r), p) for p in points)
                 for r in residuals]
+    assert worsts == [worst for worst, _ in expected]
+    assert witness == expected[0][1]
+
+
+@st.composite
+def _interleaved_parts(draw):
+    """Up to 12 points dealt to up to three parts in any order, each part
+    with its own entry shape (one entry per point, or a row of 2 or 3), and
+    one or two residuals: (labels, shapes, entries[k][i] per point)."""
+    count = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, 2), min_size=count, max_size=count))
+    shapes = draw(st.lists(st.sampled_from([(), (2,), (3,)]), min_size=3,
+                           max_size=3))
+    entries = [[np.array(draw(st.lists(RESIDUALS, min_size=math.prod(shape),
+                                       max_size=math.prod(shape)))).reshape(shape)
+                for shape in (shapes[label] for label in labels)]
+               for _ in range(draw(st.integers(1, 2)))]
+    return labels, entries
+
+
+@PROPERTY_SETTINGS
+@given(_interleaved_parts())
+@example(([1, 0, 1], [[np.array(np.nan), np.array(1e-170), np.array(1e200)]]))
+@example(([0, 1, 0, 1], [[np.array([1e-170, 0.0]), np.array([np.inf, np.nan, 1.0]),
+                          np.array([-1e-170, 1e-170]), np.array([3.0, 1e200, 0.0])],
+                         [np.array([0.0, 0.0]), np.zeros(3), np.array([np.nan, 0.0]),
+                          np.array([1e200, -1e200, 1e-170])]]))
+def test_point_norms_fold_as_the_reference_over_interleaved_parts(parts):
+    # each part's residual arrays hold the points of its rows, whose rows
+    # interleave with another part's (as the stacks of two ranks in a block
+    # do); folding each array's point_norms gives the worsts and the witness
+    # of the reference fold over the points in sample order
+    labels, entries = parts
+    points = np.array([[0.5 * i] for i in range(len(labels))])
+    folded = []
+    with np.errstate(over="ignore"):  # a square of 1e200
+        for label in sorted(set(labels)):
+            rows = np.flatnonzero(np.array(labels) == label)
+            folded.append((rows, [point_norms(np.stack([e[i] for i in rows]))
+                                  for e in entries]))
+        worsts, witness = worst_norms(folded, points, len(entries))
+    expected = [fold_worst_residual(zip(e, points)) for e in entries]
     assert worsts == [worst for worst, _ in expected]
     assert witness == expected[0][1]
 
@@ -265,6 +311,19 @@ def test_a_finite_residual_folds_as_itself():
             top = max(range(3), key=lambda i: abs(np.nan_to_num(entries[i])))
             assert worst_residuals([(slice(None), (np.array(entries),))], points) == (
                 [abs(entries[top])], {"point": [float(top)]})
+
+
+def test_the_public_fold_is_silent():
+    # worst_residuals, called on its own, gives a residual whose squares
+    # overflow, an infinite entry or one that leaves the floats with no
+    # RuntimeWarning, as an analysis does
+    points = np.zeros((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entries, worst in (([1e160, 0.0], 1e160), ([1.5e308, 1.5e308], np.inf),
+                               ([np.inf, np.nan], np.inf), ([1e-170, np.nan], 1e-170)):
+            assert worst_residuals([(slice(None), (np.array([entries]),))], points) == (
+                [worst], {"point": [0.0]})
 
 
 def test_a_reason_fails_an_entry_and_keeps_its_witness():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import fields
@@ -25,11 +26,11 @@ from slantmap.expressions import MAX_DEPTH
 from slantmap.loader import (AnalysisSettings, LoadedMap, MapSpecError,
                              load_map_spec, map_spec_from_json)
 from slantmap.maps import point_frame
-from slantmap.report import (CHECK_NAMES, Analysis, Report, render_report,
-                             run_analysis, sample_points)
+from slantmap.report import (CHECK_NAMES, Analysis, Report, render_json,
+                             render_report, run_analysis, sample_points)
 from slantmap.result import CheckResult
 from slantmap.slant import SlantReport, check_harmonic
-from oracles import assert_report_matches, sample_points_by_point
+from oracles import assert_report_matches, fresh_spec, sample_points_by_point
 from test_expressions import NESTED
 from test_slant import _rank4_into_c3
 
@@ -1073,6 +1074,23 @@ def test_gram_overflow_is_an_infinite_residual(tmp_path, capsys):
         _gram_overflow_entry())
 
 
+def test_an_overflowing_residual_warns_through_no_route(tmp_path):
+    # an analysis enters numpy's errstate once, in report() or in the
+    # outermost entry(name): both give the infinite residual, no
+    # RuntimeWarning, and leave numpy's error state as they found it
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(GRAM_OVERFLOW))
+    loaded = load_map_spec(str(path))
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reported = Analysis(loaded).report().check("riemannian_map")
+        direct = Analysis(loaded).entry("riemannian_map")
+    assert np.geterr() == before
+    for entry in (reported, direct):
+        assert json.loads(render_json(entry.to_dict())) == _gram_overflow_entry()
+
+
 # F_* and its Gram residual are finite, but the squares of the residual's
 # entries (about 1e200) overflow
 LARGE_GRAM = dict(GRAM_OVERFLOW, components=["1e100*x1", "x2"])
@@ -1555,8 +1573,11 @@ def test_every_gate_skips_with_its_reason(map_id, name, reason, tmp_path):
 def test_each_quantity_is_reduced_once(monkeypatch):
     # the phwc residual and the mixed sff are reduced once per stack, by the
     # phwc and pseudo_homothetic checks, whose outcomes the slant block
-    # copies; the report looks each check function up when it calls it
+    # copies; the report looks each check function up when it calls it.  A
+    # catalog spec keeps the norms an earlier analysis formed, so the count
+    # is taken on a fresh spec
     loaded = load_map_spec("catalog:example4")
+    loaded.spec = fresh_spec(loaded.spec)
     loaded.settings.points = 50
     stacks = len(list(Analysis(loaded).sample.stacks()))
     calls = Counter()
@@ -1838,6 +1859,32 @@ def test_library_tolerances_at_their_bounds_are_error_entries():
         entry = report.check(name)
         assert (entry.status, entry.reason) == ("error", f"ValueError: {message}")
         assert report.slant is None
+
+
+def test_numpy_scalar_settings_are_stored_as_python_numbers():
+    # a numpy integer or float passes the rule of its setting and is stored
+    # as a Python int or float; a numpy bool, NaN and the infinities do not
+    settings = AnalysisSettings(points=np.int64(5), seed=np.uint8(3),
+                                rank_tol=np.float32(1e-8), check_tol=np.float64(1e-6),
+                                angle_tol=np.float32(1e-3))
+    assert [type(getattr(settings, f.name)) for f in fields(settings)] == [
+        int, int, float, float, float]
+    assert (settings.points, settings.angle_tol) == (5, float(np.float32(1e-3)))
+    spec = load_catalog("slant_plane")
+    sample = slantmap.maps.Sample(spec, sample_points(spec.box, 5, 42))
+    report = slantmap.classify_slant(sample, angle_tol=np.float32(1e-3))
+    assert report.classification == "proper_slant"
+    assert type(report.angle_tol) is float
+    assert point_frame(spec, [0.1, 0.2], rank_tol=np.float32(1e-8)).rank == 2
+    for bad in (np.True_, np.float32("nan"), np.float64("inf")):
+        with pytest.raises(ValueError, match="^angle_tol: must be a positive"):
+            AnalysisSettings(angle_tol=bad)
+        with pytest.raises(ValueError, match="^angle tolerance must be a positive"):
+            slantmap.classify_slant(sample, angle_tol=bad)
+        with pytest.raises(ValueError, match="^rank tolerance must be a positive"):
+            point_frame(spec, [0.1, 0.2], rank_tol=bad)
+    with pytest.raises(ValueError, match="^points: must be an integer >= 1$"):
+        AnalysisSettings(points=np.True_)
 
 
 def test_cli_catalog_listing(capsys):
