@@ -5,8 +5,8 @@ entries are DSL expressions evaluated with jets; one metric jet per point
 gives the metric and, with exact derivatives, its Christoffel symbols.
 ``ChartFields`` holds a chart evaluated once at each point of a stack, or
 once per process for a chart whose entries are all constants: such a chart
-keeps its fields at one point and the target checks' residuals there, which
-every later ChartFields of the chart reads.  ``kept`` is the one rule by
+keeps its fields at one point and the target checks' residual norms there,
+which every later ChartFields of the chart reads.  ``kept`` is the one rule by
 which a chart, a spec and a stack keep a value: formed once without error,
 read-only, replaced whole, and held by its owner alone.  A chart shared by
 a catalog spec keeps them for the process; ``dataclasses.replace(chart)``
@@ -25,7 +25,7 @@ from .expressions import (Expression, Formulas, _point_stack, eval_jets,
                           parse_expression)
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import InnerProduct, MetricError, apply_along, lift, pairings
-from .result import DEFAULT_CHECK_TOL, CheckResult, checked
+from .result import DEFAULT_CHECK_TOL, CheckResult, checked, point_norms
 
 
 class ChartError(ValueError):
@@ -197,8 +197,8 @@ class ChartFields:
     hold the values: these, or for a constant chart (``ChartManifold.constant``)
     that evaluates, the one point it keeps, whose read-only arrays
     ``metric`` and ``structure`` hand out themselves at one point and as
-    broadcast views at more, and which keeps the residuals of
-    ``check_almost_hermitian`` and ``check_kahler``."""
+    broadcast views at more, and which keeps the ``point_norms`` that
+    ``check_almost_hermitian`` and ``check_kahler`` fold."""
 
     _metric_jet_failure = _metric_failure = None  # a kept point has none
     _kept: Optional["ChartFields"] = None
@@ -268,20 +268,29 @@ class ChartFields:
         return J[lo:hi], nabla[lo:hi]
 
     @cached_property
-    def _hermitian_residuals(self) -> np.ndarray:
-        """``structure_residuals`` of J under the metric, at each point."""
-        return _read_only(structure_residuals(self._structure[0], self.G))
+    def _hermitian_residuals(self) -> tuple:
+        """The ``point_norms`` of ``structure_residuals`` of J under the
+        metric, and of each of its two columns."""
+        residuals = structure_residuals(self._structure[0], self.G)
+        return _norms_of(residuals, *residuals.T)
 
     @cached_property
-    def _kahler_lengths(self) -> np.ndarray:
-        """|(nabla_e J) f| at [:, e, f] at each point, over the pairs e, f of
-        a metric-orthonormal frame."""
+    def _kahler_lengths(self) -> tuple:
+        """The ``point_norms`` of |(nabla_e J) f| at [:, e, f] over the pairs
+        e, f of a metric-orthonormal frame at each point, and of the largest."""
         ip = self.metric()[0]
         nabla = self.structure()[1]
         G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns
         # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
         contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
-        return _read_only(np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0)))
+        lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))
+        return _norms_of(lengths, lengths.max(axis=(1, 2)))
+
+
+def _norms_of(*residuals) -> tuple:
+    """The read-only ``point_norms`` of each residual, silent on overflow."""
+    with np.errstate(over="ignore"):
+        return _read_only(tuple(point_norms(r) for r in residuals))
 
 
 def structure_residuals(J, G=None) -> np.ndarray:
@@ -346,16 +355,15 @@ def check_almost_hermitian(fields: ChartFields,
                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y) at the
     points of ``fields``; at each point J is read before the metric.  A
-    constant chart's residuals are its kept point's and stand for every
+    constant chart's residual norms are its kept point's and stand for every
     point, which keeps the first point of ``fields`` as the witness."""
     if fields.chart.complex_structure is None:
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
     _raise_first(0, len(fields.points), fields._structure[2],
                  fields._metric_jet_failure)
-    residuals = fields.held._hermitian_residuals
     return checked("almost_hermitian", tol,
-                   [(slice(None), (residuals, *residuals.T))], fields.points, 3,
-                   lambda _, square, compatibility: dict(
+                   [(range(len(fields.points)), fields.held._hermitian_residuals)],
+                   fields.points, 3, lambda _, square, compatibility: dict(
                        square_residual=square, compatibility_residual=compatibility))
 
 
@@ -367,7 +375,7 @@ def check_kahler(fields: ChartFields,
     The residual entries at a point are |(nabla_e J) f| (``nabla_j``) over
     the pairs e, f of a metric-orthonormal frame, whose Frobenius norm no
     choice of that frame changes; the detail block's direction_max is the
-    largest of them.  A constant chart's entries are its kept point's and
+    largest of them.  A constant chart's norms are its kept point's and
     stand for every point, which keeps the first point of ``fields`` as the
     witness.
     """
@@ -376,6 +384,6 @@ def check_kahler(fields: ChartFields,
     # at each point the metric is read before J
     _raise_first(0, len(fields.points), fields._metric_failure,
                  fields._structure[2])
-    lengths = fields.held._kahler_lengths
-    return checked("kahler", tol, [(slice(None), (lengths, lengths.max(axis=(1, 2))))],
+    return checked("kahler", tol,
+                   [(range(len(fields.points)), fields.held._kahler_lengths)],
                    fields.points, 2, lambda _, largest: {"direction_max": largest})

@@ -440,6 +440,8 @@ def _compile(node: Node, n: int):
         column = node.index - 1
 
         def variable(points, order):
+            if order == 0:
+                return points[:, column], None, None
             grad = np.zeros(points.shape)
             grad[:, column] = 1.0
             return points[:, column], grad, None

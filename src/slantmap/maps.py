@@ -33,11 +33,12 @@ A MapSpec keeps, by the one rule of ``charts.kept`` (formed once without
 error, read-only, replaced whole), that one stack (for the last rank
 tolerance) with every member formed on it, the angle ranges and the adapted
 frames (for the last angle tolerance) among them, the residual norms of
-each ``Sample.reduce`` call (for the last keys), and ``point_frame``'s
-stack (for the last point); its charts keep their own (``charts``), and a
-dropped spec takes all of it along.  A catalog spec is shared by the
-process, so a caller that patches or counts what forms these takes a fresh
-spec over fresh charts,
+each ``Sample.reduce`` call (for the last keys), the classification's
+statistics (for the last sample size), and ``point_frame``'s stack (for the
+last point); its charts keep their own (``charts``), and a dropped spec
+takes all of it along.  A catalog spec is shared by the process, so a
+caller that patches or counts what forms these takes a fresh spec over
+fresh charts,
 ``replace(spec, source=replace(spec.source), target=replace(spec.target))``.
 """
 
@@ -592,7 +593,7 @@ class Sample:
               reason=None) -> CheckResult:
         """The entry (``result.checked``) of the residuals, in one walk."""
         return self.reduce(*residuals, fold=lambda *fold: checked(
-            name, tol, *fold, detail, reason, worst_norms))
+            name, tol, *fold, detail, reason))
 
     @cached_property
     def _frames(self):

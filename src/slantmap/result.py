@@ -124,11 +124,11 @@ def _field_names(cls) -> tuple:
 
 
 def checked(name: str, tol: float, parts, points, count: int = 1,
-            detail=None, reason=None, fold=None) -> CheckResult:
-    """The entry of a check whose count residuals fold as worst_residuals (or
-    ``fold``) folds them: the first worst is its residual, samples the number
+            detail=None, reason=None) -> CheckResult:
+    """The entry of a check whose count residuals' (rows, norms) parts fold
+    as ``worst_norms``: the first worst is its residual, samples the number
     of points, detail(*worsts) its detail, and reason() fails it if not None."""
-    worsts, witness = (fold or worst_residuals)(parts, points, count)
+    worsts, witness = worst_norms(parts, points, count)
     return CheckResult.from_residual(name, worsts[0], tol, len(points), witness,
                                      detail and detail(*worsts), reason and reason())
 
@@ -181,12 +181,3 @@ def worst_norms(parts, points, count: int = 1):
             for rows, norms in parts if norms[0][1] >= tie)
     return worsts, {"point": points[i].tolist()}
 
-
-def worst_residuals(parts, points, count: int = 1):
-    """``worst_norms`` of the ``point_norms`` of (rows, residuals) pairs, rows
-    any index of ``points`` and count arrays (len(rows), ...), or (1, ...)
-    for every row; an overflow in the squares is no warning."""
-    index = np.arange(len(points))
-    with np.errstate(over="ignore"):
-        return worst_norms([(index[rows], [point_norms(e) for e in residuals])
-                            for rows, residuals in parts], points, count)

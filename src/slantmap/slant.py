@@ -138,6 +138,7 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     outcomes of the phwc and pseudo_homothetic checks.  ``riemannian`` is
     the riemannian_map result for the same sample and tolerance, when the
     caller already has it.  0 < angle_tol < pi/4, as the loader requires.
+    A kept frame's stack keeps the angle statistics and fits per sample size.
     """
     angle_tol = library_setting("angle_tol", angle_tol, "angle tolerance")
     stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
@@ -148,15 +149,11 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                            witness=riemannian.witness,
                            rank=riemannian.detail.get("rank"))
 
-    rank = stacks[0][1].rank
-    angles, traces = np.empty((len(sample), 2)), np.empty((2, len(sample)))
-    for rows, s in stacks:
-        angles[rows] = s.angle_ranges
-        traces[:, rows] = _squares(s)[2]
-    mean_angle = float(np.mean(angles))
-    deviations = np.abs(angles - mean_angle)
-    max_dev = float(deviations.max())
-    worst = int(np.argmax(deviations))
+    rank, count = stacks[0][1].rank, len(sample)
+    angles, mean_angle, max_dev, worst, lam, mu = (
+        kept(stacks[0][1], "_statistics", count,
+             lambda: _statistics(stacks, count, rank))
+        if sample.spec.constant_frame else _statistics(stacks, count, rank))
     witness = {"point": sample.points[worst // 2].tolist(),
                "angle": float(angles.flat[worst])}
 
@@ -173,9 +170,6 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                          mean_angle=mean_angle, max_deviation=max_dev,
                          witness=witness if classification == NOT_SLANT else None)
     report.point_angles = angles
-    # lambda and mu fit square = c I with c the mean of the per-point traces,
-    # which blocks do not change; a fit's residual is that of square - c I
-    lam, mu = (float(t.sum() / (len(sample) * rank)) for t in traces)
     (report.lambda_residual, report.mu_residual, report.omega_defect,
      report.phi_defect), _ = sample.reduce(
         ("lambda_residual", lambda s: _squares(s)[0] - lam * np.eye(rank), lam),
@@ -186,6 +180,21 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     report.omega_parallel = report.omega_defect <= tol
     report.phi_parallel = report.phi_defect <= tol
     return report
+
+
+def _statistics(stacks, count: int, rank: int) -> tuple:
+    """The least and largest angle at each of the count points (count, 2),
+    their mean, largest deviation from it and its flat index, and lambda and
+    mu, the fits of phi^2 and Q^2 to c I, c the mean trace (which blocks do
+    not change): on a kept frame, whose rows are one row, the count's alone."""
+    angles, traces = np.empty((count, 2)), np.empty((2, count))
+    for rows, s in stacks:
+        angles[rows] = s.angle_ranges
+        traces[:, rows] = _squares(s)[2]
+    mean_angle = float(np.mean(angles))
+    deviations = np.abs(angles - mean_angle)
+    return (angles, mean_angle, float(deviations.max()), int(np.argmax(deviations)),
+            *(float(t.sum() / (count * rank)) for t in traces))
 
 
 def _squares(s):

@@ -217,16 +217,27 @@ def test_a_constant_target_is_checked_at_one_point(monkeypatch):
     assert contracted == [1]
 
 
-def test_a_constant_targets_failure_keeps_the_first_point_as_witness():
-    # J^2 = -4 I at every point: the one residual stands for every point
+def test_a_constant_targets_failure_keeps_the_first_point_as_witness(monkeypatch):
+    # J^2 = -4 I at every point: the one residual stands for every point;
+    # the chart keeps its norms, so an analysis at another seed or sample
+    # size forms no residual, and each takes its own first image as witness
     j = [[str(2 * float(x)) for x in row] for row in J4]
     spec = MapSpec.create(ChartManifold.euclidean(2),
                           ChartManifold.euclidean(4, j), ["x1", "0", "x2", "0"])
-    analysis = Analysis(LoadedMap(spec, AnalysisSettings(points=30), "generated"))
-    entry = analysis.entry("almost_hermitian")
-    assert (entry.status, entry.samples) == ("fail", 30)
-    # the target's points are the images
-    assert entry.witness == {"point": analysis.sample.images[0].tolist()}
+    formed = []
+    structure_residuals = slantmap.charts.structure_residuals
+    monkeypatch.setattr(slantmap.charts, "structure_residuals",
+                        lambda *args: formed.append(1) or structure_residuals(*args))
+    residuals = set()
+    for points, seed in ((30, 42), (30, 7), (20, 42)):
+        analysis = Analysis(LoadedMap(spec, AnalysisSettings(points=points, seed=seed),
+                                      "generated"))
+        entry = analysis.entry("almost_hermitian")
+        assert (entry.status, entry.samples) == ("fail", points)
+        # the target's points are the images
+        assert entry.witness == {"point": analysis.sample.images[0].tolist()}
+        residuals.add(entry.residual)
+    assert len(residuals) == 1 and formed == [1]
 
 
 def _entries(loaded):
@@ -504,7 +515,8 @@ def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
         held = first.sample.target.held
         assert held is not first.sample.target  # the chart's kept point
         kept += [held.G, held._gamma, held._ip.matrix, *held._structure[:2],
-                 held._hermitian_residuals, held._kahler_lengths]
+                 *(norms for norms, _ in held._hermitian_residuals
+                   + held._kahler_lengths)]
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 7.0
@@ -512,11 +524,13 @@ def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
 
 def test_a_kept_frame_folds_its_residuals_once(monkeypatch):
     # a second analysis of a fresh constant-frame spec, with another seed,
-    # reads the residual norms its stack kept and forms no residual; another
-    # sample size moves the keys that depend on it (lambda and mu, the mean
-    # angle's cos^2), and another angle tolerance the adapted frame's, so
-    # those residuals are formed again, and each run writes a fresh spec's
-    # bytes
+    # reads the residual norms its stack and its target kept, forms no
+    # residual and takes no point_norms, and reads the classification's
+    # statistics its stack kept for the sample size; another sample size
+    # forms those statistics once and moves the keys that depend on it
+    # (lambda and mu, the mean angle's cos^2), and another angle tolerance
+    # the adapted frame's, so those residuals are formed again, and each run
+    # writes a fresh spec's bytes
     loaded = load_map_spec("catalog:example4")
     spec = fresh_spec(loaded.spec)
     calls = Counter()
@@ -525,7 +539,9 @@ def test_a_kept_frame_folds_its_residuals_once(monkeypatch):
                          (slantmap.maps, "gram_residual"),
                          (slantmap.slant, "gram_residual"),
                          (slantmap.slant, "omega_defect_algebraic"),
-                         (slantmap.maps, "point_norms")):
+                         (slantmap.maps, "point_norms"),
+                         (slantmap.charts, "point_norms"),
+                         (slantmap.slant, "_statistics")):
         def counted(*args, name=name, original=getattr(module, name)):
             calls[name] += 1
             return original(*args)
@@ -533,6 +549,7 @@ def test_a_kept_frame_folds_its_residuals_once(monkeypatch):
     first = _run(loaded, spec, 50)
     assert {"structure_residuals", "mixed_sff", "gram_residual",
             "omega_defect_algebraic"} <= set(calls)
+    assert calls["_statistics"] == 1
     slant = json.loads(first[0])["slant"]
     for settings, samples in (({"seed": 7}, 50), ({"angle_tol": 1e-3}, 50),
                               ({"angle_tol": 1e-3}, 30)):
@@ -544,6 +561,7 @@ def test_a_kept_frame_folds_its_residuals_once(monkeypatch):
             assert json.loads(warm[0])["slant"]["lambda_estimate"] != (
                 slant["lambda_estimate"])
             assert formed["point_norms"] >= 4 and "gram_residual" not in formed
+            assert formed["_statistics"] == 1
         else:  # the adapted frame's Gram residual alone reads angle_tol
             assert formed == ({"gram_residual": 1, "point_norms": 1}
                               if "angle_tol" in settings else {}), settings

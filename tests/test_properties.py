@@ -27,7 +27,7 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 import slantmap.maps
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   Fun, Lit, Neg, Pow, Var, eval_jet2,
-                                  parse_expression, to_text)
+                                  eval_jets, parse_expression, to_text)
 from slantmap.catalog import catalog_ids
 from slantmap.charts import ChartManifold
 from slantmap.linalg import apply_along, lift, pairings
@@ -36,8 +36,8 @@ from slantmap.maps import (MapSpec, Sample, fiber_trace, point_frame,
                            section_derivatives)
 from slantmap.report import (Analysis, render_report, run_analysis,
                              sample_points)
-from slantmap.result import (CheckResult, checked, point_norms, worst_norms,
-                             worst_residuals)
+from slantmap.charts import ChartFields, check_almost_hermitian, check_kahler
+from slantmap.result import CheckResult, checked, point_norms, worst_norms
 from slantmap.slant import (_condition_three_residual, check_adapted_frame,
                             check_harmonic, check_minimal_fibers,
                             check_omega_defect_identity, check_phwc,
@@ -113,6 +113,32 @@ def test_stacked_jets_equal_one_point_jets(root, points):
         for stacked, alone in ((batch.value[i], jet.value), (batch.grad[i], jet.grad),
                                (batch.hess[i], jet.hess)):
             assert np.array_equal(stacked, alone, equal_nan=True)
+
+
+def _values_or_error(expressions, stack, order: int):
+    try:
+        return eval_jets(expressions, stack, order)[0]
+    except ExpressionDomainError as exc:
+        return exc
+
+
+@PROPERTY_SETTINGS
+@given(TREES, st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES),
+                       min_size=1, max_size=6))
+def test_order_zero_values_equal_the_full_jets_values(root, points):
+    # no value reads a gradient: where the jets up to order 2 evaluate, the
+    # values alone are the same bits; a domain error is raised with the same
+    # text at the same point at both orders, while a derivative that leaves
+    # the floats fails order 2 alone, at or before the values' first failure
+    expressions, stack = [Expression(root, 3)], np.array(points)
+    full = _values_or_error(expressions, stack, 2)
+    values = _values_or_error(expressions, stack, 0)
+    if isinstance(full, np.ndarray):
+        assert isinstance(values, np.ndarray) and values.tobytes() == full.tobytes()
+    elif full.reason != "non-finite value":
+        assert (str(values), values.index) == (str(full), full.index)
+    else:
+        assert isinstance(values, np.ndarray) or values.index >= full.index
 
 
 @PROPERTY_SETTINGS
@@ -267,6 +293,13 @@ def test_point_norms_fold_as_the_reference_over_interleaved_parts(parts):
     assert witness == expected[0][1]
 
 
+def _fold(points, *residuals):
+    """worst_norms of the point_norms of each residual array: one part, over
+    every point."""
+    return worst_norms([(range(len(points)), [point_norms(r) for r in residuals])],
+                       points, len(residuals))
+
+
 def test_witness_ties_to_the_last_ulp():
     # a point's residual is the Frobenius norm of its entries, a NaN entry
     # counted as 0; residuals that agree up to their last ulps, as sums taken
@@ -276,13 +309,11 @@ def test_witness_ties_to_the_last_ulp():
     points = np.array([[0.0], [1.0], [2.0]])
     residuals = np.array([[3.0, 4.0], [0.0, 5.0 + 6 * step],
                           [-(5.0 + 9 * step), np.nan]])
-    assert worst_residuals([(slice(None), (residuals,))], points) == (
-        [5.0 + 9 * step], {"point": [0.0]})
+    assert _fold(points, residuals) == ([5.0 + 9 * step], {"point": [0.0]})
     # 5.0 is 11 steps (8.8 ulps) below the largest: the next point is the
     # witness
     residuals[2, 0] = 5.0 + 11 * step
-    assert worst_residuals([(slice(None), (residuals,))], points) == (
-        [5.0 + 11 * step], {"point": [1.0]})
+    assert _fold(points, residuals) == ([5.0 + 11 * step], {"point": [1.0]})
 
 
 def test_a_finite_residual_folds_as_itself():
@@ -292,45 +323,57 @@ def test_a_finite_residual_folds_as_itself():
     # and the bits of an ordinary residual folded beside it
     with np.errstate(over="ignore"):  # a square of 1e160
         for big_or_small in (1e160, 1e-170):
-            assert worst_residuals([(slice(None), (np.array([[big_or_small, 0.0]]),))],
-                                   np.zeros((1, 1))) == ([big_or_small], {"point": [0.0]})
+            assert _fold(np.zeros((1, 1)), np.array([[big_or_small, 0.0]])) == (
+                [big_or_small], {"point": [0.0]})
+        # a norm beyond the largest float is inf, though every entry is
+        # finite; an infinite entry beside a NaN is inf, a NaN counts as 0
+        for entries, worst in (([1e160, 0.0], 1e160), ([1.5e308, 1.5e308], np.inf),
+                               ([np.inf, np.nan], np.inf), ([1e-170, np.nan], 1e-170)):
+            assert _fold(np.zeros((1, 1)), np.array([entries])) == (
+                [worst], {"point": [0.0]})
         points = np.array([[0.0], [1.0]])
         for entries in ([[1e-170, -1e-170], [1e-171, 0.0]], [[5e-324, 0.0], [0.0, 0.0]],
                         [[1e200, np.nan], [np.inf, 1.0]], [[1e200, 1e200], [-1e200, 1.0]],
                         [[1e-200, 1e200], [3.0, 4.0]]):
             entries = np.array(entries)
             expected = fold_worst_residual(zip(entries, points))
-            worsts, witness = worst_residuals(
-                [(slice(None), (np.array([[3.0, 4.0]]), entries))], points, 2)
+            worsts, witness = _fold(points, np.array([[3.0, 4.0]]), entries)
             assert (worsts, witness) == ([5.0, expected[0]], {"point": [0.0]})
-            assert worst_residuals([(slice(None), (entries,))], points) == (
-                [expected[0]], expected[1])
+            assert _fold(points, entries) == ([expected[0]], expected[1])
         # one entry per point: its norm is its magnitude
         for entries in ([1e-170, -1e200, np.nan], [np.nan, -1e-170, 5e-324], [0.0, -0.0, 3.0]):
             points = np.array([[0.0], [1.0], [2.0]])
             top = max(range(3), key=lambda i: abs(np.nan_to_num(entries[i])))
-            assert worst_residuals([(slice(None), (np.array(entries),))], points) == (
+            assert _fold(points, np.array(entries)) == (
                 [abs(entries[top])], {"point": [float(top)]})
 
 
 def test_the_public_fold_is_silent():
-    # worst_residuals, called on its own, gives a residual whose squares
-    # overflow, an infinite entry or one that leaves the floats with no
-    # RuntimeWarning, as an analysis does
-    points = np.zeros((1, 1))
+    # check_almost_hermitian and check_kahler, called on their own, fold
+    # residuals whose squares overflow with no RuntimeWarning, as an analysis
+    # does: |J^2 + I| and |J^T J - I| of 1.02e154 each, and two lengths
+    # |(nabla_e J) e| of 1.13e154, refolded exactly
+    a, k = "0.85e77", "0.8e154"
+    stretched = ChartManifold.euclidean(2, [["0", "-" + a], [a, "0"]])
+    twisted = ChartManifold.euclidean(2, [[f"{k}*x1", f"{k}*x2"]] * 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for entries, worst in (([1e160, 0.0], 1e160), ([1.5e308, 1.5e308], np.inf),
-                               ([np.inf, np.nan], np.inf), ([1e-170, np.nan], 1e-170)):
-            assert worst_residuals([(slice(None), (np.array([entries]),))], points) == (
-                [worst], {"point": [0.0]})
+        entries = [check_almost_hermitian(ChartFields(stretched, np.zeros((3, 2)))),
+                   check_kahler(ChartFields(twisted, np.zeros((3, 2))))]
+    each = math.sqrt(2.0) * (0.85e77 * 0.85e77 - 1.0)
+    assert entries[0].residual == math.hypot(each, each)
+    assert entries[1].residual == 2.0 * 0.8e154
+    for entry in entries:
+        assert (entry.status, entry.samples) == ("fail", 3)
+        assert entry.witness == {"point": [0.0, 0.0]}
 
 
 def test_a_reason_fails_an_entry_and_keeps_its_witness():
     # result.checked: the first worst is the residual, and an entry fails
     # with its witness when the residual exceeds tol or reason() gives one
     points = np.array([[0.0], [1.0]])
-    parts = [(slice(None), (np.array([[0.5], [1.0]]), np.array([[2.0], [0.0]])))]
+    parts = [(range(2), [point_norms(np.array([[0.5], [1.0]])),
+                         point_norms(np.array([[2.0], [0.0]]))])]
     entry = {"name": "c", "status": "pass", "residual": 1.0, "tol": 2.0,
              "samples": 2}
     assert checked("c", 2.0, parts, points, 2, reason=lambda: None).to_dict() == entry
