@@ -356,13 +356,14 @@ def check_almost_hermitian(fields: ChartFields,
     """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y) at the
     points of ``fields``; at each point J is read before the metric.  A
     constant chart's residual norms are its kept point's and stand for every
-    point, which keeps the first point of ``fields`` as the witness."""
+    point, which keeps the first point of ``fields`` as the witness; no
+    points fold nothing."""
     if fields.chart.complex_structure is None:
         return CheckResult.error("almost_hermitian", "chart has no complex structure")
-    _raise_first(0, len(fields.points), fields._structure[2],
-                 fields._metric_jet_failure)
+    rows = range(len(fields.points))
+    _raise_first(0, len(rows), fields._structure[2], fields._metric_jet_failure)
     return checked("almost_hermitian", tol,
-                   [(range(len(fields.points)), fields.held._hermitian_residuals)],
+                   [(rows, fields.held._hermitian_residuals)] if rows else [],
                    fields.points, 3, lambda _, square, compatibility: dict(
                        square_residual=square, compatibility_residual=compatibility))
 
@@ -377,13 +378,13 @@ def check_kahler(fields: ChartFields,
     choice of that frame changes; the detail block's direction_max is the
     largest of them.  A constant chart's norms are its kept point's and
     stand for every point, which keeps the first point of ``fields`` as the
-    witness.
+    witness; no points fold nothing.
     """
     if fields.chart.complex_structure is None:
         return CheckResult.error("kahler", "chart has no complex structure")
+    rows = range(len(fields.points))
     # at each point the metric is read before J
-    _raise_first(0, len(fields.points), fields._metric_failure,
-                 fields._structure[2])
+    _raise_first(0, len(rows), fields._metric_failure, fields._structure[2])
     return checked("kahler", tol,
-                   [(range(len(fields.points)), fields.held._kahler_lengths)],
+                   [(rows, fields.held._kahler_lengths)] if rows else [],
                    fields.points, 2, lambda _, largest: {"direction_max": largest})

@@ -25,20 +25,20 @@ pointwise quantity has this one route: no member forms phi, omega, B, C, Q,
 a shape operator or the fiber mean curvature in chart coordinates.  A
 ``Sample`` is the analysis context of one run, whose stacks are built once,
 each paired with its sample indices (``rows``), and every check is a
-reduction over the pairs.  A map with affine components between constant
-charts (``MapSpec.constant_frame``) has one frame wherever F is finite,
-which its MapSpec keeps, read-only, for every analysis of the map.
+reduction over the pairs of its residuals, bare functions of a stack
+(``Sample.check``).  A map with affine components between constant charts
+(``MapSpec.constant_frame``) has one frame wherever F is finite, which its
+MapSpec keeps, read-only, for every analysis of the map.
 
 A MapSpec keeps, by the one rule of ``charts.kept`` (formed once without
 error, read-only, replaced whole), that one stack (for the last rank
-tolerance) with every member formed on it, the angle ranges and the adapted
-frames (for the last angle tolerance) among them, the residual norms of
-each ``Sample.reduce`` call (for the last keys), the classification's
-statistics (for the last sample size), and ``point_frame``'s stack (for the
-last point); its charts keep their own (``charts``), and a dropped spec
-takes all of it along.  A catalog spec is shared by the process, so a
-caller that patches or counts what forms these takes a fresh spec over
-fresh charts,
+tolerance) with every member formed on it, and ``point_frame``'s stack (for
+the last point); ``Sample.keep`` alone decides what else the one stack
+keeps: each check's residual norms (for the last key) and the
+classification's statistics (for the last sample size).  Its charts keep
+their own (``charts``), and a dropped spec takes all of it along.  A
+catalog spec is shared by the process, so a caller that patches or counts
+what forms these takes a fresh spec over fresh charts,
 ``replace(spec, source=replace(spec.source), target=replace(spec.target))``.
 """
 
@@ -258,14 +258,7 @@ class FrameStack:
         Greedy construction: pick a horizontal unit vector, append its
         normalized Q-partner, re-orthogonalize the remaining horizontal
         directions, repeat.  Fails for anti-invariant maps, where Q vanishes.
-        A stack keeps them (``kept``) for the last angle tolerance asked for;
-        a row forms them on each call, writable, as its caller's own.
         """
-        if type(self) is not FrameStack:
-            return self._adapted_frames(angle_tol)
-        return kept(self, "_adapted", angle_tol, lambda: self._adapted_frames(angle_tol))
-
-    def _adapted_frames(self, angle_tol: float):
         r = self.rank
         if r == 0:
             raise MapDefinitionError("map has rank zero: no horizontal space")
@@ -345,6 +338,13 @@ class FrameStack:
     def q(self) -> np.ndarray:
         """Matrix of Q in the orthonormal horizontal frame; skew-symmetric."""
         return self.adapted_q[..., :self.rank, :self.rank]
+
+    @_member
+    def squares(self) -> tuple:
+        """phi^2 on the range (in the range frame), Q^2 and their traces (2, N)."""
+        phi = self.j_blocks[..., :self.rank, :self.rank]
+        squares = phi @ phi, self.q @ self.q
+        return (*squares, np.trace(squares, axis1=-2, axis2=-1))
 
     @_member
     def adapted_sff(self) -> np.ndarray:
@@ -572,28 +572,32 @@ class Sample:
         if failure is not None:
             raise failure
 
-    def reduce(self, *residuals, fold=worst_norms):
-        """fold(parts, points, count) of the ``point_norms`` of the entries
-        form(stack), an array (len(stack), ...), of each of the count named
-        residuals (name, form, key), in one walk of the stacks: by default
-        their worsts and the first one's witness.  key is the sample-level
-        value a form reads (None if none).  A kept frame's stack keeps the
-        norms per call (``kept``) under the names, for the keys; a varying
-        map's stacks are this Sample's, and keep none."""
-        names, forms, keys = zip(*residuals)
-        keep, slot = self.spec.constant_frame, "norms: " + " ".join(names)
+    def keep(self, stack, name: str, key, form):
+        """form(), kept on stack under name for key (``kept``) when the stack
+        is a kept frame's, which outlives this Sample; else formed anew."""
+        return kept(stack, name, key, form) if self.spec.constant_frame else form()
 
-        def norms(s):
-            return tuple(point_norms(form(s)) for form in forms)
-        return fold([(rows, kept(s, slot, keys, lambda s=s: norms(s)) if keep
-                      else norms(s)) for rows, s in self.stacks()],
-                    self.points, len(residuals))
+    def point(self, stack, i: int) -> np.ndarray:
+        """The sample point of row i of stack (of a kept frame's, point i)."""
+        return (self.points if self.spec.constant_frame else stack.points)[i]
 
-    def check(self, name: str, tol: float, *residuals, detail=None,
+    def reduce(self, name: str, *forms, key=None):
+        """The worsts of the ``point_norms`` of the entries form(stack), an
+        array (len(stack), ...), of each form, and the first one's witness
+        (``worst_norms``), in one walk of the stacks; key is the one
+        sample-level value a form reads, which ``keep`` keys the norms by."""
+        return worst_norms(self._parts(name, forms, key), self.points, len(forms))
+
+    def check(self, name: str, tol: float, *forms, key=None, detail=None,
               reason=None) -> CheckResult:
-        """The entry (``result.checked``) of the residuals, in one walk."""
-        return self.reduce(*residuals, fold=lambda *fold: checked(
-            name, tol, *fold, detail, reason))
+        """The entry (``result.checked``) of the forms' ``reduce``."""
+        return checked(name, tol, self._parts(name, forms, key), self.points,
+                       len(forms), detail, reason)
+
+    def _parts(self, name: str, forms, key) -> list:
+        """(rows, each form's ``point_norms``) per stack, kept as "norms: " + name."""
+        return [(rows, self.keep(s, "norms: " + name, key, lambda s=s: tuple(
+            point_norms(form(s)) for form in forms))) for rows, s in self.stacks()]
 
     @cached_property
     def _frames(self):
@@ -725,10 +729,8 @@ def is_riemannian_map(sample: Sample,
     ranks = {s.rank for _, s in sample._frames[0]}
     return sample.check(
         "riemannian_map", tol,
-        ("riemannian_map", lambda s: gram_residual(s.adapted_jacobian[..., :s.rank]),
-         None),
-        ("eikonal_residual", lambda s: np.abs(
-            np.square(s.adapted_jacobian).sum(axis=(-2, -1)) - s.rank), None),
+        lambda s: gram_residual(s.adapted_jacobian[..., :s.rank]),
+        lambda s: np.abs(np.square(s.adapted_jacobian).sum(axis=(-2, -1)) - s.rank),
         detail=lambda _, eikonal: {
             "rank": min(ranks) if len(ranks) == 1 else sorted(ranks),
             "rank_constant": len(ranks) <= 1, "eikonal_residual": eikonal},
@@ -746,8 +748,8 @@ def gram_residual(columns: np.ndarray) -> np.ndarray:
 def check_sff_range_perp(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """The second fundamental form of horizontal pairs must be normal to the range."""
-    return sample.check("sff_range_perp", tol, (
-        "sff_range_perp", lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank], None))
+    return sample.check("sff_range_perp", tol,
+                        lambda s: s.adapted_sff[..., :s.rank, :s.rank, :s.rank])
 
 
 def fiber_trace(frames) -> np.ndarray:

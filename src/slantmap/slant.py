@@ -13,9 +13,11 @@ covariant derivatives are ``horizontal_derivatives``
 (``maps.section_derivatives`` along other directions).  A member serves a
 stack and its rows (the ``maps.PointFrame`` of ``point_frame``) alike; this
 module classifies a map from those members and runs the checks built on the
-classification, reading one ``Sample``.  Each residual entry is a slice,
-trace or small block product of the adapted members: adjoints are
-transposes and no metric enters.  A check assumes its preconditions (a Riemannian map, a slant
+classification, reading one ``Sample``.  A check hands ``Sample.check`` (or
+``Sample.reduce``) its residuals as bare functions of a stack, keyed by the
+one sample-level value they read.  Each residual entry is a slice, trace or
+small block product of the adapted members: adjoints are transposes and no
+metric enters.  A check assumes its preconditions (a Riemannian map, a slant
 angle, sec(theta) defined, omega parallel, PHWC): ``report.CHECKS`` states
 them and skips the check where they fail.
 """
@@ -29,7 +31,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .charts import kept, structure_residuals
+from .charts import structure_residuals
 from .linalg import lift
 from .maps import (ADAPTED_FRAME_FAILURES, MapDefinitionError, MapSpec,
                    PointFrame, PointOperators, Sample, fiber_trace,
@@ -45,8 +47,7 @@ NOT_RIEMANNIAN = "not_riemannian"
 SLANT_CLASSES = (INVARIANT, ANTI_INVARIANT, PROPER_SLANT)
 
 
-# Wrappers over PointFrame members, kept because perfbench/tracer.py traces
-# them by name.
+# Wrappers over PointFrame members, which perfbench/tracer.py traces by name.
 
 def slant_angle(spec: MapSpec, p, X, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Angle in [0, pi/2] between J F_*X and the range of F_* at p."""
@@ -138,7 +139,7 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     outcomes of the phwc and pseudo_homothetic checks.  ``riemannian`` is
     the riemannian_map result for the same sample and tolerance, when the
     caller already has it.  0 < angle_tol < pi/4, as the loader requires.
-    A kept frame's stack keeps the angle statistics and fits per sample size.
+    ``Sample.keep`` holds the angle statistics and fits per sample size.
     """
     angle_tol = library_setting("angle_tol", angle_tol, "angle tolerance")
     stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
@@ -150,10 +151,8 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
                            rank=riemannian.detail.get("rank"))
 
     rank, count = stacks[0][1].rank, len(sample)
-    angles, mean_angle, max_dev, worst, lam, mu = (
-        kept(stacks[0][1], "_statistics", count,
-             lambda: _statistics(stacks, count, rank))
-        if sample.spec.constant_frame else _statistics(stacks, count, rank))
+    angles, mean_angle, max_dev, worst, lam, mu = sample.keep(
+        stacks[0][1], "statistics", count, lambda: _statistics(stacks, count, rank))
     witness = {"point": sample.points[worst // 2].tolist(),
                "angle": float(angles.flat[worst])}
 
@@ -172,10 +171,10 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     report.point_angles = angles
     (report.lambda_residual, report.mu_residual, report.omega_defect,
      report.phi_defect), _ = sample.reduce(
-        ("lambda_residual", lambda s: _squares(s)[0] - lam * np.eye(rank), lam),
-        ("mu_residual", lambda s: _squares(s)[1] - mu * np.eye(rank), mu),
-        ("omega_defect", lambda s: s.horizontal_derivatives.omega_defect, None),
-        ("phi_defect", lambda s: s.horizontal_derivatives.phi_defect, None))
+        "slant_classification", lambda s: s.squares[0] - lam * np.eye(rank),
+        lambda s: s.squares[1] - mu * np.eye(rank),
+        lambda s: s.horizontal_derivatives.omega_defect,
+        lambda s: s.horizontal_derivatives.phi_defect, key=(lam, mu))
     report.lambda_estimate, report.mu_estimate = lam, mu
     report.omega_parallel = report.omega_defect <= tol
     report.phi_parallel = report.phi_defect <= tol
@@ -186,25 +185,15 @@ def _statistics(stacks, count: int, rank: int) -> tuple:
     """The least and largest angle at each of the count points (count, 2),
     their mean, largest deviation from it and its flat index, and lambda and
     mu, the fits of phi^2 and Q^2 to c I, c the mean trace (which blocks do
-    not change): on a kept frame, whose rows are one row, the count's alone."""
+    not change): where one frame stands for every row, the count's alone."""
     angles, traces = np.empty((count, 2)), np.empty((2, count))
     for rows, s in stacks:
         angles[rows] = s.angle_ranges
-        traces[:, rows] = _squares(s)[2]
+        traces[:, rows] = s.squares[2]
     mean_angle = float(np.mean(angles))
     deviations = np.abs(angles - mean_angle)
     return (angles, mean_angle, float(deviations.max()), int(np.argmax(deviations)),
             *(float(t.sum() / (count * rank)) for t in traces))
-
-
-def _squares(s):
-    """phi^2 on the range, in the range frame, Q^2, and their traces (2, N):
-    kept on the stack."""
-    def form():
-        phi = s.j_blocks[:, :s.rank, :s.rank]
-        squares = phi @ phi, s.q @ s.q
-        return (*squares, np.trace(squares, axis1=2, axis2=3))
-    return kept(s, "_squares", None, form)
 
 
 def mixed_sff(frames) -> np.ndarray:
@@ -262,15 +251,13 @@ def check_adapted_frame(sample: Sample, report: SlantReport,
     where it fails, the first such sample point at a constant rank."""
     def residual(s):
         columns, failure = s.adapted_frames(report.angle_tol)
-        if failure.any():  # a constant frame's one stack stands for points 0, 1, ...
+        if failure.any():
             i = int(np.argmax(failure > 0))
-            point = (sample.points if sample.spec.constant_frame else s.points)[i]
             raise ValueError(f"{ADAPTED_FRAME_FAILURES[failure[i] - 1]} at "
-                             f"point {point.tolist()}")
+                             f"point {sample.point(s, i).tolist()}")
         return gram_residual(columns)
 
-    return sample.check("adapted_frame", tol,
-                        ("adapted_frame", residual, report.angle_tol))
+    return sample.check("adapted_frame", tol, residual, key=report.angle_tol)
 
 
 def check_omega_parallel(report: SlantReport,
@@ -298,8 +285,7 @@ def check_omega_defect_identity(sample: Sample,
         algebraic[..., s.rank:, :] -= s.horizontal_derivatives.omega_defect
         return algebraic
 
-    return sample.check("omega_defect_identity", tol,
-                        ("omega_defect_identity", residuals, None))
+    return sample.check("omega_defect_identity", tol, residuals)
 
 
 def check_sff_q_scaling(sample: Sample, report: SlantReport,
@@ -312,20 +298,20 @@ def check_sff_q_scaling(sample: Sample, report: SlantReport,
         qh = lift(s.adapted_q[..., :r], 4)
         return np.swapaxes(qh, -1, -2) @ S @ qh - factor * S[..., :r, :r]
 
-    return sample.check("sff_q_scaling", tol, ("sff_q_scaling", residuals, factor))
+    return sample.check("sff_q_scaling", tol, residuals, key=factor)
 
 
 def check_harmonic(sample: Sample, tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest tension-field norm over the samples; zero means harmonic."""
-    return sample.check("harmonic", tol, (
-        "harmonic", lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1), None))
+    return sample.check("harmonic", tol,
+                        lambda s: np.trace(s.adapted_sff, axis1=-2, axis2=-1))
 
 
 def check_minimal_fibers(sample: Sample,
                          tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Largest fiber mean-curvature norm; zero means minimal fibers."""
     try:
-        return sample.check("minimal_fibers", tol, ("minimal_fibers", fiber_trace, None))
+        return sample.check("minimal_fibers", tol, fiber_trace)
     except MapDefinitionError as exc:  # an immersion has no fibers
         return CheckResult.skipped("minimal_fibers", str(exc))
 
@@ -390,13 +376,11 @@ def check_totally_geodesic(sample: Sample,
 
     has_j = sample.spec.target.complex_structure is not None
     return sample.check(
-        "totally_geodesic", tol, ("totally_geodesic", lambda s: s.adapted_sff, None),
-        ("fiber_residual", lambda s: s.adapted_sff[..., s.rank:, s.rank:], None),
+        "totally_geodesic", tol, lambda s: s.adapted_sff,
+        lambda s: s.adapted_sff[..., s.rank:, s.rank:],
         # g1(nabla_X Y, W) over horizontal X, Y and vertical W
-        ("horizontal_residual", lambda s: s.horizontal_connection[..., s.rank:, :],
-         None),
-        *[("pairing_residual", _condition_three_residual, None)] * has_j,
-        detail=detail)
+        lambda s: s.horizontal_connection[..., s.rank:, :],
+        *[_condition_three_residual] * has_j, detail=detail)
 
 
 def check_phwc(sample: Sample, report: SlantReport,
@@ -406,9 +390,8 @@ def check_phwc(sample: Sample, report: SlantReport,
     sec = 1.0 / math.cos(report.mean_angle)
     residuals = cache(lambda s: structure_residuals(sec * s.q))
     return sample.check(
-        "phwc", tol, ("phwc", residuals, sec),
-        ("square_residual", lambda s: residuals(s)[:, 0], sec),
-        ("hermitian_residual", lambda s: residuals(s)[:, 1], sec),
+        "phwc", tol, residuals, lambda s: residuals(s)[:, 0],
+        lambda s: residuals(s)[:, 1], key=sec,
         detail=lambda _, square, hermitian: {
             "square_residual": square, "hermitian_residual": hermitian})
 
@@ -435,11 +418,10 @@ def check_pseudo_homothetic(sample: Sample, report: SlantReport,
         return lhs - sec * lift(phi_h, 4) @ s.horizontal_sff[..., :r, r:]
 
     (mixed_max, frame_deriv_max, vertical_pair_max), witness = sample.reduce(
-        ("mixed_sff", mixed_sff, None),
-        ("structure_derivative_residual",
-         lambda s: (lift(s.adapted_jacobian, 4) @ jhat_derivative(s)
-                    - sec * s.horizontal_derivatives.phi_defect), sec),
-        ("vertical_pairing_residual", vertical_pairing, sec))
+        "pseudo_homothetic", mixed_sff,
+        lambda s: (lift(s.adapted_jacobian, 4) @ jhat_derivative(s)
+                   - sec * s.horizontal_derivatives.phi_defect),
+        vertical_pairing, key=sec)
     # phi parallelism was measured, over the same pairs, by the classification
     return CheckResult.from_residual(
         "pseudo_homothetic", max(report.phi_defect, mixed_max), tol, len(sample),

@@ -36,6 +36,23 @@ def test_complex_structure_needs_even_dimension():
         ChartManifold.from_strings(3, None, [["0"] * 3] * 3)
 
 
+@pytest.mark.parametrize("metric, j", [
+    ([["1", "0"]], None), ([["1"], ["0"]], None),
+    (None, [["0", "-1", "0"], ["1", "0", "0"]]),
+])
+def test_chart_matrices_must_be_square_of_the_dimension(metric, j):
+    with pytest.raises(ChartError, match="must be a 2x2 array of expressions"):
+        ChartManifold.from_strings(2, metric, j)
+
+
+def test_a_chart_without_j_has_no_structure_jet_and_no_kahler_check():
+    chart = ChartManifold.euclidean(2)
+    with pytest.raises(ChartError, match="chart has no complex structure"):
+        chart.complex_structure_jet([0.0, 0.0])
+    result = check_kahler(ChartFields(chart, [np.zeros(2)]))
+    assert (result.status, result.reason) == ("error", "chart has no complex structure")
+
+
 def test_christoffel_flat_zero():
     chart = ChartManifold.euclidean(3)
     gamma = chart.metric_at([0.2, -0.5, 1.0])[1]
@@ -183,6 +200,24 @@ def test_almost_hermitian_identity_fails():
 def test_almost_hermitian_missing_structure():
     chart = ChartManifold.euclidean(2)
     assert check_almost_hermitian(ChartFields(chart, [np.zeros(2)])).status == "error"
+
+
+def test_target_checks_at_no_points_fold_nothing():
+    # a constant chart with J^2 = -4 I keeps its point once a check reads
+    # it; at no points both target checks pass with residual 0.0 and no
+    # samples, before that point is kept and after
+    chart = ChartManifold.euclidean(2, [["0", "-2"], ["2", "0"]])
+
+    def at_no_points():
+        return [check(ChartFields(chart, np.empty((0, 2)))).to_dict()
+                for check in (check_almost_hermitian, check_kahler)]
+
+    before = at_no_points()
+    assert [(e["status"], e["residual"], e["samples"]) for e in before] == [
+        ("pass", 0.0, 0)] * 2
+    assert check_almost_hermitian(ChartFields(chart, [np.zeros(2)])).status == "fail"
+    assert len(ChartFields(chart, np.empty((0, 2))).held.points) == 1  # kept
+    assert at_no_points() == before
 
 
 def test_rotated_structure_compatible_but_not_parallel():

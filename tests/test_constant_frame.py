@@ -456,9 +456,9 @@ def _run(loaded, spec, samples, **settings):
 @pytest.mark.parametrize("samples", [50, 2000])
 @pytest.mark.parametrize("identifier", MAPS)
 def test_warm_reports_equal_cold_ones(identifier, samples):
-    # what a spec and its charts keep (the frame, the adapted frames, the
-    # angle ranges, the target's residuals) gives the bytes of a spec that
-    # has kept nothing, after analyses with other settings
+    # what a spec and its charts keep (the frame, the angle ranges, each
+    # check's residual norms, the target's residuals) gives the bytes of a
+    # spec that has kept nothing, after analyses with other settings
     loaded = load_map_spec(identifier)
     spec = fresh_spec(loaded.spec)
     for settings in WARMING:
@@ -468,8 +468,9 @@ def test_warm_reports_equal_cold_ones(identifier, samples):
 
 
 def _spied_members(patch) -> list:
-    """The names of the kept members formed from here on: the adapted
-    frames, the angle ranges and the target's residuals."""
+    """The names of what a warm analysis need not form, formed from here
+    on: the adapted frames (whose Gram norms the stack keeps), the angle
+    ranges and the target's residuals."""
     formed = []
 
     def spy(name, func):
@@ -478,8 +479,8 @@ def _spied_members(patch) -> list:
             return func(*args)
         return counted
 
-    patch.setattr(FrameStack, "_adapted_frames",
-                  spy("adapted_frames", FrameStack._adapted_frames))
+    patch.setattr(FrameStack, "adapted_frames",
+                  spy("adapted_frames", FrameStack.adapted_frames))
     for owner, name in ((FrameStack, "angle_ranges"),
                         (ChartFields, "_hermitian_residuals"),
                         (ChartFields, "_kahler_lengths")):
@@ -490,9 +491,10 @@ def _spied_members(patch) -> list:
 
 @pytest.mark.parametrize("identifier", sorted(ONE_FRAME))
 def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
-    # the first analysis of a spec forms each kept member once; a second,
-    # of other points and check tolerance, forms none; another angle
-    # tolerance forms the adapted frames once more, and nothing else
+    # the first analysis of a spec forms each of these once; a second, of
+    # other points and check tolerance, forms none; another angle tolerance
+    # moves the adapted frame's key, which forms the adapted frames once
+    # more, and nothing else
     loaded = load_map_spec(identifier)
     spec = fresh_spec(loaded.spec)
     formed = _spied_members(monkeypatch)
@@ -510,7 +512,7 @@ def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
         assert formed == (expected if first.slant.sec_defined else []), settings
     # the kept arrays are read-only
     ((_, stack),) = first.sample.stacks()
-    kept = [stack.angle_ranges, *stack.adapted_frames(1e-3)]
+    kept = [stack.angle_ranges]
     if spec.target.complex_structure is not None:
         held = first.sample.target.held
         assert held is not first.sample.target  # the chart's kept point

@@ -259,3 +259,25 @@ def test_eval_jets_of_planned_formulas_is_each_formulas_jet():
                 column = array[j] if np.ndim(p) == 1 else array[:, j]
                 assert column.tobytes() == np.asarray(part).tobytes()
                 assert array.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x1", "expected ')' (byte offset 3)"),
+    ("x1)", "unexpected trailing input ')' (byte offset 2)"),
+])
+def test_unbalanced_parentheses_are_syntax_errors(text, message):
+    with pytest.raises(ExpressionSyntaxError) as raised:
+        parse_expression(text, 1)
+    assert str(raised.value) == message
+
+
+def test_a_dimension_below_one_is_rejected():
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        parse_expression("1", 0)
+
+
+@pytest.mark.parametrize("point", [[0.5, 0.5, 0.5], [[[0.5, 0.5]]], 0.5])
+def test_eval_jet2_rejects_a_point_of_the_wrong_shape(point):
+    expr = parse_expression("x1 * x2", 2)
+    with pytest.raises(ValueError, match=r"expected \(2,\) or \(N, 2\)"):
+        eval_jet2(expr, point)

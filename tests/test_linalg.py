@@ -309,3 +309,31 @@ def test_fix_signs_gather_equals_the_masked_sum_bit_for_bit():
         mask = gen.random(shape) < 0.3
         columns[mask] = gen.choice(specials, size=mask.sum())
         assert _fix_signs(columns).tobytes() == _masked_fix_signs(columns).tobytes()
+
+
+@pytest.mark.parametrize("matrix", [np.eye(2)[:, :1], np.ones(3), 1.0])
+def test_inner_product_must_be_square(matrix):
+    with pytest.raises(MetricError, match="must be square"):
+        InnerProduct(matrix)
+
+
+def test_subspace_basis_columns_must_be_2d():
+    with pytest.raises(ValueError, match="2d array"):
+        SubspaceBasis(np.array([1.0, 0.0]), InnerProduct(np.eye(2)))
+
+
+def test_gram_schmidt_of_no_vectors_is_the_empty_basis():
+    ip = InnerProduct(np.diag([2.0, 3.0, 5.0]))
+    basis = gram_schmidt([], ip)
+    assert basis.columns.shape == (3, 0) and basis.dim == 0
+    # projecting onto it gives the zero vector, of v's shape
+    projected = project([1.0, -2.0, 4.0], basis)
+    assert projected.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_metric_adjoint_and_split_tangent_reject_mismatched_shapes():
+    g1, g2 = InnerProduct(np.eye(2)), InnerProduct(np.eye(3))
+    with pytest.raises(ValueError, match=r"does not match metrics \(3x2 expected\)"):
+        metric_adjoint(np.ones((2, 3)), g1, g2)
+    with pytest.raises(ValueError, match="does not match metrics"):
+        split_tangent(np.ones((2, 3)), g1, g2)

@@ -8,8 +8,8 @@ import pytest
 
 import slantmap
 from slantmap.catalog import catalog_ids, load_catalog
-from slantmap.charts import ChartManifold
-from slantmap.expressions import ExpressionDomainError
+from slantmap.charts import ChartError, ChartManifold
+from slantmap.expressions import ExpressionDomainError, parse_expression
 from slantmap.linalg import InnerProduct, split_tangent
 from slantmap.loader import AnalysisSettings, LoadedMap
 from slantmap.maps import (MapDefinitionError, MapSpec, Sample,
@@ -770,3 +770,27 @@ def test_a_rank_tolerance_that_is_not_positive_and_finite_fails_every_route(
     errors = {c.name: c.reason for c in report.checks if c.status == "error"}
     assert "riemannian_map" in errors
     assert set(errors.values()) == {f"ValueError: {message}"}
+
+
+def test_map_spec_create_rejects_foreign_coordinates_and_bad_boxes():
+    plane = ChartManifold.euclidean(2)
+    with pytest.raises(MapDefinitionError, match="use the source coordinates"):
+        MapSpec.create(plane, plane, [parse_expression("x1", 3), "x2"])
+    for box in ([(-1, 1)], [(-1, 1), (2, 2)], [(0, 1), (1, -1)]):
+        with pytest.raises(MapDefinitionError, match="a range per source coordinate"):
+            MapSpec.create(plane, plane, ["x1", "x2"], box)
+
+
+def test_rank_zero_has_no_adapted_frame_and_no_j_without_j():
+    # a constant map has no horizontal space to adapt a frame to; a target
+    # chart without J has no blocks of J
+    plane = ChartManifold.euclidean(2)
+    disk = ChartManifold.euclidean(2, [["0", "-1"], ["1", "0"]])
+    constant = MapSpec.create(plane, disk, ["1", "2"])
+    frame = point_frame(constant, [0.1, 0.2])
+    assert frame.rank == 0
+    with pytest.raises(MapDefinitionError, match="rank zero"):
+        frame.adapted_frames()
+    flat = MapSpec.create(plane, plane, ["x1", "x2"])
+    with pytest.raises(ChartError, match="target chart has no complex structure"):
+        point_frame(flat, [0.1, 0.2]).j_blocks

@@ -206,17 +206,17 @@ def test_worst_residual_matches_the_reference_fold(residuals):
         patch.setattr(slantmap.maps, "FRAME_BLOCK", 3)
         sample = Sample(PINCH, points)
 
-        def stacked(k, per_point):
+        def stacked(per_point):
             def residual(stack):
                 rows, = [rows for rows, s in sample.stacks() if s is stack]
                 assert all(len(per_point[i]) == stack.rank for i in rows)
                 return np.stack([per_point[i] for i in rows])
-            return f"residual {k}", residual, None
+            return residual
 
-        named = [stacked(k, r) for k, r in enumerate(residuals)]
+        forms = [stacked(r) for r in residuals]
         with np.errstate(over="ignore"):  # a square of 1e200
-            worsts, witness = sample.reduce(*named)
-            entries = [sample.check("fold", tol, *named)
+            worsts, witness = sample.reduce("fold", *forms)
+            entries = [sample.check("fold", tol, *forms)
                        for tol in (0.0, 1.0, np.inf)]
     expected = [fold_worst_residual(zip(r, points)) for r in residuals]
     assert worsts == [worst for worst, _ in expected]
@@ -243,8 +243,7 @@ def test_a_constant_stack_folds_as_every_row_it_stands_for(residuals, count):
     assert (len(stack), len(rows)) == (1, count)
     with np.errstate(over="ignore"):  # a square of 1e200
         worsts, witness = sample.reduce(
-            *[(f"residual {k}", lambda s, r=r: np.array(r)[None], None)
-              for k, r in enumerate(residuals)])
+            "fold", *[lambda s, r=r: np.array(r)[None] for r in residuals])
     expected = [fold_worst_residual((np.array(r), p) for p in points)
                 for r in residuals]
     assert worsts == [worst for worst, _ in expected]
@@ -460,6 +459,7 @@ def _members(frames) -> dict:
     derivatives = frames.horizontal_derivatives
     members.update((f"horizontal_derivatives.{f.name}", getattr(derivatives, f.name))
                    for f in dataclasses.fields(derivatives))
+    members.update((f"squares[{k}]", square) for k, square in enumerate(frames.squares[:2]))
     members.update((f"split.{name}", getattr(frames.split, name).columns)
                    for name in ("kernel", "horizontal", "range", "range_perp"))
     if frames.split.kernel.dim:
@@ -482,18 +482,17 @@ RANK4_SPECS = [load_map_spec(str(path)).spec
        st.integers(1, 8), st.integers(0, 2**16))
 def test_stack_rows_equal_point_frames(spec, count, seed):
     # each member of a stack row, formed from the row's own arrays, and of
-    # the frame built alone at its point, equals the stack's row of it
+    # the frame built alone at its point, is the stack's row of it, bit for bit
     sample = Sample(spec, sample_points(spec.box, count, seed))
     for _, stack in sample.stacks():
         stacked = _members(stack)
-        scales = {name: max(1.0, np.abs(value).max(initial=0.0))
-                  for name, value in stacked.items()}
         for i, p in enumerate(stack.points):
             for frame in (stack.row(i), point_frame(spec, p)):
                 members = _members(frame)
                 assert sorted(members) == sorted(stacked)
                 for name, value in members.items():
-                    _assert_within_scale(value, stacked[name][i], scales[name], name)
+                    row = stacked[name][i]
+                    assert (value.shape, value.tobytes()) == (row.shape, row.tobytes()), name
 
 
 @PROPERTY_SETTINGS

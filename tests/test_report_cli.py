@@ -2047,3 +2047,26 @@ def test_report_size_does_not_grow_with_the_sample_count(capsys, monkeypatch):
                   samples] + layout)
             sizes.append(len(capsys.readouterr().out.encode()))
         assert abs(sizes[1] - sizes[0]) <= 1024, (layout, sizes)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--points"])
+def test_cli_write_failure_is_an_input_error(flag, tmp_path, capsys, monkeypatch):
+    # the file opens before any check runs, but writing it fails afterwards:
+    # exit 2, the flag and the OSError on stderr, nothing on stdout
+    def refuse(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    code = main(["analyze", "--map", "catalog:identity2", "--samples", "3",
+                 flag, str(tmp_path / "written.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}: [Errno 28] No space left on device\n"
+
+
+def test_report_check_of_an_absent_name_raises_key_error():
+    report = Report({}, [CheckResult.skipped("phwc", "precondition unmet")])
+    assert report.check("phwc").status == "skipped"
+    with pytest.raises(KeyError, match="riemannian_map"):
+        report.check("riemannian_map")
