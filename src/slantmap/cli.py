@@ -10,20 +10,27 @@ from pathlib import Path
 
 from .catalog import catalog_descriptions
 from .loader import MapSpecError, load_map_spec, set_setting
-from .report import (CHECK_NAMES, EXIT_INPUT_ERROR, EXIT_OK, Analysis, Report,
+from .report import (CHECK_NAMES, EXIT_INPUT_ERROR, EXIT_OK, Analysis,
                      render_json, render_report)
+
+
+# (flag, AnalysisSettings field, type, help) of each flag that sets a setting
+_SETTING_FLAGS = (
+    ("--samples", "points", int, "sample points (default 50)"),
+    ("--seed", "seed", int, "sampling seed (default 42)"),
+    ("--tol", "check_tol", float, "check tolerance (default 1e-8)"),
+    ("--rank-tol", "rank_tol", float,
+     "relative rank cutoff, below 1 (default 1e-8)"),
+    ("--angle-tol", "angle_tol", float,
+     "slant-angle tolerance in radians, below pi/4 (default 1e-6)"),
+)
 
 
 def _add_map_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--map", required=True,
                         help="catalog:<id> or path to a map-spec JSON file")
-    parser.add_argument("--samples", type=int, help="sample points (default 50)")
-    parser.add_argument("--seed", type=int, help="sampling seed (default 42)")
-    parser.add_argument("--tol", type=float, help="check tolerance (default 1e-8)")
-    parser.add_argument("--rank-tol", type=float,
-                        help="relative rank cutoff, below 1 (default 1e-8)")
-    parser.add_argument("--angle-tol", type=float, help="slant-angle tolerance "
-                        "in radians, below pi/4 (default 1e-6)")
+    for flag, _, kind, text in _SETTING_FLAGS:
+        parser.add_argument(flag, type=kind, help=text)
     parser.add_argument("--out", help="write the JSON report to this file")
     parser.add_argument("--points", help="write each sample point's slant "
                         "angle range to this file")
@@ -54,12 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(settings, args) -> None:
-    for flag, attr in (("--samples", "points"), ("--seed", "seed"),
-                       ("--tol", "check_tol"), ("--rank-tol", "rank_tol"),
-                       ("--angle-tol", "angle_tol")):
+    for flag, field, _, _ in _SETTING_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            set_setting(settings, attr, value, flag)
+            set_setting(settings, field, value, flag)
 
 
 def main(argv=None) -> int:
@@ -77,7 +82,8 @@ def main(argv=None) -> int:
         return _input_error(str(exc))
 
     if args.command == "check" and args.name not in CHECK_NAMES:
-        return _no_check(args.name)
+        return _input_error(f"no check {args.name!r} in the report; "
+                            f"available: {', '.join(CHECK_NAMES)}")
     for flag, path in (("--out", args.out), ("--points", args.points)):
         try:  # opened, and not emptied, before any check runs
             if path:
@@ -87,39 +93,25 @@ def main(argv=None) -> int:
     if args.out and args.points and os.path.samefile(args.out, args.points):
         return _input_error("--points: the same file as --out")
     analysis = Analysis(loaded)
-    if args.command == "check":
-        single = analysis.entry(args.name)
-        # a slant_classification that ran has no entry: it is the slant block
-        report = (Report(analysis.metadata, [single]) if single is not None
-                  else Report(analysis.metadata, [], analysis.slant_block()))
-    else:
-        report = analysis.report()
-    try:  # built only when asked for
-        if args.points:
-            Path(args.points).write_text(
-                render_json(analysis.point_records(), args.pretty),
-                encoding="utf-8")
-    except OSError as exc:
-        return _input_error(f"--points: {exc}")
-    text = render_report(report, args.pretty)
+    report = analysis.report(CHECK_NAMES if args.command == "analyze"
+                             else (args.name,))
+    for flag, path, render in (  # each built only when asked for
+            ("--points", args.points,
+             lambda: render_json(analysis.point_records(), args.pretty)),
+            ("--out", args.out, lambda: render_report(report, args.pretty))):
+        try:
+            if path:
+                Path(path).write_text(render(), encoding="utf-8")
+        except OSError as exc:
+            return _input_error(f"{flag}: {exc}")
     if not args.out:
-        sys.stdout.write(text)
-        return report.exit_code
-    try:
-        Path(args.out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        return _input_error(f"--out: {exc}")
+        sys.stdout.write(render_report(report, args.pretty))
     return report.exit_code
 
 
 def _input_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_INPUT_ERROR
-
-
-def _no_check(name: str) -> int:
-    return _input_error(f"no check {name!r} in the report; available: "
-                        f"{', '.join(CHECK_NAMES)}")
 
 
 if __name__ == "__main__":

@@ -557,8 +557,12 @@ class Sample:
     def __init__(self, spec: MapSpec, points,
                  rank_tol: float = DEFAULT_RANK_TOL):
         self.spec = spec
-        self.points = np.array(points, dtype=float).reshape(len(points),
-                                                            spec.source.dim)
+        self.points = np.array(points, dtype=float)
+        if self.points.shape == (0,):  # an empty sequence: the empty sample
+            self.points = self.points.reshape(0, spec.source.dim)
+        if self.points.shape[1:] != (spec.source.dim,):
+            raise ValueError(f"points have shape {self.points.shape}, "
+                             f"expected (N, {spec.source.dim})")
         self.rank_tol = rank_tol
 
     def __len__(self) -> int:

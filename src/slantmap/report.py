@@ -7,7 +7,10 @@ gates: a check whose gate fails is reported as skipped, never as failed, and
 the check functions assume their preconditions.  An entry is computed on
 first request, with only what it depends on, from one shared ``Sample``, and
 each quantity is reduced once: the slant block's PHWC and pseudo-homothetic
-fields are the outcomes of those two entries.  A check entry and the slant
+fields are the outcomes of those two entries.  ``Analysis.report(names)`` is
+the one place that turns entries into a report, for ``analyze`` (every name)
+and ``check NAME`` (that one): a slant_classification that ran has no entry,
+and its report then has the slant block.  A check entry and the slant
 block are each written as their dataclass's fields in declaration order,
 those that are None or an empty dict left out (``result.record``).  Reports
 are byte-identical for a fixed input and seed: containers keep insertion
@@ -251,26 +254,23 @@ class Analysis:
         return classify_slant(self.sample, s.angle_tol, s.check_tol,
                               riemannian=self.entry("riemannian_map"))
 
-    def slant_block(self) -> Optional[SlantReport]:
-        """The report's slant block (None when the classification did not
-        run): the classification with the outcomes of the phwc and
-        pseudo_homothetic checks where they ran."""
-        if self.entry("slant_classification") is not None:
-            return None
+    def report(self, names=CHECK_NAMES) -> Report:
+        """The report of the entries of names, in that order, under one
+        np.errstate.  Its slant block, when slant_classification is among
+        names and ran, is the classification with the outcomes of the phwc
+        and pseudo_homothetic checks where they ran."""
+        if not self._quiet:
+            return self._quietly(self.report, names)
+        entries = [self.entry(name) for name in names]
+        checks = [e for e in entries if e is not None]
+        if len(checks) == len(entries):  # no slant_classification that ran
+            return Report(self.metadata, checks)
         for name in ("phwc", "pseudo_homothetic"):
             entry = self.entry(name)
             if entry.residual is not None:
                 setattr(self.slant, name, entry.passed)
                 setattr(self.slant, f"{name}_residual", entry.residual)
-        return self.slant
-
-    def report(self) -> Report:
-        """The report of every entry in CHECK_NAMES, under one np.errstate."""
-        if not self._quiet:
-            return self._quietly(self.report)
-        entries = [self.entry(name) for name in CHECK_NAMES]
-        return Report(self.metadata, [e for e in entries if e is not None],
-                      self.slant_block())
+        return Report(self.metadata, checks, self.slant)
 
     def point_records(self) -> list:
         """Each sample point with its least and largest slant angle, the

@@ -142,6 +142,8 @@ def classify_slant(sample: Sample, angle_tol: float = DEFAULT_ANGLE_TOL,
     ``Sample.keep`` holds the angle statistics and fits per sample size.
     """
     angle_tol = library_setting("angle_tol", angle_tol, "angle tolerance")
+    if not len(sample):
+        raise ValueError("the sample has no points to classify")
     stacks = list(sample.stacks())  # a failed build raises as the Riemannian test would
     if riemannian is None:
         riemannian = is_riemannian_map(sample, tol)

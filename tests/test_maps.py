@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -93,6 +94,21 @@ def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
     assert check_sff_range_perp(sample).passed
     assert all(a is b for a, b in zip(first, sample.stacks()))
     assert sum(len(rows) for rows, _ in first) == len(sample) == 5
+
+
+def test_sample_points_must_have_the_source_dimension(example4):
+    # example4's source is 4-dimensional: a point of 2 coordinates, and
+    # 3 (2, 2) blocks that hold 4 numbers each, are not sample points
+    for points in ([[1, 2]], np.zeros((3, 2, 2)), np.zeros(4)):
+        shape = np.shape(points)
+        with pytest.raises(ValueError, match=re.escape(
+                f"points have shape {shape}, expected (N, 4)")):
+            Sample(example4, points)
+    for empty in ([], np.empty((0, 4))):
+        sample = Sample(example4, empty)
+        assert sample.points.shape == (0, 4)
+        result = is_riemannian_map(sample)
+        assert (result.status, result.samples) == ("pass", 0)
 
 
 def test_riemannian_rejects_dilation():

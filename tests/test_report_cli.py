@@ -1748,6 +1748,42 @@ def test_cli_single_check_slant_classification(capsys):
     assert parsed["slant"] == json.loads(capsys.readouterr().out)["slant"]
 
 
+# a target without J, where the classification is skipped, and a source
+# metric that is not positive definite where x1 <= 0, where it errors
+REPORT_NAMES_MAPS = {
+    "no_j": dict(MINIMAL_SPEC, target={"dim": 4}),
+    "indefinite": dict(MINIMAL_SPEC, source={"dim": 2, "metric": [
+        ["x1", "0"], ["0", "1"]]}),
+}
+
+
+@pytest.mark.parametrize("map_id, classification", [
+    ("catalog:example4", "ran"), ("no_j", "skipped"), ("indefinite", "error")])
+def test_report_of_names_is_what_the_cli_writes(map_id, classification,
+                                                tmp_path, capsys):
+    # report((name,)) is check NAME's report, report() is analyze's
+    if map_id in REPORT_NAMES_MAPS:
+        path = tmp_path / f"{map_id}.json"
+        path.write_text(json.dumps(REPORT_NAMES_MAPS[map_id]))
+        map_id = str(path)
+    loaded = load_map_spec(map_id)
+    settings = dataclasses.replace(loaded.settings, points=7)
+    argv = ["--map", map_id, "--samples", "7"]
+
+    def written(command):
+        main(command + argv)
+        return capsys.readouterr().out
+
+    single = Analysis(loaded, settings).report(("slant_classification",))
+    assert (single.slant is not None if classification == "ran"
+            else single.checks[0].status == classification)
+    for name in CHECK_NAMES:
+        assert render_report(Analysis(loaded, settings).report(
+            (name,))) == written(["check", name]), name
+    whole = render_report(Analysis(loaded, settings).report())
+    assert whole == render_report(Analysis(loaded, settings).report(
+        CHECK_NAMES)) == written(["analyze"])
+
 
 @pytest.mark.parametrize("command", [["analyze"], ["check", "harmonic"]])
 @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--dirs", "0"),

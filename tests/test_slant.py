@@ -209,6 +209,16 @@ def test_classify_not_riemannian():
     assert report.point_angles.shape == (0, 2)
 
 
+@pytest.mark.parametrize("identifier", ["example4", "warped_fiber"])
+def test_classify_an_empty_sample_names_the_empty_sample(identifier):
+    # the Riemannian test passes at no points; the classification has no
+    # angle to read and says so, before it reads a stack
+    sample = Sample(load_catalog(identifier), [])
+    assert is_riemannian_map(sample).passed
+    with pytest.raises(ValueError, match="the sample has no points"):
+        classify_slant(sample)
+
+
 def test_eikonal_residual_of_a_dilation():
     # |F_*|^2 = 4 + 4 against rank 2 at every point
     result = is_riemannian_map(Sample(DILATION, points_for(DILATION, 4, 49)))
