@@ -92,8 +92,8 @@ class ChartManifold:
     def metric_at(self, p) -> tuple[InnerProduct, np.ndarray]:
         """The metric at p and its Christoffel symbols, read from
         ``ChartFields``; at a stack of points (N, n), the InnerProduct of the
-        stack and Gamma (N, n, n, n), and the error of its first failing
-        point."""
+        stack and Gamma (N, n, n, n), one row for a constant chart, and the
+        error of its first failing point."""
         points, stack = _point_stack(p, self.dim)
         ip, gamma = ChartFields(self, stack).metric()
         return (ip[0], gamma[0]) if points.ndim == 1 else (ip, gamma)
@@ -195,10 +195,11 @@ class ChartFields:
     point where it fails, and that failure, kept as (index, error), is raised
     by whatever reads the field there.  ``held`` is the fields whose arrays
     hold the values: these, or for a constant chart (``ChartManifold.constant``)
-    that evaluates, the one point it keeps, whose read-only arrays
-    ``metric`` and ``structure`` hand out themselves at one point and as
-    broadcast views at more, and which keeps the ``point_norms`` that
-    ``check_almost_hermitian`` and ``check_kahler`` fold."""
+    that evaluates, the one point it keeps, whose read-only one-row arrays
+    ``metric`` and ``structure`` hand out themselves at any count of points,
+    a row that stands for every row (``linalg.rows_at``), and which keeps the
+    ``point_norms`` that ``check_almost_hermitian`` and ``check_kahler``
+    fold."""
 
     _metric_jet_failure = _metric_failure = None  # a kept point has none
     _kept: Optional["ChartFields"] = None
@@ -242,29 +243,28 @@ class ChartFields:
         return J, nabla_j(J[:known], dJ[:known], self._gamma[:known]), failure
 
     def metric(self, lo: int = 0, hi: Optional[int] = None):
-        """(InnerProduct, Gamma) at the points lo..hi-1 (all by default); the
-        metric's first failure before hi, of its jet or of positive
-        definiteness, is raised with its index counted from lo."""
+        """(InnerProduct, Gamma) at the points lo..hi-1 (all by default), one
+        row for a constant chart; the metric's first failure before hi, of
+        its jet or of positive definiteness, is raised with its index counted
+        from lo."""
         hi = len(self.points) if hi is None else hi
         _raise_first(lo, hi, self._metric_failure)
         held = self.held
-        if held is not self:  # the kept point, at each of the points
-            count = len(self.points[lo:hi])
-            return held._ip.repeated(count), _repeated(held._gamma, count)
+        if held is not self:  # the kept point, which stands for every point
+            return held._ip, held._gamma
         if (lo, hi) == (0, len(self.points)):  # the whole stack, not a copy
             return self._ip, self._gamma
         return self._ip[lo:hi], self._gamma[lo:hi]
 
     def structure(self, lo: int = 0, hi: Optional[int] = None):
-        """(J, nabla J) at the points lo..hi-1 (all by default); the first
-        failure before hi, of J's jet or of the metric that nabla J needs, is
-        raised with its index counted from lo."""
+        """(J, nabla J) at the points lo..hi-1 (all by default), one row for
+        a constant chart; the first failure before hi, of J's jet or of the
+        metric that nabla J needs, is raised with its index counted from lo."""
         hi = len(self.points) if hi is None else hi
         J, nabla, failure = self._structure
         _raise_first(lo, hi, failure, self._metric_failure)
         if self.held is not self:
-            count = len(self.points[lo:hi])
-            return _repeated(J, count), _repeated(nabla, count)
+            return J, nabla
         return J[lo:hi], nabla[lo:hi]
 
     @cached_property
@@ -300,12 +300,6 @@ def structure_residuals(J, G=None) -> np.ndarray:
     compatibility = Jt @ J - identity if G is None else Jt @ G @ J - G
     return np.stack([np.linalg.norm(J @ J + identity, axis=(-2, -1)),
                      np.linalg.norm(compatibility, axis=(-2, -1))], axis=-1)
-
-
-def _repeated(x: np.ndarray, count: int) -> np.ndarray:
-    """A one-point stack's read-only array at each of count points: the
-    array itself at one point, else a read-only broadcast view."""
-    return x if len(x) == count else np.broadcast_to(x, (count,) + x.shape[1:])
 
 
 _MISS = (object(), None)  # what ``kept`` reads where nothing is kept: no key equals it

@@ -11,7 +11,7 @@ from pathlib import Path
 from .catalog import catalog_descriptions
 from .loader import MapSpecError, load_map_spec, set_setting
 from .report import (CHECK_NAMES, EXIT_INPUT_ERROR, EXIT_OK, Analysis,
-                     render_json, render_report)
+                     render_json, render_report, unknown_check)
 
 
 # (flag, AnalysisSettings field, type, help) of each flag that sets a setting
@@ -82,8 +82,7 @@ def main(argv=None) -> int:
         return _input_error(str(exc))
 
     if args.command == "check" and args.name not in CHECK_NAMES:
-        return _input_error(f"no check {args.name!r} in the report; "
-                            f"available: {', '.join(CHECK_NAMES)}")
+        return _input_error(str(unknown_check(args.name)))
     for flag, path in (("--out", args.out), ("--points", args.points)):
         try:  # opened, and not emptied, before any check runs
             if path:

@@ -110,18 +110,28 @@ class Expression:
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def affine(self) -> bool:
-        """Whether the compiled jet's Hessian is structurally zero (None), as
-        probed once at the origin; a probe that raises reads as not affine.
-        The gradient is then built from constants alone, the same bit for
-        bit at every point; whether F is finite is for its evaluation to
-        say, at each point."""
-        if not callable(self.compiled):
-            return True
+    def gradient(self) -> Optional[np.ndarray]:
+        """The gradient (dim,) of an affine formula, None for any other: the
+        formula is affine when the compiled jet's Hessian is structurally
+        zero (None), as probed once at the origin; a probe that raises reads
+        as not affine.  The gradient is then built from constants alone,
+        the same bit for bit at every point, and read-only; whether F is
+        finite is for its evaluation to say, at each point."""
+        grad = hess = None
         try:
-            return self.compiled(np.zeros((1, self.dim)), 2)[2] is None
+            if callable(self.compiled):
+                _, grad, hess = self.compiled(np.zeros((1, self.dim)), 2)
         except ExpressionDomainError:
-            return False
+            return None
+        if hess is not None:
+            return None
+        row = np.zeros(self.dim) if grad is None else grad[0]
+        row.flags.writeable = False
+        return row
+
+    @property
+    def affine(self) -> bool:
+        return self.gradient is not None
 
 
 @dataclass
@@ -454,6 +464,11 @@ def _compile(node: Node, n: int):
             return float(np.ravel(combine(*constants, 0)[0])[0])
         except ExpressionDomainError:
             return lambda points, order: combine(*constants, 0)
+    if (isinstance(node, BinOp) and node.op == "/"
+            and isinstance(compiled[1], float) and compiled[1] != 0.0):
+        # the product with the constant divisor's reciprocal, taken once: the
+        # double the quotient multiplies by (a zero still raises, per call)
+        compiled[1], combine = 1.0 / compiled[1], _multiply
     parts = [c if callable(c) else (lambda points, order, c=c: (c, None, None))
              for c in compiled]
     if len(parts) == 1:
@@ -502,14 +517,19 @@ def eval_jet2(expr: Expression, p, order: int = 2) -> Jet2:
 class Formulas(tuple):
     """Formulas that ``eval_jets`` evaluates together, planned once, on
     first use: ``plan`` is a row holding each constant formula's value (0.0
-    where a formula varies) and the (column, formula) of each varying one.
-    ``eval_jets`` plans any other sequence of formulas on every call."""
+    where a formula varies), the rows (k, n) of each affine formula's
+    gradient (``Expression.gradient``; zeros for the rest), and the
+    (column, formula, affine) of each varying one.  ``eval_jets`` plans any
+    other sequence of formulas on every call."""
 
     @cached_property
     def plan(self) -> tuple:
         row = np.array([e.compiled if isinstance(e.compiled, float) else 0.0
                         for e in self])
-        return row, [(j, e) for j, e in enumerate(self) if callable(e.compiled)]
+        gradients = np.array([np.zeros(e.dim) if e.gradient is None
+                              else e.gradient for e in self])
+        return row, gradients, [(j, e, e.affine) for j, e in enumerate(self)
+                                if callable(e.compiled)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -517,26 +537,30 @@ def eval_jets(expressions, p, order: int) -> list:
     """The values (k,) and, up to derivative ``order``, the gradients (k, n)
     and Hessians (k, n, n) of k expressions at p; at a stack of points (N, n)
     each array gains a leading point axis.  The constant expressions' values
-    are filled in one assignment, and each varying one is evaluated over
-    the stack by ``eval_jet2``.  Each array is tested with one
-    np.isfinite (count_nonzero is cheaper than .all() on small arrays); a
-    non-finite entry raises ``non_finite_error`` at its first point."""
+    and the affine ones' gradients are filled in one assignment each, and
+    each varying one is evaluated over the stack by ``eval_jet2``, an affine
+    one at order 0.  Each array is tested with one np.isfinite
+    (count_nonzero is cheaper than .all() on small arrays); a non-finite
+    entry raises ``non_finite_error`` at its first point."""
     points, stack = _point_stack(p, expressions[0].dim)
-    row, varying = (expressions if isinstance(expressions, Formulas)
-                    else Formulas(expressions)).plan
+    row, gradients, varying = (expressions if isinstance(expressions, Formulas)
+                               else Formulas(expressions)).plan
     shape = (len(stack), len(expressions)) + stack.shape[1:] * 2
     arrays = [np.empty(shape[:2])] + [np.zeros(shape[:k + 2])
                                       for k in range(1, order + 1)]
     arrays[0][:] = row
-    for j, expr in varying:
+    if order:
+        arrays[1][:] = gradients
+    for j, expr, affine in varying:
         try:
-            jet = eval_jet2(expr, stack, order)
+            jet = eval_jet2(expr, stack, 0 if affine else order)
         except ExpressionDomainError as exc:  # a later expression may fail earlier
             if exc.index:
                 eval_jets(expressions, stack[:exc.index], order)
             raise
         for array, part in zip(arrays, (jet.value, jet.grad, jet.hess)):
-            array[:, j] = part
+            if part is not None:
+                array[:, j] = part
     if any(np.count_nonzero(np.isfinite(a)) < a.size for a in arrays):
         finite = np.ones(len(stack), dtype=bool)
         for a in arrays:

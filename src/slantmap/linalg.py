@@ -57,7 +57,8 @@ class InnerProduct:
         # before it that is not positive definite
         invalid = ~(np.isfinite(scale) & (asymmetry <= SYM_TOL * scale))
         valid = int(invalid.argmax()) if invalid.any() else len(stack)
-        stack = 0.5 * (stack + transposed)
+        # halves first (exact above the subnormals): no finite sum overflows
+        stack = 0.5 * stack + 0.5 * transposed
         lowest = np.linalg.eigvalsh(stack[:valid]).min(axis=1)
         if (lowest <= 0.0).any():
             index = int((lowest <= 0.0).argmax())
@@ -79,16 +80,6 @@ class InnerProduct:
         return _trusted(InnerProduct,
                         {name: x[i] for name, x in self.__dict__.items()})
 
-    def repeated(self, count: int) -> "InnerProduct":
-        """The inner product of a one-point stack, its arrays read-only, at
-        each of count points: itself at one point, else read-only broadcast
-        views of its arrays, not validated again."""
-        if len(self.matrix) == count:
-            return self
-        return _trusted(InnerProduct, {
-            name: np.broadcast_to(x, (count,) + x.shape[1:])
-            for name, x in self.__dict__.items()})
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
@@ -103,6 +94,16 @@ class InnerProduct:
         square = (v[..., None, :] @ self.matrix @ v[..., :, None])[..., 0, 0]
         norm = np.sqrt(np.maximum(square, 0.0))
         return float(norm) if v.ndim == 1 else norm
+
+
+def rows_at(x, at):
+    """x[at] for a field stacked over points, an array or an InnerProduct,
+    where a one-row field (a constant chart's) stands for every row: its row
+    at an integer ``at``, else itself, for the arithmetic to broadcast; None
+    (a zero) stays None."""
+    if x is None or len(x.matrix if isinstance(x, InnerProduct) else x) > 1:
+        return None if x is None else x[at]
+    return x[0] if isinstance(at, (int, np.integer)) else x
 
 
 def lift(x: np.ndarray, ndim: int) -> np.ndarray:
@@ -248,12 +249,12 @@ def split_tangent(A, g1: InnerProduct, g2: InnerProduct,
 def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
                    tol: float = DEFAULT_RANK_TOL) -> list:
     """The splits of the maps A[i] of a stack (N, m, n) between the inner
-    products g1[i] and g2[i], grouped by rank: one (at, rank, B1, B2) per
-    rank, in increasing rank (none for an empty stack), where ``at`` indexes
-    the points of that rank (a slice of all of them when the rank is
-    constant), B1 = [h | k] stacks the g1-orthonormal horizontal, then
-    kernel, columns at those points and B2 = [R | N] the g2-orthonormal
-    range, then normal, columns.
+    products g1[i] and g2[i] (a one-row inner product at every i), grouped
+    by rank: one (at, rank, B1, B2) per rank, in increasing rank (none for an
+    empty stack), where ``at`` indexes the points of that rank (a slice of
+    all of them when the rank is constant), B1 = [h | k] stacks the
+    g1-orthonormal horizontal, then kernel, columns at those points and
+    B2 = [R | N] the g2-orthonormal range, then normal, columns.
 
     The map is whitened to M = L2^T A L1^{-T}; a Euclidean SVD of M then
     yields g1-orthonormal kernel/horizontal bases and g2-orthonormal
@@ -270,8 +271,9 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     splits = []
     for rank in ranks[:1] if constant else np.unique(ranks):
         at = slice(None) if constant else np.flatnonzero(ranks == rank)
-        splits.append((at, int(rank), _unwhitened(g1, at, rank, V[at]),
-                       _unwhitened(g2, at, rank, U[at])))
+        rows = np.arange(len(A))[at]
+        splits.append((at, int(rank), _unwhitened(g1, at, rank, V[at], rows),
+                       _unwhitened(g2, at, rank, U[at], rows)))
     return splits
 
 
@@ -280,13 +282,14 @@ def _basis(columns, metric: InnerProduct) -> SubspaceBasis:
     return _trusted(SubspaceBasis, {"columns": columns, "metric": metric})
 
 
-def _unwhitened(ip: InnerProduct, at, rank, whitened) -> np.ndarray:
+def _unwhitened(ip: InnerProduct, at, rank, whitened, rows) -> np.ndarray:
     """The whitened columns mapped back through the frames L^{-T} of ip at
-    the points ``at`` of the stack, with signs fixed; the first ``rank``
-    columns and the rest are checked orthonormal as two bases."""
-    columns = _fix_signs(ip.frame[at] @ whitened)
-    _check_orthonormal(columns, ip.matrix[at], rank,
-                       np.arange(len(ip.matrix))[at])
+    the points ``at`` of the stack, its indices ``rows``, with signs fixed;
+    the first ``rank`` columns and the rest are checked orthonormal as two
+    bases."""
+    ip = rows_at(ip, at)
+    columns = _fix_signs(ip.frame @ whitened)
+    _check_orthonormal(columns, ip.matrix, rank, rows)
     return columns
 
 

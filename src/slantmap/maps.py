@@ -55,7 +55,7 @@ from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
                      _read_only, evaluate_prefix, kept)
 from .expressions import Expression, Formulas, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
-from .linalg import (InnerProduct, TangentSplit, apply_along, lift,
+from .linalg import (InnerProduct, TangentSplit, apply_along, lift, rows_at,
                      split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, checked, point_norms, worst_norms)
@@ -193,25 +193,29 @@ class FrameStack:
     along a leading point axis, and every derived quantity formed once over
     the stack on first use and read-only; each member serves a row
     (``row(i)``) as well.  ``len(stack)`` counts the frames held: one for all
-    the sample indices paired with a constant-frame stack.  Vectors are the
-    columns of (..., m, k) arrays, and the extra axes of an argument sit
-    between the point axis and the matrix axes.  ``adapted_*``, ``j_blocks``,
-    ``q`` and ``horizontal_*`` are in B1 and B2, the rest in chart
-    coordinates; h is ``source_basis[..., :rank]``, k the rest, and R and N
-    likewise in ``target_basis``."""
+    the sample indices paired with a constant-frame stack.  A constant
+    chart's fields (``ChartManifold.constant``) are its one kept row, which
+    stands for every row (``rows_at``) and which the arithmetic broadcasts,
+    and its Christoffel symbols and nabla J, exactly zero, are None, so no
+    member forms a term of them.  Vectors are the columns of (..., m, k)
+    arrays, and the extra axes of an argument sit between the point axis and
+    the matrix axes.  ``adapted_*``, ``j_blocks``, ``q`` and
+    ``horizontal_*`` are in B1 and B2, the rest in chart coordinates; h is
+    ``source_basis[..., :rank]``, k the rest, and R and N likewise in
+    ``target_basis``."""
 
     FIELDS: ClassVar[tuple]  # the field names, in order
     points: np.ndarray      # (N, n)
     images: np.ndarray      # (N, m)
     jacobian: np.ndarray    # (N, m, n)
     rank: int
-    g_source: InnerProduct  # stacked over the points
+    g_source: InnerProduct  # stacked over the points, or one row
     g_target: InnerProduct
     source_basis: np.ndarray  # B1 = [h | k], g1-orthonormal, (N, n, n)
     target_basis: np.ndarray  # B2 = [R | N], g2-orthonormal, (N, m, m)
-    gamma_source: np.ndarray  # (N, n, n, n)
+    gamma_source: Optional[np.ndarray]  # (N, n, n, n)
     sff: np.ndarray         # (N, m, n, n)
-    complex_structure: Optional[np.ndarray]  # (N, m, m)
+    complex_structure: Optional[np.ndarray]  # (N, m, m) or one row
     nabla_j: Optional[np.ndarray]  # [:, c, a, b] = (nabla_c J)^a_b
 
     def __len__(self) -> int:
@@ -221,9 +225,9 @@ class FrameStack:
         """Frame i of the stack, its members formed anew from the row of
         each field (the rank whole)."""
         values, frame = self.__dict__, object.__new__(PointFrame)
-        frame.__dict__.update(
-            {name: None if (value := values[name]) is None else value[i]
-             for name in self.FIELDS if name != "rank"}, rank=self.rank)
+        frame.__dict__.update({name: rows_at(values[name], i)
+                               for name in self.FIELDS if name != "rank"},
+                              rank=self.rank)
         return frame
 
     @cached_property
@@ -359,8 +363,9 @@ class FrameStack:
         return np.moveaxis(self.adapted_sff[..., :self.rank, :], -2, -3)
 
     @_member
-    def adapted_nabla_j(self) -> np.ndarray:
-        """C2 (nabla_{F_*h_a} J) B2 at [..., a, :, :], (N, r, m, m)."""
+    def adapted_nabla_j(self) -> Optional[np.ndarray]:
+        """C2 (nabla_{F_*h_a} J) B2 at [..., a, :, :], (N, r, m, m); None
+        where nabla J is."""
         return _nabla_j_along(self, self.source_basis[..., :self.rank])
 
     @_member
@@ -371,8 +376,11 @@ class FrameStack:
 
     @_member
     def horizontal_connection(self) -> np.ndarray:
-        """C1 Gamma1(h_a, h_b) at [..., a, :, b], (N, r, n, r)."""
+        """C1 Gamma1(h_a, h_b) at [..., a, :, b], (N, r, n, r): zero where
+        Gamma1 is None."""
         h = self.source_basis[..., :self.rank]
+        if self.gamma_source is None:
+            return np.zeros(h.shape[:-2] + (self.rank,) + h.shape[-2:])
         gamma = apply_along(self.source_coframe, self.gamma_source, 0)
         return apply_along(np.swapaxes(h, -1, -2), gamma, 1) @ lift(h, gamma.ndim)
 
@@ -497,7 +505,9 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
 
 
 def _frame_stacks(spec, points, rank_tol, target, start) -> list:
-    """``frame_block``'s (rows, stack) pairs, built: one stack per rank."""
+    """``frame_block``'s (rows, stack) pairs, built: one stack per rank.  A
+    constant chart gives one row of each field, and None for its Christoffel
+    symbols and nabla J, whose terms are zero."""
     rows = np.arange(start, start + len(points))
     image, jac, hess = eval_jets(spec.components, points, 2)
     g1, gamma1 = spec.source.metric_at(points)
@@ -513,15 +523,22 @@ def _frame_stacks(spec, points, rank_tol, target, start) -> list:
         located = ValueError(f"{exc} at point {points[exc.index].tolist()}")
         located.index = exc.index
         raise located from None
-    sff = (hess - apply_along(jac, gamma1, 0)
-           + lift(np.swapaxes(jac, 1, 2), 4) @ gamma2 @ lift(jac, 4))
+    sff = hess  # plus the Christoffel terms of each chart that varies
+    if spec.source.constant:
+        gamma1 = None
+    else:
+        sff = sff - apply_along(jac, gamma1, 0)
+    if not spec.target.constant:
+        sff = sff + lift(np.swapaxes(jac, 1, 2), 4) @ gamma2 @ lift(jac, 4)
     J = nabla = None
     if spec.target.complex_structure is not None:
         J, nabla = target.structure(start, stop)
+        if spec.target.constant:
+            nabla = None
     return [(rows[at], FrameStack(points[at], image[at], jac[at], rank,
-                                  g1[at], g2[at], B1, B2, gamma1[at], sff[at],
-                                  None if J is None else J[at],
-                                  None if nabla is None else nabla[at]))
+                                  rows_at(g1, at), rows_at(g2, at), B1, B2,
+                                  rows_at(gamma1, at), sff[at],
+                                  rows_at(J, at), rows_at(nabla, at)))
             for at, rank, B1, B2 in groups]
 
 
@@ -557,7 +574,12 @@ class Sample:
     def __init__(self, spec: MapSpec, points,
                  rank_tol: float = DEFAULT_RANK_TOL):
         self.spec = spec
-        self.points = np.array(points, dtype=float)
+        try:
+            self.points = np.array(points, dtype=float)
+        except ValueError:  # ragged rows, which have the shape named below
+            self.points = np.array(points, dtype=object)
+            if self.points.shape[1:] == (spec.source.dim,):
+                raise  # a value that is not a number
         if self.points.shape == (0,):  # an empty sequence: the empty sample
             self.points = self.points.reshape(0, spec.source.dim)
         if self.points.shape[1:] != (spec.source.dim,):
@@ -685,8 +707,11 @@ def section_derivatives(frames, X) -> SectionDerivatives:
                               phi_defect=B2 @ adapted.phi_defect @ C1)
 
 
-def _nabla_j_along(frames, X) -> np.ndarray:
-    """C2 (nabla_{F_*X_a} J) B2 at [..., a, :, :] for each column X_a."""
+def _nabla_j_along(frames, X) -> Optional[np.ndarray]:
+    """C2 (nabla_{F_*X_a} J) B2 at [..., a, :, :] for each column X_a; None
+    where nabla J is."""
+    if frames.nabla_j is None:
+        return None
     nabla = apply_along(np.swapaxes(frames.jacobian @ X, -1, -2),
                         frames.nabla_j, 0)
     return (lift(frames.target_coframe, nabla.ndim) @ nabla
@@ -697,19 +722,21 @@ def _adapted_derivatives(frames, S, nabla_J, y=slice(None)) -> SectionDerivative
     """The section derivatives in B1 (nabla Q), N (omega defect) and B2
     (phi defect), acting on B1[:, y], along the directions X_a whose
     S = C2 sff(X_a, B1 .) and nabla_J = C2 (nabla_{F_*X_a} J) B2 are stacked
-    at [..., a, :, :].  With A = C2 F_* B1, P = diag(I_r, 0), phi = P J A
-    and Q = A^T phi, P moves by [[0, W^T], [W, 0]], W = S[r:, :r] Sigma^-1,
-    nabla phi = nabla P J A + P (nabla J A + J S), nabla Q = S^T phi +
-    A^T nabla phi, the omega defect is the normal rows of nabla J A + J S -
-    nabla phi and the phi defect nabla phi - S Q: tensors, with no
-    connection term."""
+    at [..., a, :, :] (None where nabla J is, a zero).  With A = C2 F_* B1,
+    P = diag(I_r, 0), phi = P J A and Q = A^T phi, P moves by
+    [[0, W^T], [W, 0]], W = S[r:, :r] Sigma^-1, nabla phi = nabla P J A +
+    P (nabla J A + J S), nabla Q = S^T phi + A^T nabla phi, the omega defect
+    is the normal rows of nabla J A + J S - nabla phi and the phi defect
+    nabla phi - S Q: tensors, with no connection term."""
     r, ndim = frames.rank, S.ndim
     A, J, JA, Q, sigma_inverse = (lift(x, ndim) for x in (
         frames.adapted_jacobian, frames.j_blocks, frames.adapted_j_pushforward,
         frames.adapted_q, frames.sigma_inverse))
     W = S[..., r:, :r] @ sigma_inverse
     JAy = JA[..., y]
-    nabla_JA = nabla_J @ A[..., y] + J @ S[..., y]
+    nabla_JA = J @ S[..., y]
+    if nabla_J is not None:
+        nabla_JA = nabla_J @ A[..., y] + nabla_JA
     nabla_phi = np.concatenate(
         [nabla_JA[..., :r, :] + np.swapaxes(W, -1, -2) @ JAy[..., r:, :],
          W @ JAy[..., :r, :]], axis=-2)

@@ -188,6 +188,12 @@ def error_entry(name: str, exc: Exception) -> CheckResult:
                              else f"{type(exc).__name__}: {exc}")
 
 
+def unknown_check(name: str) -> ValueError:
+    """The error for a check name not in CHECK_NAMES, naming those."""
+    return ValueError(f"no check {name!r} in the report; "
+                      f"available: {', '.join(CHECK_NAMES)}")
+
+
 class Analysis:
     """One run over a map: the shared Sample of its seeded points and the
     report entries, each computed once, on first request."""
@@ -218,10 +224,13 @@ class Analysis:
     def entry(self, name: str) -> Optional[CheckResult]:
         """The report entry of a check in CHECK_NAMES (None for a
         slant_classification that ran): skipped at its first gate that does
-        not hold, else its run; a check that raises gets an error.  An
-        overflow in the checks' arithmetic is its residual (inf or NaN), not
-        a warning."""
+        not hold, else its run; a check that raises gets an error, and a
+        name not in CHECK_NAMES raises (``unknown_check``).  An overflow in
+        the checks' arithmetic is its residual (inf or NaN), not a
+        warning."""
         if name not in self.entries:
+            if name not in CHECKS:
+                raise unknown_check(name)
             if not self._quiet:
                 return self._quietly(self.entry, name)
             try:
@@ -258,9 +267,13 @@ class Analysis:
         """The report of the entries of names, in that order, under one
         np.errstate.  Its slant block, when slant_classification is among
         names and ran, is the classification with the outcomes of the phwc
-        and pseudo_homothetic checks where they ran."""
+        and pseudo_homothetic checks where they ran.  A name not in
+        CHECK_NAMES raises before any check runs."""
         if not self._quiet:
             return self._quietly(self.report, names)
+        for name in names:  # each name is known before any check runs
+            if name not in CHECKS:
+                raise unknown_check(name)
         entries = [self.entry(name) for name in names]
         checks = [e for e in entries if e is not None]
         if len(checks) == len(entries):  # no slant_classification that ran

@@ -347,8 +347,9 @@ def _condition_three_residual(frames) -> np.ndarray:
     J, JA = frames.j_blocks, frames.adapted_j_pushforward
     omega_h = JA[:, r:, :r]                            # omega F_*h_b
     # nabla^perp_{h_a}(omega F_*h_b) at [:, a, :, b]: omega is normal-valued
-    d_omega = (frames.horizontal_derivatives.omega_defect
-               + lift(JA[:, r:], 4) @ frames.horizontal_connection)
+    d_omega = frames.horizontal_derivatives.omega_defect
+    if frames.gamma_source is not None:  # else the connection term is zero
+        d_omega = d_omega + lift(JA[:, r:], 4) @ frames.horizontal_connection
     paired = np.swapaxes(J[:, :r, r:], -1, -2) @ frames.adapted_jacobian[:, :r, :r]
     # sff(h_a, h_c) on the normal frame, at [:, a, c, :]
     sff_h = np.moveaxis(frames.adapted_sff[:, r:, :r, :r], 1, -1)

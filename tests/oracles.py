@@ -145,11 +145,27 @@ def fd_pullback_derivative(spec, frame, X, section, h=FD_STEP):
     return dv + np.einsum("gab,a,b->g", gamma_target, fx, section(frame.point))
 
 
+def source_gamma(frames) -> np.ndarray:
+    """The source Christoffel symbols of a frame or a stack: the zeros that
+    a None stands for where the source chart is constant."""
+    if frames.gamma_source is not None:
+        return frames.gamma_source
+    return np.zeros(frames.points.shape + frames.points.shape[-1:] * 2)
+
+
+def target_nabla_j(frames) -> np.ndarray:
+    """nabla J of a frame or a stack: the zeros that a None stands for where
+    the target chart is constant."""
+    if frames.nabla_j is not None:
+        return frames.nabla_j
+    return np.zeros(frames.images.shape + frames.images.shape[-1:] * 2)
+
+
 def fd_source_derivative(frame, X, section, h=FD_STEP):
     """Source-connection derivative of a source-vector section along
     t -> p + tX: centered difference plus the source Christoffel term."""
     dv = _centered_curve_difference(frame.point, X, section, h)
-    return dv + np.einsum("kij,i,j->k", frame.gamma_source,
+    return dv + np.einsum("kij,i,j->k", source_gamma(frame),
                           np.asarray(X, dtype=float), section(frame.point))
 
 
@@ -227,6 +243,7 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     hessian = eval_jets(spec.components, frames.points, 2)[2]
     dA = np.moveaxis(hessian @ X[..., None, :, :], -1, -3)
     J, J_grad = spec.target.complex_structure_jet(frames.images)
+    gamma_source = spec.source.metric_at(frames.points)[1]
     gamma_target = spec.target.metric_at(frames.images)[1]
 
     def along(x):  # a point quantity, broadcast along the directions
@@ -236,7 +253,7 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     adjoint = metric_adjoint(A, frames.g_source, frames.g_target)
     JA, P = along(J @ A), along(projector)
     phi = P @ JA
-    dG1 = metric_derivative(frames.g_source.matrix, frames.gamma_source, X)
+    dG1 = metric_derivative(frames.g_source.matrix, gamma_source, X)
     dG2 = metric_derivative(frames.g_target.matrix, gamma_target, fx)
     dJ = apply_along(fx_rows, J_grad, 0)
     dP = range_projector_derivative(projector, A, dA, frames.split, dG2)
@@ -245,7 +262,7 @@ def curve_section_derivatives(spec, frames, X) -> SectionDerivatives:
     d_adjoint = metric_adjoint_derivative(adjoint, A, dA, frames.g_source,
                                           dG1, frames.g_target, dG2)
     target_connection = apply_along(fx_rows, gamma_target, 1)
-    source_connection = apply_along(np.swapaxes(X, -1, -2), frames.gamma_source, 1)
+    source_connection = apply_along(np.swapaxes(X, -1, -2), gamma_source, 1)
     nabla_phi = d_phi + target_connection @ phi
     nabla_omega = dJA - d_phi + target_connection @ (JA - phi)
     Q = along(adjoint) @ phi
@@ -468,7 +485,8 @@ def chart_section_derivatives(frames, X) -> SectionDerivatives:
         "A", "J", "P", "phi", "A_plus", "adjoint", "Q", "G1", "G2"))
     K = (np.eye(P.shape[-1]) - P) @ sff_x @ A_plus
     nabla_P = K + np.linalg.solve(G2, np.swapaxes(K, -1, -2) @ G2)
-    nabla_J = np.einsum("...cab,...ck->...kab", frames.nabla_j, frames.jacobian @ X)
+    nabla_J = np.einsum("...cab,...ck->...kab", target_nabla_j(frames),
+                        frames.jacobian @ X)
     nabla_JA = nabla_J @ A + J @ sff_x
     nabla_phi = nabla_P @ J @ A + P @ nabla_JA
     nabla_omega = nabla_JA - nabla_phi
@@ -513,7 +531,7 @@ def chart_residuals(frames, factor, sec, angle_tol) -> dict:
     out["totally_geodesic"] = _point_norms(_g_norms(_pairs(sff, basis, basis), G2))
     out["totally_geodesic.fiber_residual"] = _point_norms(
         _g_norms(_pairs(sff, k, k), G2))
-    gamma_hh = _pairs(frames.gamma_source, h, h)
+    gamma_hh = _pairs(source_gamma(frames), h, h)
     kernel_covector = np.swapaxes(k, -1, -2) @ G1
     out["totally_geodesic.horizontal_residual"] = _point_norms(
         lift(kernel_covector, 4) @ gamma_hh)

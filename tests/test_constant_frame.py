@@ -25,7 +25,8 @@ from oracles import fresh_spec
 from slantmap.catalog import catalog_ids
 from slantmap.charts import ChartFields, ChartManifold
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
-                                  Fun, Lit, Neg, eval_jets, parse_expression)
+                                  Fun, Lit, Neg, eval_jet2, eval_jets,
+                                  parse_expression)
 from slantmap.loader import AnalysisSettings, LoadedMap, load_map_spec
 from slantmap.maps import FrameStack, MapSpec, Sample, point_frame
 from slantmap.slant import check_adapted_frame, classify_slant
@@ -79,16 +80,20 @@ AFFINE_TREES = st.recursive(
        st.lists(st.tuples(*[st.floats(-2.0, 2.0)] * 3), min_size=2, max_size=6))
 def test_affine_formulas_have_zero_hessians_and_equal_gradient_rows(root,
                                                                     points):
+    # the compiled jet at each point has no Hessian and, bit for bit, the
+    # gradient that the formula keeps and eval_jets fills in
     expr = Expression(root, 3)
     if not expr.affine:
         return
+    jet = eval_jet2(expr, np.array(points), 2)
+    assert not jet.hess.any()
+    rows = jet.grad.view(np.int64)
+    assert (rows == expr.gradient.view(np.int64)).all()
     try:
         _, grad, hess = eval_jets([expr], np.array(points), 2)
     except ExpressionDomainError:  # a value that leaves the floats
         return
-    assert not hess.any()
-    rows = grad.view(np.int64)
-    assert (rows == rows[:1]).all()
+    assert not hess.any() and (grad.view(np.int64) == rows).all()
 
 
 def _route_off(patch):

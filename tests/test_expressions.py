@@ -127,6 +127,13 @@ def test_domain_errors_name_subexpression():
     expr = parse_expression("1/(x1 - 1)", 1)
     with pytest.raises(ExpressionDomainError, match="division"):
         eval_jet2(expr, [1.0])
+    # a constant zero divisor raises at the first point, at every order
+    expr = parse_expression("x1/(2 - 2)", 1)
+    for order in (0, 2):
+        with pytest.raises(ExpressionDomainError) as failure:
+            eval_jet2(expr, [[3.0], [4.0]], order)
+        assert str(failure.value) == ("division by zero at point [3.0] in "
+                                      "subexpression 'x1 / (2.0 - 2.0)'")
 
 
 def _random_polynomial(gen, dim, degree=4):
@@ -240,15 +247,26 @@ def test_print_parse_round_trip():
 
 
 def test_eval_jets_of_planned_formulas_is_each_formulas_jet():
-    # constants (folded to floats) fill one row, planned once per Formulas;
-    # every column equals its formula's own eval_jet2, bit for bit, and a
-    # plain list, planned on each call, gives the same arrays
-    texts = ["2", "x1*x2", "-(3/4)", "pow(x2, 0)", "sin(x1) + 1", "1e-3"]
+    # constants (folded to floats) fill one row and affine formulas' gradients
+    # (x1 / sqrt(3) among them, a product with a reciprocal folded once) fill
+    # rows of their own, planned once per Formulas; every column equals its
+    # formula's own order-2 eval_jet2, bit for bit, and a plain list,
+    # planned on each call, gives the same arrays
+    texts = ["2", "x1*x2", "-(3/4)", "pow(x2, 0)", "sin(x1) + 1", "1e-3",
+             "x1/sqrt(3)", "-(x2)", "pow(x1, 1)", "0*x1 + x2"]
     formulas = Formulas(parse_expression(t, 2) for t in texts)
-    row, varying = formulas.plan
-    assert row.tolist() == [2.0, 0.0, -0.75, 0.0, 0.0, 1e-3]
-    assert [j for j, _ in varying] == [1, 3, 4]
+    row, gradients, varying = formulas.plan
+    assert row.tolist() == [2.0, 0.0, -0.75, 0.0, 0.0, 1e-3, 0.0, 0.0, 0.0, 0.0]
+    assert [(j, affine) for j, _, affine in varying] == [
+        (1, False), (3, True), (4, False), (6, True), (7, True), (8, True),
+        (9, True)]
+    assert gradients.tolist() == [[0.0, 0.0]] * 6 + [
+        [1.0 / math.sqrt(3.0), 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
     assert formulas.plan is formulas.plan
+    # a constant divisor's reciprocal is the double the quotient multiplies by
+    points = np.random.default_rng(1).uniform(-1, 1, (5, 2))
+    assert (eval_jet2(formulas[6], points).value.tobytes()
+            == (points[:, 0] * (1.0 / math.sqrt(3.0))).tobytes())
     for p in ([0.3, -0.7], np.random.default_rng(2).uniform(-1, 1, (5, 2))):
         arrays = eval_jets(formulas, p, 2)
         plain = eval_jets(list(formulas), p, 2)

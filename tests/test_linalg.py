@@ -29,6 +29,17 @@ def test_inner_product_rejects_non_finite_matrices():
             InnerProduct([[bad, 0.0], [0.0, 1.0]])
 
 
+def test_inner_product_keeps_a_finite_metric_whose_sum_overflows():
+    # entries above about 8.99e307 are finite, though twice them is not: the
+    # symmetrized matrix is the input, its Cholesky factor finite
+    ip = InnerProduct(np.array([[1e308, 0.0], [0.0, 1.0]]))
+    assert ip.matrix.tolist() == [[1e308, 0.0], [0.0, 1.0]]
+    assert ip.cholesky.tolist() == [[1e154, 0.0], [0.0, 1.0]]
+    assert np.isfinite(ip.frame).all() and np.isfinite(ip.inverse).all()
+    with pytest.raises(MetricError, match="positive definite"):
+        InnerProduct([[1e308, 1e308], [1e308, 1e308]])
+
+
 def test_inner_product_frame_and_inverse_on_random_stacks():
     # the columns of frame = L^{-T} are g-orthonormal and inverse = G^{-1}
     gen = np.random.default_rng(3)

@@ -97,13 +97,15 @@ def test_sample_frames_are_built_once_and_bound_to_the_map(example4,
 
 
 def test_sample_points_must_have_the_source_dimension(example4):
-    # example4's source is 4-dimensional: a point of 2 coordinates, and
-    # 3 (2, 2) blocks that hold 4 numbers each, are not sample points
-    for points in ([[1, 2]], np.zeros((3, 2, 2)), np.zeros(4)):
-        shape = np.shape(points)
+    # example4's source is 4-dimensional: a point of 2 coordinates, 3 (2, 2)
+    # blocks that hold 4 numbers each, and ragged rows are not sample points
+    for points, shape in (([[1, 2]], (1, 2)), (np.zeros((3, 2, 2)), (3, 2, 2)),
+                          (np.zeros(4), (4,)), ([[1, 2, 3, 4], [1, 2]], (2,))):
         with pytest.raises(ValueError, match=re.escape(
                 f"points have shape {shape}, expected (N, 4)")):
             Sample(example4, points)
+    with pytest.raises(ValueError, match="could not convert"):
+        Sample(example4, [[1, 2, 3, "x"]])
     for empty in ([], np.empty((0, 4))):
         sample = Sample(example4, empty)
         assert sample.points.shape == (0, 4)
@@ -564,14 +566,14 @@ def test_kept_frame_is_read_only_and_failures_are_not_kept(monkeypatch):
 
 def test_kept_frame_over_constant_charts_is_read_only(monkeypatch):
     # example4's source and target charts are constant: the kept frame's
-    # metrics, Christoffel symbols, J and nabla J are views of the one point
-    # each chart keeps, read-only as the rest of the kept stack, and a
-    # failure is not kept
+    # metrics and J are views of the one point each chart keeps, read-only
+    # as the rest of the kept stack, its Christoffel symbols and nabla J are
+    # None (zero), and a failure is not kept
     spec = load_catalog("example4")
     p = [0.1, -0.2, 0.3, 0.4]
     frame = point_frame(spec, p)
-    arrays = [frame.gamma_source, frame.complex_structure, frame.nabla_j,
-              frame.sff, frame.point]
+    assert frame.gamma_source is None and frame.nabla_j is None
+    arrays = [frame.complex_structure, frame.sff, frame.point]
     arrays += [getattr(metric, name) for metric in (frame.g_source, frame.g_target)
                for name in ("matrix", "cholesky", "frame", "inverse")]
     for array in arrays:
@@ -728,32 +730,44 @@ def test_a_one_point_frame_broadcasts_nothing(catalog_id, monkeypatch):
     assert calls == []
     constant = spec.source if spec.source.constant else spec.target
     assert constant.__dict__["_kept"] is not None
-    # a block of three repeats the kept point as broadcast views
+    # a block of three takes the kept point's one row as every row, and
+    # the arithmetic broadcasts it: no view is made of it
     slantmap.maps.frame_block(spec, np.array([p, p, p]))
-    assert calls and all(shape[0] == 3 for shape in calls)
+    assert calls == []
     assert frame.rank == 2
 
 
 @pytest.mark.parametrize("spec", [load_catalog("warped_fiber"), parabola_map()],
                          ids=["with_J", "without_J"])
 def test_a_row_is_every_field_at_its_point(spec):
+    # a constant chart's fields are one row, which stands for every row, and
+    # its Christoffel symbols and nabla J are None (zero)
     points = sample_points(spec.box, 3, seed=8)
     (_, stack), = slantmap.maps.frame_block(spec, points)
+    one_row = {"g_source"} if spec.source.constant else set()
+    if spec.target.constant:
+        one_row |= {"g_target", "complex_structure"}
+    assert (stack.gamma_source is None) == spec.source.constant
+    assert (stack.nabla_j is None) == (spec.target.constant or
+                                       spec.target.complex_structure is None)
     for i in range(len(stack)):
         row = stack.row(i)
         assert type(row) is slantmap.maps.PointFrame
         assert set(vars(row)) == set(stack.FIELDS)
         for name in stack.FIELDS:
             field, value = getattr(stack, name), getattr(row, name)
+            rows, at = (1, 0) if name in one_row else (3, i)
             if name == "rank" or field is None:
                 assert value is field, name
             elif isinstance(field, InnerProduct):
                 assert set(vars(value)) == set(vars(field)), name
                 for part in vars(field):
+                    assert len(getattr(field, part)) == rows, (name, part)
                     assert _same_bits(getattr(value, part),
-                                      getattr(field, part)[i]), (name, part)
+                                      getattr(field, part)[at]), (name, part)
             else:
-                assert _same_bits(value, field[i]), name
+                assert len(field) == rows, name
+                assert _same_bits(value, field[at]), name
     assert (stack.complex_structure is None) == (spec.target.complex_structure is None)
 
 

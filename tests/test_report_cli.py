@@ -670,9 +670,13 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
         assert report.check("kahler").status != "skipped"
         assert len(frame_builds) == samples * run
         per_point = samples * run if derived else 0
-        assert {member: points[member] for member in ADAPTED_MEMBERS} == {
-            member: samples * run if member in ALWAYS_FORMED else per_point
-            for member in ADAPTED_MEMBERS}
+        expected = {member: samples * run if member in ALWAYS_FORMED else per_point
+                    for member in ADAPTED_MEMBERS}
+        if _is_constant(spec.source):
+            # C1 serves the connection terms alone, which a constant source
+            # chart (Gamma1 None) does not have
+            expected["source_coframe"] = 0
+        assert {member: points[member] for member in ADAPTED_MEMBERS} == expected
         assert points["metric_adjoint"] == points["section_derivatives"] == 0
         for chart in (spec.source, spec.target):
             assert [entry_evaluations[id(e)] for e in _chart_entries(chart)] == (
@@ -826,6 +830,20 @@ def test_single_check_matches_analyze(catalog_id, capsys):
         expected = render_report(Report(report.metadata, [entry]))
         assert capsys.readouterr().out == expected, entry.name
         assert code == (1 if entry.status in ("fail", "error") else 0)
+
+
+def test_analysis_raises_for_an_unknown_check_name():
+    # the library names the available checks as the CLI does, and a report
+    # of names with an unknown one computes no entry
+    analysis = Analysis(load_map_spec("catalog:example4"))
+    message = ("no check 'nope' in the report; available: "
+               + ", ".join(CHECK_NAMES))
+    for call in (lambda: analysis.report(("phwc", "nope")),
+                 lambda: analysis.entry("nope")):
+        with pytest.raises(ValueError) as failure:
+            call()
+        assert str(failure.value) == message
+    assert analysis.entries == {}
 
 
 def test_cli_unknown_check_lists_every_name(capsys):
@@ -1980,6 +1998,23 @@ def test_map_file_reports_match_golden_files(name, capsys, monkeypatch):
     expected = json.loads((MAP_REPORTS / f"{name}.json").read_text())
     assert code == MAP_EXIT_CODES[name]
     assert_report_matches(actual, expected)
+
+
+DENSE_REPORTS = REPORTS / "samples_2000"
+DENSE_EXIT_CODES = json.loads((DENSE_REPORTS / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_EXIT_CODES))
+def test_dense_reports_equal_golden_bytes(name, capsys, monkeypatch):
+    # `analyze --pretty --samples 2000 --seed 3` on the varying catalog maps
+    # and the rank-4 map files: two FRAME_BLOCK blocks, every byte the same
+    monkeypatch.chdir(REPORTS.parent)
+    identifier = (f"maps/{name}.json" if name in MAP_EXIT_CODES
+                  else f"catalog:{name}")
+    code = main(["analyze", "--map", identifier, "--pretty",
+                 "--samples", "2000", "--seed", "3"])
+    assert capsys.readouterr().out == (DENSE_REPORTS / f"{name}.json").read_text()
+    assert code == DENSE_EXIT_CODES[name]
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,7 @@ def test_section_derivatives_match_finite_difference_oracle(map_name):
         h = frame.split.horizontal.columns
         Q = chart_q(frame)
         normal = np.eye(len(frame.image)) - range_projector(frame.split)
+        gamma = spec.source.metric_at(p)[1]  # the chart's, not the frame's
         # the horizontal frame, then 3 random unit directions, each stacked
         # into one call
         random = rng.standard_normal((len(p), 3))
@@ -404,7 +405,7 @@ def test_section_derivatives_match_finite_difference_oracle(map_name):
                     # the sections' derivatives along X with Y extended by
                     # constant coefficients: the tensors plus what the
                     # source connection adds, nabla_X Y = Gamma1(X, Y)
-                    nabla_y = np.einsum("kij,i,j->k", frame.gamma_source, X, Y)
+                    nabla_y = np.einsum("kij,i,j->k", gamma, X, Y)
                     phi_gamma, omega_gamma = chart_phi_omega(frame, nabla_y)
                     for derivative, oracle in (
                             (exact.phi_defect[a] @ Y + phi_gamma
@@ -500,7 +501,7 @@ def test_phi_defect_matches_finite_difference_route(catalog_id):
                     return chart_q(point_frame(spec, q)) @ Y
                 dq = (qy_section(p + h_step * X) - qy_section(p - h_step * X)
                       ) / (2 * h_step)
-                gamma = frame.gamma_source
+                gamma = spec.source.metric_at(p)[1]
                 nabla_qy = dq + np.einsum("kij,i,j->k", gamma, X,
                                           chart_q(frame) @ Y)
                 phi_nab, _ = chart_phi_omega(
