@@ -39,7 +39,7 @@ def test_criterion_01_example4_reproduction(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "slantmap.cli", "analyze", "--map",
          "catalog:example4", "--out", str(out)], capture_output=True)
-    assert proc.returncode == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     report = json.loads(out.read_text())
     riemannian = next(c for c in report["checks"]
                       if c["name"] == "riemannian_map")

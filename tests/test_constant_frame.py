@@ -9,6 +9,7 @@ the blocks' located errors.  The one frame is the map's: kept on its
 MapSpec for a rank tolerance once a build succeeds, read-only, and read by
 every later analysis of the map."""
 
+import ast
 import json
 import math
 from collections import Counter
@@ -449,27 +450,45 @@ def test_the_kept_frames_members_are_read_only():
 
 
 # the settings of the analyses that warm a spec before the one compared:
-# another seed, then other check and angle tolerances
-WARMING = ({"seed": 7}, {"check_tol": 1e-6, "angle_tol": 1e-3})
+# another sample count (so that a value kept under a key that moves with it
+# is not read again), another seed, then other check and angle tolerances
+WARMING = ({"points": 7}, {"seed": 7}, {"check_tol": 1e-6, "angle_tol": 1e-3})
+# the constant maps whose kept frames (of rank 2 and of rank 4) each check
+# reads on its own
+KEPT_CHECKS = ("catalog:example4", str(DATA_MAPS / "slant_product.json"))
 
 
 def _run(loaded, spec, samples, **settings):
-    return _outputs(replace(loaded, spec=spec,
-                            settings=AnalysisSettings(points=samples, **settings)))
+    settings = AnalysisSettings(**{"points": samples, **settings})
+    return _outputs(replace(loaded, spec=spec, settings=settings))
+
+
+def _warmed(loaded, samples) -> MapSpec:
+    """A fresh copy of loaded's spec, after the analyses of WARMING."""
+    spec = fresh_spec(loaded.spec)
+    for settings in WARMING:
+        _run(loaded, spec, samples, **settings)
+    return spec
 
 
 @pytest.mark.parametrize("samples", [50, 2000])
 @pytest.mark.parametrize("identifier", MAPS)
 def test_warm_reports_equal_cold_ones(identifier, samples):
     # what a spec and its charts keep (the frame, the angle ranges, each
-    # check's residual norms, the target's residuals) gives the bytes of a
-    # spec that has kept nothing, after analyses with other settings
+    # check's residual norms, the target's residuals, the classification's
+    # statistics per sample size) gives the bytes of a spec that has kept
+    # nothing, after analyses with other settings: the report and the
+    # --points records, and each check's report on its own
     loaded = load_map_spec(identifier)
-    spec = fresh_spec(loaded.spec)
-    for settings in WARMING:
-        _run(loaded, spec, samples, **settings)
-    warm = _run(loaded, spec, samples)
-    assert warm == _run(loaded, fresh_spec(spec), samples)
+    spec = _warmed(loaded, samples)
+    assert _run(loaded, spec, samples) == _run(loaded, fresh_spec(spec), samples)
+    if identifier in KEPT_CHECKS and samples == 50:
+        settings = AnalysisSettings(points=samples)
+        for name in CHECK_NAMES:
+            warm, cold = (Analysis(replace(loaded, spec=kept), settings)
+                          .report((name,)) for kept in (_warmed(loaded, samples),
+                                                        fresh_spec(loaded.spec)))
+            assert render_report(warm) == render_report(cold), name
 
 
 def _spied_members(patch) -> list:
@@ -572,3 +591,15 @@ def test_a_kept_frame_folds_its_residuals_once(monkeypatch):
         else:  # the adapted frame's Gram residual alone reads angle_tol
             assert formed == ({"gram_residual": 1, "point_norms": 1}
                               if "angle_tol" in settings else {}), settings
+
+
+def test_no_module_under_src_rebinds_a_global():
+    # what the library keeps for the process lives on its owner (a spec, a
+    # chart, a stack: charts.kept), so no module rebinds a global
+    src = Path(__file__).resolve().parent.parent / "src" / "slantmap"
+    modules = sorted(src.rglob("*.py"))
+    assert len(modules) >= 11
+    found = [f"{path.name}:{node.lineno}: global {', '.join(node.names)}"
+             for path in modules for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
