@@ -197,11 +197,11 @@ class ChartFields:
     hold the values: these, or for a constant chart (``ChartManifold.constant``)
     that evaluates, the one point it keeps, whose read-only one-row arrays
     ``metric`` and ``structure`` hand out themselves at any count of points,
-    a row that stands for every row (``linalg.rows_at``), and which keeps the
-    ``point_norms`` that ``check_almost_hermitian`` and ``check_kahler``
-    fold."""
+    a row that stands for every row (``linalg.rows_at``), and which keeps,
+    by ``kept``, the residual norms of the two target checks, which read the
+    chart through ``metric`` and ``structure`` as the frames do."""
 
-    _metric_jet_failure = _metric_failure = None  # a kept point has none
+    _metric_failure = None  # a kept point has none
     _kept: Optional["ChartFields"] = None
 
     def __init__(self, chart: ChartManifold, points):
@@ -217,17 +217,15 @@ class ChartFields:
 
     def _evaluate_metric(self) -> None:
         """Evaluate the metric and its Christoffel symbols at every point."""
-        (self.G, dG), self._metric_jet_failure = evaluate_prefix(
+        (G, dG), self._metric_failure = evaluate_prefix(
             lambda k: self.chart.metric_jet(self.points[:k]), len(self.points))
-        # the metric up to the first point where it is not positive definite
-        self._metric_failure = self._metric_jet_failure
-        try:
-            self._ip = InnerProduct(self.G)
+        try:  # the metric up to the first point where it is not positive definite
+            self._ip = InnerProduct(G)
         except MetricError as exc:
             point = self.points[exc.index].tolist()
             self._metric_failure = (exc.index, ChartError(
                 f"metric is not positive definite at {point}: {exc}", exc.index))
-            self._ip = InnerProduct(self.G[:exc.index])
+            self._ip = InnerProduct(G[:exc.index])
         self._gamma = christoffel(self._ip.inverse, dG[:len(self._ip.matrix)])
 
     @cached_property
@@ -266,31 +264,6 @@ class ChartFields:
         if self.held is not self:
             return J, nabla
         return J[lo:hi], nabla[lo:hi]
-
-    @cached_property
-    def _hermitian_residuals(self) -> tuple:
-        """The ``point_norms`` of ``structure_residuals`` of J under the
-        metric, and of each of its two columns."""
-        residuals = structure_residuals(self._structure[0], self.G)
-        return _norms_of(residuals, *residuals.T)
-
-    @cached_property
-    def _kahler_lengths(self) -> tuple:
-        """The ``point_norms`` of |(nabla_e J) f| at [:, e, f] over the pairs
-        e, f of a metric-orthonormal frame at each point, and of the largest."""
-        ip = self.metric()[0]
-        nabla = self.structure()[1]
-        G, frame = ip.matrix, ip.frame  # frame: g-orthonormal columns
-        # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
-        contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
-        lengths = np.sqrt(np.maximum(pairings(contracted, G, contracted), 0.0))
-        return _norms_of(lengths, lengths.max(axis=(1, 2)))
-
-
-def _norms_of(*residuals) -> tuple:
-    """The read-only ``point_norms`` of each residual, silent on overflow."""
-    with np.errstate(over="ignore"):
-        return _read_only(tuple(point_norms(r) for r in residuals))
 
 
 def structure_residuals(J, G=None) -> np.ndarray:
@@ -345,40 +318,57 @@ def _raise_first(lo: int, hi: int, *failures) -> None:
         raise error
 
 
+def _target_check(name: str, fields: ChartFields, tol: float, count: int,
+                  residuals, detail) -> CheckResult:
+    """The entry of the count residuals(metric, J, nabla J) of a target check
+    at the points of ``fields``, read as the frames read them: ``structure``
+    raises the first failure of J or of the metric (J's at a tie).  A constant
+    chart's kept point keeps their ``point_norms`` (``kept``, "norms: " + name)
+    for every point, so the first point is the witness; no points fold nothing."""
+    if fields.chart.complex_structure is None:
+        return CheckResult.error(name, "chart has no complex structure")
+    (J, nabla), (ip, _) = fields.structure(), fields.metric()
+
+    def norms():  # silent on overflow: a norm whose squares overflow is itself
+        with np.errstate(over="ignore"):
+            return tuple(point_norms(r) for r in residuals(ip, J, nabla))
+
+    held, rows = fields.held, range(len(fields.points))
+    parts = [(rows, norms() if held is fields
+              else kept(held, "norms: " + name, None, norms))] if rows else []
+    return checked(name, tol, parts, fields.points, count, detail)
+
+
 def check_almost_hermitian(fields: ChartFields,
                            tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Verify J^2 = -I and metric compatibility g(JX, JY) = g(X, Y) at the
-    points of ``fields``; at each point J is read before the metric.  A
-    constant chart's residual norms are its kept point's and stand for every
-    point, which keeps the first point of ``fields`` as the witness; no
-    points fold nothing."""
-    if fields.chart.complex_structure is None:
-        return CheckResult.error("almost_hermitian", "chart has no complex structure")
-    rows = range(len(fields.points))
-    _raise_first(0, len(rows), fields._structure[2], fields._metric_jet_failure)
-    return checked("almost_hermitian", tol,
-                   [(rows, fields.held._hermitian_residuals)] if rows else [],
-                   fields.points, 3, lambda _, square, compatibility: dict(
-                       square_residual=square, compatibility_residual=compatibility))
+    points of ``fields`` (``_target_check``)."""
+    def residuals(ip, J, _):
+        both = structure_residuals(J, ip.matrix)
+        return both, *both.T
+
+    return _target_check("almost_hermitian", fields, tol, 3, residuals,
+                         lambda _, square, compatibility: {
+                             "square_residual": square,
+                             "compatibility_residual": compatibility})
 
 
 def check_kahler(fields: ChartFields,
                  tol: float = DEFAULT_CHECK_TOL) -> CheckResult:
     """Verify that the complex structure is parallel at the points of
-    ``fields``: (nabla_X J) Y = 0.
+    ``fields``: (nabla_X J) Y = 0 (``_target_check``).
 
     The residual entries at a point are |(nabla_e J) f| (``nabla_j``) over
     the pairs e, f of a metric-orthonormal frame, whose Frobenius norm no
     choice of that frame changes; the detail block's direction_max is the
-    largest of them.  A constant chart's norms are its kept point's and
-    stand for every point, which keeps the first point of ``fields`` as the
-    witness; no points fold nothing.
+    largest of them.
     """
-    if fields.chart.complex_structure is None:
-        return CheckResult.error("kahler", "chart has no complex structure")
-    rows = range(len(fields.points))
-    # at each point the metric is read before J
-    _raise_first(0, len(rows), fields._metric_failure, fields._structure[2])
-    return checked("kahler", tol,
-                   [(rows, fields.held._kahler_lengths)] if rows else [],
-                   fields.points, 2, lambda _, largest: {"direction_max": largest})
+    def residuals(ip, _, nabla):
+        frame = ip.frame  # g-orthonormal columns
+        # (nabla_e J) f at [:, e, :, f] for the frame vectors e, f
+        contracted = apply_along(np.swapaxes(frame, 1, 2), nabla @ lift(frame, 4), 0)
+        lengths = np.sqrt(np.maximum(pairings(contracted, ip.matrix, contracted), 0.0))
+        return lengths, lengths.max(axis=(1, 2))
+
+    return _target_check("kahler", fields, tol, 2, residuals,
+                         lambda _, largest: {"direction_max": largest})

@@ -61,10 +61,10 @@ def _target_has_j(a) -> bool:
 # A gate is (holds, reason): where holds(analysis) is false, the check is
 # skipped with the reason, formatted with a=analysis.
 _NO_J = "target has no complex structure"
-_RIEMANNIAN = (lambda a: a.entry("riemannian_map").passed,
+_RIEMANNIAN = (lambda a: a._entry("riemannian_map").passed,
                "map is not Riemannian")
 _HAS_J = (lambda a: a.spec.target.complex_structure is not None, _NO_J)
-_CLASSIFIED = (_HAS_J, (lambda a: a.entry("slant_classification") is None,
+_CLASSIFIED = (_HAS_J, (lambda a: a._entry("slant_classification") is None,
                         "slant classification failed"), _RIEMANNIAN)
 _SLANT = (lambda a: a.slant.is_slant,
           "classification is {a.slant.classification}")
@@ -83,7 +83,7 @@ CHECKS = {
         ((_target_has_j, _NO_J),),
         lambda a: check_almost_hermitian(a.sample.target, a.tol)),
     "kahler": (
-        ((_target_has_j, _NO_J), (lambda a: a.entry("almost_hermitian").passed,
+        ((_target_has_j, _NO_J), (lambda a: a._entry("almost_hermitian").passed,
                                   "target is not almost Hermitian")),
         lambda a: check_kahler(a.sample.target, a.tol)),
     "riemannian_map": ((), lambda a: is_riemannian_map(a.sample, a.tol)),
@@ -122,17 +122,17 @@ CHECKS = {
         lambda a: check_sff_q_scaling(a.sample, a.slant, a.tol)),
     "harmonic_minimal_equivalence": (
         _CLASSIFIED + _SLANT_OMEGA_PARALLEL + (
-            (lambda a: a.entry("minimal_fibers").status != "skipped",
+            (lambda a: a._entry("minimal_fibers").status != "skipped",
              "{a.entries[minimal_fibers].reason}"),),
         lambda a: check_harmonic_minimal_equivalence(
-            a.entry("harmonic"), a.entry("minimal_fibers"), a.tol)),
+            a._entry("harmonic"), a._entry("minimal_fibers"), a.tol)),
     "phwc": (
         _CLASSIFIED + (_SLANT, (lambda a: a.slant.sec_defined,
                                 "the induced horizontal structure is "
                                 "undefined at angle pi/2")),
         lambda a: check_phwc(a.sample, a.slant, a.tol)),
     "pseudo_homothetic": (
-        _CLASSIFIED + (_SLANT, (lambda a: a.entry("phwc").passed,
+        _CLASSIFIED + (_SLANT, (lambda a: a._entry("phwc").passed,
                                 "precondition unmet: map is not PHWC")),
         lambda a: check_pseudo_homothetic(a.sample, a.slant, a.tol)),
 }
@@ -222,7 +222,6 @@ class Analysis:
             self.metadata["sha256"] = loaded.digest
         self.tol = settings.check_tol
         self.entries: dict = {}  # name -> entry, as computed
-        self._quiet = False  # True inside _quietly
 
     def entry(self, name: str) -> Optional[CheckResult]:
         """The report entry of a check in CHECK_NAMES (None for a
@@ -231,26 +230,19 @@ class Analysis:
         name not in CHECK_NAMES raises (``unknown_check``).  An overflow in
         the checks' arithmetic is its residual (inf or NaN), not a
         warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._entry(name)
+
+    def _entry(self, name: str) -> Optional[CheckResult]:
+        """``entry`` within the np.errstate that ``entry`` or ``report`` entered."""
         if name not in self.entries:
             if name not in CHECKS:
                 raise unknown_check(name)
-            if not self._quiet:
-                return self._quietly(self.entry, name)
             try:
                 self.entries[name] = self._compute(name)
             except Exception as exc:
                 self.entries[name] = error_entry(name, exc)
         return self.entries[name]
-
-    def _quietly(self, call, *args):
-        """call(*args) with overflow and invalid arithmetic ignored: one
-        np.errstate for the entries it computes, however they nest."""
-        self._quiet = True
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return call(*args)
-        finally:
-            self._quiet = False
 
     def _compute(self, name: str) -> Optional[CheckResult]:
         gates, run = CHECKS[name]
@@ -264,7 +256,7 @@ class Analysis:
         """The slant classification of the sample; raises where it fails."""
         s = self.settings
         return classify_slant(self.sample, s.angle_tol, s.check_tol,
-                              riemannian=self.entry("riemannian_map"))
+                              riemannian=self._entry("riemannian_map"))
 
     def report(self, names=CHECK_NAMES) -> Report:
         """The report of the entries of names, in that order, under one
@@ -272,21 +264,20 @@ class Analysis:
         names and ran, is the classification with the outcomes of the phwc
         and pseudo_homothetic checks where they ran.  A name not in
         CHECK_NAMES raises before any check runs."""
-        if not self._quiet:
-            return self._quietly(self.report, names)
         for name in names:  # each name is known before any check runs
             if name not in CHECKS:
                 raise unknown_check(name)
-        entries = [self.entry(name) for name in names]
-        checks = [e for e in entries if e is not None]
-        if len(checks) == len(entries):  # no slant_classification that ran
-            return Report(self.metadata, checks)
-        for name in ("phwc", "pseudo_homothetic"):
-            entry = self.entry(name)
-            if entry.residual is not None:
-                setattr(self.slant, name, entry.passed)
-                setattr(self.slant, f"{name}_residual", entry.residual)
-        return Report(self.metadata, checks, self.slant)
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = [self._entry(name) for name in names]
+            checks = [e for e in entries if e is not None]
+            if len(checks) == len(entries):  # no slant_classification that ran
+                return Report(self.metadata, checks)
+            for name in ("phwc", "pseudo_homothetic"):
+                entry = self._entry(name)
+                if entry.residual is not None:
+                    setattr(self.slant, name, entry.passed)
+                    setattr(self.slant, f"{name}_residual", entry.residual)
+            return Report(self.metadata, checks, self.slant)
 
     def point_records(self) -> list:
         """Each sample point with its least and largest slant angle, the

@@ -220,6 +220,25 @@ def test_target_checks_at_no_points_fold_nothing():
     assert at_no_points() == before
 
 
+def test_target_checks_raise_where_the_metric_is_indefinite():
+    # the target checks read the metric as the frames do: diag(x1, x1, 1, 1)
+    # is indefinite at the third point, and both checks raise the located
+    # error that metric() raises there
+    metric = [[("x1" if i == j < 2 else "1" if i == j else "0") for j in range(4)]
+              for i in range(4)]
+    chart = ChartManifold.from_strings(4, metric, STANDARD_J4)
+    points = [[1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.3, 0.0],
+              [-0.25, 0.0, 0.9, 0.0], [2.0, 0.0, 0.0, 0.0]]
+    message = ("metric is not positive definite at [-0.25, 0.0, 0.9, 0.0]: "
+               "inner product is not positive definite (min eigenvalue -0.25)")
+    for call in (lambda: ChartFields(chart, points).metric(),
+                 lambda: check_almost_hermitian(ChartFields(chart, points)),
+                 lambda: check_kahler(ChartFields(chart, points))):
+        with pytest.raises(ChartError) as failure:
+            call()
+        assert (str(failure.value), failure.value.index) == (message, 2)
+
+
 def test_rotated_structure_compatible_but_not_parallel():
     chart = ChartManifold.euclidean(4, rotated_j4())
     gen = np.random.default_rng(14)
@@ -403,12 +422,15 @@ FAILING_CONSTANT_CHARTS = {
 @pytest.mark.parametrize("case", sorted(FAILING_CONSTANT_CHARTS))
 def test_failing_constant_charts_are_evaluated_on_every_call(case, evaluated):
     # a constant chart whose evaluation fails is not kept: each call
-    # evaluates it again and raises the error of the caller's first point
+    # evaluates it again and raises the error of the caller's first point,
+    # the target checks too
     metric, J, error, message = FAILING_CONSTANT_CHARTS[case]
     chart = ChartManifold.from_strings(2, metric, J)
     for first in ([0.25, -0.5], [-0.75, 0.5]):
         points = [first, [0.5, 0.5]]
-        calls = [lambda: ChartFields(chart, points).structure()]
+        calls = [lambda: ChartFields(chart, points).structure(),
+                 lambda: check_almost_hermitian(ChartFields(chart, points)),
+                 lambda: check_kahler(ChartFields(chart, points))]
         if metric is not None:
             calls += [lambda: chart.metric_at(points),
                       lambda: chart.metric_at(first),

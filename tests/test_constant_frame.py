@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slantmap.catalog
 import slantmap.charts
 import slantmap.maps
 from oracles import fresh_spec
 from slantmap.catalog import catalog_ids
-from slantmap.charts import ChartFields, ChartManifold
+from slantmap.charts import ChartManifold
 from slantmap.expressions import (BinOp, Expression, ExpressionDomainError,
                                   Fun, Lit, Neg, eval_jet2, eval_jets,
                                   parse_expression)
@@ -127,6 +128,54 @@ def test_reports_and_points_equal_the_block_route(identifier):
     loaded = load_map_spec(identifier)
     loaded.settings.points = 20
     _same_outputs_over_blocks(loaded)
+
+
+def _parsed_anew(identifier) -> LoadedMap:
+    """The map of identifier parsed anew: a spec, charts and formulas of its
+    own, which have planned and kept nothing.  A file is parsed on every
+    load; a catalog map is shared, so its document is built again."""
+    if not identifier.startswith("catalog:"):
+        return load_map_spec(identifier)
+    name = identifier[len("catalog:"):]
+    alpha = slantmap.catalog._ENTRIES[name][1]
+    spec = slantmap.catalog._build.__wrapped__(
+        name, None if alpha is None else repr(alpha))
+    return LoadedMap(spec, AnalysisSettings(), identifier)
+
+
+# Each switch turns a fast route off at the one predicate it reads: a
+# constant chart's one row (and with it the one frame), and affine formulas
+# evaluated from their kept gradient rows.
+FAST_ROUTES = {
+    "constant_chart": (ChartManifold, "constant", property(lambda self: False)),
+    "affine_gradient": (Expression, "gradient", None),
+}
+
+
+@pytest.mark.parametrize("identifier, samples", [
+    *((identifier, 50) for identifier in MAPS),
+    (str(DATA_MAPS / "warped_product.json"), 2000),
+    (str(DATA_MAPS / "mixed_nonslant.json"), 2000)])
+def test_fast_routes_write_the_general_routes_bytes(identifier, samples):
+    # the report and the --points records with each fast route off, and
+    # with both, are those of the routes as they are; every run parses the
+    # map anew, since a plan and a gradient are kept on the formulas
+    def outputs(switches):
+        with pytest.MonkeyPatch.context() as patch:
+            for switch in switches:
+                patch.setattr(*FAST_ROUTES[switch])
+            loaded = _parsed_anew(identifier)
+            spec = loaded.spec
+            assert "constant_chart" not in switches or not (
+                spec.source.constant or spec.target.constant)
+            assert "affine_gradient" not in switches or not any(
+                c.affine for c in spec.components)
+            loaded.settings.points = samples
+            return _outputs(loaded)
+
+    expected = outputs(())
+    for switches in (("constant_chart",), ("affine_gradient",), tuple(FAST_ROUTES)):
+        assert outputs(switches) == expected, switches
 
 
 @st.composite
@@ -494,7 +543,9 @@ def test_warm_reports_equal_cold_ones(identifier, samples):
 def _spied_members(patch) -> list:
     """The names of what a warm analysis need not form, formed from here
     on: the adapted frames (whose Gram norms the stack keeps), the angle
-    ranges and the target's residuals."""
+    ranges and the target checks' residuals, |J^2 + I| and the rest
+    (``structure_residuals``) and the lengths of (nabla_e J) f
+    (``pairings``), which charts calls for nothing else."""
     formed = []
 
     def spy(name, func):
@@ -505,11 +556,11 @@ def _spied_members(patch) -> list:
 
     patch.setattr(FrameStack, "adapted_frames",
                   spy("adapted_frames", FrameStack.adapted_frames))
-    for owner, name in ((FrameStack, "angle_ranges"),
-                        (ChartFields, "_hermitian_residuals"),
-                        (ChartFields, "_kahler_lengths")):
-        member = owner.__dict__[name]
-        patch.setattr(member, "func", spy(name, member.func))
+    member = FrameStack.__dict__["angle_ranges"]
+    patch.setattr(member, "func", spy("angle_ranges", member.func))
+    for name in ("structure_residuals", "pairings"):
+        patch.setattr(slantmap.charts, name,
+                      spy(name, getattr(slantmap.charts, name)))
     return formed
 
 
@@ -526,7 +577,7 @@ def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
                              settings=AnalysisSettings(points=30)))
     first.report()
     assert sorted(formed) == sorted(
-        ["angle_ranges", "_hermitian_residuals", "_kahler_lengths"]
+        ["angle_ranges", "structure_residuals", "pairings"]
         + ["adapted_frames"] * first.slant.sec_defined)
     for settings, expected in (({"seed": 7, "check_tol": 1e-6}, []),
                                ({"angle_tol": 1e-3}, ["adapted_frames"]),
@@ -540,9 +591,9 @@ def test_a_warm_analysis_forms_no_kept_member(identifier, monkeypatch):
     if spec.target.complex_structure is not None:
         held = first.sample.target.held
         assert held is not first.sample.target  # the chart's kept point
-        kept += [held.G, held._gamma, held._ip.matrix, *held._structure[:2],
-                 *(norms for norms, _ in held._hermitian_residuals
-                   + held._kahler_lengths)]
+        kept += [held._gamma, held._ip.matrix, *held._structure[:2],
+                 *(norms for name in ("almost_hermitian", "kahler")
+                   for norms, _ in held.__dict__["norms: " + name][1])]
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 7.0
