@@ -41,7 +41,9 @@ SYM_TOL = 1e-12  # the largest |G - G^T| of a metric, relative to its largest en
 
 class InnerProduct:
     """Gram matrix of a Riemannian metric at a point, or at each point of a
-    stack (..., n, n); ``ip[i]`` is the inner product at point i."""
+    stack (..., n, n); ``ip[i]`` is the inner product at point i.  A matrix
+    is positive definite when the Cholesky factorisation that every later
+    step reads completes; eigenvalues only describe a matrix where it fails."""
 
     @np.errstate(invalid="ignore", over="ignore")
     def __init__(self, matrix):
@@ -59,19 +61,24 @@ class InnerProduct:
         valid = int(invalid.argmax()) if invalid.any() else len(stack)
         # halves first (exact above the subnormals): no finite sum overflows
         stack = 0.5 * stack + 0.5 * transposed
-        lowest = np.linalg.eigvalsh(stack[:valid]).min(axis=1)
-        if (lowest <= 0.0).any():
-            index = int((lowest <= 0.0).argmax())
-            raise MetricError(
-                f"inner product is not positive definite (min eigenvalue {lowest[index]:g})",
-                index)
+        try:
+            cholesky = np.linalg.cholesky(stack[:valid])
+        except np.linalg.LinAlgError:  # name the first matrix with no factor
+            for index, part in enumerate(stack[:valid]):
+                try:
+                    np.linalg.cholesky(part)
+                except np.linalg.LinAlgError:
+                    raise MetricError(
+                        "inner product is not positive definite (min eigenvalue "
+                        f"{np.linalg.eigvalsh(part).min():g})", index) from None
+            raise
         if valid < len(stack):
             raise MetricError(
                 "inner product matrix has non-finite entries"
                 if not np.isfinite(scale[valid])
                 else "inner product matrix is not symmetric", valid)
         self.matrix = stack.reshape(G.shape)
-        self.cholesky = np.linalg.cholesky(self.matrix)
+        self.cholesky = cholesky.reshape(G.shape)
         # L^{-T}, whose columns are g-orthonormal, and G^{-1} = L^{-T} L^{-1}
         self.frame = np.swapaxes(np.linalg.inv(self.cholesky), -1, -2)
         self.inverse = self.frame @ np.swapaxes(self.frame, -1, -2)

@@ -32,9 +32,9 @@ MapSpec keeps, read-only, for every analysis of the map.
 
 A MapSpec keeps, by the one rule of ``charts.kept`` (formed once without
 error, read-only, replaced whole), that one stack (for the last rank
-tolerance) with every member formed on it, and ``point_frame``'s stack (for
-the last point); ``Sample.keep`` alone decides what else the one stack
-keeps: each check's residual norms (for the last key) and the
+tolerance) with every member formed on it, and ``point_frame``'s row (for
+the last point) with no member; ``Sample.keep`` alone decides what else the
+one stack keeps: each check's residual norms (for the last key) and the
 classification's statistics (for the last sample size).  Its charts keep
 their own (``charts``), and a dropped spec takes all of it along.  A
 catalog spec is shared by the process, so a caller that patches or counts
@@ -55,8 +55,8 @@ from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
                      _read_only, evaluate_prefix, kept)
 from .expressions import Expression, Formulas, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
-from .linalg import (InnerProduct, TangentSplit, apply_along, lift, rows_at,
-                     split_tangents)
+from .linalg import (InnerProduct, TangentSplit, _trusted, apply_along, lift,
+                     rows_at, split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, checked, point_norms, worst_norms)
 
@@ -471,18 +471,20 @@ class PointFrame(FrameStack):
 def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFrame:
     """The frame at p: a block of one.
 
-    Repeated calls at one point share one build: the spec keeps the stack
-    of the last (p, rank_tol) it was asked for (``kept``), p by its float64
-    bytes, and every call returns a fresh ``row(0)`` of it, whose derived
-    members are formed anew.  The arrays of that stack, and so those of a
-    returned frame, are read-only.  A build that raises is not kept, and a
-    spec that is dropped takes its stack with it."""
-    point = np.array(p, dtype=float)  # a copy: the kept stack holds it
+    Repeated calls at one point share one build: the spec keeps the
+    ``row(0)`` of the one-point stack of the last (p, rank_tol) it was asked
+    for (``kept``), p by its float64 bytes, and every call returns a new
+    frame holding that row's fields, whose derived members are formed anew
+    on it and never on the kept row.  The arrays of the row, and so the
+    fields of a returned frame, are read-only.  A build that raises is not
+    kept, and a spec that is dropped takes its row with it."""
+    point = np.array(p, dtype=float)  # a copy: the kept row holds it
     n = spec.source.dim
     if point.shape != (n,):
         raise ValueError(f"point has shape {point.shape}, expected ({n},)")
-    return kept(spec, "_point_frame", (point.tobytes(), rank_tol),
-                lambda: frame_block(spec, point[None], rank_tol)[0][1]).row(0)
+    row = kept(spec, "_point_frame", (point.tobytes(), rank_tol),
+               lambda: frame_block(spec, point[None], rank_tol)[0][1].row(0))
+    return _trusted(PointFrame, {name: vars(row)[name] for name in FrameStack.FIELDS})
 
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,

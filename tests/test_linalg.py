@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slantmap.linalg import (InnerProduct, MetricError, SubspaceBasis,
                              _fix_signs, gram_schmidt, metric_adjoint,
@@ -38,6 +40,80 @@ def test_inner_product_keeps_a_finite_metric_whose_sum_overflows():
     assert np.isfinite(ip.frame).all() and np.isfinite(ip.inverse).all()
     with pytest.raises(MetricError, match="positive definite"):
         InnerProduct([[1e308, 1e308], [1e308, 1e308]])
+
+
+# eigvalsh puts this matrix's least eigenvalue at 2.8e-16 > 0, yet it has no
+# Cholesky factor: the factorisation decides, so it is not positive definite
+UNFACTORABLE = np.array([
+    [2.597378468421213, -2.116127364814704, -0.7736108789547227],
+    [-2.116127364814704, 2.096534781500679, 0.38632541928819236],
+    [-0.7736108789547227, 0.38632541928819236, 0.39017889222023416]])
+
+
+def test_a_metric_without_a_cholesky_factor_is_not_positive_definite():
+    # the failing matrix is the factorisation's: a least eigenvalue at or
+    # below zero would point at none of these three, an argmax at the first
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(UNFACTORABLE)
+    with pytest.raises(MetricError, match="^inner product is not positive "
+                       r"definite \(min eigenvalue ") as failure:
+        InnerProduct(np.stack([np.eye(3), UNFACTORABLE, np.eye(3)]))
+    assert failure.value.index == 1
+
+
+def _factors(matrix) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """Stacks of symmetric n x n matrices: definite ones, A A^T + I; near
+    singular ones, A A^T + k 2^-52 I with A of rank n - 1; and clearly
+    indefinite ones, A A^T less (trace + 1) e_1 e_1^T."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("definite", "near_singular", "indefinite")))
+        A = np.array(draw(entries)).reshape(n, n)
+        if kind == "near_singular":
+            A[:, -1] = A[:, :-1] @ np.array(draw(entries))[:n - 1]
+        G = A @ A.T
+        G = 0.5 * G + 0.5 * G.T
+        if kind == "definite":
+            G += np.eye(n)
+        elif kind == "near_singular":
+            G += draw(st.integers(-8, 8)) * 2.0 ** -52 * np.eye(n)
+        else:
+            G[0, 0] -= np.trace(G) + 1.0
+        stack.append(G)
+    return np.array(stack)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(symmetric_stacks())
+def test_cholesky_decides_positive_definiteness(stack):
+    # a stack either factors, bit for bit as numpy factors its symmetric
+    # part, or fails at the first matrix that numpy cannot factor; never
+    # with a LinAlgError.  A clearly negative matrix keeps its message.
+    symmetric = 0.5 * stack + 0.5 * np.swapaxes(stack, -1, -2)
+    failing = [i for i, matrix in enumerate(symmetric) if not _factors(matrix)]
+    if not failing:
+        ip = InnerProduct(stack)
+        assert ip.cholesky.tobytes() == np.linalg.cholesky(symmetric).tobytes()
+        return
+    with pytest.raises(MetricError) as failure:
+        InnerProduct(stack)
+    assert failure.value.index == failing[0]
+    matrix = symmetric[failing[0]]
+    lowest = np.linalg.eigvalsh(matrix).min()
+    if lowest < -1e-8 * np.abs(matrix).max():
+        assert str(failure.value) == ("inner product is not positive definite "
+                                      f"(min eigenvalue {lowest:g})")
 
 
 def test_inner_product_frame_and_inverse_on_random_stacks():

@@ -737,6 +737,41 @@ def test_a_one_point_frame_broadcasts_nothing(catalog_id, monkeypatch):
     assert frame.rank == 2
 
 
+@pytest.mark.parametrize("catalog_id", POINTWISE_MAPS)
+def test_a_pointwise_call_group_builds_and_reads_one_row(catalog_id, monkeypatch):
+    # perfbench's pointwise_api call group at a new point builds one block
+    # and takes one row of it, which the spec keeps: each call returns a new
+    # frame over that row's fields (its two metrics the row's two
+    # InnerProduct rows), whose members are its own and never the kept row's
+    spec = fresh_spec(load_catalog(catalog_id))
+    p = sample_points(spec.box, 1, seed=9)[0]
+    builds = _counted_builds(monkeypatch)
+    counts = {"row": 0, "__getitem__": 0}
+    for owner, name in ((slantmap.maps.FrameStack, "row"),
+                        (InnerProduct, "__getitem__")):
+        def counted(*args, name=name, original=getattr(owner, name)):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    frame = point_frame(spec, p)
+    X = frame.split.horizontal.columns @ np.ones(frame.rank)
+    slant_angle(spec, p, X)
+    q = q_operator(spec, p)
+    tension_field(spec, p)
+    assert len(builds) == 1
+    assert counts == {"row": 1, "__getitem__": 2}
+    a, b = point_frame(spec, p), point_frame(spec, p)
+    _, row = spec.__dict__["_point_frame"]
+    assert a is not b and set(vars(a)) == set(vars(row)) == set(a.FIELDS)
+    for name in a.FIELDS:
+        assert getattr(a, name) is getattr(b, name) is getattr(row, name), name
+    assert _same_bits(a.q, q)
+    assert "q" not in vars(b) and "q" not in vars(row)
+    q[...] = 7.0  # a returned member is the caller's to write
+    assert not _same_bits(q_operator(spec, p), q)
+    assert len(builds) == 1 and counts["row"] == 1
+
+
 @pytest.mark.parametrize("spec", [load_catalog("warped_fiber"), parabola_map()],
                          ids=["with_J", "without_J"])
 def test_a_row_is_every_field_at_its_point(spec):

@@ -33,6 +33,7 @@ from slantmap.result import CheckResult
 from slantmap.slant import SlantReport, check_harmonic
 from oracles import assert_report_matches, fresh_spec, sample_points_by_point
 from test_expressions import NESTED
+from test_linalg import UNFACTORABLE
 from test_slant import _rank4_into_c3
 
 MINIMAL_SPEC = {
@@ -719,7 +720,8 @@ def test_derivative_budget_per_frame(frame_builds, entry_evaluations,
 def test_metric_solve_budget(identifier, monkeypatch):
     # each InnerProduct inverts its Cholesky factor once, and every later
     # metric step reads its frame or inverse; the checks read the adapted
-    # frames, so the one solve left is each stack's r x r Sigma^-1
+    # frames, so the one solve left is each stack's r x r Sigma^-1.  The
+    # factorisation alone decides positive definiteness
     if not identifier.startswith("catalog:"):
         identifier = str(REPORTS.parent / identifier)
     counts = Counter()
@@ -730,7 +732,7 @@ def test_metric_solve_budget(identifier, monkeypatch):
             return original(*args, **kwargs)
         return call
 
-    for name in ("solve", "inv"):
+    for name in ("solve", "inv", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(slantmap.linalg.InnerProduct, "__init__", counted(
         "InnerProduct", slantmap.linalg.InnerProduct.__init__))
@@ -746,6 +748,8 @@ def test_metric_solve_budget(identifier, monkeypatch):
     assert counts["FrameStack"] > 0
     assert counts["solve"] == counts["FrameStack"]
     assert counts["inv"] == counts["InnerProduct"]
+    # every metric factors, so no eigenvalue is taken
+    assert counts["eigvalsh"] == 0
 
 
 def test_frames_are_freed_by_reference_counting():
@@ -953,6 +957,13 @@ J2 = [["0", "-1"], ["1", "0"]]
 INDEFINITE_REASON = (
     f"metric is not positive definite at {[FIRST_POINT[0], 0.0, FIRST_POINT[1], 0.0]}"
     ": inner product is not positive definite (min eigenvalue -1)")
+# a constant source metric that eigvalsh calls positive (least eigenvalue
+# 2.8e-16) but that has no Cholesky factor, named at the first sample point
+UNFACTORABLE_REASON = (
+    "metric is not positive definite at "
+    f"{[float(x) for x in sample_points([[-1.0, 1.0]] * 3, 50, 42)[0]]}: inner "
+    "product is not positive definite (min eigenvalue "
+    f"{np.linalg.eigvalsh(UNFACTORABLE).min():g})")
 CONSTANT_DOMAIN = {
     "log_component": (
         {"target": {"dim": 2, "J": J2}, "components": ["x1", "x2 + log(-1)"]},
@@ -972,6 +983,12 @@ CONSTANT_DOMAIN = {
         INDEFINITE_REASON,
         {"almost_hermitian": ("error", INDEFINITE_REASON),
          "kahler": ("skipped", "target is not almost Hermitian")}),
+    "unfactorable_source_metric": (
+        {"source": {"dim": 3, "metric": [[repr(x) for x in row]
+                                         for row in UNFACTORABLE.tolist()]},
+         "components": ["x1", "x2", "x3", "0"]},
+        UNFACTORABLE_REASON,
+        {"almost_hermitian": ("pass", None), "kahler": ("pass", None)}),
 }
 
 
