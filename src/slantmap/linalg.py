@@ -1,14 +1,15 @@
 """Linear algebra relative to symmetric positive-definite inner products.
 
 Every metric problem is whitened through a Cholesky factor G = L L^T, which
-an ``InnerProduct`` inverts once: its g-orthonormal frame L^{-T} and G^{-1}
-serve every later step as matrix products.  ``split_tangents`` turns them
-into the orthonormal frames B1 = [h | k] and B2 = [R | N] of a map, plain
-arrays with the rank, in which the checks read every tensor as components,
-so that the metric has done its work once the split is built; a
-``TangentSplit`` names their four blocks (``TangentSplit.of``).  Basis
-vectors follow a fixed convention (decreasing singular value, first
-significant component positive) so repeated runs produce identical output.
+an ``InnerProduct`` validates, the one place that does, and inverts once:
+its g-orthonormal frame L^{-T} and G^{-1} serve every later step as matrix
+products.  ``split_tangents`` turns them into the orthonormal frames
+B1 = [h | k] and B2 = [R | N] of a map, plain arrays with the rank, in which
+the checks read every tensor as components, so that the metric has done its
+work once the split is built; a ``TangentSplit`` names their four blocks
+(``TangentSplit.of``).  Basis vectors follow a fixed convention (decreasing
+singular value, first significant component positive) so repeated runs
+produce identical output.
 """
 
 from __future__ import annotations
@@ -37,13 +38,24 @@ def _trusted(cls, fields: dict):
 
 
 SYM_TOL = 1e-12  # the largest |G - G^T| of a metric, relative to its largest entry
+# the largest |B^T G B - I| of a basis B orthonormal under G, entry by entry
+ORTHONORMAL_TOL = 1e-10
+# the largest sum_i G_ii (G^{-1})_ii of a usable metric: a condition number
+# that no scaling of the coordinates changes, n where G is diagonal.
+# Rounding leaves the frame L^{-T}, and every basis built from it, within
+# about 1.5 eps times it of g-orthonormal: within ORTHONORMAL_TOL / 3.
+CONDITION_LIMIT = 1e5
 
 
 class InnerProduct:
     """Gram matrix of a Riemannian metric at a point, or at each point of a
-    stack (..., n, n); ``ip[i]`` is the inner product at point i.  A matrix
-    is positive definite when the Cholesky factorisation that every later
-    step reads completes; eigenvalues only describe a matrix where it fails."""
+    stack (..., n, n); ``ip[i]`` is the inner product at point i.  The one
+    rule for a usable metric: its Cholesky factorisation completes and its
+    condition is within ``CONDITION_LIMIT``, which keeps the frame L^{-T}
+    and the split's bases, that frame times orthogonal matrices, orthonormal
+    within ``ORTHONORMAL_TOL`` unchecked.  A stack fails at its first matrix
+    that is non-finite, asymmetric, has no factor or is too close to
+    singular; eigenvalues only describe a matrix with no factor."""
 
     @np.errstate(invalid="ignore", over="ignore")
     def __init__(self, matrix):
@@ -55,32 +67,43 @@ class InnerProduct:
         scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
         scale[scale == 0.0] = 1.0
         asymmetry = np.abs(stack - transposed).max(axis=(1, 2), initial=0.0)
-        # the first matrix that is non-finite or not symmetric, and the first
-        # before it that is not positive definite
+        # the first matrix that is non-finite or not symmetric, and then the
+        # first before it that fails a later test
         invalid = ~(np.isfinite(scale) & (asymmetry <= SYM_TOL * scale))
-        valid = int(invalid.argmax()) if invalid.any() else len(stack)
+        failed = int(invalid.argmax()) if invalid.any() else len(stack)
+        failure = None  # the message of a later test
         # halves first (exact above the subnormals): no finite sum overflows
         stack = 0.5 * stack + 0.5 * transposed
         try:
-            cholesky = np.linalg.cholesky(stack[:valid])
-        except np.linalg.LinAlgError:  # name the first matrix with no factor
-            for index, part in enumerate(stack[:valid]):
+            cholesky = np.linalg.cholesky(stack[:failed])
+        except np.linalg.LinAlgError:  # the first matrix with no factor
+            for failed, part in enumerate(stack[:failed]):
                 try:
                     np.linalg.cholesky(part)
                 except np.linalg.LinAlgError:
-                    raise MetricError(
-                        "inner product is not positive definite (min eigenvalue "
-                        f"{np.linalg.eigvalsh(part).min():g})", index) from None
-            raise
-        if valid < len(stack):
-            raise MetricError(
+                    break
+            else:
+                raise
+            failure = ("inner product is not positive definite (min eigenvalue "
+                       f"{np.linalg.eigvalsh(part).min():g})")
+            cholesky = np.linalg.cholesky(stack[:failed])
+        # L^{-T}, whose columns are g-orthonormal, and G^{-1} = L^{-T} L^{-1}
+        frame = np.swapaxes(np.linalg.inv(cholesky), -1, -2)
+        # sum_i G_ii (G^{-1})_ii, the frame's rows scaled by sqrt(G_ii) first
+        diagonal = np.diagonal(stack[:failed], axis1=1, axis2=2)
+        condition = np.square(np.sqrt(diagonal)[..., None] * frame).sum(axis=(1, 2))
+        singular = ~(condition <= CONDITION_LIMIT)  # a NaN fails too
+        if singular.any():
+            failed = int(singular.argmax())
+            failure = "inner product is not positive definite to working precision"
+        if failed < len(stack):
+            raise MetricError(failure or (
                 "inner product matrix has non-finite entries"
-                if not np.isfinite(scale[valid])
-                else "inner product matrix is not symmetric", valid)
+                if not np.isfinite(scale[failed])
+                else "inner product matrix is not symmetric"), failed)
         self.matrix = stack.reshape(G.shape)
         self.cholesky = cholesky.reshape(G.shape)
-        # L^{-T}, whose columns are g-orthonormal, and G^{-1} = L^{-T} L^{-1}
-        self.frame = np.swapaxes(np.linalg.inv(self.cholesky), -1, -2)
+        self.frame = frame.reshape(G.shape)
         self.inverse = self.frame @ np.swapaxes(self.frame, -1, -2)
 
     def __getitem__(self, i) -> "InnerProduct":
@@ -150,28 +173,13 @@ class SubspaceBasis:
         self.columns = np.asarray(self.columns, dtype=float)
         if self.columns.ndim != 2:
             raise ValueError("basis columns must form a 2d array")
-        _check_orthonormal(self.columns, self.metric.matrix)
+        gram = self.columns.T @ self.metric.matrix @ self.columns
+        if (~(np.abs(gram - np.eye(self.dim)) <= ORTHONORMAL_TOL)).any():
+            raise ValueError("basis columns are not orthonormal under the metric")
 
     @property
     def dim(self) -> int:
         return self.columns.shape[-1]
-
-
-def _check_orthonormal(columns, matrix, rank=None, rows=None) -> None:
-    """Raise unless the columns (of each matrix of a stack) are orthonormal
-    under the metric matrix (of the same point); with ``rank``, the first
-    rank columns and the rest are two bases, each checked on its own.  The
-    error's ``index`` is the first failing matrix, or its entry in ``rows``,
-    the places of the stack's matrices in a larger one."""
-    gram = np.swapaxes(columns, -1, -2) @ matrix @ columns
-    error = np.abs(gram - np.eye(columns.shape[-1]))
-    if rank is not None:
-        error[..., :rank, rank:] = error[..., rank:, :rank] = 0.0
-    bad = np.flatnonzero((error > 1e-10).any(axis=(-2, -1)))
-    if bad.size:
-        exc = ValueError("basis columns are not orthonormal under the metric")
-        exc.index = int(bad[0] if rows is None else rows[bad[0]])
-        raise exc
 
 
 @dataclass
@@ -187,7 +195,8 @@ class TangentSplit:
     @staticmethod
     def of(rank: int, B1, B2, g1: InnerProduct, g2: InnerProduct) -> "TangentSplit":
         """The four bases as slices of B1 = [h | k] and B2 = [R | N] (stacked
-        or not), whose columns were checked orthonormal under g1 and g2."""
+        or not) of ``split_tangents``, built from the frames of g1 and g2,
+        which their conditioning keeps orthonormal."""
         return TangentSplit(rank, kernel=_basis(B1[..., rank:], g1),
                             horizontal=_basis(B1[..., :rank], g1),
                             range=_basis(B2[..., :rank], g2),
@@ -263,10 +272,12 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     g1-orthonormal horizontal, then kernel, columns at those points and
     B2 = [R | N] the g2-orthonormal range, then normal, columns.
 
-    The map is whitened to M = L2^T A L1^{-T}; a Euclidean SVD of M then
-    yields g1-orthonormal kernel/horizontal bases and g2-orthonormal
-    range/normal bases.  Rank counts singular values above tol times the
-    largest one, and tol must be a positive number below 1.
+    The map is whitened to M = L2^T A L1^{-T}, whose Euclidean SVD U S V^T
+    gives the bases B1 = L1^{-T} V and B2 = L2^{-T} U: the frames of the
+    inner products times orthogonal matrices, orthonormal within
+    ``ORTHONORMAL_TOL`` by the inner products' ``CONDITION_LIMIT``.
+    Rank counts singular values above tol times the largest one, and tol
+    must be a positive number below 1.
     """
     tol = library_setting("rank_tol", tol, "rank tolerance")
     U, s, Vt = np.linalg.svd(g2.cholesky.transpose(0, 2, 1) @ (A @ g1.frame))
@@ -278,26 +289,14 @@ def split_tangents(A, g1: InnerProduct, g2: InnerProduct,
     splits = []
     for rank in ranks[:1] if constant else np.unique(ranks):
         at = slice(None) if constant else np.flatnonzero(ranks == rank)
-        rows = np.arange(len(A))[at]
-        splits.append((at, int(rank), _unwhitened(g1, at, rank, V[at], rows),
-                       _unwhitened(g2, at, rank, U[at], rows)))
+        splits.append((at, int(rank), _fix_signs(rows_at(g1.frame, at) @ V[at]),
+                       _fix_signs(rows_at(g2.frame, at) @ U[at])))
     return splits
 
 
 def _basis(columns, metric: InnerProduct) -> SubspaceBasis:
-    """A basis whose columns were checked orthonormal with their stack."""
+    """A basis built from the frame of a usable metric, unchecked."""
     return _trusted(SubspaceBasis, {"columns": columns, "metric": metric})
-
-
-def _unwhitened(ip: InnerProduct, at, rank, whitened, rows) -> np.ndarray:
-    """The whitened columns mapped back through the frames L^{-T} of ip at
-    the points ``at`` of the stack, its indices ``rows``, with signs fixed;
-    the first ``rank`` columns and the rest are checked orthonormal as two
-    bases."""
-    ip = rows_at(ip, at)
-    columns = _fix_signs(ip.frame @ whitened)
-    _check_orthonormal(columns, ip.matrix, rank, rows)
-    return columns
 
 
 def project(v, basis: SubspaceBasis) -> np.ndarray:

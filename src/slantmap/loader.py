@@ -183,5 +183,4 @@ def load_map_spec(identifier: str) -> LoadedMap:
         raise MapSpecError("/map", f"invalid JSON: {exc}")
     loaded = map_spec_from_json(doc, name=str(path))
     loaded.digest = hashlib.sha256(raw).hexdigest()
-    loaded.origin = str(path)
     return loaded

@@ -509,7 +509,8 @@ def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,
 def _frame_stacks(spec, points, rank_tol, target, start) -> list:
     """``frame_block``'s (rows, stack) pairs, built: one stack per rank.  A
     constant chart gives one row of each field, and None for its Christoffel
-    symbols and nabla J, whose terms are zero."""
+    symbols and nabla J, whose terms are zero.  The charts locate any metric
+    that ``InnerProduct`` rejects, so the split raises no error of its own."""
     rows = np.arange(start, start + len(points))
     image, jac, hess = eval_jets(spec.components, points, 2)
     g1, gamma1 = spec.source.metric_at(points)
@@ -517,14 +518,7 @@ def _frame_stacks(spec, points, rank_tol, target, start) -> list:
         target, start = ChartFields(spec.target, image), 0
     stop = start + len(points)
     g2, gamma2 = target.metric(start, stop)
-    try:
-        groups = split_tangents(jac, g1, g2, rank_tol)
-    except ValueError as exc:  # a split too ill-conditioned to be orthonormal
-        if not hasattr(exc, "index"):
-            raise
-        located = ValueError(f"{exc} at point {points[exc.index].tolist()}")
-        located.index = exc.index
-        raise located from None
+    groups = split_tangents(jac, g1, g2, rank_tol)
     sff = hess  # plus the Christoffel terms of each chart that varies
     if spec.source.constant:
         gamma1 = None

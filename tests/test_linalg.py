@@ -61,12 +61,46 @@ def test_a_metric_without_a_cholesky_factor_is_not_positive_definite():
     assert failure.value.index == 1
 
 
+def test_a_metric_singular_to_working_precision_is_not_positive_definite():
+    # v v^T + (Jv)(Jv)^T has rank 2 of 4, yet its factorisation completes:
+    # its condition is far above the limit, and the message names no number
+    # of rounding size; a diagonal metric scaled near the ends of the floats
+    # has the least condition, n, and an orthonormal frame
+    J = np.array([[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    v = np.array([1.0, 0.3, -0.7, 0.2])
+    singular = np.outer(v, v) + np.outer(J @ v, J @ v)
+    assert np.linalg.eigvalsh(singular).min() < 0.0 and _factors(singular)
+    with pytest.raises(MetricError) as failure:
+        InnerProduct(np.stack([np.eye(4), singular, np.eye(4)]))
+    assert failure.value.index == 1
+    assert str(failure.value) == ("inner product is not positive definite "
+                                  "to working precision")
+    for diagonal in ([1e308, 1.0], [1e-300, 1.0]):
+        ip = InnerProduct(np.diag(diagonal))
+        assert (ip.frame.T @ ip.matrix @ ip.frame == np.eye(2)).all()
+
+
 def _factors(matrix) -> bool:
     try:
         np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _usable(matrix) -> bool:
+    """Whether numpy factors the matrix G = L L^T with sum_i G_ii (G^{-1})_ii
+    at most 1e5, where (G^{-1})_ii is the square norm of row i of L^{-T}."""
+    if not _factors(matrix):
+        return False
+    with np.errstate(over="ignore"):
+        frame = np.linalg.inv(np.linalg.cholesky(matrix)).T
+        return bool((np.diag(matrix) * (frame ** 2).sum(axis=1)).sum() <= 1e5)
+
+
+def _assert_orthonormal(columns, matrix):
+    gram = columns.T @ matrix @ columns
+    assert np.abs(gram - np.eye(columns.shape[-1])).max(initial=0.0) <= 1e-10
 
 
 @st.composite
@@ -97,23 +131,56 @@ def symmetric_stacks(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(symmetric_stacks())
 def test_cholesky_decides_positive_definiteness(stack):
-    # a stack either factors, bit for bit as numpy factors its symmetric
-    # part, or fails at the first matrix that numpy cannot factor; never
-    # with a LinAlgError.  A clearly negative matrix keeps its message.
+    # a stack either factors with g-orthonormal frames, bit for bit as numpy
+    # factors its symmetric part, or fails at the first matrix that numpy
+    # cannot factor or that is too close to singular; never with a
+    # LinAlgError.  A clearly negative matrix keeps its message.
     symmetric = 0.5 * stack + 0.5 * np.swapaxes(stack, -1, -2)
-    failing = [i for i, matrix in enumerate(symmetric) if not _factors(matrix)]
+    failing = [i for i, matrix in enumerate(symmetric) if not _usable(matrix)]
     if not failing:
         ip = InnerProduct(stack)
         assert ip.cholesky.tobytes() == np.linalg.cholesky(symmetric).tobytes()
+        for frame, matrix in zip(ip.frame, symmetric):
+            _assert_orthonormal(frame, matrix)
         return
     with pytest.raises(MetricError) as failure:
         InnerProduct(stack)
     assert failure.value.index == failing[0]
     matrix = symmetric[failing[0]]
     lowest = np.linalg.eigvalsh(matrix).min()
-    if lowest < -1e-8 * np.abs(matrix).max():
+    if _factors(matrix):
+        assert str(failure.value) == ("inner product is not positive definite "
+                                      "to working precision")
+    elif lowest < -1e-8 * np.abs(matrix).max():
         assert str(failure.value) == ("inner product is not positive definite "
                                       f"(min eigenvalue {lowest:g})")
+
+
+def test_usable_metrics_split_into_orthonormal_bases():
+    # metrics near the condition limit, Q diag(1, ..., 10^-x) Q^T with x up
+    # to 9 and some coordinates rescaled: those that InnerProduct accepts
+    # have frames and split bases g-orthonormal within 1e-10, though the
+    # split checks no basis
+    gen = np.random.default_rng(11)
+    accepted = 0
+    for _ in range(1500):
+        n = int(gen.integers(2, 6))
+        Q = np.linalg.qr(gen.standard_normal((n, n)))[0]
+        scale = np.diag(10.0 ** gen.uniform(-3, 3, n))
+        G = scale @ Q @ np.diag([1.0] * (n - 1) + [10 ** -gen.uniform(3, 9)]) @ Q.T @ scale
+        G = 0.5 * G + 0.5 * G.T
+        try:
+            ip = InnerProduct(G)
+        except MetricError as failure:
+            assert not _usable(G), str(failure)
+            continue
+        accepted += 1
+        A = gen.standard_normal((int(gen.integers(1, n + 2)), n))
+        split = split_tangent(A, ip, InnerProduct(np.eye(len(A))))
+        _assert_orthonormal(ip.frame, G)
+        _assert_orthonormal(np.hstack([split.horizontal.columns,
+                                       split.kernel.columns]), G)
+    assert 300 < accepted < 1200
 
 
 def test_inner_product_frame_and_inverse_on_random_stacks():
@@ -166,6 +233,8 @@ def test_subspace_basis_validates_orthonormality():
     ip = InnerProduct(np.eye(2))
     with pytest.raises(ValueError, match="orthonormal"):
         SubspaceBasis(np.array([[2.0], [0.0]]), ip)
+    with pytest.raises(ValueError, match="orthonormal"):  # a NaN miss fails
+        SubspaceBasis(np.full((2, 1), np.nan), ip)
 
 
 def test_metric_adjoint_orthogonal_euclidean():

@@ -964,6 +964,16 @@ UNFACTORABLE_REASON = (
     f"{[float(x) for x in sample_points([[-1.0, 1.0]] * 3, 50, 42)[0]]}: inner "
     "product is not positive definite (min eigenvalue "
     f"{np.linalg.eigvalsh(UNFACTORABLE).min():g})")
+# a J-compatible target metric v v^T + (Jv)(Jv)^T of rank 2 of 4, whose
+# least eigenvalue eigvalsh puts at -2.8e-16 and whose Cholesky factorisation
+# completes: its frame misses orthonormality, so the frames and the target
+# checks reject it alike, at the first image point
+_V = np.array([1.0, 0.3, -0.7, 0.2])
+_JV = np.array([[float(x) for x in row] for row in MINIMAL_SPEC["target"]["J"]]) @ _V
+ROUNDING_BAND_METRIC = np.outer(_V, _V) + np.outer(_JV, _JV)
+ROUNDING_BAND_REASON = (
+    f"metric is not positive definite at {[FIRST_POINT[0], 0.0, FIRST_POINT[1], 0.0]}"
+    ": inner product is not positive definite to working precision")
 CONSTANT_DOMAIN = {
     "log_component": (
         {"target": {"dim": 2, "J": J2}, "components": ["x1", "x2 + log(-1)"]},
@@ -989,6 +999,12 @@ CONSTANT_DOMAIN = {
          "components": ["x1", "x2", "x3", "0"]},
         UNFACTORABLE_REASON,
         {"almost_hermitian": ("pass", None), "kahler": ("pass", None)}),
+    "rounding_band_target_metric": (
+        {"target": dict(MINIMAL_SPEC["target"], metric=[
+            [repr(x) for x in row] for row in ROUNDING_BAND_METRIC.tolist()])},
+        ROUNDING_BAND_REASON,
+        {"almost_hermitian": ("error", ROUNDING_BAND_REASON),
+         "kahler": ("skipped", "target is not almost Hermitian")}),
 }
 
 
@@ -1587,9 +1603,10 @@ def test_adapted_frame_error_names_its_point():
 
 
 def test_ill_conditioned_split_names_its_point(tmp_path):
-    # the source metric is positive definite with condition number near 1e8,
-    # so the split's bases miss orthonormality by more than 1e-10: the entry
-    # and point_frame name the first sample point where that happens
+    # the source metric has condition number near 1e8, far above the limit
+    # that keeps its frame L^{-T} orthonormal within 1e-10, so it is not
+    # positive definite to working precision: the entry and point_frame name
+    # the first sample point where that happens
     doc = dict(MINIMAL_SPEC, sampling={"points": 20},
                source={"dim": 2, "metric": [["1", "x1"], ["x1", "1"]]},
                domain={"box": [[0.9999999, 0.99999999], [-1, 1]]})
@@ -1598,17 +1615,17 @@ def test_ill_conditioned_split_names_its_point(tmp_path):
     loaded = load_map_spec(str(path))
     analysis = Analysis(loaded)
     entry = analysis.entry("riemannian_map")
-    text = "basis columns are not orthonormal under the metric at point "
-    assert entry.status == "error"
-    assert entry.reason.startswith(f"ValueError: {text}")
+    point = [0.9999999696560443, -0.12224312049589536]
+    text = (f"metric is not positive definite at {point}: inner product is "
+            "not positive definite to working precision")
+    assert (entry.status, entry.reason) == ("error", text)
     assert analysis.entry("slant_classification").reason == entry.reason
-    point = json.loads(entry.reason[len(f"ValueError: {text}"):])
     points = analysis.sample.points.tolist()
     for p in points[:points.index(point)]:
         point_frame(loaded.spec, p)
     with pytest.raises(ValueError) as failure:
         point_frame(loaded.spec, point)
-    assert str(failure.value) == f"{text}{point}"
+    assert str(failure.value) == text
 
 # One case or more per gate of report.CHECKS: (map, check, skip reason).
 GATE_SPECS = {
@@ -2264,15 +2281,15 @@ CONSOLE_RUNS = {
     "not_phwc": (["check", "pseudo_homothetic", "--map", "catalog:anti_invariant"],
                  0, None, ("pseudo_homothetic", "skipped",
                            "precondition unmet: map is not PHWC")),
-    # a condition number near 1e8: the split's bases are not orthonormal
+    # a condition number near 1e8: the metric is too close to singular
     "ill_conditioned": (
         ["check", "riemannian_map", "--map", "ill_conditioned.json"], 1,
         dict(MINIMAL_SPEC, source={"dim": 2, "metric": [["1", "x1"], ["x1", "1"]]},
              domain={"box": [[0.9999999, 0.99999999], [-1, 1]]},
              sampling={"points": 20}),
-        ("riemannian_map", "error", "ValueError: basis columns are not "
-         "orthonormal under the metric at point [0.9999999696560443, "
-         "-0.12224312049589536]")),
+        ("riemannian_map", "error", "metric is not positive definite at "
+         "[0.9999999696560443, -0.12224312049589536]: inner product is not "
+         "positive definite to working precision")),
 }
 
 
