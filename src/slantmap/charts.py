@@ -193,20 +193,24 @@ class ChartFields:
     metric's InnerProduct and Christoffel symbols, and nabla J; J and nabla J
     are evaluated on first read.  Each field is evaluated up to the first
     point where it fails, and that failure, kept as (index, error), is raised
-    by whatever reads the field there.  ``held`` is the fields whose arrays
-    hold the values: these, or for a constant chart (``ChartManifold.constant``)
-    that evaluates, the one point it keeps, whose read-only one-row arrays
-    ``metric`` and ``structure`` hand out themselves at any count of points,
-    a row that stands for every row (``linalg.rows_at``), and which keeps,
-    by ``kept``, the residual norms of the two target checks, which read the
-    chart through ``metric`` and ``structure`` as the frames do."""
+    by whatever reads the field there.  A stack of images up to the first
+    point where the map fails carries that failure, (N, error), which every
+    read raises after any earlier failure of the chart.  ``held`` is the
+    fields whose arrays hold the values: these, or for a constant chart
+    (``ChartManifold.constant``) that evaluates, the one point it keeps,
+    whose read-only one-row arrays ``metric`` and ``structure`` hand out
+    themselves at any count of points, a row that stands for every row
+    (``linalg.rows_at``), and which keeps, by ``kept``, the residual norms
+    of the two target checks, which read the chart through ``metric`` and
+    ``structure`` as the frames do."""
 
     _metric_failure = None  # a kept point has none
     _kept: Optional["ChartFields"] = None
 
-    def __init__(self, chart: ChartManifold, points):
+    def __init__(self, chart: ChartManifold, points, failure=None):
         self.chart = chart
         self.points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
+        self._metric_failure = failure  # the points' own, past the last one
         self._kept = chart._kept_fields(self.points)
         if self._kept is None:
             self._evaluate_metric()
@@ -217,8 +221,9 @@ class ChartFields:
 
     def _evaluate_metric(self) -> None:
         """Evaluate the metric and its Christoffel symbols at every point."""
-        (G, dG), self._metric_failure = evaluate_prefix(
+        (G, dG), failure = evaluate_prefix(
             lambda k: self.chart.metric_jet(self.points[:k]), len(self.points))
+        self._metric_failure = failure or self._metric_failure
         try:  # the metric up to the first point where it is not positive definite
             self._ip = InnerProduct(G)
         except MetricError as exc:
@@ -242,23 +247,22 @@ class ChartFields:
 
     def metric(self, lo: int = 0, hi: Optional[int] = None):
         """(InnerProduct, Gamma) at the points lo..hi-1 (all by default), one
-        row for a constant chart; the metric's first failure before hi, of
-        its jet or of positive definiteness, is raised with its index counted
-        from lo."""
-        hi = len(self.points) if hi is None else hi
+        row for a constant chart; the metric's first failure before hi (any,
+        by default), of its jet, of positive definiteness or of the points,
+        is raised with its index counted from lo."""
         _raise_first(lo, hi, self._metric_failure)
         held = self.held
         if held is not self:  # the kept point, which stands for every point
             return held._ip, held._gamma
-        if (lo, hi) == (0, len(self.points)):  # the whole stack, not a copy
+        if lo == 0 and hi in (None, len(self.points)):  # the stack, not a copy
             return self._ip, self._gamma
         return self._ip[lo:hi], self._gamma[lo:hi]
 
     def structure(self, lo: int = 0, hi: Optional[int] = None):
         """(J, nabla J) at the points lo..hi-1 (all by default), one row for
-        a constant chart; the first failure before hi, of J's jet or of the
-        metric that nabla J needs, is raised with its index counted from lo."""
-        hi = len(self.points) if hi is None else hi
+        a constant chart; the first failure before hi (any, by default), of
+        J's jet or of the metric that nabla J needs, is raised with its index
+        counted from lo."""
         J, nabla, failure = self._structure
         _raise_first(lo, hi, failure, self._metric_failure)
         if self.held is not self:
@@ -306,12 +310,12 @@ def _read_only(value):
     return value
 
 
-def _raise_first(lo: int, hi: int, *failures) -> None:
-    """Raise the earliest of the (index, error) failures before index hi, the
-    first one given at a tie (None stands for no failure), its ``index`` set
-    to index - lo."""
-    found = [failure for failure in failures
-             if failure is not None and failure[0] < hi]
+def _raise_first(lo: int, hi: Optional[int], *failures) -> None:
+    """Raise the earliest of the (index, error) failures before index hi (at
+    any index when None), the first one given at a tie (None stands for no
+    failure), its ``index`` set to index - lo."""
+    found = [failure for failure in failures if failure is not None
+             and (hi is None or failure[0] < hi)]
     if found:
         index, error = min(found, key=lambda failure: failure[0])
         error.index = index - lo
@@ -322,9 +326,10 @@ def _target_check(name: str, fields: ChartFields, tol: float, count: int,
                   residuals, detail) -> CheckResult:
     """The entry of the count residuals(metric, J, nabla J) of a target check
     at the points of ``fields``, read as the frames read them: ``structure``
-    raises the first failure of J or of the metric (J's at a tie).  A constant
-    chart's kept point keeps their ``point_norms`` (``kept``, "norms: " + name)
-    for every point, so the first point is the witness; no points fold nothing."""
+    raises the first failure of J, of the metric or of the map that the
+    fields carry (J's at a tie).  A constant chart's kept point keeps their
+    ``point_norms`` (``kept``, "norms: " + name) for every point, so the
+    first point is the witness; no points fold nothing."""
     if fields.chart.complex_structure is None:
         return CheckResult.error(name, "chart has no complex structure")
     (J, nabla), (ip, _) = fields.structure(), fields.metric()

@@ -26,7 +26,9 @@ a shape operator or the fiber mean curvature in chart coordinates.  A
 ``Sample`` is the analysis context of one run, whose stacks are built once,
 each paired with its sample indices (``rows``), and every check is a
 reduction over the pairs of its residuals, bare functions of a stack
-(``Sample.check``).  A map with affine components between constant charts
+(``Sample.check``).  ``Sample.target`` is the one evaluation of F alone
+at the sample points: the target chart at the images, which carries F's
+failure.  A map with affine components between constant charts
 (``MapSpec.constant_frame``) has one frame wherever F is finite, which its
 MapSpec keeps, read-only, for every analysis of the map.
 
@@ -51,8 +53,8 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .charts import (ChartError, ChartFields, ChartManifold, _raise_first,
-                     _read_only, evaluate_prefix, kept)
+from .charts import (ChartError, ChartFields, ChartManifold, _read_only,
+                     evaluate_prefix, kept)
 from .expressions import Expression, Formulas, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import (InnerProduct, TangentSplit, _trusted, apply_along, lift,
@@ -559,13 +561,13 @@ FRAME_BLOCK = 1024
 
 class Sample:
     """Analysis context of one run: the sample points, the target chart at
-    their images, and the FrameStacks of their frames, built on first use in
-    blocks of at most FRAME_BLOCK points (one stack per rank in a block),
-    each paired with its sample indices and read by every check.  A failed
-    build is kept and raised again at the same point, so each check fails
-    where it would.  A constant frame (``MapSpec.constant_frame``) is one
-    block: the map's kept stack, paired with every index up to F's first
-    failing point."""
+    their images, which carries F's first failure (``target``), and the
+    FrameStacks of their frames, built on first use in blocks of at most
+    FRAME_BLOCK points (one stack per rank in a block), each paired with its
+    sample indices and read by every check.  A failed build is kept and
+    raised again at the same point, so each check fails where it would.  A
+    constant frame (``MapSpec.constant_frame``) is one block: the map's kept
+    stack, paired with every index up to F's first failing point."""
 
     def __init__(self, spec: MapSpec, points,
                  rank_tol: float = DEFAULT_RANK_TOL):
@@ -640,23 +642,14 @@ class Sample:
         return pairs, None
 
     @cached_property
-    def _images(self):
-        return evaluate_prefix(
-            lambda k: eval_jets(self.spec.components, self.points[:k], 0)[0],
-            len(self))
-
-    @property
-    def images(self) -> np.ndarray:
-        """F at every point, from the component values alone: no frames."""
-        images, failure = self._images
-        _raise_first(0, len(self), failure)
-        return images
-
-    @cached_property
     def target(self) -> ChartFields:
         """The target chart at the images, up to the first point where F
-        fails."""
-        return ChartFields(self.spec.target, self._images[0])
+        fails, carrying that failure (``ChartFields``): the one evaluation of
+        F alone at the sample points."""
+        images, failure = evaluate_prefix(
+            lambda k: eval_jets(self.spec.components, self.points[:k], 0)[0],
+            len(self))
+        return ChartFields(self.spec.target, images, failure)
 
 
 # ---------------------------------------------------------------------------

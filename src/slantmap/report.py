@@ -49,21 +49,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _target_has_j(a) -> bool:
-    """Whether the target has J; where F fails, raises that error, which
-    both target checks report."""
-    if a.spec.target.complex_structure is None:
-        return False
-    a.sample.images
-    return True
-
-
 # A gate is (holds, reason): where holds(analysis) is false, the check is
 # skipped with the reason, formatted with a=analysis.
-_NO_J = "target has no complex structure"
 _RIEMANNIAN = (lambda a: a._entry("riemannian_map").passed,
                "map is not Riemannian")
-_HAS_J = (lambda a: a.spec.target.complex_structure is not None, _NO_J)
+_HAS_J = (lambda a: a.spec.target.complex_structure is not None,
+          "target has no complex structure")
 _CLASSIFIED = (_HAS_J, (lambda a: a._entry("slant_classification") is None,
                         "slant classification failed"), _RIEMANNIAN)
 _SLANT = (lambda a: a.slant.is_slant,
@@ -80,11 +71,10 @@ _SLANT_OMEGA_PARALLEL = (
 # exact identities (adapted_frame, omega_defect_identity), never loosen them.
 CHECKS = {
     "almost_hermitian": (
-        ((_target_has_j, _NO_J),),
-        lambda a: check_almost_hermitian(a.sample.target, a.tol)),
+        (_HAS_J,), lambda a: check_almost_hermitian(a.sample.target, a.tol)),
     "kahler": (
-        ((_target_has_j, _NO_J), (lambda a: a._entry("almost_hermitian").passed,
-                                  "target is not almost Hermitian")),
+        (_HAS_J, (lambda a: a._entry("almost_hermitian").passed,
+                  "target is not almost Hermitian")),
         lambda a: check_kahler(a.sample.target, a.tol)),
     "riemannian_map": ((), lambda a: is_riemannian_map(a.sample, a.tol)),
     "sff_range_perp": (

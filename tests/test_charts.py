@@ -319,6 +319,31 @@ def test_chart_fields_raise_failures_counted_from_lo():
                                   "[-0.125, 0.0] in subexpression 'sqrt(x1)'")
 
 
+@pytest.mark.parametrize("metric", [None, [["sqrt(x1)", "0"], ["0", "1"]]])
+def test_chart_fields_raise_the_failure_they_carry_after_the_charts(metric):
+    # images up to a point where the map fails carry that failure, past their
+    # last row: reads of every row raise it, counted from lo, after any
+    # earlier failure of the chart, and a window of the rows raises nothing
+    chart = ChartManifold.from_strings(2, metric, [["0", "-1"], ["1", "0"]])
+    beyond = ChartError("the map fails at the third point", 2)
+    fields = ChartFields(chart, [[1.0, 0.0], [0.5, 0.0]], (2, beyond))
+    assert len(fields.metric(0, 2)[0].matrix) in (1, 2)
+    fields.structure(1, 2)
+    for call, index in ((fields.metric, 2), (fields.structure, 2),
+                        (lambda: fields.metric(1), 1),
+                        (lambda: check_almost_hermitian(fields), 2),
+                        (lambda: check_kahler(fields), 2)):
+        with pytest.raises(ChartError) as failure:
+            call()
+        assert (failure.value, failure.value.index) == (beyond, index)
+    if metric is not None:  # sqrt(x1) fails at the second row, before the map
+        earlier = ChartFields(chart, [[1.0, 0.0], [-0.5, 0.0]], (2, beyond))
+        for call in (earlier.metric, earlier.structure):
+            with pytest.raises(ExpressionDomainError) as failure:
+                call()
+            assert failure.value.index == 1
+
+
 def _chart_text(matrix, factor=""):
     return [[f"{x!r}{factor}" for x in row] for row in matrix.tolist()]
 

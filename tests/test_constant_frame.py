@@ -290,7 +290,7 @@ def test_a_constant_targets_failure_keeps_the_first_point_as_witness(monkeypatch
         entry = analysis.entry("almost_hermitian")
         assert (entry.status, entry.samples) == ("fail", points)
         # the target's points are the images
-        assert entry.witness == {"point": analysis.sample.images[0].tolist()}
+        assert entry.witness == {"point": analysis.sample.target.points[0].tolist()}
         residuals.add(entry.residual)
     assert len(residuals) == 1 and formed == [1]
 
@@ -323,8 +323,8 @@ def test_an_overflow_at_some_points_gets_the_blocks_errors():
         "x1 + 1e400", "x1*(1e308*10)", "x1/5e-324", "1e308*10",
         "x1 + 1e308*10")]
     finite_f = _overflowing_map("x1*1e308*10", 0.01)
-    assert np.isfinite(Sample(finite_f, sample_points(finite_f.box, 12, 1))
-                       .images).all()
+    images = Sample(finite_f, sample_points(finite_f.box, 12, 1)).target.points
+    assert images.shape == (12, 4) and np.isfinite(images).all()
     cases.append((finite_f, 1))
     for spec, seed in cases:
         assert spec.constant_frame, spec.components[0]
