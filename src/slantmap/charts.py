@@ -73,21 +73,21 @@ class ChartManifold:
 
     @cached_property
     def _upper_triangle(self):
-        """Indices and entries of the metric's upper triangle, which
-        ``from_strings`` makes the whole metric."""
+        """The entries of the metric's upper triangle, which ``from_strings``
+        makes the whole metric, and the (n, n) map from (i, j) to the entry
+        of (min(i, j), max(i, j))."""
         rows, cols = np.triu_indices(self.dim)
-        return rows, cols, Formulas(self.metric[i][j] for i, j in zip(rows, cols))
+        entry = np.empty((self.dim,) * 2, dtype=np.intp)
+        entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
+        return entry, Formulas(self.metric[i][j] for i, j in zip(rows, cols))
 
     def metric_jet(self, p):
         """The metric G at p and its derivatives dG[i, j, l] = d_l g_ij, from
-        one jet of the upper triangle; a stack of points (N, n) gives stacks."""
-        rows, cols, entries = self._upper_triangle
+        one jet of the upper triangle, gathered through its entry map; a
+        stack of points (N, n) gives stacks."""
+        entry, entries = self._upper_triangle
         values, grads = eval_jets(entries, p, 1)
-        lead = values.shape[:-1]
-        G, dG = np.empty(lead + (self.dim,) * 2), np.empty(lead + (self.dim,) * 3)
-        G[..., rows, cols] = G[..., cols, rows] = values
-        dG[..., rows, cols, :] = dG[..., cols, rows, :] = grads
-        return G, dG
+        return values[..., entry], grads[..., entry, :]
 
     def metric_at(self, p) -> tuple[InnerProduct, np.ndarray]:
         """The metric at p and its Christoffel symbols, read from
@@ -110,7 +110,7 @@ class ChartManifold:
         values, grads = eval_jets(self._structure_entries, p, 1)
         lead = values.shape[:-1]
         return (values.reshape(lead + (self.dim,) * 2),
-                np.swapaxes(grads, -1, -2).reshape(lead + (self.dim,) * 3))
+                grads.swapaxes(-1, -2).reshape(lead + (self.dim,) * 3))
 
     @cached_property
     def _structure_entries(self) -> Formulas:
@@ -153,10 +153,12 @@ def christoffel(inverse, dG) -> np.ndarray:
     """Levi-Civita symbols Gamma[k, i, j] from the inverse metric ``inverse``
     (g^{kl}) and dG[i, j, l] = d_l g_ij (symmetric in i, j, and so is Gamma):
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).  Stacks of
-    matrices along leading axes give a stack of symbols."""
+    matrices along leading axes give a stack of symbols; the index
+    permutations are fixed swaps of the last three axes."""
     # lower[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    lower = ((np.moveaxis(dG, -3, -1) + np.swapaxes(dG, -3, -2))
-             - np.moveaxis(dG, -1, -3))
+    swapped = dG.swapaxes(-3, -2)  # [j, i, l]
+    lower = ((swapped.swapaxes(-2, -1) + swapped)
+             - dG.swapaxes(-2, -1).swapaxes(-3, -2))
     return 0.5 * apply_along(inverse, lower, 0)
 
 
@@ -165,8 +167,8 @@ def nabla_j(J, dJ, gamma) -> np.ndarray:
     [..., i, a, b], for stacks of J, of dJ[..., i, a, b] = d_i J^a_b and of
     the Christoffel symbols Gamma at the same points."""
     # the connection terms come as [..., a, i, b]
-    return (dJ + np.swapaxes(gamma @ J[..., None, :, :], -3, -2)
-            - np.swapaxes(apply_along(J, gamma, 0), -3, -2))
+    return (dJ + (gamma @ J[..., None, :, :]).swapaxes(-3, -2)
+            - apply_along(J, gamma, 0).swapaxes(-3, -2))
 
 
 def evaluate_prefix(evaluate, count: int):

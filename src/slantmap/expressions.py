@@ -314,9 +314,12 @@ def to_text(node: Node) -> str:
 # ch. 3-4).  A compiled node maps (points, order) to (value, grad, hess) with
 # value (N,), grad (N, n) and hess (N, n, n); None marks a structurally zero
 # derivative or one above ``order``, and a constant value may be a float.
-# Constant subtrees are folded at compile time.  Every entry goes through the
-# same elementwise operations, in the same order, wherever it sits in a
-# stack, so a point's jet does not depend on the points evaluated with it.
+# Constant subtrees are folded at compile time, and a sum, difference or
+# product with one constant operand costs one operation per jet part
+# (``_with_constant``).  A set of formulas evaluates each distinct one once
+# (``Formulas.plan``).  Every entry goes through the same elementwise
+# operations, in the same order, wherever it sits in a stack, so a point's
+# jet does not depend on the points evaluated with it.
 
 def _scaled(s, array):
     """s * array for s (N,) or a float, broadcast along array's trailing axes."""
@@ -464,11 +467,13 @@ def _compile(node: Node, n: int):
             return float(np.ravel(combine(*constants, 0)[0])[0])
         except ExpressionDomainError:
             return lambda points, order: combine(*constants, 0)
-    if (isinstance(node, BinOp) and node.op == "/"
-            and isinstance(compiled[1], float) and compiled[1] != 0.0):
+    op = node.op if isinstance(node, BinOp) else None
+    if op == "/" and isinstance(compiled[1], float) and compiled[1] != 0.0:
         # the product with the constant divisor's reciprocal, taken once: the
         # double the quotient multiplies by (a zero still raises, per call)
-        compiled[1], combine = 1.0 / compiled[1], _multiply
+        op, compiled[1] = "*", 1.0 / compiled[1]
+    if op in ("+", "-", "*") and any(isinstance(c, float) for c in compiled):
+        return _with_constant(op, *compiled)
     parts = [c if callable(c) else (lambda points, order, c=c: (c, None, None))
              for c in compiled]
     if len(parts) == 1:
@@ -477,6 +482,30 @@ def _compile(node: Node, n: int):
     left, right = parts
     return lambda points, order: combine(left(points, order),
                                          right(points, order), order)
+
+
+def _with_constant(op: str, left, right):
+    """The jet of left op right, for one operand a float and the other an
+    evaluator: one operation per jet part, the general rule's bits.  A sum
+    adds nothing to the varying operand's derivatives and a product scales
+    them; IEEE + and * commute, so the value keeps the operands' order, and
+    a - b is a + (-b), as in ``_operation``."""
+    if op == "-":
+        if isinstance(right, float):
+            right = -right
+        else:
+            varying = right
+            right = lambda points, order: _negate(varying(points, order), order)
+    first = isinstance(left, float)
+    c, f = (left, right) if first else (right, left)
+
+    def jet(points, order):
+        v, g, h = f(points, order)
+        if op != "*":
+            return c + v if first else v + c, g, h
+        return (c * v if first else v * c, None if g is None else c * g,
+                None if h is None else c * h)
+    return jet
 
 
 def _point_stack(p, dim: int):
@@ -519,8 +548,11 @@ class Formulas(tuple):
     first use: ``plan`` is a row holding each constant formula's value (0.0
     where a formula varies), the rows (k, n) of each affine formula's
     gradient (``Expression.gradient``; zeros for the rest), and the
-    (column, formula, affine) of each varying one.  ``eval_jets`` plans any
-    other sequence of formulas on every call."""
+    (columns, formula, affine) of each distinct varying formula, in the
+    order of its first column: the columns that hold the same formula, the
+    same by its text (which, unlike ``==``, tells 0.0 from -0.0), share one
+    evaluation.  ``eval_jets`` plans any other sequence of formulas on every
+    call."""
 
     @cached_property
     def plan(self) -> tuple:
@@ -528,8 +560,12 @@ class Formulas(tuple):
                         for e in self])
         gradients = np.array([np.zeros(e.dim) if e.gradient is None
                               else e.gradient for e in self])
-        return row, gradients, [(j, e, e.affine) for j, e in enumerate(self)
-                                if callable(e.compiled)]
+        groups = {}
+        for j, e in enumerate(self):
+            if callable(e.compiled):
+                groups.setdefault(str(e), (e, []))[1].append(j)
+        return row, gradients, [(tuple(columns), e, e.affine)
+                                for e, columns in groups.values()]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -538,8 +574,9 @@ def eval_jets(expressions, p, order: int) -> list:
     and Hessians (k, n, n) of k expressions at p; at a stack of points (N, n)
     each array gains a leading point axis.  The constant expressions' values
     and the affine ones' gradients are filled in one assignment each, and
-    each varying one is evaluated over the stack by ``eval_jet2``, an affine
-    one at order 0.  Each array is tested with one np.isfinite
+    each distinct varying one (``Formulas.plan``) is evaluated over the
+    stack by one ``eval_jet2``, an affine one at order 0, and written to
+    each of its columns.  Each array is tested with one np.isfinite
     (count_nonzero is cheaper than .all() on small arrays); a non-finite
     entry raises ``non_finite_error`` at its first point."""
     points, stack = _point_stack(p, expressions[0].dim)
@@ -551,7 +588,7 @@ def eval_jets(expressions, p, order: int) -> list:
     arrays[0][:] = row
     if order:
         arrays[1][:] = gradients
-    for j, expr, affine in varying:
+    for columns, expr, affine in varying:
         try:
             jet = eval_jet2(expr, stack, 0 if affine else order)
         except ExpressionDomainError as exc:  # a later expression may fail earlier
@@ -560,7 +597,8 @@ def eval_jets(expressions, p, order: int) -> list:
             raise
         for array, part in zip(arrays, (jet.value, jet.grad, jet.hess)):
             if part is not None:
-                array[:, j] = part
+                for j in columns:
+                    array[:, j] = part
     if any(np.count_nonzero(np.isfinite(a)) < a.size for a in arrays):
         finite = np.ones(len(stack), dtype=bool)
         for a in arrays:

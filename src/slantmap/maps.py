@@ -372,9 +372,9 @@ class FrameStack:
 
     @_member
     def sigma_inverse(self) -> np.ndarray:
-        """Sigma^-1 by one r x r solve per stack."""
-        sigma = self.adapted_jacobian[..., :self.rank, :self.rank]
-        return np.linalg.solve(sigma, np.broadcast_to(np.eye(self.rank), sigma.shape))
+        """Sigma^-1 by one stacked r x r np.linalg.inv: LAPACK's gesv against
+        the identity, as a solve for it would be."""
+        return np.linalg.inv(self.adapted_jacobian[..., :self.rank, :self.rank])
 
     @_member
     def horizontal_connection(self) -> np.ndarray:

@@ -3,8 +3,9 @@ angles of sampled directions, the reference fold the checks' witness
 reduction is compared against, the first failing frame found one point at a
 time, the sample drawn one point at a time, a fresh copy of a shared spec, the plain-derivative route to
 the section derivatives, the chart-coordinate route to every check
-residual, the np.einsum forms of the library's stacked contractions, and the
-rule by which two reports match.  Beside them, for tests whose references
+residual, the np.einsum forms of the library's stacked contractions, the
+scatter and np.moveaxis forms of the metric jet and the Christoffel
+symbols, and the rule by which two reports match.  Beside them, for tests whose references
 are chart vectors, the library's adapted members (phi and omega, B and C,
 Q) are mapped into chart coordinates through B1, B2, C1 and C2: those
 helpers are the library side of such a test, never its reference.
@@ -419,6 +420,28 @@ def einsum_apply_along(x, tensor, axis):
     """Reference for linalg.apply_along."""
     return np.einsum(("...kl,...lij->...kij", "...kl,...ilj->...kij")[axis],
                      x, tensor)
+
+
+def scatter_metric_jet(chart, p):
+    """Reference for ChartManifold.metric_jet: each upper-triangle entry's
+    own eval_jet2, scattered into G and dG by four fancy assignments."""
+    rows, cols = np.triu_indices(chart.dim)
+    jets = [eval_jet2(chart.metric[i][j], p, 1) for i, j in zip(rows, cols)]
+    values = np.stack([jet.value for jet in jets], axis=-1)
+    grads = np.stack([jet.grad for jet in jets], axis=-2)
+    lead = values.shape[:-1]
+    G, dG = np.empty(lead + (chart.dim,) * 2), np.empty(lead + (chart.dim,) * 3)
+    G[..., rows, cols] = G[..., cols, rows] = values
+    dG[..., rows, cols, :] = dG[..., cols, rows, :] = grads
+    return G, dG
+
+
+def moveaxis_christoffel(inverse, dG):
+    """Reference for charts.christoffel: its index permutations taken by
+    np.moveaxis and np.swapaxes."""
+    lower = ((np.moveaxis(dG, -3, -1) + np.swapaxes(dG, -3, -2))
+             - np.moveaxis(dG, -1, -3))
+    return 0.5 * apply_along(inverse, lower, 0)
 
 
 def assert_report_matches(actual, expected, where="report"):

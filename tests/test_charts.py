@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import slantmap.charts
+from slantmap.catalog import catalog_ids
 from slantmap.charts import (ChartError, ChartFields, ChartManifold,
                              check_almost_hermitian, check_kahler, christoffel,
                              nabla_j)
 from slantmap.expressions import (ExpressionDomainError, eval_jet2,
                                   parse_expression)
 from slantmap.linalg import InnerProduct
+from slantmap.loader import load_map_spec
 from slantmap.maps import MapSpec, map_point
-from oracles import eval_value, fd_christoffel, fd_nabla_j, metric_values
+from slantmap.report import sample_points
+from oracles import (eval_value, fd_christoffel, fd_nabla_j, metric_values,
+                     moveaxis_christoffel, scatter_metric_jet)
 
 STANDARD_J4 = [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
                ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
@@ -512,3 +518,45 @@ def test_a_constant_charts_one_point_fields_are_its_kept_arrays():
     arrays = [*vars(kept._ip).values(), kept._gamma, J, nabla]
     assert not any(x.flags.writeable for x in arrays)
     assert all(len(x) == 1 for x in arrays)
+
+
+def _curved_charts():
+    """Every varying chart of the catalog maps and of tests/data/maps, with
+    points in it: the sample points of a source chart, their images in a
+    target chart."""
+    data = Path(__file__).resolve().parent / "data" / "maps"
+    names = [f"catalog:{name}" for name in catalog_ids()] + [
+        str(path) for path in sorted(data.glob("*.json"))]
+    for name in names:
+        spec = load_map_spec(name).spec
+        points = sample_points(spec.box, 12, 5)
+        for chart, at in ((spec.source, points),
+                          (spec.target, np.array([map_point(spec, p) for p in points]))):
+            if not chart.constant:
+                yield chart, at
+
+
+def test_metric_jet_and_christoffel_are_the_scatter_and_moveaxis_forms():
+    # the gathered metric jet and the Christoffel symbols from fixed swaps
+    # are the bits of the scatter of each entry's own jet and of the
+    # np.moveaxis form, at a stack and at each point alone, on every curved
+    # chart of the catalog and data maps and on random stacks of every shape
+    charts = list(_curved_charts())
+    assert len(charts) == 4
+    for chart, points in charts:
+        for p in (points, *points):
+            G, dG = chart.metric_jet(p)
+            for actual, expected in zip((G, dG), scatter_metric_jet(chart, p)):
+                assert actual.shape == expected.shape
+                assert actual.tobytes() == expected.tobytes()
+            inverse = InnerProduct(G).inverse
+            assert (christoffel(inverse, dG).tobytes()
+                    == moveaxis_christoffel(inverse, dG).tobytes())
+    rng = np.random.default_rng(46)
+    for lead in ((), (5,), (3, 2)):
+        for n in (1, 2, 4):
+            inverse = rng.standard_normal(lead + (n, n))
+            dG = rng.standard_normal(lead + (n, n, n))
+            gamma = christoffel(inverse, dG)
+            assert gamma.shape == lead + (n, n, n)
+            assert gamma.tobytes() == moveaxis_christoffel(inverse, dG).tobytes()

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from slantmap.expressions import (MAX_DEPTH, BinOp, ExpressionDomainError,
-                                  ExpressionSyntaxError, Formulas, Fun, Lit,
-                                  Var, eval_jet2, eval_jets, parse_expression,
-                                  to_text)
+import slantmap.expressions
+from slantmap.catalog import load_catalog
+from slantmap.expressions import (MAX_DEPTH, BinOp, Expression,
+                                  ExpressionDomainError, ExpressionSyntaxError,
+                                  Formulas, Fun, Lit, Var, eval_jet2,
+                                  eval_jets, parse_expression, to_text)
 from oracles import fd_gradient, fd_hessian
 
 
@@ -249,19 +251,22 @@ def test_print_parse_round_trip():
 def test_eval_jets_of_planned_formulas_is_each_formulas_jet():
     # constants (folded to floats) fill one row and affine formulas' gradients
     # (x1 / sqrt(3) among them, a product with a reciprocal folded once) fill
-    # rows of their own, planned once per Formulas; every column equals its
-    # formula's own order-2 eval_jet2, bit for bit, and a plain list,
+    # rows of their own, planned once per Formulas; a repeated varying
+    # formula is planned once, with each of its columns; every column equals
+    # its formula's own order-2 eval_jet2, bit for bit, and a plain list,
     # planned on each call, gives the same arrays
     texts = ["2", "x1*x2", "-(3/4)", "pow(x2, 0)", "sin(x1) + 1", "1e-3",
-             "x1/sqrt(3)", "-(x2)", "pow(x1, 1)", "0*x1 + x2"]
+             "x1/sqrt(3)", "-(x2)", "pow(x1, 1)", "0*x1 + x2", "x1 * x2",
+             "-x2"]
     formulas = Formulas(parse_expression(t, 2) for t in texts)
     row, gradients, varying = formulas.plan
-    assert row.tolist() == [2.0, 0.0, -0.75, 0.0, 0.0, 1e-3, 0.0, 0.0, 0.0, 0.0]
-    assert [(j, affine) for j, _, affine in varying] == [
-        (1, False), (3, True), (4, False), (6, True), (7, True), (8, True),
-        (9, True)]
+    assert row.tolist() == [2.0, 0.0, -0.75, 0.0, 0.0, 1e-3] + [0.0] * 6
+    assert [(columns, affine) for columns, _, affine in varying] == [
+        ((1, 10), False), ((3,), True), ((4,), False), ((6,), True),
+        ((7, 11), True), ((8,), True), ((9,), True)]
     assert gradients.tolist() == [[0.0, 0.0]] * 6 + [
-        [1.0 / math.sqrt(3.0), 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
+        [1.0 / math.sqrt(3.0), 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0],
+        [0.0, 0.0], [0.0, -1.0]]
     assert formulas.plan is formulas.plan
     # a constant divisor's reciprocal is the double the quotient multiplies by
     points = np.random.default_rng(1).uniform(-1, 1, (5, 2))
@@ -277,6 +282,43 @@ def test_eval_jets_of_planned_formulas_is_each_formulas_jet():
                 column = array[j] if np.ndim(p) == 1 else array[:, j]
                 assert column.tobytes() == np.asarray(part).tobytes()
                 assert array.tobytes() == other.tobytes()
+
+
+def test_eval_jets_evaluates_each_distinct_formula_once(monkeypatch):
+    # curved_target's metric triangle holds exp(2.0 * x1) four times, one
+    # eval_jet2 for its four columns; sin(x1) * (x2 + 0.0) and
+    # sin(x1) * (x2 + -0.0) are equal under == but print apart, and part
+    # at x2 = -0.0, so each keeps its own.  Every column is its formula's
+    # own eval_jet2, bit for bit, at orders 0 to 2, at a stack and at a point
+    metric = load_catalog("curved_target").target.metric
+    triangle = [metric[i][j] for i, j in zip(*np.triu_indices(4))]
+    signed = [Expression(BinOp("*", Fun("sin", Var(1)),
+                               BinOp("+", Var(2), Lit(zero))), 4)
+              for zero in (0.0, -0.0)]
+    assert signed[0] == signed[1]
+    formulas = Formulas(triangle + signed)
+    assert [(columns, affine) for columns, _, affine in formulas.plan[2]] == [
+        ((0, 4, 7, 9), False), ((10,), False), ((11,), False)]
+    calls = []
+
+    def counted(expr, p, order=2):
+        calls.append(str(expr))
+        return eval_jet2(expr, p, order)
+
+    monkeypatch.setattr(slantmap.expressions, "eval_jet2", counted)
+    stack = np.random.default_rng(3).uniform(-1, 1, (5, 4))
+    stack[1:3, 1] = -0.0
+    for order in (0, 1, 2):
+        for p in (stack, stack[1]):
+            calls.clear()
+            arrays = eval_jets(formulas, p, order)
+            assert calls == ["exp(2.0 * x1)"] + [str(e) for e in signed]
+            for j, expr in enumerate(formulas):
+                jet = eval_jet2(expr, p, order)
+                for array, part in zip(arrays, (jet.value, jet.grad, jet.hess)):
+                    column = array[j] if np.ndim(p) == 1 else array[:, j]
+                    assert column.tobytes() == np.asarray(part).tobytes()
+            assert arrays[0][..., 10].tobytes() != arrays[0][..., 11].tobytes()
 
 
 @pytest.mark.parametrize("text, message", [
