@@ -24,7 +24,8 @@ import numpy as np
 from .expressions import (Expression, Formulas, _point_stack, eval_jets,
                           parse_expression)
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
-from .linalg import InnerProduct, MetricError, apply_along, lift, pairings
+from .linalg import (InnerProduct, MetricError, apply_along, lift, norms_along,
+                     pairings)
 from .result import DEFAULT_CHECK_TOL, CheckResult, checked, point_norms
 
 
@@ -277,8 +278,8 @@ def structure_residuals(J, G=None) -> np.ndarray:
     J of a stack and its metric G (I when None, and then not multiplied)."""
     identity, Jt = np.eye(J.shape[-1]), np.swapaxes(J, -1, -2)
     compatibility = Jt @ J - identity if G is None else Jt @ G @ J - G
-    return np.stack([np.linalg.norm(J @ J + identity, axis=(-2, -1)),
-                     np.linalg.norm(compatibility, axis=(-2, -1))], axis=-1)
+    return np.stack([norms_along(J @ J + identity, (-2, -1)),
+                     norms_along(compatibility, (-2, -1))], axis=-1)
 
 
 _MISS = (object(), None)  # what ``kept`` reads where nothing is kept: no key equals it
@@ -299,10 +300,12 @@ def kept(owner, name: str, key, form):
 
 
 def _read_only(value):
-    """value, every array it holds made read-only, in turn: an array, a
-    tuple's items and an object's attributes, but not a chart's."""
+    """value, every array it holds made read-only (``setflags``, which
+    skips the ``flags`` object an assignment to ``flags.writeable`` builds),
+    in turn: an array, a tuple's items and an object's attributes, but not a
+    chart's."""
     if isinstance(value, np.ndarray):
-        value.flags.writeable = False
+        value.setflags(write=False)
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)

@@ -55,7 +55,10 @@ class InnerProduct:
     and the split's bases, that frame times orthogonal matrices, orthonormal
     within ``ORTHONORMAL_TOL`` unchecked.  A stack fails at its first matrix
     that is non-finite, asymmetric, has no factor or is too close to
-    singular; eigenvalues only describe a matrix with no factor."""
+    singular; eigenvalues only describe a matrix with no factor.  One
+    subtraction G - G^T clears a finite, exactly symmetric stack, as every
+    chart's metric is; only a stack it does not clear is searched for its
+    first non-finite or asymmetric matrix."""
 
     @np.errstate(invalid="ignore", over="ignore")
     def __init__(self, matrix):
@@ -64,14 +67,23 @@ class InnerProduct:
             raise MetricError(f"inner product matrix must be square, got {G.shape}")
         stack = G.reshape((-1,) + G.shape[-2:])
         transposed = stack.transpose(0, 2, 1)
-        scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
-        scale[scale == 0.0] = 1.0
-        asymmetry = np.abs(stack - transposed).max(axis=(1, 2), initial=0.0)
-        # the first matrix that is non-finite or not symmetric, and then the
-        # first before it that fails a later test
-        invalid = ~(np.isfinite(scale) & (asymmetry <= SYM_TOL * scale))
-        failed = int(invalid.argmax()) if invalid.any() else len(stack)
-        failure = None  # the message of a later test
+        failed, failure = len(stack), None  # the first failure and its message
+        # x - y is 0 exactly where x = y (gradual underflow), and NaN where
+        # either is NaN or both are one infinity: a stack with no nonzero
+        # difference is finite and exactly symmetric, as every chart's is
+        difference = stack - transposed
+        if difference.any():
+            scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
+            scale[scale == 0.0] = 1.0
+            asymmetry = np.abs(difference).max(axis=(1, 2), initial=0.0)
+            # the first matrix that is non-finite or not symmetric, and then
+            # the first before it that fails a later test
+            invalid = ~(np.isfinite(scale) & (asymmetry <= SYM_TOL * scale))
+            if invalid.any():
+                failed = int(invalid.argmax())
+                failure = ("inner product matrix has non-finite entries"
+                           if not np.isfinite(scale[failed])
+                           else "inner product matrix is not symmetric")
         # halves first (exact above the subnormals): no finite sum overflows
         stack = 0.5 * stack + 0.5 * transposed
         try:
@@ -97,10 +109,7 @@ class InnerProduct:
             failed = int(singular.argmax())
             failure = "inner product is not positive definite to working precision"
         if failed < len(stack):
-            raise MetricError(failure or (
-                "inner product matrix has non-finite entries"
-                if not np.isfinite(scale[failed])
-                else "inner product matrix is not symmetric"), failed)
+            raise MetricError(failure, failed)
         self.matrix = stack.reshape(G.shape)
         self.cholesky = cholesky.reshape(G.shape)
         self.frame = frame.reshape(G.shape)
@@ -134,6 +143,13 @@ def rows_at(x, at):
     if x is None or len(x.matrix if isinstance(x, InnerProduct) else x) > 1:
         return None if x is None else x[at]
     return x[0] if isinstance(at, (int, np.integer)) else x
+
+
+def norms_along(x: np.ndarray, axis) -> np.ndarray:
+    """The Euclidean norms of x along an axis, or Frobenius norms along a
+    pair of axes: np.linalg.norm(x, axis=axis) bit for bit, its own formula
+    without its argument handling."""
+    return np.sqrt(np.add.reduce(np.square(x), axis))
 
 
 def lift(x: np.ndarray, ndim: int) -> np.ndarray:

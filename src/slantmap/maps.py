@@ -58,7 +58,7 @@ from .charts import (ChartError, ChartFields, ChartManifold, _read_only,
 from .expressions import Expression, Formulas, eval_jets, parse_expression
 from .expressions import eval_jet2  # noqa: F401  (test_perfbench.py expects it here)
 from .linalg import (InnerProduct, TangentSplit, _trusted, apply_along, lift,
-                     rows_at, split_tangents)
+                     norms_along, rows_at, split_tangents)
 from .result import (DEFAULT_ANGLE_TOL, DEFAULT_CHECK_TOL, DEFAULT_RANK_TOL,
                      CheckResult, checked, point_norms, worst_norms)
 
@@ -254,8 +254,8 @@ class FrameStack:
         column w of the components of J F_*X in B2, as atan2(|omega part|,
         |phi part|): accurate at both extremes, where an arccos is not."""
         r = self.rank
-        return np.arctan2(np.linalg.norm(w[..., r:, :], axis=-2),
-                          np.linalg.norm(w[..., :r, :], axis=-2))
+        return np.arctan2(norms_along(w[..., r:, :], -2),
+                          norms_along(w[..., :r, :], -2))
 
     def adapted_frames(self, angle_tol: float = DEFAULT_ANGLE_TOL):
         """Orthonormal horizontal frame {e, sec(theta) Q e, ...} in h, and
@@ -277,7 +277,7 @@ class FrameStack:
                 for b in chosen:
                     inner = b[..., None, :] @ residuals
                     residuals = residuals - b[..., :, None] * inner
-            norms = np.linalg.norm(residuals, axis=-2)
+            norms = norms_along(residuals, -2)
             best = norms.argmax(axis=-1)[..., None]
             norm = np.take_along_axis(norms, best, -1)[..., 0]
             exhausted = norm < 1e-10
@@ -362,7 +362,7 @@ class FrameStack:
     @property
     def horizontal_sff(self) -> np.ndarray:
         """adapted_sff(h_a, .) at [..., a, :, :], (N, r, m, n): a view."""
-        return np.moveaxis(self.adapted_sff[..., :self.rank, :], -2, -3)
+        return self.adapted_sff[..., :self.rank, :].swapaxes(-2, -3)
 
     @_member
     def adapted_nabla_j(self) -> Optional[np.ndarray]:
@@ -476,8 +476,9 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
     Repeated calls at one point share one build: the spec keeps the
     ``row(0)`` of the one-point stack of the last (p, rank_tol) it was asked
     for (``kept``), p by its float64 bytes, and every call returns a new
-    frame holding that row's fields, whose derived members are formed anew
-    on it and never on the kept row.  The arrays of the row, and so the
+    frame holding a copy of that row's attribute dict, which holds its
+    fields alone; derived members are formed anew on the frame and never on
+    the kept row.  The arrays of the row, and so the
     fields of a returned frame, are read-only.  A build that raises is not
     kept, and a spec that is dropped takes its row with it."""
     point = np.array(p, dtype=float)  # a copy: the kept row holds it
@@ -486,7 +487,7 @@ def point_frame(spec: MapSpec, p, rank_tol: float = DEFAULT_RANK_TOL) -> PointFr
         raise ValueError(f"point has shape {point.shape}, expected ({n},)")
     row = kept(spec, "_point_frame", (point.tobytes(), rank_tol),
                lambda: frame_block(spec, point[None], rank_tol)[0][1].row(0))
-    return _trusted(PointFrame, {name: vars(row)[name] for name in FrameStack.FIELDS})
+    return _trusted(PointFrame, vars(row))
 
 
 def frame_block(spec: MapSpec, points, rank_tol: float = DEFAULT_RANK_TOL,

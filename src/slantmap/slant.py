@@ -352,7 +352,7 @@ def _condition_three_residual(frames) -> np.ndarray:
         d_omega = d_omega + lift(JA[:, r:], 4) @ frames.horizontal_connection
     paired = np.swapaxes(J[:, :r, r:], -1, -2) @ frames.adapted_jacobian[:, :r, :r]
     # sff(h_a, h_c) on the normal frame, at [:, a, c, :]
-    sff_h = np.moveaxis(frames.adapted_sff[:, r:, :r, :r], 1, -1)
+    sff_h = frames.adapted_sff[:, r:, :r, :r].transpose(0, 2, 3, 1)
     lhs = lift(paired, 4) @ sff_h @ lift(omega_h, 4)  # (N, a, v, b)
     # Q h_b = sum_c q[c, b] h_c
     rhs = (lift(np.swapaxes(J[:, r:, r:], -1, -2), 4) @ d_omega

@@ -5,7 +5,9 @@ time, the sample drawn one point at a time, a fresh copy of a shared spec, the p
 the section derivatives, the chart-coordinate route to every check
 residual, the np.einsum forms of the library's stacked contractions, the
 scatter and np.moveaxis forms of the metric jet and the Christoffel
-symbols, and the rule by which two reports match.  Beside them, for tests whose references
+symbols, the InnerProduct constructor that searched every stack for its
+first non-finite or asymmetric matrix, and the rule by which two reports
+match.  Beside them, for tests whose references
 are chart vectors, the library's adapted members (phi and omega, B and C,
 Q) are mapped into chart coordinates through B1, B2, C1 and C2: those
 helpers are the library side of such a test, never its reference.
@@ -30,7 +32,8 @@ import numpy as np
 
 from slantmap.charts import ChartError
 from slantmap.expressions import eval_jet2, eval_jets
-from slantmap.linalg import apply_along, lift, metric_adjoint
+from slantmap.linalg import (CONDITION_LIMIT, SYM_TOL, MetricError,
+                             apply_along, lift, metric_adjoint)
 from slantmap.maps import (SectionDerivatives, differential, map_point,
                            point_frame)
 
@@ -442,6 +445,54 @@ def moveaxis_christoffel(inverse, dG):
     lower = ((np.moveaxis(dG, -3, -1) + np.swapaxes(dG, -3, -2))
              - np.moveaxis(dG, -1, -3))
     return 0.5 * apply_along(inverse, lower, 0)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def searched_inner_product(matrix) -> dict:
+    """Reference for InnerProduct: its constructor as it was before the one
+    exact-symmetry test, searching every stack for its first non-finite or
+    asymmetric matrix.  The matrix, cholesky, frame and inverse it keeps, or
+    the MetricError it raises."""
+    G = np.asarray(matrix, dtype=float)
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
+        raise MetricError(f"inner product matrix must be square, got {G.shape}")
+    stack = G.reshape((-1,) + G.shape[-2:])
+    transposed = stack.transpose(0, 2, 1)
+    scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    scale[scale == 0.0] = 1.0
+    asymmetry = np.abs(stack - transposed).max(axis=(1, 2), initial=0.0)
+    invalid = ~(np.isfinite(scale) & (asymmetry <= SYM_TOL * scale))
+    failed = int(invalid.argmax()) if invalid.any() else len(stack)
+    failure = None
+    stack = 0.5 * stack + 0.5 * transposed
+    try:
+        cholesky = np.linalg.cholesky(stack[:failed])
+    except np.linalg.LinAlgError:
+        for failed, part in enumerate(stack[:failed]):
+            try:
+                np.linalg.cholesky(part)
+            except np.linalg.LinAlgError:
+                break
+        else:
+            raise
+        failure = ("inner product is not positive definite (min eigenvalue "
+                   f"{np.linalg.eigvalsh(part).min():g})")
+        cholesky = np.linalg.cholesky(stack[:failed])
+    frame = np.swapaxes(np.linalg.inv(cholesky), -1, -2)
+    diagonal = np.diagonal(stack[:failed], axis1=1, axis2=2)
+    condition = np.square(np.sqrt(diagonal)[..., None] * frame).sum(axis=(1, 2))
+    singular = ~(condition <= CONDITION_LIMIT)
+    if singular.any():
+        failed = int(singular.argmax())
+        failure = "inner product is not positive definite to working precision"
+    if failed < len(stack):
+        raise MetricError(failure or (
+            "inner product matrix has non-finite entries"
+            if not np.isfinite(scale[failed])
+            else "inner product matrix is not symmetric"), failed)
+    frame = frame.reshape(G.shape)
+    return {"matrix": stack.reshape(G.shape), "cholesky": cholesky.reshape(G.shape),
+            "frame": frame, "inverse": frame @ np.swapaxes(frame, -1, -2)}
 
 
 def assert_report_matches(actual, expected, where="report"):

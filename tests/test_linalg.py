@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from slantmap.linalg import (InnerProduct, MetricError, SubspaceBasis,
                              _fix_signs, gram_schmidt, metric_adjoint,
-                             project, split_tangent)
+                             norms_along, project, split_tangent)
 from slantmap.maps import differential
 from oracles import (metric_adjoint_derivative, range_projector,
-                     range_projector_derivative)
+                     range_projector_derivative, searched_inner_product)
 
 
 def random_spd(gen, n):
@@ -154,6 +156,103 @@ def test_cholesky_decides_positive_definiteness(stack):
     elif lowest < -1e-8 * np.abs(matrix).max():
         assert str(failure.value) == ("inner product is not positive definite "
                                       f"(min eigenvalue {lowest:g})")
+
+
+METRIC_KINDS = ("definite", "near_symmetric", "asymmetric", "non_finite",
+                "signed_zero", "zero", "indefinite", "singular", "subnormal")
+
+
+@st.composite
+def metric_stacks(draw):
+    """Stacks of n x n matrices of every kind InnerProduct tells apart, in
+    any order: exactly symmetric definite ones, A A^T + I; those with one
+    entry moved off symmetry within SYM_TOL, or beyond it; those with a NaN
+    or an infinity at a random index, or one infinity at (i, j) and (j, i);
+    a 0.0 at (i, j) against -0.0 at (j, i); zero matrices; indefinite ones;
+    ones singular to rounding, A A^T + k 2^-52 I with A of rank n - 1; and
+    definite ones with a symmetric pair of subnormal entries, which the
+    halving rounds."""
+    n = draw(st.integers(1, 4))
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n)
+    index = st.integers(0, n - 1)
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(METRIC_KINDS))
+        i, j = draw(index), draw(index)
+        A = np.array(draw(entries)).reshape(n, n)
+        if kind == "singular":
+            A[:, -1] = A[:, :-1] @ np.array(draw(entries))[:n - 1]
+        G = A @ A.T
+        G = 0.5 * G + 0.5 * G.T
+        if kind == "singular":
+            G += draw(st.integers(-8, 8)) * 2.0 ** -52 * np.eye(n)
+        elif kind == "indefinite":
+            G[0, 0] -= np.trace(G) + 1.0
+        elif kind == "zero":
+            G[:] = 0.0
+        else:
+            G += np.eye(n)
+        scale = np.abs(G).max()
+        if kind == "near_symmetric":
+            G[i, j] += draw(st.integers(-4000, 4000)) * 2.0 ** -52 * scale
+        elif kind == "asymmetric":
+            G[i, j] += draw(st.sampled_from((-1.0, 1.0))) * scale * 10.0 ** draw(
+                st.floats(-11.5, 0.0))
+        elif kind == "non_finite":
+            G[i, j] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+            if draw(st.booleans()):
+                G[j, i] = G[i, j]
+        elif kind == "signed_zero":
+            G[i, j], G[j, i] = 0.0, -0.0
+        elif kind == "subnormal":
+            G[i, j] = G[j, i] = draw(st.sampled_from((5e-324, -5e-324, 1e-310)))
+        stack.append(G)
+    return np.array(stack)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(metric_stacks())
+def test_inner_product_equals_the_searched_constructor(stack):
+    # the one exact-symmetry test leaves every result as the search gave
+    # it: the same bytes of each field, or the same error, text and index
+    try:
+        expected = searched_inner_product(stack)
+    except (MetricError, np.linalg.LinAlgError) as failure:
+        with pytest.raises(type(failure)) as raised:
+            InnerProduct(stack)
+        assert type(raised.value) is type(failure)
+        assert str(raised.value) == str(failure)
+        assert getattr(raised.value, "index", None) == getattr(failure, "index", None)
+        return
+    ip = InnerProduct(stack)
+    for name, value in expected.items():
+        assert getattr(ip, name).tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("axis", [-2, (-2, -1)])
+def test_norms_along_is_numpys_norm_bit_for_bit(axis):
+    # stacks with magnitudes 1e-200 to 1e200, whose squares overflow to inf
+    # or underflow to 0, some entries NaN, infinite or 0: the bits of
+    # np.linalg.norm, and the same warning categories, an overflow's
+    # RuntimeWarning in some stacks and none in others
+    gen = np.random.default_rng(47)
+    warned = 0
+    for _ in range(300):
+        shape = tuple(int(k) for k in gen.integers(1, 5, 3))
+        x = gen.standard_normal(shape) * 10.0 ** gen.uniform(-200, 200, shape)
+        for value in gen.choice([np.nan, np.inf, -np.inf, 0.0], gen.integers(0, 3)):
+            x[tuple(int(gen.integers(0, k)) for k in shape)] = value
+        results, categories = [], []
+        for norms in (norms_along, lambda x, axis: np.linalg.norm(x, axis=axis)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results.append(norms(x, axis))
+            categories.append([warning.category for warning in caught])
+        assert results[0].shape == results[1].shape
+        assert results[0].tobytes() == results[1].tobytes()
+        assert categories[0] == categories[1]
+        warned += bool(categories[0])
+    assert 0 < warned < 300
 
 
 def test_usable_metrics_split_into_orthonormal_bases():
